@@ -217,9 +217,9 @@ pub struct FastForward<'a, P> {
     left: u32,
     /// Buckets consumed (reads + dozed-over); caps runaway planners.
     consumed: usize,
-    /// Whether to accumulate per-phase spans (the walk's `R::ENABLED`).
-    record: bool,
-    spans: PhaseSpans,
+    /// Per-phase spans of the consumed buckets; `Some` only when the walk
+    /// records (`R::ENABLED`), so an uninstrumented walk never zeroes them.
+    spans: Option<PhaseSpans>,
 }
 
 impl<'a, P> FastForward<'a, P> {
@@ -267,12 +267,12 @@ impl<'a, P> FastForward<'a, P> {
         self.now = end;
         self.probes += 1;
         self.left -= 1;
-        if self.record {
+        if let Some(spans) = self.spans.as_mut() {
             let phase = match kind {
                 BucketKind::Index => Phase::IndexTraversal,
                 BucketKind::Data => Phase::DataRead,
             };
-            self.spans.add(phase, span, span);
+            spans.add(phase, span, span);
         }
         self.advance();
     }
@@ -290,8 +290,10 @@ impl<'a, P> FastForward<'a, P> {
             self.advance();
         }
         self.now = self.start;
-        if self.record && self.now > from {
-            self.spans.add(Phase::Doze, self.now - from, 0);
+        if let Some(spans) = self.spans.as_mut() {
+            if self.now > from {
+                spans.add(Phase::Doze, self.now - from, 0);
+            }
         }
     }
 
@@ -371,10 +373,11 @@ pub enum WalkStep {
 /// Executes a [`ProtocolMachine`] against a [`Channel`], one step at a
 /// time, accounting access and tuning time.
 ///
-/// `Walk` is both the fast in-process driver (via [`run_machine`]) and the
-/// unit of scheduling for the event-driven testbed, which alternates
-/// [`Walk::step`] with its global event queue. The two drivers execute the
-/// identical code path, so their results cannot diverge — a property the
+/// `Walk` is both the fast in-process driver (via [`run_machine`], which
+/// fast-forwards) and the unit of scheduling for the event-driven testbed,
+/// which alternates [`Walk::step`] with its global event queue. The two
+/// drivers execute the identical code path, and fast-forward is
+/// tick-exact, so their results cannot diverge — a property the
 /// integration suite verifies explicitly.
 #[derive(Debug)]
 pub struct Walk<'a, P, M, R = NoopRecorder> {
@@ -506,21 +509,21 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
         }
     }
 
-    /// Opt into analytical fast-forward: while a `ReadNext` is pending the
-    /// walk lets the machine bulk-consume uninteresting buckets (see
-    /// [`ProtocolMachine::fast_forward`]) before the next real read, so a
-    /// linear scan takes O(1) steps per *interesting* bucket instead of
-    /// one per bucket. Outcomes, access/tuning accounting, probe counts
+    /// Turn analytical fast-forward on or off: while a `ReadNext` is
+    /// pending the walk lets the machine bulk-consume uninteresting buckets
+    /// (see [`ProtocolMachine::fast_forward`]) before the next real read,
+    /// so a linear scan takes O(1) steps per *interesting* bucket instead
+    /// of one per bucket. Outcomes, access/tuning accounting, probe counts
     /// and per-phase spans are tick-identical to the slow path; only the
     /// [`WalkStep`] granularity (and hence the event count of an engine
-    /// driving the walk) changes. Off by default.
+    /// driving the walk) changes.
+    ///
+    /// Off by default, so a stepped `Walk` reports every bucket — the
+    /// ground truth that timelines and the reference oracle replay. The
+    /// one-shot drivers ([`run_machine`] and its variants) always turn it
+    /// on, since their callers see only the final outcome and spans.
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.ff = enabled;
-    }
-
-    /// Whether analytical fast-forward is enabled for this walk.
-    pub fn fast_forward_enabled(&self) -> bool {
-        self.ff
     }
 
     /// The walk's recorder (e.g. to read accumulated spans).
@@ -589,7 +592,9 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
 
     /// Let the machine bulk-consume uninteresting buckets, then fold its
     /// aggregate accounting into the walk as if each had been stepped.
-    fn run_fast_forward(&mut self) {
+    /// Returns the landing bucket — the one the slow path reads next, i.e.
+    /// `first_complete_at(self.now)` — which the cursor already holds.
+    fn run_fast_forward(&mut self) -> (usize, Ticks) {
         // Disengage within four cycles of the clock's end: the slow path's
         // saturating arithmetic must stay observable, and a fast-forward
         // engagement never advances further than two cycles.
@@ -600,7 +605,7 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
             .and_then(|w| self.now.checked_add(w))
             .is_none()
         {
-            return;
+            return self.ch.first_complete_at(self.now);
         }
         let (idx, start) = self.ch.first_complete_at(self.now);
         let mut ctx = FastForward {
@@ -613,12 +618,11 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
             probes: 0,
             left: self.max_probes - self.probes,
             consumed: 0,
-            record: R::ENABLED,
-            spans: PhaseSpans::new(),
+            spans: R::ENABLED.then(PhaseSpans::new),
         };
         self.machine.fast_forward(&mut ctx);
         if ctx.probes == 0 {
-            return;
+            return (idx, start);
         }
         // Every consumed read was clean (machines stop before corrupt
         // buckets), and a clean read resets the outage streak on the
@@ -628,13 +632,14 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
         self.tuning += ctx.tuning;
         self.now = ctx.now;
         self.probes += ctx.probes;
-        if R::ENABLED {
-            for (phase, t) in ctx.spans.iter() {
+        if let Some(spans) = ctx.spans {
+            for (phase, t) in spans.iter() {
                 if t.count > 0 {
                     self.recorder.span_n(phase, t.count, t.access, t.tuning);
                 }
             }
         }
+        (ctx.idx, ctx.start)
     }
 
     /// Apply a back-off of `cycles` whole cycles to a post-corruption
@@ -666,16 +671,19 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
                 if self.probes >= self.max_probes {
                     return self.exhaust();
                 }
-                if self.ff && self.probes > 0 {
-                    self.run_fast_forward();
+                let (idx, start) = if self.ff && self.probes > 0 {
+                    let landing = self.run_fast_forward();
                     if self.probes >= self.max_probes {
                         // The scan burned the whole budget on uninteresting
                         // buckets; the next read gives up, as it would have
                         // bucket-by-bucket.
                         return self.exhaust();
                     }
-                }
-                let (idx, start) = self.ch.first_complete_at(self.now);
+                    debug_assert_eq!(landing, self.ch.first_complete_at(self.now));
+                    landing
+                } else {
+                    self.ch.first_complete_at(self.now)
+                };
                 let bucket = self.ch.bucket(idx);
                 let size = Ticks::from(bucket.size);
                 let end = start + size;
@@ -763,8 +771,10 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
     }
 }
 
-/// Drive a machine to completion and return its outcome — the fast path
-/// used by benchmarks and analytical-validation sweeps.
+/// Drive a machine to completion with fast-forward on and return its
+/// outcome — the direct walker behind `DynSystem::probe`, benchmarks and
+/// analytical-validation sweeps. Fast-forward is tick-exact, so the outcome
+/// equals a bucket-by-bucket [`Walk`]'s; only the step count differs.
 pub fn run_machine<P, M: ProtocolMachine<P>>(
     ch: &Channel<P>,
     machine: M,
@@ -792,12 +802,7 @@ pub fn run_machine_with_policy<P, M: ProtocolMachine<P>>(
     errors: ErrorModel,
     policy: RetryPolicy,
 ) -> AccessOutcome {
-    let mut walk = Walk::with_policy(ch, machine, tune_in, errors, policy);
-    loop {
-        if let WalkStep::Done(out) = walk.step() {
-            return out;
-        }
-    }
+    run_machine_with_channel(ch, machine, tune_in, errors.into(), policy)
 }
 
 /// [`run_machine`] over a unified [`ChannelModel`] (burst loss and/or
@@ -810,12 +815,7 @@ pub fn run_machine_with_channel<P, M: ProtocolMachine<P>>(
     channel: ChannelModel,
     policy: RetryPolicy,
 ) -> AccessOutcome {
-    let mut walk = Walk::with_channel(ch, machine, tune_in, channel, policy);
-    loop {
-        if let WalkStep::Done(out) = walk.step() {
-            return out;
-        }
-    }
+    drain_walk(Walk::with_channel(ch, machine, tune_in, channel, policy)).0
 }
 
 /// [`run_machine_with_channel`] with span instrumentation.
@@ -826,19 +826,17 @@ pub fn run_machine_observed_channel<P, M: ProtocolMachine<P>>(
     channel: ChannelModel,
     policy: RetryPolicy,
 ) -> (AccessOutcome, PhaseSpans) {
-    let mut walk =
+    let walk =
         Walk::with_channel_recorder(ch, machine, tune_in, channel, policy, SpanRecorder::new());
-    loop {
-        if let WalkStep::Done(out) = walk.step() {
-            return (out, walk.recorder().spans);
-        }
-    }
+    let (out, recorder) = drain_walk(walk);
+    (out, recorder.spans)
 }
 
 /// [`run_machine_with_policy`] with span instrumentation: also returns the
 /// walk's per-phase access/tuning decomposition, whose totals equal the
 /// outcome's `access` and `tuning` exactly (spans are recorded as the
-/// bytes are paid, so the sums telescope).
+/// bytes are paid, so the sums telescope). Fast-forwarded spans equal the
+/// bucket-by-bucket walk's.
 pub fn run_machine_observed<P, M: ProtocolMachine<P>>(
     ch: &Channel<P>,
     machine: M,
@@ -846,10 +844,18 @@ pub fn run_machine_observed<P, M: ProtocolMachine<P>>(
     errors: ErrorModel,
     policy: RetryPolicy,
 ) -> (AccessOutcome, PhaseSpans) {
-    let mut walk = Walk::with_recorder(ch, machine, tune_in, errors, policy, SpanRecorder::new());
+    run_machine_observed_channel(ch, machine, tune_in, errors.into(), policy)
+}
+
+/// The one-shot drivers' shared loop: step `walk` to completion with
+/// fast-forward on, then hand back its outcome and recorder.
+fn drain_walk<P, M: ProtocolMachine<P>, R: Recorder>(
+    mut walk: Walk<'_, P, M, R>,
+) -> (AccessOutcome, R) {
+    walk.set_fast_forward(true);
     loop {
         if let WalkStep::Done(out) = walk.step() {
-            return (out, walk.recorder().spans);
+            return (out, walk.recorder);
         }
     }
 }
@@ -1215,16 +1221,20 @@ mod tests {
         }
     }
 
-    fn run_ff<P, M: ProtocolMachine<P>>(
+    /// Step a span-recording walk to completion with fast-forward `ff`:
+    /// `ff = false` is the bucket-by-bucket side of every differential
+    /// test below. Also returns the steps taken.
+    fn run_walk<P, M: ProtocolMachine<P>>(
         ch: &Channel<P>,
         machine: M,
         tune_in: Ticks,
         errors: ErrorModel,
         policy: RetryPolicy,
+        ff: bool,
     ) -> (AccessOutcome, PhaseSpans, u64) {
         let mut walk =
             Walk::with_recorder(ch, machine, tune_in, errors, policy, SpanRecorder::new());
-        walk.set_fast_forward(true);
+        walk.set_fast_forward(ff);
         let mut steps = 0u64;
         loop {
             steps += 1;
@@ -1241,17 +1251,35 @@ mod tests {
             for tune_in in [0u64, 5, 33, 359] {
                 for errors in [ErrorModel::NONE, ErrorModel::new(0.4, 0xC0FF)] {
                     let policy = RetryPolicy::UNBOUNDED;
-                    let (slow, slow_spans) = run_machine_observed(
+                    let (slow, slow_spans, _) = run_walk(
                         &c,
                         SkipTo { target, seen: 0 },
                         tune_in,
                         errors,
                         policy,
+                        false,
                     );
-                    let (fast, fast_spans, steps) =
-                        run_ff(&c, SkipTo { target, seen: 0 }, tune_in, errors, policy);
+                    let (fast, fast_spans, steps) = run_walk(
+                        &c,
+                        SkipTo { target, seen: 0 },
+                        tune_in,
+                        errors,
+                        policy,
+                        true,
+                    );
                     assert_eq!(slow, fast, "target={target} t={tune_in}");
                     assert_eq!(slow_spans, fast_spans, "span totals and counts match");
+                    // The one-shot driver is the fast-forwarding walk.
+                    assert_eq!(
+                        run_machine_observed(
+                            &c,
+                            SkipTo { target, seen: 0 },
+                            tune_in,
+                            errors,
+                            policy
+                        ),
+                        (fast, fast_spans)
+                    );
                     if errors.loss_prob == 0.0 {
                         // One initial probe, at most one fast-forwarded
                         // landing read, one Done: O(1) steps regardless of
@@ -1280,10 +1308,12 @@ mod tests {
             }
         }
         let c = ch(&[10, 20]);
-        let slow = run_machine(&c, NeverMatch, 7);
-        let (fast, _, _) = run_ff(&c, NeverMatch, 7, ErrorModel::NONE, RetryPolicy::UNBOUNDED);
+        let (errors, policy) = (ErrorModel::NONE, RetryPolicy::UNBOUNDED);
+        let (slow, _, _) = run_walk(&c, NeverMatch, 7, errors, policy, false);
+        let (fast, _, _) = run_walk(&c, NeverMatch, 7, errors, policy, true);
         assert!(slow.aborted && fast.aborted);
         assert_eq!(slow, fast, "budget abort is tick-identical");
+        assert_eq!(run_machine(&c, NeverMatch, 7), fast);
     }
 
     #[test]
@@ -1292,17 +1322,72 @@ mod tests {
         // walk back to the (saturating) slow path untouched.
         let c = ch(&[10, 20, 30, 40]);
         let cycle = c.cycle_len();
+        let (errors, policy) = (ErrorModel::NONE, RetryPolicy::UNBOUNDED);
         for t in [Ticks::MAX - 3 * cycle, Ticks::MAX - 4 * cycle + 1] {
-            let slow = run_machine(&c, SkipTo { target: 2, seen: 0 }, t);
-            let (fast, _, _) = run_ff(
-                &c,
-                SkipTo { target: 2, seen: 0 },
-                t,
-                ErrorModel::NONE,
-                RetryPolicy::UNBOUNDED,
-            );
+            let skip = || SkipTo { target: 2, seen: 0 };
+            let (slow, _, _) = run_walk(&c, skip(), t, errors, policy, false);
+            let (fast, _, _) = run_walk(&c, skip(), t, errors, policy, true);
             assert!(slow.found);
             assert_eq!(slow, fast, "saturating clock behaviour is preserved");
+            assert_eq!(run_machine(&c, skip(), t), fast);
+        }
+    }
+
+    /// Every step of a walk, through `Done`.
+    fn step_trace<M: ProtocolMachine<usize>>(
+        c: &Channel<usize>,
+        machine: M,
+        tune_in: Ticks,
+        errors: ErrorModel,
+        ff: bool,
+    ) -> Vec<WalkStep> {
+        let mut walk = Walk::with_policy(c, machine, tune_in, errors, RetryPolicy::bounded(4));
+        walk.set_fast_forward(ff);
+        let mut steps = Vec::new();
+        loop {
+            let step = walk.step();
+            steps.push(step);
+            if let WalkStep::Done(_) = step {
+                return steps;
+            }
+        }
+    }
+
+    #[test]
+    fn machines_without_a_planner_step_identically_with_fast_forward() {
+        // With no planner the hook consumes nothing, so fast-forward must
+        // hand the walk its landing bucket unchanged: every read, doze and
+        // outcome identical, step for step. Tune-ins sit inside the cycle's
+        // last bucket [30, 60), both early in the clock and within four
+        // cycles of `Ticks::MAX` (where the hook disengages), plus one that
+        // starts engaged and crosses into that zone mid-walk.
+        let c = ch(&[10, 20, 30]);
+        let cycle = c.cycle_len();
+        let late = (Ticks::MAX / cycle - 3) * cycle;
+        assert!(Ticks::MAX - late < 4 * cycle);
+        let tune_ins = [
+            31,
+            45,
+            59,
+            5 * cycle + 44,
+            late + 31,
+            late + 59,
+            late - cycle + 45,
+            late - 2 * cycle + 45,
+        ];
+        for t in tune_ins {
+            for errors in [ErrorModel::NONE, ErrorModel::new(0.3, 0x7A1C)] {
+                let scripted = || Scripted {
+                    reads: 4,
+                    doze: Some(20),
+                    seen: vec![],
+                };
+                let slow = step_trace(&c, scripted(), t, errors, false);
+                assert!(slow.len() > 4, "t={t}: {slow:?}");
+                assert_eq!(slow, step_trace(&c, scripted(), t, errors, true), "t={t}");
+                let slow = step_trace(&c, FirstGood, t, errors, false);
+                assert_eq!(slow, step_trace(&c, FirstGood, t, errors, true), "t={t}");
+            }
         }
     }
 

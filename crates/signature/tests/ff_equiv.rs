@@ -22,15 +22,18 @@ fn dataset(n: u64) -> Dataset {
     .unwrap()
 }
 
-fn run_ff<M: ProtocolMachine<SigPayload>>(
+/// Step a span-recording walk to completion with fast-forward `ff`;
+/// `ff = false` is the bucket-by-bucket side. Also returns the steps taken.
+fn run_walk<M: ProtocolMachine<SigPayload>>(
     ch: &Channel<SigPayload>,
     machine: M,
     tune_in: Ticks,
     errors: ErrorModel,
     policy: RetryPolicy,
+    ff: bool,
 ) -> (AccessOutcome, PhaseSpans, u64) {
     let mut walk = Walk::with_recorder(ch, machine, tune_in, errors, policy, SpanRecorder::new());
-    walk.set_fast_forward(true);
+    walk.set_fast_forward(ff);
     let mut steps = 0u64;
     loop {
         steps += 1;
@@ -57,10 +60,10 @@ where
             let tune_in = s * cycle / 6 + 13 * s;
             for errors in [ErrorModel::NONE, ErrorModel::new(0.15, 0x5EED)] {
                 let policy = RetryPolicy::UNBOUNDED;
-                let (slow, slow_spans) =
-                    run_machine_observed(ch, system.query(key), tune_in, errors, policy);
+                let (slow, slow_spans, _) =
+                    run_walk(ch, system.query(key), tune_in, errors, policy, false);
                 let (fast, fast_spans, steps) =
-                    run_ff(ch, system.query(key), tune_in, errors, policy);
+                    run_walk(ch, system.query(key), tune_in, errors, policy, true);
                 assert_eq!(
                     slow,
                     fast,
@@ -72,6 +75,13 @@ where
                     slow_spans,
                     fast_spans,
                     "{} spans diverged for key {key:?} tune_in {tune_in}",
+                    system.scheme_name()
+                );
+                // The one-shot driver is the fast-forwarding walk.
+                assert_eq!(
+                    run_machine_observed(ch, system.query(key), tune_in, errors, policy),
+                    (fast, fast_spans),
+                    "{} one-shot driver diverged for key {key:?} tune_in {tune_in}",
                     system.scheme_name()
                 );
                 if collapses_lossless_scan && errors.loss_prob == 0.0 && !slow.found {

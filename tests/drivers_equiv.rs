@@ -1,7 +1,9 @@
-//! Internal validity of the testbed: the discrete-event engine and the
-//! direct walker execute the same protocol machines, so their outcomes
-//! must be *identical* — per request, for every scheme.
+//! Internal validity of the testbed: the discrete-event engine, the
+//! fast-forwarding direct walker and a bucket-by-bucket stepped walk
+//! execute the same protocol machines, so their outcomes must be
+//! *identical* — per request, for every scheme.
 
+use bda::core::scheme::drain;
 use bda::prelude::*;
 use bda::sim::run_requests;
 
@@ -44,6 +46,13 @@ fn event_engine_equals_direct_walker_per_request() {
                 res.outcome,
                 direct,
                 "{}: divergence at t={t} key={k}",
+                sys.scheme_name()
+            );
+            let stepped = drain(sys.begin(k, t).as_mut());
+            assert_eq!(
+                stepped,
+                direct,
+                "{}: stepped walk diverged at t={t} key={k}",
                 sys.scheme_name()
             );
         }
