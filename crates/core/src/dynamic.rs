@@ -38,7 +38,9 @@ use crate::bucket::{Bucket, BucketMeta};
 use crate::error::{BdaError, Result};
 use crate::errors_model::{ChannelModel, ErrorModel, RetryPolicy};
 use crate::key::Key;
-use crate::machine::{AccessOutcome, Action, ProtocolMachine, StaleResponse, WalkStep};
+use crate::machine::{
+    engage, AccessOutcome, Action, ProtocolMachine, StaleResponse, Tally, WalkStep,
+};
 use crate::scheme::{QueryRun, QuerySlot, System};
 use crate::Ticks;
 use bda_obs::{BucketKind, NoopRecorder, Phase, PhaseSpans, Recorder, SpanRecorder};
@@ -156,6 +158,13 @@ impl<S: System> ProgramTimeline<S> {
 /// dynamic-broadcast counterpart of [`Walk`], with identical byte
 /// accounting plus version-skew detection and stale-restart recovery.
 ///
+/// Like [`Walk`], it can fast-forward ([`VersionedWalk::set_fast_forward`])
+/// — but only through the epoch on air, which is as immutable as a frozen
+/// program: the planner engages only when that epoch carries the walk's
+/// anchor version, never starts a read at or past the next epoch's start,
+/// and hands the boundary bucket to the slow path, which detects the skew
+/// and respawns the machine.
+///
 /// [`Walk`]: crate::machine::Walk
 #[derive(Debug)]
 pub struct VersionedWalk<'a, S: System, R = NoopRecorder> {
@@ -181,6 +190,7 @@ pub struct VersionedWalk<'a, S: System, R = NoopRecorder> {
     /// drives the exponential resynchronization back-off; reset by any
     /// usable or merely-lossy read.
     outage_streak: u32,
+    ff: bool,
     recorder: R,
 }
 
@@ -300,8 +310,21 @@ impl<'a, S: System, R: Recorder> VersionedWalk<'a, S, R> {
             channel,
             policy,
             outage_streak: 0,
+            ff: false,
             recorder,
         }
+    }
+
+    /// Turn epoch-bounded fast-forward on or off — the versioned
+    /// counterpart of
+    /// [`Walk::set_fast_forward`](crate::machine::Walk::set_fast_forward),
+    /// with the same tick-identical outcomes, accounting, probe counts
+    /// and per-phase spans (version skews and stale restarts included).
+    /// Off by default, so a stepped walk reports every bucket; the one-shot
+    /// drivers ([`VersionedWalk::run`], [`run_versioned`] and its variants)
+    /// always turn it on.
+    pub fn set_fast_forward(&mut self, enabled: bool) {
+        self.ff = enabled;
     }
 
     /// The walk's recorder (e.g. to read accumulated spans).
@@ -406,6 +429,37 @@ impl<'a, S: System, R: Recorder> VersionedWalk<'a, S, R> {
         }
     }
 
+    /// Fast-forward through the epoch on air at `landing` — never reading
+    /// past its end — and return the bucket the slow path reads next: the
+    /// cursor's landing, or, once the cursor reached the next epoch's
+    /// start (a doze may end exactly there), the next program's first
+    /// bucket, looked up in the timeline.
+    fn run_fast_forward(&mut self, landing: (usize, usize, Ticks)) -> (usize, usize, Ticks) {
+        let timeline = self.timeline;
+        let (ei, idx, start) = landing;
+        let limit = timeline.epochs.get(ei + 1).map_or(Ticks::MAX, |e| e.start);
+        let (idx, start) = engage(
+            timeline.epoch(ei).system.channel(),
+            self.channel,
+            &mut self.machine,
+            (idx, start),
+            limit,
+            Tally {
+                now: &mut self.now,
+                tuning: &mut self.tuning,
+                probes: &mut self.probes,
+                max_probes: self.max_probes,
+                outage_streak: &mut self.outage_streak,
+                recorder: &mut self.recorder,
+            },
+        );
+        if start < limit {
+            (ei, idx, start)
+        } else {
+            timeline.first_complete_at(self.now)
+        }
+    }
+
     /// Execute the machine's next action and report what happened —
     /// byte-for-byte the same accounting as
     /// [`Walk::step`](crate::machine::Walk::step), plus the version-skew
@@ -424,7 +478,20 @@ impl<'a, S: System, R: Recorder> VersionedWalk<'a, S, R> {
                     return self.exhaust();
                 }
                 let timeline = self.timeline;
-                let (ei, idx, start) = timeline.first_complete_at(self.now);
+                let mut landing = timeline.first_complete_at(self.now);
+                // Engage only over the anchor's own program: a skewed
+                // bucket is the slow path's to detect.
+                if self.ff
+                    && self.probes > 0
+                    && timeline.epoch(landing.0).version() == self.anchor_version
+                {
+                    landing = self.run_fast_forward(landing);
+                    if self.probes >= self.max_probes {
+                        return self.exhaust();
+                    }
+                    debug_assert_eq!(landing, timeline.first_complete_at(self.now));
+                }
+                let (ei, idx, start) = landing;
                 let epoch = timeline.epoch(ei);
                 let ch = epoch.system.channel();
                 let bucket = ch.bucket(idx);
@@ -520,12 +587,21 @@ impl<'a, S: System, R: Recorder> VersionedWalk<'a, S, R> {
         }
     }
 
-    /// Drive the walk to completion.
-    pub fn run(mut self) -> AccessOutcome {
-        loop {
-            if let WalkStep::Done(out) = self.step() {
-                return out;
-            }
+    /// Drive the walk to completion with fast-forward on. Fast-forward is
+    /// tick-exact, so the outcome equals a bucket-by-bucket walk's; only
+    /// the step count differs.
+    pub fn run(self) -> AccessOutcome {
+        drain_walk(self).0
+    }
+}
+
+/// The one-shot drivers' shared loop: step `walk` to completion with
+/// fast-forward on, then hand back its outcome and recorder.
+fn drain_walk<S: System, R: Recorder>(mut walk: VersionedWalk<'_, S, R>) -> (AccessOutcome, R) {
+    walk.set_fast_forward(true);
+    loop {
+        if let WalkStep::Done(out) = walk.step() {
+            return (out, walk.recorder);
         }
     }
 }
@@ -540,7 +616,10 @@ impl<S: System, R: Recorder> QueryRun for VersionedWalk<'_, S, R> {
     }
 }
 
-/// Run one query over a dynamic broadcast timeline (lossless fast path).
+/// Run one query over a dynamic broadcast timeline (lossless) with
+/// epoch-bounded fast-forward on — the direct walker behind
+/// `VersionedServer::probe`. Outcomes equal a bucket-by-bucket
+/// [`VersionedWalk`]'s; only the step count differs.
 pub fn run_versioned<S: System>(
     timeline: &ProgramTimeline<S>,
     key: Key,
@@ -549,8 +628,8 @@ pub fn run_versioned<S: System>(
     VersionedWalk::new(timeline, key, tune_in).run()
 }
 
-/// Run one query over a dynamic broadcast timeline with fault injection
-/// and an explicit client retry policy.
+/// [`run_versioned`] with fault injection and an explicit client retry
+/// policy.
 pub fn run_versioned_with_policy<S: System>(
     timeline: &ProgramTimeline<S>,
     key: Key,
@@ -561,8 +640,8 @@ pub fn run_versioned_with_policy<S: System>(
     VersionedWalk::with_policy(timeline, key, tune_in, errors, policy).run()
 }
 
-/// Run one query over a dynamic broadcast timeline behind a unified
-/// [`ChannelModel`] (burst loss, outages, or both).
+/// [`run_versioned`] behind a unified [`ChannelModel`] (burst loss,
+/// outages, or both).
 pub fn run_versioned_with_channel<S: System>(
     timeline: &ProgramTimeline<S>,
     key: Key,
@@ -581,7 +660,7 @@ pub fn run_versioned_observed_channel<S: System>(
     channel: ChannelModel,
     policy: RetryPolicy,
 ) -> (AccessOutcome, PhaseSpans) {
-    let mut walk = VersionedWalk::with_channel_recorder(
+    let walk = VersionedWalk::with_channel_recorder(
         timeline,
         key,
         tune_in,
@@ -589,17 +668,15 @@ pub fn run_versioned_observed_channel<S: System>(
         policy,
         SpanRecorder::new(),
     );
-    loop {
-        if let WalkStep::Done(out) = walk.step() {
-            return (out, walk.recorder().spans);
-        }
-    }
+    let (out, recorder) = drain_walk(walk);
+    (out, recorder.spans)
 }
 
 /// [`run_versioned_with_policy`] with span instrumentation: also returns
 /// the walk's per-phase decomposition, whose totals equal the outcome's
 /// `access`/`tuning` exactly. Skewed reads land in
-/// [`Phase::StaleRecovery`].
+/// [`Phase::StaleRecovery`]. Fast-forwarded spans equal the
+/// bucket-by-bucket walk's.
 pub fn run_versioned_observed<S: System>(
     timeline: &ProgramTimeline<S>,
     key: Key,
@@ -607,13 +684,7 @@ pub fn run_versioned_observed<S: System>(
     errors: ErrorModel,
     policy: RetryPolicy,
 ) -> (AccessOutcome, PhaseSpans) {
-    let mut walk =
-        VersionedWalk::with_recorder(timeline, key, tune_in, errors, policy, SpanRecorder::new());
-    loop {
-        if let WalkStep::Done(out) = walk.step() {
-            return (out, walk.recorder().spans);
-        }
-    }
+    run_versioned_observed_channel(timeline, key, tune_in, errors.into(), policy)
 }
 
 /// The reusable [`QuerySlot`] over a [`ProgramTimeline`] — the dynamic
@@ -624,6 +695,7 @@ pub struct VersionedSlot<'a, S: System> {
     walk: Option<VersionedWalk<'a, S>>,
     channel: ChannelModel,
     policy: RetryPolicy,
+    ff: bool,
 }
 
 impl<'a, S: System> VersionedSlot<'a, S> {
@@ -653,19 +725,24 @@ impl<'a, S: System> VersionedSlot<'a, S> {
             walk: None,
             channel,
             policy,
+            ff: false,
         }
     }
 }
 
 impl<S: System> QuerySlot for VersionedSlot<'_, S> {
     fn start(&mut self, key: Key, tune_in: Ticks) {
-        self.walk = Some(VersionedWalk::with_channel(
-            self.timeline,
-            key,
-            tune_in,
-            self.channel,
-            self.policy,
-        ));
+        let mut walk =
+            VersionedWalk::with_channel(self.timeline, key, tune_in, self.channel, self.policy);
+        walk.set_fast_forward(self.ff);
+        self.walk = Some(walk);
+    }
+
+    fn set_fast_forward(&mut self, enabled: bool) {
+        self.ff = enabled;
+        if let Some(walk) = self.walk.as_mut() {
+            walk.set_fast_forward(enabled);
+        }
     }
 
     fn step(&mut self) -> WalkStep {
@@ -694,6 +771,7 @@ pub struct ObservedVersionedSlot<'a, S: System> {
     walk: Option<VersionedWalk<'a, S, SpanRecorder>>,
     channel: ChannelModel,
     policy: RetryPolicy,
+    ff: bool,
 }
 
 impl<'a, S: System> ObservedVersionedSlot<'a, S> {
@@ -717,20 +795,30 @@ impl<'a, S: System> ObservedVersionedSlot<'a, S> {
             walk: None,
             channel,
             policy,
+            ff: false,
         }
     }
 }
 
 impl<S: System> QuerySlot for ObservedVersionedSlot<'_, S> {
     fn start(&mut self, key: Key, tune_in: Ticks) {
-        self.walk = Some(VersionedWalk::with_channel_recorder(
+        let mut walk = VersionedWalk::with_channel_recorder(
             self.timeline,
             key,
             tune_in,
             self.channel,
             self.policy,
             SpanRecorder::new(),
-        ));
+        );
+        walk.set_fast_forward(self.ff);
+        self.walk = Some(walk);
+    }
+
+    fn set_fast_forward(&mut self, enabled: bool) {
+        self.ff = enabled;
+        if let Some(walk) = self.walk.as_mut() {
+            walk.set_fast_forward(enabled);
+        }
     }
 
     fn step(&mut self) -> WalkStep {
@@ -759,7 +847,9 @@ impl<S: System> QuerySlot for ObservedVersionedSlot<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flat::FlatScheme;
+    use crate::channel::Channel;
+    use crate::errors_model::{BurstModel, OutageSchedule};
+    use crate::flat::{FlatMachine, FlatPayload, FlatScheme, FlatSystem};
     use crate::machine::run_machine;
     use crate::params::Params;
     use crate::record::{Dataset, Record};
@@ -771,7 +861,12 @@ mod tests {
 
     /// Two flat epochs: keys {0,10,20,30} for two cycles, then {0,10,30,40}
     /// (20 deleted, 40 inserted) forever.
-    fn two_epoch_timeline() -> ProgramTimeline<crate::flat::FlatSystem> {
+    fn two_epoch_timeline() -> ProgramTimeline<FlatSystem> {
+        two_epoch_timeline_of(|sys| sys)
+    }
+
+    /// [`two_epoch_timeline`] with each program wrapped by `wrap`.
+    fn two_epoch_timeline_of<S: System>(wrap: impl Fn(FlatSystem) -> S) -> ProgramTimeline<S> {
         let params = Params::paper();
         let sys0 = FlatScheme
             .build(&dataset(&[0, 10, 20, 30]), &params)
@@ -782,11 +877,11 @@ mod tests {
             .unwrap();
         ProgramTimeline::new(vec![
             Epoch {
-                system: sys0,
+                system: wrap(sys0),
                 start: 0,
             },
             Epoch {
-                system: sys1,
+                system: wrap(sys1),
                 start: boundary,
             },
         ])
@@ -931,5 +1026,178 @@ mod tests {
                 assert_eq!(stepped, run_versioned(&tl, key, t));
             }
         }
+    }
+
+    /// Flat broadcast behind a machine with no planner: its
+    /// `fast_forward` is the default, which consumes nothing.
+    struct Unplanned(FlatSystem);
+
+    struct UnplannedMachine(FlatMachine);
+
+    impl ProtocolMachine<FlatPayload> for UnplannedMachine {
+        fn start(&mut self, tune_in: Ticks) -> Action {
+            self.0.start(tune_in)
+        }
+        fn on_bucket(&mut self, payload: &FlatPayload, meta: BucketMeta) -> Action {
+            self.0.on_bucket(payload, meta)
+        }
+        fn on_corrupt(&mut self, meta: BucketMeta) -> Action {
+            self.0.on_corrupt(meta)
+        }
+    }
+
+    impl System for Unplanned {
+        type Payload = FlatPayload;
+        type Machine = UnplannedMachine;
+        fn scheme_name(&self) -> &'static str {
+            "unplanned-flat"
+        }
+        fn channel(&self) -> &Channel<FlatPayload> {
+            self.0.channel()
+        }
+        fn channel_mut(&mut self) -> &mut Channel<FlatPayload> {
+            self.0.channel_mut()
+        }
+        fn query(&self, key: Key) -> UnplannedMachine {
+            UnplannedMachine(self.0.query(key))
+        }
+    }
+
+    type Air = (ChannelModel, RetryPolicy);
+
+    /// Step a span-recording walk to completion with fast-forward `ff`
+    /// (`false` is the bucket-by-bucket side of every differential test
+    /// below), returning its outcome, spans and every step through `Done`.
+    fn run_walk<S: System>(
+        tl: &ProgramTimeline<S>,
+        key: Key,
+        tune_in: Ticks,
+        (channel, policy): Air,
+        ff: bool,
+    ) -> (AccessOutcome, PhaseSpans, Vec<WalkStep>) {
+        let mut walk = VersionedWalk::with_channel_recorder(
+            tl,
+            key,
+            tune_in,
+            channel,
+            policy,
+            SpanRecorder::new(),
+        );
+        walk.set_fast_forward(ff);
+        let mut steps = Vec::new();
+        loop {
+            let step = walk.step();
+            steps.push(step);
+            if let WalkStep::Done(out) = step {
+                return (out, walk.recorder().spans, steps);
+            }
+        }
+    }
+
+    /// Every (tune-in, air) case the walker-level tests run. Around the
+    /// epoch boundary — the start, middle and last tick of each of the
+    /// last three buckets before it, on it, and just after — over lossless
+    /// air, i.i.d. loss with a retry budget, and a Gilbert–Elliott chain
+    /// with outage windows and capped back-off. Within four cycles of
+    /// `Ticks::MAX` on the last epoch (where fast-forward disengages),
+    /// plus two tune-ins that start engaged and cross into that zone,
+    /// over the first two airs only: outage back-off would run the slow
+    /// path's clock past `Ticks::MAX`.
+    fn cases<S: System>(tl: &ProgramTimeline<S>) -> Vec<(Ticks, Air)> {
+        let bucket = Ticks::from(Params::paper().data_bucket_size());
+        let boundary = tl.epoch(1).start;
+        let mut near_boundary = vec![0, 17, boundary, boundary + 1];
+        for k in 1..=3 {
+            for offset in [0, bucket / 2, bucket - 1] {
+                near_boundary.push(boundary - k * bucket + offset);
+            }
+        }
+        let last = tl.epochs().last().unwrap();
+        let cycle = last.system.channel().cycle_len();
+        let late = last.start + ((Ticks::MAX - last.start) / cycle - 3) * cycle;
+        assert!(Ticks::MAX - late < 4 * cycle);
+        let near_max = [
+            late + 1,
+            late + cycle / 2,
+            late - cycle + 5,
+            late - 2 * cycle + 5,
+        ];
+        let chain = BurstModel::new(0.2, 0.3, 0.0, 0.9, 0xB57);
+        let airs: [Air; 3] = [
+            (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
+            (ErrorModel::new(0.3, 0x7A1C).into(), RetryPolicy::bounded(4)),
+            (
+                ChannelModel::burst(chain).with_outages(OutageSchedule::new(
+                    7 * bucket,
+                    bucket,
+                    0x0A7,
+                )),
+                RetryPolicy::bounded(24)
+                    .with_backoff_cap(8)
+                    .with_jitter(0x117),
+            ),
+        ];
+        let mut cases = Vec::new();
+        for air in airs {
+            cases.extend(near_boundary.iter().map(|&t| (t, air)));
+        }
+        for air in &airs[..2] {
+            cases.extend(near_max.iter().map(|&t| (t, *air)));
+        }
+        cases
+    }
+
+    const KEYS: [Key; 6] = [Key(0), Key(10), Key(20), Key(30), Key(40), Key(55)];
+
+    #[test]
+    fn fast_forward_stops_at_the_epoch_boundary() {
+        // A fast-forwarding walk equals the bucket-by-bucket walk in
+        // outcome and spans — version skews and stale restarts included —
+        // however close to the boundary or to `Ticks::MAX` it tunes in,
+        // on any air.
+        let tl = two_epoch_timeline();
+        let (mut skews, mut retries, mut collapsed) = (0, 0, 0);
+        for (t, air) in cases(&tl) {
+            for key in KEYS {
+                let (slow, slow_spans, slow_steps) = run_walk(&tl, key, t, air, false);
+                let (fast, fast_spans, fast_steps) = run_walk(&tl, key, t, air, true);
+                assert!(!slow.aborted, "key {key:?} t={t}");
+                assert_eq!(slow, fast, "key {key:?} t={t}");
+                assert_eq!(slow_spans, fast_spans, "key {key:?} t={t}");
+                assert_eq!(
+                    fast_spans.get(Phase::StaleRecovery).count,
+                    u64::from(fast.version_skews)
+                );
+                // The one-shot driver is the fast-forwarding walk.
+                assert_eq!(
+                    run_versioned_observed_channel(&tl, key, t, air.0, air.1),
+                    (fast, fast_spans)
+                );
+                skews += fast.version_skews;
+                retries += fast.retries;
+                collapsed += usize::from(fast_steps.len() < slow_steps.len());
+            }
+        }
+        assert!(skews > 0, "walks must cross the boundary");
+        assert!(retries > 0, "lossy air must corrupt");
+        assert!(collapsed > 0, "fast-forward must engage");
+    }
+
+    #[test]
+    fn walks_without_a_planner_step_identically_with_fast_forward() {
+        // With no planner the hook consumes nothing, so every landing goes
+        // back to the slow path unchanged: the same reads, dozes and
+        // outcome, step for step.
+        let tl = two_epoch_timeline_of(Unplanned);
+        let mut skews = 0;
+        for (t, air) in cases(&tl) {
+            for key in KEYS {
+                let (slow, _, slow_steps) = run_walk(&tl, key, t, air, false);
+                let (_, _, fast_steps) = run_walk(&tl, key, t, air, true);
+                assert_eq!(slow_steps, fast_steps, "key {key:?} t={t}");
+                skews += slow.version_skews;
+            }
+        }
+        assert!(skews > 0, "walks must cross the boundary");
     }
 }

@@ -168,19 +168,19 @@ pub trait ProtocolMachine<P> {
     /// bucket (key match, signature hit, coverage completion, corruption,
     /// probe-budget edge).
     ///
-    /// Called by an opted-in [`Walk`] while a `ReadNext` is pending,
-    /// *before* the next bucket is read. The machine may consume any
-    /// prefix of upcoming buckets whose slow-path handling it can
-    /// reproduce exactly: for each consumed bucket it must apply the same
-    /// internal state transitions `on_bucket` would have, and account the
-    /// read/doze through `ctx` so access time, tuning time, probe counts
-    /// and per-phase spans stay tick-identical to the bucket-by-bucket
-    /// walk. It must stop *before* — never on — any bucket where the slow
+    /// Called by an opted-in [`Walk`] (or versioned walk) while a
+    /// `ReadNext` is pending, *before* the next bucket is read. The
+    /// machine may consume any prefix of upcoming buckets whose slow-path
+    /// handling it can reproduce exactly: for each consumed bucket it must
+    /// apply the same internal state transitions `on_bucket` would have,
+    /// and account the read/doze through `ctx` so access time, tuning
+    /// time, probe counts and per-phase spans stay tick-identical to the
+    /// bucket-by-bucket walk. It must stop *before* — never on — any bucket where the slow
     /// path does something non-mechanical: a (possible) match, a read
     /// that would complete coverage, a corrupted transmission
     /// ([`FastForward::next_corrupt`] consults the same fault oracle the
-    /// walker uses), or probe-budget exhaustion
-    /// ([`FastForward::can_read`]). The walker then reads that landing
+    /// walker uses), probe-budget exhaustion, or the end of the program on
+    /// air ([`FastForward::can_read`]). The walker then reads that landing
     /// bucket through the ordinary slow path, so match/finish/corruption/
     /// abandon logic is never duplicated.
     ///
@@ -207,6 +207,9 @@ pub struct FastForward<'a, P> {
     idx: usize,
     /// Absolute start instant of the cursor bucket.
     start: Ticks,
+    /// Absolute instant the program on air ends: no read may start here
+    /// or later. `Ticks::MAX` for a frozen program.
+    limit: Ticks,
     /// Clock reached so far (== the walk's `now` plus consumed spans).
     now: Ticks,
     /// Tuning accumulated by consumed reads.
@@ -236,11 +239,14 @@ impl<'a, P> FastForward<'a, P> {
 
     /// Whether the probe budget allows consuming one more read. When this
     /// is false the machine must stop: the slow path owns the budget
-    /// abort. Also bounds total consumption at two cycles per engagement —
-    /// a correct scan never needs more before an interesting bucket, and
-    /// the cap keeps a buggy planner from spinning.
+    /// abort. Also false once the cursor reaches the end of the program
+    /// on air (the next epoch of a churning broadcast; never, on a frozen
+    /// one), so the slow path reads — and version-checks — the first
+    /// bucket of the next program. Also bounds total consumption at two
+    /// cycles per engagement — a correct scan never needs more before an
+    /// interesting bucket, and the cap keeps a buggy planner from spinning.
     pub fn can_read(&self) -> bool {
-        self.left > 0 && self.consumed < 2 * self.ch.num_buckets() + 2
+        self.left > 0 && self.start < self.limit && self.consumed < 2 * self.ch.num_buckets() + 2
     }
 
     /// Whether the cursor bucket's transmission is corrupted — the same
@@ -590,58 +596,6 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
         }
     }
 
-    /// Let the machine bulk-consume uninteresting buckets, then fold its
-    /// aggregate accounting into the walk as if each had been stepped.
-    /// Returns the landing bucket — the one the slow path reads next, i.e.
-    /// `first_complete_at(self.now)` — which the cursor already holds.
-    fn run_fast_forward(&mut self) -> (usize, Ticks) {
-        // Disengage within four cycles of the clock's end: the slow path's
-        // saturating arithmetic must stay observable, and a fast-forward
-        // engagement never advances further than two cycles.
-        if self
-            .ch
-            .cycle_len()
-            .checked_mul(4)
-            .and_then(|w| self.now.checked_add(w))
-            .is_none()
-        {
-            return self.ch.first_complete_at(self.now);
-        }
-        let (idx, start) = self.ch.first_complete_at(self.now);
-        let mut ctx = FastForward {
-            ch: self.ch,
-            channel: self.channel,
-            idx,
-            start,
-            now: self.now,
-            tuning: 0,
-            probes: 0,
-            left: self.max_probes - self.probes,
-            consumed: 0,
-            spans: R::ENABLED.then(PhaseSpans::new),
-        };
-        self.machine.fast_forward(&mut ctx);
-        if ctx.probes == 0 {
-            return (idx, start);
-        }
-        // Every consumed read was clean (machines stop before corrupt
-        // buckets), and a clean read resets the outage streak on the
-        // bucket-by-bucket path — mirror that here or the next dead read
-        // would back off further than the slow walk.
-        self.outage_streak = 0;
-        self.tuning += ctx.tuning;
-        self.now = ctx.now;
-        self.probes += ctx.probes;
-        if let Some(spans) = ctx.spans {
-            for (phase, t) in spans.iter() {
-                if t.count > 0 {
-                    self.recorder.span_n(phase, t.count, t.access, t.tuning);
-                }
-            }
-        }
-        (ctx.idx, ctx.start)
-    }
-
     /// Apply a back-off of `cycles` whole cycles to a post-corruption
     /// action: the resume point shifts by whole cycles, which preserves
     /// the bucket the machine expects to see next (the cycle is periodic).
@@ -672,7 +626,21 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
                     return self.exhaust();
                 }
                 let (idx, start) = if self.ff && self.probes > 0 {
-                    let landing = self.run_fast_forward();
+                    let landing = engage(
+                        self.ch,
+                        self.channel,
+                        &mut self.machine,
+                        self.ch.first_complete_at(self.now),
+                        Ticks::MAX,
+                        Tally {
+                            now: &mut self.now,
+                            tuning: &mut self.tuning,
+                            probes: &mut self.probes,
+                            max_probes: self.max_probes,
+                            outage_streak: &mut self.outage_streak,
+                            recorder: &mut self.recorder,
+                        },
+                    );
                     if self.probes >= self.max_probes {
                         // The scan burned the whole budget on uninteresting
                         // buckets; the next read gives up, as it would have
@@ -769,6 +737,82 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
             Action::Fail(_) => self.finish(false, self.false_drops_hint, true),
         }
     }
+}
+
+/// The running totals a walk lends [`engage`]: the clock, tuning, probe
+/// count and outage streak a fast-forward engagement folds into, the
+/// probe budget it must stay within, and the recorder its spans replay
+/// through.
+pub(crate) struct Tally<'w, R> {
+    pub(crate) now: &'w mut Ticks,
+    pub(crate) tuning: &'w mut Ticks,
+    pub(crate) probes: &'w mut u32,
+    pub(crate) max_probes: u32,
+    pub(crate) outage_streak: &'w mut u32,
+    pub(crate) recorder: &'w mut R,
+}
+
+/// One fast-forward engagement — the single routine behind both [`Walk`]
+/// and [`crate::dynamic::VersionedWalk`]. Lets `machine` bulk-consume the
+/// uninteresting buckets of `ch` from `cursor` (the bucket the slow path
+/// would read next) without starting a read at or after `limit`, then
+/// folds its aggregate accounting into `tally` as if each bucket had been
+/// stepped. Returns the cursor's landing: the bucket the slow path reads
+/// next, i.e. `first_complete_at(now)`, unless the cursor reached `limit`,
+/// where the caller must look the landing up in the next program.
+pub(crate) fn engage<P, M: ProtocolMachine<P>, R: Recorder>(
+    ch: &Channel<P>,
+    channel: ChannelModel,
+    machine: &mut M,
+    cursor: (usize, Ticks),
+    limit: Ticks,
+    tally: Tally<'_, R>,
+) -> (usize, Ticks) {
+    // Disengage within four cycles of the clock's end: the slow path's
+    // saturating arithmetic must stay observable, and a fast-forward
+    // engagement never advances further than two cycles.
+    if ch
+        .cycle_len()
+        .checked_mul(4)
+        .and_then(|w| tally.now.checked_add(w))
+        .is_none()
+    {
+        return cursor;
+    }
+    let (idx, start) = cursor;
+    let mut ctx = FastForward {
+        ch,
+        channel,
+        idx,
+        start,
+        limit,
+        now: *tally.now,
+        tuning: 0,
+        probes: 0,
+        left: tally.max_probes - *tally.probes,
+        consumed: 0,
+        spans: R::ENABLED.then(PhaseSpans::new),
+    };
+    machine.fast_forward(&mut ctx);
+    if ctx.probes == 0 {
+        return cursor;
+    }
+    // Every consumed read was clean (machines stop before corrupt
+    // buckets), and a clean read resets the outage streak on the
+    // bucket-by-bucket path — mirror that here or the next dead read
+    // would back off further than the slow walk.
+    *tally.outage_streak = 0;
+    *tally.tuning += ctx.tuning;
+    *tally.now = ctx.now;
+    *tally.probes += ctx.probes;
+    if let Some(spans) = ctx.spans {
+        for (phase, t) in spans.iter() {
+            if t.count > 0 {
+                tally.recorder.span_n(phase, t.count, t.access, t.tuning);
+            }
+        }
+    }
+    (ctx.idx, ctx.start)
 }
 
 /// Drive a machine to completion with fast-forward on and return its

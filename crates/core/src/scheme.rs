@@ -143,10 +143,12 @@ pub trait QuerySlot: Send {
 
     /// Ask the slot's subsequent queries to use analytical fast-forward
     /// (see [`Walk::set_fast_forward`]): bit-identical outcomes and
-    /// accounting, O(1) walk steps per interesting bucket. The default is
-    /// a no-op — slots that cannot fast-forward (e.g. walks over a
-    /// *dynamic* broadcast program, whose cycle may change under the
-    /// scan) simply keep stepping bucket by bucket.
+    /// accounting, O(1) walk steps per interesting bucket. Walks over a
+    /// *dynamic* broadcast program honour it too, up to the end of the
+    /// epoch on air ([`crate::dynamic::VersionedWalk::set_fast_forward`]).
+    /// The default is a no-op, for slots whose walks have no scan to
+    /// collapse (the indexed channel group's step count is already
+    /// O(directory depth)).
     fn set_fast_forward(&mut self, enabled: bool) {
         let _ = enabled;
     }

@@ -3,19 +3,25 @@
 //! A fast-forwarded walk must be indistinguishable from the bucket-by-bucket
 //! walk in everything but step count: same verdict, same access and tuning
 //! time, same probe and false-drop counts, and the same per-phase span
-//! decomposition — on lossless and error-prone channels alike.
+//! decomposition — on lossless and error-prone channels alike, over frozen
+//! programs and across the boundary of a churning one.
 
 use bda_core::{
-    run_machine_observed, AccessOutcome, Channel, Dataset, ErrorModel, Key, Params, PhaseSpans,
-    ProtocolMachine, Record, RetryPolicy, Scheme, SpanRecorder, System, Ticks, Walk, WalkStep,
+    run_machine_observed, run_versioned_observed, AccessOutcome, Channel, Dataset, Epoch,
+    ErrorModel, Key, Params, PhaseSpans, ProgramTimeline, ProtocolMachine, Record, RetryPolicy,
+    Scheme, SpanRecorder, System, Ticks, VersionedWalk, Walk, WalkStep,
 };
 use bda_signature::{
     IntegratedSignatureScheme, MultiLevelSignatureScheme, SigPayload, SimpleSignatureScheme,
 };
 
 fn dataset(n: u64) -> Dataset {
+    dataset_of((0..n).collect())
+}
+
+fn dataset_of(ids: Vec<u64>) -> Dataset {
     Dataset::new(
-        (0..n)
+        ids.into_iter()
             .map(|i| Record::new(Key(i * 3), vec![i * 3, i + 500, i % 11]))
             .collect(),
     )
@@ -102,6 +108,93 @@ where
     }
 }
 
+/// Step a span-recording walk over `tl` to completion with fast-forward
+/// `ff`, returning its outcome, spans and every step through `Done`.
+fn run_versioned_walk<S: System>(
+    tl: &ProgramTimeline<S>,
+    key: Key,
+    tune_in: Ticks,
+    errors: ErrorModel,
+    ff: bool,
+) -> (AccessOutcome, PhaseSpans, Vec<WalkStep>) {
+    let policy = RetryPolicy::UNBOUNDED;
+    let mut walk =
+        VersionedWalk::with_recorder(tl, key, tune_in, errors, policy, SpanRecorder::new());
+    walk.set_fast_forward(ff);
+    let mut steps = Vec::new();
+    loop {
+        let step = walk.step();
+        steps.push(step);
+        if let WalkStep::Done(out) = step {
+            return (out, walk.recorder().spans, steps);
+        }
+    }
+}
+
+/// The two-epoch leg: 60 records for two cycles, then a program that
+/// deleted every fifth record and inserted ten. Walks tuning in across
+/// the last cycle before the boundary fast-forward up to it — a
+/// non-matching signature's doze ends exactly on it — and must equal the
+/// bucket-by-bucket walk in outcome and spans, version skews included.
+fn check_timeline<Sch: Scheme>(scheme: &Sch)
+where
+    Sch::System: System<Payload = SigPayload>,
+{
+    let params = Params::paper();
+    let old = scheme.build(&dataset(60), &params).unwrap();
+    let cycle = old.channel().cycle_len();
+    let boundary = 2 * cycle;
+    let ids = (0..70).filter(|i| i % 5 != 0 || *i >= 60).collect();
+    let new = scheme.rebuild(&dataset_of(ids), &params, 1).unwrap();
+    let tl = ProgramTimeline::new(vec![
+        Epoch {
+            system: old,
+            start: 0,
+        },
+        Epoch {
+            system: new,
+            start: boundary,
+        },
+    ])
+    .unwrap();
+    let name = tl.epoch(0).system.scheme_name();
+    // Kept, deleted, inserted and never-broadcast keys.
+    let keys = [Key(3), Key(42), Key(0), Key(75), Key(183), Key(207), Key(1)];
+    let (mut dozes_onto_boundary, mut skews, mut collapsed) = (0, 0, 0);
+    for key in keys {
+        for s in 0..12u64 {
+            let tune_in = boundary - cycle + s * cycle / 12 + 5 * s;
+            for errors in [ErrorModel::NONE, ErrorModel::new(0.15, 0x5EED)] {
+                let (slow, slow_spans, steps) =
+                    run_versioned_walk(&tl, key, tune_in, errors, false);
+                let (fast, fast_spans, fast_steps) =
+                    run_versioned_walk(&tl, key, tune_in, errors, true);
+                let what = format!("{name} key {key:?} tune_in {tune_in} {errors:?}");
+                assert_eq!(slow, fast, "{what}");
+                assert_eq!(slow_spans, fast_spans, "{what}");
+                // The one-shot driver is the fast-forwarding walk.
+                assert_eq!(
+                    run_versioned_observed(&tl, key, tune_in, errors, RetryPolicy::UNBOUNDED),
+                    (fast, fast_spans),
+                    "{what}"
+                );
+                skews += slow.version_skews;
+                collapsed += usize::from(fast_steps.len() < steps.len());
+                dozes_onto_boundary += steps
+                    .iter()
+                    .filter(|s| **s == WalkStep::Doze { until: boundary })
+                    .count();
+            }
+        }
+    }
+    assert!(skews > 0, "{name}: walks must cross the boundary");
+    assert!(collapsed > 0, "{name}: fast-forward must engage");
+    assert!(
+        dozes_onto_boundary > 0,
+        "{name}: some doze must end exactly on the boundary"
+    );
+}
+
 #[test]
 fn simple_signature_fast_forward_is_bit_identical() {
     let d = dataset(60);
@@ -109,6 +202,7 @@ fn simple_signature_fast_forward_is_bit_identical() {
         .build(&d, &Params::paper())
         .unwrap();
     check_scheme(&sys, 60, true);
+    check_timeline(&SimpleSignatureScheme::new());
 }
 
 #[test]
@@ -118,6 +212,7 @@ fn integrated_signature_fast_forward_is_bit_identical() {
         .build(&d, &Params::paper())
         .unwrap();
     check_scheme(&sys, 60, true);
+    check_timeline(&IntegratedSignatureScheme::new(8));
 }
 
 #[test]
@@ -127,6 +222,7 @@ fn multilevel_signature_fast_forward_is_bit_identical() {
         .build(&d, &Params::paper())
         .unwrap();
     check_scheme(&sys, 60, true);
+    check_timeline(&MultiLevelSignatureScheme::new(8));
 }
 
 #[test]

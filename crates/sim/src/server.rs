@@ -84,7 +84,10 @@ impl std::fmt::Debug for BroadcastServer<'_> {
 /// engine, the reference oracle, and the adaptive simulator all drive it
 /// through the same object-safe surface as a frozen system — dynamic mode
 /// needs zero engine changes. Queries run as [`VersionedWalk`]s: clients
-/// detect version skew from bucket headers and re-anchor mid-walk.
+/// detect version skew from bucket headers and re-anchor mid-walk. Scans
+/// fast-forward through each epoch up to its end — always in the one-shot
+/// `probe*` drivers, and in the slots when the engine asks (its default) —
+/// while `begin*` steps every bucket, as the reference oracle needs.
 ///
 /// The reported [`DynSystem::cycle_len`]/[`DynSystem::num_buckets`] are
 /// those of the *initial* program (epoch 0): request generators use them

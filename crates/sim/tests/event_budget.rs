@@ -7,11 +7,13 @@
 //!
 //! Budgets are deliberately loose versus the measured ratios (about 2×
 //! headroom) but *tiny* versus the slow path: flat at 320 records burns
-//! ~480 events per request bucket-by-bucket; the budget is 4.
+//! ~480 events per request bucket-by-bucket; the budget is 4. Churning
+//! programs get their own budgets: a scan fast-forwards only up to the end
+//! of the epoch on air, then pays a slow-path read for the version skew.
 
-use bda_core::{Dataset, DynSystem, ErrorModel, Key, Params, RetryPolicy, Scheme};
+use bda_core::{Dataset, DynSystem, ErrorModel, GroupConfig, Key, Params, RetryPolicy, Scheme};
 use bda_datagen::DatasetBuilder;
-use bda_sim::Engine;
+use bda_sim::{Engine, StripedVersionedServer, UpdateSpec, VersionedServer};
 
 /// (scheme, max scheduler events per completed request, lossless).
 fn budgeted_systems(ds: &Dataset, p: &Params) -> Vec<(Box<dyn DynSystem>, f64)> {
@@ -60,6 +62,22 @@ fn request_mix(ds: &Dataset, pool: &[Key], n: usize, span: u64) -> Vec<(u64, Key
         .collect()
 }
 
+/// Run 200 requests over eight cycles of `sys` through a default
+/// (fast-forwarding) lossless engine and assert the events per request
+/// stay within `budget`.
+fn assert_within_budget(sys: &dyn DynSystem, label: &str, ds: &Dataset, pool: &[Key], budget: f64) {
+    let requests = request_mix(ds, pool, 200, 8 * sys.cycle_len());
+    let mut engine = Engine::with_faults(sys, ErrorModel::NONE, RetryPolicy::UNBOUNDED);
+    let done = engine.run_batch(&requests);
+    assert_eq!(done.len(), requests.len());
+    let ratio = engine.stats().events as f64 / requests.len() as f64;
+    assert!(
+        ratio <= budget,
+        "{label}: {ratio:.2} events/request exceeds the budget of {budget}"
+    );
+    println!("{label:<26} {ratio:.2} events/request (budget {budget})");
+}
+
 #[test]
 fn scan_heavy_schemes_stay_within_their_event_budget() {
     let (ds, pool) = DatasetBuilder::new(320, 0xB0D6)
@@ -67,21 +85,60 @@ fn scan_heavy_schemes_stay_within_their_event_budget() {
         .unwrap();
     let params = Params::paper();
     for (sys, budget) in budgeted_systems(&ds, &params) {
-        let requests = request_mix(&ds, &pool, 200, 8 * sys.cycle_len());
-        let mut engine =
-            Engine::with_faults(sys.as_ref(), ErrorModel::NONE, RetryPolicy::UNBOUNDED);
-        let done = engine.run_batch(&requests);
-        assert_eq!(done.len(), requests.len());
-        let ratio = engine.stats().events as f64 / requests.len() as f64;
-        assert!(
-            ratio <= budget,
-            "{}: {ratio:.2} events/request exceeds the budget of {budget}",
-            sys.scheme_name()
-        );
-        println!(
-            "{:<22} {ratio:.2} events/request (budget {budget})",
-            sys.scheme_name()
-        );
+        assert_within_budget(sys.as_ref(), sys.scheme_name(), &ds, &pool, budget);
+    }
+}
+
+/// 20 % of the records change at every cycle boundary, for 16 cycles.
+const CHURN: UpdateSpec = UpdateSpec {
+    rate: 0.20,
+    seed: 0xABC7,
+    horizon_cycles: 16,
+};
+
+fn churning<Sch: Scheme>(scheme: Sch, ds: &Dataset) -> Box<dyn DynSystem>
+where
+    Sch::System: 'static,
+{
+    Box::new(VersionedServer::build(&scheme, ds, &Params::paper(), CHURN).unwrap())
+}
+
+/// The same scans on churning programs: versioned slots must honour the
+/// engine's fast-forward setting, epoch by epoch. The 2-channel striped
+/// row fails if the routing slot drops the setting. Measured with
+/// fast-forward: 3.63 (flat), 5.25 (simple), 4.42 (integrated), 4.39
+/// (multilevel) and 3.66 (striped flat) events per request; bucket by
+/// bucket, 257, 526, 88, 110 and 141.
+#[test]
+fn churning_scan_schemes_stay_within_their_event_budget() {
+    let (ds, pool) = DatasetBuilder::new(320, 0xB0D6)
+        .build_with_absent_pool(10)
+        .unwrap();
+    let group = GroupConfig::new(2, 256).unwrap();
+    let striped =
+        StripedVersionedServer::build(&bda_core::FlatScheme, &ds, &Params::paper(), group, CHURN)
+            .unwrap();
+    let rows: Vec<(Box<dyn DynSystem>, &str, f64)> = vec![
+        (churning(bda_core::FlatScheme, &ds), "flat", 7.0),
+        (
+            churning(bda_signature::SimpleSignatureScheme::new(), &ds),
+            "signature",
+            10.0,
+        ),
+        (
+            churning(bda_signature::IntegratedSignatureScheme::new(8), &ds),
+            "integrated-signature",
+            9.0,
+        ),
+        (
+            churning(bda_signature::MultiLevelSignatureScheme::new(8), &ds),
+            "multilevel-signature",
+            9.0,
+        ),
+        (Box::new(striped), "flat, 2 striped channels", 7.0),
+    ];
+    for (sys, label, budget) in rows {
+        assert_within_budget(sys.as_ref(), label, &ds, &pool, budget);
     }
 }
 

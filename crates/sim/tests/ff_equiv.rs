@@ -16,14 +16,18 @@
 //! 3. **No skipped faults**: fault instants are a pure function of the
 //!    bucket instant and the seed, so a jump that lands one bucket late
 //!    would silently swallow a corruption or a version-skew event.
-//!    Near cycle boundaries, near `Ticks::MAX`, and under heavy loss the
-//!    degradation counters must tie out exactly.
+//!    Near cycle boundaries, near `Ticks::MAX`, under heavy loss, and
+//!    across the epoch boundaries of a churning program the degradation
+//!    counters must tie out exactly.
 //!
 //! (The golden-corpus conformance test in `bda-bench` runs the same
 //! engine entry points against 16 frozen TSVs, so the corpus pins the
 //! fast-forward path too — no separate leg is needed here.)
 
-use bda_core::{Dataset, DynSystem, ErrorModel, Key, Params, RetryPolicy, Scheme, Ticks};
+use bda_core::{
+    BurstModel, ChannelModel, Dataset, DynSystem, ErrorModel, Key, OutageSchedule, Params,
+    RetryPolicy, Scheme, Ticks,
+};
 use bda_datagen::DatasetBuilder;
 use bda_sim::engine::reference::run_requests_reference_with_faults;
 use bda_sim::{CompletedRequest, Engine, UpdateSpec, VersionedServer};
@@ -82,11 +86,11 @@ fn request_mix(
 fn run_with_ff(
     sys: &dyn DynSystem,
     requests: &[(Ticks, Key)],
-    errors: ErrorModel,
+    channel: impl Into<ChannelModel>,
     policy: RetryPolicy,
     ff: bool,
 ) -> (Vec<CompletedRequest>, u64) {
-    let mut engine = Engine::with_faults(sys, errors, policy);
+    let mut engine = Engine::with_channel(sys, channel.into(), policy);
     engine.set_fast_forward(ff);
     let done = engine.run_batch(requests);
     (done, engine.stats().events)
@@ -235,10 +239,14 @@ fn fast_forward_is_exact_near_ticks_max() {
     }
 }
 
-/// Version-skew events on a churning program are never skipped: versioned
-/// walks stay on the bucket-by-bucket path (fast-forward only reasons
-/// about immutable programs), so the skew and stale-restart counters are
-/// identical whether the engine's fast-forward switch is on or off.
+/// Version-skew events on a churning program are never skipped: a
+/// versioned walk fast-forwards only through the epoch its machine was
+/// built for and never reads past that epoch's end, so the first bucket of
+/// the next program always reaches the slow path's version check. The
+/// outcomes — skew and stale-restart counters included — are identical
+/// whether the engine's fast-forward switch is on or off, and the flat
+/// scan still sheds events: lossless, at 10 % i.i.d. loss, and behind a
+/// Gilbert–Elliott chain with outage windows and bounded back-off retry.
 #[test]
 fn fast_forward_never_skips_a_version_skew_event() {
     let (ds, pool) = DatasetBuilder::new(48, 0x0FF5)
@@ -254,14 +262,24 @@ fn fast_forward_never_skips_a_version_skew_event() {
     let span = server.timeline().epochs().last().map_or(0, |e| e.start)
         + 4 * DynSystem::cycle_len(&server);
     let requests = request_mix(&ds, &pool, 72, 0, span);
-    for errors in [ErrorModel::NONE, ErrorModel::new(0.10, 0x717)] {
-        let policy = RetryPolicy::UNBOUNDED;
-        let (fast, fast_events) = run_with_ff(&server, &requests, errors, policy, true);
-        let (slow, slow_events) = run_with_ff(&server, &requests, errors, policy, false);
+    let burst = ChannelModel::burst(BurstModel::new(0.04, 0.20, 0.0, 0.9, 0xB57))
+        .with_outages(OutageSchedule::new(3_000, 300, 0x0A7));
+    for (channel, policy) in [
+        (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
+        (ErrorModel::new(0.10, 0x717).into(), RetryPolicy::UNBOUNDED),
+        (
+            burst,
+            RetryPolicy::bounded(24)
+                .with_backoff_cap(8)
+                .with_jitter(0x117),
+        ),
+    ] {
+        let (fast, fast_events) = run_with_ff(&server, &requests, channel, policy, true);
+        let (slow, slow_events) = run_with_ff(&server, &requests, channel, policy, false);
         assert_eq!(fast, slow, "churn outcomes diverged");
-        assert_eq!(
-            fast_events, slow_events,
-            "versioned walks must not fast-forward at all"
+        assert!(
+            fast_events < slow_events,
+            "flat under churn must fast-forward ({fast_events} ≥ {slow_events} events)"
         );
         let skews: u64 = slow
             .iter()

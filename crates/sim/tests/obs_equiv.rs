@@ -251,11 +251,12 @@ fn phase_mix_reflects_each_schemes_structure() {
 }
 
 /// Analytical fast-forward is invisible to the observability layer: on
-/// every scheme — lossless, 15 % loss with an abandoning policy, and 20 %
-/// churn on a versioned server — the fast-forwarded engine, the
-/// bucket-by-bucket engine and the plain (unobserved) engine agree on
-/// every outcome, and the per-phase span sums (including `Doze` tick
-/// totals for the skipped buckets) are bit-identical.
+/// every scheme — lossless and 15 % loss with an abandoning policy — and
+/// on the scan schemes at 20 % churn on a versioned server, the
+/// fast-forwarded engine, the bucket-by-bucket engine and the plain
+/// (unobserved) engine agree on every outcome, and the per-phase span sums
+/// (including `Doze` tick totals for the skipped buckets) are
+/// bit-identical.
 #[test]
 fn fast_forwarded_spans_match_bucket_by_bucket_on_every_scheme() {
     use bda_sim::Engine;
@@ -283,7 +284,13 @@ fn fast_forwarded_spans_match_bucket_by_bucket_on_every_scheme() {
         (done, hub, engine.stats())
     }
 
-    fn check(sys: &dyn DynSystem, requests: &[(Ticks, Key)], errors: ErrorModel, what: &str) {
+    /// Returns the fast and slow engines' event counts.
+    fn check(
+        sys: &dyn DynSystem,
+        requests: &[(Ticks, Key)],
+        errors: ErrorModel,
+        what: &str,
+    ) -> (u64, u64) {
         let policy = RetryPolicy::bounded(2);
         let plain = run_requests_with_faults(sys, requests, errors, policy);
         let (fast, fast_hub, fast_stats) = observed_with_ff(sys, requests, errors, policy, true);
@@ -308,6 +315,7 @@ fn fast_forwarded_spans_match_bucket_by_bucket_on_every_scheme() {
             fast_stats.events <= slow_stats.events,
             "{name} [{what}]: fast-forward must never add events"
         );
+        (fast_stats.events, slow_stats.events)
     }
 
     for sys in all_systems(&ds, &params) {
@@ -321,26 +329,42 @@ fn fast_forwarded_spans_match_bucket_by_bucket_on_every_scheme() {
         );
     }
 
-    // 20 % churn: versioned walks rebuild their machine against the live
-    // program and stay on the bucket-by-bucket path (fast-forward is only
-    // valid over an immutable program) — the setting must still be safe to
-    // apply and change nothing.
-    let spec = UpdateSpec {
-        rate: 0.20,
-        seed: 0xABC7,
-        horizon_cycles: 16,
-    };
-    let server = VersionedServer::build(&bda_core::FlatScheme, &ds, &params, spec).unwrap();
-    let span = server.timeline().epochs().last().map_or(0, |e| e.start)
-        + 4 * DynSystem::cycle_len(&server);
-    let requests = request_mix(&ds, &pool, 80, span);
-    check(&server, &requests, ErrorModel::NONE, "20% churn");
-    check(
-        &server,
-        &requests,
-        ErrorModel::new(0.10, 0x717),
-        "20% churn + loss",
-    );
+    // 20 % churn: versioned walks fast-forward through each epoch, up to
+    // its end, and rebuild their machine against the live program at the
+    // boundary — spans stay exact, and the scan schemes shed events.
+    fn churning<Sch: Scheme>(scheme: Sch, ds: &Dataset) -> (Box<dyn DynSystem>, Ticks)
+    where
+        Sch::System: 'static,
+    {
+        let spec = UpdateSpec {
+            rate: 0.20,
+            seed: 0xABC7,
+            horizon_cycles: 16,
+        };
+        let server = VersionedServer::build(&scheme, ds, &Params::paper(), spec).unwrap();
+        let span = server.timeline().epochs().last().map_or(0, |e| e.start)
+            + 4 * DynSystem::cycle_len(&server);
+        (Box::new(server), span)
+    }
+    for (server, span) in [
+        churning(bda_core::FlatScheme, &ds),
+        churning(bda_signature::SimpleSignatureScheme::new(), &ds),
+        churning(bda_signature::IntegratedSignatureScheme::new(8), &ds),
+        churning(bda_signature::MultiLevelSignatureScheme::new(8), &ds),
+    ] {
+        let requests = request_mix(&ds, &pool, 80, span);
+        for (errors, what) in [
+            (ErrorModel::NONE, "20% churn"),
+            (ErrorModel::new(0.10, 0x717), "20% churn + loss"),
+        ] {
+            let (fast, slow) = check(server.as_ref(), &requests, errors, what);
+            assert!(
+                fast < slow,
+                "{} [{what}]: scans must fast-forward within an epoch",
+                server.scheme_name()
+            );
+        }
+    }
 }
 
 /// Windowed (time-resolved) observation is as invisible as aggregate
