@@ -51,10 +51,12 @@ impl Coverage {
         }
     }
 
-    /// Rule out the half-open range `[start, start + len)`.
+    /// Rule out the half-open range `[start, start + len)` (clipped at the
+    /// record count), a word at a time.
     pub fn mark_range(&mut self, start: u32, len: u32) {
-        for i in start..start.saturating_add(len) {
-            self.mark(i);
+        for (w, mask) in self.words(start, len) {
+            self.covered += (mask & !self.bits[w]).count_ones();
+            self.bits[w] |= mask;
         }
     }
 
@@ -77,9 +79,9 @@ impl Coverage {
 
     /// Number of records in `[start, start + len)` not yet ruled out.
     pub fn unmarked_in_range(&self, start: u32, len: u32) -> u32 {
-        (start..start.saturating_add(len).min(self.total))
-            .filter(|&i| !self.is_marked(i))
-            .count() as u32
+        self.words(start, len)
+            .map(|(w, mask)| (mask & !self.bits[w]).count_ones())
+            .sum()
     }
 
     /// Whether ruling out the whole range `[start, start + len)` would
@@ -87,6 +89,76 @@ impl Coverage {
     /// [`Coverage::would_fill`]).
     pub fn would_fill_range(&self, start: u32, len: u32) -> bool {
         self.covered + self.unmarked_in_range(start, len) >= self.total
+    }
+
+    /// Rule out the longest prefix of `[start, start + len)` that leaves
+    /// coverage incomplete and return its length — `len` when the whole
+    /// range cannot complete it: a scan planner's coverage fold for a run
+    /// of consecutive records.
+    ///
+    /// Each mark adds at most one record, so a range shorter than the
+    /// `total − covered` records still open cannot complete coverage and
+    /// is marked without looking for the stop. Otherwise the stop is the
+    /// range's `total − covered`-th unmarked record, found a word at a
+    /// time.
+    pub fn mark_prefix(&mut self, start: u32, len: u32) -> u32 {
+        let n = self.stop_in(start, len);
+        self.mark_range(start, n);
+        n
+    }
+
+    /// The offset of the record in `[start, start + len)` whose marking
+    /// would complete coverage, or `len` (see [`Coverage::mark_prefix`]).
+    fn stop_in(&self, start: u32, len: u32) -> u32 {
+        let mut open = self.total.saturating_sub(self.covered);
+        if len < open {
+            return len;
+        }
+        if open == 0 {
+            return 0;
+        }
+        for (w, mask) in self.words(start, len) {
+            let mut free = mask & !self.bits[w];
+            let n = free.count_ones();
+            if n < open {
+                open -= n;
+                continue;
+            }
+            for _ in 1..open {
+                free &= free - 1;
+            }
+            return (w * 64) as u32 + free.trailing_zeros() - start;
+        }
+        len
+    }
+
+    /// Rule out `records` one at a time, stopping before the first whose
+    /// marking would complete coverage, and return how many were ruled
+    /// out: the coverage fold for layouts whose record indices repeat or
+    /// skip (broadcast disks).
+    pub fn mark_each(&mut self, records: impl IntoIterator<Item = u32>) -> usize {
+        let mut n = 0;
+        for r in records {
+            if self.would_fill(r) {
+                break;
+            }
+            self.mark(r);
+            n += 1;
+        }
+        n
+    }
+
+    /// The words overlapping `[start, start + len)` (clipped at the record
+    /// count), each with the mask of its bits inside the range.
+    fn words(&self, start: u32, len: u32) -> impl Iterator<Item = (usize, u64)> {
+        let lo = start.min(self.total) as usize;
+        let hi = start.saturating_add(len).min(self.total) as usize;
+        let last = if lo < hi { hi.div_ceil(64) } else { lo / 64 };
+        (lo / 64..last).map(move |w| {
+            let a = lo.max(w * 64) - w * 64;
+            let b = hi.min(w * 64 + 64) - w * 64;
+            (w, u64::MAX >> (64 - (b - a)) << a)
+        })
     }
 
     /// Forget everything (fresh protocol start).

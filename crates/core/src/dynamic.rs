@@ -496,7 +496,9 @@ impl<'a, S: System, R: Recorder> VersionedWalk<'a, S, R> {
                 let ch = epoch.system.channel();
                 let bucket = ch.bucket(idx);
                 let size = Ticks::from(bucket.size);
-                let end = start + size;
+                // Saturating, like the start: a back-off may doze the walk
+                // to within a bucket of `Ticks::MAX`.
+                let end = start.saturating_add(size);
                 let from = self.now;
                 self.tuning += end - self.now;
                 self.now = end;
@@ -867,14 +869,28 @@ mod tests {
 
     /// [`two_epoch_timeline`] with each program wrapped by `wrap`.
     fn two_epoch_timeline_of<S: System>(wrap: impl Fn(FlatSystem) -> S) -> ProgramTimeline<S> {
+        timeline_of(&[0, 10, 20, 30], &[0, 10, 30, 40], wrap)
+    }
+
+    /// Two flat epochs of 40 records, long enough for runs of many
+    /// buckets: keys 0, 10, …, 390 for two cycles, then every fifth key
+    /// from 20 on (20, 70, …) deleted and 400, 410 and 430 inserted.
+    fn wide_timeline() -> ProgramTimeline<FlatSystem> {
+        let old: Vec<u64> = (0..40).map(|i| i * 10).collect();
+        let new: Vec<u64> = (0..44).filter(|i| i % 5 != 2).map(|i| i * 10).collect();
+        timeline_of(&old, &new, |sys| sys)
+    }
+
+    /// Flat epochs over `old` keys for two cycles, then `new` keys.
+    fn timeline_of<S: System>(
+        old: &[u64],
+        new: &[u64],
+        wrap: impl Fn(FlatSystem) -> S,
+    ) -> ProgramTimeline<S> {
         let params = Params::paper();
-        let sys0 = FlatScheme
-            .build(&dataset(&[0, 10, 20, 30]), &params)
-            .unwrap();
+        let sys0 = FlatScheme.build(&dataset(old), &params).unwrap();
         let boundary = 2 * sys0.channel().cycle_len();
-        let sys1 = FlatScheme
-            .rebuild(&dataset(&[0, 10, 30, 40]), &params, 1)
-            .unwrap();
+        let sys1 = FlatScheme.rebuild(&dataset(new), &params, 1).unwrap();
         ProgramTimeline::new(vec![
             Epoch {
                 system: wrap(sys0),
@@ -1100,9 +1116,9 @@ mod tests {
     /// air, i.i.d. loss with a retry budget, and a Gilbert–Elliott chain
     /// with outage windows and capped back-off. Within four cycles of
     /// `Ticks::MAX` on the last epoch (where fast-forward disengages),
-    /// plus two tune-ins that start engaged and cross into that zone,
-    /// over the first two airs only: outage back-off would run the slow
-    /// path's clock past `Ticks::MAX`.
+    /// plus two tune-ins that start engaged and cross into that zone, on
+    /// every air: an outage back-off there dozes the walk to within a
+    /// bucket of `Ticks::MAX`, where reads end saturated.
     fn cases<S: System>(tl: &ProgramTimeline<S>) -> Vec<(Ticks, Air)> {
         let bucket = Ticks::from(Params::paper().data_bucket_size());
         let boundary = tl.epoch(1).start;
@@ -1137,14 +1153,14 @@ mod tests {
                     .with_jitter(0x117),
             ),
         ];
-        let mut cases = Vec::new();
-        for air in airs {
-            cases.extend(near_boundary.iter().map(|&t| (t, air)));
-        }
-        for air in &airs[..2] {
-            cases.extend(near_max.iter().map(|&t| (t, *air)));
-        }
-        cases
+        airs.iter()
+            .flat_map(|&air| {
+                near_boundary
+                    .iter()
+                    .chain(&near_max)
+                    .map(move |&t| (t, air))
+            })
+            .collect()
     }
 
     const KEYS: [Key; 6] = [Key(0), Key(10), Key(20), Key(30), Key(40), Key(55)];
@@ -1154,28 +1170,31 @@ mod tests {
         // A fast-forwarding walk equals the bucket-by-bucket walk in
         // outcome and spans — version skews and stale restarts included —
         // however close to the boundary or to `Ticks::MAX` it tunes in,
-        // on any air.
-        let tl = two_epoch_timeline();
+        // on any air. On the wide timeline a run stops short of the
+        // boundary at the key, at a corrupted read or where coverage
+        // completes, or reaches it at the cycle's end.
         let (mut skews, mut retries, mut collapsed) = (0, 0, 0);
-        for (t, air) in cases(&tl) {
-            for key in KEYS {
-                let (slow, slow_spans, slow_steps) = run_walk(&tl, key, t, air, false);
-                let (fast, fast_spans, fast_steps) = run_walk(&tl, key, t, air, true);
-                assert!(!slow.aborted, "key {key:?} t={t}");
-                assert_eq!(slow, fast, "key {key:?} t={t}");
-                assert_eq!(slow_spans, fast_spans, "key {key:?} t={t}");
-                assert_eq!(
-                    fast_spans.get(Phase::StaleRecovery).count,
-                    u64::from(fast.version_skews)
-                );
-                // The one-shot driver is the fast-forwarding walk.
-                assert_eq!(
-                    run_versioned_observed_channel(&tl, key, t, air.0, air.1),
-                    (fast, fast_spans)
-                );
-                skews += fast.version_skews;
-                retries += fast.retries;
-                collapsed += usize::from(fast_steps.len() < slow_steps.len());
+        for tl in [two_epoch_timeline(), wide_timeline()] {
+            for (t, air) in cases(&tl) {
+                for key in KEYS {
+                    let (slow, slow_spans, slow_steps) = run_walk(&tl, key, t, air, false);
+                    let (fast, fast_spans, fast_steps) = run_walk(&tl, key, t, air, true);
+                    assert!(!slow.aborted, "key {key:?} t={t}");
+                    assert_eq!(slow, fast, "key {key:?} t={t}");
+                    assert_eq!(slow_spans, fast_spans, "key {key:?} t={t}");
+                    assert_eq!(
+                        fast_spans.get(Phase::StaleRecovery).count,
+                        u64::from(fast.version_skews)
+                    );
+                    // The one-shot driver is the fast-forwarding walk.
+                    assert_eq!(
+                        run_versioned_observed_channel(&tl, key, t, air.0, air.1),
+                        (fast, fast_spans)
+                    );
+                    skews += fast.version_skews;
+                    retries += fast.retries;
+                    collapsed += usize::from(fast_steps.len() < slow_steps.len());
+                }
             }
         }
         assert!(skews > 0, "walks must cross the boundary");

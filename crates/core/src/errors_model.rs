@@ -167,7 +167,8 @@ enum StepMap {
 /// the result equals the naive forward walk *exactly* (a property test
 /// pins `state_at ≡ state_at_naive`). Corruption therefore stays a pure
 /// function of `(bucket instant, seed)`: the decision-9 purity that shard
-/// bit-identity and fast-forward `next_corrupt` hopping both require.
+/// bit-identity and the fast-forward cursor's corruption check
+/// ([`crate::FastForward::clean`]) both require.
 ///
 /// Nonzero transition rates are clamped to `≥ 1e-3` so the backward scan's
 /// expected length stays bounded (≤ ~1000 steps even for near-static

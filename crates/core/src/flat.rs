@@ -42,16 +42,23 @@ pub struct FlatSystem {
     /// several buckets per cycle. Coverage-based termination is sized by
     /// records, not buckets.
     num_records: u32,
+    /// Whether bucket `i` carries record `i` — the classic
+    /// one-record-per-slot cycle, fixed by the builder — so a run of
+    /// buckets is a run of consecutive records.
+    in_record_order: bool,
 }
 
 impl FlatSystem {
     /// Assemble a flat system from an explicit bucket layout — the
     /// broadcast-disk constructor's entry point. `num_records` is the
-    /// number of *distinct* records in the cycle.
+    /// number of *distinct* records in the cycle; repetition layouts
+    /// repeat and skip record indices, so the layout is never taken to be
+    /// in record order.
     pub(crate) fn from_parts(channel: Channel<FlatPayload>, num_records: u32) -> Self {
         FlatSystem {
             channel,
             num_records,
+            in_record_order: false,
         }
     }
 }
@@ -79,6 +86,7 @@ impl Scheme for FlatScheme {
         Ok(FlatSystem {
             channel: Channel::new(buckets)?,
             num_records: dataset.len() as u32,
+            in_record_order: true,
         })
     }
 }
@@ -103,6 +111,7 @@ impl System for FlatSystem {
         FlatMachine {
             key,
             coverage: Coverage::new(self.num_records),
+            in_record_order: self.in_record_order,
         }
     }
 }
@@ -117,6 +126,9 @@ pub struct FlatMachine {
     /// (Cheap countdown semantics on a lossless channel; sound hole
     /// tracking on an error-prone one.)
     coverage: Coverage,
+    /// Whether bucket `i` carries record `i` (see [`FlatSystem`]): the
+    /// planner then folds a run's coverage a word at a time.
+    in_record_order: bool,
 }
 
 impl ProtocolMachine<FlatPayload> for FlatMachine {
@@ -157,17 +169,33 @@ impl ProtocolMachine<FlatPayload> for FlatMachine {
     }
 
     /// Bulk-consume the run of non-matching buckets ahead: each is a plain
-    /// read-and-mark with no decision in it. Stop on the key's bucket, on
-    /// the read that would complete coverage, on a corrupted transmission,
-    /// or at the probe budget — the landing bucket is read slow-path.
+    /// read-and-mark with no decision in it. Stop on the first corrupted
+    /// transmission, then on the key's bucket before it, then on the read
+    /// that would complete coverage before that — the landing bucket is
+    /// read slow-path. A run that ends at the cycle's end continues into
+    /// the next.
     fn fast_forward(&mut self, ctx: &mut FastForward<'_, FlatPayload>) {
-        while ctx.can_read() && !ctx.next_corrupt() {
-            let p = *ctx.peek();
-            if p.key == self.key || self.coverage.would_fill(p.record_index) {
+        loop {
+            let run = ctx.run();
+            let clean = ctx.clean(run.len(), 1);
+            let hit = run[..clean]
+                .iter()
+                .position(|b| b.payload.key == self.key)
+                .unwrap_or(clean);
+            let ahead = &run[..hit];
+            let n = match ahead.first() {
+                Some(b) if self.in_record_order => self
+                    .coverage
+                    .mark_prefix(b.payload.record_index, hit as u32)
+                    as usize,
+                _ => self
+                    .coverage
+                    .mark_each(ahead.iter().map(|b| b.payload.record_index)),
+            };
+            ctx.commit(n, 1, crate::BucketKind::Data);
+            if n == 0 || n < run.len() {
                 return;
             }
-            self.coverage.mark(p.record_index);
-            ctx.read(crate::BucketKind::Data);
         }
     }
 }
@@ -175,8 +203,12 @@ impl ProtocolMachine<FlatPayload> for FlatMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disks::{DiskConfig, FlatDisksScheme};
+    use crate::errors_model::{BurstModel, ChannelModel, ErrorModel, OutageSchedule, RetryPolicy};
+    use crate::machine::{AccessOutcome, Walk, WalkStep};
     use crate::record::Record;
     use crate::scheme::DynSystem;
+    use bda_obs::{PhaseSpans, SpanRecorder};
 
     fn system(n: u64) -> FlatSystem {
         let ds = Dataset::new((0..n).map(|i| Record::keyed(i * 2)).collect()).unwrap();
@@ -228,6 +260,89 @@ mod tests {
         let lo = expect - expect / 20;
         let hi = expect + expect / 10;
         assert!(avg >= lo && avg <= hi, "avg={avg} expect≈{expect}");
+    }
+
+    /// Outcome, spans and step count of a span-recording walk with
+    /// fast-forward `ff` (`false` is the stepped walk every case is
+    /// compared against).
+    fn walk(
+        sys: &FlatSystem,
+        key: Key,
+        t: Ticks,
+        (channel, policy): (ChannelModel, RetryPolicy),
+        ff: bool,
+    ) -> (AccessOutcome, PhaseSpans, usize) {
+        let recorder = SpanRecorder::new();
+        let mut walk = Walk::with_channel_recorder(
+            sys.channel(),
+            sys.query(key),
+            t,
+            channel,
+            policy,
+            recorder,
+        );
+        walk.set_fast_forward(ff);
+        for steps in 1.. {
+            if let WalkStep::Done(out) = walk.step() {
+                return (out, walk.recorder().spans, steps);
+            }
+        }
+        unreachable!()
+    }
+
+    #[test]
+    fn fast_forward_matches_the_stepped_walk_at_run_boundaries() {
+        // A run ends at the cycle's end (tune-ins inside the last bucket),
+        // at the key, where coverage completes (absent keys), and at a
+        // corrupted read (lossy air); broadcast disks repeat and skip
+        // record indices, so their coverage folds bucket by bucket.
+        let ds = Dataset::new((0..40u64).map(|i| Record::keyed(i * 2)).collect()).unwrap();
+        let params = Params::paper();
+        let bucket = Ticks::from(params.data_bucket_size());
+        let chain = BurstModel::new(0.2, 0.3, 0.0, 0.9, 0xB57);
+        let airs = [
+            (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
+            (
+                ErrorModel::new(0.15, 0x5EED).into(),
+                RetryPolicy::bounded(8),
+            ),
+            (
+                ChannelModel::burst(chain).with_outages(OutageSchedule::new(7 * bucket, bucket, 7)),
+                RetryPolicy::bounded(24).with_backoff_cap(8),
+            ),
+        ];
+        let classic = FlatScheme.build(&ds, &params).unwrap();
+        let disks = FlatDisksScheme::new(DiskConfig::new(3))
+            .build(&ds, &params)
+            .unwrap();
+        let mut collapsed = 0;
+        for sys in [&classic, &disks] {
+            let ch = sys.channel();
+            let (cycle, last) = (ch.cycle_len(), ch.start_of(ch.num_buckets() - 1));
+            for t in [
+                0,
+                7,
+                last,
+                last + 1,
+                cycle - 1,
+                3 * cycle - 1,
+                cycle + cycle / 3,
+            ] {
+                for key in [Key(0), Key(38), Key(78), Key(1), Key(999)] {
+                    for air in airs {
+                        let what =
+                            format!("{} buckets, key {key:?} t={t} {air:?}", ch.num_buckets());
+                        let (slow, slow_spans, slow_steps) = walk(sys, key, t, air, false);
+                        let (fast, fast_spans, fast_steps) = walk(sys, key, t, air, true);
+                        assert!(!slow.aborted, "{what}");
+                        assert_eq!(slow, fast, "{what}");
+                        assert_eq!(slow_spans, fast_spans, "{what}");
+                        collapsed += usize::from(fast_steps < slow_steps);
+                    }
+                }
+            }
+        }
+        assert!(collapsed > 0, "fast-forward must engage");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   cost; this is the "selective tuning" of Imielinski et al. that all
 //!   indexing schemes exist to enable.
 
-use crate::bucket::BucketMeta;
+use crate::bucket::{Bucket, BucketMeta};
 use crate::channel::Channel;
 use crate::error::ProtocolFault;
 use crate::errors_model::{ChannelModel, ErrorModel, RetryPolicy};
@@ -171,18 +171,18 @@ pub trait ProtocolMachine<P> {
     /// Called by an opted-in [`Walk`] (or versioned walk) while a
     /// `ReadNext` is pending, *before* the next bucket is read. The
     /// machine may consume any prefix of upcoming buckets whose slow-path
-    /// handling it can reproduce exactly: for each consumed bucket it must
-    /// apply the same internal state transitions `on_bucket` would have,
-    /// and account the read/doze through `ctx` so access time, tuning
-    /// time, probe counts and per-phase spans stay tick-identical to the
-    /// bucket-by-bucket walk. It must stop *before* — never on — any bucket where the slow
-    /// path does something non-mechanical: a (possible) match, a read
-    /// that would complete coverage, a corrupted transmission
-    /// ([`FastForward::next_corrupt`] consults the same fault oracle the
-    /// walker uses), probe-budget exhaustion, or the end of the program on
-    /// air ([`FastForward::can_read`]). The walker then reads that landing
-    /// bucket through the ordinary slow path, so match/finish/corruption/
-    /// abandon logic is never duplicated.
+    /// handling it can reproduce exactly: it applies the same internal
+    /// state transitions `on_bucket` would have, and commits the consumed
+    /// buckets through `ctx` so access time, tuning time, probe counts and
+    /// per-phase spans stay tick-identical to the bucket-by-bucket walk.
+    /// It must stop *before* — never on — any bucket where the slow path
+    /// does something non-mechanical: a (possible) match, a read that
+    /// would complete coverage, a corrupted transmission
+    /// ([`FastForward::clean`] consults the same fault oracle the walker
+    /// uses), or the end of the run ([`FastForward::run`] is already cut
+    /// at the probe budget and at the end of the program on air). The
+    /// walker then reads that landing bucket through the ordinary slow
+    /// path, so match/finish/corruption/abandon logic is never duplicated.
     ///
     /// The default consumes nothing — the conservative "one bucket at a
     /// time" behaviour every machine starts with.
@@ -197,12 +197,18 @@ pub trait ProtocolMachine<P> {
 /// aggregate accounting (clock, tuning, probes, per-phase spans) of
 /// everything consumed so far. The cursor starts at the first complete
 /// bucket after the walk's current instant — exactly the bucket the slow
-/// path would read next — and every [`FastForward::read`] /
-/// [`FastForward::doze_buckets`] replays the slow path's arithmetic on it.
+/// path would read next. A planner works a run at a time: it takes the
+/// [`FastForward::run`] ahead, finds where the slow path would stop
+/// mechanical work in it, and [`FastForward::commit`]s the prefix before
+/// that point, which folds the prefix's accounting in O(1) from the
+/// channel's prefix sums.
 #[derive(Debug)]
 pub struct FastForward<'a, P> {
     ch: &'a Channel<P>,
     channel: ChannelModel,
+    /// Whether the air can corrupt nothing (fixed per engagement), so
+    /// [`FastForward::clean`] need not consult the fault oracle.
+    lossless: bool,
     /// Cursor: index of the next unconsumed bucket.
     idx: usize,
     /// Absolute start instant of the cursor bucket.
@@ -218,98 +224,109 @@ pub struct FastForward<'a, P> {
     probes: u32,
     /// Remaining probe budget (reads the walk may still take).
     left: u32,
-    /// Buckets consumed (reads + dozed-over); caps runaway planners.
-    consumed: usize,
+    /// Buckets this engagement may still consume. Two cycles: a correct
+    /// scan never needs more before an interesting bucket, and the cap
+    /// keeps a buggy planner from spinning.
+    room: usize,
     /// Per-phase spans of the consumed buckets; `Some` only when the walk
     /// records (`R::ENABLED`), so an uninstrumented walk never zeroes them.
     spans: Option<PhaseSpans>,
 }
 
 impl<'a, P> FastForward<'a, P> {
-    /// Payload of the bucket the cursor is on — the one the slow path
-    /// would read next.
-    pub fn peek(&self) -> &'a P {
-        &self.ch.bucket(self.idx).payload
+    /// The run ahead: the buckets from the cursor to the end of the
+    /// cycle, cut at the probe budget (each bucket costs at most one read)
+    /// and at the consumption cap. Empty once the cursor reaches the end
+    /// of the program on air (the next epoch of a churning broadcast;
+    /// never, on a frozen one), so the slow path reads — and
+    /// version-checks — the first bucket of the next program. Epochs span
+    /// whole cycles, so a run is either wholly before that end or empty.
+    pub fn run(&self) -> &'a [Bucket<P>] {
+        if self.start >= self.limit {
+            return &[];
+        }
+        let budget = (self.left as usize).min(self.room);
+        let end = self.ch.num_buckets().min(self.idx + budget);
+        &self.ch.buckets()[self.idx..end]
     }
 
-    /// Cycle index of the cursor bucket.
-    pub fn index(&self) -> usize {
-        self.idx
+    /// How many of the run's first `len` buckets come before its first
+    /// corrupted read, when the planner reads offsets `0, stride,
+    /// 2·stride, …` and dozes over the rest: `len` if none is corrupted.
+    /// Consults the same pure fault oracle (bucket start instant + seed)
+    /// the walker does — i.i.d. loss, burst loss and outages alike — but
+    /// only on the buckets the planner reads, exactly like the slow path,
+    /// and not at all on lossless air. Planners must stop *before* a
+    /// corrupt bucket so the slow path performs the retry accounting.
+    pub fn clean(&self, len: usize, stride: usize) -> usize {
+        if self.lossless {
+            return len;
+        }
+        let base = self.ch.start_of(self.idx);
+        (0..len)
+            .step_by(stride)
+            .find(|&o| {
+                let at = self.start + (self.ch.start_of(self.idx + o) - base);
+                self.channel.corrupted(at)
+            })
+            .unwrap_or(len)
     }
 
-    /// Whether the probe budget allows consuming one more read. When this
-    /// is false the machine must stop: the slow path owns the budget
-    /// abort. Also false once the cursor reaches the end of the program
-    /// on air (the next epoch of a churning broadcast; never, on a frozen
-    /// one), so the slow path reads — and version-checks — the first
-    /// bucket of the next program. Also bounds total consumption at two
-    /// cycles per engagement — a correct scan never needs more before an
-    /// interesting bucket, and the cap keeps a buggy planner from spinning.
-    pub fn can_read(&self) -> bool {
-        self.left > 0 && self.start < self.limit && self.consumed < 2 * self.ch.num_buckets() + 2
-    }
-
-    /// Whether the cursor bucket's transmission is corrupted — the same
-    /// pure fault oracle (bucket start instant + seed) the walker
-    /// consults, covering i.i.d. loss, burst loss and scheduled outages
-    /// alike. Machines must stop *before* a corrupt bucket so the slow
-    /// path performs the retry accounting. Skipped (dozed-over) buckets
-    /// are never consulted, exactly like the slow path.
-    pub fn next_corrupt(&self) -> bool {
-        self.channel.corrupted(self.start)
-    }
-
-    /// Consume the cursor bucket as a read of the given kind: tuning and
-    /// clock advance over it, one probe is spent, and (when observed) one
-    /// span of the matching phase is attributed.
-    pub fn read(&mut self, kind: BucketKind) {
-        debug_assert!(self.can_read(), "fast-forward read past the budget");
-        let size = Ticks::from(self.ch.bucket(self.idx).size);
-        let end = self.start + size;
-        // Identical to the slow path: listen from `now` through the
-        // bucket's end (any partial tail counts as tuning).
-        let span = end - self.now;
-        self.tuning += span;
-        self.now = end;
-        self.probes += 1;
-        self.left -= 1;
+    /// Consume the run's first `n` buckets as `n / stride` groups of
+    /// `stride`: each group is one read of the given kind followed by a
+    /// doze (radio off) over the group's other `stride − 1` buckets —
+    /// `stride = 1` for back-to-back reads, `2` for a signature read and
+    /// the data bucket it rules out, `1 + frame` for a frame signature and
+    /// its frame. Clock, tuning and probes advance exactly as the slow
+    /// path's reads and `DozeTo` actions would, and (when observed) each
+    /// group attributes one span of the matching read phase and, for
+    /// `stride > 1`, one `Doze` span.
+    ///
+    /// O(1): the run's bytes come from the channel's prefix sums. With
+    /// several groups the run must repeat with period `stride` (every
+    /// read the size of the first), as the signature layouts do.
+    pub fn commit(&mut self, n: usize, stride: usize, kind: BucketKind) {
+        if n == 0 {
+            return;
+        }
+        debug_assert!(n <= self.run().len(), "fast-forward past the run");
+        debug_assert_eq!(n % stride, 0, "a group is a read and its doze");
+        let groups = n / stride;
+        let last = self.idx + n - 1;
+        let bytes = self.ch.end_of(last) - self.ch.start_of(self.idx);
+        let read = Ticks::from(self.ch.bucket(self.idx).size);
+        debug_assert!(
+            stride == 1
+                || (self.idx..=last)
+                    .step_by(stride)
+                    .all(|i| Ticks::from(self.ch.bucket(i).size) == read),
+            "a multi-group run must repeat with period `stride`"
+        );
+        let read_bytes = if stride == 1 {
+            bytes
+        } else {
+            groups as Ticks * read
+        };
+        // Identical to the slow path: the first read listens from `now`
+        // through its bucket's end (any partial tail counts as tuning).
+        let listened = self.start - self.now + read_bytes;
+        self.tuning += listened;
+        self.start += bytes;
+        self.now = self.start;
+        self.probes += groups as u32;
+        self.left -= groups as u32;
+        self.room -= n;
+        self.idx = (last + 1) % self.ch.num_buckets();
         if let Some(spans) = self.spans.as_mut() {
             let phase = match kind {
                 BucketKind::Index => Phase::IndexTraversal,
                 BucketKind::Data => Phase::DataRead,
             };
-            spans.add(phase, span, span);
-        }
-        self.advance();
-    }
-
-    /// Consume the next `n` buckets as a single doze (radio off): the
-    /// clock advances over them with no tuning cost, and (when observed)
-    /// exactly one `Doze` span is attributed — matching the one
-    /// `DozeTo` action the slow path would have taken. Only valid
-    /// directly after a [`FastForward::read`] (the clock sits on the
-    /// cursor's start), which is the only place the protocols doze.
-    pub fn doze_buckets(&mut self, n: usize) {
-        debug_assert_eq!(self.now, self.start, "doze must follow a read");
-        let from = self.now;
-        for _ in 0..n {
-            self.advance();
-        }
-        self.now = self.start;
-        if let Some(spans) = self.spans.as_mut() {
-            if self.now > from {
-                spans.add(Phase::Doze, self.now - from, 0);
+            spans.add_n(phase, groups as u64, listened, listened);
+            if stride > 1 {
+                spans.add_n(Phase::Doze, groups as u64, bytes - read_bytes, 0);
             }
         }
-    }
-
-    fn advance(&mut self) {
-        self.start += Ticks::from(self.ch.bucket(self.idx).size);
-        self.idx += 1;
-        if self.idx == self.ch.num_buckets() {
-            self.idx = 0;
-        }
-        self.consumed += 1;
     }
 }
 
@@ -654,7 +671,9 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
                 };
                 let bucket = self.ch.bucket(idx);
                 let size = Ticks::from(bucket.size);
-                let end = start + size;
+                // Saturating, like the start: a back-off may doze the walk
+                // to within a bucket of `Ticks::MAX`.
+                let end = start.saturating_add(size);
                 let from = self.now;
                 // The client listens from `now` until the bucket completes:
                 // any partial-bucket tail counts as tuning (initial wait).
@@ -783,6 +802,7 @@ pub(crate) fn engage<P, M: ProtocolMachine<P>, R: Recorder>(
     let mut ctx = FastForward {
         ch,
         channel,
+        lossless: channel.is_lossless(),
         idx,
         start,
         limit,
@@ -790,7 +810,7 @@ pub(crate) fn engage<P, M: ProtocolMachine<P>, R: Recorder>(
         tuning: 0,
         probes: 0,
         left: tally.max_probes - *tally.probes,
-        consumed: 0,
+        room: 2 * ch.num_buckets() + 2,
         spans: R::ENABLED.then(PhaseSpans::new),
     };
     machine.fast_forward(&mut ctx);
@@ -907,7 +927,7 @@ fn drain_walk<P, M: ProtocolMachine<P>, R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bucket::Bucket;
+    use crate::errors_model::{BurstModel, OutageSchedule};
 
     fn ch(sizes: &[u32]) -> Channel<usize> {
         Channel::new(
@@ -938,7 +958,7 @@ mod tests {
             if self.reads == 0 {
                 Action::Finish(Verdict::found())
             } else if let Some(d) = self.doze.take() {
-                Action::DozeTo(meta.end + d)
+                Action::DozeTo(meta.end.saturating_add(d))
             } else {
                 Action::ReadNext
             }
@@ -1258,9 +1278,18 @@ mod tests {
             Action::ReadNext
         }
         fn fast_forward(&mut self, ctx: &mut FastForward<'_, usize>) {
-            while ctx.can_read() && !ctx.next_corrupt() && *ctx.peek() != self.target {
-                self.seen += 1;
-                ctx.read(BucketKind::Data);
+            loop {
+                let run = ctx.run();
+                let clean = ctx.clean(run.len(), 1);
+                let n = run[..clean]
+                    .iter()
+                    .position(|b| b.payload == self.target)
+                    .unwrap_or(clean);
+                self.seen += n as u32;
+                ctx.commit(n, 1, BucketKind::Data);
+                if n == 0 || n < run.len() {
+                    return;
+                }
             }
         }
     }
@@ -1272,12 +1301,13 @@ mod tests {
         ch: &Channel<P>,
         machine: M,
         tune_in: Ticks,
-        errors: ErrorModel,
+        air: impl Into<ChannelModel>,
         policy: RetryPolicy,
         ff: bool,
     ) -> (AccessOutcome, PhaseSpans, u64) {
+        let recorder = SpanRecorder::new();
         let mut walk =
-            Walk::with_recorder(ch, machine, tune_in, errors, policy, SpanRecorder::new());
+            Walk::with_channel_recorder(ch, machine, tune_in, air.into(), policy, recorder);
         walk.set_fast_forward(ff);
         let mut steps = 0u64;
         loop {
@@ -1290,41 +1320,31 @@ mod tests {
 
     #[test]
     fn fast_forward_is_tick_identical_and_collapses_steps() {
+        // Tune-in 359 sits inside the cycle's last bucket, so the first run
+        // ends at the cycle's end and the scan continues into the next.
         let c = ch(&[10, 20, 30, 40, 50, 60, 70, 80]);
+        let burst = ChannelModel::burst(BurstModel::new(0.2, 0.3, 0.0, 0.9, 0xB57))
+            .with_outages(OutageSchedule::new(200, 40, 0x12));
         for target in [0usize, 3, 7] {
             for tune_in in [0u64, 5, 33, 359] {
-                for errors in [ErrorModel::NONE, ErrorModel::new(0.4, 0xC0FF)] {
+                for air in [
+                    ChannelModel::NONE,
+                    ErrorModel::new(0.4, 0xC0FF).into(),
+                    burst,
+                ] {
                     let policy = RetryPolicy::UNBOUNDED;
-                    let (slow, slow_spans, _) = run_walk(
-                        &c,
-                        SkipTo { target, seen: 0 },
-                        tune_in,
-                        errors,
-                        policy,
-                        false,
-                    );
-                    let (fast, fast_spans, steps) = run_walk(
-                        &c,
-                        SkipTo { target, seen: 0 },
-                        tune_in,
-                        errors,
-                        policy,
-                        true,
-                    );
+                    let skip = || SkipTo { target, seen: 0 };
+                    let (slow, slow_spans, _) = run_walk(&c, skip(), tune_in, air, policy, false);
+                    let (fast, fast_spans, steps) =
+                        run_walk(&c, skip(), tune_in, air, policy, true);
                     assert_eq!(slow, fast, "target={target} t={tune_in}");
                     assert_eq!(slow_spans, fast_spans, "span totals and counts match");
                     // The one-shot driver is the fast-forwarding walk.
                     assert_eq!(
-                        run_machine_observed(
-                            &c,
-                            SkipTo { target, seen: 0 },
-                            tune_in,
-                            errors,
-                            policy
-                        ),
+                        run_machine_observed_channel(&c, skip(), tune_in, air, policy),
                         (fast, fast_spans)
                     );
-                    if errors.loss_prob == 0.0 {
+                    if air.is_lossless() {
                         // One initial probe, at most one fast-forwarded
                         // landing read, one Done: O(1) steps regardless of
                         // how far away the target is.
@@ -1346,8 +1366,13 @@ mod tests {
                 Action::ReadNext
             }
             fn fast_forward(&mut self, ctx: &mut FastForward<'_, usize>) {
-                while ctx.can_read() && !ctx.next_corrupt() {
-                    ctx.read(BucketKind::Data);
+                loop {
+                    let run = ctx.run();
+                    let n = ctx.clean(run.len(), 1);
+                    ctx.commit(n, 1, BucketKind::Data);
+                    if n == 0 || n < run.len() {
+                        return;
+                    }
                 }
             }
         }
@@ -1382,10 +1407,10 @@ mod tests {
         c: &Channel<usize>,
         machine: M,
         tune_in: Ticks,
-        errors: ErrorModel,
+        air: ChannelModel,
         ff: bool,
     ) -> Vec<WalkStep> {
-        let mut walk = Walk::with_policy(c, machine, tune_in, errors, RetryPolicy::bounded(4));
+        let mut walk = Walk::with_channel(c, machine, tune_in, air, RetryPolicy::bounded(4));
         walk.set_fast_forward(ff);
         let mut steps = Vec::new();
         loop {
@@ -1404,7 +1429,9 @@ mod tests {
         // outcome identical, step for step. Tune-ins sit inside the cycle's
         // last bucket [30, 60), both early in the clock and within four
         // cycles of `Ticks::MAX` (where the hook disengages), plus one that
-        // starts engaged and crosses into that zone mid-walk.
+        // starts engaged and crosses into that zone mid-walk. Near the end
+        // of the clock an outage back-off dozes the walk onto `Ticks::MAX`,
+        // where reads end saturated and the walk still ends typed.
         let c = ch(&[10, 20, 30]);
         let cycle = c.cycle_len();
         let late = (Ticks::MAX / cycle - 3) * cycle;
@@ -1419,20 +1446,45 @@ mod tests {
             late - cycle + 45,
             late - 2 * cycle + 45,
         ];
+        let burst = ChannelModel::burst(BurstModel::new(0.2, 0.3, 0.0, 0.9, 0xB57))
+            .with_outages(OutageSchedule::new(70, 10, 0x12));
+        let typed =
+            |steps: &[WalkStep]| matches!(steps.last(), Some(WalkStep::Done(o)) if !o.aborted);
+        let mut saturated = 0;
         for t in tune_ins {
-            for errors in [ErrorModel::NONE, ErrorModel::new(0.3, 0x7A1C)] {
+            for air in [
+                ChannelModel::NONE,
+                ErrorModel::new(0.3, 0x7A1C).into(),
+                burst,
+            ] {
                 let scripted = || Scripted {
                     reads: 4,
                     doze: Some(20),
                     seen: vec![],
                 };
-                let slow = step_trace(&c, scripted(), t, errors, false);
+                let slow = step_trace(&c, scripted(), t, air, false);
                 assert!(slow.len() > 4, "t={t}: {slow:?}");
-                assert_eq!(slow, step_trace(&c, scripted(), t, errors, true), "t={t}");
-                let slow = step_trace(&c, FirstGood, t, errors, false);
-                assert_eq!(slow, step_trace(&c, FirstGood, t, errors, true), "t={t}");
+                assert_eq!(slow, step_trace(&c, scripted(), t, air, true), "t={t}");
+                let first_good = step_trace(&c, FirstGood, t, air, false);
+                assert_eq!(first_good, step_trace(&c, FirstGood, t, air, true), "t={t}");
+                for steps in [slow, first_good] {
+                    assert!(typed(&steps), "t={t}: {steps:?}");
+                    saturated += steps
+                        .iter()
+                        .filter(|s| {
+                            matches!(
+                                s,
+                                WalkStep::Read {
+                                    until: Ticks::MAX,
+                                    ..
+                                }
+                            )
+                        })
+                        .count();
+                }
             }
         }
+        assert!(saturated > 0, "some read must end saturated at Ticks::MAX");
     }
 
     #[test]

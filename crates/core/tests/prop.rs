@@ -1,8 +1,8 @@
 //! Property tests for the channel substrate and walker.
 
 use bda_core::{
-    Bucket, BurstModel, Channel, DynSystem, ErrorModel, FlatScheme, Key, OutageSchedule, Params,
-    Record, RetryPolicy, Scheme,
+    Bucket, BurstModel, Channel, Coverage, DynSystem, ErrorModel, FlatScheme, Key, OutageSchedule,
+    Params, Record, RetryPolicy, Scheme,
 };
 use proptest::prelude::*;
 
@@ -20,7 +20,106 @@ fn arb_channel() -> impl Strategy<Value = Channel<usize>> {
     })
 }
 
+/// Per-bit reference for [`Coverage`]: one flag per record, every range
+/// operation a loop over single records.
+struct RefCoverage {
+    bits: Vec<bool>,
+    covered: u32,
+}
+
+impl RefCoverage {
+    fn range(&self, start: u32, len: u32) -> impl Iterator<Item = usize> + '_ {
+        (start..start.saturating_add(len))
+            .map(|i| i as usize)
+            .filter(|&i| i < self.bits.len())
+    }
+
+    fn mark_range(&mut self, start: u32, len: u32) {
+        for i in (start..start.saturating_add(len)).map(|i| i as usize) {
+            if i < self.bits.len() && !self.bits[i] {
+                self.bits[i] = true;
+                self.covered += 1;
+            }
+        }
+    }
+
+    fn unmarked_in_range(&self, start: u32, len: u32) -> u32 {
+        self.range(start, len).filter(|&i| !self.bits[i]).count() as u32
+    }
+
+    /// Records of the range that can be ruled out, in order, before one
+    /// completes coverage.
+    fn markable(&self, start: u32, len: u32) -> u32 {
+        let total = self.bits.len() as u32;
+        let mut covered = self.covered;
+        for off in 0..len {
+            let i = start.saturating_add(off) as usize;
+            let gain = u32::from(i < self.bits.len() && !self.bits[i]);
+            if covered + gain >= total {
+                return off;
+            }
+            covered += gain;
+        }
+        len
+    }
+}
+
 proptest! {
+    /// The word-parallel range operations of [`Coverage`] agree with
+    /// per-bit reference loops: random totals on and off word boundaries,
+    /// pre-marked ranges and bits (up to full coverage), ranges clipped
+    /// past `total`, and zero-length ranges.
+    #[test]
+    fn coverage_range_ops_match_per_bit_loops(
+        total in 0u32..260,
+        pre_ranges in prop::collection::vec((0u32..280, 0u32..200), 0..4),
+        pre_bits in prop::collection::vec(0u32..280, 0..64),
+        start in 0u32..280,
+        from_front in any::<bool>(),
+        len in 0u32..300,
+    ) {
+        // Half the ranges start in the first word, so that many of them
+        // reach every record still open and the completing-record search
+        // runs past the first word.
+        let start = if from_front { start % 8 } else { start };
+        let mut cov = Coverage::new(total);
+        let mut reference = RefCoverage { bits: vec![false; total as usize], covered: 0 };
+        for &(s, l) in &pre_ranges {
+            cov.mark_range(s, l);
+            reference.mark_range(s, l);
+        }
+        for &i in &pre_bits {
+            cov.mark(i);
+            reference.mark_range(i, 1);
+        }
+        prop_assert_eq!(cov.covered(), reference.covered);
+        let unmarked = reference.unmarked_in_range(start, len);
+        prop_assert_eq!(cov.unmarked_in_range(start, len), unmarked);
+        prop_assert_eq!(cov.would_fill_range(start, len), reference.covered + unmarked >= total);
+        let markable = reference.markable(start, len);
+        // Folding the prefix word-parallel and bucket by bucket agree; the
+        // fold never completes coverage, and stops only where the next
+        // record would.
+        let was_full = reference.covered >= total;
+        let mut each = cov.clone();
+        prop_assert_eq!(cov.mark_prefix(start, len), markable);
+        prop_assert_eq!(each.mark_each((0..len).map(|o| start.saturating_add(o))), markable as usize);
+        reference.mark_range(start, markable);
+        prop_assert_eq!(cov.covered(), reference.covered);
+        prop_assert_eq!(each.covered(), reference.covered);
+        prop_assert!(reference.covered < total || was_full);
+        prop_assert!(markable == len || reference.covered + 1 >= total);
+        for i in 0..total {
+            prop_assert_eq!(cov.is_marked(i), reference.bits[i as usize], "record {}", i);
+            prop_assert_eq!(each.is_marked(i), reference.bits[i as usize], "record {}", i);
+        }
+        // A whole-range mark then agrees too.
+        cov.mark_range(start, len);
+        reference.mark_range(start, len);
+        prop_assert_eq!(cov.covered(), reference.covered);
+        prop_assert_eq!(cov.is_full(), reference.covered == total);
+    }
+
     /// `first_complete_at` returns a bucket boundary at or after `t`, no
     /// further than one full cycle away, and is periodic in the cycle.
     #[test]

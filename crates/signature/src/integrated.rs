@@ -253,15 +253,22 @@ impl ProtocolMachine<SigPayload> for IntegratedMachine {
     }
 
     /// Bulk-consume the frame sift: a non-matching frame signature is a
-    /// mark-range and frame-length doze, and even a false-dropping frame —
+    /// mark-range and frame-length doze, committed in one O(1) step, and
+    /// even a false-dropping frame —
     /// its signature matched, so every data bucket gets downloaded — is a
     /// mechanical run of count-and-mark reads. Stop only on a genuine
     /// decision point — the target's data bucket, the read that would
-    /// complete coverage, a corrupted transmission, or the probe budget —
-    /// and leave that bucket to the slow path.
+    /// complete coverage, a corrupted transmission, or the end of the run
+    /// — and leave that bucket to the slow path.
     fn fast_forward(&mut self, ctx: &mut FastForward<'_, SigPayload>) {
-        while ctx.can_read() && !ctx.next_corrupt() {
-            match ctx.peek() {
+        use bda_core::BucketKind::{Data, Index};
+        loop {
+            let run = ctx.run();
+            let Some(bucket) = run.first() else { return };
+            if ctx.clean(1, 1) == 0 {
+                return;
+            }
+            match &bucket.payload {
                 SigPayload::GroupSig {
                     first_record,
                     group_len,
@@ -270,17 +277,17 @@ impl ProtocolMachine<SigPayload> for IntegratedMachine {
                     let (first, len) = (*first_record, *group_len);
                     let g = (first / self.frame_len) as usize;
                     let hit = self.table.matches(g, &self.query);
-                    if !hit && self.coverage.would_fill_range(first, len) {
+                    let frame = 1 + len as usize;
+                    if !hit && (frame > run.len() || self.coverage.would_fill_range(first, len)) {
                         return;
                     }
                     if hit {
                         self.in_group = len;
                         self.group_matched = true;
-                        ctx.read(bda_core::BucketKind::Index);
+                        ctx.commit(1, 1, Index);
                     } else {
                         self.coverage.mark_range(first, len);
-                        ctx.read(bda_core::BucketKind::Index);
-                        ctx.doze_buckets(len as usize);
+                        ctx.commit(frame, frame, Index);
                     }
                 }
                 SigPayload::Data {
@@ -298,7 +305,7 @@ impl ProtocolMachine<SigPayload> for IntegratedMachine {
                         }
                     }
                     self.coverage.mark(r);
-                    ctx.read(bda_core::BucketKind::Data);
+                    ctx.commit(1, 1, Data);
                 }
                 _ => return,
             }

@@ -300,16 +300,23 @@ impl ProtocolMachine<SigPayload> for MultiLevelMachine {
 
     /// Bulk-consume both granularities of the sift: non-matching frame
     /// signatures are skipped whole (frame-length doze over `group_len`
-    /// record-signature/data pairs); inside a matched frame, non-matching
+    /// record-signature/data pairs, committed in one O(1) step); inside a
+    /// matched frame, non-matching
     /// record signatures are skipped record by record, and even a false
     /// drop — record signature matched, data bucket downloaded — is a
     /// mechanical count-and-mark sequence. Stop only on a genuine decision
     /// point — the target's data bucket, the read that would complete
-    /// coverage, a corrupted transmission, or the probe budget — and leave
-    /// that bucket to the slow path.
+    /// coverage, a corrupted transmission, or the end of the run — and
+    /// leave that bucket to the slow path.
     fn fast_forward(&mut self, ctx: &mut FastForward<'_, SigPayload>) {
-        while ctx.can_read() && !ctx.next_corrupt() {
-            match ctx.peek() {
+        use bda_core::BucketKind::{Data, Index};
+        loop {
+            let run = ctx.run();
+            let Some(bucket) = run.first() else { return };
+            if ctx.clean(1, 1) == 0 {
+                return;
+            }
+            match &bucket.payload {
                 SigPayload::GroupSig {
                     first_record,
                     group_len,
@@ -318,41 +325,40 @@ impl ProtocolMachine<SigPayload> for MultiLevelMachine {
                     let (first, len) = (*first_record, *group_len);
                     let g = (first / self.frame_len) as usize;
                     let hit = self.groups.matches(g, &self.query);
-                    if !hit && self.coverage.would_fill_range(first, len) {
+                    let frame = 1 + 2 * len as usize;
+                    if !hit && (frame > run.len() || self.coverage.would_fill_range(first, len)) {
                         return;
                     }
                     if hit {
                         self.in_group = len;
                         self.scanning = true;
-                        ctx.read(bda_core::BucketKind::Index);
+                        ctx.commit(1, 1, Index);
                     } else {
                         self.coverage.mark_range(first, len);
-                        ctx.read(bda_core::BucketKind::Index);
-                        ctx.doze_buckets(2 * len as usize);
+                        ctx.commit(frame, frame, Index);
                     }
                 }
                 SigPayload::RecordSig { record_index, .. } if !self.checking_data => {
                     if !self.scanning {
                         // Alignment read after tune-in mid-frame.
-                        ctx.read(bda_core::BucketKind::Index);
+                        ctx.commit(1, 1, Index);
                         continue;
                     }
                     let r = *record_index;
                     let hit = self.records.matches(r as usize, &self.query);
-                    if !hit && self.coverage.would_fill(r) {
+                    if !hit && (run.len() < 2 || self.coverage.would_fill(r)) {
                         return;
                     }
                     self.in_group -= 1;
                     if hit {
                         self.checking_data = true;
-                        ctx.read(bda_core::BucketKind::Index);
+                        ctx.commit(1, 1, Index);
                     } else {
                         self.coverage.mark(r);
                         if self.in_group == 0 {
                             self.scanning = false;
                         }
-                        ctx.read(bda_core::BucketKind::Index);
-                        ctx.doze_buckets(1);
+                        ctx.commit(2, 2, Index);
                     }
                 }
                 SigPayload::Data {
@@ -369,7 +375,7 @@ impl ProtocolMachine<SigPayload> for MultiLevelMachine {
                     if self.in_group == 0 {
                         self.scanning = false;
                     }
-                    ctx.read(bda_core::BucketKind::Data);
+                    ctx.commit(1, 1, Data);
                 }
                 _ => return,
             }

@@ -115,6 +115,10 @@ pub struct SimpleSignatureSystem {
     data_size: Ticks,
     /// Record signatures in record order, packed for fast-forward matching.
     table: Arc<SigTable>,
+    /// Whether pair `i` of the cycle carries record `i` — the classic
+    /// once-per-record layout, fixed by the builder — so a run of pairs is
+    /// a run of consecutive table rows.
+    in_record_order: bool,
 }
 
 impl SimpleSignatureSystem {
@@ -133,7 +137,10 @@ impl Scheme for SimpleSignatureScheme {
     type System = SimpleSignatureSystem;
 
     fn build(&self, dataset: &Dataset, params: &Params) -> Result<Self::System> {
-        self.build_occurrences(dataset, params, (0..dataset.len() as u32).collect())
+        let mut sys =
+            self.build_occurrences(dataset, params, (0..dataset.len() as u32).collect())?;
+        sys.in_record_order = true;
+        Ok(sys)
     }
 }
 
@@ -185,6 +192,7 @@ impl SimpleSignatureScheme {
             num_records: dataset.len() as u32,
             data_size: Ticks::from(data_size),
             table: Arc::new(SigTable::build(&sigs)),
+            in_record_order: false,
         })
     }
 }
@@ -268,6 +276,7 @@ impl SimpleSignatureSystem {
             checking_data: false,
             coverage: Coverage::new(self.num_records),
             table: Arc::clone(&self.table),
+            in_record_order: self.in_record_order,
         }
     }
 }
@@ -287,6 +296,10 @@ pub struct SimpleSigMachine {
     /// The broadcast's record signatures, shared with the system; row `r`
     /// equals the signature in record `r`'s `RecordSig` bucket.
     table: Arc<SigTable>,
+    /// Whether pair `i` carries record `i` (see [`SimpleSignatureSystem`]):
+    /// the planner then matches a run's signatures in one pass over the
+    /// table and folds its coverage a word at a time.
+    in_record_order: bool,
 }
 
 impl ProtocolMachine<SigPayload> for SimpleSigMachine {
@@ -368,48 +381,92 @@ impl ProtocolMachine<SigPayload> for SimpleSigMachine {
         }
     }
 
-    /// Bulk-consume the sift loop: non-matching record signatures are
-    /// mark-and-doze pairs, and even a false drop (matching signature,
-    /// wrong record) is a mechanical read-count-mark sequence. Stop only
-    /// on a genuine decision point — the bucket that satisfies the query,
-    /// the read that would complete coverage, a corrupted transmission, or
-    /// the probe budget — and leave that bucket to the slow path.
+    /// Bulk-consume the sift loop a run at a time: non-matching record
+    /// signatures are mark-and-doze pairs. In each run stop on the first
+    /// corrupted signature, then on the first matching one before it, then
+    /// on the signature whose mark would complete coverage before that,
+    /// and commit the pairs ahead of the stop. A matching signature and
+    /// the data bucket after it — a false drop's download, or an alignment
+    /// read after tune-in — are one-bucket steps, and the sift resumes
+    /// after them. Stop only on a genuine decision point — the bucket that
+    /// satisfies the query, the read that would complete coverage, a
+    /// corrupted transmission, or the end of the run — and leave that
+    /// bucket to the slow path.
     fn fast_forward(&mut self, ctx: &mut FastForward<'_, SigPayload>) {
-        while ctx.can_read() && !ctx.next_corrupt() {
-            match ctx.peek() {
-                SigPayload::RecordSig { record_index, .. } if !self.checking_data => {
-                    let r = *record_index;
-                    let hit = self.table.matches(r as usize, &self.query);
-                    if !hit && self.coverage.would_fill(r) {
+        use bda_core::BucketKind::{Data, Index};
+        loop {
+            let run = ctx.run();
+            match run.first().map(|b| &b.payload) {
+                Some(SigPayload::RecordSig { record_index, .. }) if !self.checking_data => {
+                    let pairs = run.len() / 2;
+                    let clean = ctx.clean(2 * pairs, 2) / 2;
+                    // `hit`: pairs before the first matching signature;
+                    // `n`: pairs ruled out before coverage would complete.
+                    let (hit, n) = if self.in_record_order {
+                        let r0 = *record_index;
+                        let rows = r0 as usize..r0 as usize + clean;
+                        let hit = self
+                            .table
+                            .first_match(rows, &self.query)
+                            .map_or(clean, |r| r - r0 as usize);
+                        (hit, self.coverage.mark_prefix(r0, hit as u32) as usize)
+                    } else {
+                        let sigs = run[..2 * clean].iter().step_by(2);
+                        let hit = sigs
+                            .clone()
+                            .position(|b| {
+                                sig_row(b)
+                                    .map_or(true, |r| self.table.matches(r as usize, &self.query))
+                            })
+                            .unwrap_or(clean);
+                        (
+                            hit,
+                            self.coverage.mark_each(sigs.take(hit).filter_map(sig_row)),
+                        )
+                    };
+                    ctx.commit(2 * n, 2, Index);
+                    if n < hit {
                         return;
                     }
-                    if hit {
+                    if hit < clean {
+                        if sig_row(&run[2 * hit]).is_none() {
+                            return;
+                        }
                         self.checking_data = true;
-                        ctx.read(bda_core::BucketKind::Index);
-                    } else {
-                        self.coverage.mark(r);
-                        ctx.read(bda_core::BucketKind::Index);
-                        ctx.doze_buckets(1);
+                        ctx.commit(1, 1, Index);
+                    } else if 2 * clean < run.len() {
+                        return;
                     }
                 }
-                SigPayload::Data {
+                Some(SigPayload::Data {
                     key,
                     record_index,
                     attrs,
-                } => {
+                }) => {
                     let r = *record_index;
-                    if self.target.satisfied_by(*key, attrs) || self.coverage.would_fill(r) {
+                    if ctx.clean(1, 1) == 0
+                        || self.target.satisfied_by(*key, attrs)
+                        || self.coverage.would_fill(r)
+                    {
                         return;
                     }
                     if std::mem::take(&mut self.checking_data) {
                         self.false_drops += 1;
                     }
                     self.coverage.mark(r);
-                    ctx.read(bda_core::BucketKind::Data);
+                    ctx.commit(1, 1, Data);
                 }
                 _ => return,
             }
         }
+    }
+}
+
+/// The record a `RecordSig` bucket signs; `None` for any other bucket.
+fn sig_row(b: &Bucket<SigPayload>) -> Option<u32> {
+    match b.payload {
+        SigPayload::RecordSig { record_index, .. } => Some(record_index),
+        _ => None,
     }
 }
 

@@ -7,12 +7,13 @@
 //! programs and across the boundary of a churning one.
 
 use bda_core::{
-    run_machine_observed, run_versioned_observed, AccessOutcome, Channel, Dataset, Epoch,
-    ErrorModel, Key, Params, PhaseSpans, ProgramTimeline, ProtocolMachine, Record, RetryPolicy,
-    Scheme, SpanRecorder, System, Ticks, VersionedWalk, Walk, WalkStep,
+    run_machine_observed, run_versioned_observed, AccessOutcome, Channel, Dataset, DiskConfig,
+    Epoch, ErrorModel, Key, Params, PhaseSpans, ProgramTimeline, ProtocolMachine, Record,
+    RetryPolicy, Scheme, SpanRecorder, System, Ticks, VersionedWalk, Walk, WalkStep,
 };
 use bda_signature::{
-    IntegratedSignatureScheme, MultiLevelSignatureScheme, SigPayload, SimpleSignatureScheme,
+    IntegratedSignatureScheme, MultiLevelSignatureScheme, SigParams, SigPayload,
+    SimpleSignatureDisksScheme, SimpleSignatureScheme,
 };
 
 fn dataset(n: u64) -> Dataset {
@@ -49,27 +50,41 @@ fn run_walk<M: ProtocolMachine<SigPayload>>(
     }
 }
 
-fn check_scheme<S>(system: &S, n: u64, collapses_lossless_scan: bool)
+/// Compare the stepped and fast-forwarded walks of `system` for present
+/// and absent keys (a run ends where coverage completes) from tune-ins
+/// spread over the cycle and inside its last bucket (the first run ends at
+/// the cycle's end), lossless and lossy (runs end at corrupted reads).
+/// Returns the false drops of walks whose fast-forward took fewer steps —
+/// false drops inside a collapsed run.
+fn check_scheme<S>(system: &S, n: u64, collapses_lossless_scan: bool) -> u32
 where
     S: System<Payload = SigPayload>,
     S::Machine: Clone,
 {
     let ch = system.channel();
     let cycle = ch.cycle_len();
+    let last = ch.start_of(ch.num_buckets() - 1);
     let keys: Vec<Key> = (0..n)
         .step_by(7)
         .map(|i| Key(i * 3))
         .chain([Key(1), Key(299)]) // absent: full-coverage scans
         .collect();
+    let tune_ins: Vec<Ticks> = (0..6u64)
+        .map(|s| s * cycle / 6 + 13 * s)
+        .chain([last + 1, cycle - 1])
+        .collect();
+    let mut collapsed_drops = 0;
     for &key in &keys {
-        for s in 0..6u64 {
-            let tune_in = s * cycle / 6 + 13 * s;
+        for &tune_in in &tune_ins {
             for errors in [ErrorModel::NONE, ErrorModel::new(0.15, 0x5EED)] {
                 let policy = RetryPolicy::UNBOUNDED;
-                let (slow, slow_spans, _) =
+                let (slow, slow_spans, slow_steps) =
                     run_walk(ch, system.query(key), tune_in, errors, policy, false);
                 let (fast, fast_spans, steps) =
                     run_walk(ch, system.query(key), tune_in, errors, policy, true);
+                if steps < slow_steps {
+                    collapsed_drops += fast.false_drops;
+                }
                 assert_eq!(
                     slow,
                     fast,
@@ -106,6 +121,7 @@ where
             }
         }
     }
+    collapsed_drops
 }
 
 /// Step a span-recording walk over `tl` to completion with fast-forward
@@ -203,6 +219,12 @@ fn simple_signature_fast_forward_is_bit_identical() {
         .unwrap();
     check_scheme(&sys, 60, true);
     check_timeline(&SimpleSignatureScheme::new());
+    // Broadcast disks repeat and skip records within a cycle: coverage
+    // folds bucket by bucket.
+    let disks = SimpleSignatureDisksScheme::new(DiskConfig::new(3))
+        .build(&d, &Params::paper())
+        .unwrap();
+    check_scheme(&disks, 60, false);
 }
 
 #[test]
@@ -229,12 +251,25 @@ fn multilevel_signature_fast_forward_is_bit_identical() {
 fn fast_forward_handles_degenerate_frames_and_tiny_signatures() {
     // group_len 1 (every frame is one record) and a 1-byte signature that
     // collides hard: maximal false-drop pressure on the planner's
-    // stop-before-match rule.
+    // stop-before-match rule. Simple signatures' runs end at matching
+    // signatures whose data bucket is a false drop, and the sift resumes
+    // after it, on the classic and the broadcast-disk layout.
     let d = dataset(40);
-    let sigp = bda_signature::SigParams {
+    let sigp = SigParams {
         sig_bytes: 1,
         bits_per_attr: 2,
     };
+    let simple = SimpleSignatureScheme::with_params(sigp)
+        .build(&d, &Params::paper())
+        .unwrap();
+    assert!(
+        check_scheme(&simple, 40, false) > 0,
+        "collapsed walks must false-drop"
+    );
+    let disks = SimpleSignatureDisksScheme::with_params(sigp, DiskConfig::new(3))
+        .build(&d, &Params::paper())
+        .unwrap();
+    check_scheme(&disks, 40, false);
     let int = IntegratedSignatureScheme::new(1)
         .with_params(sigp)
         .build(&d, &Params::paper())

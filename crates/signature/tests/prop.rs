@@ -2,7 +2,8 @@
 
 use bda_core::{Dataset, DynSystem, Key, Params, Record, Scheme};
 use bda_signature::{
-    IntegratedSignatureScheme, MultiLevelSignatureScheme, SigParams, SimpleSignatureScheme,
+    IntegratedSignatureScheme, MultiLevelSignatureScheme, SigParams, SigTable,
+    SimpleSignatureScheme,
 };
 use proptest::prelude::*;
 
@@ -31,6 +32,37 @@ fn arb_sig() -> impl Strategy<Value = SigParams> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `SigTable::first_match` over a contiguous row range is the first
+    /// row `SigTable::matches` accepts — at 1-, 8-, 16- and 24-byte
+    /// signatures (one, one, two and three packed words), over empty and
+    /// partial ranges, with queries drawn both from a row's own key (a
+    /// guaranteed match) and at random.
+    #[test]
+    fn sig_table_first_match_agrees_with_matches(
+        width in 0usize..4,
+        bits_per_attr in 1u32..6,
+        keys in prop::collection::vec(any::<u64>(), 0..48),
+        query in any::<u64>(),
+        own in any::<proptest::sample::Index>(),
+        use_own in any::<bool>(),
+        from in 0usize..56,
+        len in 0usize..56,
+    ) {
+        let sig = SigParams { sig_bytes: [1, 8, 16, 24][width], bits_per_attr };
+        let sigs: Vec<_> = keys.iter().map(|&k| sig.record_signature(Key(k), &[k ^ 7])).collect();
+        let table = SigTable::build(&sigs);
+        let q = if use_own && !keys.is_empty() {
+            sig.query_signature(Key(keys[own.index(keys.len())]))
+        } else {
+            sig.query_signature(Key(query))
+        };
+        let lo = from.min(keys.len());
+        let hi = (from + len).min(keys.len());
+        let expect = (lo..hi).find(|&i| table.matches(i, &q));
+        prop_assert_eq!(table.first_match(lo..hi, &q), expect);
+        prop_assert_eq!(expect, (lo..hi).find(|&i| sigs[i].matches(&q)));
+    }
 
     /// Superimposition is monotone: a signature always matches any subset
     /// of the strings it superimposes — hence no false negatives ever.
