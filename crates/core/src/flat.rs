@@ -43,22 +43,26 @@ pub struct FlatSystem {
     /// records, not buckets.
     num_records: u32,
     /// Whether bucket `i` carries record `i` — the classic
-    /// one-record-per-slot cycle, fixed by the builder — so a run of
-    /// buckets is a run of consecutive records.
+    /// one-record-per-slot cycle, read off the layout when it is built —
+    /// so a run of buckets is a run of consecutive records.
     in_record_order: bool,
 }
 
 impl FlatSystem {
-    /// Assemble a flat system from an explicit bucket layout — the
-    /// broadcast-disk constructor's entry point. `num_records` is the
-    /// number of *distinct* records in the cycle; repetition layouts
-    /// repeat and skip record indices, so the layout is never taken to be
-    /// in record order.
+    /// Assemble a flat system from an explicit bucket layout — the entry
+    /// point of both the classic and the broadcast-disk constructors.
+    /// `num_records` is the number of *distinct* records in the cycle;
+    /// repetition layouts repeat and skip record indices.
     pub(crate) fn from_parts(channel: Channel<FlatPayload>, num_records: u32) -> Self {
+        let in_record_order = channel
+            .buckets()
+            .iter()
+            .enumerate()
+            .all(|(i, b)| b.payload.record_index as usize == i);
         FlatSystem {
             channel,
             num_records,
-            in_record_order: false,
+            in_record_order,
         }
     }
 }
@@ -83,11 +87,10 @@ impl Scheme for FlatScheme {
                 )
             })
             .collect();
-        Ok(FlatSystem {
-            channel: Channel::new(buckets)?,
-            num_records: dataset.len() as u32,
-            in_record_order: true,
-        })
+        Ok(FlatSystem::from_parts(
+            Channel::new(buckets)?,
+            dataset.len() as u32,
+        ))
     }
 }
 
@@ -172,8 +175,8 @@ impl ProtocolMachine<FlatPayload> for FlatMachine {
     /// read-and-mark with no decision in it. Stop on the first corrupted
     /// transmission, then on the key's bucket before it, then on the read
     /// that would complete coverage before that — the landing bucket is
-    /// read slow-path. A run that ends at the cycle's end continues into
-    /// the next.
+    /// read slow-path. A run consumed whole (it ended at the cycle's end,
+    /// or at the lossy-air cut) continues into the next.
     fn fast_forward(&mut self, ctx: &mut FastForward<'_, FlatPayload>) {
         loop {
             let run = ctx.run();
@@ -293,10 +296,11 @@ mod tests {
     #[test]
     fn fast_forward_matches_the_stepped_walk_at_run_boundaries() {
         // A run ends at the cycle's end (tune-ins inside the last bucket),
-        // at the key, where coverage completes (absent keys), and at a
-        // corrupted read (lossy air); broadcast disks repeat and skip
-        // record indices, so their coverage folds bucket by bucket.
-        let ds = Dataset::new((0..40u64).map(|i| Record::keyed(i * 2)).collect()).unwrap();
+        // at the key, where coverage completes (absent keys), at a
+        // corrupted read (lossy air) and at the lossy-air cut (rare loss
+        // over a 160-bucket cycle); broadcast disks repeat and skip record
+        // indices, so their coverage folds bucket by bucket.
+        let ds = Dataset::new((0..160u64).map(|i| Record::keyed(i * 2)).collect()).unwrap();
         let params = Params::paper();
         let bucket = Ticks::from(params.data_bucket_size());
         let chain = BurstModel::new(0.2, 0.3, 0.0, 0.9, 0xB57);
@@ -304,6 +308,10 @@ mod tests {
             (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
             (
                 ErrorModel::new(0.15, 0x5EED).into(),
+                RetryPolicy::bounded(8),
+            ),
+            (
+                ErrorModel::new(0.01, 0x5EED).into(),
                 RetryPolicy::bounded(8),
             ),
             (
@@ -315,6 +323,13 @@ mod tests {
         let disks = FlatDisksScheme::new(DiskConfig::new(3))
             .build(&ds, &params)
             .unwrap();
+        // Whether record `i` sits in slot `i` is read off the layout: a
+        // one-disk program is the classic cycle.
+        let one_disk = FlatDisksScheme::new(DiskConfig::new(1))
+            .build(&ds, &params)
+            .unwrap();
+        assert!(classic.in_record_order && one_disk.in_record_order);
+        assert!(!disks.in_record_order);
         let mut collapsed = 0;
         for sys in [&classic, &disks] {
             let ch = sys.channel();
@@ -328,7 +343,7 @@ mod tests {
                 3 * cycle - 1,
                 cycle + cycle / 3,
             ] {
-                for key in [Key(0), Key(38), Key(78), Key(1), Key(999)] {
+                for key in [Key(0), Key(38), Key(318), Key(1), Key(999)] {
                     for air in airs {
                         let what =
                             format!("{} buckets, key {key:?} t={t} {air:?}", ch.num_buckets());

@@ -191,6 +191,13 @@ pub trait ProtocolMachine<P> {
     }
 }
 
+/// Longest run [`FastForward::run`] hands a planner on lossy air. A
+/// planner checks its run for corruption before it looks at payloads, so
+/// this bounds the fault-oracle calls spent past its other stops (the key,
+/// a signature match, the coverage stop) when loss is rare; lossless runs
+/// reach the end of the cycle.
+const LOSSY_RUN: usize = 64;
+
 /// Bulk-accounting context for [`ProtocolMachine::fast_forward`].
 ///
 /// Maintains a cursor over the upcoming buckets of the cycle plus the
@@ -235,17 +242,21 @@ pub struct FastForward<'a, P> {
 
 impl<'a, P> FastForward<'a, P> {
     /// The run ahead: the buckets from the cursor to the end of the
-    /// cycle, cut at the probe budget (each bucket costs at most one read)
-    /// and at the consumption cap. Empty once the cursor reaches the end
-    /// of the program on air (the next epoch of a churning broadcast;
-    /// never, on a frozen one), so the slow path reads — and
-    /// version-checks — the first bucket of the next program. Epochs span
-    /// whole cycles, so a run is either wholly before that end or empty.
+    /// cycle, cut at the probe budget (each bucket costs at most one read),
+    /// at the consumption cap and, on lossy air, at `LOSSY_RUN` buckets.
+    /// Empty once the cursor reaches the end of the program on air (the
+    /// next epoch of a churning broadcast; never, on a frozen one), so the
+    /// slow path reads — and version-checks — the first bucket of the next
+    /// program. Epochs span whole cycles, so a run is either wholly before
+    /// that end or empty.
     pub fn run(&self) -> &'a [Bucket<P>] {
         if self.start >= self.limit {
             return &[];
         }
-        let budget = (self.left as usize).min(self.room);
+        let mut budget = (self.left as usize).min(self.room);
+        if !self.lossless {
+            budget = budget.min(LOSSY_RUN);
+        }
         let end = self.ch.num_buckets().min(self.idx + budget);
         &self.ch.buckets()[self.idx..end]
     }

@@ -129,27 +129,19 @@ impl SigTable {
     /// The first row of `rows` that contains every bit of `query`, found by
     /// one pass over the packed words: the signature planner's stop for a
     /// run of consecutive records. Equals the first `i` in `rows` with
-    /// [`SigTable::matches`]`(i, query)`.
+    /// [`SigTable::matches`]`(i, query)`; `query` must be as wide as the
+    /// table's rows.
     pub fn first_match(&self, rows: Range<usize>, query: &Signature) -> Option<usize> {
         let w = self.words_per_sig;
         if w == 0 {
             // Zero-width signatures match everything.
             return (!rows.is_empty()).then_some(rows.start);
         }
-        let packed = &self.words[rows.start * w..rows.end.max(rows.start) * w];
-        // Signatures of up to 16 bytes get unrolled compares: on a 2-vCPU
-        // Xeon, `probe/signature/5000` reads 3.7–4.7 µs with them against
-        // 5.3–5.5 µs through the generic row loop alone.
-        let hit = match *query.words {
-            [q] => packed.iter().position(|&r| r & q == q),
-            [q0, q1] => packed
-                .chunks_exact(2)
-                .position(|r| r[0] & q0 == q0 && r[1] & q1 == q1),
-            ref q => packed
-                .chunks_exact(w)
-                .position(|r| r.iter().zip(q).all(|(r, q)| r & q == *q)),
-        };
-        hit.map(|i| rows.start + i)
+        debug_assert_eq!(query.words.len(), w, "query and table widths differ");
+        self.words[rows.start * w..rows.end.max(rows.start) * w]
+            .chunks_exact(w)
+            .position(|r| r.iter().zip(query.words.iter()).all(|(r, q)| r & q == *q))
+            .map(|i| rows.start + i)
     }
 }
 

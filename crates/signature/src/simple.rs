@@ -116,8 +116,8 @@ pub struct SimpleSignatureSystem {
     /// Record signatures in record order, packed for fast-forward matching.
     table: Arc<SigTable>,
     /// Whether pair `i` of the cycle carries record `i` — the classic
-    /// once-per-record layout, fixed by the builder — so a run of pairs is
-    /// a run of consecutive table rows.
+    /// once-per-record layout, read off the layout when it is built — so a
+    /// run of pairs is a run of consecutive table rows.
     in_record_order: bool,
 }
 
@@ -137,10 +137,7 @@ impl Scheme for SimpleSignatureScheme {
     type System = SimpleSignatureSystem;
 
     fn build(&self, dataset: &Dataset, params: &Params) -> Result<Self::System> {
-        let mut sys =
-            self.build_occurrences(dataset, params, (0..dataset.len() as u32).collect())?;
-        sys.in_record_order = true;
-        Ok(sys)
+        self.build_occurrences(dataset, params, (0..dataset.len() as u32).collect())
     }
 }
 
@@ -167,6 +164,10 @@ impl SimpleSignatureScheme {
             .iter()
             .map(|r| self.sig.record_signature(r.key, &r.attrs))
             .collect();
+        let in_record_order = occurrences
+            .iter()
+            .enumerate()
+            .all(|(i, &r)| r as usize == i);
         let mut buckets = Vec::with_capacity(2 * occurrences.len());
         for i in occurrences {
             let r = dataset.record(i as usize);
@@ -192,7 +193,7 @@ impl SimpleSignatureScheme {
             num_records: dataset.len() as u32,
             data_size: Ticks::from(data_size),
             table: Arc::new(SigTable::build(&sigs)),
-            in_record_order: false,
+            in_record_order,
         })
     }
 }
@@ -416,7 +417,7 @@ impl ProtocolMachine<SigPayload> for SimpleSigMachine {
                             .clone()
                             .position(|b| {
                                 sig_row(b)
-                                    .map_or(true, |r| self.table.matches(r as usize, &self.query))
+                                    .is_some_and(|r| self.table.matches(r as usize, &self.query))
                             })
                             .unwrap_or(clean);
                         (
@@ -429,9 +430,6 @@ impl ProtocolMachine<SigPayload> for SimpleSigMachine {
                         return;
                     }
                     if hit < clean {
-                        if sig_row(&run[2 * hit]).is_none() {
-                            return;
-                        }
                         self.checking_data = true;
                         ctx.commit(1, 1, Index);
                     } else if 2 * clean < run.len() {
@@ -501,6 +499,11 @@ mod tests {
                 assert_eq!(b.size, p.data_bucket_size());
             }
         }
+        // Pair `i` carries record `i` on the classic cycle and its
+        // one-disk twin, not where broadcast disks repeat records.
+        let disks = |n| SimpleSignatureDisksScheme::new(DiskConfig::new(n)).build(&d, &p);
+        assert!(sys.in_record_order && disks(1).unwrap().in_record_order);
+        assert!(!disks(3).unwrap().in_record_order);
     }
 
     #[test]

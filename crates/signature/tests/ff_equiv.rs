@@ -53,7 +53,8 @@ fn run_walk<M: ProtocolMachine<SigPayload>>(
 /// Compare the stepped and fast-forwarded walks of `system` for present
 /// and absent keys (a run ends where coverage completes) from tune-ins
 /// spread over the cycle and inside its last bucket (the first run ends at
-/// the cycle's end), lossless and lossy (runs end at corrupted reads).
+/// the cycle's end), lossless and lossy (runs end at corrupted reads, and
+/// under rare loss also at the lossy-air cut).
 /// Returns the false drops of walks whose fast-forward took fewer steps —
 /// false drops inside a collapsed run.
 fn check_scheme<S>(system: &S, n: u64, collapses_lossless_scan: bool) -> u32
@@ -76,7 +77,11 @@ where
     let mut collapsed_drops = 0;
     for &key in &keys {
         for &tune_in in &tune_ins {
-            for errors in [ErrorModel::NONE, ErrorModel::new(0.15, 0x5EED)] {
+            for errors in [
+                ErrorModel::NONE,
+                ErrorModel::new(0.15, 0x5EED),
+                ErrorModel::new(0.01, 0x5EED),
+            ] {
                 let policy = RetryPolicy::UNBOUNDED;
                 let (slow, slow_spans, slow_steps) =
                     run_walk(ch, system.query(key), tune_in, errors, policy, false);
