@@ -3,10 +3,10 @@
 //!
 //! Each cell draws a random scheme, dataset size, channel (i.i.d. or
 //! Gilbert–Elliott burst loss, with or without scheduled outage windows),
-//! retry policy (bounded/unbounded, exponential back-off, seeded jitter),
-//! optional program churn and — on roughly a third of the cells — a
-//! multichannel striping group (2–4 channels, randomized tune-switch
-//! cost), then runs the same request batch through:
+//! retry policy (bounded, capped exponential or fixed back-off, seeded
+//! jitter, a give-up deadline), optional program churn and — on roughly a
+//! third of the cells — a multichannel striping group (2–4 channels,
+//! randomized tune-switch cost), then runs the same request batch through:
 //!
 //! * the slab engine with analytical fast-forward **on**,
 //! * the slab engine with fast-forward **off** (bucket-by-bucket),
@@ -154,13 +154,20 @@ fn draw_cell(seed: u64) -> Cell {
     };
 
     // Retry policy: always bounded enough that dead air cannot spin a
-    // cell forever, with the resynchronization knobs mixed in.
+    // cell forever, with the resynchronization knobs mixed in: capped
+    // exponential or fixed uncapped back-off, jitter, and a give-up
+    // deadline of a fraction of a cycle to a few cycles.
     let mut policy = RetryPolicy::bounded(8 + rng.below(40) as u32);
     if rng.chance(0.7) {
         policy = policy.with_backoff_cap(1 << rng.below(5));
+    } else if rng.chance(0.5) {
+        policy = policy.with_backoff(1 + rng.below(3) as u32);
     }
     if rng.chance(0.6) {
         policy = policy.with_jitter(rng.next());
+    }
+    if rng.chance(0.3) {
+        policy = policy.with_deadline(4_000 + rng.below(100_000));
     }
     let churn_pct = if rng.chance(0.4) {
         5 + rng.below(21) as u32
@@ -464,6 +471,8 @@ fn main() {
     let mut outage_cells = 0usize;
     let mut churn_cells = 0usize;
     let mut multi_cells = 0usize;
+    let mut fixed_backoff_cells = 0usize;
+    let mut deadline_cells = 0usize;
     for i in 0..n {
         let cell = draw_cell(
             seed.wrapping_add(i as u64)
@@ -480,6 +489,12 @@ fn main() {
         }
         if cell.group.is_some() {
             multi_cells += 1;
+        }
+        if cell.policy.backoff_cycles > 0 && cell.policy.backoff_cap_cycles == 0 {
+            fixed_backoff_cells += 1;
+        }
+        if cell.policy.give_up_after.is_some() {
+            deadline_cells += 1;
         }
         match run_cell(&cell) {
             Ok(stats) => {
@@ -514,8 +529,8 @@ fn main() {
     }
     println!(
         "chaos ok: {n} cells ({burst_cells} burst, {outage_cells} outage, {churn_cells} churn, \
-         {multi_cells} multichannel) agreed across all drivers; {} retries, {} abandoned, \
-         {} stale restarts",
+         {multi_cells} multichannel, {fixed_backoff_cells} fixed back-off, {deadline_cells} \
+         deadline) agreed across all drivers; {} retries, {} abandoned, {} stale restarts",
         totals.retries, totals.abandoned, totals.stale_restarts
     );
 }

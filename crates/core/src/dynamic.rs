@@ -39,7 +39,8 @@ use crate::error::{BdaError, Result};
 use crate::errors_model::{ChannelModel, ErrorModel, RetryPolicy};
 use crate::key::Key;
 use crate::machine::{
-    engage, AccessOutcome, Action, ProtocolMachine, StaleResponse, Tally, WalkStep,
+    engage, recover, AccessOutcome, Action, ProtocolMachine, Retries, StaleResponse, Tally,
+    WalkStep,
 };
 use crate::scheme::{QueryRun, QuerySlot, System};
 use crate::Ticks;
@@ -177,7 +178,7 @@ pub struct VersionedWalk<'a, S: System, R = NoopRecorder> {
     now: Ticks,
     tuning: Ticks,
     probes: u32,
-    retries: u32,
+    retries: Retries,
     stale_restarts: u32,
     version_skews: u32,
     false_drops_hint: u32,
@@ -186,10 +187,6 @@ pub struct VersionedWalk<'a, S: System, R = NoopRecorder> {
     max_probes: u32,
     channel: ChannelModel,
     policy: RetryPolicy,
-    /// Consecutive unusable reads that fell inside an outage window —
-    /// drives the exponential resynchronization back-off; reset by any
-    /// usable or merely-lossy read.
-    outage_streak: u32,
     ff: bool,
     recorder: R,
 }
@@ -300,7 +297,7 @@ impl<'a, S: System, R: Recorder> VersionedWalk<'a, S, R> {
             now: tune_in,
             tuning: 0,
             probes: 0,
-            retries: 0,
+            retries: Retries::default(),
             stale_restarts: 0,
             version_skews: 0,
             false_drops_hint: 0,
@@ -309,7 +306,6 @@ impl<'a, S: System, R: Recorder> VersionedWalk<'a, S, R> {
             max_probes,
             channel,
             policy,
-            outage_streak: 0,
             ff: false,
             recorder,
         }
@@ -359,7 +355,7 @@ impl<'a, S: System, R: Recorder> VersionedWalk<'a, S, R> {
             tuning: self.tuning,
             probes: self.probes,
             false_drops,
-            retries: self.retries,
+            retries: self.retries.count,
             abandoned: false,
             aborted,
             stale_restarts: self.stale_restarts,
@@ -385,25 +381,10 @@ impl<'a, S: System, R: Recorder> VersionedWalk<'a, S, R> {
     /// truthful abandonment; on a clean frozen walk it flags a runaway
     /// machine and aborts, as it always has.
     fn exhaust(&mut self) -> WalkStep {
-        if self.retries > 0 || self.stale_restarts > 0 {
+        if self.retries.count > 0 || self.stale_restarts > 0 {
             self.abandon()
         } else {
             self.finish(false, self.false_drops_hint, true)
-        }
-    }
-
-    /// Apply a back-off of `cycles` whole cycles to a post-corruption
-    /// action, using the cycle length of the program the client just read
-    /// from (whole-cycle shifts preserve the bucket the machine expects).
-    fn backoff(&self, act: Action, cycles: u32, cycle_len: Ticks) -> Action {
-        if cycles == 0 {
-            return act;
-        }
-        let shift = Ticks::from(cycles).saturating_mul(cycle_len);
-        match act {
-            Action::ReadNext => Action::DozeTo(self.now.saturating_add(shift)),
-            Action::DozeTo(t) => Action::DozeTo(t.saturating_add(shift)),
-            other => other,
         }
     }
 
@@ -432,24 +413,26 @@ impl<'a, S: System, R: Recorder> VersionedWalk<'a, S, R> {
     /// Fast-forward through the epoch on air at `landing` — never reading
     /// past its end — and return the bucket the slow path reads next: the
     /// cursor's landing, or, once the cursor reached the next epoch's
-    /// start (a doze may end exactly there), the next program's first
-    /// bucket, looked up in the timeline.
+    /// start (a doze may end exactly there, a back-off there or past it),
+    /// the bucket on air then, looked up in the timeline.
     fn run_fast_forward(&mut self, landing: (usize, usize, Ticks)) -> (usize, usize, Ticks) {
         let timeline = self.timeline;
         let (ei, idx, start) = landing;
         let limit = timeline.epochs.get(ei + 1).map_or(Ticks::MAX, |e| e.start);
         let (idx, start) = engage(
             timeline.epoch(ei).system.channel(),
-            self.channel,
             &mut self.machine,
             (idx, start),
             limit,
             Tally {
+                channel: self.channel,
+                policy: self.policy,
+                tune_in: self.tune_in,
                 now: &mut self.now,
                 tuning: &mut self.tuning,
                 probes: &mut self.probes,
                 max_probes: self.max_probes,
-                outage_streak: &mut self.outage_streak,
+                retries: &mut self.retries,
                 recorder: &mut self.recorder,
             },
         );
@@ -531,26 +514,20 @@ impl<'a, S: System, R: Recorder> VersionedWalk<'a, S, R> {
                 let next = if self.channel.corrupted(start) {
                     // A corrupted transmission hides the header too: the
                     // client can't even see the version. Skew, if any, is
-                    // caught on the next clean read.
-                    self.retries += 1;
-                    if self.policy.gives_up(self.retries, self.now - self.tune_in) {
+                    // caught on the next clean read — after an outage,
+                    // against whichever program is on the air then. The
+                    // back-off counts cycles of the program just read.
+                    let outage = self.channel.in_outage(start);
+                    let (retries, backoff) =
+                        self.retries
+                            .corrupt(&self.policy, outage, self.now - self.tune_in);
+                    self.retries = retries;
+                    let Some(cycles) = backoff else {
                         return self.abandon();
-                    }
-                    if self.channel.in_outage(start) {
-                        // Carrier gone: resynchronize against whichever
-                        // program is on the air when the client returns.
-                        self.outage_streak += 1;
-                        let recovery = self.machine.on_outage(meta);
-                        let cycles = self.policy.recovery_cycles(self.outage_streak, true);
-                        self.backoff(recovery, cycles, ch.cycle_len())
-                    } else {
-                        self.outage_streak = 0;
-                        let recovery = self.machine.on_corrupt(meta);
-                        let cycles = self.policy.recovery_cycles(self.retries, false);
-                        self.backoff(recovery, cycles, ch.cycle_len())
-                    }
+                    };
+                    recover(&mut self.machine, meta, outage, cycles, ch.cycle_len())
                 } else if bucket.version != self.anchor_version {
-                    self.outage_streak = 0;
+                    self.retries.outage_streak = 0;
                     self.version_skews += 1;
                     match self.machine.on_stale(meta) {
                         StaleResponse::Resume(act) => {
@@ -560,7 +537,7 @@ impl<'a, S: System, R: Recorder> VersionedWalk<'a, S, R> {
                         StaleResponse::Respawn => self.respawn(epoch, bucket, meta),
                     }
                 } else {
-                    self.outage_streak = 0;
+                    self.retries.outage_streak = 0;
                     self.machine.on_bucket(&bucket.payload, meta)
                 };
                 if let Action::Finish(v) = next {
@@ -853,6 +830,7 @@ mod tests {
     use crate::errors_model::{BurstModel, OutageSchedule};
     use crate::flat::{FlatMachine, FlatPayload, FlatScheme, FlatSystem};
     use crate::machine::run_machine;
+    use crate::machine::tests::{longest_outage_streak, shown_retries};
     use crate::params::Params;
     use crate::record::{Dataset, Record};
     use crate::scheme::Scheme;
@@ -1110,16 +1088,24 @@ mod tests {
         }
     }
 
-    /// Every (tune-in, air) case the walker-level tests run. Around the
-    /// epoch boundary — the start, middle and last tick of each of the
-    /// last three buckets before it, on it, and just after — over lossless
-    /// air, i.i.d. loss with a retry budget, and a Gilbert–Elliott chain
-    /// with outage windows and capped back-off. Within four cycles of
-    /// `Ticks::MAX` on the last epoch (where fast-forward disengages),
-    /// plus two tune-ins that start engaged and cross into that zone, on
-    /// every air: an outage back-off there dozes the walk to within a
-    /// bucket of `Ticks::MAX`, where reads end saturated.
-    fn cases<S: System>(tl: &ProgramTimeline<S>) -> Vec<(Ticks, Air)> {
+    /// Every air the walker-level tests run, each with its tune-ins.
+    /// Around the epoch boundary — the start, middle and last tick of each
+    /// of the last three buckets before it, on it, and just after — over
+    /// lossless air, i.i.d. loss with a retry budget, and a Gilbert–Elliott
+    /// chain with outage windows and jittered exponential back-off. Within
+    /// four cycles of `Ticks::MAX` on the last epoch (where fast-forward
+    /// disengages), plus two tune-ins that start engaged and cross into
+    /// that zone, on every air: an outage back-off there dozes the walk to
+    /// within a bucket of `Ticks::MAX`, where reads end saturated.
+    ///
+    /// Then the stops of a planner that recovers corrupted reads inside its
+    /// run: a retry-count give-up (`bounded(3)` at 30 % loss) and a
+    /// deadline give-up; outages several cycles long, read in streaks of
+    /// two and more; a one-cycle back-off that lands exactly on the
+    /// boundary — the loss seed corrupts the last bucket of the cycle
+    /// before — or past it, from tune-ins a cycle earlier; and a 16-cycle
+    /// back-off from tune-ins up to 24 cycles short of `Ticks::MAX`.
+    fn cases<S: System>(tl: &ProgramTimeline<S>) -> Vec<(Air, Vec<Ticks>)> {
         let bucket = Ticks::from(Params::paper().data_bucket_size());
         let boundary = tl.epoch(1).start;
         let mut near_boundary = vec![0, 17, boundary, boundary + 1];
@@ -1138,32 +1124,67 @@ mod tests {
             late - cycle + 5,
             late - 2 * cycle + 5,
         ];
+        let standard: Vec<Ticks> = near_boundary.iter().chain(&near_max).copied().collect();
         let chain = BurstModel::new(0.2, 0.3, 0.0, 0.9, 0xB57);
-        let airs: [Air; 3] = [
-            (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
-            (ErrorModel::new(0.3, 0x7A1C).into(), RetryPolicy::bounded(4)),
+        let burst =
+            ChannelModel::burst(chain).with_outages(OutageSchedule::new(7 * bucket, bucket, 0x0A7));
+        let iid = ChannelModel::from(ErrorModel::new(0.3, 0x7A1C));
+        // Outages three cycles long, one per twelve cycles of the last
+        // epoch, met by tune-ins one cycle apart.
+        let long_outages = ChannelModel::from(ErrorModel::new(0.05, 0x5EED))
+            .with_outages(OutageSchedule::new(12 * cycle, 3 * cycle, 0x12));
+        let spread = (0..12).map(|k| last.start + k * cycle + 5).collect();
+        let first_cycle = tl.epoch(0).system.channel().cycle_len();
+        let before = boundary - first_cycle - bucket;
+        let onto_boundary = (1..)
+            .map(|seed| ErrorModel::new(0.3, seed))
+            .find(|loss| loss.corrupted(before))
+            .unwrap();
+        let a_cycle_early = near_boundary
+            .iter()
+            .filter(|&&t| t >= first_cycle)
+            .map(|&t| t - first_cycle)
+            .collect();
+        let far_from_max = (6..=12).map(|k| late - 2 * k * cycle + 5);
+        let jittered = RetryPolicy::bounded(24)
+            .with_backoff_cap(8)
+            .with_jitter(0x117);
+        let deadline = RetryPolicy::UNBOUNDED.with_deadline(6 * bucket);
+        vec![
             (
-                ChannelModel::burst(chain).with_outages(OutageSchedule::new(
-                    7 * bucket,
-                    bucket,
-                    0x0A7,
-                )),
-                RetryPolicy::bounded(24)
-                    .with_backoff_cap(8)
-                    .with_jitter(0x117),
+                (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
+                standard.clone(),
             ),
-        ];
-        airs.iter()
-            .flat_map(|&air| {
-                near_boundary
-                    .iter()
-                    .chain(&near_max)
-                    .map(move |&t| (t, air))
-            })
-            .collect()
+            ((iid, RetryPolicy::bounded(4)), standard.clone()),
+            ((burst, jittered), standard.clone()),
+            ((iid, RetryPolicy::bounded(3)), standard.clone()),
+            ((iid, deadline), standard),
+            ((long_outages, RetryPolicy::UNBOUNDED), spread),
+            (
+                (onto_boundary.into(), RetryPolicy::UNBOUNDED.with_backoff(1)),
+                a_cycle_early,
+            ),
+            (
+                (burst, RetryPolicy::bounded(24).with_backoff(16)),
+                near_max.into_iter().chain(far_from_max).collect(),
+            ),
+        ]
     }
 
     const KEYS: [Key; 6] = [Key(0), Key(10), Key(20), Key(30), Key(40), Key(55)];
+
+    /// Back-off dozes in a step trace that start before `boundary` and end
+    /// on it (`true`) or past it (`false`).
+    fn backoffs_across(boundary: Ticks, steps: &[WalkStep]) -> impl Iterator<Item = bool> + '_ {
+        steps.windows(2).filter_map(move |w| match *w {
+            [WalkStep::Read { until: read, .. }, WalkStep::Doze { until: wake }]
+                if read < boundary && wake >= boundary =>
+            {
+                Some(wake == boundary)
+            }
+            _ => None,
+        })
+    }
 
     #[test]
     fn fast_forward_stops_at_the_epoch_boundary() {
@@ -1171,35 +1192,72 @@ mod tests {
         // outcome and spans — version skews and stale restarts included —
         // however close to the boundary or to `Ticks::MAX` it tunes in,
         // on any air. On the wide timeline a run stops short of the
-        // boundary at the key, at a corrupted read or where coverage
-        // completes, or reaches it at the cycle's end.
-        let (mut skews, mut retries, mut collapsed) = (0, 0, 0);
+        // boundary at the key, at a give-up or where coverage completes,
+        // or reaches it at the cycle's end or with a back-off. Every lossy
+        // air recovers some corrupted read inside a run.
+        let (mut skews, mut collapsed) = (0, 0);
+        let bucket = Params::paper().data_bucket_size();
+        let mut folded_across = [0, 0];
         for tl in [two_epoch_timeline(), wide_timeline()] {
-            for (t, air) in cases(&tl) {
-                for key in KEYS {
-                    let (slow, slow_spans, slow_steps) = run_walk(&tl, key, t, air, false);
-                    let (fast, fast_spans, fast_steps) = run_walk(&tl, key, t, air, true);
-                    assert!(!slow.aborted, "key {key:?} t={t}");
-                    assert_eq!(slow, fast, "key {key:?} t={t}");
-                    assert_eq!(slow_spans, fast_spans, "key {key:?} t={t}");
-                    assert_eq!(
-                        fast_spans.get(Phase::StaleRecovery).count,
-                        u64::from(fast.version_skews)
-                    );
-                    // The one-shot driver is the fast-forwarding walk.
-                    assert_eq!(
-                        run_versioned_observed_channel(&tl, key, t, air.0, air.1),
-                        (fast, fast_spans)
-                    );
-                    skews += fast.version_skews;
-                    retries += fast.retries;
-                    collapsed += usize::from(fast_steps.len() < slow_steps.len());
+            let boundary = tl.epoch(1).start;
+            for ((channel, policy), tune_ins) in cases(&tl) {
+                let (mut folded, mut abandoned, mut streak) = (0, 0, 0);
+                for &t in &tune_ins {
+                    for key in KEYS {
+                        let air = (channel, policy);
+                        let what = format!("key {key:?} t={t} {air:?}");
+                        let (slow, slow_spans, slow_steps) = run_walk(&tl, key, t, air, false);
+                        let (fast, fast_spans, fast_steps) = run_walk(&tl, key, t, air, true);
+                        assert!(!slow.aborted, "{what}");
+                        assert_eq!(slow, fast, "{what}");
+                        assert_eq!(slow_spans, fast_spans, "{what}");
+                        assert_eq!(
+                            fast_spans.get(Phase::StaleRecovery).count,
+                            u64::from(fast.version_skews)
+                        );
+                        // The one-shot driver is the fast-forwarding walk.
+                        assert_eq!(
+                            run_versioned_observed_channel(&tl, key, t, channel, policy),
+                            (fast, fast_spans)
+                        );
+                        skews += fast.version_skews;
+                        collapsed += usize::from(fast_steps.len() < slow_steps.len());
+                        let size = |_| bucket;
+                        folded += shown_retries(channel, &slow_steps, size)
+                            - shown_retries(channel, &fast_steps, size);
+                        abandoned += usize::from(slow.abandoned);
+                        streak = streak.max(longest_outage_streak(channel, &slow_steps, size));
+                        for (on, across) in folded_across.iter_mut().enumerate() {
+                            let count = |steps| {
+                                backoffs_across(boundary, steps)
+                                    .filter(|&exact| exact == (on == 1))
+                                    .count()
+                            };
+                            *across += count(&slow_steps) - count(&fast_steps);
+                        }
+                    }
+                }
+                let what = format!("{channel:?} {policy:?}");
+                if !channel.is_lossless() {
+                    assert!(folded > 0, "{what}: a corrupted read must be folded");
+                }
+                if policy.max_retries == Some(3) || policy.give_up_after.is_some() {
+                    assert!(abandoned > 0, "{what}: some walk must give up");
+                }
+                // Outages cycles long, not a bucket long, are read in streaks.
+                if channel.outages.len > Ticks::from(bucket) {
+                    assert!(streak >= 2, "{what}: outages must be read in streaks");
                 }
             }
         }
         assert!(skews > 0, "walks must cross the boundary");
-        assert!(retries > 0, "lossy air must corrupt");
         assert!(collapsed > 0, "fast-forward must engage");
+        assert!(
+            folded_across.iter().all(|&n| n > 0),
+            "folded back-offs must end past ({}) and exactly on ({}) the boundary",
+            folded_across[0],
+            folded_across[1]
+        );
     }
 
     #[test]
@@ -1209,12 +1267,14 @@ mod tests {
         // outcome, step for step.
         let tl = two_epoch_timeline_of(Unplanned);
         let mut skews = 0;
-        for (t, air) in cases(&tl) {
-            for key in KEYS {
-                let (slow, _, slow_steps) = run_walk(&tl, key, t, air, false);
-                let (_, _, fast_steps) = run_walk(&tl, key, t, air, true);
-                assert_eq!(slow_steps, fast_steps, "key {key:?} t={t}");
-                skews += slow.version_skews;
+        for (air, tune_ins) in cases(&tl) {
+            for t in tune_ins {
+                for key in KEYS {
+                    let (slow, _, slow_steps) = run_walk(&tl, key, t, air, false);
+                    let (_, _, fast_steps) = run_walk(&tl, key, t, air, true);
+                    assert_eq!(slow_steps, fast_steps, "key {key:?} t={t}");
+                    skews += slow.version_skews;
+                }
             }
         }
         assert!(skews > 0, "walks must cross the boundary");

@@ -172,11 +172,13 @@ impl ProtocolMachine<FlatPayload> for FlatMachine {
     }
 
     /// Bulk-consume the run of non-matching buckets ahead: each is a plain
-    /// read-and-mark with no decision in it. Stop on the first corrupted
-    /// transmission, then on the key's bucket before it, then on the read
-    /// that would complete coverage before that — the landing bucket is
-    /// read slow-path. A run consumed whole (it ended at the cycle's end,
-    /// or at the lossy-air cut) continues into the next.
+    /// read-and-mark with no decision in it. Find the first corrupted
+    /// transmission, then the key's bucket before it, then the read that
+    /// would complete coverage before that, and commit the reads ahead of
+    /// the first of them. The key and the coverage stop are read
+    /// slow-path; a corrupted read is recovered in place and the scan goes
+    /// on after it, as does a run consumed whole (it ended at the cycle's
+    /// end, or at the lossy-air cut).
     fn fast_forward(&mut self, ctx: &mut FastForward<'_, FlatPayload>) {
         loop {
             let run = ctx.run();
@@ -196,7 +198,7 @@ impl ProtocolMachine<FlatPayload> for FlatMachine {
                     .mark_each(ahead.iter().map(|b| b.payload.record_index)),
             };
             ctx.commit(n, 1, crate::BucketKind::Data);
-            if n == 0 || n < run.len() {
+            if n < clean || run.is_empty() || (clean < run.len() && !ctx.retry(self)) {
                 return;
             }
         }
@@ -208,6 +210,7 @@ mod tests {
     use super::*;
     use crate::disks::{DiskConfig, FlatDisksScheme};
     use crate::errors_model::{BurstModel, ChannelModel, ErrorModel, OutageSchedule, RetryPolicy};
+    use crate::machine::tests::{longest_outage_streak, shown_retries};
     use crate::machine::{AccessOutcome, Walk, WalkStep};
     use crate::record::Record;
     use crate::scheme::DynSystem;
@@ -265,7 +268,7 @@ mod tests {
         assert!(avg >= lo && avg <= hi, "avg={avg} expect≈{expect}");
     }
 
-    /// Outcome, spans and step count of a span-recording walk with
+    /// Outcome, spans and every step of a span-recording walk with
     /// fast-forward `ff` (`false` is the stepped walk every case is
     /// compared against).
     fn walk(
@@ -274,7 +277,7 @@ mod tests {
         t: Ticks,
         (channel, policy): (ChannelModel, RetryPolicy),
         ff: bool,
-    ) -> (AccessOutcome, PhaseSpans, usize) {
+    ) -> (AccessOutcome, PhaseSpans, Vec<WalkStep>) {
         let recorder = SpanRecorder::new();
         let mut walk = Walk::with_channel_recorder(
             sys.channel(),
@@ -285,41 +288,53 @@ mod tests {
             recorder,
         );
         walk.set_fast_forward(ff);
-        for steps in 1.. {
-            if let WalkStep::Done(out) = walk.step() {
+        let mut steps = Vec::new();
+        loop {
+            let step = walk.step();
+            steps.push(step);
+            if let WalkStep::Done(out) = step {
                 return (out, walk.recorder().spans, steps);
             }
         }
-        unreachable!()
     }
 
     #[test]
     fn fast_forward_matches_the_stepped_walk_at_run_boundaries() {
         // A run ends at the cycle's end (tune-ins inside the last bucket),
-        // at the key, where coverage completes (absent keys), at a
-        // corrupted read (lossy air) and at the lossy-air cut (rare loss
-        // over a 160-bucket cycle); broadcast disks repeat and skip record
-        // indices, so their coverage folds bucket by bucket.
+        // at the key, where coverage completes (absent keys), at a give-up
+        // and at the lossy-air cut (rare loss over a 160-bucket cycle);
+        // broadcast disks repeat and skip record indices, so their coverage
+        // folds bucket by bucket. Corrupted reads are recovered inside the
+        // run, up to a retry-count give-up (`bounded(3)` at 30 % loss) or a
+        // deadline give-up, under capped and jittered exponential back-off,
+        // and through outages several cycles long, read in streaks of two
+        // and more. Tune-ins within 24 cycles of `Ticks::MAX` meet a
+        // 16-cycle back-off, folded only where it ends at least four
+        // cycles short of the clock's end.
         let ds = Dataset::new((0..160u64).map(|i| Record::keyed(i * 2)).collect()).unwrap();
         let params = Params::paper();
         let bucket = Ticks::from(params.data_bucket_size());
-        let chain = BurstModel::new(0.2, 0.3, 0.0, 0.9, 0xB57);
-        let airs = [
-            (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
-            (
-                ErrorModel::new(0.15, 0x5EED).into(),
-                RetryPolicy::bounded(8),
-            ),
-            (
-                ErrorModel::new(0.01, 0x5EED).into(),
-                RetryPolicy::bounded(8),
-            ),
-            (
-                ChannelModel::burst(chain).with_outages(OutageSchedule::new(7 * bucket, bucket, 7)),
-                RetryPolicy::bounded(24).with_backoff_cap(8),
-            ),
-        ];
         let classic = FlatScheme.build(&ds, &params).unwrap();
+        let cycle = classic.channel().cycle_len();
+        let chain = BurstModel::new(0.2, 0.3, 0.0, 0.9, 0xB57);
+        let burst =
+            ChannelModel::burst(chain).with_outages(OutageSchedule::new(7 * bucket, bucket, 7));
+        let iid = |loss| ChannelModel::from(ErrorModel::new(loss, 0x5EED));
+        let long_outages = iid(0.05).with_outages(OutageSchedule::new(12 * cycle, 3 * cycle, 0x12));
+        let capped = RetryPolicy::bounded(24).with_backoff_cap(8);
+        let deadline = RetryPolicy::UNBOUNDED.with_deadline(cycle / 2);
+        // (air, policy, whether it runs near `Ticks::MAX` instead).
+        let airs = [
+            (ChannelModel::NONE, RetryPolicy::UNBOUNDED, false),
+            (iid(0.15), RetryPolicy::bounded(8), false),
+            (iid(0.01), RetryPolicy::bounded(8), false),
+            (burst, capped, false),
+            (iid(0.3), RetryPolicy::bounded(3), false),
+            (iid(0.3), deadline, false),
+            (burst, capped.with_jitter(0x117), false),
+            (long_outages, RetryPolicy::UNBOUNDED, false),
+            (burst, RetryPolicy::bounded(24).with_backoff(16), true),
+        ];
         let disks = FlatDisksScheme::new(DiskConfig::new(3))
             .build(&ds, &params)
             .unwrap();
@@ -331,20 +346,25 @@ mod tests {
         assert!(classic.in_record_order && one_disk.in_record_order);
         assert!(!disks.in_record_order);
         let mut collapsed = 0;
-        for sys in [&classic, &disks] {
-            let ch = sys.channel();
-            let (cycle, last) = (ch.cycle_len(), ch.start_of(ch.num_buckets() - 1));
-            for t in [
-                0,
-                7,
-                last,
-                last + 1,
-                cycle - 1,
-                3 * cycle - 1,
-                cycle + cycle / 3,
-            ] {
-                for key in [Key(0), Key(38), Key(318), Key(1), Key(999)] {
-                    for air in airs {
+        for (channel, policy, near_max) in airs {
+            let (mut folded, mut abandoned, mut streak) = (0, 0, 0);
+            for sys in [&classic, &disks] {
+                let ch = sys.channel();
+                let (cycle, last) = (ch.cycle_len(), ch.start_of(ch.num_buckets() - 1));
+                let tune_ins: Vec<Ticks> = if near_max {
+                    [24, 21, 19, 12, 6]
+                        .into_iter()
+                        .map(|k| Ticks::MAX - k * cycle + 7)
+                        .collect()
+                } else {
+                    [0, 7, last, last + 1, cycle - 1, 3 * cycle - 1]
+                        .into_iter()
+                        .chain((1..12).map(|k| k * cycle + cycle / 3))
+                        .collect()
+                };
+                for &t in &tune_ins {
+                    for key in [Key(0), Key(38), Key(318), Key(1), Key(999)] {
+                        let air = (channel, policy);
                         let what =
                             format!("{} buckets, key {key:?} t={t} {air:?}", ch.num_buckets());
                         let (slow, slow_spans, slow_steps) = walk(sys, key, t, air, false);
@@ -352,9 +372,24 @@ mod tests {
                         assert!(!slow.aborted, "{what}");
                         assert_eq!(slow, fast, "{what}");
                         assert_eq!(slow_spans, fast_spans, "{what}");
-                        collapsed += usize::from(fast_steps < slow_steps);
+                        collapsed += usize::from(fast_steps.len() < slow_steps.len());
+                        let size = |i| ch.bucket(i).size;
+                        folded += shown_retries(channel, &slow_steps, size)
+                            - shown_retries(channel, &fast_steps, size);
+                        abandoned += usize::from(slow.abandoned);
+                        streak = streak.max(longest_outage_streak(channel, &slow_steps, size));
                     }
                 }
+            }
+            let what = format!("{channel:?} {policy:?}");
+            if !channel.is_lossless() {
+                assert!(folded > 0, "{what}: a corrupted read must be folded");
+            }
+            if policy.max_retries == Some(3) || policy.give_up_after.is_some() {
+                assert!(abandoned > 0, "{what}: some walk must give up");
+            }
+            if channel == long_outages {
+                assert!(streak >= 2, "{what}: outages must be read in streaks");
             }
         }
         assert!(collapsed > 0, "fast-forward must engage");

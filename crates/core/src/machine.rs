@@ -165,7 +165,7 @@ pub trait ProtocolMachine<P> {
     /// Analytically advance past a run of *uninteresting* buckets in one
     /// step — the fast-forward capability scan-heavy schemes use to
     /// collapse O(cycle) per-bucket wake-ups into O(1) per interesting
-    /// bucket (key match, signature hit, coverage completion, corruption,
+    /// bucket (key match, signature hit, coverage completion, give-up,
     /// probe-budget edge).
     ///
     /// Called by an opted-in [`Walk`] (or versioned walk) while a
@@ -175,14 +175,17 @@ pub trait ProtocolMachine<P> {
     /// state transitions `on_bucket` would have, and commits the consumed
     /// buckets through `ctx` so access time, tuning time, probe counts and
     /// per-phase spans stay tick-identical to the bucket-by-bucket walk.
-    /// It must stop *before* — never on — any bucket where the slow path
-    /// does something non-mechanical: a (possible) match, a read that
-    /// would complete coverage, a corrupted transmission
-    /// ([`FastForward::clean`] consults the same fault oracle the walker
-    /// uses), or the end of the run ([`FastForward::run`] is already cut
-    /// at the probe budget and at the end of the program on air). The
-    /// walker then reads that landing bucket through the ordinary slow
-    /// path, so match/finish/corruption/abandon logic is never duplicated.
+    /// A corrupted read ([`FastForward::clean`] consults the same fault
+    /// oracle the walker uses) is mechanical too: the planner hands it to
+    /// [`FastForward::retry`], which recovers through the walks' own
+    /// recovery routine. It must stop *before* — never on — any bucket
+    /// where the slow path does something non-mechanical: a (possible)
+    /// match, a read that would complete coverage, a corrupted read that
+    /// `retry` declines (a give-up), or the end of the run
+    /// ([`FastForward::run`] is already cut at the probe budget and at the
+    /// end of the program on air). The walker then reads that landing
+    /// bucket through the ordinary slow path, so match/finish/abandon
+    /// logic is never duplicated.
     ///
     /// The default consumes nothing — the conservative "one bucket at a
     /// time" behaviour every machine starts with.
@@ -198,24 +201,109 @@ pub trait ProtocolMachine<P> {
 /// reach the end of the cycle.
 const LOSSY_RUN: usize = 64;
 
+/// A walk's count of corrupted reads and its current outage streak.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Retries {
+    /// Corrupted reads so far.
+    pub(crate) count: u32,
+    /// Consecutive unusable reads that fell inside an outage window —
+    /// drives the exponential resynchronization back-off; reset by any
+    /// usable or merely-lossy read.
+    pub(crate) outage_streak: u32,
+}
+
+impl Retries {
+    /// The walker's side of one corrupted read, ending `elapsed` ticks
+    /// after tune-in — the one recovery transition both walks' `step` and
+    /// [`FastForward::retry`] apply. Counts the retry and extends the
+    /// outage streak (`outage`) or resets it, and returns the new state
+    /// with the whole cycles to back off: `None` when the policy gives up
+    /// at this read (retry count or deadline).
+    pub(crate) fn corrupt(
+        self,
+        policy: &RetryPolicy,
+        outage: bool,
+        elapsed: Ticks,
+    ) -> (Retries, Option<u32>) {
+        let next = Retries {
+            count: self.count + 1,
+            outage_streak: if outage { self.outage_streak + 1 } else { 0 },
+        };
+        if policy.gives_up(next.count, elapsed) {
+            return (next, None);
+        }
+        let attempt = if outage {
+            next.outage_streak
+        } else {
+            next.count
+        };
+        (next, Some(policy.recovery_cycles(attempt, outage)))
+    }
+}
+
+/// Hand an unusable read to `machine` — [`ProtocolMachine::on_outage`]
+/// inside an outage window, [`ProtocolMachine::on_corrupt`] otherwise —
+/// and back its recovery action off by `cycles` whole cycles of
+/// `cycle_len`: the resume point shifts by whole cycles, which keeps the
+/// bucket the machine expects next (the cycle is periodic). The one
+/// back-off of both walks and of [`FastForward::retry`].
+pub(crate) fn recover<P, M: ProtocolMachine<P>>(
+    machine: &mut M,
+    meta: BucketMeta,
+    outage: bool,
+    cycles: u32,
+    cycle_len: Ticks,
+) -> Action {
+    let act = if outage {
+        machine.on_outage(meta)
+    } else {
+        machine.on_corrupt(meta)
+    };
+    if cycles == 0 {
+        return act;
+    }
+    let shift = Ticks::from(cycles).saturating_mul(cycle_len);
+    match act {
+        Action::ReadNext => Action::DozeTo(meta.end.saturating_add(shift)),
+        Action::DozeTo(t) => Action::DozeTo(t.saturating_add(shift)),
+        finish => finish,
+    }
+}
+
+/// Whether `cycles` cycles of `cycle_len` after `t` pass `Ticks::MAX`:
+/// fast-forward leaves that stretch of the clock to the slow path, whose
+/// saturating arithmetic must stay observable.
+fn near_clock_end(t: Ticks, cycles: Ticks, cycle_len: Ticks) -> bool {
+    cycle_len
+        .checked_mul(cycles)
+        .and_then(|w| t.checked_add(w))
+        .is_none()
+}
+
 /// Bulk-accounting context for [`ProtocolMachine::fast_forward`].
 ///
 /// Maintains a cursor over the upcoming buckets of the cycle plus the
-/// aggregate accounting (clock, tuning, probes, per-phase spans) of
-/// everything consumed so far. The cursor starts at the first complete
+/// aggregate accounting (clock, tuning, probes, retries, per-phase spans)
+/// of everything consumed so far. The cursor starts at the first complete
 /// bucket after the walk's current instant — exactly the bucket the slow
 /// path would read next. A planner works a run at a time: it takes the
 /// [`FastForward::run`] ahead, finds where the slow path would stop
 /// mechanical work in it, and [`FastForward::commit`]s the prefix before
 /// that point, which folds the prefix's accounting in O(1) from the
-/// channel's prefix sums.
+/// channel's prefix sums. When that point is a corrupted read, the
+/// planner hands it to [`FastForward::retry`] and carries on.
 #[derive(Debug)]
 pub struct FastForward<'a, P> {
     ch: &'a Channel<P>,
     channel: ChannelModel,
+    policy: RetryPolicy,
     /// Whether the air can corrupt nothing (fixed per engagement), so
     /// [`FastForward::clean`] need not consult the fault oracle.
     lossless: bool,
+    /// The walk's tune-in instant: a give-up deadline counts from here.
+    tune_in: Ticks,
+    /// The walk's retry count and outage streak, as of the cursor.
+    retries: Retries,
     /// Cursor: index of the next unconsumed bucket.
     idx: usize,
     /// Absolute start instant of the cursor bucket.
@@ -232,8 +320,10 @@ pub struct FastForward<'a, P> {
     /// Remaining probe budget (reads the walk may still take).
     left: u32,
     /// Buckets this engagement may still consume. Two cycles: a correct
-    /// scan never needs more before an interesting bucket, and the cap
-    /// keeps a buggy planner from spinning.
+    /// scan on lossless air never needs more before an interesting
+    /// bucket, and the cap keeps a buggy planner from spinning. It also
+    /// bounds how far an engagement's reads advance the clock; back-offs
+    /// are bounded one by one ([`FastForward::retry`]).
     room: usize,
     /// Per-phase spans of the consumed buckets; `Some` only when the walk
     /// records (`R::ENABLED`), so an uninstrumented walk never zeroes them.
@@ -267,8 +357,9 @@ impl<'a, P> FastForward<'a, P> {
     /// Consults the same pure fault oracle (bucket start instant + seed)
     /// the walker does — i.i.d. loss, burst loss and outages alike — but
     /// only on the buckets the planner reads, exactly like the slow path,
-    /// and not at all on lossless air. Planners must stop *before* a
-    /// corrupt bucket so the slow path performs the retry accounting.
+    /// and not at all on lossless air. A planner commits the clean prefix
+    /// and hands the corrupted read at the cursor to
+    /// [`FastForward::retry`].
     pub fn clean(&self, len: usize, stride: usize) -> usize {
         if self.lossless {
             return len;
@@ -328,6 +419,8 @@ impl<'a, P> FastForward<'a, P> {
         self.left -= groups as u32;
         self.room -= n;
         self.idx = (last + 1) % self.ch.num_buckets();
+        // Clean reads, so the outage streak resets, as on the slow path.
+        self.retries.outage_streak = 0;
         if let Some(spans) = self.spans.as_mut() {
             let phase = match kind {
                 BucketKind::Index => Phase::IndexTraversal,
@@ -338,6 +431,69 @@ impl<'a, P> FastForward<'a, P> {
                 spans.add_n(Phase::Doze, groups as u64, bytes - read_bytes, 0);
             }
         }
+    }
+
+    /// Recover from the corrupted read at the cursor exactly as the slow
+    /// path would, through the walks' own recovery routine, so the
+    /// planner can carry on with the run after it. Call it when
+    /// [`FastForward::clean`] stops at the cursor, and only from a machine
+    /// that recovers by reading on (`ReadNext`), as every scan machine
+    /// does.
+    ///
+    /// Consumes nothing and returns `false` when the read gives up (retry
+    /// count or deadline) or its back-off would end within four cycles of
+    /// `Ticks::MAX`: the slow path reads that bucket. Otherwise it calls
+    /// the machine's `on_outage` or `on_corrupt` once, commits the read
+    /// (tuning, one probe, one `Retry` span), dozes the back-off as whole
+    /// cycles, which keeps the cycle position (one `Doze` span when there
+    /// is one), and moves the cursor past the bucket.
+    pub fn retry<M: ProtocolMachine<P>>(&mut self, machine: &mut M) -> bool {
+        debug_assert!(!self.run().is_empty(), "retry past the run");
+        let bucket = self.ch.bucket(self.idx);
+        let end = self.start + Ticks::from(bucket.size);
+        let outage = self.channel.in_outage(self.start);
+        let (retries, backoff) = self
+            .retries
+            .corrupt(&self.policy, outage, end - self.tune_in);
+        let cycle = self.ch.cycle_len();
+        let Some(cycles) = backoff.filter(|&c| !near_clock_end(end, Ticks::from(c) + 4, cycle))
+        else {
+            return false;
+        };
+        let meta = BucketMeta {
+            index: self.idx,
+            start: self.start,
+            end,
+            size: bucket.size,
+            version: bucket.version,
+        };
+        let wake = end + Ticks::from(cycles) * cycle;
+        let next = recover(machine, meta, outage, cycles, cycle);
+        debug_assert_eq!(
+            next,
+            if cycles == 0 {
+                Action::ReadNext
+            } else {
+                Action::DozeTo(wake)
+            },
+            "scan machines recover by reading on"
+        );
+        self.retries = retries;
+        let listened = end - self.now;
+        self.tuning += listened;
+        self.probes += 1;
+        self.left -= 1;
+        self.room -= 1;
+        if let Some(spans) = self.spans.as_mut() {
+            spans.add_n(Phase::Retry, 1, listened, listened);
+            if cycles > 0 {
+                spans.add_n(Phase::Doze, 1, wake - end, 0);
+            }
+        }
+        self.idx = (self.idx + 1) % self.ch.num_buckets();
+        self.start = wake;
+        self.now = wake;
+        true
     }
 }
 
@@ -421,17 +577,13 @@ pub struct Walk<'a, P, M, R = NoopRecorder> {
     now: Ticks,
     tuning: Ticks,
     probes: u32,
-    retries: u32,
+    retries: Retries,
     false_drops_hint: u32,
     pending: Option<Action>,
     outcome: Option<AccessOutcome>,
     max_probes: u32,
     channel: ChannelModel,
     policy: RetryPolicy,
-    /// Consecutive unusable reads that fell inside an outage window —
-    /// drives the exponential resynchronization back-off; reset by any
-    /// usable or merely-lossy read.
-    outage_streak: u32,
     ff: bool,
     recorder: R,
 }
@@ -530,14 +682,13 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
             now: tune_in,
             tuning: 0,
             probes: 0,
-            retries: 0,
+            retries: Retries::default(),
             false_drops_hint: 0,
             pending: Some(pending),
             outcome: None,
             max_probes,
             channel,
             policy,
-            outage_streak: 0,
             ff: false,
             recorder,
         }
@@ -592,7 +743,7 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
             tuning: self.tuning,
             probes: self.probes,
             false_drops,
-            retries: self.retries,
+            retries: self.retries.count,
             abandoned: false,
             aborted,
             stale_restarts: 0,
@@ -617,25 +768,10 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
     /// retries, not a protocol bug); on a clean walk it flags a runaway
     /// machine and aborts, as it always has.
     fn exhaust(&mut self) -> WalkStep {
-        if self.retries > 0 {
+        if self.retries.count > 0 {
             self.abandon()
         } else {
             self.finish(false, self.false_drops_hint, true)
-        }
-    }
-
-    /// Apply a back-off of `cycles` whole cycles to a post-corruption
-    /// action: the resume point shifts by whole cycles, which preserves
-    /// the bucket the machine expects to see next (the cycle is periodic).
-    fn backoff(&self, act: Action, cycles: u32) -> Action {
-        if cycles == 0 {
-            return act;
-        }
-        let shift = Ticks::from(cycles).saturating_mul(self.ch.cycle_len());
-        match act {
-            Action::ReadNext => Action::DozeTo(self.now.saturating_add(shift)),
-            Action::DozeTo(t) => Action::DozeTo(t.saturating_add(shift)),
-            finish => finish,
         }
     }
 
@@ -656,16 +792,18 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
                 let (idx, start) = if self.ff && self.probes > 0 {
                     let landing = engage(
                         self.ch,
-                        self.channel,
                         &mut self.machine,
                         self.ch.first_complete_at(self.now),
                         Ticks::MAX,
                         Tally {
+                            channel: self.channel,
+                            policy: self.policy,
+                            tune_in: self.tune_in,
                             now: &mut self.now,
                             tuning: &mut self.tuning,
                             probes: &mut self.probes,
                             max_probes: self.max_probes,
-                            outage_streak: &mut self.outage_streak,
+                            retries: &mut self.retries,
                             recorder: &mut self.recorder,
                         },
                     );
@@ -715,28 +853,22 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
                     self.recorder.span(phase, end - from, end - from);
                 }
                 let next = if self.channel.corrupted(start) {
-                    self.retries += 1;
-                    if self.policy.gives_up(self.retries, self.now - self.tune_in) {
+                    // Inside an outage the carrier is gone: the machine
+                    // resynchronizes (default: re-probe the index) and the
+                    // walker dozes exponentially more whole cycles per
+                    // consecutive dead read, so an outage costs O(log)
+                    // probes instead of one per bucket.
+                    let outage = self.channel.in_outage(start);
+                    let (retries, backoff) =
+                        self.retries
+                            .corrupt(&self.policy, outage, self.now - self.tune_in);
+                    self.retries = retries;
+                    let Some(cycles) = backoff else {
                         return self.abandon();
-                    }
-                    if self.channel.in_outage(start) {
-                        // Carrier gone: resynchronize. The machine restarts
-                        // its protocol (default: re-probe the index) and the
-                        // walker dozes exponentially more whole cycles per
-                        // consecutive dead read, so an outage costs O(log)
-                        // probes instead of one per bucket.
-                        self.outage_streak += 1;
-                        let recovery = self.machine.on_outage(meta);
-                        let cycles = self.policy.recovery_cycles(self.outage_streak, true);
-                        self.backoff(recovery, cycles)
-                    } else {
-                        self.outage_streak = 0;
-                        let recovery = self.machine.on_corrupt(meta);
-                        let cycles = self.policy.recovery_cycles(self.retries, false);
-                        self.backoff(recovery, cycles)
-                    }
+                    };
+                    recover(&mut self.machine, meta, outage, cycles, self.ch.cycle_len())
                 } else {
-                    self.outage_streak = 0;
+                    self.retries.outage_streak = 0;
                     self.machine.on_bucket(&bucket.payload, meta)
                 };
                 if let Action::Finish(v) = next {
@@ -769,51 +901,55 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
     }
 }
 
-/// The running totals a walk lends [`engage`]: the clock, tuning, probe
-/// count and outage streak a fast-forward engagement folds into, the
-/// probe budget it must stay within, and the recorder its spans replay
-/// through.
+/// What a walk lends [`engage`]: its air, policy and tune-in; the clock,
+/// tuning, probe count and retries a fast-forward engagement folds into;
+/// the probe budget it must stay within; and the recorder its spans
+/// replay through.
 pub(crate) struct Tally<'w, R> {
+    pub(crate) channel: ChannelModel,
+    pub(crate) policy: RetryPolicy,
+    pub(crate) tune_in: Ticks,
     pub(crate) now: &'w mut Ticks,
     pub(crate) tuning: &'w mut Ticks,
     pub(crate) probes: &'w mut u32,
     pub(crate) max_probes: u32,
-    pub(crate) outage_streak: &'w mut u32,
+    pub(crate) retries: &'w mut Retries,
     pub(crate) recorder: &'w mut R,
 }
 
 /// One fast-forward engagement — the single routine behind both [`Walk`]
 /// and [`crate::dynamic::VersionedWalk`]. Lets `machine` bulk-consume the
 /// uninteresting buckets of `ch` from `cursor` (the bucket the slow path
-/// would read next) without starting a read at or after `limit`, then
-/// folds its aggregate accounting into `tally` as if each bucket had been
-/// stepped. Returns the cursor's landing: the bucket the slow path reads
-/// next, i.e. `first_complete_at(now)`, unless the cursor reached `limit`,
-/// where the caller must look the landing up in the next program.
+/// would read next), corrupted reads and their back-offs included,
+/// without starting a read at or after `limit`, then folds its aggregate
+/// accounting into `tally` as if each bucket had been stepped: retries
+/// first, so a walk that then finds its probe budget spent abandons
+/// truthfully. Returns the cursor's landing: the bucket the slow path
+/// reads next, i.e. `first_complete_at(now)`, unless the cursor reached
+/// `limit` (a back-off may end there or past it), where the caller must
+/// look the landing up in the next program.
 pub(crate) fn engage<P, M: ProtocolMachine<P>, R: Recorder>(
     ch: &Channel<P>,
-    channel: ChannelModel,
     machine: &mut M,
     cursor: (usize, Ticks),
     limit: Ticks,
     tally: Tally<'_, R>,
 ) -> (usize, Ticks) {
     // Disengage within four cycles of the clock's end: the slow path's
-    // saturating arithmetic must stay observable, and a fast-forward
-    // engagement never advances further than two cycles.
-    if ch
-        .cycle_len()
-        .checked_mul(4)
-        .and_then(|w| tally.now.checked_add(w))
-        .is_none()
-    {
+    // saturating arithmetic must stay observable. An engagement's reads
+    // advance the clock by at most its `room`, two cycles and two
+    // buckets; each back-off is guarded on its own.
+    if near_clock_end(*tally.now, 4, ch.cycle_len()) {
         return cursor;
     }
     let (idx, start) = cursor;
     let mut ctx = FastForward {
         ch,
-        channel,
-        lossless: channel.is_lossless(),
+        channel: tally.channel,
+        policy: tally.policy,
+        lossless: tally.channel.is_lossless(),
+        tune_in: tally.tune_in,
+        retries: *tally.retries,
         idx,
         start,
         limit,
@@ -828,11 +964,7 @@ pub(crate) fn engage<P, M: ProtocolMachine<P>, R: Recorder>(
     if ctx.probes == 0 {
         return cursor;
     }
-    // Every consumed read was clean (machines stop before corrupt
-    // buckets), and a clean read resets the outage streak on the
-    // bucket-by-bucket path — mirror that here or the next dead read
-    // would back off further than the slow walk.
-    *tally.outage_streak = 0;
+    *tally.retries = ctx.retries;
     *tally.tuning += ctx.tuning;
     *tally.now = ctx.now;
     *tally.probes += ctx.probes;
@@ -936,7 +1068,7 @@ fn drain_walk<P, M: ProtocolMachine<P>, R: Recorder>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::errors_model::{BurstModel, OutageSchedule};
 
@@ -1298,7 +1430,7 @@ mod tests {
                     .unwrap_or(clean);
                 self.seen += n as u32;
                 ctx.commit(n, 1, BucketKind::Data);
-                if n == 0 || n < run.len() {
+                if n < clean || run.is_empty() || (clean < run.len() && !ctx.retry(self)) {
                     return;
                 }
             }
@@ -1307,7 +1439,7 @@ mod tests {
 
     /// Step a span-recording walk to completion with fast-forward `ff`:
     /// `ff = false` is the bucket-by-bucket side of every differential
-    /// test below. Also returns the steps taken.
+    /// test below. Also returns every step through `Done`.
     fn run_walk<P, M: ProtocolMachine<P>>(
         ch: &Channel<P>,
         machine: M,
@@ -1315,41 +1447,118 @@ mod tests {
         air: impl Into<ChannelModel>,
         policy: RetryPolicy,
         ff: bool,
-    ) -> (AccessOutcome, PhaseSpans, u64) {
+    ) -> (AccessOutcome, PhaseSpans, Vec<WalkStep>) {
         let recorder = SpanRecorder::new();
         let mut walk =
             Walk::with_channel_recorder(ch, machine, tune_in, air.into(), policy, recorder);
         walk.set_fast_forward(ff);
-        let mut steps = 0u64;
+        let mut steps = Vec::new();
         loop {
-            steps += 1;
-            if let WalkStep::Done(out) = walk.step() {
+            let step = walk.step();
+            steps.push(step);
+            if let WalkStep::Done(out) = step {
                 return (out, walk.recorder().spans, steps);
             }
         }
     }
 
+    /// The start instants of the reads in a step trace, `size` giving each
+    /// bucket's size.
+    fn read_starts<'s>(
+        steps: &'s [WalkStep],
+        size: impl Fn(usize) -> u32 + 's,
+    ) -> impl Iterator<Item = Ticks> + 's {
+        steps.iter().filter_map(move |s| match *s {
+            WalkStep::Read { bucket, until, .. } => Some(until - Ticks::from(size(bucket))),
+            _ => None,
+        })
+    }
+
+    /// The corrupted reads a step trace shows. A fast-forwarding walk
+    /// shows fewer than the stepped walk when its planner recovered some
+    /// inside a run.
+    pub(crate) fn shown_retries(
+        air: ChannelModel,
+        steps: &[WalkStep],
+        size: impl Fn(usize) -> u32,
+    ) -> usize {
+        read_starts(steps, size)
+            .filter(|&t| air.corrupted(t))
+            .count()
+    }
+
+    /// The longest run of consecutive outage reads a step trace shows.
+    pub(crate) fn longest_outage_streak(
+        air: ChannelModel,
+        steps: &[WalkStep],
+        size: impl Fn(usize) -> u32,
+    ) -> u32 {
+        read_starts(steps, size)
+            .scan(0, |streak, t| {
+                *streak = if air.in_outage(t) { *streak + 1 } else { 0 };
+                Some(*streak)
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
     #[test]
     fn fast_forward_is_tick_identical_and_collapses_steps() {
         // Tune-in 359 sits inside the cycle's last bucket, so the first run
-        // ends at the cycle's end and the scan continues into the next.
+        // ends at the cycle's end and the scan continues into the next. On
+        // lossy air the planner recovers corrupted reads inside its run: up
+        // to a retry-count give-up (`bounded(3)` at 30 % loss) or a
+        // deadline give-up, under jittered exponential back-off, and
+        // through outages several cycles long, whose reads back off in
+        // streaks of two and more. Tune-ins within 24 cycles of
+        // `Ticks::MAX` meet a 16-cycle back-off, which fast-forward folds
+        // only where it ends at least four cycles short of the clock's end.
         let c = ch(&[10, 20, 30, 40, 50, 60, 70, 80]);
+        let cycle = c.cycle_len();
         let burst = ChannelModel::burst(BurstModel::new(0.2, 0.3, 0.0, 0.9, 0xB57))
             .with_outages(OutageSchedule::new(200, 40, 0x12));
-        for target in [0usize, 3, 7] {
-            for tune_in in [0u64, 5, 33, 359] {
-                for air in [
-                    ChannelModel::NONE,
-                    ErrorModel::new(0.4, 0xC0FF).into(),
-                    burst,
-                ] {
-                    let policy = RetryPolicy::UNBOUNDED;
+        let iid = |loss| ChannelModel::from(ErrorModel::new(loss, 0xC0FF));
+        let long_outages = iid(0.1).with_outages(OutageSchedule::new(12 * cycle, 3 * cycle, 0x12));
+        let jittered = RetryPolicy::bounded(24)
+            .with_backoff_cap(8)
+            .with_jitter(0x117);
+        let early: Vec<Ticks> = [0, 5, 33, 359]
+            .into_iter()
+            .chain((1..24).map(|k| k * cycle + 33))
+            .collect();
+        let late: Vec<Ticks> = [24, 21, 19, 12, 6]
+            .into_iter()
+            .map(|k| Ticks::MAX - k * cycle + 33)
+            .collect();
+        let cases = [
+            (ChannelModel::NONE, RetryPolicy::UNBOUNDED, &early),
+            (iid(0.4), RetryPolicy::UNBOUNDED, &early),
+            (burst, RetryPolicy::UNBOUNDED, &early),
+            (iid(0.3), RetryPolicy::bounded(3), &early),
+            (
+                iid(0.3),
+                RetryPolicy::UNBOUNDED.with_deadline(cycle),
+                &early,
+            ),
+            (burst, jittered, &early),
+            (long_outages, RetryPolicy::UNBOUNDED, &early),
+            (burst, RetryPolicy::bounded(24).with_backoff(16), &late),
+        ];
+        for (air, policy, tune_ins) in cases {
+            let (mut folded, mut abandoned, mut streak) = (0, 0, 0);
+            for target in [0usize, 3, 7] {
+                for &tune_in in tune_ins {
+                    let what = format!("target={target} t={tune_in} {air:?} {policy:?}");
                     let skip = || SkipTo { target, seen: 0 };
-                    let (slow, slow_spans, _) = run_walk(&c, skip(), tune_in, air, policy, false);
+                    let (slow, slow_spans, slow_steps) =
+                        run_walk(&c, skip(), tune_in, air, policy, false);
                     let (fast, fast_spans, steps) =
                         run_walk(&c, skip(), tune_in, air, policy, true);
-                    assert_eq!(slow, fast, "target={target} t={tune_in}");
-                    assert_eq!(slow_spans, fast_spans, "span totals and counts match");
+                    assert_eq!(slow, fast, "{what}");
+                    assert_eq!(
+                        slow_spans, fast_spans,
+                        "span totals and counts match: {what}"
+                    );
                     // The one-shot driver is the fast-forwarding walk.
                     assert_eq!(
                         run_machine_observed_channel(&c, skip(), tune_in, air, policy),
@@ -1359,9 +1568,26 @@ mod tests {
                         // One initial probe, at most one fast-forwarded
                         // landing read, one Done: O(1) steps regardless of
                         // how far away the target is.
-                        assert!(steps <= 3, "steps={steps}");
+                        assert!(steps.len() <= 3, "steps={}", steps.len());
                     }
+                    let size = |i| c.bucket(i).size;
+                    folded +=
+                        shown_retries(air, &slow_steps, size) - shown_retries(air, &steps, size);
+                    abandoned += usize::from(slow.abandoned);
+                    streak = streak.max(longest_outage_streak(air, &slow_steps, size));
                 }
+            }
+            if !air.is_lossless() {
+                assert!(
+                    folded > 0,
+                    "{air:?} {policy:?}: a corrupted read must be folded"
+                );
+            }
+            if policy.max_retries == Some(3) || policy.give_up_after.is_some() {
+                assert!(abandoned > 0, "{policy:?}: some walk must give up");
+            }
+            if air == long_outages {
+                assert!(streak >= 2, "outages must be read in streaks");
             }
         }
     }

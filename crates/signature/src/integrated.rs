@@ -256,17 +256,21 @@ impl ProtocolMachine<SigPayload> for IntegratedMachine {
     /// mark-range and frame-length doze, committed in one O(1) step, and
     /// even a false-dropping frame —
     /// its signature matched, so every data bucket gets downloaded — is a
-    /// mechanical run of count-and-mark reads. Stop only on a genuine
-    /// decision point — the target's data bucket, the read that would
-    /// complete coverage, a corrupted transmission, or the end of the run
-    /// — and leave that bucket to the slow path.
+    /// mechanical run of count-and-mark reads. A corrupted read is
+    /// recovered in place. Stop only on a genuine decision point — the
+    /// target's data bucket, the read that would complete coverage, a
+    /// give-up, or the end of the run — and leave that bucket to the slow
+    /// path.
     fn fast_forward(&mut self, ctx: &mut FastForward<'_, SigPayload>) {
         use bda_core::BucketKind::{Data, Index};
         loop {
             let run = ctx.run();
             let Some(bucket) = run.first() else { return };
             if ctx.clean(1, 1) == 0 {
-                return;
+                if !ctx.retry(self) {
+                    return;
+                }
+                continue;
             }
             match &bucket.payload {
                 SigPayload::GroupSig {

@@ -304,17 +304,21 @@ impl ProtocolMachine<SigPayload> for MultiLevelMachine {
     /// matched frame, non-matching
     /// record signatures are skipped record by record, and even a false
     /// drop — record signature matched, data bucket downloaded — is a
-    /// mechanical count-and-mark sequence. Stop only on a genuine decision
-    /// point — the target's data bucket, the read that would complete
-    /// coverage, a corrupted transmission, or the end of the run — and
-    /// leave that bucket to the slow path.
+    /// mechanical count-and-mark sequence, and a corrupted read is
+    /// recovered in place. Stop only on a genuine decision point — the
+    /// target's data bucket, the read that would complete coverage, a
+    /// give-up, or the end of the run — and leave that bucket to the slow
+    /// path.
     fn fast_forward(&mut self, ctx: &mut FastForward<'_, SigPayload>) {
         use bda_core::BucketKind::{Data, Index};
         loop {
             let run = ctx.run();
             let Some(bucket) = run.first() else { return };
             if ctx.clean(1, 1) == 0 {
-                return;
+                if !ctx.retry(self) {
+                    return;
+                }
+                continue;
             }
             match &bucket.payload {
                 SigPayload::GroupSig {

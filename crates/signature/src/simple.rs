@@ -383,16 +383,16 @@ impl ProtocolMachine<SigPayload> for SimpleSigMachine {
     }
 
     /// Bulk-consume the sift loop a run at a time: non-matching record
-    /// signatures are mark-and-doze pairs. In each run stop on the first
-    /// corrupted signature, then on the first matching one before it, then
-    /// on the signature whose mark would complete coverage before that,
-    /// and commit the pairs ahead of the stop. A matching signature and
-    /// the data bucket after it — a false drop's download, or an alignment
-    /// read after tune-in — are one-bucket steps, and the sift resumes
-    /// after them. Stop only on a genuine decision point — the bucket that
-    /// satisfies the query, the read that would complete coverage, a
-    /// corrupted transmission, or the end of the run — and leave that
-    /// bucket to the slow path.
+    /// signatures are mark-and-doze pairs. In each run find the first
+    /// corrupted signature, then the first matching one before it, then
+    /// the signature whose mark would complete coverage before that, and
+    /// commit the pairs ahead of the first of them. A matching signature
+    /// and the data bucket after it — a false drop's download, or an
+    /// alignment read after tune-in — are one-bucket steps, a corrupted
+    /// read is recovered in place, and the sift resumes after them. Stop
+    /// only on a genuine decision point — the bucket that satisfies the
+    /// query, the read that would complete coverage, a give-up, or the end
+    /// of the run — and leave that bucket to the slow path.
     fn fast_forward(&mut self, ctx: &mut FastForward<'_, SigPayload>) {
         use bda_core::BucketKind::{Data, Index};
         loop {
@@ -432,7 +432,12 @@ impl ProtocolMachine<SigPayload> for SimpleSigMachine {
                     if hit < clean {
                         self.checking_data = true;
                         ctx.commit(1, 1, Index);
-                    } else if 2 * clean < run.len() {
+                    } else if clean < pairs {
+                        // The signature at the cursor is corrupted.
+                        if !ctx.retry(self) {
+                            return;
+                        }
+                    } else if 2 * pairs < run.len() {
                         return;
                     }
                 }
@@ -442,10 +447,13 @@ impl ProtocolMachine<SigPayload> for SimpleSigMachine {
                     attrs,
                 }) => {
                     let r = *record_index;
-                    if ctx.clean(1, 1) == 0
-                        || self.target.satisfied_by(*key, attrs)
-                        || self.coverage.would_fill(r)
-                    {
+                    if ctx.clean(1, 1) == 0 {
+                        if !ctx.retry(self) {
+                            return;
+                        }
+                        continue;
+                    }
+                    if self.target.satisfied_by(*key, attrs) || self.coverage.would_fill(r) {
                         return;
                     }
                     if std::mem::take(&mut self.checking_data) {

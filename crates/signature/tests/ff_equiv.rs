@@ -7,9 +7,10 @@
 //! programs and across the boundary of a churning one.
 
 use bda_core::{
-    run_machine_observed, run_versioned_observed, AccessOutcome, Channel, Dataset, DiskConfig,
-    Epoch, ErrorModel, Key, Params, PhaseSpans, ProgramTimeline, ProtocolMachine, Record,
-    RetryPolicy, Scheme, SpanRecorder, System, Ticks, VersionedWalk, Walk, WalkStep,
+    run_machine_observed_channel, run_versioned_observed, AccessOutcome, BurstModel, Channel,
+    ChannelModel, Dataset, DiskConfig, Epoch, ErrorModel, Key, OutageSchedule, Params, PhaseSpans,
+    ProgramTimeline, ProtocolMachine, Record, RetryPolicy, Scheme, SpanRecorder, System, Ticks,
+    VersionedWalk, Walk, WalkStep,
 };
 use bda_signature::{
     IntegratedSignatureScheme, MultiLevelSignatureScheme, SigParams, SigPayload,
@@ -30,31 +31,70 @@ fn dataset_of(ids: Vec<u64>) -> Dataset {
 }
 
 /// Step a span-recording walk to completion with fast-forward `ff`;
-/// `ff = false` is the bucket-by-bucket side. Also returns the steps taken.
+/// `ff = false` is the bucket-by-bucket side. Also returns every step
+/// through `Done`.
 fn run_walk<M: ProtocolMachine<SigPayload>>(
     ch: &Channel<SigPayload>,
     machine: M,
     tune_in: Ticks,
-    errors: ErrorModel,
-    policy: RetryPolicy,
+    (channel, policy): (ChannelModel, RetryPolicy),
     ff: bool,
-) -> (AccessOutcome, PhaseSpans, u64) {
-    let mut walk = Walk::with_recorder(ch, machine, tune_in, errors, policy, SpanRecorder::new());
+) -> (AccessOutcome, PhaseSpans, Vec<WalkStep>) {
+    let mut walk =
+        Walk::with_channel_recorder(ch, machine, tune_in, channel, policy, SpanRecorder::new());
     walk.set_fast_forward(ff);
-    let mut steps = 0u64;
+    let mut steps = Vec::new();
     loop {
-        steps += 1;
-        if let WalkStep::Done(out) = walk.step() {
+        let step = walk.step();
+        steps.push(step);
+        if let WalkStep::Done(out) = step {
             return (out, walk.recorder().spans, steps);
         }
     }
 }
 
+/// The start instants of the reads in a step trace over `ch`.
+fn read_starts<'s>(
+    ch: &'s Channel<SigPayload>,
+    steps: &'s [WalkStep],
+) -> impl Iterator<Item = Ticks> + 's {
+    steps.iter().filter_map(|s| match *s {
+        WalkStep::Read { bucket, until, .. } => Some(until - Ticks::from(ch.bucket(bucket).size)),
+        _ => None,
+    })
+}
+
+/// The corrupted reads a step trace shows. A fast-forwarding walk shows
+/// fewer than the stepped walk when its planner recovered some inside a
+/// run.
+fn shown_retries(ch: &Channel<SigPayload>, air: ChannelModel, steps: &[WalkStep]) -> usize {
+    read_starts(ch, steps).filter(|&t| air.corrupted(t)).count()
+}
+
+/// The longest run of consecutive outage reads a step trace shows.
+fn longest_outage_streak(ch: &Channel<SigPayload>, air: ChannelModel, steps: &[WalkStep]) -> u32 {
+    read_starts(ch, steps)
+        .scan(0, |streak, t| {
+            *streak = if air.in_outage(t) { *streak + 1 } else { 0 };
+            Some(*streak)
+        })
+        .max()
+        .unwrap_or(0)
+}
+
 /// Compare the stepped and fast-forwarded walks of `system` for present
 /// and absent keys (a run ends where coverage completes) from tune-ins
 /// spread over the cycle and inside its last bucket (the first run ends at
-/// the cycle's end), lossless and lossy (runs end at corrupted reads, and
-/// under rare loss also at the lossy-air cut).
+/// the cycle's end), lossless and lossy (under rare loss a run also ends
+/// at the lossy-air cut). Planners recover corrupted reads inside their
+/// run, up to a retry-count give-up (`bounded(3)` at 30 % loss) or a
+/// deadline give-up, under the `churn-lossy` benchmark workload's burst
+/// chain, outages and jittered exponential back-off, and through outages
+/// several cycles long, read in streaks of two and more (tune-ins spread
+/// over twelve cycles); tune-ins within 24 cycles of `Ticks::MAX` meet a
+/// 16-cycle back-off, folded only where it ends at least four cycles
+/// short of the clock's end. Every air but the rare loss must fold a
+/// corrupted read.
 /// Returns the false drops of walks whose fast-forward took fewer steps —
 /// false drops inside a collapsed run.
 fn check_scheme<S>(system: &S, n: u64, collapses_lossless_scan: bool) -> u32
@@ -74,56 +114,81 @@ where
         .map(|s| s * cycle / 6 + 13 * s)
         .chain([last + 1, cycle - 1])
         .collect();
+    let spread: Vec<Ticks> = (0..12u64).map(|k| k * cycle + 13 * k).collect();
+    let near_max: Vec<Ticks> = (3..=12u64)
+        .map(|k| Ticks::MAX - 2 * k * cycle + 13)
+        .collect();
+    let iid = |loss| ChannelModel::from(ErrorModel::new(loss, 0x5EED));
+    let burst = ChannelModel::burst(BurstModel::new(0.04, 0.20, 0.0, 0.9, 0xB57))
+        .with_outages(OutageSchedule::new(3_000, 300, 0x0A7));
+    let long_outages = iid(0.05).with_outages(OutageSchedule::new(12 * cycle, 3 * cycle, 0x12));
+    let unbounded = RetryPolicy::UNBOUNDED;
+    let airs = [
+        (ChannelModel::NONE, unbounded, &tune_ins),
+        (iid(0.15), unbounded, &tune_ins),
+        (iid(0.01), unbounded, &tune_ins),
+        (iid(0.3), RetryPolicy::bounded(3), &tune_ins),
+        (iid(0.3), unbounded.with_deadline(cycle / 3), &tune_ins),
+        (
+            burst,
+            RetryPolicy::bounded(24)
+                .with_backoff_cap(8)
+                .with_jitter(0x117),
+            &tune_ins,
+        ),
+        (long_outages, unbounded, &spread),
+        (burst, RetryPolicy::bounded(24).with_backoff(16), &near_max),
+    ];
+    let name = system.scheme_name();
     let mut collapsed_drops = 0;
-    for &key in &keys {
-        for &tune_in in &tune_ins {
-            for errors in [
-                ErrorModel::NONE,
-                ErrorModel::new(0.15, 0x5EED),
-                ErrorModel::new(0.01, 0x5EED),
-            ] {
-                let policy = RetryPolicy::UNBOUNDED;
+    for (channel, policy, tune_ins) in airs {
+        let air = (channel, policy);
+        let (mut folded, mut abandoned, mut streak) = (0, 0, 0);
+        for &key in &keys {
+            for &tune_in in tune_ins {
+                let what = format!("{name} key {key:?} tune_in {tune_in} {air:?}");
                 let (slow, slow_spans, slow_steps) =
-                    run_walk(ch, system.query(key), tune_in, errors, policy, false);
-                let (fast, fast_spans, steps) =
-                    run_walk(ch, system.query(key), tune_in, errors, policy, true);
-                if steps < slow_steps {
+                    run_walk(ch, system.query(key), tune_in, air, false);
+                let (fast, fast_spans, steps) = run_walk(ch, system.query(key), tune_in, air, true);
+                if steps.len() < slow_steps.len() {
                     collapsed_drops += fast.false_drops;
                 }
-                assert_eq!(
-                    slow,
-                    fast,
-                    "{} key {key:?} tune_in {tune_in} loss {}",
-                    system.scheme_name(),
-                    errors.loss_prob
-                );
-                assert_eq!(
-                    slow_spans,
-                    fast_spans,
-                    "{} spans diverged for key {key:?} tune_in {tune_in}",
-                    system.scheme_name()
-                );
+                assert_eq!(slow, fast, "{what}");
+                assert_eq!(slow_spans, fast_spans, "spans diverged: {what}");
                 // The one-shot driver is the fast-forwarding walk.
                 assert_eq!(
-                    run_machine_observed(ch, system.query(key), tune_in, errors, policy),
+                    run_machine_observed_channel(ch, system.query(key), tune_in, channel, policy),
                     (fast, fast_spans),
-                    "{} one-shot driver diverged for key {key:?} tune_in {tune_in}",
-                    system.scheme_name()
+                    "one-shot driver diverged: {what}"
                 );
-                if collapses_lossless_scan && errors.loss_prob == 0.0 && !slow.found {
+                if collapses_lossless_scan && channel.is_lossless() && !slow.found {
                     // The whole not-found scan must collapse to a handful
                     // of wakeups: the initial probe, one fast-forwarded
                     // leap per false-dropping frame/record, and the final
                     // coverage-completing read.
                     assert!(
-                        steps < u64::from(slow.probes) / 4 + 8,
-                        "{}: {} steps for {} probes",
-                        system.scheme_name(),
-                        steps,
+                        steps.len() < slow.probes as usize / 4 + 8,
+                        "{name}: {} steps for {} probes",
+                        steps.len(),
                         slow.probes
                     );
                 }
+                folded +=
+                    shown_retries(ch, channel, &slow_steps) - shown_retries(ch, channel, &steps);
+                abandoned += usize::from(slow.abandoned);
+                streak = streak.max(longest_outage_streak(ch, channel, &slow_steps));
             }
+        }
+        let what = format!("{name} {air:?}");
+        // Rare loss may corrupt no read a planner reaches.
+        if channel.mean_loss() >= 0.1 {
+            assert!(folded > 0, "{what}: a corrupted read must be folded");
+        }
+        if policy.max_retries == Some(3) || policy.give_up_after.is_some() {
+            assert!(abandoned > 0, "{what}: some walk must give up");
+        }
+        if channel == long_outages {
+            assert!(streak >= 2, "{what}: outages must be read in streaks");
         }
     }
     collapsed_drops

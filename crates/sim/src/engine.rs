@@ -36,6 +36,7 @@
 //! [`reference::run_requests_reference`] — the oracle the property suite
 //! checks the slab engine against.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use bda_core::{
@@ -139,33 +140,47 @@ impl EngineStats {
 /// so at any moment the set of pending wake *times* is small (bounded by
 /// the boundaries of roughly one cycle plus pending arrival instants)
 /// even when the set of pending *clients* is huge. An ordered map over
-/// the distinct instants holds every client waking at each one; drained
-/// waiter vectors are pooled and reused, so steady-state scheduling does
-/// no allocation.
+/// the distinct instants holds the ends of each instant's FIFO list of
+/// waking clients, threaded through one link per client slot: a client
+/// waits at one instant at a time, so its link is free for the next
+/// list as soon as its batch is drained. Memory is the map of pending
+/// instants plus one link per slot, whatever the batches before.
 #[derive(Debug, Default)]
 struct WakeupScheduler {
-    /// Clients waiting per distinct instant, in scheduling order.
-    waiters: BTreeMap<Ticks, Vec<u32>>,
-    /// Empty vectors recycled from drained batches.
-    pool: Vec<Vec<u32>>,
+    /// First and last client waiting per distinct instant.
+    waiters: BTreeMap<Ticks, (u32, u32)>,
+    /// `next[c]`: the client after `c` in its instant's list (stale at
+    /// the list's last client). Parallel to the slot slab.
+    next: Vec<u32>,
 }
 
 impl WakeupScheduler {
     fn schedule(&mut self, t: Ticks, client: u32) {
-        self.waiters
-            .entry(t)
-            .or_insert_with(|| self.pool.pop().unwrap_or_default())
-            .push(client);
+        if self.next.len() <= client as usize {
+            self.next.resize(client as usize + 1, 0);
+        }
+        match self.waiters.entry(t) {
+            Entry::Vacant(list) => {
+                list.insert((client, client));
+            }
+            Entry::Occupied(mut list) => {
+                let last = &mut list.get_mut().1;
+                self.next[*last as usize] = client;
+                *last = client;
+            }
+        }
     }
 
-    /// Remove and return the earliest batch `(instant, clients)`. The
-    /// previous contents of `buf` are returned to the vector pool.
-    fn pop_batch(&mut self, buf: &mut Vec<u32>) -> Option<Ticks> {
-        let (t, clients) = self.waiters.pop_first()?;
-        let mut old = std::mem::replace(buf, clients);
-        old.clear();
-        self.pool.push(old);
-        Some(t)
+    /// Remove the earliest instant and return it with the first and last
+    /// client of its list; [`WakeupScheduler::next`] walks the list.
+    fn pop_batch(&mut self) -> Option<(Ticks, (u32, u32))> {
+        self.waiters.pop_first()
+    }
+
+    /// The client after `client` in a popped list. Read it before
+    /// stepping `client`, whose next wake-up reuses the link.
+    fn next(&self, client: u32) -> u32 {
+        self.next[client as usize]
     }
 
     fn is_empty(&self) -> bool {
@@ -194,8 +209,10 @@ struct ClientMeta {
 /// The slab + scheduler discrete-event engine.
 ///
 /// An `Engine` is bound to one system and reusable across any number of
-/// batches or streams; slot allocations persist, so repeated rounds (the
-/// simulator's normal operation) run allocation-free after warm-up.
+/// batches or streams; slot allocations persist, and the scheduler holds
+/// only the instants still pending, so repeated rounds (the simulator's
+/// normal operation) reuse the arena and leave the heap where the first
+/// round left it.
 pub struct Engine<'a> {
     system: &'a dyn DynSystem,
     /// Slab of reusable client slots: created lazily on first use, then
@@ -205,8 +222,6 @@ pub struct Engine<'a> {
     free: Vec<u32>,
     in_flight: usize,
     sched: WakeupScheduler,
-    /// Scratch buffer for draining batches without reallocating.
-    batch: Vec<u32>,
     stats: EngineStats,
     /// Per-transmission channel corruption every admitted client sees
     /// ([`ChannelModel::NONE`] for a perfect channel; i.i.d., burst, or
@@ -267,7 +282,6 @@ impl<'a> Engine<'a> {
             free: Vec::new(),
             in_flight: 0,
             sched: WakeupScheduler::default(),
-            batch: Vec::new(),
             stats: EngineStats::default(),
             channel,
             policy,
@@ -470,33 +484,35 @@ impl<'a> Engine<'a> {
     /// Drain the earliest wake-up batch, stepping every client scheduled
     /// for that instant. Returns `false` when nothing is pending.
     pub(crate) fn advance(&mut self, on_complete: &mut impl FnMut(u64, CompletedRequest)) -> bool {
-        let mut batch = std::mem::take(&mut self.batch);
-        let instant = self.sched.pop_batch(&mut batch);
-        let advanced = instant.is_some();
-        if let Some(t) = instant {
-            self.stats.wake_batches += 1;
-            for &id in &batch {
-                self.step_client(t, id, on_complete);
+        let Some((t, (mut id, last))) = self.sched.pop_batch() else {
+            return false;
+        };
+        self.stats.wake_batches += 1;
+        loop {
+            let next = self.sched.next(id);
+            self.step_client(t, id, on_complete);
+            if id == last {
+                break;
             }
-            if let Some(hub) = self.obs.as_deref_mut() {
-                // Wake-up boundaries are the engine's natural sampling
-                // grid: one sample per distinct simulated instant.
-                hub.gauges.record(Gauge::InFlight, self.in_flight as u64);
-                hub.gauges.record(
-                    Gauge::SlabOccupancy,
-                    (self.slots.len() - self.free.len()) as u64,
-                );
-                hub.gauges
-                    .record(Gauge::WakeupQueueDepth, self.sched.depth() as u64);
-                hub.gauges
-                    .record(Gauge::FreeListLen, self.free.len() as u64);
-                if let Some(ts) = hub.windows.as_mut() {
-                    ts.record_batch(t, self.in_flight as u64);
-                }
+            id = next;
+        }
+        if let Some(hub) = self.obs.as_deref_mut() {
+            // Wake-up boundaries are the engine's natural sampling grid:
+            // one sample per distinct simulated instant.
+            hub.gauges.record(Gauge::InFlight, self.in_flight as u64);
+            hub.gauges.record(
+                Gauge::SlabOccupancy,
+                (self.slots.len() - self.free.len()) as u64,
+            );
+            hub.gauges
+                .record(Gauge::WakeupQueueDepth, self.sched.depth() as u64);
+            hub.gauges
+                .record(Gauge::FreeListLen, self.free.len() as u64);
+            if let Some(ts) = hub.windows.as_mut() {
+                ts.record_batch(t, self.in_flight as u64);
             }
         }
-        self.batch = batch;
-        advanced
+        true
     }
 
     /// Run a whole batch of `(arrival, key)` requests to completion,

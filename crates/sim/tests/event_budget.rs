@@ -10,10 +10,19 @@
 //! ~480 events per request bucket-by-bucket; the budget is 4. Churning
 //! programs get their own budgets: a scan fast-forwards only up to the end
 //! of the epoch on air, then pays a slow-path read for the version skew.
+//! Corrupted reads cost no events of their own: a planner recovers them in
+//! place and runs on, so lossy air has budgets per request too.
 
-use bda_core::{Dataset, DynSystem, ErrorModel, GroupConfig, Key, Params, RetryPolicy, Scheme};
+use bda_core::{
+    BurstModel, ChannelModel, Dataset, DynSystem, ErrorModel, GroupConfig, Key, OutageSchedule,
+    Params, RetryPolicy, Scheme,
+};
 use bda_datagen::DatasetBuilder;
 use bda_sim::{Engine, StripedVersionedServer, UpdateSpec, VersionedServer};
+
+type Air = (ChannelModel, RetryPolicy);
+
+const LOSSLESS: Air = (ChannelModel::NONE, RetryPolicy::UNBOUNDED);
 
 /// (scheme, max scheduler events per completed request, lossless).
 fn budgeted_systems(ds: &Dataset, p: &Params) -> Vec<(Box<dyn DynSystem>, f64)> {
@@ -63,19 +72,32 @@ fn request_mix(ds: &Dataset, pool: &[Key], n: usize, span: u64) -> Vec<(u64, Key
 }
 
 /// Run 200 requests over eight cycles of `sys` through a default
-/// (fast-forwarding) lossless engine and assert the events per request
+/// (fast-forwarding) engine behind `air` and assert the events per request
 /// stay within `budget`.
-fn assert_within_budget(sys: &dyn DynSystem, label: &str, ds: &Dataset, pool: &[Key], budget: f64) {
+fn assert_within_budget(
+    sys: &dyn DynSystem,
+    label: &str,
+    ds: &Dataset,
+    pool: &[Key],
+    budget: f64,
+    (channel, policy): Air,
+) {
     let requests = request_mix(ds, pool, 200, 8 * sys.cycle_len());
-    let mut engine = Engine::with_faults(sys, ErrorModel::NONE, RetryPolicy::UNBOUNDED);
+    let mut engine = Engine::with_channel(sys, channel, policy);
     let done = engine.run_batch(&requests);
     assert_eq!(done.len(), requests.len());
-    let ratio = engine.stats().events as f64 / requests.len() as f64;
+    let stats = engine.stats();
+    let n = requests.len() as f64;
+    let ratio = stats.events as f64 / n;
+    let retries = stats.corrupt_reads as f64 / n;
     assert!(
         ratio <= budget,
-        "{label}: {ratio:.2} events/request exceeds the budget of {budget}"
+        "{label}: {ratio:.2} events/request exceeds the budget of {budget} \
+         ({retries:.2} retries/request)"
     );
-    println!("{label:<26} {ratio:.2} events/request (budget {budget})");
+    println!(
+        "{label:<26} {ratio:.2} events/request (budget {budget}), {retries:.2} retries/request"
+    );
 }
 
 #[test]
@@ -85,7 +107,14 @@ fn scan_heavy_schemes_stay_within_their_event_budget() {
         .unwrap();
     let params = Params::paper();
     for (sys, budget) in budgeted_systems(&ds, &params) {
-        assert_within_budget(sys.as_ref(), sys.scheme_name(), &ds, &pool, budget);
+        assert_within_budget(
+            sys.as_ref(),
+            sys.scheme_name(),
+            &ds,
+            &pool,
+            budget,
+            LOSSLESS,
+        );
     }
 }
 
@@ -138,37 +167,64 @@ fn churning_scan_schemes_stay_within_their_event_budget() {
         (Box::new(striped), "flat, 2 striped channels", 7.0),
     ];
     for (sys, label, budget) in rows {
-        assert_within_budget(sys.as_ref(), label, &ds, &pool, budget);
+        assert_within_budget(sys.as_ref(), label, &ds, &pool, budget, LOSSLESS);
     }
 }
 
-/// Corruption legitimately costs extra wake-ups (each retry re-enters the
-/// walk), but the budget must still be O(retries), not O(cycle).
+/// Corrupted reads are mechanical for a scan: the planner recovers them in
+/// place, back-offs included, so a lossy scan obeys the lossless budget
+/// however many reads the air corrupts (measured: 2.04, 2.88, 2.27 and
+/// 2.15 events per request at 2.7–2.9 retries per request). Two more airs
+/// get budgets of their own, at about twice their measured events per
+/// request: i.i.d. loss with unbounded retries, whose scans run longer and
+/// never give up (3.20, 3.90, 3.25, 3.17 at 14–59 retries per request),
+/// and the `churn-lossy` benchmark workload's burst chain, outage windows
+/// and jittered exponential back-off over the churning programs above
+/// (10.79, 11.62, 11.17, 10.70 at about 23 retries per request). A planner
+/// that stops at every corrupted read costs 17–62 and 51–53 there.
 #[test]
-fn lossy_event_budget_scales_with_retries_not_cycle_length() {
+fn lossy_scans_stay_within_their_event_budget() {
     let (ds, pool) = DatasetBuilder::new(320, 0xB0D7)
         .build_with_absent_pool(10)
         .unwrap();
     let params = Params::paper();
-    for (sys, budget) in budgeted_systems(&ds, &params) {
-        let requests = request_mix(&ds, &pool, 200, 8 * sys.cycle_len());
-        let mut engine = Engine::with_faults(
-            sys.as_ref(),
-            ErrorModel::new(0.15, 0xFA57),
-            RetryPolicy::bounded(2),
-        );
-        let done = engine.run_batch(&requests);
-        let retries: u64 = done.iter().map(|r| u64::from(r.outcome.retries)).sum();
-        let events = engine.stats().events as f64;
-        let n = requests.len() as f64;
-        // Every retry may cost a handful of extra events (re-align, re-scan
-        // to the next decision point); everything else obeys the lossless
-        // budget.
-        let allowed = budget * n + 8.0 * retries as f64;
-        assert!(
-            events <= allowed,
-            "{}: {events} events > {allowed} ({n} requests, {retries} retries)",
-            sys.scheme_name()
-        );
+    let iid = ChannelModel::iid(ErrorModel::new(0.15, 0xFA57));
+    let unbounded = [7.0, 8.0, 7.0, 7.0];
+    for ((sys, budget), loose) in budgeted_systems(&ds, &params).into_iter().zip(unbounded) {
+        let name = sys.scheme_name();
+        let bounded = (iid, RetryPolicy::bounded(2));
+        assert_within_budget(sys.as_ref(), name, &ds, &pool, budget, bounded);
+        let label = format!("{name}, unbounded retries");
+        let unbounded = (iid, RetryPolicy::UNBOUNDED);
+        assert_within_budget(sys.as_ref(), &label, &ds, &pool, loose, unbounded);
+    }
+    let burst = (
+        ChannelModel::burst(BurstModel::new(0.04, 0.20, 0.0, 0.9, 0xB57))
+            .with_outages(OutageSchedule::new(3_000, 300, 0x0A7)),
+        RetryPolicy::bounded(24)
+            .with_backoff_cap(8)
+            .with_jitter(0x117),
+    );
+    let rows: Vec<(Box<dyn DynSystem>, &str, f64)> = vec![
+        (churning(bda_core::FlatScheme, &ds), "flat", 22.0),
+        (
+            churning(bda_signature::SimpleSignatureScheme::new(), &ds),
+            "signature",
+            24.0,
+        ),
+        (
+            churning(bda_signature::IntegratedSignatureScheme::new(8), &ds),
+            "integrated-signature",
+            22.0,
+        ),
+        (
+            churning(bda_signature::MultiLevelSignatureScheme::new(8), &ds),
+            "multilevel-signature",
+            22.0,
+        ),
+    ];
+    for (sys, label, budget) in rows {
+        let label = format!("{label}, churning, burst");
+        assert_within_budget(sys.as_ref(), &label, &ds, &pool, budget, burst);
     }
 }
