@@ -4,9 +4,11 @@
 //! Each cell draws a random scheme, dataset size, channel (i.i.d. or
 //! Gilbert–Elliott burst loss, with or without scheduled outage windows),
 //! retry policy (bounded, capped exponential or fixed back-off, seeded
-//! jitter, a give-up deadline), optional program churn and — on roughly a
-//! third of the cells — a multichannel striping group (2–4 channels,
-//! randomized tune-switch cost), then runs the same request batch through:
+//! jitter, a give-up deadline), optional program churn, a multichannel
+//! striping group (2–4 channels, randomized tune-switch cost) on roughly a
+//! third of the cells, and on a share of the frozen single-channel cells
+//! of a disk-capable scheme a broadcast-disk program (2 or 3 disks), then
+//! runs the same request batch through:
 //!
 //! * the slab engine with analytical fast-forward **on**,
 //! * the slab engine with fast-forward **off** (bucket-by-bucket),
@@ -74,6 +76,8 @@ struct Cell {
     churn_pct: u32,
     /// Multichannel striping (`None` = the classic single channel).
     group: Option<GroupConfig>,
+    /// Broadcast disks (`None` = the flat program).
+    disks: Option<usize>,
 }
 
 impl Cell {
@@ -113,13 +117,14 @@ impl Cell {
         };
         format!(
             "cargo run -p bda-bench --bin chaos -- --cell 0x{:X}\n  \
-             # scheme={} records={} requests={} churn={}%\n  \
+             # scheme={} records={} requests={} churn={}% disks={}\n  \
              # {loss}\n  # {outages}\n  # {policy}\n  # {group}",
             self.seed,
             self.kind.name(),
             self.records,
             self.requests,
             self.churn_pct,
+            self.disks.unwrap_or(1),
         )
     }
 }
@@ -183,6 +188,12 @@ fn draw_cell(seed: u64) -> Cell {
     } else {
         None
     };
+    // Stratify half the frozen single-channel cells of a disk-capable
+    // scheme over 2 or 3 broadcast disks, so the soak also runs disk
+    // programs under burst loss and outages.
+    let stratifiable =
+        group.is_none() && churn_pct == 0 && SchemeKind::DISK_CAPABLE.contains(&kind);
+    let disks = (stratifiable && rng.chance(0.5)).then(|| 2 + rng.below(2) as usize);
     Cell {
         seed,
         kind,
@@ -192,6 +203,7 @@ fn draw_cell(seed: u64) -> Cell {
         policy,
         churn_pct,
         group,
+        disks,
     }
 }
 
@@ -312,7 +324,14 @@ fn run_cell(cell: &Cell) -> Result<CellStats, String> {
             .kind
             .build_versioned(&ds, &params, spec)
             .map_err(|e| e.to_string())?,
-        (None, false) => cell.kind.build(&ds, &params).map_err(|e| e.to_string())?,
+        (None, false) => match cell.disks {
+            Some(disks) => cell
+                .kind
+                .build_disks(&ds, &params, disks)
+                .ok_or("scheme has no broadcast-disk layout")?
+                .map_err(|e| e.to_string())?,
+            None => cell.kind.build(&ds, &params).map_err(|e| e.to_string())?,
+        },
     };
     let requests = request_mix(&ds, &pool, cell.requests, &mut Rng(cell.seed ^ 0x9E9));
 
@@ -471,6 +490,7 @@ fn main() {
     let mut outage_cells = 0usize;
     let mut churn_cells = 0usize;
     let mut multi_cells = 0usize;
+    let mut disk_cells = 0usize;
     let mut fixed_backoff_cells = 0usize;
     let mut deadline_cells = 0usize;
     for i in 0..n {
@@ -489,6 +509,9 @@ fn main() {
         }
         if cell.group.is_some() {
             multi_cells += 1;
+        }
+        if cell.disks.is_some() {
+            disk_cells += 1;
         }
         if cell.policy.backoff_cycles > 0 && cell.policy.backoff_cap_cycles == 0 {
             fixed_backoff_cells += 1;
@@ -529,8 +552,9 @@ fn main() {
     }
     println!(
         "chaos ok: {n} cells ({burst_cells} burst, {outage_cells} outage, {churn_cells} churn, \
-         {multi_cells} multichannel, {fixed_backoff_cells} fixed back-off, {deadline_cells} \
-         deadline) agreed across all drivers; {} retries, {} abandoned, {} stale restarts",
+         {multi_cells} multichannel, {disk_cells} disks, {fixed_backoff_cells} fixed back-off, \
+         {deadline_cells} deadline) agreed across all drivers; {} retries, {} abandoned, {} \
+         stale restarts",
         totals.retries, totals.abandoned, totals.stale_restarts
     );
 }
@@ -562,8 +586,9 @@ mod tests {
     #[test]
     fn reproducer_decodes_the_full_cell_config() {
         // Scan seeds until the draw covers every decoded section at least
-        // once: burst loss, outage schedule, churn and a channel group.
-        let mut saw = (false, false, false, false);
+        // once: burst loss, outage schedule, churn, a channel group and
+        // broadcast disks.
+        let mut saw = (false, false, false, false, false);
         for s in 0..256u64 {
             let cell = draw_cell(s);
             let repro = cell.reproducer();
@@ -604,6 +629,15 @@ mod tests {
                     "{repro}"
                 );
             }
+            assert!(
+                repro.contains(&format!("disks={}", cell.disks.unwrap_or(1))),
+                "{repro}"
+            );
+            if cell.disks.is_some() {
+                saw.4 = true;
+                assert!(SchemeKind::DISK_CAPABLE.contains(&cell.kind));
+                assert!(cell.group.is_none() && cell.churn_pct == 0);
+            }
             if let Some(g) = cell.group {
                 saw.3 = true;
                 assert!(
@@ -617,8 +651,8 @@ mod tests {
         }
         assert_eq!(
             saw,
-            (true, true, true, true),
-            "256 seeds must cover burst, outage, churn and multichannel cells"
+            (true, true, true, true, true),
+            "256 seeds must cover burst, outage, churn, multichannel and disk cells"
         );
     }
 

@@ -11,7 +11,7 @@ use bda_signature::{
     IntegratedSignatureScheme, MultiLevelSignatureScheme, SimpleSignatureDisksScheme,
     SimpleSignatureScheme,
 };
-use bda_sim::{StripedVersionedServer, UpdateSpec, VersionedServer};
+use bda_sim::{UpdateSpec, VersionedServer};
 
 /// The access methods the paper evaluates, plus the two signature
 /// extensions.
@@ -259,7 +259,7 @@ impl SchemeKind {
             Sch::System: 'static,
             <Sch::System as System>::Machine: 'static,
         {
-            Ok(Box::new(StripedVersionedServer::build(
+            Ok(Box::new(VersionedServer::build_striped(
                 &scheme, ds, p, config, spec,
             )?))
         }

@@ -28,9 +28,7 @@
 //! * **Fetch** — dozing toward the data bucket; reading it completes the
 //!   query.
 
-use bda_core::{
-    Action, BucketMeta, Key, ProtocolFault, ProtocolMachine, StaleResponse, Ticks, Verdict,
-};
+use bda_core::{Action, BucketMeta, Key, ProtocolFault, ProtocolMachine, Ticks, Verdict};
 
 use crate::payload::{BTreePayload, IndexBucket};
 
@@ -140,15 +138,6 @@ impl ProtocolMachine<BTreePayload> for BTreeMachine {
                 _ => Action::Fail(ProtocolFault::WrongDataBucket),
             },
         }
-    }
-
-    /// Every pointer the descent holds — segment offsets, child deltas,
-    /// the final data delta — was computed against the build-time cycle
-    /// layout. A version change re-shuffles all of them, so the only sound
-    /// recovery is a fresh machine re-orienting via the new program's
-    /// index segments.
-    fn on_stale(&mut self, _meta: BucketMeta) -> StaleResponse {
-        StaleResponse::Respawn
     }
 }
 

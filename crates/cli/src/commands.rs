@@ -13,7 +13,7 @@ use bda_signature::{
     IntegratedSignatureScheme, MultiLevelSignatureScheme, SimpleSignatureDisksScheme,
     SimpleSignatureScheme,
 };
-use bda_sim::{SimConfig, Simulator, StripedVersionedServer, UpdateSpec, VersionedServer};
+use bda_sim::{SimConfig, Simulator, UpdateSpec, VersionedServer};
 
 use crate::args::Options;
 use crate::trace::{describe, trace_query_channel, Trace};
@@ -208,7 +208,7 @@ fn build_versioned(
         <Sch::System as System>::Machine: 'static,
     {
         Ok(Box::new(
-            StripedVersionedServer::build(&scheme, ds, p, config, spec)
+            VersionedServer::build_striped(&scheme, ds, p, config, spec)
                 .map_err(|e| e.to_string())?,
         ))
     }

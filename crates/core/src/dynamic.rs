@@ -1,4 +1,5 @@
-//! Dynamic broadcast programs: versioned epochs and the stale-aware walker.
+//! Dynamic broadcast programs: versioned epochs and the walk source that
+//! reads them.
 //!
 //! The paper freezes the broadcast program: every cycle repeats the same
 //! buckets forever, so a client chasing a pointer can never be misled. A
@@ -13,14 +14,14 @@
 //!   each broadcasting one immutable program (a built [`System`]) for a
 //!   whole number of its cycles. Version stamps are carried in every
 //!   bucket header ([`crate::Bucket::version`]).
-//! * A [`VersionedWalk`] drives a [`ProtocolMachine`] across the timeline
-//!   with byte-exact [`Walk`]-compatible accounting. Before a bucket's
-//!   payload reaches the machine, the walker compares the header version
+//! * [`Versioned`] is the timeline as the [`Source`] of the one
+//!   [`Walk`]: the walk reads it with the same step, probe budget,
+//!   recovery and finish rules as a frozen channel. Before a bucket's
+//!   payload reaches the machine, the source compares the header version
 //!   against the walk's **anchor version** (the program the machine's
-//!   pointers were derived from). On mismatch it reports the skew to the
-//!   machine ([`ProtocolMachine::on_stale`]) and, for the default
-//!   [`StaleResponse::Respawn`], rebuilds the machine against the live
-//!   program and re-anchors at the skewed bucket.
+//!   pointers were derived from). On mismatch the walk counts the skew,
+//!   rebuilds the machine against the live program and restarts the
+//!   protocol at the skewed bucket.
 //!
 //! The discipline that makes verdicts sound: **a machine only ever sees
 //! payloads whose version equals its own build version.** Every verdict is
@@ -29,22 +30,19 @@
 //! walk, and "not found" means some single program provably lacked it —
 //! never a phantom read of a half-old, half-new cycle.
 //!
-//! With a single epoch (a frozen program) the walker executes the exact
-//! same decisions as [`Walk`] and produces bit-identical
-//! [`AccessOutcome`]s — the keystone invariant the differential suite in
-//! `bda-sim` pins down.
+//! With a single epoch ([`ProgramTimeline::frozen`]) the walk over the
+//! timeline makes the same decisions as the walk over the program's
+//! channel and produces bit-identical [`AccessOutcome`]s: one walk over
+//! two sources, which the differential suites in `bda-sim` pin down.
+//!
+//! [`Walk`]: crate::machine::Walk
+//! [`AccessOutcome`]: crate::machine::AccessOutcome
 
-use crate::bucket::{Bucket, BucketMeta};
 use crate::error::{BdaError, Result};
-use crate::errors_model::{ChannelModel, ErrorModel, RetryPolicy};
 use crate::key::Key;
-use crate::machine::{
-    engage, recover, AccessOutcome, Action, ProtocolMachine, Retries, StaleResponse, Tally,
-    WalkStep,
-};
-use crate::scheme::{QueryRun, QuerySlot, System};
+use crate::machine::{Landing, Source};
+use crate::scheme::{Broadcast, System};
 use crate::Ticks;
-use bda_obs::{BucketKind, NoopRecorder, Phase, PhaseSpans, Recorder, SpanRecorder};
 
 /// One stretch of air time during which a single broadcast program repeats.
 #[derive(Debug)]
@@ -155,685 +153,109 @@ impl<S: System> ProgramTimeline<S> {
     }
 }
 
-/// Drives a [`ProtocolMachine`] across a [`ProgramTimeline`] — the
-/// dynamic-broadcast counterpart of [`Walk`], with identical byte
-/// accounting plus version-skew detection and stale-restart recovery.
+/// The [`Source`] of a [`Walk`] over a [`ProgramTimeline`]: it carries
+/// what a respawn needs — the timeline and the query's key — and the
+/// version of the program the walk's machine was built against (its
+/// anchor).
 ///
-/// Like [`Walk`], it can fast-forward ([`VersionedWalk::set_fast_forward`])
-/// — but only through the epoch on air, which is as immutable as a frozen
-/// program: the planner engages only when that epoch carries the walk's
-/// anchor version, never starts a read at or past the next epoch's start,
-/// and hands the boundary bucket to the slow path, which detects the skew
-/// and respawns the machine.
+/// Per read it looks up the epoch on air, lets fast-forward run only
+/// through that epoch and only when it carries the anchor's program, and
+/// on a clean bucket of another version hands the walk a machine built
+/// against the program on air, re-anchoring there. Obtained with
+/// [`Broadcast::tune`].
 ///
 /// [`Walk`]: crate::machine::Walk
 #[derive(Debug)]
-pub struct VersionedWalk<'a, S: System, R = NoopRecorder> {
+pub struct Versioned<'a, S: System> {
     timeline: &'a ProgramTimeline<S>,
-    machine: S::Machine,
     key: Key,
-    /// Program version the current machine's pointers are derived from.
-    anchor_version: u64,
-    tune_in: Ticks,
-    now: Ticks,
-    tuning: Ticks,
-    probes: u32,
-    retries: Retries,
-    stale_restarts: u32,
-    version_skews: u32,
-    false_drops_hint: u32,
-    pending: Option<Action>,
-    outcome: Option<AccessOutcome>,
-    max_probes: u32,
-    channel: ChannelModel,
-    policy: RetryPolicy,
-    ff: bool,
-    recorder: R,
+    anchor: u64,
 }
 
-impl<'a, S: System> VersionedWalk<'a, S> {
-    /// Begin a query at absolute time `tune_in` over a lossless channel.
-    pub fn new(timeline: &'a ProgramTimeline<S>, key: Key, tune_in: Ticks) -> Self {
-        VersionedWalk::with_policy(
-            timeline,
-            key,
-            tune_in,
-            ErrorModel::NONE,
-            RetryPolicy::UNBOUNDED,
-        )
-    }
+impl<'a, S: System> Source<'a, S::Machine> for Versioned<'a, S> {
+    type Payload = S::Payload;
 
-    /// Begin a query with fault injection and an explicit client retry
-    /// policy — the full-fat constructor matching
-    /// [`Walk::with_policy`](crate::machine::Walk::with_policy).
-    pub fn with_policy(
-        timeline: &'a ProgramTimeline<S>,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        VersionedWalk::with_recorder(timeline, key, tune_in, errors, policy, NoopRecorder)
-    }
-
-    /// Begin a query over a unified [`ChannelModel`] (i.i.d. or burst
-    /// loss, with or without outages). With a degenerate channel
-    /// (`ChannelModel::from(errors)`) this is bit-identical to
-    /// [`VersionedWalk::with_policy`].
-    pub fn with_channel(
-        timeline: &'a ProgramTimeline<S>,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        VersionedWalk::with_channel_recorder(timeline, key, tune_in, channel, policy, NoopRecorder)
-    }
-}
-
-impl<'a, S: System, R: Recorder> VersionedWalk<'a, S, R> {
-    /// Begin a query that reports every step's phase-attributed span to
-    /// `recorder` — the dynamic counterpart of
-    /// [`Walk::with_recorder`](crate::machine::Walk::with_recorder). Skewed
-    /// reads (header version ≠ anchor version) are attributed to
-    /// [`Phase::StaleRecovery`].
-    pub fn with_recorder(
-        timeline: &'a ProgramTimeline<S>,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-        recorder: R,
-    ) -> Self {
-        VersionedWalk::with_channel_recorder(
-            timeline,
-            key,
-            tune_in,
-            errors.into(),
-            policy,
-            recorder,
-        )
-    }
-
-    /// [`VersionedWalk::with_channel`] with span instrumentation — the most
-    /// general constructor; every other constructor delegates here.
-    pub fn with_channel_recorder(
-        timeline: &'a ProgramTimeline<S>,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-        recorder: R,
-    ) -> Self {
-        let epoch = timeline.epoch(timeline.index_at(tune_in));
-        let mut machine = epoch.system.query(key);
-        let pending = machine.start(tune_in);
-        // Same budget formula as `Walk`, sized by the largest program on
-        // the timeline (identical to the frozen budget when there is one
-        // epoch, so zero-update runs abort at exactly the same point).
-        let max_buckets = timeline
-            .epochs()
+    fn max_buckets(&self) -> usize {
+        // The largest program on the timeline: with one epoch the budget
+        // is the frozen walk's, so zero-update runs abort at exactly the
+        // same point.
+        self.timeline
+            .epochs
             .iter()
             .map(|e| e.system.channel().num_buckets())
             .max()
-            .unwrap_or(1) as u32;
-        let base = max_buckets.saturating_mul(4).saturating_add(64);
-        let worst = channel.worst_loss();
-        let mut max_probes = if worst > 0.0 {
-            let factor = (1.0 / (1.0 - worst.min(0.99))).ceil() as u32 + 4;
-            base.saturating_mul(factor)
-        } else {
-            base
-        };
-        if channel.has_outages() {
-            max_probes = max_probes.saturating_mul(4).saturating_add(256);
+            .unwrap_or(1)
+    }
+
+    fn first_complete_at(&self, t: Ticks) -> Landing<'a, S::Payload> {
+        let (epoch, idx, start) = self.timeline.first_complete_at(t);
+        Landing {
+            ch: self.timeline.epoch(epoch).system.channel(),
+            epoch,
+            idx,
+            start,
         }
-        VersionedWalk {
-            timeline,
-            machine,
+    }
+
+    fn ff_limit(&self, at: &Landing<'a, S::Payload>) -> Option<Ticks> {
+        (at.ch.version() == self.anchor).then(|| {
+            self.timeline
+                .epochs
+                .get(at.epoch + 1)
+                .map_or(Ticks::MAX, |e| e.start)
+        })
+    }
+
+    fn respawn(&mut self, at: &Landing<'a, S::Payload>, version: u64) -> Option<S::Machine> {
+        if version == self.anchor {
+            return None;
+        }
+        self.anchor = version;
+        Some(self.timeline.epoch(at.epoch).system.query(self.key))
+    }
+}
+
+/// A timeline is a broadcast whose walks re-anchor on version skew; with
+/// one epoch (a frozen program) they make the frozen walk's decisions and
+/// produce bit-identical outcomes.
+impl<S: System> Broadcast for ProgramTimeline<S> {
+    type Program = S;
+    type Source<'a>
+        = Versioned<'a, S>
+    where
+        S: 'a;
+
+    fn initial(&self) -> &S {
+        &self.epochs[0].system
+    }
+
+    fn tune(&self, key: Key, tune_in: Ticks) -> (Versioned<'_, S>, S::Machine) {
+        let epoch = self.epoch(self.index_at(tune_in));
+        let src = Versioned {
+            timeline: self,
             key,
-            anchor_version: epoch.version(),
-            tune_in,
-            now: tune_in,
-            tuning: 0,
-            probes: 0,
-            retries: Retries::default(),
-            stale_restarts: 0,
-            version_skews: 0,
-            false_drops_hint: 0,
-            pending: Some(pending),
-            outcome: None,
-            max_probes,
-            channel,
-            policy,
-            ff: false,
-            recorder,
-        }
-    }
-
-    /// Turn epoch-bounded fast-forward on or off — the versioned
-    /// counterpart of
-    /// [`Walk::set_fast_forward`](crate::machine::Walk::set_fast_forward),
-    /// with the same tick-identical outcomes, accounting, probe counts
-    /// and per-phase spans (version skews and stale restarts included).
-    /// Off by default, so a stepped walk reports every bucket; the one-shot
-    /// drivers ([`VersionedWalk::run`], [`run_versioned`] and its variants)
-    /// always turn it on.
-    pub fn set_fast_forward(&mut self, enabled: bool) {
-        self.ff = enabled;
-    }
-
-    /// The walk's recorder (e.g. to read accumulated spans).
-    pub fn recorder(&self) -> &R {
-        &self.recorder
-    }
-
-    /// Mutable access to the walk's recorder.
-    pub fn recorder_mut(&mut self) -> &mut R {
-        &mut self.recorder
-    }
-
-    /// Absolute simulation time the client has reached.
-    pub fn now(&self) -> Ticks {
-        self.now
-    }
-
-    /// Whether the query has completed.
-    pub fn is_done(&self) -> bool {
-        self.outcome.is_some()
-    }
-
-    /// The outcome, if the query has completed.
-    pub fn outcome(&self) -> Option<AccessOutcome> {
-        self.outcome
-    }
-
-    fn finish(&mut self, found: bool, false_drops: u32, aborted: bool) -> WalkStep {
-        let out = AccessOutcome {
-            found,
-            access: self.now - self.tune_in,
-            tuning: self.tuning,
-            probes: self.probes,
-            false_drops,
-            retries: self.retries.count,
-            abandoned: false,
-            aborted,
-            stale_restarts: self.stale_restarts,
-            version_skews: self.version_skews,
+            anchor: epoch.version(),
         };
-        self.outcome = Some(out);
-        WalkStep::Done(out)
-    }
-
-    /// Give up truthfully — the retry budget ran out, or program churn
-    /// starved the walk (probe budget exhausted with restarts on record).
-    fn abandon(&mut self) -> WalkStep {
-        let mut step = self.finish(false, self.false_drops_hint, false);
-        if let (Some(out), WalkStep::Done(done)) = (self.outcome.as_mut(), &mut step) {
-            out.abandoned = true;
-            done.abandoned = true;
-        }
-        step
-    }
-
-    /// The probe budget ran out. On a channel that actually corrupted
-    /// reads — or under program churn that starved the walk — this is a
-    /// truthful abandonment; on a clean frozen walk it flags a runaway
-    /// machine and aborts, as it always has.
-    fn exhaust(&mut self) -> WalkStep {
-        if self.retries.count > 0 || self.stale_restarts > 0 {
-            self.abandon()
-        } else {
-            self.finish(false, self.false_drops_hint, true)
-        }
-    }
-
-    /// Discard the stale machine and restart the protocol against the
-    /// program that owns `bucket`. The skewed bucket is already paid for
-    /// (probe + tuning), and it is a perfectly valid bucket of the *new*
-    /// program — so if the fresh machine's first action is `ReadNext`, the
-    /// walker feeds it this bucket instead of burning another read.
-    fn respawn(
-        &mut self,
-        epoch: &'a Epoch<S>,
-        bucket: &'a Bucket<S::Payload>,
-        meta: BucketMeta,
-    ) -> Action {
-        self.stale_restarts += 1;
-        self.anchor_version = bucket.version;
-        self.machine = epoch.system.query(self.key);
-        let act = self.machine.start(meta.start);
-        if matches!(act, Action::ReadNext) {
-            self.machine.on_bucket(&bucket.payload, meta)
-        } else {
-            act
-        }
-    }
-
-    /// Fast-forward through the epoch on air at `landing` — never reading
-    /// past its end — and return the bucket the slow path reads next: the
-    /// cursor's landing, or, once the cursor reached the next epoch's
-    /// start (a doze may end exactly there, a back-off there or past it),
-    /// the bucket on air then, looked up in the timeline.
-    fn run_fast_forward(&mut self, landing: (usize, usize, Ticks)) -> (usize, usize, Ticks) {
-        let timeline = self.timeline;
-        let (ei, idx, start) = landing;
-        let limit = timeline.epochs.get(ei + 1).map_or(Ticks::MAX, |e| e.start);
-        let (idx, start) = engage(
-            timeline.epoch(ei).system.channel(),
-            &mut self.machine,
-            (idx, start),
-            limit,
-            Tally {
-                channel: self.channel,
-                policy: self.policy,
-                tune_in: self.tune_in,
-                now: &mut self.now,
-                tuning: &mut self.tuning,
-                probes: &mut self.probes,
-                max_probes: self.max_probes,
-                retries: &mut self.retries,
-                recorder: &mut self.recorder,
-            },
-        );
-        if start < limit {
-            (ei, idx, start)
-        } else {
-            timeline.first_complete_at(self.now)
-        }
-    }
-
-    /// Execute the machine's next action and report what happened —
-    /// byte-for-byte the same accounting as
-    /// [`Walk::step`](crate::machine::Walk::step), plus the version-skew
-    /// check between corruption handling and payload delivery.
-    pub fn step(&mut self) -> WalkStep {
-        if let Some(out) = self.outcome {
-            return WalkStep::Done(out);
-        }
-        let action = self
-            .pending
-            .take()
-            .expect("walk invariant: pending action present while not done");
-        match action {
-            Action::ReadNext => {
-                if self.probes >= self.max_probes {
-                    return self.exhaust();
-                }
-                let timeline = self.timeline;
-                let mut landing = timeline.first_complete_at(self.now);
-                // Engage only over the anchor's own program: a skewed
-                // bucket is the slow path's to detect.
-                if self.ff
-                    && self.probes > 0
-                    && timeline.epoch(landing.0).version() == self.anchor_version
-                {
-                    landing = self.run_fast_forward(landing);
-                    if self.probes >= self.max_probes {
-                        return self.exhaust();
-                    }
-                    debug_assert_eq!(landing, timeline.first_complete_at(self.now));
-                }
-                let (ei, idx, start) = landing;
-                let epoch = timeline.epoch(ei);
-                let ch = epoch.system.channel();
-                let bucket = ch.bucket(idx);
-                let size = Ticks::from(bucket.size);
-                // Saturating, like the start: a back-off may doze the walk
-                // to within a bucket of `Ticks::MAX`.
-                let end = start.saturating_add(size);
-                let from = self.now;
-                self.tuning += end - self.now;
-                self.now = end;
-                self.probes += 1;
-                let meta = BucketMeta {
-                    index: idx,
-                    start,
-                    end,
-                    size: size as u32,
-                    version: bucket.version,
-                };
-                if R::ENABLED {
-                    // Corruption trumps skew (the header is unreadable);
-                    // skew trumps structure (the payload is withheld from
-                    // the machine, so the read buys recovery, not progress).
-                    let phase = if self.channel.corrupted(start) {
-                        Phase::Retry
-                    } else if bucket.version != self.anchor_version {
-                        Phase::StaleRecovery
-                    } else if self.probes == 1 {
-                        Phase::InitialProbe
-                    } else {
-                        match self.machine.bucket_kind(&bucket.payload) {
-                            BucketKind::Index => Phase::IndexTraversal,
-                            BucketKind::Data => Phase::DataRead,
-                        }
-                    };
-                    self.recorder.span(phase, end - from, end - from);
-                }
-                let next = if self.channel.corrupted(start) {
-                    // A corrupted transmission hides the header too: the
-                    // client can't even see the version. Skew, if any, is
-                    // caught on the next clean read — after an outage,
-                    // against whichever program is on the air then. The
-                    // back-off counts cycles of the program just read.
-                    let outage = self.channel.in_outage(start);
-                    let (retries, backoff) =
-                        self.retries
-                            .corrupt(&self.policy, outage, self.now - self.tune_in);
-                    self.retries = retries;
-                    let Some(cycles) = backoff else {
-                        return self.abandon();
-                    };
-                    recover(&mut self.machine, meta, outage, cycles, ch.cycle_len())
-                } else if bucket.version != self.anchor_version {
-                    self.retries.outage_streak = 0;
-                    self.version_skews += 1;
-                    match self.machine.on_stale(meta) {
-                        StaleResponse::Resume(act) => {
-                            self.anchor_version = bucket.version;
-                            act
-                        }
-                        StaleResponse::Respawn => self.respawn(epoch, bucket, meta),
-                    }
-                } else {
-                    self.retries.outage_streak = 0;
-                    self.machine.on_bucket(&bucket.payload, meta)
-                };
-                if let Action::Finish(v) = next {
-                    self.false_drops_hint = v.false_drops;
-                }
-                self.pending = Some(next);
-                WalkStep::Read {
-                    bucket: idx,
-                    from,
-                    until: end,
-                }
-            }
-            Action::DozeTo(t) => {
-                if t < self.now {
-                    return self.finish(false, self.false_drops_hint, true);
-                }
-                if R::ENABLED {
-                    self.recorder.span(Phase::Doze, t - self.now, 0);
-                }
-                self.now = t;
-                self.pending = Some(Action::ReadNext);
-                WalkStep::Doze { until: t }
-            }
-            Action::Finish(v) => self.finish(v.found, v.false_drops, false),
-            Action::Fail(_) => self.finish(false, self.false_drops_hint, true),
-        }
-    }
-
-    /// Drive the walk to completion with fast-forward on. Fast-forward is
-    /// tick-exact, so the outcome equals a bucket-by-bucket walk's; only
-    /// the step count differs.
-    pub fn run(self) -> AccessOutcome {
-        drain_walk(self).0
-    }
-}
-
-/// The one-shot drivers' shared loop: step `walk` to completion with
-/// fast-forward on, then hand back its outcome and recorder.
-fn drain_walk<S: System, R: Recorder>(mut walk: VersionedWalk<'_, S, R>) -> (AccessOutcome, R) {
-    walk.set_fast_forward(true);
-    loop {
-        if let WalkStep::Done(out) = walk.step() {
-            return (out, walk.recorder);
-        }
-    }
-}
-
-impl<S: System, R: Recorder> QueryRun for VersionedWalk<'_, S, R> {
-    fn step(&mut self) -> WalkStep {
-        VersionedWalk::step(self)
-    }
-
-    fn now(&self) -> Ticks {
-        VersionedWalk::now(self)
-    }
-}
-
-/// Run one query over a dynamic broadcast timeline (lossless) with
-/// epoch-bounded fast-forward on — the direct walker behind
-/// `VersionedServer::probe`. Outcomes equal a bucket-by-bucket
-/// [`VersionedWalk`]'s; only the step count differs.
-pub fn run_versioned<S: System>(
-    timeline: &ProgramTimeline<S>,
-    key: Key,
-    tune_in: Ticks,
-) -> AccessOutcome {
-    VersionedWalk::new(timeline, key, tune_in).run()
-}
-
-/// [`run_versioned`] with fault injection and an explicit client retry
-/// policy.
-pub fn run_versioned_with_policy<S: System>(
-    timeline: &ProgramTimeline<S>,
-    key: Key,
-    tune_in: Ticks,
-    errors: ErrorModel,
-    policy: RetryPolicy,
-) -> AccessOutcome {
-    VersionedWalk::with_policy(timeline, key, tune_in, errors, policy).run()
-}
-
-/// [`run_versioned`] behind a unified [`ChannelModel`] (burst loss,
-/// outages, or both).
-pub fn run_versioned_with_channel<S: System>(
-    timeline: &ProgramTimeline<S>,
-    key: Key,
-    tune_in: Ticks,
-    channel: ChannelModel,
-    policy: RetryPolicy,
-) -> AccessOutcome {
-    VersionedWalk::with_channel(timeline, key, tune_in, channel, policy).run()
-}
-
-/// [`run_versioned_with_channel`] with span instrumentation.
-pub fn run_versioned_observed_channel<S: System>(
-    timeline: &ProgramTimeline<S>,
-    key: Key,
-    tune_in: Ticks,
-    channel: ChannelModel,
-    policy: RetryPolicy,
-) -> (AccessOutcome, PhaseSpans) {
-    let walk = VersionedWalk::with_channel_recorder(
-        timeline,
-        key,
-        tune_in,
-        channel,
-        policy,
-        SpanRecorder::new(),
-    );
-    let (out, recorder) = drain_walk(walk);
-    (out, recorder.spans)
-}
-
-/// [`run_versioned_with_policy`] with span instrumentation: also returns
-/// the walk's per-phase decomposition, whose totals equal the outcome's
-/// `access`/`tuning` exactly. Skewed reads land in
-/// [`Phase::StaleRecovery`]. Fast-forwarded spans equal the
-/// bucket-by-bucket walk's.
-pub fn run_versioned_observed<S: System>(
-    timeline: &ProgramTimeline<S>,
-    key: Key,
-    tune_in: Ticks,
-    errors: ErrorModel,
-    policy: RetryPolicy,
-) -> (AccessOutcome, PhaseSpans) {
-    run_versioned_observed_channel(timeline, key, tune_in, errors.into(), policy)
-}
-
-/// The reusable [`QuerySlot`] over a [`ProgramTimeline`] — the dynamic
-/// counterpart of [`crate::scheme::WalkSlot`], used by the slab engine so
-/// dynamic mode performs no per-request allocation either.
-pub struct VersionedSlot<'a, S: System> {
-    timeline: &'a ProgramTimeline<S>,
-    walk: Option<VersionedWalk<'a, S>>,
-    channel: ChannelModel,
-    policy: RetryPolicy,
-    ff: bool,
-}
-
-impl<'a, S: System> VersionedSlot<'a, S> {
-    /// An empty lossless slot; [`QuerySlot::start`] arms it.
-    pub fn new(timeline: &'a ProgramTimeline<S>) -> Self {
-        VersionedSlot::with_faults(timeline, ErrorModel::NONE, RetryPolicy::UNBOUNDED)
-    }
-
-    /// An empty slot whose queries run over an error-prone channel with a
-    /// client retry policy.
-    pub fn with_faults(
-        timeline: &'a ProgramTimeline<S>,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        VersionedSlot::with_channel(timeline, errors.into(), policy)
-    }
-
-    /// An empty slot whose queries run behind a unified [`ChannelModel`].
-    pub fn with_channel(
-        timeline: &'a ProgramTimeline<S>,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        VersionedSlot {
-            timeline,
-            walk: None,
-            channel,
-            policy,
-            ff: false,
-        }
-    }
-}
-
-impl<S: System> QuerySlot for VersionedSlot<'_, S> {
-    fn start(&mut self, key: Key, tune_in: Ticks) {
-        let mut walk =
-            VersionedWalk::with_channel(self.timeline, key, tune_in, self.channel, self.policy);
-        walk.set_fast_forward(self.ff);
-        self.walk = Some(walk);
-    }
-
-    fn set_fast_forward(&mut self, enabled: bool) {
-        self.ff = enabled;
-        if let Some(walk) = self.walk.as_mut() {
-            walk.set_fast_forward(enabled);
-        }
-    }
-
-    fn step(&mut self) -> WalkStep {
-        self.walk
-            .as_mut()
-            .expect("QuerySlot::step before start")
-            .step()
-    }
-
-    fn now(&self) -> Ticks {
-        self.walk
-            .as_ref()
-            .expect("QuerySlot::now before start")
-            .now()
-    }
-
-    fn is_done(&self) -> bool {
-        self.walk.as_ref().map_or(true, VersionedWalk::is_done)
-    }
-}
-
-/// The instrumented counterpart of [`VersionedSlot`]: each query runs with
-/// a [`SpanRecorder`], exposed via [`QuerySlot::spans`].
-pub struct ObservedVersionedSlot<'a, S: System> {
-    timeline: &'a ProgramTimeline<S>,
-    walk: Option<VersionedWalk<'a, S, SpanRecorder>>,
-    channel: ChannelModel,
-    policy: RetryPolicy,
-    ff: bool,
-}
-
-impl<'a, S: System> ObservedVersionedSlot<'a, S> {
-    /// An empty instrumented slot; [`QuerySlot::start`] arms it.
-    pub fn with_faults(
-        timeline: &'a ProgramTimeline<S>,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        ObservedVersionedSlot::with_channel(timeline, errors.into(), policy)
-    }
-
-    /// An empty instrumented slot behind a unified [`ChannelModel`].
-    pub fn with_channel(
-        timeline: &'a ProgramTimeline<S>,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        ObservedVersionedSlot {
-            timeline,
-            walk: None,
-            channel,
-            policy,
-            ff: false,
-        }
-    }
-}
-
-impl<S: System> QuerySlot for ObservedVersionedSlot<'_, S> {
-    fn start(&mut self, key: Key, tune_in: Ticks) {
-        let mut walk = VersionedWalk::with_channel_recorder(
-            self.timeline,
-            key,
-            tune_in,
-            self.channel,
-            self.policy,
-            SpanRecorder::new(),
-        );
-        walk.set_fast_forward(self.ff);
-        self.walk = Some(walk);
-    }
-
-    fn set_fast_forward(&mut self, enabled: bool) {
-        self.ff = enabled;
-        if let Some(walk) = self.walk.as_mut() {
-            walk.set_fast_forward(enabled);
-        }
-    }
-
-    fn step(&mut self) -> WalkStep {
-        self.walk
-            .as_mut()
-            .expect("QuerySlot::step before start")
-            .step()
-    }
-
-    fn now(&self) -> Ticks {
-        self.walk
-            .as_ref()
-            .expect("QuerySlot::now before start")
-            .now()
-    }
-
-    fn is_done(&self) -> bool {
-        self.walk.as_ref().map_or(true, VersionedWalk::is_done)
-    }
-
-    fn spans(&self) -> Option<&PhaseSpans> {
-        self.walk.as_ref().map(|w| &w.recorder().spans)
+        (src, epoch.system.query(key))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bucket::BucketMeta;
     use crate::channel::Channel;
-    use crate::errors_model::{BurstModel, OutageSchedule};
+    use crate::errors_model::{BurstModel, ChannelModel, ErrorModel, OutageSchedule, RetryPolicy};
     use crate::flat::{FlatMachine, FlatPayload, FlatScheme, FlatSystem};
-    use crate::machine::run_machine;
     use crate::machine::tests::{longest_outage_streak, shown_retries};
+    use crate::machine::{
+        run_machine, run_machine_observed_channel, AccessOutcome, Action, ProtocolMachine, Walk,
+        WalkStep,
+    };
     use crate::params::Params;
     use crate::record::{Dataset, Record};
-    use crate::scheme::Scheme;
+    use crate::scheme::{DynSystem, Scheme};
+    use bda_obs::{Phase, PhaseSpans, SpanRecorder};
 
     fn dataset(keys: &[u64]) -> Dataset {
         Dataset::new(keys.iter().map(|&k| Record::keyed(k)).collect()).unwrap()
@@ -923,11 +345,22 @@ mod tests {
         let tl = ProgramTimeline::frozen(FlatScheme.build(&dataset(&keys), &params).unwrap());
         for key in [Key(0), Key(30), Key(35), Key(70)] {
             for t in [0u64, 17, 1000, 5555] {
+                // The one walk over the program's channel and over the
+                // one-epoch timeline, through the lossless driver and the
+                // observed one on lossy air.
                 let frozen = run_machine(sys.channel(), sys.query(key), t);
-                let dynamic = run_versioned(&tl, key, t);
+                let (src, machine) = tl.tune(key, t);
+                let dynamic = run_machine(src, machine, t);
                 assert_eq!(frozen, dynamic, "key {key:?} t {t}");
                 assert_eq!(dynamic.version_skews, 0);
                 assert_eq!(dynamic.stale_restarts, 0);
+                let air = ChannelModel::from(ErrorModel::new(0.2, 0x5EED));
+                let policy = RetryPolicy::bounded(4);
+                let frozen =
+                    run_machine_observed_channel(sys.channel(), sys.query(key), t, air, policy);
+                let (src, machine) = tl.tune(key, t);
+                let dynamic = run_machine_observed_channel(src, machine, t, air, policy);
+                assert_eq!(frozen, dynamic, "key {key:?} t {t} {air:?}");
             }
         }
     }
@@ -940,7 +373,7 @@ mod tests {
         // Tune in one bucket before the boundary, searching key 40 (only
         // exists after the update). The scan crosses into epoch 1, detects
         // the skew, respawns, and finds the key in the new program.
-        let out = run_versioned(&tl, Key(40), boundary - bucket);
+        let out = tl.probe(Key(40), boundary - bucket);
         assert!(out.found, "key inserted by the update must be found");
         assert!(!out.aborted);
         assert_eq!(out.stale_restarts, 1);
@@ -950,7 +383,7 @@ mod tests {
         // the boundary either never sees it (respawns into epoch 1 and
         // scans a full new cycle) — truthful not-found — or the walk
         // aborts never; a stale payload is never returned.
-        let out = run_versioned(&tl, Key(20), boundary - bucket);
+        let out = tl.probe(Key(20), boundary - bucket);
         assert!(!out.aborted);
         assert!(!out.found, "deleted key must not resolve to a stale record");
         assert!(out.version_skews >= 1);
@@ -959,7 +392,7 @@ mod tests {
     #[test]
     fn walk_entirely_within_an_epoch_sees_no_skew() {
         let tl = two_epoch_timeline();
-        let out = run_versioned(&tl, Key(20), 0);
+        let out = tl.probe(Key(20), 0);
         // Key 20 exists throughout epoch 0 and the scan completes within
         // the first cycle: found, no skew.
         assert!(out.found);
@@ -967,7 +400,7 @@ mod tests {
         assert_eq!(out.stale_restarts, 0);
 
         let boundary = tl.epoch(1).start;
-        let out = run_versioned(&tl, Key(40), boundary);
+        let out = tl.probe(Key(40), boundary);
         assert!(out.found);
         assert_eq!(out.version_skews, 0);
     }
@@ -977,8 +410,7 @@ mod tests {
         let tl = two_epoch_timeline();
         let boundary = tl.epoch(1).start;
         let bucket = u64::from(Params::paper().data_bucket_size());
-        let (out, spans) = run_versioned_observed(
-            &tl,
+        let (out, spans) = tl.probe_recorded(
             Key(40),
             boundary - bucket,
             ErrorModel::NONE,
@@ -997,8 +429,8 @@ mod tests {
         // A skew-free walk records no StaleRecovery spans, and the observed
         // walk's outcome matches the plain one bit-for-bit.
         let (clean, clean_spans) =
-            run_versioned_observed(&tl, Key(20), 0, ErrorModel::NONE, RetryPolicy::UNBOUNDED);
-        assert_eq!(clean, run_versioned(&tl, Key(20), 0));
+            tl.probe_recorded(Key(20), 0, ErrorModel::NONE, RetryPolicy::UNBOUNDED);
+        assert_eq!(clean, tl.probe(Key(20), 0));
         assert_eq!(clean_spans.get(Phase::StaleRecovery).count, 0);
         assert_eq!(clean_spans.total_access(), clean.access);
     }
@@ -1007,7 +439,7 @@ mod tests {
     fn versioned_slot_agrees_with_one_shot_run() {
         let tl = two_epoch_timeline();
         let boundary = tl.epoch(1).start;
-        let mut slot = VersionedSlot::new(&tl);
+        let mut slot = tl.make_slot();
         assert!(slot.is_done(), "fresh slot is idle");
         for key in [Key(0), Key(20), Key(40), Key(55)] {
             for t in [0u64, boundary - 7, boundary + 3] {
@@ -1017,7 +449,7 @@ mod tests {
                         break out;
                     }
                 };
-                assert_eq!(stepped, run_versioned(&tl, key, t));
+                assert_eq!(stepped, tl.probe(key, t));
             }
         }
     }
@@ -1069,9 +501,10 @@ mod tests {
         (channel, policy): Air,
         ff: bool,
     ) -> (AccessOutcome, PhaseSpans, Vec<WalkStep>) {
-        let mut walk = VersionedWalk::with_channel_recorder(
-            tl,
-            key,
+        let (src, machine) = tl.tune(key, tune_in);
+        let mut walk = Walk::with_channel_recorder(
+            src,
+            machine,
             tune_in,
             channel,
             policy,
@@ -1217,7 +650,7 @@ mod tests {
                         );
                         // The one-shot driver is the fast-forwarding walk.
                         assert_eq!(
-                            run_versioned_observed_channel(&tl, key, t, channel, policy),
+                            tl.probe_recorded_channel(key, t, channel, policy),
                             (fast, fast_spans)
                         );
                         skews += fast.version_skews;

@@ -12,7 +12,7 @@ use crate::channel::Channel;
 use crate::coverage::Coverage;
 use crate::error::Result;
 use crate::key::Key;
-use crate::machine::{Action, FastForward, ProtocolMachine, StaleResponse, Verdict};
+use crate::machine::{Action, FastForward, ProtocolMachine, Verdict};
 use crate::params::Params;
 use crate::record::Dataset;
 use crate::scheme::{Scheme, System};
@@ -145,15 +145,6 @@ impl ProtocolMachine<FlatPayload> for FlatMachine {
     /// cleanly. This terminates with probability 1 at any loss rate < 1.
     fn on_corrupt(&mut self, _meta: BucketMeta) -> Action {
         Action::ReadNext
-    }
-
-    /// A changed program invalidates the coverage map: `record_index` and
-    /// the record count are bound to the cycle the machine was built
-    /// against. Respawning restarts the scan against the live program —
-    /// coverage is then provably accumulated within one program version, so
-    /// a not-found verdict is sound for that version's dataset.
-    fn on_stale(&mut self, _meta: BucketMeta) -> StaleResponse {
-        StaleResponse::Respawn
     }
 
     fn on_bucket(&mut self, payload: &FlatPayload, _meta: BucketMeta) -> Action {

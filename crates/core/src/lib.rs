@@ -17,10 +17,11 @@
 //!   indexing, distributed indexing, hashing, signature indexing) is driven
 //!   by a resumable client state machine ([`machine::ProtocolMachine`]) that
 //!   decides, after every bucket it reads, whether to keep listening, doze
-//!   until a known offset, or finish. Two drivers execute machines: the
-//!   direct walker ([`machine::run_machine`]) used by benchmarks, and the
-//!   discrete-event testbed in `bda-sim`, which steps the same machines
-//!   through [`scheme::QueryRun`].
+//!   until a known offset, or finish. One walk ([`machine::Walk`]) runs
+//!   them over a frozen channel or a churning timeline of programs; two
+//!   drivers step it: the direct walker ([`machine::run_machine`]) used by
+//!   benchmarks, and the discrete-event testbed in `bda-sim`, which steps
+//!   the same walks through [`scheme::QueryRun`] and [`scheme::QuerySlot`].
 //! * **Flat broadcast.** The paper's baseline — no index, clients scan every
 //!   bucket — lives here as [`flat::FlatScheme`].
 //!
@@ -50,11 +51,7 @@ pub use disks::{
     DiskConfig, DiskGeometry, DiskLayout, DiskMachine, DiskScheme, DiskSystem, FlatDisksScheme,
     RepetitionSchedule,
 };
-pub use dynamic::{
-    run_versioned, run_versioned_observed, run_versioned_observed_channel,
-    run_versioned_with_channel, run_versioned_with_policy, Epoch, ObservedVersionedSlot,
-    ProgramTimeline, VersionedSlot, VersionedWalk,
-};
+pub use dynamic::{Epoch, ProgramTimeline, Versioned};
 pub use error::{BdaError, ProtocolFault, Result};
 pub use errors_model::{
     BurstModel, ChainState, ChannelModel, ErrorModel, LossModel, OutageSchedule, RetryPolicy,
@@ -62,19 +59,17 @@ pub use errors_model::{
 pub use flat::{FlatPayload, FlatScheme, FlatSystem};
 pub use key::Key;
 pub use machine::{
-    run_machine_observed, run_machine_observed_channel, run_machine_with_channel,
-    run_machine_with_errors, run_machine_with_policy, AccessOutcome, Action, FastForward,
-    ProtocolMachine, StaleResponse, Verdict, Walk, WalkStep,
+    run_machine_observed_channel, run_machine_with_channel, AccessOutcome, Action, FastForward,
+    ProtocolMachine, Verdict, Walk, WalkStep,
 };
 pub use multichannel::{
     channel_model_for, error_model_for, even_partition, patch_outcome, patch_spans, remix_seed,
     BucketRef, GroupConfig, GroupPayload, GroupSlot, GroupWalk, IndexedGroupScheme,
-    IndexedGroupSystem, ObservedStripedSlot, StripedScheme, StripedSlot, StripedSystem,
-    SwitchedRun,
+    IndexedGroupSystem, StripedScheme, StripedSlot, StripedSystem, SwitchedRun,
 };
 pub use params::Params;
 pub use record::{Dataset, Record};
-pub use scheme::{DynSystem, ObservedWalkSlot, QueryRun, QuerySlot, Scheme, System, WalkSlot};
+pub use scheme::{Broadcast, DynSystem, QueryRun, QuerySlot, Scheme, System, WalkSlot};
 
 // Observability vocabulary, re-exported so scheme crates implementing
 // `ProtocolMachine::bucket_kind` (and drivers wiring recorders through

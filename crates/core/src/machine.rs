@@ -15,7 +15,8 @@
 use crate::bucket::{Bucket, BucketMeta};
 use crate::channel::Channel;
 use crate::error::ProtocolFault;
-use crate::errors_model::{ChannelModel, ErrorModel, RetryPolicy};
+use crate::errors_model::{ChannelModel, RetryPolicy};
+use crate::scheme::QueryRun;
 use crate::Ticks;
 use bda_obs::{BucketKind, NoopRecorder, Phase, PhaseSpans, Recorder, SpanRecorder};
 
@@ -38,22 +39,6 @@ pub enum Action {
     /// version skew is reported *before* the payload reaches the machine,
     /// so staleness never masquerades as a fault.
     Fail(ProtocolFault),
-}
-
-/// How a machine wants to handle a bucket whose broadcast-program version
-/// differs from the version its own pointers were derived from.
-///
-/// Returned by [`ProtocolMachine::on_stale`]. The dynamic walker reports
-/// the skew, then either lets the machine keep going with an action of its
-/// choosing or rebuilds the machine against the current program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StaleResponse {
-    /// Keep this machine's state and continue with the given action. Only
-    /// sound for machines whose remaining state is version-independent.
-    Resume(Action),
-    /// Discard the machine: the walker constructs a fresh machine from the
-    /// *current* program and restarts the protocol at the skewed bucket.
-    Respawn,
 }
 
 /// Terminal result reported by a machine.
@@ -107,49 +92,22 @@ pub trait ProtocolMachine<P> {
     fn on_bucket(&mut self, payload: &P, meta: BucketMeta) -> Action;
 
     /// Called instead of [`ProtocolMachine::on_bucket`] when the bucket was
-    /// corrupted in transmission (error-prone channel extension; see
-    /// [`crate::errors_model::ErrorModel`]). The client listened to the
-    /// whole bucket but cannot use its contents.
+    /// unusable: corrupted in transmission, or aired inside a scheduled
+    /// carrier outage (see [`crate::errors_model::ChannelModel`]). The
+    /// client listened to the whole bucket but cannot use its contents.
+    /// The walker applies the retry policy's back-off to whatever action
+    /// this returns, shifting it by whole cycles; inside an outage that
+    /// back-off grows exponentially with the outage streak
+    /// ([`RetryPolicy::recovery_cycles`]), so a client dozing through a
+    /// dead span does not burn its retry budget one bucket at a time.
     ///
     /// The default restarts the access protocol from the current instant —
-    /// correct for any scheme whose protocol is stateless across cycles.
+    /// correct for any scheme whose protocol is stateless across cycles,
+    /// and the resynchronizing client's re-probe after an outage.
     /// Scanning schemes override this to rewind their cycle-coverage
     /// counters instead.
     fn on_corrupt(&mut self, meta: BucketMeta) -> Action {
         self.start(meta.end)
-    }
-
-    /// Called instead of [`ProtocolMachine::on_corrupt`] when the unusable
-    /// bucket fell inside a scheduled carrier **outage**
-    /// ([`crate::errors_model::OutageSchedule`]): the client sensed signal
-    /// loss rather than a CRC failure. The walker additionally applies the
-    /// outage resynchronization back-off (exponential whole-cycle dozes,
-    /// see [`RetryPolicy::recovery_cycles`]) to whatever action this
-    /// returns, so a client dozing through a dead span does not burn its
-    /// retry budget one bucket at a time.
-    ///
-    /// The default defers to [`ProtocolMachine::on_corrupt`], whose own
-    /// default restarts the protocol — i.e. the resynchronizing client
-    /// re-probes the index once the carrier returns. Never called on a
-    /// channel without outages.
-    fn on_outage(&mut self, meta: BucketMeta) -> Action {
-        self.on_corrupt(meta)
-    }
-
-    /// Called when a bucket about to be delivered carries a broadcast
-    /// program version different from the one this machine was built
-    /// against (dynamic broadcast; see [`crate::dynamic`]). The payload is
-    /// withheld — stale pointers must not steer the walk — and the machine
-    /// chooses between resuming with fresh state of its own or being
-    /// respawned against the current program.
-    ///
-    /// The default is [`StaleResponse::Respawn`]: always sound, because the
-    /// replacement machine is constructed from the live program and starts
-    /// from scratch at the skewed bucket. Never called on frozen channels
-    /// (every bucket matches the anchor version).
-    fn on_stale(&mut self, meta: BucketMeta) -> StaleResponse {
-        let _ = meta;
-        StaleResponse::Respawn
     }
 
     /// Classify a payload for phase attribution: does reading this bucket
@@ -168,16 +126,17 @@ pub trait ProtocolMachine<P> {
     /// bucket (key match, signature hit, coverage completion, give-up,
     /// probe-budget edge).
     ///
-    /// Called by an opted-in [`Walk`] (or versioned walk) while a
-    /// `ReadNext` is pending, *before* the next bucket is read. The
-    /// machine may consume any prefix of upcoming buckets whose slow-path
-    /// handling it can reproduce exactly: it applies the same internal
-    /// state transitions `on_bucket` would have, and commits the consumed
-    /// buckets through `ctx` so access time, tuning time, probe counts and
-    /// per-phase spans stay tick-identical to the bucket-by-bucket walk.
-    /// A corrupted read ([`FastForward::clean`] consults the same fault
-    /// oracle the walker uses) is mechanical too: the planner hands it to
-    /// [`FastForward::retry`], which recovers through the walks' own
+    /// Called by an opted-in [`Walk`] (over a frozen channel, or within
+    /// the epoch on air over a timeline) while a `ReadNext` is pending,
+    /// *before* the next bucket is read. The machine may consume any
+    /// prefix of upcoming buckets whose slow-path handling it can
+    /// reproduce exactly: it applies the same internal state transitions
+    /// `on_bucket` would have, and commits the consumed buckets through
+    /// `ctx` so access time, tuning time, probe counts and per-phase spans
+    /// stay tick-identical to the bucket-by-bucket walk. A corrupted read
+    /// ([`FastForward::clean`] consults the same fault oracle the walker
+    /// uses) is mechanical too: the planner hands it to
+    /// [`FastForward::retry`], which recovers through the walk's own
     /// recovery routine. It must stop *before* — never on — any bucket
     /// where the slow path does something non-mechanical: a (possible)
     /// match, a read that would complete coverage, a corrupted read that
@@ -214,11 +173,11 @@ pub(crate) struct Retries {
 
 impl Retries {
     /// The walker's side of one corrupted read, ending `elapsed` ticks
-    /// after tune-in — the one recovery transition both walks' `step` and
-    /// [`FastForward::retry`] apply. Counts the retry and extends the
-    /// outage streak (`outage`) or resets it, and returns the new state
-    /// with the whole cycles to back off: `None` when the policy gives up
-    /// at this read (retry count or deadline).
+    /// after tune-in — the one recovery transition [`Walk::step`],
+    /// [`FastForward::retry`] and the indexed group's walk apply. Counts
+    /// the retry and extends the outage streak (`outage`) or resets it,
+    /// and returns the new state with the whole cycles to back off: `None`
+    /// when the policy gives up at this read (retry count or deadline).
     pub(crate) fn corrupt(
         self,
         policy: &RetryPolicy,
@@ -241,24 +200,42 @@ impl Retries {
     }
 }
 
-/// Hand an unusable read to `machine` — [`ProtocolMachine::on_outage`]
-/// inside an outage window, [`ProtocolMachine::on_corrupt`] otherwise —
-/// and back its recovery action off by `cycles` whole cycles of
-/// `cycle_len`: the resume point shifts by whole cycles, which keeps the
-/// bucket the machine expects next (the cycle is periodic). The one
-/// back-off of both walks and of [`FastForward::retry`].
+/// The probe budget of a walk over programs of at most `buckets` buckets
+/// behind `channel` — the one budget of [`Walk`] and of the indexed
+/// group's walk. A correct protocol never needs more than a handful of
+/// cycles; four cycles plus slack catches runaway machines without ever
+/// triggering for correct ones on a lossless channel. Lossy channels get
+/// a budget scaled by the worst-state retry factor; channels with outages
+/// get further slack for resynchronization (outage recovery dozes whole
+/// cycles, so the probe cost per outage is logarithmic, but the streak
+/// resets buy extra reads).
+pub(crate) fn probe_budget(buckets: usize, channel: &ChannelModel) -> u32 {
+    let base = (buckets as u32).saturating_mul(4).saturating_add(64);
+    let worst = channel.worst_loss();
+    let mut budget = if worst > 0.0 {
+        let factor = (1.0 / (1.0 - worst.min(0.99))).ceil() as u32 + 4;
+        base.saturating_mul(factor)
+    } else {
+        base
+    };
+    if channel.has_outages() {
+        budget = budget.saturating_mul(4).saturating_add(256);
+    }
+    budget
+}
+
+/// Hand an unusable read to [`ProtocolMachine::on_corrupt`] and back its
+/// recovery action off by `cycles` whole cycles of `cycle_len`: the resume
+/// point shifts by whole cycles, which keeps the bucket the machine
+/// expects next (the cycle is periodic). The one back-off of [`Walk::step`]
+/// and [`FastForward::retry`].
 pub(crate) fn recover<P, M: ProtocolMachine<P>>(
     machine: &mut M,
     meta: BucketMeta,
-    outage: bool,
     cycles: u32,
     cycle_len: Ticks,
 ) -> Action {
-    let act = if outage {
-        machine.on_outage(meta)
-    } else {
-        machine.on_corrupt(meta)
-    };
+    let act = machine.on_corrupt(meta);
     if cycles == 0 {
         return act;
     }
@@ -434,7 +411,7 @@ impl<'a, P> FastForward<'a, P> {
     }
 
     /// Recover from the corrupted read at the cursor exactly as the slow
-    /// path would, through the walks' own recovery routine, so the
+    /// path would, through the walk's own recovery routine, so the
     /// planner can carry on with the run after it. Call it when
     /// [`FastForward::clean`] stops at the cursor, and only from a machine
     /// that recovers by reading on (`ReadNext`), as every scan machine
@@ -443,7 +420,7 @@ impl<'a, P> FastForward<'a, P> {
     /// Consumes nothing and returns `false` when the read gives up (retry
     /// count or deadline) or its back-off would end within four cycles of
     /// `Ticks::MAX`: the slow path reads that bucket. Otherwise it calls
-    /// the machine's `on_outage` or `on_corrupt` once, commits the read
+    /// the machine's `on_corrupt` once, commits the read
     /// (tuning, one probe, one `Retry` span), dozes the back-off as whole
     /// cycles, which keeps the cycle position (one `Doze` span when there
     /// is one), and moves the cursor past the bucket.
@@ -468,7 +445,7 @@ impl<'a, P> FastForward<'a, P> {
             version: bucket.version,
         };
         let wake = end + Ticks::from(cycles) * cycle;
-        let next = recover(machine, meta, outage, cycles, cycle);
+        let next = recover(machine, meta, cycles, cycle);
         debug_assert_eq!(
             next,
             if cycles == 0 {
@@ -513,11 +490,12 @@ pub struct AccessOutcome {
     /// Corrupted bucket transmissions the client had to recover from
     /// (always 0 on a lossless channel).
     pub retries: u32,
-    /// Set when the client's [`RetryPolicy`] gave up on an error-prone
-    /// channel (retry budget exhausted or give-up deadline passed). An
-    /// abandoned query is a *truthful* failure — `found` is false and the
-    /// client knows it stopped early — unlike `aborted`, which flags a
-    /// protocol bug. Always false under [`RetryPolicy::UNBOUNDED`].
+    /// Set when the client gave up on an error-prone channel: its
+    /// [`RetryPolicy`] ran out of retries or passed its deadline, or the
+    /// walk ran out of probe budget after it had retried (or, over a
+    /// churning program, restarted). An abandoned query is a *truthful*
+    /// failure — `found` is false and the client knows it stopped early —
+    /// unlike `aborted`, which flags a protocol bug.
     pub abandoned: bool,
     /// Set when the walker aborted the query because the machine exceeded
     /// its probe budget, dozed into the past, or reported a typed
@@ -528,9 +506,10 @@ pub struct AccessOutcome {
     /// current broadcast program after detecting version skew (always 0 on
     /// a frozen channel).
     pub stale_restarts: u32,
-    /// Buckets observed whose program version differed from the walk's
-    /// anchor version (always 0 on a frozen channel). Every restart is
-    /// preceded by a skew, so `version_skews >= stale_restarts`.
+    /// Clean reads whose program version differed from the one the walk's
+    /// machine was built against (always 0 on a frozen channel). Every
+    /// skew restarts the machine, so this equals `stale_restarts`; both
+    /// are reported because the exported metrics carry both.
     pub version_skews: u32,
 }
 
@@ -560,24 +539,118 @@ pub enum WalkStep {
     Done(AccessOutcome),
 }
 
-/// Executes a [`ProtocolMachine`] against a [`Channel`], one step at a
-/// time, accounting access and tuning time.
+/// The bucket a [`Walk`] reads next: the channel of the program on air,
+/// the epoch that program airs in (always 0 on a frozen channel), and the
+/// bucket's index and absolute start instant.
+pub struct Landing<'a, P> {
+    /// The program's channel.
+    pub(crate) ch: &'a Channel<P>,
+    /// The program's epoch on a [`crate::dynamic::ProgramTimeline`].
+    pub(crate) epoch: usize,
+    /// The bucket's index in `ch`.
+    pub(crate) idx: usize,
+    /// The bucket's absolute start instant.
+    pub(crate) start: Ticks,
+}
+
+/// The broadcast program a [`Walk`] reads, for a walk whose machine has
+/// type `M`: a frozen [`Channel`] (`&Channel<P>`), or a
+/// [`crate::dynamic::ProgramTimeline`] of re-cut programs
+/// ([`crate::dynamic::Versioned`]).
 ///
-/// `Walk` is both the fast in-process driver (via [`run_machine`], which
-/// fast-forwards) and the unit of scheduling for the event-driven testbed,
-/// which alternates [`Walk::step`] with its global event queue. The two
-/// drivers execute the identical code path, and fast-forward is
-/// tick-exact, so their results cannot diverge — a property the
-/// integration suite verifies explicitly.
+/// The source decides at compile time, not per read, what a read costs
+/// beyond the bucket itself. A frozen channel looks the bucket up and
+/// nothing more: no epoch lookup, no header-version check, and
+/// fast-forward may run to `Ticks::MAX`. A timeline also finds the epoch
+/// on air, lets fast-forward run only to that epoch's end, and on a
+/// header version other than the machine's hands the walk a fresh
+/// machine built against the program on air.
+pub trait Source<'a, M> {
+    /// The bucket payload type.
+    type Payload: 'a;
+
+    /// Buckets in the largest program the walk may read (sizes its probe
+    /// budget).
+    fn max_buckets(&self) -> usize;
+
+    /// The first complete bucket a client tuning in (or resuming) at `t`
+    /// can read.
+    fn first_complete_at(&self, t: Ticks) -> Landing<'a, Self::Payload>;
+
+    /// The instant fast-forward may not start a read at or past while it
+    /// runs through the program of `at` — the start of the next program,
+    /// `Ticks::MAX` if none follows — or `None` if it may not engage
+    /// there: the program is not the one the walk's machine was built
+    /// against, so its first bucket is the slow path's to version-check.
+    fn ff_limit(&self, at: &Landing<'a, Self::Payload>) -> Option<Ticks>;
+
+    /// The machine the walk continues with when the clean bucket at `at`
+    /// carries program version `version` other than the one the walk's
+    /// machine was built against (version skew): a fresh machine built
+    /// against the program on air, which the source re-anchors on. `None`
+    /// when the versions agree — always, on a frozen channel, which
+    /// carries one program.
+    fn respawn(&mut self, at: &Landing<'a, Self::Payload>, version: u64) -> Option<M>;
+}
+
+impl<'a, P, M> Source<'a, M> for &'a Channel<P> {
+    type Payload = P;
+
+    fn max_buckets(&self) -> usize {
+        self.num_buckets()
+    }
+
+    #[inline]
+    fn first_complete_at(&self, t: Ticks) -> Landing<'a, P> {
+        let (idx, start) = Channel::first_complete_at(self, t);
+        Landing {
+            ch: self,
+            epoch: 0,
+            idx,
+            start,
+        }
+    }
+
+    #[inline]
+    fn ff_limit(&self, _at: &Landing<'a, P>) -> Option<Ticks> {
+        Some(Ticks::MAX)
+    }
+
+    #[inline]
+    fn respawn(&mut self, _at: &Landing<'a, P>, _version: u64) -> Option<M> {
+        None
+    }
+}
+
+/// Executes a [`ProtocolMachine`] against a broadcast program, one step at
+/// a time, accounting access and tuning time — the one walk of the
+/// reproduction, over a frozen [`Channel`] or a churning
+/// [`crate::dynamic::ProgramTimeline`] (see [`Source`]).
+///
+/// `Walk` is both the fast in-process driver (via [`run_machine`] and its
+/// two variants, which fast-forward) and the unit of scheduling for the
+/// event-driven testbed, which alternates [`Walk::step`] with its global
+/// event queue. The two drivers execute the identical code path, and
+/// fast-forward is tick-exact, so their results cannot diverge — a
+/// property the integration suite verifies explicitly.
+///
+/// Over a timeline the walk also compares each clean bucket's header
+/// version with the version its machine was built against. The payload of
+/// a skewed bucket never reaches the stale machine: the walk counts the
+/// skew, respawns the machine against the program on air and restarts the
+/// protocol at that bucket. So a machine only ever sees payloads of its
+/// own program version, and every verdict is computed within one program.
 #[derive(Debug)]
-pub struct Walk<'a, P, M, R = NoopRecorder> {
-    ch: &'a Channel<P>,
+pub struct Walk<Src, M, R = NoopRecorder> {
+    src: Src,
     machine: M,
     tune_in: Ticks,
     now: Ticks,
     tuning: Ticks,
     probes: u32,
     retries: Retries,
+    /// Machines discarded for version skew (always 0 on a frozen channel).
+    restarts: u32,
     false_drops_hint: u32,
     pending: Option<Action>,
     outcome: Option<AccessOutcome>,
@@ -588,66 +661,31 @@ pub struct Walk<'a, P, M, R = NoopRecorder> {
     recorder: R,
 }
 
-impl<'a, P, M: ProtocolMachine<P>> Walk<'a, P, M> {
+impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>> Walk<Src, M> {
     /// Begin a query at absolute time `tune_in` over a lossless channel.
-    pub fn new(ch: &'a Channel<P>, machine: M, tune_in: Ticks) -> Self {
-        Walk::with_errors(ch, machine, tune_in, ErrorModel::NONE)
-    }
-
-    /// Begin a query over an error-prone channel: each bucket transmission
-    /// is independently corrupted per `errors`, and the machine recovers
-    /// via [`ProtocolMachine::on_corrupt`] (retrying forever).
-    pub fn with_errors(ch: &'a Channel<P>, machine: M, tune_in: Ticks, errors: ErrorModel) -> Self {
-        Walk::with_policy(ch, machine, tune_in, errors, RetryPolicy::UNBOUNDED)
-    }
-
-    /// Begin a query over an error-prone channel with an explicit
-    /// client-side [`RetryPolicy`] governing recovery from corrupt reads.
-    pub fn with_policy(
-        ch: &'a Channel<P>,
-        machine: M,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        Walk::with_recorder(ch, machine, tune_in, errors, policy, NoopRecorder)
-    }
-
-    /// Begin a query over a unified [`ChannelModel`] (i.i.d. or burst
-    /// loss, with or without outages). With a degenerate channel
-    /// (`ChannelModel::from(errors)`) this is bit-identical to
-    /// [`Walk::with_policy`].
-    pub fn with_channel(
-        ch: &'a Channel<P>,
-        machine: M,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        Walk::with_channel_recorder(ch, machine, tune_in, channel, policy, NoopRecorder)
+    pub fn new(src: Src, machine: M, tune_in: Ticks) -> Self {
+        Walk::with_channel_recorder(
+            src,
+            machine,
+            tune_in,
+            ChannelModel::NONE,
+            RetryPolicy::UNBOUNDED,
+            NoopRecorder,
+        )
     }
 }
 
-impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
-    /// Begin a query that reports every step's phase-attributed span to
-    /// `recorder`. With the default [`NoopRecorder`] (`ENABLED = false`)
-    /// every instrumentation site compiles out and this is exactly
-    /// [`Walk::with_policy`].
-    pub fn with_recorder(
-        ch: &'a Channel<P>,
-        machine: M,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-        recorder: R,
-    ) -> Self {
-        Walk::with_channel_recorder(ch, machine, tune_in, errors.into(), policy, recorder)
-    }
-
-    /// [`Walk::with_channel`] with span instrumentation — the most general
-    /// constructor; every other constructor delegates here.
+impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk<Src, M, R> {
+    /// Begin a query at absolute time `tune_in` behind `channel` (i.i.d. or
+    /// burst loss, with or without outages; a caller holding an
+    /// [`crate::errors_model::ErrorModel`] passes `errors.into()`, which is
+    /// bit-identical), recovering from unusable reads under `policy` and
+    /// reporting every step's phase-attributed span to `recorder`. With
+    /// [`NoopRecorder`] (`ENABLED = false`) every instrumentation site
+    /// compiles out. `machine` must have been built against the program
+    /// `src` airs at `tune_in`.
     pub fn with_channel_recorder(
-        ch: &'a Channel<P>,
+        src: Src,
         mut machine: M,
         tune_in: Ticks,
         channel: ChannelModel,
@@ -655,38 +693,19 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
         recorder: R,
     ) -> Self {
         let pending = machine.start(tune_in);
-        // A correct protocol never needs more than a handful of cycles; the
-        // budget of four cycles plus slack catches runaway machines without
-        // ever triggering for correct ones on a lossless channel. Lossy
-        // channels get a budget scaled by the worst-state retry factor;
-        // channels with outages get further slack for resynchronization
-        // (outage recovery dozes whole cycles, so the probe cost per
-        // outage is logarithmic, but the streak resets buy extra reads).
-        let base = (ch.num_buckets() as u32)
-            .saturating_mul(4)
-            .saturating_add(64);
-        let worst = channel.worst_loss();
-        let mut max_probes = if worst > 0.0 {
-            let factor = (1.0 / (1.0 - worst.min(0.99))).ceil() as u32 + 4;
-            base.saturating_mul(factor)
-        } else {
-            base
-        };
-        if channel.has_outages() {
-            max_probes = max_probes.saturating_mul(4).saturating_add(256);
-        }
         Walk {
-            ch,
+            max_probes: probe_budget(src.max_buckets(), &channel),
+            src,
             machine,
             tune_in,
             now: tune_in,
             tuning: 0,
             probes: 0,
             retries: Retries::default(),
+            restarts: 0,
             false_drops_hint: 0,
             pending: Some(pending),
             outcome: None,
-            max_probes,
             channel,
             policy,
             ff: false,
@@ -698,8 +717,11 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
     /// pending the walk lets the machine bulk-consume uninteresting buckets
     /// (see [`ProtocolMachine::fast_forward`]) before the next real read,
     /// so a linear scan takes O(1) steps per *interesting* bucket instead
-    /// of one per bucket. Outcomes, access/tuning accounting, probe counts
-    /// and per-phase spans are tick-identical to the slow path; only the
+    /// of one per bucket. Over a timeline it engages only within the epoch
+    /// on air, and only when that epoch carries the machine's program; the
+    /// boundary bucket goes to the slow path, which detects the skew.
+    /// Outcomes, access/tuning accounting, probe counts, version skews and
+    /// per-phase spans are tick-identical to the slow path; only the
     /// [`WalkStep`] granularity (and hence the event count of an engine
     /// driving the walk) changes.
     ///
@@ -746,14 +768,15 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
             retries: self.retries.count,
             abandoned: false,
             aborted,
-            stale_restarts: 0,
-            version_skews: 0,
+            stale_restarts: self.restarts,
+            version_skews: self.restarts,
         };
         self.outcome = Some(out);
         WalkStep::Done(out)
     }
 
-    /// Give up truthfully: the retry policy's budget or deadline ran out.
+    /// Give up truthfully: the retry policy's budget or deadline ran out,
+    /// or the probe budget did on a walk that retried or restarted.
     fn abandon(&mut self) -> WalkStep {
         let mut step = self.finish(false, self.false_drops_hint, false);
         if let (Some(out), WalkStep::Done(done)) = (self.outcome.as_mut(), &mut step) {
@@ -764,11 +787,12 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
     }
 
     /// The probe budget ran out. On a channel that actually corrupted
-    /// reads this is a truthful abandonment (the client drowned in
-    /// retries, not a protocol bug); on a clean walk it flags a runaway
-    /// machine and aborts, as it always has.
+    /// reads — or under program churn that starved the walk — this is a
+    /// truthful abandonment (the client drowned in retries or restarts,
+    /// not a protocol bug); on a clean walk over one program it flags a
+    /// runaway machine and aborts.
     fn exhaust(&mut self) -> WalkStep {
-        if self.retries.count > 0 {
+        if self.retries.count > 0 || self.restarts > 0 {
             self.abandon()
         } else {
             self.finish(false, self.false_drops_hint, true)
@@ -789,12 +813,18 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
                 if self.probes >= self.max_probes {
                     return self.exhaust();
                 }
-                let (idx, start) = if self.ff && self.probes > 0 {
-                    let landing = engage(
-                        self.ch,
+                let mut at = self.src.first_complete_at(self.now);
+                let limit = if self.ff && self.probes > 0 {
+                    self.src.ff_limit(&at)
+                } else {
+                    None
+                };
+                if let Some(limit) = limit {
+                    let (idx, start) = engage(
+                        at.ch,
                         &mut self.machine,
-                        self.ch.first_complete_at(self.now),
-                        Ticks::MAX,
+                        (at.idx, at.start),
+                        limit,
                         Tally {
                             channel: self.channel,
                             policy: self.policy,
@@ -813,16 +843,23 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
                         // bucket-by-bucket.
                         return self.exhaust();
                     }
-                    debug_assert_eq!(landing, self.ch.first_complete_at(self.now));
-                    landing
-                } else {
-                    self.ch.first_complete_at(self.now)
-                };
-                let bucket = self.ch.bucket(idx);
+                    // Past the program's end (a back-off may doze there),
+                    // the next program holds the landing.
+                    at = if start < limit {
+                        Landing { idx, start, ..at }
+                    } else {
+                        self.src.first_complete_at(self.now)
+                    };
+                    debug_assert!({
+                        let slow = self.src.first_complete_at(self.now);
+                        (slow.epoch, slow.idx, slow.start) == (at.epoch, at.idx, at.start)
+                    });
+                }
+                let bucket = at.ch.bucket(at.idx);
                 let size = Ticks::from(bucket.size);
                 // Saturating, like the start: a back-off may doze the walk
                 // to within a bucket of `Ticks::MAX`.
-                let end = start.saturating_add(size);
+                let end = at.start.saturating_add(size);
                 let from = self.now;
                 // The client listens from `now` until the bucket completes:
                 // any partial-bucket tail counts as tuning (initial wait).
@@ -830,18 +867,32 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
                 self.now = end;
                 self.probes += 1;
                 let meta = BucketMeta {
-                    index: idx,
-                    start,
+                    index: at.idx,
+                    start: at.start,
                     end,
                     size: size as u32,
                     version: bucket.version,
                 };
+                let corrupted = self.channel.corrupted(at.start);
+                // A corrupted transmission hides the header too: the client
+                // cannot even see the version. Skew, if any, is caught on
+                // the next clean read — after an outage, against whichever
+                // program is on the air then.
+                let fresh = if corrupted {
+                    None
+                } else {
+                    self.src.respawn(&at, bucket.version)
+                };
                 if R::ENABLED {
-                    // Corruption trumps structure (the client cannot use the
-                    // payload); the very first read is the initial probe; all
-                    // other reads classify by what the machine sees in them.
-                    let phase = if self.channel.corrupted(start) {
+                    // Corruption trumps skew (the header is unreadable);
+                    // skew trumps structure (the payload is withheld from
+                    // the machine, so the read buys recovery, not
+                    // progress); the very first read is the initial probe;
+                    // all other reads classify by what the machine sees.
+                    let phase = if corrupted {
                         Phase::Retry
+                    } else if fresh.is_some() {
+                        Phase::StaleRecovery
                     } else if self.probes == 1 {
                         Phase::InitialProbe
                     } else {
@@ -852,13 +903,14 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
                     };
                     self.recorder.span(phase, end - from, end - from);
                 }
-                let next = if self.channel.corrupted(start) {
+                let next = if corrupted {
                     // Inside an outage the carrier is gone: the machine
                     // resynchronizes (default: re-probe the index) and the
                     // walker dozes exponentially more whole cycles per
                     // consecutive dead read, so an outage costs O(log)
-                    // probes instead of one per bucket.
-                    let outage = self.channel.in_outage(start);
+                    // probes instead of one per bucket. The back-off counts
+                    // cycles of the program just read.
+                    let outage = self.channel.in_outage(at.start);
                     let (retries, backoff) =
                         self.retries
                             .corrupt(&self.policy, outage, self.now - self.tune_in);
@@ -866,17 +918,31 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
                     let Some(cycles) = backoff else {
                         return self.abandon();
                     };
-                    recover(&mut self.machine, meta, outage, cycles, self.ch.cycle_len())
+                    recover(&mut self.machine, meta, cycles, at.ch.cycle_len())
                 } else {
                     self.retries.outage_streak = 0;
-                    self.machine.on_bucket(&bucket.payload, meta)
+                    match fresh {
+                        // Restart the protocol against the program that owns
+                        // the skewed bucket. The bucket is already paid for
+                        // and is a valid bucket of the new program, so a
+                        // fresh machine that reads next reads this one.
+                        Some(machine) => {
+                            self.restarts += 1;
+                            self.machine = machine;
+                            match self.machine.start(meta.start) {
+                                Action::ReadNext => self.machine.on_bucket(&bucket.payload, meta),
+                                act => act,
+                            }
+                        }
+                        None => self.machine.on_bucket(&bucket.payload, meta),
+                    }
                 };
                 if let Action::Finish(v) = next {
                     self.false_drops_hint = v.false_drops;
                 }
                 self.pending = Some(next);
                 WalkStep::Read {
-                    bucket: idx,
+                    bucket: at.idx,
                     from,
                     until: end,
                 }
@@ -894,10 +960,22 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
                 WalkStep::Doze { until: t }
             }
             Action::Finish(v) => self.finish(v.found, v.false_drops, false),
-            // A typed protocol fault on a frozen channel is a builder bug:
-            // abort so the differential suites catch it.
+            // A typed protocol fault on a version-consistent program is a
+            // builder bug: abort so the differential suites catch it.
             Action::Fail(_) => self.finish(false, self.false_drops_hint, true),
         }
+    }
+}
+
+impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> QueryRun
+    for Walk<Src, M, R>
+{
+    fn step(&mut self) -> WalkStep {
+        Walk::step(self)
+    }
+
+    fn now(&self) -> Ticks {
+        Walk::now(self)
     }
 }
 
@@ -905,30 +983,29 @@ impl<'a, P, M: ProtocolMachine<P>, R: Recorder> Walk<'a, P, M, R> {
 /// tuning, probe count and retries a fast-forward engagement folds into;
 /// the probe budget it must stay within; and the recorder its spans
 /// replay through.
-pub(crate) struct Tally<'w, R> {
-    pub(crate) channel: ChannelModel,
-    pub(crate) policy: RetryPolicy,
-    pub(crate) tune_in: Ticks,
-    pub(crate) now: &'w mut Ticks,
-    pub(crate) tuning: &'w mut Ticks,
-    pub(crate) probes: &'w mut u32,
-    pub(crate) max_probes: u32,
-    pub(crate) retries: &'w mut Retries,
-    pub(crate) recorder: &'w mut R,
+struct Tally<'w, R> {
+    channel: ChannelModel,
+    policy: RetryPolicy,
+    tune_in: Ticks,
+    now: &'w mut Ticks,
+    tuning: &'w mut Ticks,
+    probes: &'w mut u32,
+    max_probes: u32,
+    retries: &'w mut Retries,
+    recorder: &'w mut R,
 }
 
-/// One fast-forward engagement — the single routine behind both [`Walk`]
-/// and [`crate::dynamic::VersionedWalk`]. Lets `machine` bulk-consume the
-/// uninteresting buckets of `ch` from `cursor` (the bucket the slow path
-/// would read next), corrupted reads and their back-offs included,
-/// without starting a read at or after `limit`, then folds its aggregate
-/// accounting into `tally` as if each bucket had been stepped: retries
-/// first, so a walk that then finds its probe budget spent abandons
-/// truthfully. Returns the cursor's landing: the bucket the slow path
-/// reads next, i.e. `first_complete_at(now)`, unless the cursor reached
-/// `limit` (a back-off may end there or past it), where the caller must
-/// look the landing up in the next program.
-pub(crate) fn engage<P, M: ProtocolMachine<P>, R: Recorder>(
+/// One fast-forward engagement of [`Walk::step`]. Lets `machine`
+/// bulk-consume the uninteresting buckets of `ch` from `cursor` (the
+/// bucket the slow path would read next), corrupted reads and their
+/// back-offs included, without starting a read at or after `limit`, then
+/// folds its aggregate accounting into `tally` as if each bucket had been
+/// stepped: retries first, so a walk that then finds its probe budget
+/// spent abandons truthfully. Returns the cursor's landing: the bucket the
+/// slow path reads next, i.e. `first_complete_at(now)`, unless the cursor
+/// reached `limit` (a back-off may end there or past it), where the caller
+/// must look the landing up in the next program.
+fn engage<P, M: ProtocolMachine<P>, R: Recorder>(
     ch: &Channel<P>,
     machine: &mut M,
     cursor: (usize, Ticks),
@@ -978,86 +1055,62 @@ pub(crate) fn engage<P, M: ProtocolMachine<P>, R: Recorder>(
     (ctx.idx, ctx.start)
 }
 
-/// Drive a machine to completion with fast-forward on and return its
-/// outcome — the direct walker behind `DynSystem::probe`, benchmarks and
-/// analytical-validation sweeps. Fast-forward is tick-exact, so the outcome
-/// equals a bucket-by-bucket [`Walk`]'s; only the step count differs.
-pub fn run_machine<P, M: ProtocolMachine<P>>(
-    ch: &Channel<P>,
+/// Drive a machine to completion over a lossless channel with
+/// fast-forward on and return its outcome — the direct walker behind
+/// `DynSystem::probe`, benchmarks and analytical-validation sweeps, over a
+/// frozen channel or a timeline alike. Fast-forward is tick-exact, so the
+/// outcome equals a bucket-by-bucket [`Walk`]'s; only the step count
+/// differs.
+pub fn run_machine<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>>(
+    src: Src,
     machine: M,
     tune_in: Ticks,
 ) -> AccessOutcome {
-    run_machine_with_errors(ch, machine, tune_in, ErrorModel::NONE)
+    run_machine_with_channel(
+        src,
+        machine,
+        tune_in,
+        ChannelModel::NONE,
+        RetryPolicy::UNBOUNDED,
+    )
 }
 
-/// [`run_machine`] over an error-prone channel (unbounded retries).
-pub fn run_machine_with_errors<P, M: ProtocolMachine<P>>(
-    ch: &Channel<P>,
-    machine: M,
-    tune_in: Ticks,
-    errors: ErrorModel,
-) -> AccessOutcome {
-    run_machine_with_policy(ch, machine, tune_in, errors, RetryPolicy::UNBOUNDED)
-}
-
-/// [`run_machine`] over an error-prone channel with an explicit client
-/// [`RetryPolicy`].
-pub fn run_machine_with_policy<P, M: ProtocolMachine<P>>(
-    ch: &Channel<P>,
-    machine: M,
-    tune_in: Ticks,
-    errors: ErrorModel,
-    policy: RetryPolicy,
-) -> AccessOutcome {
-    run_machine_with_channel(ch, machine, tune_in, errors.into(), policy)
-}
-
-/// [`run_machine`] over a unified [`ChannelModel`] (burst loss and/or
-/// outages) with an explicit client [`RetryPolicy`]. Degenerate channels
-/// reproduce [`run_machine_with_policy`] bit for bit.
-pub fn run_machine_with_channel<P, M: ProtocolMachine<P>>(
-    ch: &Channel<P>,
+/// [`run_machine`] behind a [`ChannelModel`] (i.i.d. or burst loss and/or
+/// outages) with an explicit client [`RetryPolicy`].
+pub fn run_machine_with_channel<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>>(
+    src: Src,
     machine: M,
     tune_in: Ticks,
     channel: ChannelModel,
     policy: RetryPolicy,
 ) -> AccessOutcome {
-    drain_walk(Walk::with_channel(ch, machine, tune_in, channel, policy)).0
+    let walk = Walk::with_channel_recorder(src, machine, tune_in, channel, policy, NoopRecorder);
+    drain_walk(walk).0
 }
 
-/// [`run_machine_with_channel`] with span instrumentation.
-pub fn run_machine_observed_channel<P, M: ProtocolMachine<P>>(
-    ch: &Channel<P>,
+/// [`run_machine_with_channel`] with span instrumentation: also returns the
+/// walk's per-phase access/tuning decomposition, whose totals equal the
+/// outcome's `access` and `tuning` exactly (spans are recorded as the
+/// bytes are paid, so the sums telescope). Skewed reads land in
+/// [`Phase::StaleRecovery`]. Fast-forwarded spans equal the
+/// bucket-by-bucket walk's.
+pub fn run_machine_observed_channel<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>>(
+    src: Src,
     machine: M,
     tune_in: Ticks,
     channel: ChannelModel,
     policy: RetryPolicy,
 ) -> (AccessOutcome, PhaseSpans) {
     let walk =
-        Walk::with_channel_recorder(ch, machine, tune_in, channel, policy, SpanRecorder::new());
+        Walk::with_channel_recorder(src, machine, tune_in, channel, policy, SpanRecorder::new());
     let (out, recorder) = drain_walk(walk);
     (out, recorder.spans)
 }
 
-/// [`run_machine_with_policy`] with span instrumentation: also returns the
-/// walk's per-phase access/tuning decomposition, whose totals equal the
-/// outcome's `access` and `tuning` exactly (spans are recorded as the
-/// bytes are paid, so the sums telescope). Fast-forwarded spans equal the
-/// bucket-by-bucket walk's.
-pub fn run_machine_observed<P, M: ProtocolMachine<P>>(
-    ch: &Channel<P>,
-    machine: M,
-    tune_in: Ticks,
-    errors: ErrorModel,
-    policy: RetryPolicy,
-) -> (AccessOutcome, PhaseSpans) {
-    run_machine_observed_channel(ch, machine, tune_in, errors.into(), policy)
-}
-
 /// The one-shot drivers' shared loop: step `walk` to completion with
 /// fast-forward on, then hand back its outcome and recorder.
-fn drain_walk<P, M: ProtocolMachine<P>, R: Recorder>(
-    mut walk: Walk<'_, P, M, R>,
+fn drain_walk<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder>(
+    mut walk: Walk<Src, M, R>,
 ) -> (AccessOutcome, R) {
     walk.set_fast_forward(true);
     loop {
@@ -1070,7 +1123,7 @@ fn drain_walk<P, M: ProtocolMachine<P>, R: Recorder>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::errors_model::{BurstModel, OutageSchedule};
+    use crate::errors_model::{BurstModel, ErrorModel, OutageSchedule};
 
     fn ch(sizes: &[u32]) -> Channel<usize> {
         Channel::new(
@@ -1268,11 +1321,11 @@ pub(crate) mod tests {
         let c = ch(&[10, 20]);
         // Every transmission corrupt: budget of 2 retries means the third
         // corrupt read gives up.
-        let out = run_machine_with_policy(
+        let out = run_machine_with_channel(
             &c,
             FirstGood,
             0,
-            ErrorModel::new(1.0, 1),
+            ErrorModel::new(1.0, 1).into(),
             RetryPolicy::bounded(2),
         );
         assert!(out.abandoned);
@@ -1285,18 +1338,18 @@ pub(crate) mod tests {
     #[test]
     fn backoff_dozes_whole_cycles_between_retries() {
         let c = ch(&[10, 20]); // cycle length 30
-        let immediate = run_machine_with_policy(
+        let immediate = run_machine_with_channel(
             &c,
             FirstGood,
             0,
-            ErrorModel::new(1.0, 1),
+            ErrorModel::new(1.0, 1).into(),
             RetryPolicy::bounded(2),
         );
-        let backed_off = run_machine_with_policy(
+        let backed_off = run_machine_with_channel(
             &c,
             FirstGood,
             0,
-            ErrorModel::new(1.0, 1),
+            ErrorModel::new(1.0, 1).into(),
             RetryPolicy::bounded(2).with_backoff(1),
         );
         assert!(backed_off.abandoned);
@@ -1310,11 +1363,11 @@ pub(crate) mod tests {
     #[test]
     fn give_up_deadline_abandons_at_next_corrupt_read() {
         let c = ch(&[10, 20]);
-        let out = run_machine_with_policy(
+        let out = run_machine_with_channel(
             &c,
             FirstGood,
             0,
-            ErrorModel::new(1.0, 1),
+            ErrorModel::new(1.0, 1).into(),
             RetryPolicy::default().with_deadline(1),
         );
         assert!(out.abandoned);
@@ -1327,7 +1380,7 @@ pub(crate) mod tests {
         // Tune in mid-bucket at t=5: initial probe listens through bucket 0's
         // tail + bucket 1 (5+20... no: first_complete_at(5) is bucket 1, so
         // the client listens 5 bytes of bucket 0 tail then bucket 1).
-        let (out, spans) = run_machine_observed(
+        let (out, spans) = run_machine_observed_channel(
             &c,
             Scripted {
                 reads: 2,
@@ -1335,7 +1388,7 @@ pub(crate) mod tests {
                 seen: vec![],
             },
             5,
-            ErrorModel::NONE,
+            ChannelModel::NONE,
             RetryPolicy::UNBOUNDED,
         );
         assert!(out.found);
@@ -1352,11 +1405,11 @@ pub(crate) mod tests {
     #[test]
     fn corrupt_reads_are_attributed_to_retry() {
         let c = ch(&[10, 20]);
-        let (out, spans) = run_machine_observed(
+        let (out, spans) = run_machine_observed_channel(
             &c,
             FirstGood,
             0,
-            ErrorModel::new(1.0, 1),
+            ErrorModel::new(1.0, 1).into(),
             RetryPolicy::bounded(2),
         );
         assert!(out.abandoned);
@@ -1372,7 +1425,7 @@ pub(crate) mod tests {
     fn noop_and_observed_walks_agree() {
         let c = ch(&[10, 20, 30]);
         for tune_in in [0u64, 3, 17, 42] {
-            let plain = run_machine_with_policy(
+            let plain = run_machine_with_channel(
                 &c,
                 Scripted {
                     reads: 2,
@@ -1380,10 +1433,10 @@ pub(crate) mod tests {
                     seen: vec![],
                 },
                 tune_in,
-                ErrorModel::new(0.3, 9),
+                ErrorModel::new(0.3, 9).into(),
                 RetryPolicy::bounded(5),
             );
-            let (observed, _) = run_machine_observed(
+            let (observed, _) = run_machine_observed_channel(
                 &c,
                 Scripted {
                     reads: 2,
@@ -1391,7 +1444,7 @@ pub(crate) mod tests {
                     seen: vec![],
                 },
                 tune_in,
-                ErrorModel::new(0.3, 9),
+                ErrorModel::new(0.3, 9).into(),
                 RetryPolicy::bounded(5),
             );
             assert_eq!(plain, observed);
@@ -1647,7 +1700,14 @@ pub(crate) mod tests {
         air: ChannelModel,
         ff: bool,
     ) -> Vec<WalkStep> {
-        let mut walk = Walk::with_channel(c, machine, tune_in, air, RetryPolicy::bounded(4));
+        let mut walk = Walk::with_channel_recorder(
+            c,
+            machine,
+            tune_in,
+            air,
+            RetryPolicy::bounded(4),
+            NoopRecorder,
+        );
         walk.set_fast_forward(ff);
         let mut steps = Vec::new();
         loop {
@@ -1736,7 +1796,7 @@ pub(crate) mod tests {
             },
             5,
         );
-        let strict = run_machine_with_policy(
+        let strict = run_machine_with_channel(
             &c,
             Scripted {
                 reads: 2,
@@ -1744,7 +1804,7 @@ pub(crate) mod tests {
                 seen: vec![],
             },
             5,
-            ErrorModel::NONE,
+            ChannelModel::NONE,
             RetryPolicy::bounded(0).with_backoff(3).with_deadline(1),
         );
         assert_eq!(plain, strict);

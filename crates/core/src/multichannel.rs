@@ -46,15 +46,12 @@ use crate::channel::Channel;
 use crate::error::{BdaError, Result};
 use crate::errors_model::{ChannelModel, ErrorModel, LossModel, OutageSchedule, RetryPolicy};
 use crate::key::Key;
-use crate::machine::{
-    run_machine, run_machine_observed, run_machine_observed_channel, run_machine_with_channel,
-    run_machine_with_policy, AccessOutcome, Walk, WalkStep,
-};
+use crate::machine::{probe_budget, AccessOutcome, Retries, Walk, WalkStep};
 use crate::params::Params;
 use crate::record::Dataset;
-use crate::scheme::{DynSystem, QueryRun, QuerySlot, Scheme, System};
+use crate::scheme::{Broadcast, DynSystem, MachineOf, QueryRun, QuerySlot, Scheme};
 use crate::Ticks;
-use bda_obs::{Phase, PhaseSpans, SpanRecorder};
+use bda_obs::{NoopRecorder, Phase, PhaseSpans, Recorder, SpanRecorder};
 
 /// A cross-channel bucket address: bucket starting at cycle-relative
 /// `offset` on channel `channel` of the group. Directory entries carry
@@ -257,19 +254,20 @@ impl<S: Scheme> StripedScheme<S> {
     }
 }
 
-/// A built striped group: one inner [`System`] per channel plus the
-/// frozen routing directory (first key of each slice).
-pub struct StripedSystem<S: System> {
+/// A built striped group: one inner [`Broadcast`] per channel (a frozen
+/// [`crate::scheme::System`], or a churning program such as a versioned
+/// server) plus the frozen routing directory (first key of each slice).
+pub struct StripedSystem<S> {
     channels: Vec<S>,
     bounds: Vec<u64>,
     switch_cost: Ticks,
 }
 
-impl<S: System> StripedSystem<S> {
+impl<S> StripedSystem<S> {
     /// Assemble a striped system from already-built per-channel programs.
     /// `bounds[g]` is the first key of channel `g`'s slice; keys route to
     /// the last channel whose bound is ≤ the key (keys below every bound
-    /// route to channel 0). Used by the dynamic-broadcast wrapper, whose
+    /// route to channel 0). Used by the dynamic-broadcast group, whose
     /// channels are versioned servers rather than frozen systems.
     pub fn from_parts(channels: Vec<S>, bounds: Vec<u64>, switch_cost: Ticks) -> Self {
         assert_eq!(channels.len(), bounds.len());
@@ -363,133 +361,54 @@ impl<R: QueryRun> QueryRun for SwitchedRun<R> {
     }
 }
 
-/// The reusable [`QuerySlot`] of a striped group: routes each query to
-/// its channel at [`QuerySlot::start`], arms an inner [`Walk`] behind the
-/// channel's derived fault model, and patches the switch cost into the
-/// final outcome.
-pub struct StripedSlot<'a, S: System> {
+/// The reusable [`QuerySlot`] of a striped group, frozen or churning:
+/// routes each query to its channel at [`QuerySlot::start`], arms an
+/// in-place [`Walk`] over that channel's program behind the channel's
+/// derived fault model with a fresh recorder `R`, and patches the switch
+/// cost into the final outcome. With a [`SpanRecorder`] the
+/// exposed spans gain one [`Phase::ChannelSwitch`] span when the walk
+/// completes, so from then on they total the patched outcome.
+pub struct StripedSlot<'a, S: Broadcast, R = NoopRecorder> {
     system: &'a StripedSystem<S>,
-    walk: Option<Walk<'a, S::Payload, S::Machine>>,
+    walk: Option<Walk<S::Source<'a>, MachineOf<S>, R>>,
     base: ChannelModel,
     policy: RetryPolicy,
     ff: bool,
-    pending: Ticks,
+    /// The current query's retune cost.
+    sw: Ticks,
 }
 
-impl<'a, S: System> StripedSlot<'a, S> {
+impl<'a, S: Broadcast, R> StripedSlot<'a, S, R> {
     /// An empty slot over the group behind `base` faults; arm with
     /// [`QuerySlot::start`].
-    pub fn with_channel(
-        system: &'a StripedSystem<S>,
-        base: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Self {
+    pub fn new(system: &'a StripedSystem<S>, base: ChannelModel, policy: RetryPolicy) -> Self {
         StripedSlot {
             system,
             walk: None,
             base,
             policy,
             ff: false,
-            pending: 0,
+            sw: 0,
         }
     }
 }
 
-impl<S: System> QuerySlot for StripedSlot<'_, S> {
+impl<'a, S: Broadcast + Sync, R: Recorder + Default + Send> QuerySlot for StripedSlot<'a, S, R> {
     fn start(&mut self, key: Key, tune_in: Ticks) {
         let (g, sw) = self.system.route_with_cost(key);
-        let sys = &self.system.channels[g];
-        let mut walk = Walk::with_channel(
-            sys.channel(),
-            sys.query(key),
-            tune_in.saturating_add(sw),
-            channel_model_for(self.base, g as u32),
-            self.policy,
-        );
-        walk.set_fast_forward(self.ff);
-        self.walk = Some(walk);
-        self.pending = sw;
-    }
-
-    fn set_fast_forward(&mut self, enabled: bool) {
-        self.ff = enabled;
-        if let Some(walk) = self.walk.as_mut() {
-            walk.set_fast_forward(enabled);
-        }
-    }
-
-    fn step(&mut self) -> WalkStep {
-        let step = self
-            .walk
-            .as_mut()
-            .expect("QuerySlot::step before start")
-            .step();
-        match step {
-            WalkStep::Done(out) => WalkStep::Done(patch_outcome(out, self.pending)),
-            s => s,
-        }
-    }
-
-    fn now(&self) -> Ticks {
-        self.walk
-            .as_ref()
-            .expect("QuerySlot::now before start")
-            .now()
-    }
-
-    fn is_done(&self) -> bool {
-        self.walk.as_ref().map_or(true, Walk::is_done)
-    }
-}
-
-/// The instrumented counterpart of [`StripedSlot`]: inner spans plus one
-/// [`Phase::ChannelSwitch`] span when the query paid a retune, exposed
-/// after completion (so the exposed totals equal the patched outcome).
-pub struct ObservedStripedSlot<'a, S: System> {
-    system: &'a StripedSystem<S>,
-    walk: Option<Walk<'a, S::Payload, S::Machine, SpanRecorder>>,
-    base: ChannelModel,
-    policy: RetryPolicy,
-    ff: bool,
-    pending: Ticks,
-    patched: Option<PhaseSpans>,
-}
-
-impl<'a, S: System> ObservedStripedSlot<'a, S> {
-    /// An empty instrumented slot; arm with [`QuerySlot::start`].
-    pub fn with_channel(
-        system: &'a StripedSystem<S>,
-        base: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        ObservedStripedSlot {
-            system,
-            walk: None,
-            base,
-            policy,
-            ff: false,
-            pending: 0,
-            patched: None,
-        }
-    }
-}
-
-impl<S: System> QuerySlot for ObservedStripedSlot<'_, S> {
-    fn start(&mut self, key: Key, tune_in: Ticks) {
-        let (g, sw) = self.system.route_with_cost(key);
-        let sys = &self.system.channels[g];
+        let t = tune_in.saturating_add(sw);
+        let (src, machine) = self.system.channels[g].tune(key, t);
         let mut walk = Walk::with_channel_recorder(
-            sys.channel(),
-            sys.query(key),
-            tune_in.saturating_add(sw),
+            src,
+            machine,
+            t,
             channel_model_for(self.base, g as u32),
             self.policy,
-            SpanRecorder::new(),
+            R::default(),
         );
         walk.set_fast_forward(self.ff);
         self.walk = Some(walk);
-        self.pending = sw;
-        self.patched = None;
+        self.sw = sw;
     }
 
     fn set_fast_forward(&mut self, enabled: bool) {
@@ -500,20 +419,14 @@ impl<S: System> QuerySlot for ObservedStripedSlot<'_, S> {
     }
 
     fn step(&mut self) -> WalkStep {
-        let step = self
-            .walk
-            .as_mut()
-            .expect("QuerySlot::step before start")
-            .step();
-        match step {
+        let walk = self.walk.as_mut().expect("QuerySlot::step before start");
+        let done = walk.is_done();
+        match walk.step() {
             WalkStep::Done(out) => {
-                let spans = self
-                    .walk
-                    .as_ref()
-                    .map(|w| w.recorder().spans)
-                    .unwrap_or_default();
-                self.patched = Some(patch_spans(spans, self.pending));
-                WalkStep::Done(patch_outcome(out, self.pending))
+                if !done && self.sw > 0 {
+                    walk.recorder_mut().span(Phase::ChannelSwitch, self.sw, 0);
+                }
+                WalkStep::Done(patch_outcome(out, self.sw))
             }
             s => s,
         }
@@ -531,152 +444,33 @@ impl<S: System> QuerySlot for ObservedStripedSlot<'_, S> {
     }
 
     fn spans(&self) -> Option<&PhaseSpans> {
-        self.patched
-            .as_ref()
-            .or_else(|| self.walk.as_ref().map(|w| &w.recorder().spans))
+        self.walk.as_ref().and_then(|w| w.recorder().spans())
     }
 }
 
-impl<S: System> DynSystem for StripedSystem<S>
+/// A striped group runs each query over its channel's own program, so
+/// every driver is that program's, shifted by the switch cost and behind
+/// the channel's derived fault model.
+impl<S: Broadcast + Send + Sync> DynSystem for StripedSystem<S>
 where
-    S::Machine: 'static,
+    MachineOf<S>: 'static,
 {
     fn scheme_name(&self) -> &'static str {
-        self.channels[0].scheme_name()
+        DynSystem::scheme_name(&self.channels[0])
     }
 
     fn cycle_len(&self) -> Ticks {
-        // The group's period is its slowest channel's cycle: after that
-        // many ticks every channel has completed a whole number of... no —
-        // channels are *not* harmonically related in general, so this is
-        // the longest per-channel cycle, the natural back-off unit.
+        // Channels are not harmonically related in general, so the
+        // group's natural back-off unit is its longest per-channel cycle.
         self.channels
             .iter()
-            .map(|c| c.channel().cycle_len())
+            .map(DynSystem::cycle_len)
             .max()
             .unwrap_or(0)
     }
 
     fn num_buckets(&self) -> usize {
-        self.channels
-            .iter()
-            .map(|c| c.channel().num_buckets())
-            .sum()
-    }
-
-    fn probe(&self, key: Key, tune_in: Ticks) -> AccessOutcome {
-        let (g, sw) = self.route_with_cost(key);
-        let sys = &self.channels[g];
-        patch_outcome(
-            run_machine(sys.channel(), sys.query(key), tune_in.saturating_add(sw)),
-            sw,
-        )
-    }
-
-    fn probe_with_errors(&self, key: Key, tune_in: Ticks, errors: ErrorModel) -> AccessOutcome {
-        self.probe_with_policy(key, tune_in, errors, RetryPolicy::UNBOUNDED)
-    }
-
-    fn probe_with_policy(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> AccessOutcome {
-        let (g, sw) = self.route_with_cost(key);
-        let sys = &self.channels[g];
-        patch_outcome(
-            run_machine_with_policy(
-                sys.channel(),
-                sys.query(key),
-                tune_in.saturating_add(sw),
-                error_model_for(errors, g as u32),
-                policy,
-            ),
-            sw,
-        )
-    }
-
-    fn begin(&self, key: Key, tune_in: Ticks) -> Box<dyn QueryRun + '_> {
-        let (g, sw) = self.route_with_cost(key);
-        let sys = &self.channels[g];
-        let walk = Walk::new(sys.channel(), sys.query(key), tune_in.saturating_add(sw));
-        if sw == 0 {
-            Box::new(walk)
-        } else {
-            Box::new(SwitchedRun { inner: walk, sw })
-        }
-    }
-
-    fn begin_with_faults(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_> {
-        let (g, sw) = self.route_with_cost(key);
-        let sys = &self.channels[g];
-        let walk = Walk::with_policy(
-            sys.channel(),
-            sys.query(key),
-            tune_in.saturating_add(sw),
-            error_model_for(errors, g as u32),
-            policy,
-        );
-        if sw == 0 {
-            Box::new(walk)
-        } else {
-            Box::new(SwitchedRun { inner: walk, sw })
-        }
-    }
-
-    fn make_slot(&self) -> Box<dyn QuerySlot + '_> {
-        Box::new(StripedSlot::with_channel(
-            self,
-            ChannelModel::NONE,
-            RetryPolicy::UNBOUNDED,
-        ))
-    }
-
-    fn make_slot_with_faults(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(StripedSlot::with_channel(self, errors.into(), policy))
-    }
-
-    fn probe_recorded(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans) {
-        let (g, sw) = self.route_with_cost(key);
-        let sys = &self.channels[g];
-        let (out, spans) = run_machine_observed(
-            sys.channel(),
-            sys.query(key),
-            tune_in.saturating_add(sw),
-            error_model_for(errors, g as u32),
-            policy,
-        );
-        (patch_outcome(out, sw), patch_spans(spans, sw))
-    }
-
-    fn make_slot_observed(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(ObservedStripedSlot::with_channel(
-            self,
-            errors.into(),
-            policy,
-        ))
+        self.channels.iter().map(DynSystem::num_buckets).sum()
     }
 
     fn probe_with_channel(
@@ -687,17 +481,13 @@ where
         policy: RetryPolicy,
     ) -> AccessOutcome {
         let (g, sw) = self.route_with_cost(key);
-        let sys = &self.channels[g];
-        patch_outcome(
-            run_machine_with_channel(
-                sys.channel(),
-                sys.query(key),
-                tune_in.saturating_add(sw),
-                channel_model_for(channel, g as u32),
-                policy,
-            ),
-            sw,
-        )
+        let out = self.channels[g].probe_with_channel(
+            key,
+            tune_in.saturating_add(sw),
+            channel_model_for(channel, g as u32),
+            policy,
+        );
+        patch_outcome(out, sw)
     }
 
     fn probe_recorded_channel(
@@ -708,10 +498,8 @@ where
         policy: RetryPolicy,
     ) -> (AccessOutcome, PhaseSpans) {
         let (g, sw) = self.route_with_cost(key);
-        let sys = &self.channels[g];
-        let (out, spans) = run_machine_observed_channel(
-            sys.channel(),
-            sys.query(key),
+        let (out, spans) = self.channels[g].probe_recorded_channel(
+            key,
             tune_in.saturating_add(sw),
             channel_model_for(channel, g as u32),
             policy,
@@ -727,18 +515,16 @@ where
         policy: RetryPolicy,
     ) -> Box<dyn QueryRun + '_> {
         let (g, sw) = self.route_with_cost(key);
-        let sys = &self.channels[g];
-        let walk = Walk::with_channel(
-            sys.channel(),
-            sys.query(key),
+        let run = self.channels[g].begin_with_channel(
+            key,
             tune_in.saturating_add(sw),
             channel_model_for(channel, g as u32),
             policy,
         );
         if sw == 0 {
-            Box::new(walk)
+            run
         } else {
-            Box::new(SwitchedRun { inner: walk, sw })
+            Box::new(SwitchedRun::new(run, sw))
         }
     }
 
@@ -747,7 +533,7 @@ where
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> Box<dyn QuerySlot + '_> {
-        Box::new(StripedSlot::with_channel(self, channel, policy))
+        Box::new(StripedSlot::<_, NoopRecorder>::new(self, channel, policy))
     }
 
     fn make_slot_channel_observed(
@@ -755,7 +541,7 @@ where
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> Box<dyn QuerySlot + '_> {
-        Box::new(ObservedStripedSlot::with_channel(self, channel, policy))
+        Box::new(StripedSlot::<_, SpanRecorder>::new(self, channel, policy))
     }
 }
 
@@ -1059,10 +845,11 @@ enum GroupPending {
 /// answer not-found from the air or retune (paying
 /// [`GroupConfig::switch_cost`]) to the data channel and read the record
 /// at its next occurrence — forward-only at every hop. Corrupted reads
-/// consult the [`RetryPolicy`] exactly like the single-channel walker:
-/// recovery dozes are whole cycles of the *current* channel, outage
-/// streaks escalate the back-off, and exhausted budgets abandon
-/// truthfully.
+/// go through the single-channel [`Walk`]'s recovery transition and
+/// give-up rules: the retry count picks the back-off under loss and the
+/// outage streak picks it inside outages, recovery dozes are whole cycles
+/// of the *current* channel, and a walk that runs out of retries,
+/// deadline or (after retrying) probe budget abandons truthfully.
 pub struct GroupWalk<'a> {
     system: &'a IndexedGroupSystem,
     key: Key,
@@ -1073,9 +860,9 @@ pub struct GroupWalk<'a> {
     pending: GroupPending,
     spans: PhaseSpans,
     tuning: Ticks,
+    /// Clean reads so far.
     probes: u32,
-    retries: u32,
-    streak: u32,
+    retries: Retries,
     first_read: bool,
     budget: u32,
 }
@@ -1090,20 +877,9 @@ impl<'a> GroupWalk<'a> {
         base: ChannelModel,
         policy: RetryPolicy,
     ) -> Self {
-        // Same budget discipline as the single-channel walker: linear in
-        // the program size, scaled for loss and outages, so a protocol
-        // bug aborts instead of spinning forever.
-        let num_buckets = system.index.num_buckets()
-            + system.data.iter().map(Channel::num_buckets).sum::<usize>();
-        let mut budget = (num_buckets as u32).saturating_mul(4).saturating_add(64);
-        let worst = base.worst_loss();
-        if worst > 0.0 {
-            let factor = (1.0 / (1.0 - worst.min(0.99))).ceil() as u32 + 4;
-            budget = budget.saturating_mul(factor);
-        }
-        if base.has_outages() {
-            budget = budget.saturating_mul(4).saturating_add(256);
-        }
+        // The single-channel walker's budget over every channel's buckets,
+        // so a protocol bug aborts instead of spinning forever.
+        let budget = probe_budget(system.num_buckets(), &base);
         GroupWalk {
             system,
             key,
@@ -1115,8 +891,7 @@ impl<'a> GroupWalk<'a> {
             spans: PhaseSpans::new(),
             tuning: 0,
             probes: 0,
-            retries: 0,
-            streak: 0,
+            retries: Retries::default(),
             first_read: true,
             budget,
         }
@@ -1149,7 +924,7 @@ impl<'a> GroupWalk<'a> {
             tuning: self.tuning,
             probes: self.probes,
             false_drops: 0,
-            retries: self.retries,
+            retries: self.retries.count,
             abandoned,
             aborted,
             stale_restarts: 0,
@@ -1158,20 +933,29 @@ impl<'a> GroupWalk<'a> {
         self.pending = GroupPending::Finished(out);
     }
 
+    /// The probe budget ran out: a truthful abandonment on a walk that
+    /// retried, a runaway protocol otherwise — the single-channel walk's
+    /// rule.
+    fn exhaust(&mut self) {
+        let retried = self.retries.count > 0;
+        self.complete(false, retried, !retried);
+    }
+
     /// Handle a corrupted read of bucket `idx` on channel `ch` (the
-    /// transmission started at `start` and ended at `self.now`): pay the
-    /// retry, consult the policy, and either abandon or schedule the
+    /// transmission started at `start` and ended at `self.now`): apply
+    /// the shared recovery transition, and either abandon or schedule the
     /// recovery re-read.
     fn recover(&mut self, ch: u32, idx: usize, start: Ticks, probe: bool) {
-        self.retries += 1;
-        self.streak += 1;
-        if self.policy.gives_up(self.retries, self.now - self.tune_in) {
+        let outage = channel_model_for(self.base, ch).in_outage(start);
+        let (retries, backoff) =
+            self.retries
+                .corrupt(&self.policy, outage, self.now - self.tune_in);
+        self.retries = retries;
+        let Some(cycles) = backoff else {
             self.complete(false, true, false);
             return;
-        }
+        };
         let chan = self.channel_of(ch);
-        let in_outage = channel_model_for(self.base, ch).in_outage(start);
-        let cycles = self.policy.recovery_cycles(self.streak, in_outage);
         let wake = self
             .now
             .saturating_add(Ticks::from(cycles).saturating_mul(chan.cycle_len()));
@@ -1271,8 +1055,8 @@ impl QueryRun for GroupWalk<'_> {
                         self.now = at;
                         return WalkStep::Doze { until: at };
                     }
-                    if self.probes.saturating_add(self.retries) >= self.budget {
-                        self.complete(false, false, true);
+                    if self.probes.saturating_add(self.retries.count) >= self.budget {
+                        self.exhaust();
                         continue;
                     }
                     let (idx, start) = self.system.index.first_complete_at(self.now);
@@ -1285,7 +1069,7 @@ impl QueryRun for GroupWalk<'_> {
                         self.spans.add(Phase::Retry, listened, listened);
                         self.recover(0, idx, start, true);
                     } else {
-                        self.streak = 0;
+                        self.retries.outage_streak = 0;
                         self.probes += 1;
                         let phase = if self.first_read {
                             Phase::InitialProbe
@@ -1308,8 +1092,8 @@ impl QueryRun for GroupWalk<'_> {
                         self.now = start;
                         return WalkStep::Doze { until: start };
                     }
-                    if self.probes.saturating_add(self.retries) >= self.budget {
-                        self.complete(false, false, true);
+                    if self.probes.saturating_add(self.retries.count) >= self.budget {
+                        self.exhaust();
                         continue;
                     }
                     let chan = self.channel_of(ch);
@@ -1323,7 +1107,7 @@ impl QueryRun for GroupWalk<'_> {
                         self.spans.add(Phase::Retry, listened, listened);
                         self.recover(ch, idx, start, false);
                     } else {
-                        self.streak = 0;
+                        self.retries.outage_streak = 0;
                         self.probes += 1;
                         if ch == 0 {
                             self.spans.add(Phase::IndexTraversal, listened, listened);
@@ -1469,68 +1253,6 @@ impl DynSystem for IndexedGroupSystem {
         self.index.num_buckets() + self.data.iter().map(Channel::num_buckets).sum::<usize>()
     }
 
-    fn probe(&self, key: Key, tune_in: Ticks) -> AccessOutcome {
-        self.probe_with_channel(key, tune_in, ChannelModel::NONE, RetryPolicy::UNBOUNDED)
-    }
-
-    fn probe_with_errors(&self, key: Key, tune_in: Ticks, errors: ErrorModel) -> AccessOutcome {
-        self.probe_with_channel(key, tune_in, errors.into(), RetryPolicy::UNBOUNDED)
-    }
-
-    fn probe_with_policy(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> AccessOutcome {
-        self.probe_with_channel(key, tune_in, errors.into(), policy)
-    }
-
-    fn begin(&self, key: Key, tune_in: Ticks) -> Box<dyn QueryRun + '_> {
-        self.begin_with_channel(key, tune_in, ChannelModel::NONE, RetryPolicy::UNBOUNDED)
-    }
-
-    fn begin_with_faults(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_> {
-        self.begin_with_channel(key, tune_in, errors.into(), policy)
-    }
-
-    fn make_slot(&self) -> Box<dyn QuerySlot + '_> {
-        self.make_slot_channel(ChannelModel::NONE, RetryPolicy::UNBOUNDED)
-    }
-
-    fn make_slot_with_faults(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        self.make_slot_channel(errors.into(), policy)
-    }
-
-    fn probe_recorded(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans) {
-        self.probe_recorded_channel(key, tune_in, errors.into(), policy)
-    }
-
-    fn make_slot_observed(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        self.make_slot_channel_observed(errors.into(), policy)
-    }
-
     fn probe_with_channel(
         &self,
         key: Key,
@@ -1582,8 +1304,9 @@ impl DynSystem for IndexedGroupSystem {
 mod tests {
     use super::*;
     use crate::flat::FlatScheme;
+    use crate::machine::run_machine;
     use crate::record::Record;
-    use crate::scheme::drain;
+    use crate::scheme::{drain, System};
 
     fn dataset(n: usize) -> Dataset {
         Dataset::new((0..n).map(|i| Record::keyed(i as u64 * 10)).collect()).unwrap()
@@ -1781,6 +1504,73 @@ mod tests {
                 assert_eq!(stepped, fast);
             }
         }
+    }
+
+    /// 24 records keyed 0, 10, …, 230 over an index channel and two data
+    /// channels.
+    fn small_group() -> IndexedGroupSystem {
+        IndexedGroupScheme::new(GroupConfig::new(3, 64).unwrap())
+            .unwrap()
+            .build(&dataset(24), &Params::paper())
+            .unwrap()
+    }
+
+    #[test]
+    fn indexed_group_gives_up_truthfully_when_the_budget_runs_out() {
+        // On dead air an unbounded policy never gives up by itself; the
+        // probe budget ends the walk. Having retried, the walk abandons —
+        // truthfully, like the single-channel walk on the same air — and
+        // does not report a protocol bug.
+        let sys = small_group();
+        let dead = ChannelModel::iid(ErrorModel::new(1.0, 1));
+        let out = sys.probe_with_channel(Key(50), 0, dead, RetryPolicy::UNBOUNDED);
+        assert!(out.retries > 0);
+        assert!(out.abandoned && !out.aborted, "{out:?}");
+        let flat = FlatScheme.build(&dataset(24), &Params::paper()).unwrap();
+        let single = flat.probe_with_channel(Key(50), 0, dead, RetryPolicy::UNBOUNDED);
+        assert!(single.abandoned && !single.aborted, "{single:?}");
+    }
+
+    #[test]
+    fn indexed_group_backs_off_by_the_shared_rule() {
+        // Under loss the back-off attempt is the retry count, as on the
+        // single-channel walk, not the streak of consecutive corrupted
+        // reads: the second corrupted read here follows clean ones and
+        // still backs off `recovery_cycles(2)` = 2 cycles. It is a
+        // directory read on the index channel, re-read at its next
+        // occurrence after the back-off: 2 + 1 cycles after it started.
+        let sys = small_group();
+        let air = ChannelModel::iid(ErrorModel::new(0.4, 1));
+        let policy = RetryPolicy::bounded(24).with_backoff_cap(8);
+        assert_eq!(policy.recovery_cycles(2, false), 2);
+        let mut walk = GroupWalk::new(&sys, Key(130), 5, air, policy);
+        let mut corrupted = Vec::new();
+        let mut steps = Vec::new();
+        loop {
+            let before = walk.spans().get(Phase::Retry).count;
+            let step = walk.step();
+            if walk.spans().get(Phase::Retry).count > before {
+                corrupted.push(steps.len());
+            }
+            steps.push(step);
+            if let WalkStep::Done(out) = step {
+                assert!(out.found, "{out:?}");
+                break;
+            }
+        }
+        let second = corrupted[1];
+        let WalkStep::Read { bucket, until, .. } = steps[second] else {
+            panic!("a corrupted read is a read: {:?}", steps[second]);
+        };
+        assert_eq!(bucket, sys.num_roots(), "a directory read");
+        let start = until - sys.bucket_size();
+        let cycle = sys.index().cycle_len();
+        assert_eq!(
+            steps[second + 1],
+            WalkStep::Doze {
+                until: start + 3 * cycle
+            }
+        );
     }
 
     #[test]

@@ -6,13 +6,13 @@ use crate::error::Result;
 use crate::errors_model::{ChannelModel, ErrorModel, RetryPolicy};
 use crate::key::Key;
 use crate::machine::{
-    run_machine, run_machine_observed, run_machine_observed_channel, run_machine_with_channel,
-    run_machine_with_policy, AccessOutcome, ProtocolMachine, Walk, WalkStep,
+    run_machine_observed_channel, run_machine_with_channel, AccessOutcome, ProtocolMachine, Source,
+    Walk, WalkStep,
 };
 use crate::params::Params;
 use crate::record::Dataset;
 use crate::Ticks;
-use bda_obs::{PhaseSpans, Recorder, SpanRecorder};
+use bda_obs::{NoopRecorder, PhaseSpans, Recorder, SpanRecorder};
 
 /// A broadcast access method: given a dataset and sizing parameters, lay
 /// out a broadcast cycle.
@@ -89,16 +89,6 @@ impl<T: QueryRun + ?Sized> QueryRun for Box<T> {
     }
 }
 
-impl<P, M: ProtocolMachine<P>, R: Recorder> QueryRun for Walk<'_, P, M, R> {
-    fn step(&mut self) -> WalkStep {
-        Walk::step(self)
-    }
-
-    fn now(&self) -> Ticks {
-        Walk::now(self)
-    }
-}
-
 /// A **reusable** stepping-query slot: the allocation-free counterpart of
 /// [`DynSystem::begin`].
 ///
@@ -109,6 +99,13 @@ impl<P, M: ProtocolMachine<P>, R: Recorder> QueryRun for Walk<'_, P, M, R> {
 /// simulation with a bounded client population performs no per-request heap
 /// allocation at all. The discrete-event engine in `bda-sim` keeps a slab
 /// of these.
+///
+/// There is one implementation per program layout: [`WalkSlot`] for a
+/// single-channel program, frozen or churning;
+/// [`crate::multichannel::StripedSlot`] for a striped channel group; and
+/// [`crate::multichannel::GroupSlot`] for an indexed one. The first two
+/// take the recorder as a type parameter, so an observed slot is the
+/// same type with a [`SpanRecorder`].
 ///
 /// `Send` is a supertrait so a slab of slots can be owned by a worker
 /// thread: the sharded engine partitions clients across cores, and each
@@ -135,8 +132,9 @@ pub trait QuerySlot: Send {
     fn is_done(&self) -> bool;
 
     /// The current query's per-phase span decomposition, when this slot
-    /// records one (see [`DynSystem::make_slot_observed`]). The default —
-    /// and every uninstrumented slot — returns `None`.
+    /// records one (see [`DynSystem::make_slot_channel_observed`]): what
+    /// its walk's recorder holds ([`Recorder::spans`]). The default — and
+    /// every uninstrumented slot — returns `None`.
     fn spans(&self) -> Option<&PhaseSpans> {
         None
     }
@@ -145,44 +143,80 @@ pub trait QuerySlot: Send {
     /// (see [`Walk::set_fast_forward`]): bit-identical outcomes and
     /// accounting, O(1) walk steps per interesting bucket. Walks over a
     /// *dynamic* broadcast program honour it too, up to the end of the
-    /// epoch on air ([`crate::dynamic::VersionedWalk::set_fast_forward`]).
-    /// The default is a no-op, for slots whose walks have no scan to
-    /// collapse (the indexed channel group's step count is already
+    /// epoch on air. The default is a no-op, for slots whose walks have no
+    /// scan to collapse (the indexed channel group's step count is already
     /// O(directory depth)).
     fn set_fast_forward(&mut self, enabled: bool) {
         let _ = enabled;
     }
 }
 
-/// The canonical [`QuerySlot`] for any [`System`]: an in-place
-/// [`Walk`], rebuilt (not reallocated) on every [`QuerySlot::start`].
-pub struct WalkSlot<'a, S: System> {
-    system: &'a S,
-    walk: Option<Walk<'a, S::Payload, S::Machine>>,
+/// A broadcast a client query tunes into: a frozen [`System`], or a
+/// [`crate::dynamic::ProgramTimeline`] of re-cut ones. It hands each query
+/// the [`Source`] its [`Walk`] reads and the machine it starts with, so
+/// one walk, one driver family ([`crate::machine::run_machine`] and its
+/// variants), one slot ([`WalkSlot`]) and one [`DynSystem`] implementation
+/// serve both.
+pub trait Broadcast {
+    /// The built program type (every epoch's, on a timeline).
+    type Program: System;
+    /// What a walk over this broadcast reads.
+    type Source<'a>: Source<'a, MachineOf<Self>, Payload = PayloadOf<Self>> + Send
+    where
+        Self: 'a;
+
+    /// The program on the air at time 0: its name and geometry are what
+    /// [`DynSystem`] reports.
+    fn initial(&self) -> &Self::Program;
+
+    /// The source and the starting machine of a query for `key` tuning in
+    /// at `tune_in`, the machine built against the program on air then.
+    fn tune(&self, key: Key, tune_in: Ticks) -> (Self::Source<'_>, MachineOf<Self>);
+}
+
+/// The payload type of a [`Broadcast`]'s programs.
+pub type PayloadOf<B> = <<B as Broadcast>::Program as System>::Payload;
+
+/// The protocol machine type of a [`Broadcast`]'s programs.
+pub type MachineOf<B> = <<B as Broadcast>::Program as System>::Machine;
+
+/// A frozen program is a broadcast whose walks read its one channel.
+impl<S: System> Broadcast for S {
+    type Program = S;
+    type Source<'a>
+        = &'a Channel<S::Payload>
+    where
+        S: 'a;
+
+    fn initial(&self) -> &S {
+        self
+    }
+
+    fn tune(&self, key: Key, _tune_in: Ticks) -> (&Channel<S::Payload>, S::Machine) {
+        (self.channel(), self.query(key))
+    }
+}
+
+/// The reusable [`QuerySlot`] of any [`Broadcast`], frozen or churning:
+/// an in-place [`Walk`], rebuilt (not reallocated) on every
+/// [`QuerySlot::start`] with a fresh recorder `R`. With a
+/// [`SpanRecorder`] the query's per-phase spans are exposed through
+/// [`QuerySlot::spans`] until the next start.
+pub struct WalkSlot<'a, B: Broadcast, R = NoopRecorder> {
+    broadcast: &'a B,
+    walk: Option<Walk<B::Source<'a>, MachineOf<B>, R>>,
     channel: ChannelModel,
     policy: RetryPolicy,
     ff: bool,
 }
 
-impl<'a, S: System> WalkSlot<'a, S> {
-    /// An empty slot for `system` over a lossless channel; call
-    /// [`QuerySlot::start`] to arm it.
-    pub fn new(system: &'a S) -> Self {
-        WalkSlot::with_faults(system, ErrorModel::NONE, RetryPolicy::UNBOUNDED)
-    }
-
-    /// An empty slot whose queries all run over the given error-prone
-    /// channel with the given client retry policy — the fault-injection
-    /// counterpart of [`WalkSlot::new`] used by the event engine.
-    pub fn with_faults(system: &'a S, errors: ErrorModel, policy: RetryPolicy) -> Self {
-        WalkSlot::with_channel(system, errors.into(), policy)
-    }
-
-    /// An empty slot whose queries run behind a unified [`ChannelModel`]
-    /// (burst loss, outages, or both).
-    pub fn with_channel(system: &'a S, channel: ChannelModel, policy: RetryPolicy) -> Self {
+impl<'a, B: Broadcast, R> WalkSlot<'a, B, R> {
+    /// An empty slot whose queries run over `broadcast` behind `channel`
+    /// under the client retry `policy`; call [`QuerySlot::start`] to arm
+    /// it.
+    pub fn new(broadcast: &'a B, channel: ChannelModel, policy: RetryPolicy) -> Self {
         WalkSlot {
-            system,
+            broadcast,
             walk: None,
             channel,
             policy,
@@ -191,83 +225,16 @@ impl<'a, S: System> WalkSlot<'a, S> {
     }
 }
 
-impl<S: System> QuerySlot for WalkSlot<'_, S> {
+impl<'a, B: Broadcast + Sync, R: Recorder + Default + Send> QuerySlot for WalkSlot<'a, B, R> {
     fn start(&mut self, key: Key, tune_in: Ticks) {
-        let mut walk = Walk::with_channel(
-            self.system.channel(),
-            self.system.query(key),
-            tune_in,
-            self.channel,
-            self.policy,
-        );
-        walk.set_fast_forward(self.ff);
-        self.walk = Some(walk);
-    }
-
-    fn set_fast_forward(&mut self, enabled: bool) {
-        self.ff = enabled;
-        if let Some(walk) = self.walk.as_mut() {
-            walk.set_fast_forward(enabled);
-        }
-    }
-
-    fn step(&mut self) -> WalkStep {
-        self.walk
-            .as_mut()
-            .expect("QuerySlot::step before start")
-            .step()
-    }
-
-    fn now(&self) -> Ticks {
-        self.walk
-            .as_ref()
-            .expect("QuerySlot::now before start")
-            .now()
-    }
-
-    fn is_done(&self) -> bool {
-        self.walk.as_ref().map_or(true, Walk::is_done)
-    }
-}
-
-/// The instrumented counterpart of [`WalkSlot`]: each query runs with a
-/// [`SpanRecorder`], and the accumulated per-phase spans are exposed via
-/// [`QuerySlot::spans`] until the next [`QuerySlot::start`].
-pub struct ObservedWalkSlot<'a, S: System> {
-    system: &'a S,
-    walk: Option<Walk<'a, S::Payload, S::Machine, SpanRecorder>>,
-    channel: ChannelModel,
-    policy: RetryPolicy,
-    ff: bool,
-}
-
-impl<'a, S: System> ObservedWalkSlot<'a, S> {
-    /// An empty instrumented slot; call [`QuerySlot::start`] to arm it.
-    pub fn with_faults(system: &'a S, errors: ErrorModel, policy: RetryPolicy) -> Self {
-        ObservedWalkSlot::with_channel(system, errors.into(), policy)
-    }
-
-    /// An empty instrumented slot behind a unified [`ChannelModel`].
-    pub fn with_channel(system: &'a S, channel: ChannelModel, policy: RetryPolicy) -> Self {
-        ObservedWalkSlot {
-            system,
-            walk: None,
-            channel,
-            policy,
-            ff: false,
-        }
-    }
-}
-
-impl<S: System> QuerySlot for ObservedWalkSlot<'_, S> {
-    fn start(&mut self, key: Key, tune_in: Ticks) {
+        let (src, machine) = self.broadcast.tune(key, tune_in);
         let mut walk = Walk::with_channel_recorder(
-            self.system.channel(),
-            self.system.query(key),
+            src,
+            machine,
             tune_in,
             self.channel,
             self.policy,
-            SpanRecorder::new(),
+            R::default(),
         );
         walk.set_fast_forward(self.ff);
         self.walk = Some(walk);
@@ -299,17 +266,23 @@ impl<S: System> QuerySlot for ObservedWalkSlot<'_, S> {
     }
 
     fn spans(&self) -> Option<&PhaseSpans> {
-        self.walk.as_ref().map(|w| &w.recorder().spans)
+        self.walk.as_ref().and_then(|w| w.recorder().spans())
     }
 }
 
-/// Object-safe view of a [`System`], so the testbed and harness can treat
-/// heterogeneous schemes uniformly (`Box<dyn DynSystem>`).
+/// Object-safe view of a built broadcast, so the testbed and harness can
+/// treat heterogeneous schemes uniformly (`Box<dyn DynSystem>`).
 ///
-/// Every [`System`] implements this automatically (blanket impl), so
-/// `probe`/`begin` are available on concrete systems too — import this
-/// trait to use them. Keeping `probe` on exactly one trait avoids method
-/// ambiguity when both traits are in scope.
+/// Every [`Broadcast`] — every [`System`], and every timeline of them —
+/// implements this automatically (blanket impl), so `probe`/`begin` are
+/// available on concrete systems too — import this trait to use them.
+/// Keeping `probe` on exactly one trait avoids method ambiguity when both
+/// traits are in scope.
+///
+/// An implementation writes the three geometry getters and the five
+/// [`ChannelModel`] entry points; the nine shorthands over a lossless
+/// channel or an i.i.d. [`ErrorModel`] are provided (`errors.into()` is
+/// bit-identical, DESIGN.md decision 15).
 pub trait DynSystem: Send + Sync {
     /// Human-readable scheme name.
     fn scheme_name(&self) -> &'static str;
@@ -320,202 +293,70 @@ pub trait DynSystem: Send + Sync {
     /// Buckets per cycle.
     fn num_buckets(&self) -> usize;
 
-    /// Run one complete query to completion (fast path).
-    fn probe(&self, key: Key, tune_in: Ticks) -> AccessOutcome;
-
-    /// Run one complete query over an error-prone channel (extension; see
-    /// [`ErrorModel`]), retrying forever.
-    fn probe_with_errors(&self, key: Key, tune_in: Ticks, errors: ErrorModel) -> AccessOutcome;
-
-    /// Run one complete query over an error-prone channel under an
-    /// explicit client [`RetryPolicy`] — the direct-walker path the
-    /// differential lossy suite checks both engines against.
-    fn probe_with_policy(
+    /// Run one complete query to completion behind a [`ChannelModel`]
+    /// (i.i.d. or burst loss, outage windows, or both) under an explicit
+    /// client [`RetryPolicy`] — the direct walker, fast-forwarding.
+    fn probe_with_channel(
         &self,
         key: Key,
         tune_in: Ticks,
-        errors: ErrorModel,
+        channel: ChannelModel,
         policy: RetryPolicy,
     ) -> AccessOutcome;
 
-    /// Start a stepping query for the event-driven testbed.
-    fn begin(&self, key: Key, tune_in: Ticks) -> Box<dyn QueryRun + '_>;
-
-    /// Start a stepping query over an error-prone channel with a client
-    /// retry policy (fault-injection counterpart of [`DynSystem::begin`]).
-    fn begin_with_faults(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_>;
-
-    /// Allocate a reusable client slot. One slot serves many sequential
-    /// queries via [`QuerySlot::start`]; the slab-based event engine keeps
-    /// one per concurrent client instead of boxing a walker per request.
-    fn make_slot(&self) -> Box<dyn QuerySlot + '_>;
-
-    /// Allocate a reusable client slot whose queries run over an
-    /// error-prone channel with a client retry policy (fault-injection
-    /// counterpart of [`DynSystem::make_slot`]).
-    fn make_slot_with_faults(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_>;
-
-    /// Run one complete query with span instrumentation, returning the
-    /// outcome together with its per-phase access/tuning decomposition
-    /// (whose totals equal the outcome's `access`/`tuning` exactly).
-    ///
-    /// The default runs the uninstrumented probe and returns empty spans —
-    /// honest (never fabricated attributions) but uninformative; the
-    /// blanket impl for real systems overrides it with true span recording.
-    fn probe_recorded(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans) {
-        (
-            self.probe_with_policy(key, tune_in, errors, policy),
-            PhaseSpans::default(),
-        )
-    }
-
-    /// Allocate a reusable client slot whose queries record per-phase
-    /// spans, exposed via [`QuerySlot::spans`] after each completion.
-    ///
-    /// The default falls back to an uninstrumented slot (`spans()` stays
-    /// `None`); the blanket impl overrides it.
-    fn make_slot_observed(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        self.make_slot_with_faults(errors, policy)
-    }
-
-    /// Run one complete query behind a unified [`ChannelModel`] (burst
-    /// loss, outage windows, or both).
-    ///
-    /// The default handles degenerate channels (i.i.d. loss, no outages)
-    /// by delegating to [`DynSystem::probe_with_policy`] and panics on
-    /// correlated ones, so existing implementations stay correct without
-    /// silently ignoring burst configs; the blanket impl overrides it with
-    /// full support.
-    fn probe_with_channel(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> AccessOutcome {
-        match channel.as_iid() {
-            Some(errors) => self.probe_with_policy(key, tune_in, errors, policy),
-            None => unimplemented!(
-                "{}: this DynSystem implementation does not support correlated channels",
-                self.scheme_name()
-            ),
-        }
-    }
-
-    /// [`DynSystem::probe_with_channel`] with span instrumentation. Same
-    /// degenerate-only default as `probe_with_channel`.
+    /// [`DynSystem::probe_with_channel`] with span instrumentation:
+    /// returns the outcome together with its per-phase access/tuning
+    /// decomposition (whose totals equal the outcome's `access`/`tuning`
+    /// exactly).
     fn probe_recorded_channel(
         &self,
         key: Key,
         tune_in: Ticks,
         channel: ChannelModel,
         policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans) {
-        match channel.as_iid() {
-            Some(errors) => self.probe_recorded(key, tune_in, errors, policy),
-            None => unimplemented!(
-                "{}: this DynSystem implementation does not support correlated channels",
-                self.scheme_name()
-            ),
-        }
-    }
+    ) -> (AccessOutcome, PhaseSpans);
 
-    /// Start a stepping query behind a unified [`ChannelModel`]. Same
-    /// degenerate-only default as [`DynSystem::probe_with_channel`].
+    /// Start a stepping query for the event-driven testbed behind a
+    /// [`ChannelModel`]; it steps every bucket.
     fn begin_with_channel(
         &self,
         key: Key,
         tune_in: Ticks,
         channel: ChannelModel,
         policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_> {
-        match channel.as_iid() {
-            Some(errors) => self.begin_with_faults(key, tune_in, errors, policy),
-            None => unimplemented!(
-                "{}: this DynSystem implementation does not support correlated channels",
-                self.scheme_name()
-            ),
-        }
-    }
+    ) -> Box<dyn QueryRun + '_>;
 
-    /// Allocate a reusable client slot behind a unified [`ChannelModel`].
-    /// Same degenerate-only default as [`DynSystem::probe_with_channel`].
+    /// Allocate a reusable client slot behind a [`ChannelModel`]. One slot
+    /// serves many sequential queries via [`QuerySlot::start`]; the
+    /// slab-based event engine keeps one per concurrent client instead of
+    /// boxing a walker per request.
     fn make_slot_channel(
         &self,
         channel: ChannelModel,
         policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        match channel.as_iid() {
-            Some(errors) => self.make_slot_with_faults(errors, policy),
-            None => unimplemented!(
-                "{}: this DynSystem implementation does not support correlated channels",
-                self.scheme_name()
-            ),
-        }
-    }
+    ) -> Box<dyn QuerySlot + '_>;
 
-    /// Allocate a reusable instrumented slot behind a unified
-    /// [`ChannelModel`]. Same degenerate-only default as
-    /// [`DynSystem::probe_with_channel`].
+    /// Allocate a reusable client slot whose queries record per-phase
+    /// spans, exposed via [`QuerySlot::spans`] after each completion.
     fn make_slot_channel_observed(
         &self,
         channel: ChannelModel,
         policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        match channel.as_iid() {
-            Some(errors) => self.make_slot_observed(errors, policy),
-            None => unimplemented!(
-                "{}: this DynSystem implementation does not support correlated channels",
-                self.scheme_name()
-            ),
-        }
-    }
-}
+    ) -> Box<dyn QuerySlot + '_>;
 
-impl<S: System> DynSystem for S
-where
-    S::Machine: 'static,
-{
-    fn scheme_name(&self) -> &'static str {
-        System::scheme_name(self)
-    }
-
-    fn cycle_len(&self) -> Ticks {
-        self.channel().cycle_len()
-    }
-
-    fn num_buckets(&self) -> usize {
-        self.channel().num_buckets()
-    }
-
+    /// Run one complete query over a lossless channel.
     fn probe(&self, key: Key, tune_in: Ticks) -> AccessOutcome {
-        run_machine(self.channel(), self.query(key), tune_in)
+        self.probe_with_channel(key, tune_in, ChannelModel::NONE, RetryPolicy::UNBOUNDED)
     }
 
+    /// Run one complete query over an error-prone channel (extension; see
+    /// [`ErrorModel`]), retrying forever.
     fn probe_with_errors(&self, key: Key, tune_in: Ticks, errors: ErrorModel) -> AccessOutcome {
-        self.probe_with_policy(key, tune_in, errors, RetryPolicy::UNBOUNDED)
+        self.probe_with_channel(key, tune_in, errors.into(), RetryPolicy::UNBOUNDED)
     }
 
+    /// Run one complete query over an error-prone channel under an
+    /// explicit client [`RetryPolicy`].
     fn probe_with_policy(
         &self,
         key: Key,
@@ -523,41 +364,10 @@ where
         errors: ErrorModel,
         policy: RetryPolicy,
     ) -> AccessOutcome {
-        run_machine_with_policy(self.channel(), self.query(key), tune_in, errors, policy)
+        self.probe_with_channel(key, tune_in, errors.into(), policy)
     }
 
-    fn begin(&self, key: Key, tune_in: Ticks) -> Box<dyn QueryRun + '_> {
-        Box::new(Walk::new(self.channel(), self.query(key), tune_in))
-    }
-
-    fn begin_with_faults(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_> {
-        Box::new(Walk::with_policy(
-            self.channel(),
-            self.query(key),
-            tune_in,
-            errors,
-            policy,
-        ))
-    }
-
-    fn make_slot(&self) -> Box<dyn QuerySlot + '_> {
-        Box::new(WalkSlot::new(self))
-    }
-
-    fn make_slot_with_faults(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(WalkSlot::with_faults(self, errors, policy))
-    }
-
+    /// [`DynSystem::probe_with_policy`] with span instrumentation.
     fn probe_recorded(
         &self,
         key: Key,
@@ -565,15 +375,65 @@ where
         errors: ErrorModel,
         policy: RetryPolicy,
     ) -> (AccessOutcome, PhaseSpans) {
-        run_machine_observed(self.channel(), self.query(key), tune_in, errors, policy)
+        self.probe_recorded_channel(key, tune_in, errors.into(), policy)
     }
 
+    /// Start a stepping query over a lossless channel.
+    fn begin(&self, key: Key, tune_in: Ticks) -> Box<dyn QueryRun + '_> {
+        self.begin_with_channel(key, tune_in, ChannelModel::NONE, RetryPolicy::UNBOUNDED)
+    }
+
+    /// Start a stepping query over an error-prone channel with a client
+    /// retry policy.
+    fn begin_with_faults(
+        &self,
+        key: Key,
+        tune_in: Ticks,
+        errors: ErrorModel,
+        policy: RetryPolicy,
+    ) -> Box<dyn QueryRun + '_> {
+        self.begin_with_channel(key, tune_in, errors.into(), policy)
+    }
+
+    /// Allocate a reusable client slot over a lossless channel.
+    fn make_slot(&self) -> Box<dyn QuerySlot + '_> {
+        self.make_slot_channel(ChannelModel::NONE, RetryPolicy::UNBOUNDED)
+    }
+
+    /// Allocate a reusable client slot whose queries run over an
+    /// error-prone channel with a client retry policy.
+    fn make_slot_with_faults(
+        &self,
+        errors: ErrorModel,
+        policy: RetryPolicy,
+    ) -> Box<dyn QuerySlot + '_> {
+        self.make_slot_channel(errors.into(), policy)
+    }
+
+    /// [`DynSystem::make_slot_with_faults`] with span instrumentation.
     fn make_slot_observed(
         &self,
         errors: ErrorModel,
         policy: RetryPolicy,
     ) -> Box<dyn QuerySlot + '_> {
-        Box::new(ObservedWalkSlot::with_faults(self, errors, policy))
+        self.make_slot_channel_observed(errors.into(), policy)
+    }
+}
+
+impl<B: Broadcast + Send + Sync> DynSystem for B
+where
+    MachineOf<B>: 'static,
+{
+    fn scheme_name(&self) -> &'static str {
+        System::scheme_name(self.initial())
+    }
+
+    fn cycle_len(&self) -> Ticks {
+        self.initial().channel().cycle_len()
+    }
+
+    fn num_buckets(&self) -> usize {
+        self.initial().channel().num_buckets()
     }
 
     fn probe_with_channel(
@@ -583,7 +443,8 @@ where
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> AccessOutcome {
-        run_machine_with_channel(self.channel(), self.query(key), tune_in, channel, policy)
+        let (src, machine) = self.tune(key, tune_in);
+        run_machine_with_channel(src, machine, tune_in, channel, policy)
     }
 
     fn probe_recorded_channel(
@@ -593,7 +454,8 @@ where
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> (AccessOutcome, PhaseSpans) {
-        run_machine_observed_channel(self.channel(), self.query(key), tune_in, channel, policy)
+        let (src, machine) = self.tune(key, tune_in);
+        run_machine_observed_channel(src, machine, tune_in, channel, policy)
     }
 
     fn begin_with_channel(
@@ -603,12 +465,14 @@ where
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> Box<dyn QueryRun + '_> {
-        Box::new(Walk::with_channel(
-            self.channel(),
-            self.query(key),
+        let (src, machine) = self.tune(key, tune_in);
+        Box::new(Walk::with_channel_recorder(
+            src,
+            machine,
             tune_in,
             channel,
             policy,
+            NoopRecorder,
         ))
     }
 
@@ -617,7 +481,7 @@ where
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> Box<dyn QuerySlot + '_> {
-        Box::new(WalkSlot::with_channel(self, channel, policy))
+        Box::new(WalkSlot::<_, NoopRecorder>::new(self, channel, policy))
     }
 
     fn make_slot_channel_observed(
@@ -625,7 +489,7 @@ where
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> Box<dyn QuerySlot + '_> {
-        Box::new(ObservedWalkSlot::with_channel(self, channel, policy))
+        Box::new(WalkSlot::<_, SpanRecorder>::new(self, channel, policy))
     }
 }
 
@@ -643,6 +507,7 @@ pub fn drain(run: &mut dyn QueryRun) -> AccessOutcome {
 mod tests {
     use super::*;
     use crate::flat::FlatScheme;
+    use crate::machine::run_machine;
     use crate::record::Record;
 
     fn tiny_dataset() -> Dataset {

@@ -2,7 +2,7 @@
 
 use bda_core::{
     Action, BdaError, Bucket, BucketMeta, Channel, Dataset, Key, Params, ProtocolFault,
-    ProtocolMachine, Result, Scheme, StaleResponse, System, Ticks, Verdict,
+    ProtocolMachine, Result, Scheme, System, Ticks, Verdict,
 };
 
 use crate::hash_fn::HashFn;
@@ -315,14 +315,6 @@ impl ProtocolMachine<HashPayload> for HashMachine {
             St::AtSlot => self.on_slot_bucket(p, meta),
             St::Scan => self.scan(p),
         }
-    }
-
-    /// `target`, the doze arithmetic, and `num_records` all assume the
-    /// cycle geometry (`Na`, chain layout) of the program the machine was
-    /// built against; a rebuilt program invalidates every one of them.
-    /// Respawn restarts the probe from scratch on the live program.
-    fn on_stale(&mut self, _meta: BucketMeta) -> StaleResponse {
-        StaleResponse::Respawn
     }
 }
 

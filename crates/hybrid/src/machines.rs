@@ -1,7 +1,7 @@
 //! Client protocols for the hybrid broadcast.
 
 use bda_btree::{BTreeMachine, BTreePayload, DataBucket};
-use bda_core::{Action, BucketMeta, Coverage, Key, ProtocolMachine, StaleResponse, Ticks, Verdict};
+use bda_core::{Action, BucketMeta, Coverage, Key, ProtocolMachine, Ticks, Verdict};
 use bda_signature::{QueryTarget, Signature};
 
 use crate::payload::HybridPayload;
@@ -32,12 +32,6 @@ impl HybridKeyMachine {
 impl ProtocolMachine<HybridPayload> for HybridKeyMachine {
     fn start(&mut self, tune_in: Ticks) -> Action {
         self.inner.start(tune_in)
-    }
-
-    /// The inner B+-tree descent holds pointers computed against the
-    /// build-time layout; a version change invalidates them all.
-    fn on_stale(&mut self, _meta: BucketMeta) -> StaleResponse {
-        StaleResponse::Respawn
     }
 
     /// Index *and* signature buckets are navigation for a key client (it
@@ -204,12 +198,6 @@ impl ProtocolMachine<HybridPayload> for HybridAttrMachine {
         self.next_after = 0;
         self.checking_data = false;
         Action::ReadNext
-    }
-
-    /// Coverage indices and the signature frame geometry are bound to the
-    /// build-time program; respawn restarts the attribute scan.
-    fn on_stale(&mut self, _meta: BucketMeta) -> StaleResponse {
-        StaleResponse::Respawn
     }
 }
 

@@ -34,6 +34,13 @@ pub trait Recorder {
     /// `span_n` must be indistinguishable from recording the `n`
     /// constituent spans one by one (same totals, count advanced by `n`).
     fn span_n(&mut self, phase: Phase, n: u64, access: u64, tuning: u64);
+
+    /// The per-phase totals this recorder holds, if it keeps any: what a
+    /// reusable client slot exposes after each query. `None` by default,
+    /// and for [`NoopRecorder`].
+    fn spans(&self) -> Option<&PhaseSpans> {
+        None
+    }
 }
 
 /// The default recorder: observes nothing, costs nothing.
@@ -63,6 +70,10 @@ impl<R: Recorder> Recorder for &mut R {
     #[inline(always)]
     fn span_n(&mut self, phase: Phase, n: u64, access: u64, tuning: u64) {
         (**self).span_n(phase, n, access, tuning);
+    }
+
+    fn spans(&self) -> Option<&PhaseSpans> {
+        (**self).spans()
     }
 }
 
@@ -184,6 +195,10 @@ impl Recorder for SpanRecorder {
     fn span_n(&mut self, phase: Phase, n: u64, access: u64, tuning: u64) {
         self.spans.add_n(phase, n, access, tuning);
     }
+
+    fn spans(&self) -> Option<&PhaseSpans> {
+        Some(&self.spans)
+    }
 }
 
 #[cfg(test)]
@@ -214,6 +229,11 @@ mod tests {
         // Enablement propagates through the borrow; the no-op stays off.
         const _: () = assert!(<&mut SpanRecorder as Recorder>::ENABLED);
         const _: () = assert!(!NoopRecorder::ENABLED);
+        // So do the held spans.
+        let borrowed = &mut r;
+        let held = Recorder::spans(&borrowed).map(|s| s.get(Phase::Retry).count);
+        assert_eq!(held, Some(1));
+        assert_eq!(NoopRecorder.spans(), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use bda_core::{
     Action, Bucket, BucketMeta, Channel, Coverage, Dataset, FastForward, Key, Params,
-    ProtocolMachine, Result, Scheme, StaleResponse, System, Ticks, Verdict,
+    ProtocolMachine, Result, Scheme, System, Ticks, Verdict,
 };
 
 use crate::sig::{SigParams, SigTable, Signature};
@@ -188,13 +188,6 @@ impl ProtocolMachine<SigPayload> for IntegratedMachine {
         self.in_group = 0;
         self.group_matched = false;
         Action::ReadNext
-    }
-
-    /// Coverage, group position, and the query signature's frame geometry
-    /// are all bound to the build-time program; a rebuilt program needs a
-    /// fresh machine re-aligned on the new frame signatures.
-    fn on_stale(&mut self, _meta: BucketMeta) -> StaleResponse {
-        StaleResponse::Respawn
     }
 
     fn on_bucket(&mut self, payload: &SigPayload, meta: BucketMeta) -> Action {

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use bda_core::{
     Action, Bucket, BucketMeta, Channel, Coverage, Dataset, FastForward, Key, Params,
-    ProtocolMachine, Result, Scheme, StaleResponse, System, Ticks, Verdict,
+    ProtocolMachine, Result, Scheme, System, Ticks, Verdict,
 };
 
 use crate::sig::{SigParams, SigTable, Signature};
@@ -227,12 +227,6 @@ impl ProtocolMachine<SigPayload> for MultiLevelMachine {
         self.scanning = false;
         self.checking_data = false;
         Action::ReadNext
-    }
-
-    /// Coverage and the multi-level frame geometry are bound to the
-    /// build-time program; respawn re-aligns on the new program's frames.
-    fn on_stale(&mut self, _meta: BucketMeta) -> StaleResponse {
-        StaleResponse::Respawn
     }
 
     fn on_bucket(&mut self, payload: &SigPayload, meta: BucketMeta) -> Action {

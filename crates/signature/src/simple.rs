@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use bda_core::{
     Action, Bucket, BucketMeta, Channel, Coverage, Dataset, DiskConfig, DiskLayout, FastForward,
-    Key, Params, ProtocolMachine, Result, Scheme, StaleResponse, System, Ticks, Verdict,
+    Key, Params, ProtocolMachine, Result, Scheme, System, Ticks, Verdict,
 };
 
 use crate::sig::{SigParams, SigTable, Signature};
@@ -326,12 +326,6 @@ impl ProtocolMachine<SigPayload> for SimpleSigMachine {
     fn on_corrupt(&mut self, _meta: BucketMeta) -> Action {
         self.checking_data = false;
         Action::ReadNext
-    }
-
-    /// Coverage is indexed by build-bound `record_index`; a rebuilt
-    /// program renumbers records, so the scan restarts from scratch.
-    fn on_stale(&mut self, _meta: BucketMeta) -> StaleResponse {
-        StaleResponse::Respawn
     }
 
     fn on_bucket(&mut self, payload: &SigPayload, meta: BucketMeta) -> Action {

@@ -7,10 +7,10 @@
 //! programs and across the boundary of a churning one.
 
 use bda_core::{
-    run_machine_observed_channel, run_versioned_observed, AccessOutcome, BurstModel, Channel,
-    ChannelModel, Dataset, DiskConfig, Epoch, ErrorModel, Key, OutageSchedule, Params, PhaseSpans,
+    run_machine_observed_channel, AccessOutcome, Broadcast, BurstModel, Channel, ChannelModel,
+    Dataset, DiskConfig, Epoch, ErrorModel, Key, OutageSchedule, Params, PhaseSpans,
     ProgramTimeline, ProtocolMachine, Record, RetryPolicy, Scheme, SpanRecorder, System, Ticks,
-    VersionedWalk, Walk, WalkStep,
+    Walk, WalkStep,
 };
 use bda_signature::{
     IntegratedSignatureScheme, MultiLevelSignatureScheme, SigParams, SigPayload,
@@ -204,8 +204,15 @@ fn run_versioned_walk<S: System>(
     ff: bool,
 ) -> (AccessOutcome, PhaseSpans, Vec<WalkStep>) {
     let policy = RetryPolicy::UNBOUNDED;
-    let mut walk =
-        VersionedWalk::with_recorder(tl, key, tune_in, errors, policy, SpanRecorder::new());
+    let (src, machine) = tl.tune(key, tune_in);
+    let mut walk = Walk::with_channel_recorder(
+        src,
+        machine,
+        tune_in,
+        errors.into(),
+        policy,
+        SpanRecorder::new(),
+    );
     walk.set_fast_forward(ff);
     let mut steps = Vec::new();
     loop {
@@ -259,8 +266,10 @@ where
                 assert_eq!(slow, fast, "{what}");
                 assert_eq!(slow_spans, fast_spans, "{what}");
                 // The one-shot driver is the fast-forwarding walk.
+                let (src, machine) = tl.tune(key, tune_in);
+                let policy = RetryPolicy::UNBOUNDED;
                 assert_eq!(
-                    run_versioned_observed(&tl, key, tune_in, errors, RetryPolicy::UNBOUNDED),
+                    run_machine_observed_channel(src, machine, tune_in, errors.into(), policy),
                     (fast, fast_spans),
                     "{what}"
                 );

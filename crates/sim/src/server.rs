@@ -2,12 +2,8 @@
 //! counterpart, [`VersionedServer`].
 
 use bda_core::{
-    channel_model_for, error_model_for, even_partition, patch_outcome, patch_spans, remix_seed,
-    run_versioned, run_versioned_observed, run_versioned_observed_channel,
-    run_versioned_with_channel, run_versioned_with_policy, AccessOutcome, ChannelModel, Dataset,
-    DynSystem, Epoch, ErrorModel, GroupConfig, Key, ObservedVersionedSlot, Params, PhaseSpans,
-    ProgramTimeline, QueryRun, QuerySlot, Record, Result, RetryPolicy, Scheme, SwitchedRun, System,
-    Ticks, VersionedSlot, VersionedWalk, WalkStep,
+    even_partition, remix_seed, Broadcast, Dataset, DynSystem, Epoch, GroupConfig, Key, Params,
+    ProgramTimeline, Record, Result, Scheme, StripedSystem, System, Ticks, Versioned,
 };
 
 use crate::updates::{UpdateSpec, UpdateStream};
@@ -80,14 +76,16 @@ impl std::fmt::Debug for BroadcastServer<'_> {
 /// database as a [`ProgramTimeline`], built by replaying a deterministic
 /// [`UpdateStream`] against the initial dataset at every cycle boundary.
 ///
-/// `VersionedServer` implements [`DynSystem`] directly, so the slab
-/// engine, the reference oracle, and the adaptive simulator all drive it
-/// through the same object-safe surface as a frozen system — dynamic mode
-/// needs zero engine changes. Queries run as [`VersionedWalk`]s: clients
-/// detect version skew from bucket headers and re-anchor mid-walk. Scans
-/// fast-forward through each epoch up to its end — always in the one-shot
-/// `probe*` drivers, and in the slots when the engine asks (its default) —
-/// while `begin*` steps every bucket, as the reference oracle needs.
+/// `VersionedServer` is a [`Broadcast`] over its timeline, so it is a
+/// [`DynSystem`] through the same blanket implementation as a frozen
+/// system: the slab engine, the reference oracle, and the adaptive
+/// simulator drive it through the same object-safe surface, and dynamic
+/// mode needs zero engine changes. Queries run as the one walk over a
+/// [`Versioned`] source: clients detect version skew from bucket headers
+/// and re-anchor mid-walk. Scans fast-forward through each epoch up to
+/// its end — always in the one-shot `probe*` drivers, and in the slots
+/// when the engine asks (its default) — while `begin*` steps every
+/// bucket, as the reference oracle needs.
 ///
 /// The reported [`DynSystem::cycle_len`]/[`DynSystem::num_buckets`] are
 /// those of the *initial* program (epoch 0): request generators use them
@@ -196,158 +194,31 @@ impl<S: System> std::fmt::Debug for VersionedServer<S> {
     }
 }
 
-impl<S: System> DynSystem for VersionedServer<S>
-where
-    S::Machine: 'static,
-{
-    fn scheme_name(&self) -> &'static str {
-        self.timeline.epoch(0).system.scheme_name()
+impl<S: System> Broadcast for VersionedServer<S> {
+    type Program = S;
+    type Source<'a>
+        = Versioned<'a, S>
+    where
+        S: 'a;
+
+    fn initial(&self) -> &S {
+        self.timeline.initial()
     }
 
-    fn cycle_len(&self) -> Ticks {
-        self.timeline.epoch(0).system.channel().cycle_len()
-    }
-
-    fn num_buckets(&self) -> usize {
-        self.timeline.epoch(0).system.channel().num_buckets()
-    }
-
-    fn probe(&self, key: Key, tune_in: Ticks) -> AccessOutcome {
-        run_versioned(&self.timeline, key, tune_in)
-    }
-
-    fn probe_with_errors(&self, key: Key, tune_in: Ticks, errors: ErrorModel) -> AccessOutcome {
-        run_versioned_with_policy(&self.timeline, key, tune_in, errors, RetryPolicy::UNBOUNDED)
-    }
-
-    fn probe_with_policy(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> AccessOutcome {
-        run_versioned_with_policy(&self.timeline, key, tune_in, errors, policy)
-    }
-
-    fn begin(&self, key: Key, tune_in: Ticks) -> Box<dyn QueryRun + '_> {
-        Box::new(VersionedWalk::new(&self.timeline, key, tune_in))
-    }
-
-    fn begin_with_faults(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_> {
-        Box::new(VersionedWalk::with_policy(
-            &self.timeline,
-            key,
-            tune_in,
-            errors,
-            policy,
-        ))
-    }
-
-    fn make_slot(&self) -> Box<dyn QuerySlot + '_> {
-        Box::new(VersionedSlot::new(&self.timeline))
-    }
-
-    fn make_slot_with_faults(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(VersionedSlot::with_faults(&self.timeline, errors, policy))
-    }
-
-    fn probe_recorded(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans) {
-        run_versioned_observed(&self.timeline, key, tune_in, errors, policy)
-    }
-
-    fn make_slot_observed(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(ObservedVersionedSlot::with_faults(
-            &self.timeline,
-            errors,
-            policy,
-        ))
-    }
-
-    fn probe_with_channel(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> AccessOutcome {
-        run_versioned_with_channel(&self.timeline, key, tune_in, channel, policy)
-    }
-
-    fn probe_recorded_channel(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans) {
-        run_versioned_observed_channel(&self.timeline, key, tune_in, channel, policy)
-    }
-
-    fn begin_with_channel(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_> {
-        Box::new(VersionedWalk::with_channel(
-            &self.timeline,
-            key,
-            tune_in,
-            channel,
-            policy,
-        ))
-    }
-
-    fn make_slot_channel(
-        &self,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(VersionedSlot::with_channel(&self.timeline, channel, policy))
-    }
-
-    fn make_slot_channel_observed(
-        &self,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(ObservedVersionedSlot::with_channel(
-            &self.timeline,
-            channel,
-            policy,
-        ))
+    fn tune(&self, key: Key, tune_in: Ticks) -> (Versioned<'_, S>, S::Machine) {
+        self.timeline.tune(key, tune_in)
     }
 }
 
 /// A striped **dynamic** broadcast group — the multichannel counterpart
-/// of [`VersionedServer`]: the key-sorted dataset is split into
-/// contiguous slices, each slice becomes its own [`VersionedServer`] on
-/// its own channel (under [`Params::scaled`] dilation for equal aggregate
-/// bandwidth), and each channel's update stream runs with a
-/// deterministically remixed seed ([`remix_seed`]) so churn is
-/// decorrelated across channels while channel 0 keeps the base stream.
+/// of [`VersionedServer`], built by [`VersionedServer::build_striped`]:
+/// the key-sorted dataset is split into contiguous slices, each slice
+/// becomes its own [`VersionedServer`] on its own channel (under
+/// [`Params::scaled`] dilation for equal aggregate bandwidth), and each
+/// channel's update stream runs with a deterministically remixed seed
+/// ([`remix_seed`]) so churn is decorrelated across channels while
+/// channel 0 keeps the base stream. Every driver, the slot included, is
+/// the frozen striped group's, over versioned channels.
 ///
 /// Routing uses the **initial** partition's bounds, frozen for the whole
 /// horizon. A known wart follows: an update stream may insert a key
@@ -358,24 +229,20 @@ where
 /// build), not something a client-side routing directory can track;
 /// every driver sees the same frozen directory, so cross-driver
 /// equivalence is unaffected.
-pub struct StripedVersionedServer<S: System> {
-    channels: Vec<VersionedServer<S>>,
-    bounds: Vec<u64>,
-    switch_cost: Ticks,
-}
+pub type StripedVersionedServer<S> = StripedSystem<VersionedServer<S>>;
 
-impl<S: System> StripedVersionedServer<S> {
-    /// Build the group: even contiguous partition of `dataset` over
-    /// `config.channels` (clamped to the dataset size), one versioned
-    /// server per slice, channel `g`'s update stream seeded with
+impl<S: System> VersionedServer<S> {
+    /// Build a striped dynamic group: even contiguous partition of
+    /// `dataset` over `config.channels` (clamped to the dataset size), one
+    /// versioned server per slice, channel `g`'s update stream seeded with
     /// `remix_seed(spec.seed, g)`.
-    pub fn build<Sch>(
+    pub fn build_striped<Sch>(
         scheme: &Sch,
         dataset: &Dataset,
         params: &Params,
         config: GroupConfig,
         spec: UpdateSpec,
-    ) -> Result<Self>
+    ) -> Result<StripedVersionedServer<S>>
     where
         Sch: Scheme<System = S>,
     {
@@ -399,364 +266,21 @@ impl<S: System> StripedVersionedServer<S> {
             )?);
             lo += len;
         }
-        Ok(StripedVersionedServer {
+        Ok(StripedSystem::from_parts(
             channels,
             bounds,
-            switch_cost: config.switch_cost,
-        })
-    }
-
-    /// Number of channels in the group.
-    pub fn num_channels(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// Air time one retune costs, in ticks.
-    pub fn switch_cost(&self) -> Ticks {
-        self.switch_cost
-    }
-
-    /// Channel `g`'s versioned server.
-    pub fn channel_server(&self, g: usize) -> &VersionedServer<S> {
-        &self.channels[g]
-    }
-
-    /// The frozen routing directory: first initial key of each slice.
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
-    }
-
-    /// The channel a query for `key` tunes to.
-    pub fn route(&self, key: Key) -> usize {
-        self.bounds
-            .partition_point(|&b| b <= key.0)
-            .saturating_sub(1)
-    }
-
-    fn route_with_cost(&self, key: Key) -> (usize, Ticks) {
-        let g = self.route(key);
-        let sw = if g == 0 { 0 } else { self.switch_cost };
-        (g, sw)
-    }
-}
-
-impl<S: System> std::fmt::Debug for StripedVersionedServer<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StripedVersionedServer")
-            .field(
-                "scheme",
-                &System::scheme_name(&self.channels[0].timeline().epoch(0).system),
-            )
-            .field("channels", &self.channels.len())
-            .field("switch_cost", &self.switch_cost)
-            .finish()
-    }
-}
-
-/// The reusable [`QuerySlot`] of a striped versioned group: routes each
-/// query at [`QuerySlot::start`], arms the target channel's own
-/// (versioned) slot behind the channel-derived fault model, and patches
-/// the switch cost into the final outcome and spans.
-struct RoutedVersionedSlot<'a, S: System>
-where
-    S::Machine: 'static,
-{
-    server: &'a StripedVersionedServer<S>,
-    base: ChannelModel,
-    policy: RetryPolicy,
-    observed: bool,
-    ff: bool,
-    inner: Option<Box<dyn QuerySlot + 'a>>,
-    pending: Ticks,
-    patched: Option<PhaseSpans>,
-}
-
-impl<'a, S: System> RoutedVersionedSlot<'a, S>
-where
-    S::Machine: 'static,
-{
-    fn new(
-        server: &'a StripedVersionedServer<S>,
-        base: ChannelModel,
-        policy: RetryPolicy,
-        observed: bool,
-    ) -> Self {
-        RoutedVersionedSlot {
-            server,
-            base,
-            policy,
-            observed,
-            ff: false,
-            inner: None,
-            pending: 0,
-            patched: None,
-        }
-    }
-}
-
-impl<S: System> QuerySlot for RoutedVersionedSlot<'_, S>
-where
-    S::Machine: 'static,
-{
-    fn start(&mut self, key: Key, tune_in: Ticks) {
-        let (g, sw) = self.server.route_with_cost(key);
-        let ch = &self.server.channels[g];
-        let model = channel_model_for(self.base, g as u32);
-        let mut inner = if self.observed {
-            ch.make_slot_channel_observed(model, self.policy)
-        } else {
-            ch.make_slot_channel(model, self.policy)
-        };
-        inner.set_fast_forward(self.ff);
-        inner.start(key, tune_in.saturating_add(sw));
-        self.inner = Some(inner);
-        self.pending = sw;
-        self.patched = None;
-    }
-
-    fn set_fast_forward(&mut self, enabled: bool) {
-        self.ff = enabled;
-        if let Some(inner) = self.inner.as_mut() {
-            inner.set_fast_forward(enabled);
-        }
-    }
-
-    fn step(&mut self) -> WalkStep {
-        let inner = self.inner.as_mut().expect("QuerySlot::step before start");
-        match inner.step() {
-            WalkStep::Done(out) => {
-                if self.observed {
-                    let spans = inner.spans().copied().unwrap_or_default();
-                    self.patched = Some(patch_spans(spans, self.pending));
-                }
-                WalkStep::Done(patch_outcome(out, self.pending))
-            }
-            s => s,
-        }
-    }
-
-    fn now(&self) -> Ticks {
-        self.inner
-            .as_ref()
-            .expect("QuerySlot::now before start")
-            .now()
-    }
-
-    fn is_done(&self) -> bool {
-        self.inner.as_ref().map_or(true, |i| i.is_done())
-    }
-
-    fn spans(&self) -> Option<&PhaseSpans> {
-        if !self.observed {
-            return None;
-        }
-        self.patched
-            .as_ref()
-            .or_else(|| self.inner.as_ref().and_then(|i| i.spans()))
-    }
-}
-
-impl<S: System> DynSystem for StripedVersionedServer<S>
-where
-    S::Machine: 'static,
-{
-    fn scheme_name(&self) -> &'static str {
-        DynSystem::scheme_name(&self.channels[0])
-    }
-
-    fn cycle_len(&self) -> Ticks {
-        // The longest per-channel cycle — same convention as the frozen
-        // striped group.
-        self.channels
-            .iter()
-            .map(DynSystem::cycle_len)
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn num_buckets(&self) -> usize {
-        self.channels.iter().map(DynSystem::num_buckets).sum()
-    }
-
-    fn probe(&self, key: Key, tune_in: Ticks) -> AccessOutcome {
-        let (g, sw) = self.route_with_cost(key);
-        patch_outcome(self.channels[g].probe(key, tune_in.saturating_add(sw)), sw)
-    }
-
-    fn probe_with_errors(&self, key: Key, tune_in: Ticks, errors: ErrorModel) -> AccessOutcome {
-        self.probe_with_policy(key, tune_in, errors, RetryPolicy::UNBOUNDED)
-    }
-
-    fn probe_with_policy(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> AccessOutcome {
-        let (g, sw) = self.route_with_cost(key);
-        patch_outcome(
-            self.channels[g].probe_with_policy(
-                key,
-                tune_in.saturating_add(sw),
-                error_model_for(errors, g as u32),
-                policy,
-            ),
-            sw,
-        )
-    }
-
-    fn begin(&self, key: Key, tune_in: Ticks) -> Box<dyn QueryRun + '_> {
-        let (g, sw) = self.route_with_cost(key);
-        let run = self.channels[g].begin(key, tune_in.saturating_add(sw));
-        if sw == 0 {
-            run
-        } else {
-            Box::new(SwitchedRun::new(run, sw))
-        }
-    }
-
-    fn begin_with_faults(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_> {
-        let (g, sw) = self.route_with_cost(key);
-        let run = self.channels[g].begin_with_faults(
-            key,
-            tune_in.saturating_add(sw),
-            error_model_for(errors, g as u32),
-            policy,
-        );
-        if sw == 0 {
-            run
-        } else {
-            Box::new(SwitchedRun::new(run, sw))
-        }
-    }
-
-    fn make_slot(&self) -> Box<dyn QuerySlot + '_> {
-        Box::new(RoutedVersionedSlot::new(
-            self,
-            ChannelModel::NONE,
-            RetryPolicy::UNBOUNDED,
-            false,
+            config.switch_cost,
         ))
-    }
-
-    fn make_slot_with_faults(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(RoutedVersionedSlot::new(self, errors.into(), policy, false))
-    }
-
-    fn probe_recorded(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans) {
-        let (g, sw) = self.route_with_cost(key);
-        let (out, spans) = self.channels[g].probe_recorded(
-            key,
-            tune_in.saturating_add(sw),
-            error_model_for(errors, g as u32),
-            policy,
-        );
-        (patch_outcome(out, sw), patch_spans(spans, sw))
-    }
-
-    fn make_slot_observed(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(RoutedVersionedSlot::new(self, errors.into(), policy, true))
-    }
-
-    fn probe_with_channel(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> AccessOutcome {
-        let (g, sw) = self.route_with_cost(key);
-        patch_outcome(
-            self.channels[g].probe_with_channel(
-                key,
-                tune_in.saturating_add(sw),
-                channel_model_for(channel, g as u32),
-                policy,
-            ),
-            sw,
-        )
-    }
-
-    fn probe_recorded_channel(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans) {
-        let (g, sw) = self.route_with_cost(key);
-        let (out, spans) = self.channels[g].probe_recorded_channel(
-            key,
-            tune_in.saturating_add(sw),
-            channel_model_for(channel, g as u32),
-            policy,
-        );
-        (patch_outcome(out, sw), patch_spans(spans, sw))
-    }
-
-    fn begin_with_channel(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_> {
-        let (g, sw) = self.route_with_cost(key);
-        let run = self.channels[g].begin_with_channel(
-            key,
-            tune_in.saturating_add(sw),
-            channel_model_for(channel, g as u32),
-            policy,
-        );
-        if sw == 0 {
-            run
-        } else {
-            Box::new(SwitchedRun::new(run, sw))
-        }
-    }
-
-    fn make_slot_channel(
-        &self,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(RoutedVersionedSlot::new(self, channel, policy, false))
-    }
-
-    fn make_slot_channel_observed(
-        &self,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(RoutedVersionedSlot::new(self, channel, policy, true))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bda_core::{FlatScheme, Record};
+    use bda_core::{
+        AccessOutcome, ChannelModel, FlatScheme, PhaseSpans, QueryRun, QuerySlot, Record,
+        RetryPolicy,
+    };
 
     #[test]
     fn server_reports_channel_geometry() {
@@ -785,37 +309,41 @@ mod tests {
         fn num_buckets(&self) -> usize {
             0
         }
-        fn probe(&self, _: Key, _: Ticks) -> AccessOutcome {
-            unimplemented!("silent channel answers no queries")
-        }
-        fn probe_with_errors(&self, _: Key, _: Ticks, _: ErrorModel) -> AccessOutcome {
-            unimplemented!()
-        }
-        fn probe_with_policy(
+        fn probe_with_channel(
             &self,
             _: Key,
             _: Ticks,
-            _: ErrorModel,
+            _: ChannelModel,
             _: RetryPolicy,
         ) -> AccessOutcome {
-            unimplemented!()
+            unimplemented!("silent channel answers no queries")
         }
-        fn begin(&self, _: Key, _: Ticks) -> Box<dyn QueryRun + '_> {
-            unimplemented!()
-        }
-        fn begin_with_faults(
+        fn probe_recorded_channel(
             &self,
             _: Key,
             _: Ticks,
-            _: ErrorModel,
+            _: ChannelModel,
+            _: RetryPolicy,
+        ) -> (AccessOutcome, PhaseSpans) {
+            unimplemented!()
+        }
+        fn begin_with_channel(
+            &self,
+            _: Key,
+            _: Ticks,
+            _: ChannelModel,
             _: RetryPolicy,
         ) -> Box<dyn QueryRun + '_> {
             unimplemented!()
         }
-        fn make_slot(&self) -> Box<dyn QuerySlot + '_> {
+        fn make_slot_channel(&self, _: ChannelModel, _: RetryPolicy) -> Box<dyn QuerySlot + '_> {
             unimplemented!()
         }
-        fn make_slot_with_faults(&self, _: ErrorModel, _: RetryPolicy) -> Box<dyn QuerySlot + '_> {
+        fn make_slot_channel_observed(
+            &self,
+            _: ChannelModel,
+            _: RetryPolicy,
+        ) -> Box<dyn QuerySlot + '_> {
             unimplemented!()
         }
     }
@@ -855,7 +383,7 @@ mod tests {
         let p = Params::paper();
         let spec = UpdateSpec::rate(0.0, 7);
         let plain = VersionedServer::build(&FlatScheme, &d, &p, spec).unwrap();
-        let striped = StripedVersionedServer::build(
+        let striped = VersionedServer::build_striped(
             &FlatScheme,
             &d,
             &p,
@@ -880,7 +408,7 @@ mod tests {
             .build(&d, &p)
             .unwrap();
         let striped =
-            StripedVersionedServer::build(&FlatScheme, &d, &p, config, UpdateSpec::rate(0.0, 3))
+            VersionedServer::build_striped(&FlatScheme, &d, &p, config, UpdateSpec::rate(0.0, 3))
                 .unwrap();
         assert_eq!(striped.bounds(), frozen.bounds());
         for t in [0u64, 123, 4567] {
@@ -900,16 +428,16 @@ mod tests {
         let p = Params::paper();
         let config = bda_core::GroupConfig::new(4, 512).unwrap();
         let spec = UpdateSpec::rate(0.25, 41);
-        let a = StripedVersionedServer::build(&FlatScheme, &d, &p, config, spec).unwrap();
+        let a = VersionedServer::build_striped(&FlatScheme, &d, &p, config, spec).unwrap();
         assert_eq!(a.num_channels(), 4);
         assert!(
-            (0..4).any(|g| a.channel_server(g).num_epochs() > 1),
+            (0..4).any(|g| a.channel_system(g).num_epochs() > 1),
             "25% churn must version at least one channel"
         );
         // Channel epoch histories differ (remixed seeds decorrelate them)…
         let histories: Vec<Vec<Ticks>> = (0..4)
             .map(|g| {
-                a.channel_server(g)
+                a.channel_system(g)
                     .timeline()
                     .epochs()
                     .iter()
@@ -922,7 +450,7 @@ mod tests {
             "all channels churned identically: {histories:?}"
         );
         // …while the whole group stays reproducible.
-        let b = StripedVersionedServer::build(&FlatScheme, &d, &p, config, spec).unwrap();
+        let b = VersionedServer::build_striped(&FlatScheme, &d, &p, config, spec).unwrap();
         for t in [0u64, 999, 31_337] {
             for k in [0u64, 105, 200, 315] {
                 assert_eq!(a.probe(Key(k), t), b.probe(Key(k), t));

@@ -6,19 +6,20 @@
 //! oracle, the sharded engine (every shard count), and the fast-forwarding
 //! walker all agree bit-identically on every disk-capable scheme, across a
 //! lossless channel, a 15 % error-prone channel with bounded retries, and
-//! a 20 %-churn dynamic program. Observability (span sums, histograms,
-//! percentiles) merges exactly too.
+//! `churn-lossy`'s burst loss with outages under capped, jittered
+//! back-off, on frozen and 20 %-churn dynamic programs alike.
+//! Observability (span sums, histograms, percentiles) merges exactly too.
 
 use bda_core::{
-    Dataset, DiskConfig, DiskScheme, DynSystem, ErrorModel, FlatDisksScheme, Key, Params,
-    RetryPolicy, Scheme, Ticks,
+    BurstModel, ChannelModel, Dataset, DiskConfig, DiskScheme, DynSystem, ErrorModel,
+    FlatDisksScheme, Key, OutageSchedule, Params, RetryPolicy, Scheme, Ticks,
 };
 use bda_datagen::DatasetBuilder;
 use bda_signature::SimpleSignatureDisksScheme;
-use bda_sim::engine::reference::run_requests_reference_with_faults;
+use bda_sim::engine::reference::run_requests_reference_channel;
 use bda_sim::{
-    run_requests_observed, run_requests_sharded_observed, run_requests_sharded_with_faults,
-    run_requests_with_faults, CompletedRequest, Engine, ShardedEngine, UpdateSpec, VersionedServer,
+    run_requests_channel, run_requests_channel_observed, run_requests_sharded_channel,
+    CompletedRequest, Engine, ShardedEngine, UpdateSpec, VersionedServer,
 };
 
 /// 15 % loss — the suite's error-prone channel.
@@ -76,57 +77,84 @@ fn request_mix(ds: &Dataset, pool: &[Key], n: usize, span: Ticks) -> Vec<(Ticks,
         .collect()
 }
 
-/// Lossless with unbounded retries, and 15 % loss with a bounded policy
-/// so abandonment paths are exercised on stratified programs too.
-fn fault_modes() -> [(ErrorModel, RetryPolicy); 2] {
+/// `churn-lossy`'s air: a Gilbert–Elliott chain (4 % → bad, 20 % → good,
+/// 90 % loss while bad) with a 300-tick outage every 3 000 ticks, under
+/// a bounded, capped and jittered exponential back-off.
+fn burst_air() -> (ChannelModel, RetryPolicy) {
+    (
+        ChannelModel::burst(BurstModel::new(0.04, 0.20, 0.0, 0.9, 0xB57))
+            .with_outages(OutageSchedule::new(3_000, 300, 0x0A7)),
+        RetryPolicy::bounded(24)
+            .with_backoff_cap(8)
+            .with_jitter(0x117),
+    )
+}
+
+/// Lossless with unbounded retries, 15 % loss with a bounded policy so
+/// abandonment paths are exercised on stratified programs too, and burst
+/// loss with outages ([`burst_air`]).
+fn fault_modes() -> [(ChannelModel, RetryPolicy); 3] {
     [
-        (ErrorModel::NONE, RetryPolicy::UNBOUNDED),
-        (ErrorModel::new(LOSS, 0xFA57), RetryPolicy::bounded(2)),
+        (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
+        (
+            ErrorModel::new(LOSS, 0xFA57).into(),
+            RetryPolicy::bounded(2),
+        ),
+        burst_air(),
     ]
+}
+
+/// Fail unless a lossy air corrupted some read of the batch.
+fn assert_air_bites(air: ChannelModel, done: &[CompletedRequest], name: &str) {
+    if !air.is_lossless() {
+        assert!(
+            done.iter().any(|r| r.outcome.retries > 0),
+            "{name}: {air:?} corrupted no read"
+        );
+    }
 }
 
 /// Run a batch on a slab engine with fast-forward pinned on or off.
 fn run_with_ff(
     sys: &dyn DynSystem,
     requests: &[(Ticks, Key)],
-    errors: ErrorModel,
+    channel: ChannelModel,
     policy: RetryPolicy,
     ff: bool,
 ) -> (Vec<CompletedRequest>, u64) {
-    let mut engine = Engine::with_faults(sys, errors, policy);
+    let mut engine = Engine::with_channel(sys, channel, policy);
     engine.set_fast_forward(ff);
     let done = engine.run_batch(requests);
     (done, engine.stats().events)
 }
 
 /// Slab engine ≡ reference oracle ≡ sharded engine (every shard count) on
-/// all four disk-capable schemes, lossless and at 15 % loss — outcomes
-/// and the shard-invariant stats projection both.
+/// all four disk-capable schemes, on every air — outcomes and the
+/// shard-invariant stats projection both.
 #[test]
 fn disk_outcomes_agree_across_all_drivers_and_shard_counts() {
     let (ds, pool) = DatasetBuilder::new(60, 0xD15C)
         .build_with_absent_pool(10)
         .unwrap();
     let params = Params::paper();
-    for (errors, policy) in fault_modes() {
+    for (channel, policy) in fault_modes() {
         for sys in disk_systems(&ds, &params) {
             let requests = request_mix(&ds, &pool, 90, 12 * sys.cycle_len());
-            let mut single = Engine::with_faults(sys.as_ref(), errors, policy);
+            let mut single = Engine::with_channel(sys.as_ref(), channel, policy);
             let baseline = single.run_batch(&requests);
-            let oracle =
-                run_requests_reference_with_faults(sys.as_ref(), &requests, errors, policy);
+            let oracle = run_requests_reference_channel(sys.as_ref(), &requests, channel, policy);
             let name = sys.scheme_name();
+            assert_air_bites(channel, &baseline, name);
             assert_eq!(
                 baseline, oracle,
                 "{name}: slab engine ≠ reference oracle on stratified program"
             );
             for shards in shard_counts() {
-                let mut engine = ShardedEngine::with_faults(sys.as_ref(), shards, errors, policy);
+                let mut engine = ShardedEngine::with_channel(sys.as_ref(), shards, channel, policy);
                 let merged = engine.run_batch(&requests);
                 assert_eq!(
                     baseline, merged,
-                    "{name} outcomes drifted at {shards} shards (loss={})",
-                    errors.loss_prob
+                    "{name} outcomes drifted at {shards} shards ({channel:?})"
                 );
                 assert_eq!(
                     single.stats().outcome_counters(),
@@ -149,12 +177,13 @@ fn fast_forward_is_exact_on_stratified_programs() {
         .build_with_absent_pool(10)
         .unwrap();
     let params = Params::paper();
-    for (errors, policy) in fault_modes() {
+    for (channel, policy) in fault_modes() {
         for sys in disk_systems(&ds, &params) {
             let requests = request_mix(&ds, &pool, 72, 8 * sys.cycle_len());
-            let (fast, fast_events) = run_with_ff(sys.as_ref(), &requests, errors, policy, true);
-            let (slow, slow_events) = run_with_ff(sys.as_ref(), &requests, errors, policy, false);
+            let (fast, fast_events) = run_with_ff(sys.as_ref(), &requests, channel, policy, true);
+            let (slow, slow_events) = run_with_ff(sys.as_ref(), &requests, channel, policy, false);
             let name = sys.scheme_name();
+            assert_air_bites(channel, &slow, name);
             assert_eq!(fast, slow, "{name}: fast-forward changed a disk outcome");
             assert!(
                 fast_events <= slow_events,
@@ -171,14 +200,14 @@ fn fast_forward_is_exact_on_stratified_programs() {
     let (fast, fe) = run_with_ff(
         &sys,
         &requests,
-        ErrorModel::NONE,
+        ChannelModel::NONE,
         RetryPolicy::UNBOUNDED,
         true,
     );
     let (slow, se) = run_with_ff(
         &sys,
         &requests,
-        ErrorModel::NONE,
+        ChannelModel::NONE,
         RetryPolicy::UNBOUNDED,
         false,
     );
@@ -191,60 +220,66 @@ fn fast_forward_is_exact_on_stratified_programs() {
 
 /// Merged observability is exact on stratified programs: span sums,
 /// access/tuning/retry histograms and every percentile agree between the
-/// single engine and each sharded merge.
+/// single engine and each sharded merge, at 15 % loss and on burst loss
+/// with outages.
 #[test]
 fn observed_metrics_merge_exactly_on_stratified_programs() {
     let (ds, pool) = DatasetBuilder::new(60, 0xD15E)
         .build_with_absent_pool(10)
         .unwrap();
     let params = Params::paper();
-    let errors = ErrorModel::new(LOSS, 0x717);
-    let policy = RetryPolicy::bounded(3);
-    for sys in disk_systems(&ds, &params) {
-        let requests = request_mix(&ds, &pool, 90, 12 * sys.cycle_len());
-        let (baseline, hub) = run_requests_observed(sys.as_ref(), &requests, errors, policy);
-        // Span sums must tie out against the outcomes they measure.
-        let access_sum: u128 = baseline.iter().map(|r| u128::from(r.outcome.access)).sum();
-        let name = sys.scheme_name();
-        assert_eq!(
-            access_sum,
-            hub.access.sum(),
-            "{name}: access histogram sum ≠ outcome access sum"
-        );
-        for shards in shard_counts() {
-            let (merged, sharded_hub) =
-                run_requests_sharded_observed(sys.as_ref(), &requests, shards, errors, policy);
-            assert_eq!(baseline, merged, "{name}, {shards} shards");
+    let iid = (ErrorModel::new(LOSS, 0x717).into(), RetryPolicy::bounded(3));
+    for (channel, policy) in [iid, burst_air()] {
+        for sys in disk_systems(&ds, &params) {
+            let requests = request_mix(&ds, &pool, 90, 12 * sys.cycle_len());
+            let (baseline, hub) =
+                run_requests_channel_observed(sys.as_ref(), &requests, channel, policy);
+            // Span sums must tie out against the outcomes they measure.
+            let access_sum: u128 = baseline.iter().map(|r| u128::from(r.outcome.access)).sum();
+            let name = sys.scheme_name();
+            assert_air_bites(channel, &baseline, name);
             assert_eq!(
-                hub.spans, sharded_hub.spans,
-                "{name} spans, {shards} shards"
+                access_sum,
+                hub.access.sum(),
+                "{name}: access histogram sum ≠ outcome access sum"
             );
-            assert_eq!(
-                hub.access, sharded_hub.access,
-                "{name} access histogram, {shards} shards"
-            );
-            assert_eq!(
-                hub.tuning, sharded_hub.tuning,
-                "{name} tuning histogram, {shards} shards"
-            );
-            assert_eq!(
-                hub.retry_depth, sharded_hub.retry_depth,
-                "{name} retry-depth histogram, {shards} shards"
-            );
-            assert_eq!(hub.completed, sharded_hub.completed);
-            assert_eq!(hub.found, sharded_hub.found);
-            assert_eq!(hub.abandoned, sharded_hub.abandoned);
-            for q in [0.5, 0.9, 0.99, 1.0] {
+            for shards in shard_counts() {
+                let mut engine = ShardedEngine::with_channel(sys.as_ref(), shards, channel, policy);
+                engine.enable_metrics();
+                let merged = engine.run_batch(&requests);
+                let sharded_hub = engine.take_metrics().expect("metrics were enabled");
+                assert_eq!(baseline, merged, "{name}, {shards} shards");
                 assert_eq!(
-                    hub.access.quantile(q),
-                    sharded_hub.access.quantile(q),
-                    "{name} access p{q}, {shards} shards"
+                    hub.spans, sharded_hub.spans,
+                    "{name} spans, {shards} shards"
                 );
                 assert_eq!(
-                    hub.tuning.quantile(q),
-                    sharded_hub.tuning.quantile(q),
-                    "{name} tuning p{q}, {shards} shards"
+                    hub.access, sharded_hub.access,
+                    "{name} access histogram, {shards} shards"
                 );
+                assert_eq!(
+                    hub.tuning, sharded_hub.tuning,
+                    "{name} tuning histogram, {shards} shards"
+                );
+                assert_eq!(
+                    hub.retry_depth, sharded_hub.retry_depth,
+                    "{name} retry-depth histogram, {shards} shards"
+                );
+                assert_eq!(hub.completed, sharded_hub.completed);
+                assert_eq!(hub.found, sharded_hub.found);
+                assert_eq!(hub.abandoned, sharded_hub.abandoned);
+                for q in [0.5, 0.9, 0.99, 1.0] {
+                    assert_eq!(
+                        hub.access.quantile(q),
+                        sharded_hub.access.quantile(q),
+                        "{name} access p{q}, {shards} shards"
+                    );
+                    assert_eq!(
+                        hub.tuning.quantile(q),
+                        sharded_hub.tuning.quantile(q),
+                        "{name} tuning p{q}, {shards} shards"
+                    );
+                }
             }
         }
     }
@@ -294,8 +329,9 @@ fn with_all_disk_versioned(
 }
 
 /// A 20 %-churn dynamic stratified program: the stale machinery engages
-/// (re-ranking piggybacks on versioned cycles), and every shard count
-/// reproduces the unsharded outcomes exactly, with and without loss.
+/// (re-ranking piggybacks on versioned cycles), and the reference oracle,
+/// the bucket-by-bucket engine and every shard count reproduce the
+/// fast-forwarding slab engine's outcomes exactly, on every air.
 #[test]
 fn churned_stratified_programs_are_shard_invariant() {
     let (ds, pool) = DatasetBuilder::new(60, 0xD15F)
@@ -307,25 +343,33 @@ fn churned_stratified_programs_are_shard_invariant() {
         seed: 0xBEEF,
         horizon_cycles: 16,
     };
-    for (errors, policy) in fault_modes() {
+    for (channel, policy) in fault_modes() {
         with_all_disk_versioned(&ds, &params, spec, &mut |server, span| {
             let requests = request_mix(&ds, &pool, 70, span);
-            let baseline = run_requests_with_faults(server, &requests, errors, policy);
+            let baseline = run_requests_channel(server, &requests, channel, policy);
+            let name = server.scheme_name();
             let churn_engaged = baseline.iter().any(|r| r.outcome.version_skews > 0);
             assert!(
                 churn_engaged,
-                "{}: 20% churn must exercise the stale machinery on disks",
-                server.scheme_name()
+                "{name}: 20% churn must exercise the stale machinery on disks"
+            );
+            assert_air_bites(channel, &baseline, name);
+            let oracle = run_requests_reference_channel(server, &requests, channel, policy);
+            assert_eq!(
+                baseline, oracle,
+                "{name}: churn outcomes ≠ reference oracle"
+            );
+            let (slow, _) = run_with_ff(server, &requests, channel, policy, false);
+            assert_eq!(
+                baseline, slow,
+                "{name}: fast-forward changed a churn outcome"
             );
             for shards in shard_counts() {
                 let merged =
-                    run_requests_sharded_with_faults(server, &requests, shards, errors, policy);
+                    run_requests_sharded_channel(server, &requests, shards, channel, policy);
                 assert_eq!(
-                    baseline,
-                    merged,
-                    "{} churn outcomes drifted at {shards} shards (loss={})",
-                    server.scheme_name(),
-                    errors.loss_prob
+                    baseline, merged,
+                    "{name} churn outcomes drifted at {shards} shards ({channel:?})"
                 );
             }
         });

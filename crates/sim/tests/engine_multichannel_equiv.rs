@@ -27,8 +27,8 @@ use bda_datagen::DatasetBuilder;
 use bda_obs::{Completion, MetricsHub};
 use bda_sim::engine::reference::run_requests_reference_channel;
 use bda_sim::{
-    run_requests_channel_observed, run_requests_sharded_channel, Engine, StripedVersionedServer,
-    UpdateSpec,
+    run_requests_channel_observed, run_requests_sharded_channel, Engine, UpdateSpec,
+    VersionedServer,
 };
 
 /// Every multichannel-capable program shape at one group config: the
@@ -251,15 +251,21 @@ fn churning_striped_groups_agree_across_drivers() {
         .with_jitter(0x1EE7);
     let servers: Vec<Box<dyn DynSystem>> = vec![
         Box::new(
-            StripedVersionedServer::build(&bda_core::FlatScheme, &ds, &params, config, spec)
+            VersionedServer::build_striped(&bda_core::FlatScheme, &ds, &params, config, spec)
                 .unwrap(),
         ),
         Box::new(
-            StripedVersionedServer::build(&bda_hash::HashScheme::new(), &ds, &params, config, spec)
-                .unwrap(),
+            VersionedServer::build_striped(
+                &bda_hash::HashScheme::new(),
+                &ds,
+                &params,
+                config,
+                spec,
+            )
+            .unwrap(),
         ),
         Box::new(
-            StripedVersionedServer::build(
+            VersionedServer::build_striped(
                 &bda_signature::SimpleSignatureScheme::new(),
                 &ds,
                 &params,

@@ -18,7 +18,7 @@ use bda_core::{
     Params, RetryPolicy, Scheme,
 };
 use bda_datagen::DatasetBuilder;
-use bda_sim::{Engine, StripedVersionedServer, UpdateSpec, VersionedServer};
+use bda_sim::{Engine, UpdateSpec, VersionedServer};
 
 type Air = (ChannelModel, RetryPolicy);
 
@@ -145,7 +145,7 @@ fn churning_scan_schemes_stay_within_their_event_budget() {
         .unwrap();
     let group = GroupConfig::new(2, 256).unwrap();
     let striped =
-        StripedVersionedServer::build(&bda_core::FlatScheme, &ds, &Params::paper(), group, CHURN)
+        VersionedServer::build_striped(&bda_core::FlatScheme, &ds, &Params::paper(), group, CHURN)
             .unwrap();
     let rows: Vec<(Box<dyn DynSystem>, &str, f64)> = vec![
         (churning(bda_core::FlatScheme, &ds), "flat", 7.0),

@@ -2,7 +2,7 @@
 //! bucket loss — queries eventually succeed, absence is still reported
 //! truthfully, and costs degrade monotonically-ish with the loss rate.
 
-use bda::core::ErrorModel;
+use bda::core::{ErrorModel, RetryPolicy};
 use bda::prelude::*;
 
 fn systems(ds: &Dataset, params: &Params) -> Vec<Box<dyn DynSystem>> {
@@ -183,8 +183,13 @@ fn hybrid_attr_queries_survive_loss() {
     let errors = ErrorModel::new(0.10, 17);
     for (i, r) in ds.records().iter().enumerate().step_by(13) {
         let m = sys.attr_query(r.attrs[1]);
-        let out =
-            bda::core::machine::run_machine_with_errors(sys.channel(), m, i as u64 * 577, errors);
+        let out = bda::core::machine::run_machine_with_channel(
+            sys.channel(),
+            m,
+            i as u64 * 577,
+            errors.into(),
+            RetryPolicy::UNBOUNDED,
+        );
         assert!(out.found, "attr {} lost", r.attrs[1]);
         assert!(!out.aborted);
     }
