@@ -373,7 +373,7 @@ const SEARCH_PASSES: usize = 6;
 
 /// Greedy KSY-style local search over `(channel, slot)` assignments:
 /// start from [`indexed_even`] and repeatedly accept pairwise swaps among
-/// the hottest [`SEARCH_HEAD`] records (same-channel slot rotations and
+/// the hottest `SEARCH_HEAD` records (same-channel slot rotations and
 /// cross-channel moves alike) while the predicted weighted access time
 /// strictly drops. Deterministic, and never worse than the even baseline
 /// by construction.

@@ -8,9 +8,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use bda_bench::SchemeKind;
-use bda_core::{Key, Params, Ticks};
+use bda_core::{ChannelModel, Key, Params, RetryPolicy, Ticks};
 use bda_datagen::{DatasetBuilder, Prng};
-use bda_sim::{engine::reference::run_requests_reference, Engine};
+use bda_sim::{engine::reference::run_requests_reference_channel, Engine};
 
 const RECORDS: usize = 1_000;
 const CLIENTS: usize = 100_000;
@@ -77,7 +77,17 @@ fn engine_vs_reference(c: &mut Criterion) {
         b.iter(|| black_box(engine.run_batch(black_box(&requests)).len()))
     });
     group.bench_function(BenchmarkId::new("reference", requests.len()), |b| {
-        b.iter(|| black_box(run_requests_reference(system.as_ref(), black_box(&requests)).len()))
+        b.iter(|| {
+            black_box(
+                run_requests_reference_channel(
+                    system.as_ref(),
+                    black_box(&requests),
+                    ChannelModel::NONE,
+                    RetryPolicy::UNBOUNDED,
+                )
+                .len(),
+            )
+        })
     });
     group.finish();
 }

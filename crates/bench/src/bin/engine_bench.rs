@@ -51,8 +51,8 @@ use bda_core::{BurstModel, ChannelModel, Key, OutageSchedule, Params, RetryPolic
 use bda_datagen::{DatasetBuilder, Prng};
 use bda_obs::{export, validate_trace, MetricsHub, TimeSeries, WindowSpec};
 use bda_sim::{
-    engine::reference::run_requests_reference, perfetto_trace, Engine, EngineStats, ShardRun,
-    ShardedEngine, UpdateSpec,
+    engine::reference::run_requests_reference_channel, perfetto_trace, Engine, EngineStats,
+    ShardRun, ShardedEngine, UpdateSpec,
 };
 
 struct Cli {
@@ -392,7 +392,12 @@ fn main() {
             );
 
             let start = Instant::now();
-            run_requests_reference(system.as_ref(), &ref_requests);
+            run_requests_reference_channel(
+                system.as_ref(),
+                &ref_requests,
+                ChannelModel::NONE,
+                RetryPolicy::UNBOUNDED,
+            );
             let ref_t = start.elapsed().as_secs_f64();
 
             reference_speedup = Some(ref_t / slab_t.max(1e-12));

@@ -6,8 +6,8 @@
 
 use bda_btree::DistributedScheme;
 use bda_core::{
-    Dataset, DiskConfig, DiskScheme, DynSystem, ErrorModel, Key, Params, Record, RetryPolicy,
-    Scheme, System,
+    ChannelModel, Dataset, DiskConfig, DiskScheme, DynSystem, ErrorModel, Key, Params, Record,
+    RetryPolicy, Scheme, System,
 };
 
 fn dataset(n: u64) -> Dataset {
@@ -102,14 +102,14 @@ fn lossy_channel_recovery_reroutes_correctly() {
     let sys = DiskScheme::new(DistributedScheme::new(), DiskConfig::new(2))
         .build(&ds, &p)
         .unwrap();
-    let errors = ErrorModel::new(0.15, 0xB7EE);
+    let air = ChannelModel::from(ErrorModel::new(0.15, 0xB7EE));
     for k in 0..60u64 {
-        let out = sys.probe_with_errors(Key(k * 5 + 2), 23 * k, errors);
+        let out = sys.probe_with_channel(Key(k * 5 + 2), 23 * k, air, RetryPolicy::UNBOUNDED);
         assert!(out.found, "key {k} lost under 15% loss");
         assert!(!out.aborted);
     }
     for k in [0u64, 4, 777] {
-        let out = sys.probe_with_policy(Key(k), 29, errors, RetryPolicy::bounded(4));
+        let out = sys.probe_with_channel(Key(k), 29, air, RetryPolicy::bounded(4));
         assert!(!out.found, "phantom key {k} under loss");
     }
 }

@@ -15,8 +15,8 @@ COMMANDS:
 
 FLAGS:
     --scheme NAME        flat | one-m | distributed | hashing | signature |
-                         integrated-signature | multilevel-signature
-                         (default distributed)
+                         integrated-signature | multilevel-signature |
+                         hybrid (default distributed)
     --records N          dataset size (default 1000)
     --ratio R            record/key ratio 5..=100 (default 20, paper Table 1)
     --seed S             dataset/workload seed (default 2002)
@@ -54,7 +54,7 @@ FLAGS:
                          channel, bit-identical to no flag)
     --switch-cost S      air time one channel retune costs the client, in
                          bytes (with --channels; default 0)
-    --accuracy A         confidence accuracy target (simulate; default 0.02)
+    --accuracy A         confidence accuracy target, > 0 (simulate; default 0.02)
     --shards N           worker shards for the event-driven testbed: each
                          round is partitioned across N per-core engines
                          and merged deterministically — reports are
@@ -214,6 +214,9 @@ impl Options {
         }
         if o.records == 0 {
             return Err("--records must be positive".into());
+        }
+        if !(o.accuracy.is_finite() && o.accuracy > 0.0) {
+            return Err("--accuracy must be a finite number greater than 0".into());
         }
         if !(0.0..=100.0).contains(&o.availability) {
             return Err("--availability must be 0..=100".into());
@@ -385,6 +388,12 @@ mod tests {
         assert!(parse(&["--update-rate", "-1"]).is_err());
         assert!(parse(&["--shards", "0"]).is_err());
         assert!(parse(&["--bogus", "1"]).is_err());
+        // An accuracy target must be finite and positive: 0, below 0 or
+        // NaN is never met (the simulator would run to its round cap),
+        // and an infinite one is met by any run.
+        for bad in ["0", "-1", "NaN", "inf"] {
+            assert!(parse(&["--accuracy", bad]).is_err(), "--accuracy {bad}");
+        }
     }
 
     #[test]

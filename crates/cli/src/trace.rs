@@ -66,7 +66,7 @@ fn span_delta(before: &PhaseSpans, after: &PhaseSpans) -> (Phase, u64, u64) {
 /// Drive `machine` against `channel`, describing every bucket read with
 /// `describe`. Burst loss and scheduled outages are rendered with their
 /// cause (`×CORRUPT` vs `×OUTAGE`); a degenerate [`ChannelModel`] traces
-/// bit-identically to the i.i.d. [`ErrorModel`] it wraps.
+/// bit-identically to the i.i.d. [`bda_core::ErrorModel`] it wraps.
 pub fn trace_walk_channel<P, M: ProtocolMachine<P>>(
     channel: &Channel<P>,
     machine: M,

@@ -410,10 +410,10 @@ mod tests {
         let tl = two_epoch_timeline();
         let boundary = tl.epoch(1).start;
         let bucket = u64::from(Params::paper().data_bucket_size());
-        let (out, spans) = tl.probe_recorded(
+        let (out, spans) = tl.probe_recorded_channel(
             Key(40),
             boundary - bucket,
-            ErrorModel::NONE,
+            ChannelModel::NONE,
             RetryPolicy::UNBOUNDED,
         );
         assert!(out.found);
@@ -429,7 +429,7 @@ mod tests {
         // A skew-free walk records no StaleRecovery spans, and the observed
         // walk's outcome matches the plain one bit-for-bit.
         let (clean, clean_spans) =
-            tl.probe_recorded(Key(20), 0, ErrorModel::NONE, RetryPolicy::UNBOUNDED);
+            tl.probe_recorded_channel(Key(20), 0, ChannelModel::NONE, RetryPolicy::UNBOUNDED);
         assert_eq!(clean, tl.probe(Key(20), 0));
         assert_eq!(clean_spans.get(Phase::StaleRecovery).count, 0);
         assert_eq!(clean_spans.total_access(), clean.access);
@@ -439,7 +439,7 @@ mod tests {
     fn versioned_slot_agrees_with_one_shot_run() {
         let tl = two_epoch_timeline();
         let boundary = tl.epoch(1).start;
-        let mut slot = tl.make_slot();
+        let mut slot = tl.make_slot_channel(ChannelModel::NONE, RetryPolicy::UNBOUNDED);
         assert!(slot.is_done(), "fresh slot is idle");
         for key in [Key(0), Key(20), Key(40), Key(55)] {
             for t in [0u64, boundary - 7, boundary + 3] {

@@ -21,7 +21,7 @@
 //!   them over a frozen channel or a churning timeline of programs; two
 //!   drivers step it: the direct walker ([`machine::run_machine`]) used by
 //!   benchmarks, and the discrete-event testbed in `bda-sim`, which steps
-//!   the same walks through [`scheme::QueryRun`] and [`scheme::QuerySlot`].
+//!   the same walks through [`scheme::QuerySlot`].
 //! * **Flat broadcast.** The paper's baseline — no index, clients scan every
 //!   bucket — lives here as [`flat::FlatScheme`].
 //!
@@ -63,13 +63,13 @@ pub use machine::{
     ProtocolMachine, Verdict, Walk, WalkStep,
 };
 pub use multichannel::{
-    channel_model_for, error_model_for, even_partition, patch_outcome, patch_spans, remix_seed,
-    BucketRef, GroupConfig, GroupPayload, GroupSlot, GroupWalk, IndexedGroupScheme,
-    IndexedGroupSystem, StripedScheme, StripedSlot, StripedSystem, SwitchedRun,
+    channel_model_for, even_partition, patch_outcome, remix_seed, BucketRef, GroupConfig,
+    GroupPayload, GroupSlot, GroupWalk, IndexedGroupScheme, IndexedGroupSystem, StripedScheme,
+    StripedSlot, StripedSystem,
 };
 pub use params::Params;
 pub use record::{Dataset, Record};
-pub use scheme::{Broadcast, DynSystem, QueryRun, QuerySlot, Scheme, System, WalkSlot};
+pub use scheme::{Broadcast, DynSystem, QuerySlot, Scheme, System, WalkSlot};
 
 // Observability vocabulary, re-exported so scheme crates implementing
 // `ProtocolMachine::bucket_kind` (and drivers wiring recorders through

@@ -16,7 +16,6 @@ use crate::bucket::{Bucket, BucketMeta};
 use crate::channel::Channel;
 use crate::error::ProtocolFault;
 use crate::errors_model::{ChannelModel, RetryPolicy};
-use crate::scheme::QueryRun;
 use crate::Ticks;
 use bda_obs::{BucketKind, NoopRecorder, Phase, PhaseSpans, Recorder, SpanRecorder};
 
@@ -964,18 +963,6 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
             // builder bug: abort so the differential suites catch it.
             Action::Fail(_) => self.finish(false, self.false_drops_hint, true),
         }
-    }
-}
-
-impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> QueryRun
-    for Walk<Src, M, R>
-{
-    fn step(&mut self) -> WalkStep {
-        Walk::step(self)
-    }
-
-    fn now(&self) -> Ticks {
-        Walk::now(self)
     }
 }
 

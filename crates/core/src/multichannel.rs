@@ -49,7 +49,7 @@ use crate::key::Key;
 use crate::machine::{probe_budget, AccessOutcome, Retries, Walk, WalkStep};
 use crate::params::Params;
 use crate::record::Dataset;
-use crate::scheme::{Broadcast, DynSystem, MachineOf, QueryRun, QuerySlot, Scheme};
+use crate::scheme::{Broadcast, DynSystem, MachineOf, QuerySlot, Scheme};
 use crate::Ticks;
 use bda_obs::{NoopRecorder, Phase, PhaseSpans, Recorder, SpanRecorder};
 
@@ -120,7 +120,7 @@ pub fn remix_seed(seed: u64, g: u32) -> u64 {
 
 /// Channel `g`'s view of the caller's [`ErrorModel`]: same loss rate,
 /// remixed seed (identity at `g == 0`).
-pub fn error_model_for(base: ErrorModel, g: u32) -> ErrorModel {
+fn error_model_for(base: ErrorModel, g: u32) -> ErrorModel {
     ErrorModel {
         loss_prob: base.loss_prob,
         seed: remix_seed(base.seed, g),
@@ -323,44 +323,6 @@ pub fn patch_outcome(mut out: AccessOutcome, sw: Ticks) -> AccessOutcome {
     out
 }
 
-/// Patch a walk's phase spans with the up-front channel-switch cost as
-/// one [`Phase::ChannelSwitch`] span (omitted when the query stayed on
-/// its home channel, keeping switch-free spans bit-identical).
-pub fn patch_spans(mut spans: PhaseSpans, sw: Ticks) -> PhaseSpans {
-    if sw > 0 {
-        spans.add(Phase::ChannelSwitch, sw, 0);
-    }
-    spans
-}
-
-/// A stepping query wrapping an inner walk that started after a channel
-/// switch: steps pass through, the final outcome gains the switch cost.
-pub struct SwitchedRun<R> {
-    inner: R,
-    sw: Ticks,
-}
-
-impl<R: QueryRun> SwitchedRun<R> {
-    /// Wrap `inner` (already started `sw` ticks after the query's real
-    /// tune-in) so its final outcome charges the retune.
-    pub fn new(inner: R, sw: Ticks) -> Self {
-        SwitchedRun { inner, sw }
-    }
-}
-
-impl<R: QueryRun> QueryRun for SwitchedRun<R> {
-    fn step(&mut self) -> WalkStep {
-        match self.inner.step() {
-            WalkStep::Done(out) => WalkStep::Done(patch_outcome(out, self.sw)),
-            step => step,
-        }
-    }
-
-    fn now(&self) -> Ticks {
-        self.inner.now()
-    }
-}
-
 /// The reusable [`QuerySlot`] of a striped group, frozen or churning:
 /// routes each query to its channel at [`QuerySlot::start`], arms an
 /// in-place [`Walk`] over that channel's program behind the channel's
@@ -450,7 +412,9 @@ impl<'a, S: Broadcast + Sync, R: Recorder + Default + Send> QuerySlot for Stripe
 
 /// A striped group runs each query over its channel's own program, so
 /// every driver is that program's, shifted by the switch cost and behind
-/// the channel's derived fault model.
+/// the channel's derived fault model. The direct walker routes the key,
+/// runs the channel's own [`DynSystem::probe_with_channel`] and patches in
+/// the switch cost — a path independent of [`StripedSlot`].
 impl<S: Broadcast + Send + Sync> DynSystem for StripedSystem<S>
 where
     MachineOf<S>: 'static,
@@ -488,44 +452,6 @@ where
             policy,
         );
         patch_outcome(out, sw)
-    }
-
-    fn probe_recorded_channel(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans) {
-        let (g, sw) = self.route_with_cost(key);
-        let (out, spans) = self.channels[g].probe_recorded_channel(
-            key,
-            tune_in.saturating_add(sw),
-            channel_model_for(channel, g as u32),
-            policy,
-        );
-        (patch_outcome(out, sw), patch_spans(spans, sw))
-    }
-
-    fn begin_with_channel(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_> {
-        let (g, sw) = self.route_with_cost(key);
-        let run = self.channels[g].begin_with_channel(
-            key,
-            tune_in.saturating_add(sw),
-            channel_model_for(channel, g as u32),
-            policy,
-        );
-        if sw == 0 {
-            run
-        } else {
-            Box::new(SwitchedRun::new(run, sw))
-        }
     }
 
     fn make_slot_channel(
@@ -837,8 +763,10 @@ enum GroupPending {
 }
 
 /// The single client protocol of an [`IndexedGroupSystem`], used verbatim
-/// by every execution driver (probe, stepping run, slot) — cross-driver
-/// bit-identity holds by construction.
+/// by every execution driver (the direct walker and the slot) —
+/// cross-driver bit-identity holds by construction. Like [`Walk`], it
+/// records its per-phase spans into a recorder `R` ([`NoopRecorder`]
+/// keeps none).
 ///
 /// Protocol: probe channel 0, resynchronize to the root block, scan roots
 /// forward to the directory bucket covering the key, read it, then either
@@ -850,7 +778,7 @@ enum GroupPending {
 /// outage streak picks it inside outages, recovery dozes are whole cycles
 /// of the *current* channel, and a walk that runs out of retries,
 /// deadline or (after retrying) probe budget abandons truthfully.
-pub struct GroupWalk<'a> {
+pub struct GroupWalk<'a, R = NoopRecorder> {
     system: &'a IndexedGroupSystem,
     key: Key,
     tune_in: Ticks,
@@ -858,7 +786,7 @@ pub struct GroupWalk<'a> {
     policy: RetryPolicy,
     now: Ticks,
     pending: GroupPending,
-    spans: PhaseSpans,
+    recorder: R,
     tuning: Ticks,
     /// Clean reads so far.
     probes: u32,
@@ -867,15 +795,17 @@ pub struct GroupWalk<'a> {
     budget: u32,
 }
 
-impl<'a> GroupWalk<'a> {
+impl<'a, R: Recorder> GroupWalk<'a, R> {
     /// A walk for `key` tuning in at `tune_in` behind `base` faults
-    /// (channel `g`'s view is [`channel_model_for`]`(base, g)`).
+    /// (channel `g`'s view is [`channel_model_for`]`(base, g)`), recording
+    /// into `recorder`.
     pub fn new(
         system: &'a IndexedGroupSystem,
         key: Key,
         tune_in: Ticks,
         base: ChannelModel,
         policy: RetryPolicy,
+        recorder: R,
     ) -> Self {
         // The single-channel walker's budget over every channel's buckets,
         // so a protocol bug aborts instead of spinning forever.
@@ -888,7 +818,7 @@ impl<'a> GroupWalk<'a> {
             policy,
             now: tune_in,
             pending: GroupPending::Probe { at: tune_in },
-            spans: PhaseSpans::new(),
+            recorder,
             tuning: 0,
             probes: 0,
             retries: Retries::default(),
@@ -902,10 +832,14 @@ impl<'a> GroupWalk<'a> {
         matches!(self.pending, GroupPending::Finished(_))
     }
 
-    /// The per-phase span decomposition recorded so far (always on — the
-    /// group walk's accounting is cheap enough to never switch off).
-    pub fn spans(&self) -> &PhaseSpans {
-        &self.spans
+    /// Absolute time the walk has reached.
+    pub fn now(&self) -> Ticks {
+        self.now
+    }
+
+    /// The walk's recorder.
+    pub fn recorder(&self) -> &R {
+        &self.recorder
     }
 
     fn channel_of(&self, ch: u32) -> &'a Channel<GroupPayload> {
@@ -916,7 +850,7 @@ impl<'a> GroupWalk<'a> {
         }
     }
 
-    /// Seal the walk's outcome; the next [`QueryRun::step`] reports it.
+    /// Seal the walk's outcome; the next [`GroupWalk::step`] reports it.
     fn complete(&mut self, found: bool, abandoned: bool, aborted: bool) {
         let out = AccessOutcome {
             found,
@@ -1042,16 +976,16 @@ impl<'a> GroupWalk<'a> {
             GroupPayload::Data { .. } => self.complete(false, false, true),
         }
     }
-}
 
-impl QueryRun for GroupWalk<'_> {
-    fn step(&mut self) -> WalkStep {
+    /// Perform the next protocol action: one bucket read, one doze or
+    /// retune, or completion.
+    pub fn step(&mut self) -> WalkStep {
         loop {
             match self.pending {
                 GroupPending::Finished(out) => return WalkStep::Done(out),
                 GroupPending::Probe { at } => {
                     if at > self.now {
-                        self.spans.add(Phase::Doze, at - self.now, 0);
+                        self.recorder.span(Phase::Doze, at - self.now, 0);
                         self.now = at;
                         return WalkStep::Doze { until: at };
                     }
@@ -1066,7 +1000,7 @@ impl QueryRun for GroupWalk<'_> {
                     self.tuning += listened;
                     self.now = end;
                     if channel_model_for(self.base, 0).corrupted(start) {
-                        self.spans.add(Phase::Retry, listened, listened);
+                        self.recorder.span(Phase::Retry, listened, listened);
                         self.recover(0, idx, start, true);
                     } else {
                         self.retries.outage_streak = 0;
@@ -1077,7 +1011,7 @@ impl QueryRun for GroupWalk<'_> {
                             Phase::IndexTraversal
                         };
                         self.first_read = false;
-                        self.spans.add(phase, listened, listened);
+                        self.recorder.span(phase, listened, listened);
                         self.dispatch_index(idx, end);
                     }
                     return WalkStep::Read {
@@ -1088,7 +1022,7 @@ impl QueryRun for GroupWalk<'_> {
                 }
                 GroupPending::ReadAt { ch, idx, start } => {
                     if start > self.now {
-                        self.spans.add(Phase::Doze, start - self.now, 0);
+                        self.recorder.span(Phase::Doze, start - self.now, 0);
                         self.now = start;
                         return WalkStep::Doze { until: start };
                     }
@@ -1104,16 +1038,17 @@ impl QueryRun for GroupWalk<'_> {
                     self.now = end;
                     self.first_read = false;
                     if channel_model_for(self.base, ch).corrupted(start) {
-                        self.spans.add(Phase::Retry, listened, listened);
+                        self.recorder.span(Phase::Retry, listened, listened);
                         self.recover(ch, idx, start, false);
                     } else {
                         self.retries.outage_streak = 0;
                         self.probes += 1;
                         if ch == 0 {
-                            self.spans.add(Phase::IndexTraversal, listened, listened);
+                            self.recorder
+                                .span(Phase::IndexTraversal, listened, listened);
                             self.dispatch_index(idx, end);
                         } else {
-                            self.spans.add(Phase::DataRead, listened, listened);
+                            self.recorder.span(Phase::DataRead, listened, listened);
                             match &chan.bucket(idx).payload {
                                 GroupPayload::Data { key } if *key == self.key.0 => {
                                     self.complete(true, false, false);
@@ -1143,7 +1078,7 @@ impl QueryRun for GroupWalk<'_> {
                         start: chan.occurrence_at_or_after(idx, arrive),
                     };
                     if sw > 0 {
-                        self.spans.add(Phase::ChannelSwitch, sw, 0);
+                        self.recorder.span(Phase::ChannelSwitch, sw, 0);
                         self.now = arrive;
                         return WalkStep::Doze { until: arrive };
                     }
@@ -1151,42 +1086,32 @@ impl QueryRun for GroupWalk<'_> {
             }
         }
     }
-
-    fn now(&self) -> Ticks {
-        self.now
-    }
 }
 
 /// The reusable [`QuerySlot`] of an indexed group: one [`GroupWalk`] per
-/// query, re-armed in place. `observed` controls whether
-/// [`QuerySlot::spans`] exposes the walk's (always recorded) spans.
-pub struct GroupSlot<'a> {
+/// query, re-armed in place with a fresh recorder `R`. With a
+/// [`SpanRecorder`] the query's per-phase spans are exposed through
+/// [`QuerySlot::spans`] until the next start.
+pub struct GroupSlot<'a, R = NoopRecorder> {
     system: &'a IndexedGroupSystem,
-    walk: Option<GroupWalk<'a>>,
+    walk: Option<GroupWalk<'a, R>>,
     base: ChannelModel,
     policy: RetryPolicy,
-    observed: bool,
 }
 
-impl<'a> GroupSlot<'a> {
+impl<'a, R> GroupSlot<'a, R> {
     /// An empty slot; arm with [`QuerySlot::start`].
-    pub fn new(
-        system: &'a IndexedGroupSystem,
-        base: ChannelModel,
-        policy: RetryPolicy,
-        observed: bool,
-    ) -> Self {
+    pub fn new(system: &'a IndexedGroupSystem, base: ChannelModel, policy: RetryPolicy) -> Self {
         GroupSlot {
             system,
             walk: None,
             base,
             policy,
-            observed,
         }
     }
 }
 
-impl QuerySlot for GroupSlot<'_> {
+impl<R: Recorder + Default + Send> QuerySlot for GroupSlot<'_, R> {
     fn start(&mut self, key: Key, tune_in: Ticks) {
         self.walk = Some(GroupWalk::new(
             self.system,
@@ -1194,6 +1119,7 @@ impl QuerySlot for GroupSlot<'_> {
             tune_in,
             self.base,
             self.policy,
+            R::default(),
         ));
     }
 
@@ -1216,23 +1142,11 @@ impl QuerySlot for GroupSlot<'_> {
     }
 
     fn spans(&self) -> Option<&PhaseSpans> {
-        if self.observed {
-            self.walk.as_ref().map(GroupWalk::spans)
-        } else {
-            None
-        }
+        self.walk.as_ref().and_then(|w| w.recorder().spans())
     }
 
     // Fast-forward stays a no-op: the group walk's step count is already
     // O(directory depth), not O(cycle length).
-}
-
-fn drain_walk(mut walk: GroupWalk<'_>) -> (AccessOutcome, PhaseSpans) {
-    loop {
-        if let WalkStep::Done(out) = walk.step() {
-            return (out, *walk.spans());
-        }
-    }
 }
 
 impl DynSystem for IndexedGroupSystem {
@@ -1260,27 +1174,12 @@ impl DynSystem for IndexedGroupSystem {
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> AccessOutcome {
-        drain_walk(GroupWalk::new(self, key, tune_in, channel, policy)).0
-    }
-
-    fn probe_recorded_channel(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans) {
-        drain_walk(GroupWalk::new(self, key, tune_in, channel, policy))
-    }
-
-    fn begin_with_channel(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_> {
-        Box::new(GroupWalk::new(self, key, tune_in, channel, policy))
+        let mut walk = GroupWalk::new(self, key, tune_in, channel, policy, NoopRecorder);
+        loop {
+            if let WalkStep::Done(out) = walk.step() {
+                return out;
+            }
+        }
     }
 
     fn make_slot_channel(
@@ -1288,7 +1187,7 @@ impl DynSystem for IndexedGroupSystem {
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> Box<dyn QuerySlot + '_> {
-        Box::new(GroupSlot::new(self, channel, policy, false))
+        Box::new(GroupSlot::<NoopRecorder>::new(self, channel, policy))
     }
 
     fn make_slot_channel_observed(
@@ -1296,7 +1195,7 @@ impl DynSystem for IndexedGroupSystem {
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> Box<dyn QuerySlot + '_> {
-        Box::new(GroupSlot::new(self, channel, policy, true))
+        Box::new(GroupSlot::<SpanRecorder>::new(self, channel, policy))
     }
 }
 
@@ -1306,10 +1205,20 @@ mod tests {
     use crate::flat::FlatScheme;
     use crate::machine::run_machine;
     use crate::record::Record;
-    use crate::scheme::{drain, System};
+    use crate::scheme::System;
 
     fn dataset(n: usize) -> Dataset {
         Dataset::new((0..n).map(|i| Record::keyed(i as u64 * 10)).collect()).unwrap()
+    }
+
+    /// Start `slot` on `key` at `t` and step it to completion.
+    fn drain_slot(slot: &mut dyn QuerySlot, key: Key, t: Ticks) -> AccessOutcome {
+        slot.start(key, t);
+        loop {
+            if let WalkStep::Done(out) = slot.step() {
+                return out;
+            }
+        }
     }
 
     #[test]
@@ -1404,33 +1313,23 @@ mod tests {
         let sys = StripedScheme::new(FlatScheme, cfg)
             .build(&ds, &params)
             .unwrap();
-        let errors = ErrorModel::new(0.2, 11);
+        let air = ChannelModel::iid(ErrorModel::new(0.2, 11));
         let policy = RetryPolicy::bounded(4);
-        let mut slot = sys.make_slot_with_faults(errors, policy);
-        let mut obs = sys.make_slot_observed(errors, policy);
+        let mut slot = sys.make_slot_channel(air, policy);
+        let mut obs = sys.make_slot_channel_observed(air, policy);
         for i in [0u64, 5, 13, 31] {
             for t in [0u64, 777, 44_000] {
                 let key = Key(i * 10);
-                let fast = sys.probe_with_policy(key, t, errors, policy);
-                let mut run = sys.begin_with_faults(key, t, errors, policy);
-                assert_eq!(drain(run.as_mut()), fast);
-                slot.start(key, t);
-                let stepped = loop {
-                    if let WalkStep::Done(out) = slot.step() {
-                        break out;
-                    }
-                };
-                assert_eq!(stepped, fast);
-                obs.start(key, t);
-                let observed = loop {
-                    if let WalkStep::Done(out) = obs.step() {
-                        break out;
-                    }
-                };
-                assert_eq!(observed, fast);
+                let fast = sys.probe_with_channel(key, t, air, policy);
+                let fresh = drain_slot(sys.make_slot_channel(air, policy).as_mut(), key, t);
+                assert_eq!(fresh, fast);
+                assert_eq!(drain_slot(slot.as_mut(), key, t), fast);
+                assert_eq!(drain_slot(obs.as_mut(), key, t), fast);
                 let spans = obs.spans().unwrap();
                 assert_eq!(spans.total_access(), fast.access);
                 assert_eq!(spans.total_tuning(), fast.tuning);
+                let (recorded, recorded_spans) = sys.probe_recorded_channel(key, t, air, policy);
+                assert_eq!((recorded, recorded_spans), (fast, *spans));
             }
         }
     }
@@ -1493,15 +1392,9 @@ mod tests {
             for t in [0u64, 31_337] {
                 let key = Key(i * 10);
                 let fast = sys.probe_with_channel(key, t, model, policy);
-                let mut run = sys.begin_with_channel(key, t, model, policy);
-                assert_eq!(drain(run.as_mut()), fast);
-                slot.start(key, t);
-                let stepped = loop {
-                    if let WalkStep::Done(out) = slot.step() {
-                        break out;
-                    }
-                };
-                assert_eq!(stepped, fast);
+                let fresh = drain_slot(sys.make_slot_channel(model, policy).as_mut(), key, t);
+                assert_eq!(fresh, fast);
+                assert_eq!(drain_slot(slot.as_mut(), key, t), fast);
             }
         }
     }
@@ -1543,13 +1436,13 @@ mod tests {
         let air = ChannelModel::iid(ErrorModel::new(0.4, 1));
         let policy = RetryPolicy::bounded(24).with_backoff_cap(8);
         assert_eq!(policy.recovery_cycles(2, false), 2);
-        let mut walk = GroupWalk::new(&sys, Key(130), 5, air, policy);
+        let mut walk = GroupWalk::new(&sys, Key(130), 5, air, policy, SpanRecorder::new());
         let mut corrupted = Vec::new();
         let mut steps = Vec::new();
         loop {
-            let before = walk.spans().get(Phase::Retry).count;
+            let before = walk.recorder().spans.get(Phase::Retry).count;
             let step = walk.step();
-            if walk.spans().get(Phase::Retry).count > before {
+            if walk.recorder().spans.get(Phase::Retry).count > before {
                 corrupted.push(steps.len());
             }
             steps.push(step);

@@ -3,11 +3,10 @@
 
 use crate::channel::Channel;
 use crate::error::Result;
-use crate::errors_model::{ChannelModel, ErrorModel, RetryPolicy};
+use crate::errors_model::{ChannelModel, RetryPolicy};
 use crate::key::Key;
 use crate::machine::{
-    run_machine_observed_channel, run_machine_with_channel, AccessOutcome, ProtocolMachine, Source,
-    Walk, WalkStep,
+    run_machine_with_channel, AccessOutcome, ProtocolMachine, Source, Walk, WalkStep,
 };
 use crate::params::Params;
 use crate::record::Dataset;
@@ -65,47 +64,26 @@ pub trait System: Send + Sync {
     fn query(&self, key: Key) -> Self::Machine;
 }
 
-/// A stepping client query with type-erased internals, used by the
-/// discrete-event testbed to interleave many concurrent clients.
+/// A stepping client query: the one interface every stepped driver
+/// advances a walk through.
 ///
-/// Each [`QueryRun::step`] performs exactly one protocol action (one bucket
-/// read, one doze, or completion), so the event engine can schedule the
-/// client's next wake-up faithfully.
-pub trait QueryRun {
-    /// Perform the next protocol action.
-    fn step(&mut self) -> WalkStep;
-
-    /// Absolute time the client has reached so far.
-    fn now(&self) -> Ticks;
-}
-
-impl<T: QueryRun + ?Sized> QueryRun for Box<T> {
-    fn step(&mut self) -> WalkStep {
-        (**self).step()
-    }
-
-    fn now(&self) -> Ticks {
-        (**self).now()
-    }
-}
-
-/// A **reusable** stepping-query slot: the allocation-free counterpart of
-/// [`DynSystem::begin`].
-///
-/// [`DynSystem::begin`] boxes a fresh walker per request, which caps how
-/// many concurrent clients a simulation can sustain. A `QuerySlot` is
-/// allocated once (per *concurrent client slot*, not per request) and then
-/// re-armed with [`QuerySlot::start`] for each new query, so a steady-state
-/// simulation with a bounded client population performs no per-request heap
+/// Each [`QuerySlot::step`] performs exactly one protocol action (one
+/// bucket read, one doze, or completion) — or, with fast-forward on, one
+/// run of mechanical ones — so the event engine can schedule the client's
+/// next wake-up faithfully. A slot is **reusable**: allocated once (per
+/// *concurrent client slot*, not per request) and re-armed with
+/// [`QuerySlot::start`] for each new query, so a steady-state simulation
+/// with a bounded client population performs no per-request heap
 /// allocation at all. The discrete-event engine in `bda-sim` keeps a slab
-/// of these.
+/// of these; its reference oracle starts a fresh one per request, which
+/// never fast-forwards and so steps every bucket.
 ///
 /// There is one implementation per program layout: [`WalkSlot`] for a
 /// single-channel program, frozen or churning;
 /// [`crate::multichannel::StripedSlot`] for a striped channel group; and
-/// [`crate::multichannel::GroupSlot`] for an indexed one. The first two
-/// take the recorder as a type parameter, so an observed slot is the
-/// same type with a [`SpanRecorder`].
+/// [`crate::multichannel::GroupSlot`] for an indexed one. Each takes the
+/// recorder as a type parameter, so an observed slot is the same type
+/// with a [`SpanRecorder`].
 ///
 /// `Send` is a supertrait so a slab of slots can be owned by a worker
 /// thread: the sharded engine partitions clients across cores, and each
@@ -140,12 +118,12 @@ pub trait QuerySlot: Send {
     }
 
     /// Ask the slot's subsequent queries to use analytical fast-forward
-    /// (see [`Walk::set_fast_forward`]): bit-identical outcomes and
-    /// accounting, O(1) walk steps per interesting bucket. Walks over a
-    /// *dynamic* broadcast program honour it too, up to the end of the
-    /// epoch on air. The default is a no-op, for slots whose walks have no
-    /// scan to collapse (the indexed channel group's step count is already
-    /// O(directory depth)).
+    /// (see [`Walk::set_fast_forward`]; off in a fresh slot): bit-identical
+    /// outcomes and accounting, O(1) walk steps per interesting bucket.
+    /// Walks over a *dynamic* broadcast program honour it too, up to the
+    /// end of the epoch on air. The default is a no-op, for slots whose
+    /// walks have no scan to collapse (the indexed channel group's step
+    /// count is already O(directory depth)).
     fn set_fast_forward(&mut self, enabled: bool) {
         let _ = enabled;
     }
@@ -274,15 +252,17 @@ impl<'a, B: Broadcast + Sync, R: Recorder + Default + Send> QuerySlot for WalkSl
 /// treat heterogeneous schemes uniformly (`Box<dyn DynSystem>`).
 ///
 /// Every [`Broadcast`] — every [`System`], and every timeline of them —
-/// implements this automatically (blanket impl), so `probe`/`begin` are
-/// available on concrete systems too — import this trait to use them.
+/// implements this automatically (blanket impl), so `probe` and the slots
+/// are available on concrete systems too — import this trait to use them.
 /// Keeping `probe` on exactly one trait avoids method ambiguity when both
 /// traits are in scope.
 ///
-/// An implementation writes the three geometry getters and the five
-/// [`ChannelModel`] entry points; the nine shorthands over a lossless
-/// channel or an i.i.d. [`ErrorModel`] are provided (`errors.into()` is
-/// bit-identical, DESIGN.md decision 15).
+/// Every entry point takes the air a client sees: a [`ChannelModel`]
+/// (an i.i.d. [`crate::ErrorModel`] lifts into one with `errors.into()`,
+/// bit-identically — DESIGN.md decision 15) and a [`RetryPolicy`]. An
+/// implementation writes the three geometry getters, the direct walker
+/// and the two slot constructors; the lossless [`DynSystem::probe`] and
+/// the span-recording [`DynSystem::probe_recorded_channel`] are provided.
 pub trait DynSystem: Send + Sync {
     /// Human-readable scheme name.
     fn scheme_name(&self) -> &'static str;
@@ -303,28 +283,6 @@ pub trait DynSystem: Send + Sync {
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> AccessOutcome;
-
-    /// [`DynSystem::probe_with_channel`] with span instrumentation:
-    /// returns the outcome together with its per-phase access/tuning
-    /// decomposition (whose totals equal the outcome's `access`/`tuning`
-    /// exactly).
-    fn probe_recorded_channel(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans);
-
-    /// Start a stepping query for the event-driven testbed behind a
-    /// [`ChannelModel`]; it steps every bucket.
-    fn begin_with_channel(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_>;
 
     /// Allocate a reusable client slot behind a [`ChannelModel`]. One slot
     /// serves many sequential queries via [`QuerySlot::start`]; the
@@ -349,74 +307,26 @@ pub trait DynSystem: Send + Sync {
         self.probe_with_channel(key, tune_in, ChannelModel::NONE, RetryPolicy::UNBOUNDED)
     }
 
-    /// Run one complete query over an error-prone channel (extension; see
-    /// [`ErrorModel`]), retrying forever.
-    fn probe_with_errors(&self, key: Key, tune_in: Ticks, errors: ErrorModel) -> AccessOutcome {
-        self.probe_with_channel(key, tune_in, errors.into(), RetryPolicy::UNBOUNDED)
-    }
-
-    /// Run one complete query over an error-prone channel under an
-    /// explicit client [`RetryPolicy`].
-    fn probe_with_policy(
+    /// [`DynSystem::probe_with_channel`] with span instrumentation:
+    /// returns the outcome together with its per-phase access/tuning
+    /// decomposition (whose totals equal the outcome's `access`/`tuning`
+    /// exactly). Drains one observed slot with fast-forward on.
+    fn probe_recorded_channel(
         &self,
         key: Key,
         tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> AccessOutcome {
-        self.probe_with_channel(key, tune_in, errors.into(), policy)
-    }
-
-    /// [`DynSystem::probe_with_policy`] with span instrumentation.
-    fn probe_recorded(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
+        channel: ChannelModel,
         policy: RetryPolicy,
     ) -> (AccessOutcome, PhaseSpans) {
-        self.probe_recorded_channel(key, tune_in, errors.into(), policy)
-    }
-
-    /// Start a stepping query over a lossless channel.
-    fn begin(&self, key: Key, tune_in: Ticks) -> Box<dyn QueryRun + '_> {
-        self.begin_with_channel(key, tune_in, ChannelModel::NONE, RetryPolicy::UNBOUNDED)
-    }
-
-    /// Start a stepping query over an error-prone channel with a client
-    /// retry policy.
-    fn begin_with_faults(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_> {
-        self.begin_with_channel(key, tune_in, errors.into(), policy)
-    }
-
-    /// Allocate a reusable client slot over a lossless channel.
-    fn make_slot(&self) -> Box<dyn QuerySlot + '_> {
-        self.make_slot_channel(ChannelModel::NONE, RetryPolicy::UNBOUNDED)
-    }
-
-    /// Allocate a reusable client slot whose queries run over an
-    /// error-prone channel with a client retry policy.
-    fn make_slot_with_faults(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        self.make_slot_channel(errors.into(), policy)
-    }
-
-    /// [`DynSystem::make_slot_with_faults`] with span instrumentation.
-    fn make_slot_observed(
-        &self,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        self.make_slot_channel_observed(errors.into(), policy)
+        let mut slot = self.make_slot_channel_observed(channel, policy);
+        slot.set_fast_forward(true);
+        slot.start(key, tune_in);
+        loop {
+            if let WalkStep::Done(out) = slot.step() {
+                let spans = slot.spans().expect("an observed slot records spans");
+                return (out, *spans);
+            }
+        }
     }
 }
 
@@ -447,35 +357,6 @@ where
         run_machine_with_channel(src, machine, tune_in, channel, policy)
     }
 
-    fn probe_recorded_channel(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> (AccessOutcome, PhaseSpans) {
-        let (src, machine) = self.tune(key, tune_in);
-        run_machine_observed_channel(src, machine, tune_in, channel, policy)
-    }
-
-    fn begin_with_channel(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QueryRun + '_> {
-        let (src, machine) = self.tune(key, tune_in);
-        Box::new(Walk::with_channel_recorder(
-            src,
-            machine,
-            tune_in,
-            channel,
-            policy,
-            NoopRecorder,
-        ))
-    }
-
     fn make_slot_channel(
         &self,
         channel: ChannelModel,
@@ -493,25 +374,26 @@ where
     }
 }
 
-/// Drive a [`QueryRun`] to completion — reference implementation used by
-/// tests to check step-wise and one-shot execution agree.
-pub fn drain(run: &mut dyn QueryRun) -> AccessOutcome {
-    loop {
-        if let WalkStep::Done(out) = run.step() {
-            return out;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::errors_model::ErrorModel;
     use crate::flat::FlatScheme;
     use crate::machine::run_machine;
     use crate::record::Record;
 
     fn tiny_dataset() -> Dataset {
         Dataset::new((0..8).map(|i| Record::keyed(i * 10)).collect()).unwrap()
+    }
+
+    /// Start `slot` on `key` at `t` and step it to completion.
+    fn drain_slot(slot: &mut dyn QuerySlot, key: Key, t: Ticks) -> AccessOutcome {
+        slot.start(key, t);
+        loop {
+            if let WalkStep::Done(out) = slot.step() {
+                return out;
+            }
+        }
     }
 
     #[test]
@@ -537,7 +419,7 @@ mod tests {
         let ds = tiny_dataset();
         let sys = FlatScheme.build(&ds, &Params::paper()).unwrap();
         let dynsys: &dyn DynSystem = &sys;
-        let mut slot = dynsys.make_slot();
+        let mut slot = dynsys.make_slot_channel(ChannelModel::NONE, RetryPolicy::UNBOUNDED);
         assert!(slot.is_done(), "fresh slot is idle");
         // One slot serves many sequential queries.
         for key in [Key(0), Key(50), Key(55), Key(20)] {
@@ -560,20 +442,16 @@ mod tests {
         let ds = tiny_dataset();
         let sys = FlatScheme.build(&ds, &Params::paper()).unwrap();
         let dynsys: &dyn DynSystem = &sys;
-        let errors = ErrorModel::new(0.2, 11);
+        let air = ChannelModel::from(ErrorModel::new(0.2, 11));
         let policy = RetryPolicy::bounded(3);
-        let mut slot = dynsys.make_slot_with_faults(errors, policy);
+        let mut slot = dynsys.make_slot_channel(air, policy);
         for key in [Key(0), Key(50), Key(55), Key(20)] {
             for t in [0u64, 123, 4096] {
-                slot.start(key, t);
-                let stepped = loop {
-                    if let WalkStep::Done(out) = slot.step() {
-                        break out;
-                    }
-                };
-                assert_eq!(stepped, dynsys.probe_with_policy(key, t, errors, policy));
-                let mut run = dynsys.begin_with_faults(key, t, errors, policy);
-                assert_eq!(drain(run.as_mut()), stepped);
+                let stepped = drain_slot(slot.as_mut(), key, t);
+                assert_eq!(stepped, dynsys.probe_with_channel(key, t, air, policy));
+                // A fresh slot never fast-forwards: it steps every bucket.
+                let fresh = drain_slot(dynsys.make_slot_channel(air, policy).as_mut(), key, t);
+                assert_eq!(fresh, stepped);
             }
         }
     }
@@ -583,42 +461,21 @@ mod tests {
         let ds = tiny_dataset();
         let sys = FlatScheme.build(&ds, &Params::paper()).unwrap();
         let dynsys: &dyn DynSystem = &sys;
-        let errors = ErrorModel::new(0.2, 11);
+        let air = ChannelModel::from(ErrorModel::new(0.2, 11));
         let policy = RetryPolicy::bounded(3);
-        let mut slot = dynsys.make_slot_observed(errors, policy);
+        let mut slot = dynsys.make_slot_channel_observed(air, policy);
         assert!(slot.spans().is_none(), "unarmed slot has no spans");
         for key in [Key(0), Key(50), Key(55), Key(20)] {
             for t in [0u64, 123, 4096] {
-                let plain = dynsys.probe_with_policy(key, t, errors, policy);
-                let (recorded, spans) = dynsys.probe_recorded(key, t, errors, policy);
+                let plain = dynsys.probe_with_channel(key, t, air, policy);
+                let (recorded, spans) = dynsys.probe_recorded_channel(key, t, air, policy);
                 assert_eq!(plain, recorded);
                 assert_eq!(spans.total_access(), plain.access);
                 assert_eq!(spans.total_tuning(), plain.tuning);
 
-                slot.start(key, t);
-                let stepped = loop {
-                    if let WalkStep::Done(out) = slot.step() {
-                        break out;
-                    }
-                };
-                assert_eq!(stepped, plain);
+                assert_eq!(drain_slot(slot.as_mut(), key, t), plain);
                 let slot_spans = slot.spans().expect("observed slot exposes spans");
                 assert_eq!(*slot_spans, spans);
-            }
-        }
-    }
-
-    #[test]
-    fn stepping_run_agrees_with_one_shot_probe() {
-        let ds = tiny_dataset();
-        let sys = FlatScheme.build(&ds, &Params::paper()).unwrap();
-        let dynsys: &dyn DynSystem = &sys;
-        for key in [Key(0), Key(50), Key(55)] {
-            for t in [0u64, 123, 4096] {
-                let fast = dynsys.probe(key, t);
-                let mut run = dynsys.begin(key, t);
-                let stepped = drain(run.as_mut());
-                assert_eq!(fast, stepped);
             }
         }
     }

@@ -167,7 +167,12 @@ proptest! {
         prop_assert_eq!(out.tuning, out.access, "flat never dozes");
         prop_assert!(!out.aborted);
         // Lossy channel: same verdict, never aborted.
-        let lossy = sys.probe_with_errors(Key(probe_key), t, ErrorModel::new(loss, 7));
+        let lossy = sys.probe_with_channel(
+            Key(probe_key),
+            t,
+            ErrorModel::new(loss, 7).into(),
+            RetryPolicy::UNBOUNDED,
+        );
         prop_assert_eq!(lossy.found, expect);
         prop_assert!(!lossy.aborted);
         prop_assert!(lossy.access >= out.access || lossy.retries == 0);

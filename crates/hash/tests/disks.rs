@@ -4,8 +4,8 @@
 //! plain hashing program at D = 1.
 
 use bda_core::{
-    Dataset, DiskConfig, DiskScheme, DynSystem, ErrorModel, Key, Params, Record, RetryPolicy,
-    Scheme, System,
+    ChannelModel, Dataset, DiskConfig, DiskScheme, DynSystem, ErrorModel, Key, Params, Record,
+    RetryPolicy, Scheme, System,
 };
 use bda_hash::HashScheme;
 
@@ -107,14 +107,14 @@ fn lossy_channel_still_terminates_with_exact_verdicts() {
     let sys = DiskScheme::new(HashScheme::new(), DiskConfig::new(2))
         .build(&ds, &p)
         .unwrap();
-    let errors = ErrorModel::new(0.15, 0xD15C);
+    let air = ChannelModel::from(ErrorModel::new(0.15, 0xD15C));
     for k in 0..40u64 {
-        let out = sys.probe_with_errors(Key(k * 7 + 3), 17 * k, errors);
+        let out = sys.probe_with_channel(Key(k * 7 + 3), 17 * k, air, RetryPolicy::UNBOUNDED);
         assert!(out.found, "key {k} lost under 15% loss");
         assert!(!out.aborted);
     }
     for k in [0u64, 5, 999] {
-        let out = sys.probe_with_policy(Key(k), 11, errors, RetryPolicy::bounded(4));
+        let out = sys.probe_with_channel(Key(k), 11, air, RetryPolicy::bounded(4));
         assert!(!out.found, "phantom key {k} under loss");
     }
 }

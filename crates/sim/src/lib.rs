@@ -3,16 +3,20 @@
 //! A discrete-event simulation engine mirroring the paper's testbed
 //! architecture (Fig. 3):
 //!
-//! * [`server::BroadcastServer`] — wraps a built broadcast system
-//!   ([`bda_core::DynSystem`]) and exposes channel timing plus broadcast
-//!   statistics;
+//! * the broadcast server — a built broadcast system
+//!   ([`bda_core::DynSystem`]) for a frozen program, or a
+//!   [`server::VersionedServer`] replaying an update stream for a
+//!   churning one;
 //! * [`reqgen::RequestGenerator`] — generates requests "periodically based
 //!   on certain distribution … the request generation process follows
 //!   exponential distribution", drawing keys from a
 //!   [`bda_datagen::QueryWorkload`];
 //! * [`engine`] — the event queue: request arrivals and per-client wake-ups
 //!   interleave in global time order, each client advancing through its
-//!   access protocol one bucket read / doze at a time;
+//!   access protocol one bucket read / doze at a time. An [`Engine`] (or a
+//!   [`ShardedEngine`] over `N` cores) is built over the air its clients
+//!   see — a [`bda_core::ChannelModel`] and a [`bda_core::RetryPolicy`] —
+//!   and runs batches with [`Engine::run_batch`];
 //! * [`results::ResultHandler`] — accumulates access-time and tuning-time
 //!   statistics;
 //! * [`accuracy::AccuracyController`] — terminates the simulation only once
@@ -38,18 +42,11 @@ pub mod timeline;
 pub mod updates;
 
 pub use accuracy::AccuracyController;
-pub use engine::{
-    run_requests, run_requests_channel, run_requests_channel_observed,
-    run_requests_channel_windowed, run_requests_observed, run_requests_with_faults,
-    CompletedRequest, Engine, EngineStats,
-};
+pub use engine::{CompletedRequest, Engine, EngineStats};
 pub use reqgen::RequestGenerator;
 pub use results::ResultHandler;
-pub use server::{BroadcastServer, StripedVersionedServer, VersionedServer};
-pub use sharded::{
-    run_requests_partitioned, run_requests_sharded, run_requests_sharded_channel,
-    run_requests_sharded_observed, run_requests_sharded_with_faults, ShardRun, ShardedEngine,
-};
+pub use server::{StripedVersionedServer, VersionedServer};
+pub use sharded::{run_requests_partitioned, ShardRun, ShardedEngine};
 pub use simulator::{SimConfig, SimReport, Simulator};
 pub use stats::{student_t_quantile, Summary, Welford};
 pub use timeline::{append_scheme_timeline, perfetto_trace, replay_spans, SpanSegment};

@@ -1,97 +1,37 @@
-//! The broadcast server (paper §3, `BroadcastServer`) and its dynamic
-//! counterpart, [`VersionedServer`].
+//! The dynamic broadcast server, [`VersionedServer`].
+//!
+//! The paper's testbed (§3, Fig. 3) has a `BroadcastServer` that lays out
+//! and repeats one broadcast cycle. For a frozen program that is the built
+//! [`bda_core::DynSystem`] itself: the simulator, the harness and the CLI hold it
+//! directly. A churning program is a [`VersionedServer`].
 
 use bda_core::{
-    even_partition, remix_seed, Broadcast, Dataset, DynSystem, Epoch, GroupConfig, Key, Params,
+    even_partition, remix_seed, Broadcast, Dataset, Epoch, GroupConfig, Key, Params,
     ProgramTimeline, Record, Result, Scheme, StripedSystem, System, Ticks, Versioned,
 };
 
 use crate::updates::{UpdateSpec, UpdateStream};
-
-/// Wraps a built broadcast system and answers channel-timing questions —
-/// "a process to broadcast data continuously". The channel itself is
-/// deterministic (the cycle repeats forever), so the server's job is
-/// bookkeeping: cycle geometry and how much has been broadcast by a given
-/// instant.
-#[derive(Clone, Copy)]
-pub struct BroadcastServer<'a> {
-    system: &'a dyn DynSystem,
-}
-
-impl<'a> BroadcastServer<'a> {
-    /// Serve the given broadcast system.
-    pub fn new(system: &'a dyn DynSystem) -> Self {
-        BroadcastServer { system }
-    }
-
-    /// The system being broadcast.
-    pub fn system(&self) -> &'a dyn DynSystem {
-        self.system
-    }
-
-    /// Broadcast-cycle length in bytes (`Bt`).
-    pub fn cycle_len(&self) -> Ticks {
-        self.system.cycle_len()
-    }
-
-    /// Buckets per cycle.
-    pub fn buckets_per_cycle(&self) -> usize {
-        self.system.num_buckets()
-    }
-
-    /// Number of complete cycles broadcast by absolute time `t`.
-    ///
-    /// A zero-length cycle (a degenerate system broadcasting nothing)
-    /// saturates instead of dividing by zero: nothing has been broadcast at
-    /// `t == 0`, and "infinitely many" empty cycles fit in any later `t`.
-    pub fn cycles_completed(&self, t: Ticks) -> u64 {
-        match self.cycle_len() {
-            0 if t == 0 => 0,
-            0 => u64::MAX,
-            cycle => t / cycle,
-        }
-    }
-
-    /// Position within the current cycle at absolute time `t`. A
-    /// zero-length cycle has only one position: 0.
-    pub fn cycle_position(&self, t: Ticks) -> Ticks {
-        match self.cycle_len() {
-            0 => 0,
-            cycle => t % cycle,
-        }
-    }
-}
-
-impl std::fmt::Debug for BroadcastServer<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BroadcastServer")
-            .field("scheme", &self.system.scheme_name())
-            .field("cycle_len", &self.cycle_len())
-            .field("buckets", &self.buckets_per_cycle())
-            .finish()
-    }
-}
 
 /// A dynamic broadcast server: owns the full air history of a mutating
 /// database as a [`ProgramTimeline`], built by replaying a deterministic
 /// [`UpdateStream`] against the initial dataset at every cycle boundary.
 ///
 /// `VersionedServer` is a [`Broadcast`] over its timeline, so it is a
-/// [`DynSystem`] through the same blanket implementation as a frozen
-/// system: the slab engine, the reference oracle, and the adaptive
+/// [`bda_core::DynSystem`] through the same blanket implementation as a
+/// frozen system: the slab engine, the reference oracle, and the adaptive
 /// simulator drive it through the same object-safe surface, and dynamic
 /// mode needs zero engine changes. Queries run as the one walk over a
 /// [`Versioned`] source: clients detect version skew from bucket headers
 /// and re-anchor mid-walk. Scans fast-forward through each epoch up to
 /// its end — always in the one-shot `probe*` drivers, and in the slots
-/// when the engine asks (its default) — while `begin*` steps every
+/// when the engine asks (its default) — while a fresh slot steps every
 /// bucket, as the reference oracle needs.
 ///
-/// The reported [`DynSystem::cycle_len`]/[`DynSystem::num_buckets`] are
-/// those of the *initial* program (epoch 0): request generators use them
-/// to scale arrival horizons, and the initial geometry is the stable
-/// reference point (per-epoch geometry is available via
-/// [`VersionedServer::timeline`]).
+/// The reported [`bda_core::DynSystem::cycle_len`] and
+/// [`bda_core::DynSystem::num_buckets`] are those of the *initial*
+/// program (epoch 0): request generators use them to scale arrival
+/// horizons, and the initial geometry is the stable reference point
+/// (per-epoch geometry is available via [`VersionedServer::timeline`]).
 pub struct VersionedServer<S: System> {
     timeline: ProgramTimeline<S>,
     /// `(version, dataset)` snapshots in air order — the ground truth the
@@ -277,86 +217,7 @@ impl<S: System> VersionedServer<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bda_core::{
-        AccessOutcome, ChannelModel, FlatScheme, PhaseSpans, QueryRun, QuerySlot, Record,
-        RetryPolicy,
-    };
-
-    #[test]
-    fn server_reports_channel_geometry() {
-        let ds = Dataset::new((0..10).map(Record::keyed).collect()).unwrap();
-        let sys = FlatScheme.build(&ds, &Params::paper()).unwrap();
-        let server = BroadcastServer::new(&sys);
-        let dt = u64::from(Params::paper().data_bucket_size());
-        assert_eq!(server.cycle_len(), 10 * dt);
-        assert_eq!(server.buckets_per_cycle(), 10);
-        assert_eq!(server.cycles_completed(25 * dt), 2);
-        assert_eq!(server.cycle_position(25 * dt), 5 * dt);
-        assert!(format!("{server:?}").contains("flat"));
-    }
-
-    /// A degenerate system broadcasting nothing, to pin the zero-cycle
-    /// saturation behaviour without building an (impossible) empty channel.
-    struct SilentSystem;
-
-    impl DynSystem for SilentSystem {
-        fn scheme_name(&self) -> &'static str {
-            "silent"
-        }
-        fn cycle_len(&self) -> Ticks {
-            0
-        }
-        fn num_buckets(&self) -> usize {
-            0
-        }
-        fn probe_with_channel(
-            &self,
-            _: Key,
-            _: Ticks,
-            _: ChannelModel,
-            _: RetryPolicy,
-        ) -> AccessOutcome {
-            unimplemented!("silent channel answers no queries")
-        }
-        fn probe_recorded_channel(
-            &self,
-            _: Key,
-            _: Ticks,
-            _: ChannelModel,
-            _: RetryPolicy,
-        ) -> (AccessOutcome, PhaseSpans) {
-            unimplemented!()
-        }
-        fn begin_with_channel(
-            &self,
-            _: Key,
-            _: Ticks,
-            _: ChannelModel,
-            _: RetryPolicy,
-        ) -> Box<dyn QueryRun + '_> {
-            unimplemented!()
-        }
-        fn make_slot_channel(&self, _: ChannelModel, _: RetryPolicy) -> Box<dyn QuerySlot + '_> {
-            unimplemented!()
-        }
-        fn make_slot_channel_observed(
-            &self,
-            _: ChannelModel,
-            _: RetryPolicy,
-        ) -> Box<dyn QuerySlot + '_> {
-            unimplemented!()
-        }
-    }
-
-    #[test]
-    fn zero_length_cycle_saturates_instead_of_panicking() {
-        let server = BroadcastServer::new(&SilentSystem);
-        assert_eq!(server.cycles_completed(0), 0);
-        assert_eq!(server.cycles_completed(1), u64::MAX);
-        assert_eq!(server.cycles_completed(u64::MAX), u64::MAX);
-        assert_eq!(server.cycle_position(0), 0);
-        assert_eq!(server.cycle_position(12345), 0);
-    }
+    use bda_core::{DynSystem, FlatScheme, Record};
 
     fn ds(keys: &[u64]) -> Dataset {
         Dataset::new(keys.iter().map(|&k| Record::keyed(k)).collect()).unwrap()

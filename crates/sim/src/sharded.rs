@@ -18,7 +18,7 @@
 //! Each shard returns its completions in submission order; the merge
 //! scatters shard `s`'s `j`-th completion back to request index
 //! `s + j·N` (round-robin partition), so the merged vector is in request
-//! order — **bit-identical to [`crate::run_requests`] for every shard
+//! order — **bit-identical to [`Engine::run_batch`] for every shard
 //! count**, including under fault injection, bounded retries and
 //! broadcast churn. Aggregated statistics merge exactly too:
 //!
@@ -37,7 +37,7 @@
 
 use std::time::Instant;
 
-use bda_core::{ChannelModel, DynSystem, ErrorModel, Key, RetryPolicy, Ticks};
+use bda_core::{ChannelModel, DynSystem, Key, RetryPolicy, Ticks};
 use bda_obs::{MetricsHub, WindowSpec};
 
 use crate::engine::{CompletedRequest, Engine, EngineStats};
@@ -83,29 +83,19 @@ pub struct ShardedEngine<'a> {
 
 impl<'a> ShardedEngine<'a> {
     /// A sharded engine over a lossless channel.
-    pub fn new(system: &'a dyn DynSystem, shards: usize) -> Self {
-        ShardedEngine::with_faults(system, shards, ErrorModel::NONE, RetryPolicy::UNBOUNDED)
-    }
-
-    /// A sharded engine whose clients all experience the error-prone
-    /// channel `errors` and recover per `policy`.
     ///
     /// # Panics
     ///
     /// Panics if `shards == 0`.
-    pub fn with_faults(
-        system: &'a dyn DynSystem,
-        shards: usize,
-        errors: ErrorModel,
-        policy: RetryPolicy,
-    ) -> Self {
-        ShardedEngine::with_channel(system, shards, errors.into(), policy)
+    pub fn new(system: &'a dyn DynSystem, shards: usize) -> Self {
+        ShardedEngine::with_channel(system, shards, ChannelModel::NONE, RetryPolicy::UNBOUNDED)
     }
 
-    /// A sharded engine whose clients all experience the unified
-    /// [`ChannelModel`] `channel` (burst loss, outage windows, or both) —
-    /// still bit-identical across shard counts, because corruption and
-    /// outages are pure functions of bucket instant + seed.
+    /// A sharded engine whose clients all experience the [`ChannelModel`]
+    /// `channel` (i.i.d. or burst loss, outage windows, or both) and
+    /// recover per `policy` — still bit-identical across shard counts,
+    /// because corruption and outages are pure functions of bucket
+    /// instant + seed.
     ///
     /// # Panics
     ///
@@ -291,62 +281,6 @@ impl<'a> ShardedEngine<'a> {
     }
 }
 
-/// Run a batch through `shards` parallel slab engines and return outcomes
-/// in request order — bit-identical to [`crate::run_requests`].
-pub fn run_requests_sharded(
-    system: &dyn DynSystem,
-    requests: &[(Ticks, Key)],
-    shards: usize,
-) -> Vec<CompletedRequest> {
-    ShardedEngine::new(system, shards).run_batch(requests)
-}
-
-/// [`run_requests_sharded`] over an error-prone channel with a client
-/// retry policy — bit-identical to [`crate::run_requests_with_faults`]:
-/// corruption is a pure function of each bucket occurrence's broadcast
-/// instant and the model seed, so shard placement cannot change what any
-/// client sees.
-pub fn run_requests_sharded_with_faults(
-    system: &dyn DynSystem,
-    requests: &[(Ticks, Key)],
-    shards: usize,
-    errors: ErrorModel,
-    policy: RetryPolicy,
-) -> Vec<CompletedRequest> {
-    ShardedEngine::with_faults(system, shards, errors, policy).run_batch(requests)
-}
-
-/// [`run_requests_sharded`] over a unified [`ChannelModel`] — bit-identical
-/// to [`crate::run_requests_channel`] for every shard count.
-pub fn run_requests_sharded_channel(
-    system: &dyn DynSystem,
-    requests: &[(Ticks, Key)],
-    shards: usize,
-    channel: ChannelModel,
-    policy: RetryPolicy,
-) -> Vec<CompletedRequest> {
-    ShardedEngine::with_channel(system, shards, channel, policy).run_batch(requests)
-}
-
-/// [`run_requests_sharded_with_faults`] with the observability layer on:
-/// per-shard hubs are merged deterministically (shard order). The merged
-/// histograms, spans and completion counters are bit-identical to
-/// [`crate::run_requests_observed`]; only the occupancy gauges are
-/// per-shard.
-pub fn run_requests_sharded_observed(
-    system: &dyn DynSystem,
-    requests: &[(Ticks, Key)],
-    shards: usize,
-    errors: ErrorModel,
-    policy: RetryPolicy,
-) -> (Vec<CompletedRequest>, MetricsHub) {
-    let mut engine = ShardedEngine::with_faults(system, shards, errors, policy);
-    engine.enable_metrics();
-    let completed = engine.run_batch(requests);
-    let hub = engine.take_metrics().expect("metrics were enabled");
-    (completed, hub)
-}
-
 /// Run a batch under an **arbitrary** request→shard assignment
 /// (`assignment[i]` names the shard executing request `i`; ids need not
 /// be contiguous or dense) and merge back to request order.
@@ -355,12 +289,13 @@ pub fn run_requests_sharded_observed(
 /// correctness depends only on per-request independence, not on how the
 /// batch was cut. Shards here execute sequentially — the property suite
 /// uses this to check that *any* partition reproduces the unsharded
-/// outcomes, independent of thread interleaving.
+/// outcomes, independent of thread interleaving. Every shard's clients
+/// see `channel` and recover per `policy`.
 pub fn run_requests_partitioned(
     system: &dyn DynSystem,
     requests: &[(Ticks, Key)],
     assignment: &[usize],
-    errors: ErrorModel,
+    channel: ChannelModel,
     policy: RetryPolicy,
 ) -> Vec<CompletedRequest> {
     assert_eq!(requests.len(), assignment.len(), "one shard id per request");
@@ -371,7 +306,7 @@ pub fn run_requests_partitioned(
     let mut results: Vec<Option<CompletedRequest>> = vec![None; requests.len()];
     for indices in groups.values() {
         let part: Vec<(Ticks, Key)> = indices.iter().map(|&i| requests[i]).collect();
-        let done = Engine::with_faults(system, errors, policy).run_batch(&part);
+        let done = Engine::with_channel(system, channel, policy).run_batch(&part);
         for (&i, r) in indices.iter().zip(done) {
             results[i] = Some(r);
         }
@@ -385,7 +320,6 @@ pub fn run_requests_partitioned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_requests;
     use bda_core::{Dataset, FlatScheme, Params, Record, Scheme};
 
     fn system() -> impl DynSystem {
@@ -403,9 +337,9 @@ mod tests {
     fn sharded_matches_single_for_every_count() {
         let sys = system();
         let reqs = requests(200);
-        let single = run_requests(&sys, &reqs);
+        let single = Engine::new(&sys).run_batch(&reqs);
         for shards in [1, 2, 3, 5, 8] {
-            let sharded = run_requests_sharded(&sys, &reqs, shards);
+            let sharded = ShardedEngine::new(&sys, shards).run_batch(&reqs);
             assert_eq!(single, sharded, "shards={shards}");
         }
     }
@@ -452,10 +386,10 @@ mod tests {
     #[test]
     fn empty_batch_and_fewer_requests_than_shards() {
         let sys = system();
-        assert!(run_requests_sharded(&sys, &[], 4).is_empty());
+        assert!(ShardedEngine::new(&sys, 4).run_batch(&[]).is_empty());
         let reqs = requests(3);
-        let single = run_requests(&sys, &reqs);
-        assert_eq!(run_requests_sharded(&sys, &reqs, 8), single);
+        let single = Engine::new(&sys).run_batch(&reqs);
+        assert_eq!(ShardedEngine::new(&sys, 8).run_batch(&reqs), single);
     }
 
     #[test]
@@ -469,14 +403,14 @@ mod tests {
     fn partitioned_with_sparse_ids_matches_unsharded() {
         let sys = system();
         let reqs = requests(90);
-        let single = run_requests(&sys, &reqs);
+        let single = Engine::new(&sys).run_batch(&reqs);
         // Sparse, non-contiguous shard ids.
         let assignment: Vec<usize> = (0..reqs.len()).map(|i| (i * i + 7) % 11 * 3).collect();
         let merged = run_requests_partitioned(
             &sys,
             &reqs,
             &assignment,
-            ErrorModel::NONE,
+            ChannelModel::NONE,
             RetryPolicy::UNBOUNDED,
         );
         assert_eq!(single, merged);

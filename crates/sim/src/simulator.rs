@@ -6,7 +6,7 @@
 //! each, results checked against the accuracy controller after every
 //! round), and end (result extraction).
 
-use bda_core::{ChannelModel, DynSystem, ErrorModel, RetryPolicy, Ticks};
+use bda_core::{ChannelModel, DynSystem, RetryPolicy, Ticks};
 use bda_datagen::{Arrivals, Popularity, QueryWorkload};
 use bda_obs::{Completion, Histogram, MetricsHub, WindowSpec};
 
@@ -59,15 +59,12 @@ pub struct SimConfig {
     /// classic single engine inline. Steady-state and direct-walker modes
     /// ignore it.
     pub shards: usize,
-    /// Fault injection: per-transmission bucket corruption every client
-    /// sees ([`ErrorModel::NONE`], the default, is a perfect channel).
-    /// Honored identically by the event engine and the direct walker.
-    pub errors: ErrorModel,
-    /// Correlated-fault injection: when set, this unified [`ChannelModel`]
-    /// (burst loss and/or outage windows) **overrides** `errors` on every
-    /// execution driver. `None` (the default) keeps the i.i.d. `errors`
-    /// path, bit for bit.
-    pub channel: Option<ChannelModel>,
+    /// Fault injection: the per-transmission corruption every client sees
+    /// — i.i.d. loss (`ErrorModel` lifts in with `errors.into()`), burst
+    /// loss, outage windows, or both. [`ChannelModel::NONE`], the default,
+    /// is a perfect channel. Honored identically by every execution
+    /// driver.
+    pub channel: ChannelModel,
     /// Client-side recovery policy for corrupt reads (default: retry
     /// forever — the paper's implicit assumption).
     pub retry: RetryPolicy,
@@ -103,8 +100,7 @@ impl SimConfig {
             event_driven: true,
             max_in_flight: None,
             shards: 1,
-            errors: ErrorModel::NONE,
-            channel: None,
+            channel: ChannelModel::NONE,
             retry: RetryPolicy::UNBOUNDED,
             updates: None,
             window: None,
@@ -123,11 +119,9 @@ impl SimConfig {
         }
     }
 
-    /// The channel every execution driver runs behind: the explicit
-    /// correlated `channel` when set, otherwise the i.i.d. `errors` lifted
-    /// into a degenerate (bit-identical) [`ChannelModel`].
+    /// The channel every execution driver runs behind: `channel`.
     pub fn effective_channel(&self) -> ChannelModel {
-        self.channel.unwrap_or_else(|| self.errors.into())
+        self.channel
     }
 
     fn controller(&self) -> AccuracyController {
@@ -296,8 +290,8 @@ impl<'a> Simulator<'a> {
     /// also returns the run's [`MetricsHub`] — per-phase walk spans,
     /// access/tuning/retry-depth histograms, and (on the event-driven
     /// paths) engine gauges. The direct-walker fast path records spans via
-    /// [`DynSystem::probe_recorded`], so phase attribution is identical
-    /// across all three execution drivers.
+    /// [`DynSystem::probe_recorded_channel`], so phase attribution is
+    /// identical across all three execution drivers.
     pub fn run_observed(&mut self) -> (SimReport, MetricsHub) {
         let (report, hub) = self.run_inner(true, None);
         (report, hub.expect("observed run always produces a hub"))
@@ -509,8 +503,20 @@ impl<'a> Simulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bda_core::{FlatScheme, Params, Scheme};
+    use bda_core::{BurstModel, ErrorModel, FlatScheme, OutageSchedule, Params, Scheme};
     use bda_datagen::DatasetBuilder;
+
+    /// The `churn-lossy` benchmark workload's air: a Gilbert–Elliott
+    /// burst chain with outage windows, under bounded jittered back-off.
+    fn burst_outage_air() -> (ChannelModel, RetryPolicy) {
+        (
+            ChannelModel::burst(BurstModel::new(0.04, 0.20, 0.0, 0.9, 0xB57))
+                .with_outages(OutageSchedule::new(3_000, 300, 0x0A7)),
+            RetryPolicy::bounded(24)
+                .with_backoff_cap(8)
+                .with_jitter(0x117),
+        )
+    }
 
     #[test]
     fn flat_simulation_converges_to_half_cycle() {
@@ -551,13 +557,24 @@ mod tests {
         // Pin the request count so both runs see identical streams.
         cfg.min_rounds = 3;
         cfg.max_rounds = 3;
-        let a = Simulator::uniform(&sys, &ds, cfg).run();
-        cfg.event_driven = false;
-        let b = Simulator::uniform(&sys, &ds, cfg).run();
-        assert_eq!(a.requests, b.requests);
-        assert_eq!(a.access, b.access);
-        assert_eq!(a.tuning, b.tuning);
-        assert_eq!(a.found, b.found);
+        for (channel, retry) in [
+            (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
+            burst_outage_air(),
+        ] {
+            cfg.channel = channel;
+            cfg.retry = retry;
+            cfg.event_driven = true;
+            let a = Simulator::uniform(&sys, &ds, cfg).run();
+            cfg.event_driven = false;
+            let b = Simulator::uniform(&sys, &ds, cfg).run();
+            assert_eq!(a.requests, b.requests);
+            assert_eq!(a.access, b.access);
+            assert_eq!(a.tuning, b.tuning);
+            assert_eq!(a.found, b.found);
+            assert_eq!(a.retries, b.retries);
+            assert_eq!(a.abandoned, b.abandoned);
+            assert_eq!(a.retries > 0, channel != ChannelModel::NONE, "{channel:?}");
+        }
     }
 
     #[test]
@@ -601,7 +618,7 @@ mod tests {
         let mut cfg = SimConfig::quick();
         cfg.min_rounds = 2;
         cfg.max_rounds = 2;
-        cfg.errors = ErrorModel::new(0.10, 7);
+        cfg.channel = ErrorModel::new(0.10, 7).into();
         let lossy = Simulator::uniform(&sys, &ds, cfg).run();
         assert_eq!(lossy.aborted, 0);
         assert_eq!(lossy.abandoned, 0, "unbounded retries never abandon");
@@ -612,7 +629,7 @@ mod tests {
         assert_eq!(lossy.retry_hist.len(), lossy.requests);
 
         // Degradation: lossy access time exceeds the lossless baseline.
-        cfg.errors = ErrorModel::NONE;
+        cfg.channel = ChannelModel::NONE;
         let clean = Simulator::uniform(&sys, &ds, cfg).run();
         assert!(lossy.mean_access() > clean.mean_access());
         assert_eq!(clean.retries, 0);
@@ -626,7 +643,7 @@ mod tests {
         let mut cfg = SimConfig::quick();
         cfg.min_rounds = 2;
         cfg.max_rounds = 2;
-        cfg.errors = ErrorModel::new(0.25, 13);
+        cfg.channel = ErrorModel::new(0.25, 13).into();
         cfg.retry = RetryPolicy::bounded(1);
         let report = Simulator::uniform(&sys, &ds, cfg).run();
         assert_eq!(report.aborted, 0);
@@ -645,25 +662,32 @@ mod tests {
         let mut cfg = SimConfig::quick();
         cfg.min_rounds = 2;
         cfg.max_rounds = 2;
-        cfg.errors = ErrorModel::new(0.05, 3);
-        for (event_driven, cap) in [(true, None), (true, Some(24)), (false, None)] {
-            cfg.event_driven = event_driven;
-            cfg.max_in_flight = cap;
-            let plain = Simulator::uniform(&sys, &ds, cfg).run();
-            let (obs, hub) = Simulator::uniform(&sys, &ds, cfg).run_observed();
-            assert_eq!(plain.requests, obs.requests);
-            assert_eq!(plain.access, obs.access, "observation must not perturb");
-            assert_eq!(plain.tuning, obs.tuning);
-            assert_eq!(plain.retries, obs.retries);
-            // Spans telescope: per-phase ticks sum to the measured totals.
-            assert_eq!(hub.completed, obs.requests);
-            assert_eq!(hub.access.sum(), obs.access_hist.sum());
-            assert_eq!(hub.tuning.sum(), obs.tuning_hist.sum());
-            assert_eq!(u128::from(hub.spans.total_access()), hub.access.sum());
-            assert_eq!(u128::from(hub.spans.total_tuning()), hub.tuning.sum());
-            // Engine gauges exist exactly on the event-driven drivers.
-            let sampled = hub.gauges.get(bda_obs::Gauge::InFlight).samples > 0;
-            assert_eq!(sampled, event_driven, "event_driven={event_driven}");
+        for (channel, retry) in [
+            (ErrorModel::new(0.05, 3).into(), RetryPolicy::UNBOUNDED),
+            burst_outage_air(),
+        ] {
+            cfg.channel = channel;
+            cfg.retry = retry;
+            for (event_driven, cap) in [(true, None), (true, Some(24)), (false, None)] {
+                cfg.event_driven = event_driven;
+                cfg.max_in_flight = cap;
+                let plain = Simulator::uniform(&sys, &ds, cfg).run();
+                let (obs, hub) = Simulator::uniform(&sys, &ds, cfg).run_observed();
+                assert_eq!(plain.requests, obs.requests);
+                assert_eq!(plain.access, obs.access, "observation must not perturb");
+                assert_eq!(plain.tuning, obs.tuning);
+                assert_eq!(plain.retries, obs.retries);
+                assert!(obs.retries > 0, "{channel:?} must corrupt reads");
+                // Spans telescope: per-phase ticks sum to the measured totals.
+                assert_eq!(hub.completed, obs.requests);
+                assert_eq!(hub.access.sum(), obs.access_hist.sum());
+                assert_eq!(hub.tuning.sum(), obs.tuning_hist.sum());
+                assert_eq!(u128::from(hub.spans.total_access()), hub.access.sum());
+                assert_eq!(u128::from(hub.spans.total_tuning()), hub.tuning.sum());
+                // Engine gauges exist exactly on the event-driven drivers.
+                let sampled = hub.gauges.get(bda_obs::Gauge::InFlight).samples > 0;
+                assert_eq!(sampled, event_driven, "event_driven={event_driven}");
+            }
         }
     }
 
@@ -674,22 +698,30 @@ mod tests {
         let mut cfg = SimConfig::quick();
         cfg.min_rounds = 2;
         cfg.max_rounds = 2;
-        cfg.errors = ErrorModel::new(0.10, 5);
-        let single = Simulator::uniform(&sys, &ds, cfg).run();
-        for shards in [0, 1, 3, 4] {
-            cfg.shards = shards;
-            let sharded = Simulator::uniform(&sys, &ds, cfg).run();
-            assert_eq!(single.requests, sharded.requests, "shards={shards}");
-            assert_eq!(single.access, sharded.access, "shards={shards}");
-            assert_eq!(single.tuning, sharded.tuning, "shards={shards}");
-            assert_eq!(single.retries, sharded.retries, "shards={shards}");
-            assert_eq!(single.access_hist, sharded.access_hist, "shards={shards}");
-            assert_eq!(single.retry_hist, sharded.retry_hist, "shards={shards}");
-            assert_eq!(
-                single.engine.outcome_counters(),
-                sharded.engine.outcome_counters(),
-                "shards={shards}"
-            );
+        for (channel, retry) in [
+            (ErrorModel::new(0.10, 5).into(), RetryPolicy::UNBOUNDED),
+            burst_outage_air(),
+        ] {
+            cfg.channel = channel;
+            cfg.retry = retry;
+            cfg.shards = 1;
+            let single = Simulator::uniform(&sys, &ds, cfg).run();
+            assert!(single.retries > 0, "{channel:?} must corrupt reads");
+            for shards in [0, 1, 3, 4] {
+                cfg.shards = shards;
+                let sharded = Simulator::uniform(&sys, &ds, cfg).run();
+                assert_eq!(single.requests, sharded.requests, "shards={shards}");
+                assert_eq!(single.access, sharded.access, "shards={shards}");
+                assert_eq!(single.tuning, sharded.tuning, "shards={shards}");
+                assert_eq!(single.retries, sharded.retries, "shards={shards}");
+                assert_eq!(single.access_hist, sharded.access_hist, "shards={shards}");
+                assert_eq!(single.retry_hist, sharded.retry_hist, "shards={shards}");
+                assert_eq!(
+                    single.engine.outcome_counters(),
+                    sharded.engine.outcome_counters(),
+                    "shards={shards}"
+                );
+            }
         }
     }
 

@@ -240,13 +240,10 @@ mod tests {
         let sys = system();
         let requests: Vec<(Ticks, Key)> =
             (0..50u64).map(|i| (i * 137, Key((i % 32) * 2))).collect();
-        let (_, hub) = crate::engine::run_requests_channel_windowed(
-            &sys,
-            &requests,
-            ChannelModel::NONE,
-            RetryPolicy::UNBOUNDED,
-            64,
-        );
+        let mut engine = crate::engine::Engine::new(&sys);
+        engine.enable_metrics_windowed(bda_obs::WindowSpec::new(64));
+        engine.run_batch(&requests);
+        let hub = engine.take_metrics().expect("metrics were enabled");
         let series = hub.windows.expect("windowed run carries a series");
         let build = || {
             perfetto_trace(

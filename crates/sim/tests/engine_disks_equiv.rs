@@ -17,10 +17,7 @@ use bda_core::{
 use bda_datagen::DatasetBuilder;
 use bda_signature::SimpleSignatureDisksScheme;
 use bda_sim::engine::reference::run_requests_reference_channel;
-use bda_sim::{
-    run_requests_channel, run_requests_channel_observed, run_requests_sharded_channel,
-    CompletedRequest, Engine, ShardedEngine, UpdateSpec, VersionedServer,
-};
+use bda_sim::{CompletedRequest, Engine, ShardedEngine, UpdateSpec, VersionedServer};
 
 /// 15 % loss — the suite's error-prone channel.
 const LOSS: f64 = 0.15;
@@ -232,8 +229,10 @@ fn observed_metrics_merge_exactly_on_stratified_programs() {
     for (channel, policy) in [iid, burst_air()] {
         for sys in disk_systems(&ds, &params) {
             let requests = request_mix(&ds, &pool, 90, 12 * sys.cycle_len());
-            let (baseline, hub) =
-                run_requests_channel_observed(sys.as_ref(), &requests, channel, policy);
+            let mut engine = Engine::with_channel(sys.as_ref(), channel, policy);
+            engine.enable_metrics();
+            let baseline = engine.run_batch(&requests);
+            let hub = engine.take_metrics().expect("metrics were enabled");
             // Span sums must tie out against the outcomes they measure.
             let access_sum: u128 = baseline.iter().map(|r| u128::from(r.outcome.access)).sum();
             let name = sys.scheme_name();
@@ -346,7 +345,7 @@ fn churned_stratified_programs_are_shard_invariant() {
     for (channel, policy) in fault_modes() {
         with_all_disk_versioned(&ds, &params, spec, &mut |server, span| {
             let requests = request_mix(&ds, &pool, 70, span);
-            let baseline = run_requests_channel(server, &requests, channel, policy);
+            let baseline = Engine::with_channel(server, channel, policy).run_batch(&requests);
             let name = server.scheme_name();
             let churn_engaged = baseline.iter().any(|r| r.outcome.version_skews > 0);
             assert!(
@@ -365,8 +364,8 @@ fn churned_stratified_programs_are_shard_invariant() {
                 "{name}: fast-forward changed a churn outcome"
             );
             for shards in shard_counts() {
-                let merged =
-                    run_requests_sharded_channel(server, &requests, shards, channel, policy);
+                let merged = ShardedEngine::with_channel(server, shards, channel, policy)
+                    .run_batch(&requests);
                 assert_eq!(
                     baseline, merged,
                     "{name} churn outcomes drifted at {shards} shards ({channel:?})"

@@ -11,10 +11,10 @@
 //! streaming-mode behaviour under abandonment (no slot leak, deterministic
 //! event accounting).
 
-use bda_core::{DynSystem, ErrorModel, Key, Params, RetryPolicy, Scheme, Ticks};
+use bda_core::{ChannelModel, DynSystem, ErrorModel, Key, Params, RetryPolicy, Scheme, Ticks};
 use bda_datagen::DatasetBuilder;
-use bda_sim::engine::reference::run_requests_reference_with_faults;
-use bda_sim::{run_requests_with_faults, Engine};
+use bda_sim::engine::reference::run_requests_reference_channel;
+use bda_sim::Engine;
 
 /// Loss rates the differential suite sweeps.
 const LOSS_RATES: [f64; 3] = [0.02, 0.10, 0.25];
@@ -72,11 +72,11 @@ fn slab_reference_and_walker_agree_under_loss() {
     let params = Params::paper();
     let requests = request_mix(&ds, &pool, 90);
     for loss in LOSS_RATES {
-        let errors = ErrorModel::new(loss, 0xFA57);
+        let air = ChannelModel::from(ErrorModel::new(loss, 0xFA57));
         let policy = RetryPolicy::UNBOUNDED;
         for sys in all_systems(&ds, &params) {
-            let slab = run_requests_with_faults(sys.as_ref(), &requests, errors, policy);
-            let naive = run_requests_reference_with_faults(sys.as_ref(), &requests, errors, policy);
+            let slab = Engine::with_channel(sys.as_ref(), air, policy).run_batch(&requests);
+            let naive = run_requests_reference_channel(sys.as_ref(), &requests, air, policy);
             assert_eq!(slab.len(), requests.len());
             assert_eq!(naive.len(), requests.len());
             for (i, (a, b)) in slab.iter().zip(&naive).enumerate() {
@@ -86,7 +86,7 @@ fn slab_reference_and_walker_agree_under_loss() {
                     "{} slab vs reference diverged at req {i}, loss {loss}",
                     sys.scheme_name()
                 );
-                let direct = sys.probe_with_policy(a.key, a.arrival, errors, policy);
+                let direct = sys.probe_with_channel(a.key, a.arrival, air, policy);
                 assert_eq!(
                     a.outcome,
                     direct,
@@ -108,15 +108,15 @@ fn bounded_retry_abandonment_is_identical_across_drivers() {
         .unwrap();
     let params = Params::paper();
     let requests = request_mix(&ds, &pool, 60);
-    let errors = ErrorModel::new(0.25, 7);
+    let air = ChannelModel::from(ErrorModel::new(0.25, 7));
     let policy = RetryPolicy::bounded(2);
     for sys in all_systems(&ds, &params) {
-        let slab = run_requests_with_faults(sys.as_ref(), &requests, errors, policy);
-        let naive = run_requests_reference_with_faults(sys.as_ref(), &requests, errors, policy);
+        let slab = Engine::with_channel(sys.as_ref(), air, policy).run_batch(&requests);
+        let naive = run_requests_reference_channel(sys.as_ref(), &requests, air, policy);
         let mut abandoned = 0u64;
         for (a, b) in slab.iter().zip(&naive) {
             assert_eq!(&a.outcome, &b.outcome, "{}", sys.scheme_name());
-            let direct = sys.probe_with_policy(a.key, a.arrival, errors, policy);
+            let direct = sys.probe_with_channel(a.key, a.arrival, air, policy);
             assert_eq!(a.outcome, direct, "{}", sys.scheme_name());
             // Truthfulness: a wrong answer is never reported.
             assert!(!a.outcome.aborted, "{}", sys.scheme_name());
@@ -146,9 +146,11 @@ fn engine_never_lies_under_loss() {
     let params = Params::paper();
     let requests = request_mix(&ds, &pool, 120);
     let present: std::collections::BTreeSet<u64> = ds.keys().map(|k| k.0).collect();
-    let errors = ErrorModel::new(0.10, 11);
+    let air = ChannelModel::from(ErrorModel::new(0.10, 11));
     for sys in all_systems(&ds, &params) {
-        for r in run_requests_with_faults(sys.as_ref(), &requests, errors, RetryPolicy::UNBOUNDED) {
+        for r in
+            Engine::with_channel(sys.as_ref(), air, RetryPolicy::UNBOUNDED).run_batch(&requests)
+        {
             assert!(!r.outcome.aborted, "{}", sys.scheme_name());
             assert!(!r.outcome.abandoned, "unbounded policy abandoned");
             assert_eq!(
@@ -173,11 +175,11 @@ fn run_stream_recycles_slots_and_stays_deterministic_under_loss() {
         .unwrap();
     let params = Params::paper();
     let requests = request_mix(&ds, &pool, 400);
-    let errors = ErrorModel::new(0.25, 5);
+    let air = ChannelModel::from(ErrorModel::new(0.25, 5));
     let policy = RetryPolicy::bounded(1); // abandon aggressively
     let cap = 8usize;
     let run = |sys: &dyn DynSystem| {
-        let mut engine = Engine::with_faults(sys, errors, policy);
+        let mut engine = Engine::with_channel(sys, air, policy);
         let mut completions = Vec::new();
         engine.run_stream(requests.iter().copied(), cap, |r| {
             completions.push(r.outcome)
@@ -239,9 +241,9 @@ fn lossless_faulty_paths_match_plain_paths() {
         RetryPolicy::bounded(3).with_backoff(2).with_deadline(1_000),
     ] {
         for sys in all_systems(&ds, &params) {
-            let plain = bda_sim::run_requests(sys.as_ref(), &requests);
+            let plain = Engine::new(sys.as_ref()).run_batch(&requests);
             let faulty =
-                run_requests_with_faults(sys.as_ref(), &requests, ErrorModel::NONE, policy);
+                Engine::with_channel(sys.as_ref(), ChannelModel::NONE, policy).run_batch(&requests);
             assert_eq!(plain, faulty, "{} with {policy:?}", sys.scheme_name());
         }
     }

@@ -1,7 +1,7 @@
 //! Shard-count invariance suite — the contract of the sharded engine.
 //!
 //! For every shard count in {1, 2, 3, 7, #cores} and every scheme family,
-//! `run_requests_sharded` must be **bit-identical** to the single-threaded
+//! `ShardedEngine::run_batch` must be **bit-identical** to the single-threaded
 //! engine: per-request outcomes, the shard-invariant `EngineStats`
 //! projection, the merged retry-depth histogram, and every merged
 //! percentile — across a lossless channel, a 15 % error-prone channel
@@ -12,13 +12,11 @@
 //! reproduces the unsharded result — merge correctness depends only on
 //! per-request independence, not on how the batch was cut.
 
-use bda_core::{Dataset, DynSystem, ErrorModel, Key, Params, RetryPolicy, Scheme, Ticks};
-use bda_datagen::DatasetBuilder;
-use bda_sim::{
-    run_requests_observed, run_requests_partitioned, run_requests_sharded_observed,
-    run_requests_sharded_with_faults, run_requests_with_faults, Engine, ShardedEngine, UpdateSpec,
-    VersionedServer,
+use bda_core::{
+    ChannelModel, Dataset, DynSystem, ErrorModel, Key, Params, RetryPolicy, Scheme, Ticks,
 };
+use bda_datagen::DatasetBuilder;
+use bda_sim::{run_requests_partitioned, Engine, ShardedEngine, UpdateSpec, VersionedServer};
 use proptest::prelude::*;
 
 /// 15 % loss — the suite's error-prone channel.
@@ -127,10 +125,13 @@ fn request_mix(ds: &Dataset, pool: &[Key], n: usize, span: Ticks) -> Vec<(Ticks,
 /// The fault modes the matrix sweeps: lossless with unbounded retries,
 /// and 15 % loss with a bounded (2-retry) policy so abandonment paths are
 /// exercised too.
-fn fault_modes() -> [(ErrorModel, RetryPolicy); 2] {
+fn fault_modes() -> [(ChannelModel, RetryPolicy); 2] {
     [
-        (ErrorModel::NONE, RetryPolicy::UNBOUNDED),
-        (ErrorModel::new(LOSS, 0xFA57), RetryPolicy::bounded(2)),
+        (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
+        (
+            ErrorModel::new(LOSS, 0xFA57).into(),
+            RetryPolicy::bounded(2),
+        ),
     ]
 }
 
@@ -143,20 +144,20 @@ fn outcomes_and_stats_invariant_across_shard_counts() {
         .build_with_absent_pool(10)
         .unwrap();
     let params = Params::paper();
-    for (errors, policy) in fault_modes() {
+    for (air, policy) in fault_modes() {
         for sys in all_frozen(&ds, &params) {
             let requests = request_mix(&ds, &pool, 90, 16 * sys.cycle_len());
-            let mut single = Engine::with_faults(sys.as_ref(), errors, policy);
+            let mut single = Engine::with_channel(sys.as_ref(), air, policy);
             let baseline = single.run_batch(&requests);
             for shards in shard_counts() {
-                let mut engine = ShardedEngine::with_faults(sys.as_ref(), shards, errors, policy);
+                let mut engine = ShardedEngine::with_channel(sys.as_ref(), shards, air, policy);
                 let merged = engine.run_batch(&requests);
                 assert_eq!(
                     baseline,
                     merged,
                     "{} outcomes drifted at {shards} shards (loss={})",
                     sys.scheme_name(),
-                    errors.loss_prob
+                    air.worst_loss()
                 );
                 assert_eq!(
                     single.stats().outcome_counters(),
@@ -183,10 +184,10 @@ fn churned_programs_are_shard_invariant() {
         seed: 0xBEEF,
         horizon_cycles: 16,
     };
-    for (errors, policy) in fault_modes() {
+    for (air, policy) in fault_modes() {
         with_all_versioned(&ds, &params, spec, &mut |server, span| {
             let requests = request_mix(&ds, &pool, 70, span);
-            let baseline = run_requests_with_faults(server, &requests, errors, policy);
+            let baseline = Engine::with_channel(server, air, policy).run_batch(&requests);
             let churn_engaged = baseline.iter().any(|r| r.outcome.version_skews > 0);
             assert!(
                 churn_engaged,
@@ -195,13 +196,13 @@ fn churned_programs_are_shard_invariant() {
             );
             for shards in shard_counts() {
                 let merged =
-                    run_requests_sharded_with_faults(server, &requests, shards, errors, policy);
+                    ShardedEngine::with_channel(server, shards, air, policy).run_batch(&requests);
                 assert_eq!(
                     baseline,
                     merged,
                     "{} churn outcomes drifted at {shards} shards (loss={})",
                     server.scheme_name(),
-                    errors.loss_prob
+                    air.worst_loss()
                 );
             }
         });
@@ -219,14 +220,19 @@ fn merged_metrics_histograms_and_percentiles_are_bit_identical() {
         .build_with_absent_pool(10)
         .unwrap();
     let params = Params::paper();
-    let errors = ErrorModel::new(LOSS, 0x717);
+    let air = ChannelModel::from(ErrorModel::new(LOSS, 0x717));
     let policy = RetryPolicy::bounded(3);
     for sys in all_frozen(&ds, &params) {
         let requests = request_mix(&ds, &pool, 90, 16 * sys.cycle_len());
-        let (baseline, hub) = run_requests_observed(sys.as_ref(), &requests, errors, policy);
+        let mut engine = Engine::with_channel(sys.as_ref(), air, policy);
+        engine.enable_metrics();
+        let baseline = engine.run_batch(&requests);
+        let hub = engine.take_metrics().expect("metrics were enabled");
         for shards in shard_counts() {
-            let (merged, sharded_hub) =
-                run_requests_sharded_observed(sys.as_ref(), &requests, shards, errors, policy);
+            let mut engine = ShardedEngine::with_channel(sys.as_ref(), shards, air, policy);
+            engine.enable_metrics();
+            let merged = engine.run_batch(&requests);
+            let sharded_hub = engine.take_metrics().expect("metrics were enabled");
             assert_eq!(baseline, merged, "{}", sys.scheme_name());
             let name = sys.scheme_name();
             assert_eq!(
@@ -329,14 +335,14 @@ proptest! {
             ),
         ];
         for sys in &systems {
-            for (errors, policy) in fault_modes() {
+            for (air, policy) in fault_modes() {
                 let unsharded =
-                    run_requests_with_faults(sys.as_ref(), &requests, errors, policy);
+                    Engine::with_channel(sys.as_ref(), air, policy).run_batch(&requests);
                 let merged = run_requests_partitioned(
                     sys.as_ref(),
                     &requests,
                     &assignment,
-                    errors,
+                    air,
                     policy,
                 );
                 prop_assert_eq!(
@@ -344,7 +350,7 @@ proptest! {
                     &merged,
                     "{} (loss={})",
                     sys.scheme_name(),
-                    errors.loss_prob
+                    air.worst_loss()
                 );
             }
         }

@@ -29,7 +29,7 @@ use bda_core::{
     RetryPolicy, Scheme, Ticks,
 };
 use bda_datagen::DatasetBuilder;
-use bda_sim::engine::reference::run_requests_reference_with_faults;
+use bda_sim::engine::reference::run_requests_reference_channel;
 use bda_sim::{CompletedRequest, Engine, UpdateSpec, VersionedServer};
 
 /// Every scheme family in the repo, including the composite hybrid.
@@ -86,11 +86,11 @@ fn request_mix(
 fn run_with_ff(
     sys: &dyn DynSystem,
     requests: &[(Ticks, Key)],
-    channel: impl Into<ChannelModel>,
+    channel: ChannelModel,
     policy: RetryPolicy,
     ff: bool,
 ) -> (Vec<CompletedRequest>, u64) {
-    let mut engine = Engine::with_channel(sys, channel.into(), policy);
+    let mut engine = Engine::with_channel(sys, channel, policy);
     engine.set_fast_forward(ff);
     let done = engine.run_batch(requests);
     (done, engine.stats().events)
@@ -107,16 +107,18 @@ fn fast_forward_engine_matches_slow_engine_and_reference_oracle() {
         .build_with_absent_pool(10)
         .unwrap();
     let params = Params::paper();
-    for (errors, policy) in [
-        (ErrorModel::NONE, RetryPolicy::UNBOUNDED),
-        (ErrorModel::new(0.15, 0xFA57), RetryPolicy::bounded(2)),
+    for (air, policy) in [
+        (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
+        (
+            ErrorModel::new(0.15, 0xFA57).into(),
+            RetryPolicy::bounded(2),
+        ),
     ] {
         for sys in all_systems(&ds, &params) {
             let requests = request_mix(&ds, &pool, 72, 0, 8 * sys.cycle_len());
-            let (fast, fast_events) = run_with_ff(sys.as_ref(), &requests, errors, policy, true);
-            let (slow, slow_events) = run_with_ff(sys.as_ref(), &requests, errors, policy, false);
-            let oracle =
-                run_requests_reference_with_faults(sys.as_ref(), &requests, errors, policy);
+            let (fast, fast_events) = run_with_ff(sys.as_ref(), &requests, air, policy, true);
+            let (slow, slow_events) = run_with_ff(sys.as_ref(), &requests, air, policy, false);
+            let oracle = run_requests_reference_channel(sys.as_ref(), &requests, air, policy);
             let name = sys.scheme_name();
             assert_eq!(fast, slow, "{name}: fast-forward changed an outcome");
             assert_eq!(slow, oracle, "{name}: slab engine ≠ reference oracle");
@@ -155,14 +157,14 @@ fn fast_forward_collapses_events_on_scan_heavy_schemes() {
         let (fast, fast_events) = run_with_ff(
             sys.as_ref(),
             &requests,
-            ErrorModel::NONE,
+            ChannelModel::NONE,
             RetryPolicy::UNBOUNDED,
             true,
         );
         let (slow, slow_events) = run_with_ff(
             sys.as_ref(),
             &requests,
-            ErrorModel::NONE,
+            ChannelModel::NONE,
             RetryPolicy::UNBOUNDED,
             false,
         );
@@ -185,7 +187,7 @@ fn fast_forward_never_skips_a_corruption_event() {
         .build_with_absent_pool(8)
         .unwrap();
     let params = Params::paper();
-    let errors = ErrorModel::new(0.30, 0xC0DE);
+    let air = ChannelModel::from(ErrorModel::new(0.30, 0xC0DE));
     let policy = RetryPolicy::bounded(3);
     for sys in all_systems(&ds, &params) {
         let cycle = sys.cycle_len();
@@ -204,8 +206,8 @@ fn fast_forward_never_skips_a_corruption_event() {
                 requests.push((t, key));
             }
         }
-        let (fast, _) = run_with_ff(sys.as_ref(), &requests, errors, policy, true);
-        let (slow, _) = run_with_ff(sys.as_ref(), &requests, errors, policy, false);
+        let (fast, _) = run_with_ff(sys.as_ref(), &requests, air, policy, true);
+        let (slow, _) = run_with_ff(sys.as_ref(), &requests, air, policy, false);
         let name = sys.scheme_name();
         assert_eq!(fast, slow, "{name}: boundary arrivals diverged under loss");
         let retries: u32 = slow.iter().map(|r| r.outcome.retries).sum();
@@ -222,14 +224,14 @@ fn fast_forward_is_exact_near_ticks_max() {
         .build_with_absent_pool(8)
         .unwrap();
     let params = Params::paper();
-    let errors = ErrorModel::new(0.15, 0xFA57);
+    let air = ChannelModel::from(ErrorModel::new(0.15, 0xFA57));
     let policy = RetryPolicy::bounded(2);
     for sys in all_systems(&ds, &params) {
         let cycle = sys.cycle_len();
         let base = Ticks::MAX - 64 * cycle;
         let requests = request_mix(&ds, &pool, 48, base, 4 * cycle);
-        let (fast, _) = run_with_ff(sys.as_ref(), &requests, errors, policy, true);
-        let (slow, _) = run_with_ff(sys.as_ref(), &requests, errors, policy, false);
+        let (fast, _) = run_with_ff(sys.as_ref(), &requests, air, policy, true);
+        let (slow, _) = run_with_ff(sys.as_ref(), &requests, air, policy, false);
         assert_eq!(
             fast,
             slow,

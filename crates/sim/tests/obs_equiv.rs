@@ -12,12 +12,11 @@
 //!    the walker's own degradation counters (corrupt reads ↔ `Retry`
 //!    spans, version skews ↔ `StaleRecovery` spans).
 
-use bda_core::{Dataset, DynSystem, ErrorModel, Key, Params, Phase, RetryPolicy, Scheme, Ticks};
-use bda_datagen::DatasetBuilder;
-use bda_sim::{
-    run_requests_observed, run_requests_with_faults, SimConfig, Simulator, UpdateSpec,
-    VersionedServer,
+use bda_core::{
+    ChannelModel, Dataset, DynSystem, ErrorModel, Key, Params, Phase, RetryPolicy, Scheme, Ticks,
 };
+use bda_datagen::DatasetBuilder;
+use bda_sim::{Engine, SimConfig, Simulator, UpdateSpec, VersionedServer};
 
 /// Every scheme family in the repo, including the composite hybrid.
 fn all_systems(ds: &Dataset, p: &Params) -> Vec<Box<dyn DynSystem>> {
@@ -71,14 +70,20 @@ fn spans_account_every_tick_on_every_scheme() {
         .build_with_absent_pool(10)
         .unwrap();
     let params = Params::paper();
-    for (errors, policy) in [
-        (ErrorModel::NONE, RetryPolicy::UNBOUNDED),
-        (ErrorModel::new(0.15, 0xFA57), RetryPolicy::bounded(2)),
+    for (air, policy) in [
+        (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
+        (
+            ErrorModel::new(0.15, 0xFA57).into(),
+            RetryPolicy::bounded(2),
+        ),
     ] {
         for sys in all_systems(&ds, &params) {
             let requests = request_mix(&ds, &pool, 90, 8 * sys.cycle_len());
-            let plain = run_requests_with_faults(sys.as_ref(), &requests, errors, policy);
-            let (observed, hub) = run_requests_observed(sys.as_ref(), &requests, errors, policy);
+            let plain = Engine::with_channel(sys.as_ref(), air, policy).run_batch(&requests);
+            let mut engine = Engine::with_channel(sys.as_ref(), air, policy);
+            engine.enable_metrics();
+            let observed = engine.run_batch(&requests);
+            let hub = engine.take_metrics().expect("metrics were enabled");
             assert_eq!(
                 plain,
                 observed,
@@ -121,7 +126,7 @@ fn spans_account_every_tick_on_every_scheme() {
             // The walker reads exactly one bucket per tune-in — unless that
             // very first read was corrupted, which takes Retry precedence.
             let initial = hub.spans.get(Phase::InitialProbe).count;
-            if errors.loss_prob == 0.0 {
+            if air.worst_loss() == 0.0 {
                 assert_eq!(
                     initial,
                     requests.len() as u64,
@@ -158,10 +163,13 @@ fn dynamic_spans_attribute_version_skew_to_stale_recovery() {
         let span = server.timeline().epochs().last().map_or(0, |e| e.start)
             + 4 * DynSystem::cycle_len(&server);
         let requests = request_mix(ds, pool, 80, span);
-        for errors in [ErrorModel::NONE, ErrorModel::new(0.10, 0x717)] {
+        for air in [ChannelModel::NONE, ErrorModel::new(0.10, 0x717).into()] {
             let policy = RetryPolicy::UNBOUNDED;
-            let plain = run_requests_with_faults(&server, &requests, errors, policy);
-            let (observed, hub) = run_requests_observed(&server, &requests, errors, policy);
+            let plain = Engine::with_channel(&server, air, policy).run_batch(&requests);
+            let mut engine = Engine::with_channel(&server, air, policy);
+            engine.enable_metrics();
+            let observed = engine.run_batch(&requests);
+            let hub = engine.take_metrics().expect("metrics were enabled");
             let name = DynSystem::scheme_name(&server);
             assert_eq!(plain, observed, "{name}: observation perturbed outcomes");
             let (access, tuning, skews) = plain.iter().fold((0u64, 0u64, 0u64), |acc, r| {
@@ -227,12 +235,11 @@ fn phase_mix_reflects_each_schemes_structure() {
     let params = Params::paper();
     for sys in all_systems(&ds, &params) {
         let requests = request_mix(&ds, &[Key(1)], 60, 8 * sys.cycle_len());
-        let (_, hub) = run_requests_observed(
-            sys.as_ref(),
-            &requests,
-            ErrorModel::NONE,
-            RetryPolicy::UNBOUNDED,
-        );
+        let mut engine =
+            Engine::with_channel(sys.as_ref(), ChannelModel::NONE, RetryPolicy::UNBOUNDED);
+        engine.enable_metrics();
+        engine.run_batch(&requests);
+        let hub = engine.take_metrics().expect("metrics were enabled");
         let idx = hub.spans.get(Phase::IndexTraversal);
         let name = sys.scheme_name();
         if name == "flat" {
@@ -268,7 +275,7 @@ fn fast_forwarded_spans_match_bucket_by_bucket_on_every_scheme() {
     fn observed_with_ff(
         sys: &dyn DynSystem,
         requests: &[(Ticks, Key)],
-        errors: ErrorModel,
+        air: ChannelModel,
         policy: RetryPolicy,
         ff: bool,
     ) -> (
@@ -276,7 +283,7 @@ fn fast_forwarded_spans_match_bucket_by_bucket_on_every_scheme() {
         bda_obs::MetricsHub,
         bda_sim::EngineStats,
     ) {
-        let mut engine = Engine::with_faults(sys, errors, policy);
+        let mut engine = Engine::with_channel(sys, air, policy);
         engine.set_fast_forward(ff);
         engine.enable_metrics();
         let done = engine.run_batch(requests);
@@ -288,13 +295,13 @@ fn fast_forwarded_spans_match_bucket_by_bucket_on_every_scheme() {
     fn check(
         sys: &dyn DynSystem,
         requests: &[(Ticks, Key)],
-        errors: ErrorModel,
+        air: ChannelModel,
         what: &str,
     ) -> (u64, u64) {
         let policy = RetryPolicy::bounded(2);
-        let plain = run_requests_with_faults(sys, requests, errors, policy);
-        let (fast, fast_hub, fast_stats) = observed_with_ff(sys, requests, errors, policy, true);
-        let (slow, slow_hub, slow_stats) = observed_with_ff(sys, requests, errors, policy, false);
+        let plain = Engine::with_channel(sys, air, policy).run_batch(requests);
+        let (fast, fast_hub, fast_stats) = observed_with_ff(sys, requests, air, policy, true);
+        let (slow, slow_hub, slow_stats) = observed_with_ff(sys, requests, air, policy, false);
         let name = sys.scheme_name();
         assert_eq!(
             plain, fast,
@@ -320,11 +327,11 @@ fn fast_forwarded_spans_match_bucket_by_bucket_on_every_scheme() {
 
     for sys in all_systems(&ds, &params) {
         let requests = request_mix(&ds, &pool, 80, 8 * sys.cycle_len());
-        check(sys.as_ref(), &requests, ErrorModel::NONE, "lossless");
+        check(sys.as_ref(), &requests, ChannelModel::NONE, "lossless");
         check(
             sys.as_ref(),
             &requests,
-            ErrorModel::new(0.15, 0xFA57),
+            ErrorModel::new(0.15, 0xFA57).into(),
             "15% loss",
         );
     }
@@ -353,11 +360,11 @@ fn fast_forwarded_spans_match_bucket_by_bucket_on_every_scheme() {
         churning(bda_signature::MultiLevelSignatureScheme::new(8), &ds),
     ] {
         let requests = request_mix(&ds, &pool, 80, span);
-        for (errors, what) in [
-            (ErrorModel::NONE, "20% churn"),
-            (ErrorModel::new(0.10, 0x717), "20% churn + loss"),
+        for (air, what) in [
+            (ChannelModel::NONE, "20% churn"),
+            (ErrorModel::new(0.10, 0x717).into(), "20% churn + loss"),
         ] {
-            let (fast, slow) = check(server.as_ref(), &requests, errors, what);
+            let (fast, slow) = check(server.as_ref(), &requests, air, what);
             assert!(
                 fast < slow,
                 "{} [{what}]: scans must fast-forward within an epoch",
@@ -374,27 +381,29 @@ fn fast_forwarded_spans_match_bucket_by_bucket_on_every_scheme() {
 /// a pure refinement, never a perturbation.
 #[test]
 fn timeline_observed_runs_are_bit_identical_to_plain_runs() {
-    use bda_sim::run_requests_channel_windowed;
+    use bda_obs::WindowSpec;
     let (ds, pool) = DatasetBuilder::new(60, 0x0B5E)
         .build_with_absent_pool(10)
         .unwrap();
     let params = Params::paper();
-    for (errors, policy) in [
-        (ErrorModel::NONE, RetryPolicy::UNBOUNDED),
-        (ErrorModel::new(0.15, 0xFA57), RetryPolicy::bounded(2)),
+    for (air, policy) in [
+        (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
+        (
+            ErrorModel::new(0.15, 0xFA57).into(),
+            RetryPolicy::bounded(2),
+        ),
     ] {
         for sys in all_systems(&ds, &params) {
             let requests = request_mix(&ds, &pool, 90, 8 * sys.cycle_len());
-            let plain = run_requests_with_faults(sys.as_ref(), &requests, errors, policy);
-            let (aggregate_only, agg_hub) =
-                run_requests_observed(sys.as_ref(), &requests, errors, policy);
-            let (windowed, win_hub) = run_requests_channel_windowed(
-                sys.as_ref(),
-                &requests,
-                errors.into(),
-                policy,
-                sys.cycle_len(),
-            );
+            let plain = Engine::with_channel(sys.as_ref(), air, policy).run_batch(&requests);
+            let mut engine = Engine::with_channel(sys.as_ref(), air, policy);
+            engine.enable_metrics();
+            let aggregate_only = engine.run_batch(&requests);
+            let agg_hub = engine.take_metrics().expect("metrics were enabled");
+            let mut engine = Engine::with_channel(sys.as_ref(), air, policy);
+            engine.enable_metrics_windowed(WindowSpec::new(sys.cycle_len()));
+            let windowed = engine.run_batch(&requests);
+            let win_hub = engine.take_metrics().expect("metrics were enabled");
             let name = sys.scheme_name();
             assert_eq!(plain, windowed, "{name}: windowing perturbed outcomes");
             assert_eq!(aggregate_only, windowed);

@@ -22,10 +22,7 @@ use bda_core::{
 };
 use bda_datagen::DatasetBuilder;
 use bda_obs::{sample_indices, MetricsHub, WindowSpec, WindowStats};
-use bda_sim::{
-    run_requests_channel, run_requests_channel_windowed, Engine, ShardedEngine, UpdateSpec,
-    VersionedServer,
-};
+use bda_sim::{Engine, ShardedEngine, UpdateSpec, VersionedServer};
 
 fn all_systems(ds: &Dataset, p: &Params) -> Vec<Box<dyn DynSystem>> {
     vec![
@@ -160,7 +157,7 @@ fn window_sums_equal_aggregates_on_every_scheme() {
     ] {
         for sys in all_systems(&ds, &params) {
             let requests = request_mix(&ds, &pool, 90, 8 * sys.cycle_len());
-            let plain = run_requests_channel(sys.as_ref(), &requests, channel, policy);
+            let plain = Engine::with_channel(sys.as_ref(), channel, policy).run_batch(&requests);
             let mut engine = Engine::with_channel(sys.as_ref(), channel, policy);
             engine.enable_metrics_windowed(WindowSpec::new(sys.cycle_len()));
             let observed = engine.run_batch(&requests);
@@ -202,14 +199,11 @@ fn window_sums_stay_exact_under_churn() {
         ),
     ] {
         let policy = RetryPolicy::UNBOUNDED;
-        let plain = run_requests_channel(&server, &requests, channel, policy);
-        let (observed, hub) = run_requests_channel_windowed(
-            &server,
-            &requests,
-            channel,
-            policy,
-            DynSystem::cycle_len(&server),
-        );
+        let plain = Engine::with_channel(&server, channel, policy).run_batch(&requests);
+        let mut engine = Engine::with_channel(&server, channel, policy);
+        engine.enable_metrics_windowed(WindowSpec::new(DynSystem::cycle_len(&server)));
+        let observed = engine.run_batch(&requests);
+        let hub = engine.take_metrics().expect("metrics were enabled");
         assert_eq!(plain, observed, "[{what}]: observation perturbed outcomes");
         let mut engine = Engine::with_channel(&server, channel, policy);
         engine.enable_metrics_windowed(WindowSpec::new(DynSystem::cycle_len(&server)));

@@ -10,7 +10,7 @@
 //! cargo run --release -p bda --example lossy_downlink
 //! ```
 
-use bda::core::ErrorModel;
+use bda::core::{ChannelModel, ErrorModel, RetryPolicy};
 use bda::prelude::*;
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
     for sys in systems {
         let cycle = sys.cycle_len();
         for loss_pct in [0u32, 5, 15] {
-            let errors = ErrorModel::new(f64::from(loss_pct) / 100.0, 0xC0FFEE);
+            let air = ChannelModel::from(ErrorModel::new(f64::from(loss_pct) / 100.0, 0xC0FFEE));
             let queries = 3_000;
             let mut access = 0u64;
             let mut tuning = 0u64;
@@ -42,7 +42,8 @@ fn main() {
             let mut found = 0u64;
             for _ in 0..queries {
                 let key = dataset.record(rng.below(dataset.len() as u64) as usize).key;
-                let out = sys.probe_with_errors(key, rng.below(cycle * 4), errors);
+                let tune_in = rng.below(cycle * 4);
+                let out = sys.probe_with_channel(key, tune_in, air, RetryPolicy::UNBOUNDED);
                 assert!(!out.aborted, "protocols must recover, not give up");
                 access += out.access;
                 tuning += out.tuning;

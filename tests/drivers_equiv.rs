@@ -3,9 +3,9 @@
 //! execute the same protocol machines, so their outcomes must be
 //! *identical* — per request, for every scheme.
 
-use bda::core::scheme::drain;
+use bda::core::{ChannelModel, RetryPolicy, WalkStep};
 use bda::prelude::*;
-use bda::sim::run_requests;
+use bda::sim::Engine;
 
 fn systems(ds: &Dataset, params: &Params) -> Vec<Box<dyn DynSystem>> {
     vec![
@@ -39,7 +39,7 @@ fn event_engine_equals_direct_walker_per_request() {
     }
 
     for sys in systems(&ds, &params) {
-        let evented = run_requests(sys.as_ref(), &requests);
+        let evented = Engine::new(sys.as_ref()).run_batch(&requests);
         for (res, &(t, k)) in evented.iter().zip(&requests) {
             let direct = sys.probe(k, t);
             assert_eq!(
@@ -48,7 +48,14 @@ fn event_engine_equals_direct_walker_per_request() {
                 "{}: divergence at t={t} key={k}",
                 sys.scheme_name()
             );
-            let stepped = drain(sys.begin(k, t).as_mut());
+            // A fresh slot never fast-forwards: it steps every bucket.
+            let mut slot = sys.make_slot_channel(ChannelModel::NONE, RetryPolicy::UNBOUNDED);
+            slot.start(k, t);
+            let stepped = loop {
+                if let WalkStep::Done(out) = slot.step() {
+                    break out;
+                }
+            };
             assert_eq!(
                 stepped,
                 direct,
@@ -81,11 +88,11 @@ fn simulator_fast_path_equals_event_path_for_all_schemes() {
 
 #[test]
 fn stepping_runs_report_monotone_time() {
-    use bda::core::WalkStep;
     let ds = DatasetBuilder::new(100, 3).build().unwrap();
     let params = Params::paper();
     for sys in systems(&ds, &params) {
-        let mut run = sys.begin(ds.record(50).key, 777);
+        let mut run = sys.make_slot_channel(ChannelModel::NONE, RetryPolicy::UNBOUNDED);
+        run.start(ds.record(50).key, 777);
         let mut last = 0u64;
         loop {
             match run.step() {

@@ -2,8 +2,9 @@
 //! bucket loss — queries eventually succeed, absence is still reported
 //! truthfully, and costs degrade monotonically-ish with the loss rate.
 
-use bda::core::{ErrorModel, RetryPolicy};
+use bda::core::{ChannelModel, ErrorModel, RetryPolicy};
 use bda::prelude::*;
+use bda::sim::Engine;
 
 fn systems(ds: &Dataset, params: &Params) -> Vec<Box<dyn DynSystem>> {
     vec![
@@ -25,11 +26,12 @@ fn lossy_channel_preserves_correctness() {
         .unwrap();
     let params = Params::paper();
     for loss in [0.02, 0.10, 0.25] {
-        let errors = ErrorModel::new(loss, 99);
+        let air = ChannelModel::from(ErrorModel::new(loss, 99));
         for sys in systems(&ds, &params) {
             // Present keys are always found despite corruption.
             for (i, r) in ds.records().iter().enumerate().step_by(11) {
-                let out = sys.probe_with_errors(r.key, i as u64 * 977, errors);
+                let out =
+                    sys.probe_with_channel(r.key, i as u64 * 977, air, RetryPolicy::UNBOUNDED);
                 assert!(
                     out.found,
                     "{} lost key {} at loss {loss}",
@@ -40,7 +42,7 @@ fn lossy_channel_preserves_correctness() {
             }
             // Absent keys are never hallucinated.
             for (i, k) in pool.iter().enumerate() {
-                let out = sys.probe_with_errors(*k, i as u64 * 1013, errors);
+                let out = sys.probe_with_channel(*k, i as u64 * 1013, air, RetryPolicy::UNBOUNDED);
                 assert!(!out.found, "{} hallucinated under loss", sys.scheme_name());
                 assert!(!out.aborted, "{}", sys.scheme_name());
             }
@@ -56,7 +58,8 @@ fn lossless_error_model_is_identity() {
         for (i, r) in ds.records().iter().enumerate().step_by(9) {
             let t = i as u64 * 733;
             let plain = sys.probe(r.key, t);
-            let lossless = sys.probe_with_errors(r.key, t, ErrorModel::NONE);
+            let lossless =
+                sys.probe_with_channel(r.key, t, ChannelModel::NONE, RetryPolicy::UNBOUNDED);
             assert_eq!(plain, lossless, "{}", sys.scheme_name());
             assert_eq!(plain.retries, 0);
         }
@@ -69,12 +72,12 @@ fn costs_degrade_with_loss() {
     let params = Params::paper();
     let sys = DistributedScheme::new().build(&ds, &params).unwrap();
     let mean_access = |loss: f64| {
-        let errors = ErrorModel::new(loss, 3);
+        let air = ChannelModel::from(ErrorModel::new(loss, 3));
         let mut total = 0u64;
         let mut retries = 0u64;
         let mut n = 0u64;
         for (i, r) in ds.records().iter().enumerate() {
-            let out = sys.probe_with_errors(r.key, i as u64 * 4099, errors);
+            let out = sys.probe_with_channel(r.key, i as u64 * 4099, air, RetryPolicy::UNBOUNDED);
             assert!(out.found);
             total += out.access;
             retries += u64::from(out.retries);
@@ -114,14 +117,10 @@ fn event_engine_preserves_correctness_under_loss() {
         .collect();
     let present: std::collections::BTreeSet<u64> = keys.iter().map(|k| k.0).collect();
     for loss in [0.02, 0.10, 0.25] {
-        let errors = ErrorModel::new(loss, 99);
+        let air = ChannelModel::from(ErrorModel::new(loss, 99));
         for sys in systems(&ds, &params) {
-            let completed = bda::sim::run_requests_with_faults(
-                sys.as_ref(),
-                &requests,
-                errors,
-                bda::core::RetryPolicy::UNBOUNDED,
-            );
+            let completed = Engine::with_channel(sys.as_ref(), air, RetryPolicy::UNBOUNDED)
+                .run_batch(&requests);
             for r in completed {
                 assert!(!r.outcome.aborted, "{}", sys.scheme_name());
                 assert_eq!(
@@ -131,7 +130,7 @@ fn event_engine_preserves_correctness_under_loss() {
                     sys.scheme_name()
                 );
                 // Engine ≡ isolated walker, per request.
-                let walker = sys.probe_with_errors(r.key, r.arrival, errors);
+                let walker = sys.probe_with_channel(r.key, r.arrival, air, RetryPolicy::UNBOUNDED);
                 assert_eq!(r.outcome, walker, "{}", sys.scheme_name());
             }
         }
@@ -149,10 +148,10 @@ fn event_engine_bounded_retries_abandon_truthfully() {
     let requests: Vec<(u64, Key)> = (0..60)
         .map(|i| (i as u64 * 1361, keys[(i * 17) % keys.len()]))
         .collect();
-    let errors = ErrorModel::new(0.25, 4);
-    let policy = bda::core::RetryPolicy::bounded(1);
+    let air = ChannelModel::from(ErrorModel::new(0.25, 4));
+    let policy = RetryPolicy::bounded(1);
     for sys in systems(&ds, &params) {
-        let mut engine = bda::sim::Engine::with_faults(sys.as_ref(), errors, policy);
+        let mut engine = Engine::with_channel(sys.as_ref(), air, policy);
         let completed = engine.run_batch(&requests);
         let mut abandoned = 0u64;
         for r in &completed {
@@ -180,14 +179,14 @@ fn hybrid_attr_queries_survive_loss() {
     let ds = DatasetBuilder::new(120, 9).build().unwrap();
     let params = Params::paper();
     let sys = HybridScheme::new().build(&ds, &params).unwrap();
-    let errors = ErrorModel::new(0.10, 17);
+    let air = ChannelModel::from(ErrorModel::new(0.10, 17));
     for (i, r) in ds.records().iter().enumerate().step_by(13) {
         let m = sys.attr_query(r.attrs[1]);
         let out = bda::core::machine::run_machine_with_channel(
             sys.channel(),
             m,
             i as u64 * 577,
-            errors.into(),
+            air,
             RetryPolicy::UNBOUNDED,
         );
         assert!(out.found, "attr {} lost", r.attrs[1]);

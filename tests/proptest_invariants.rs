@@ -1,6 +1,7 @@
 //! Property-based invariants over randomized datasets, parameters and
 //! tune-in times — the safety net under every scheme's layout arithmetic.
 
+use bda::core::{ChannelModel, ErrorModel, RetryPolicy};
 use bda::prelude::*;
 use proptest::prelude::*;
 
@@ -182,15 +183,15 @@ proptest! {
         t in any::<u64>(),
     ) {
         let params = Params::paper();
-        let errors = bda::core::ErrorModel::new(loss, err_seed);
+        let air = ChannelModel::from(ErrorModel::new(loss, err_seed));
         for sys in all_systems(&ds, &params) {
             let t = t % (4 * sys.cycle_len());
             let key = ds.record(ds.len() / 3).key;
-            let hit = sys.probe_with_errors(key, t, errors);
+            let hit = sys.probe_with_channel(key, t, air, RetryPolicy::UNBOUNDED);
             prop_assert!(hit.found, "{} lost a key at loss {loss}", sys.scheme_name());
             prop_assert!(!hit.aborted);
             prop_assert!(hit.tuning <= hit.access);
-            let miss = sys.probe_with_errors(pool[0], t, errors);
+            let miss = sys.probe_with_channel(pool[0], t, air, RetryPolicy::UNBOUNDED);
             prop_assert!(!miss.found, "{} hallucinated", sys.scheme_name());
             prop_assert!(!miss.aborted, "{} gave up", sys.scheme_name());
         }
@@ -210,7 +211,8 @@ proptest! {
         for sys in all_systems(&ds, &params) {
             let t = t % (2 * sys.cycle_len());
             let key = ds.record(key_sel.index(ds.len())).key;
-            let mut run = sys.begin(key, t);
+            let mut run = sys.make_slot_channel(ChannelModel::NONE, RetryPolicy::UNBOUNDED);
+            run.start(key, t);
             let mut listened = 0u64;
             let mut reads = 0u32;
             let mut last_end = t;
