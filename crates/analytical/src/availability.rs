@@ -147,7 +147,7 @@ mod tests {
         let workload = QueryWorkload::new(&ds, pool, a, Popularity::Uniform, 5);
         let mut cfg = SimConfig::quick();
         cfg.accuracy = 0.03;
-        cfg.event_driven = false;
+        cfg.driver = bda_sim::Driver::Walker;
         cfg.max_rounds = 400;
         let r = Simulator::new(sys, workload, cfg).run();
         assert_eq!(r.aborted, 0);

@@ -70,7 +70,7 @@ pub mod prelude {
         IntegratedSignatureScheme, MultiLevelSignatureScheme, SigParams,
         SimpleSignatureDisksScheme, SimpleSignatureScheme,
     };
-    pub use bda_sim::{SimConfig, SimReport, Simulator};
+    pub use bda_sim::{Driver, Layout, SchemeKind, SimConfig, SimReport, Simulator};
 }
 
 #[cfg(test)]

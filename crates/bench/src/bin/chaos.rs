@@ -6,9 +6,11 @@
 //! retry policy (bounded, capped exponential or fixed back-off, seeded
 //! jitter, a give-up deadline), optional program churn, a multichannel
 //! striping group (2–4 channels, randomized tune-switch cost) on roughly a
-//! third of the cells, and on a share of the frozen single-channel cells
-//! of a disk-capable scheme a broadcast-disk program (2 or 3 disks), then
-//! runs the same request batch through:
+//! third of the cells, and on a share of the single-channel cells of a
+//! disk-capable scheme, frozen or churning, a broadcast-disk program (2 or
+//! 3 disks). Every cell is built through the scheme registry
+//! ([`SchemeKind::build_on`]). The harness then runs the same request
+//! batch through:
 //!
 //! * the slab engine with analytical fast-forward **on**,
 //! * the slab engine with fast-forward **off** (bucket-by-bucket),
@@ -28,15 +30,14 @@
 //!
 //! Flags: `--quick`, `--seed N`, `--cells N`, `--cell SEED`, `--quiet`.
 
-use bda_bench::SchemeKind;
 use bda_core::{
-    BurstModel, ChannelModel, DynSystem, ErrorModel, GroupConfig, Key, LossModel, OutageSchedule,
+    BurstModel, ChannelModel, DiskConfig, ErrorModel, GroupConfig, Key, LossModel, OutageSchedule,
     RetryPolicy, Ticks,
 };
 use bda_datagen::DatasetBuilder;
 use bda_obs::{Completion, MetricsHub, TimeSeries, WindowSpec};
 use bda_sim::engine::reference::run_requests_reference_channel;
-use bda_sim::{CompletedRequest, Engine, ShardedEngine, UpdateSpec};
+use bda_sim::{CompletedRequest, Engine, Layout, SchemeKind, ShardedEngine, UpdateSpec};
 
 /// SplitMix64 — the harness's own deterministic parameter stream.
 struct Rng(u64);
@@ -74,10 +75,8 @@ struct Cell {
     policy: RetryPolicy,
     /// Percent of records churned per cycle (0 = frozen program).
     churn_pct: u32,
-    /// Multichannel striping (`None` = the classic single channel).
-    group: Option<GroupConfig>,
-    /// Broadcast disks (`None` = the flat program).
-    disks: Option<usize>,
+    /// The single channel, broadcast disks, or a striped channel group.
+    layout: Layout,
 }
 
 impl Cell {
@@ -111,9 +110,13 @@ impl Cell {
             "policy retries={:?} backoff={} cap={} jitter={:?} give_up={:?}",
             p.max_retries, p.backoff_cycles, p.backoff_cap_cycles, p.jitter_seed, p.give_up_after
         );
-        let group = match &self.group {
-            Some(g) => format!("channels={} switch_cost={}", g.channels, g.switch_cost),
-            None => "channels=1".to_string(),
+        let (disks, group) = match &self.layout {
+            Layout::Single => (1, "channels=1".to_string()),
+            Layout::Disks(d) => (d.disks(), "channels=1".to_string()),
+            Layout::Striped { group: g, .. } => (
+                1,
+                format!("channels={} switch_cost={}", g.channels, g.switch_cost),
+            ),
         };
         format!(
             "cargo run -p bda-bench --bin chaos -- --cell 0x{:X}\n  \
@@ -124,7 +127,7 @@ impl Cell {
             self.records,
             self.requests,
             self.churn_pct,
-            self.disks.unwrap_or(1),
+            disks,
         )
     }
 }
@@ -188,12 +191,19 @@ fn draw_cell(seed: u64) -> Cell {
     } else {
         None
     };
-    // Stratify half the frozen single-channel cells of a disk-capable
-    // scheme over 2 or 3 broadcast disks, so the soak also runs disk
-    // programs under burst loss and outages.
-    let stratifiable =
-        group.is_none() && churn_pct == 0 && SchemeKind::DISK_CAPABLE.contains(&kind);
-    let disks = (stratifiable && rng.chance(0.5)).then(|| 2 + rng.below(2) as usize);
+    // Stratify half the single-channel cells of a disk-capable scheme,
+    // frozen or churning, over 2 or 3 broadcast disks, so the soak also
+    // runs disk programs under burst loss, outages and churn.
+    let layout = match group {
+        Some(group) => Layout::Striped {
+            group,
+            partition: None,
+        },
+        None if kind.has_disks() && rng.chance(0.5) => {
+            Layout::Disks(DiskConfig::new(2 + rng.below(2) as usize))
+        }
+        None => Layout::Single,
+    };
     Cell {
         seed,
         kind,
@@ -202,8 +212,7 @@ fn draw_cell(seed: u64) -> Cell {
         channel,
         policy,
         churn_pct,
-        group,
-        disks,
+        layout,
     }
 }
 
@@ -306,33 +315,16 @@ fn run_cell(cell: &Cell) -> Result<CellStats, String> {
         .build_with_absent_pool(8)
         .map_err(|e| e.to_string())?;
     let params = bda_core::Params::paper();
-    let spec = UpdateSpec {
+    let churn = (cell.churn_pct > 0).then(|| UpdateSpec {
         rate: f64::from(cell.churn_pct) / 100.0,
         seed: cell.seed ^ 0x0DD,
         horizon_cycles: 16,
-    };
-    let sys: Box<dyn DynSystem> = match (cell.group, cell.churn_pct > 0) {
-        (Some(config), true) => cell
-            .kind
-            .build_multichannel_versioned(&ds, &params, config, spec)
-            .map_err(|e| e.to_string())?,
-        (Some(config), false) => cell
-            .kind
-            .build_multichannel(&ds, &params, config, None)
-            .map_err(|e| e.to_string())?,
-        (None, true) => cell
-            .kind
-            .build_versioned(&ds, &params, spec)
-            .map_err(|e| e.to_string())?,
-        (None, false) => match cell.disks {
-            Some(disks) => cell
-                .kind
-                .build_disks(&ds, &params, disks)
-                .ok_or("scheme has no broadcast-disk layout")?
-                .map_err(|e| e.to_string())?,
-            None => cell.kind.build(&ds, &params).map_err(|e| e.to_string())?,
-        },
-    };
+    });
+    let sys = cell
+        .kind
+        .build_on(&ds, &params, &cell.layout, churn)
+        .ok_or("the registry has no construction for this layout")?
+        .map_err(|e| e.to_string())?;
     let requests = request_mix(&ds, &pool, cell.requests, &mut Rng(cell.seed ^ 0x9E9));
 
     let run_engine = |ff: bool| -> Vec<CompletedRequest> {
@@ -486,6 +478,7 @@ fn main() {
     let mut churn_cells = 0usize;
     let mut multi_cells = 0usize;
     let mut disk_cells = 0usize;
+    let mut churning_disk_cells = 0usize;
     let mut fixed_backoff_cells = 0usize;
     let mut deadline_cells = 0usize;
     for i in 0..n {
@@ -502,11 +495,13 @@ fn main() {
         if cell.churn_pct > 0 {
             churn_cells += 1;
         }
-        if cell.group.is_some() {
-            multi_cells += 1;
-        }
-        if cell.disks.is_some() {
-            disk_cells += 1;
+        match cell.layout {
+            Layout::Single => {}
+            Layout::Disks(_) => {
+                disk_cells += 1;
+                churning_disk_cells += usize::from(cell.churn_pct > 0);
+            }
+            Layout::Striped { .. } => multi_cells += 1,
         }
         if cell.policy.backoff_cycles > 0 && cell.policy.backoff_cap_cycles == 0 {
             fixed_backoff_cells += 1;
@@ -547,7 +542,8 @@ fn main() {
     }
     println!(
         "chaos ok: {n} cells ({burst_cells} burst, {outage_cells} outage, {churn_cells} churn, \
-         {multi_cells} multichannel, {disk_cells} disks, {fixed_backoff_cells} fixed back-off, \
+         {multi_cells} multichannel, {disk_cells} disks ({churning_disk_cells} churning), \
+         {fixed_backoff_cells} fixed back-off, \
          {deadline_cells} deadline) agreed across all drivers; {} retries, {} abandoned, {} \
          stale restarts",
         totals.retries, totals.abandoned, totals.stale_restarts
@@ -581,9 +577,9 @@ mod tests {
     #[test]
     fn reproducer_decodes_the_full_cell_config() {
         // Scan seeds until the draw covers every decoded section at least
-        // once: burst loss, outage schedule, churn, a channel group and
-        // broadcast disks.
-        let mut saw = (false, false, false, false, false);
+        // once: burst loss, outage schedule, churn, a channel group,
+        // broadcast disks, and a churning disk program.
+        let mut saw = (false, false, false, false, false, false);
         for s in 0..256u64 {
             let cell = draw_cell(s);
             let repro = cell.reproducer();
@@ -624,16 +620,17 @@ mod tests {
                     "{repro}"
                 );
             }
-            assert!(
-                repro.contains(&format!("disks={}", cell.disks.unwrap_or(1))),
-                "{repro}"
-            );
-            if cell.disks.is_some() {
-                saw.4 = true;
-                assert!(SchemeKind::DISK_CAPABLE.contains(&cell.kind));
-                assert!(cell.group.is_none() && cell.churn_pct == 0);
+            match &cell.layout {
+                Layout::Single => assert!(repro.contains("disks=1"), "{repro}"),
+                Layout::Disks(d) => {
+                    saw.4 = true;
+                    saw.5 |= cell.churn_pct > 0;
+                    assert!(cell.kind.has_disks());
+                    assert!(repro.contains(&format!("disks={}\n", d.disks())), "{repro}");
+                }
+                Layout::Striped { .. } => assert!(repro.contains("disks=1"), "{repro}"),
             }
-            if let Some(g) = cell.group {
+            if let Layout::Striped { group: g, .. } = cell.layout {
                 saw.3 = true;
                 assert!(
                     repro.contains(&format!(
@@ -646,8 +643,8 @@ mod tests {
         }
         assert_eq!(
             saw,
-            (true, true, true, true, true),
-            "256 seeds must cover burst, outage, churn, multichannel and disk cells"
+            (true, true, true, true, true, true),
+            "256 seeds must cover burst, outage, churn, multichannel, disk and churning disk cells"
         );
     }
 

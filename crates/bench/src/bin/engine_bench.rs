@@ -47,11 +47,13 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use bda_bench::SchemeKind;
-use bda_core::{BurstModel, ChannelModel, Key, OutageSchedule, Params, RetryPolicy, Ticks};
+use bda_core::{
+    BurstModel, ChannelModel, DiskConfig, Key, OutageSchedule, Params, RetryPolicy, Ticks,
+};
 use bda_datagen::{DatasetBuilder, Prng};
 use bda_obs::{export, validate_trace, MetricsHub, TimeSeries, WindowSpec};
 use bda_sim::{
-    engine::reference::run_requests_reference_channel, perfetto_trace, Engine, EngineStats,
+    engine::reference::run_requests_reference_channel, perfetto_trace, Engine, EngineStats, Layout,
     ShardRun, ShardedEngine, UpdateSpec,
 };
 
@@ -584,10 +586,11 @@ fn main() {
         "\n{:<22} {:>12} {:>14} {:>14} {:>14} {:>10}",
         "skewed θ=1.2", "req/s", "mean At", "D3 req/s", "D3 mean At", "At gain"
     );
-    for kind in SchemeKind::DISK_CAPABLE {
+    let stratified = Layout::Disks(DiskConfig::new(SKEW_DISKS));
+    for kind in SchemeKind::ALL.into_iter().filter(|k| k.has_disks()) {
         let flat_sys = kind.build(&dataset, &params).unwrap();
         let disk_sys = kind
-            .build_disks(&dataset, &params, SKEW_DISKS)
+            .build_on(&dataset, &params, &stratified, None)
             .expect("disk-capable")
             .unwrap();
         // Uniform tune-in phase over eight major cycles of the stratified

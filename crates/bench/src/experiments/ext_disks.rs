@@ -22,6 +22,8 @@
 use bda_core::{DiskConfig, DiskLayout, DynSystem, Params, Ticks};
 use bda_datagen::{zipf_weights, DatasetBuilder, Popularity, Prng, QueryWorkload};
 
+use bda_sim::Layout;
+
 use crate::table::Table;
 use crate::{Cli, SchemeKind};
 
@@ -86,7 +88,7 @@ pub fn run(cli: &Cli) {
             let mut flat_at = f64::NAN;
             for &d in &DISKS {
                 let sys = kind
-                    .build_disks(&dataset, &params, d)
+                    .build_on(&dataset, &params, &Layout::Disks(DiskConfig::new(d)), None)
                     .expect("scan layouts are disk-capable")
                     .unwrap();
                 let seed = cli.seed ^ (theta.to_bits().rotate_left(7)) ^ (d as u64) << 17;

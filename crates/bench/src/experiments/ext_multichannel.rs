@@ -32,12 +32,14 @@
 //! framing, so it pins the pure equal-bandwidth argument.
 
 use bda_analytical::{best_striped, even_striped, indexed_even, indexed_search, pick_channels};
-use bda_core::{DynSystem, GroupConfig, Params, Ticks};
+use bda_core::{DynSystem, GroupConfig, IndexedGroupScheme, Params, Ticks};
 use bda_datagen::{zipf_weights, DatasetBuilder, Prng};
 use bda_signature::SigParams;
 
+use bda_sim::Layout;
+
 use crate::table::Table;
-use crate::{build_indexed_group, Cli, SchemeKind};
+use crate::{Cli, SchemeKind};
 
 /// Workload skews swept.
 pub const THETAS: [f64; 3] = [0.0, 0.8, 1.2];
@@ -132,8 +134,13 @@ pub fn run(cli: &Cli) {
                 for &k in &CHANNELS {
                     let alloc = best_striped(&params, &weights, k, sw, &model);
                     let config = GroupConfig::new(alloc.channels, sw).unwrap();
+                    let striped = Layout::Striped {
+                        group: config,
+                        partition: Some(alloc.sizes.clone()),
+                    };
                     let sys = kind
-                        .build_multichannel(&dataset, &params, config, Some(alloc.sizes.clone()))
+                        .build_on(&dataset, &params, &striped, None)
+                        .expect("a frozen group takes a partition")
                         .unwrap();
                     let seed = cli.seed ^ theta.to_bits().rotate_left(9) ^ (u64::from(k) << 21);
                     let at = run_cell(sys.as_ref(), &dataset, &weights, phases, seed);
@@ -166,8 +173,13 @@ pub fn run(cli: &Cli) {
                 // Naive even K=4 striping beside the allocator's partition.
                 let even = even_striped(&params, &weights, SPOT_K, sw, &model);
                 let config = GroupConfig::new(even.channels, sw).unwrap();
+                let striped = Layout::Striped {
+                    group: config,
+                    partition: Some(even.sizes.clone()),
+                };
                 let sys = kind
-                    .build_multichannel(&dataset, &params, config, Some(even.sizes.clone()))
+                    .build_on(&dataset, &params, &striped, None)
+                    .expect("a frozen group takes a partition")
                     .unwrap();
                 let even_at = run_cell(
                     sys.as_ref(),
@@ -224,19 +236,22 @@ pub fn run(cli: &Cli) {
             // allocator placement, and the predicted conflict rate.
             let config = GroupConfig::new(SPOT_K, sw).unwrap();
             let even = indexed_even(&params, &weights, SPOT_K, sw);
-            let sys = build_indexed_group(&dataset, &params, config, None).unwrap();
+            let sys = IndexedGroupScheme::new(config)
+                .and_then(|s| s.build(&dataset, &params))
+                .unwrap();
             let idx_at = run_cell(
-                sys.as_ref(),
+                &sys,
                 &dataset,
                 &weights,
                 phases,
                 cli.seed ^ theta.to_bits() ^ 0x1DD,
             );
             let alloc = indexed_search(&params, &weights, SPOT_K, sw);
-            let sys = build_indexed_group(&dataset, &params, config, Some(alloc.placement.clone()))
+            let sys = IndexedGroupScheme::with_placement(config, alloc.placement.clone())
+                .and_then(|s| s.build(&dataset, &params))
                 .unwrap();
             let idx_alloc_at = run_cell(
-                sys.as_ref(),
+                &sys,
                 &dataset,
                 &weights,
                 phases,

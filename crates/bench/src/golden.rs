@@ -16,12 +16,11 @@
 use std::fmt::Write as _;
 
 use bda_core::{
-    BurstModel, ChannelModel, ErrorModel, Key, OutageSchedule, Params, RetryPolicy, Ticks,
+    BurstModel, ChannelModel, Dataset, DiskConfig, ErrorModel, GroupConfig, Key, OutageSchedule,
+    Params, RetryPolicy, Ticks,
 };
 use bda_datagen::{DatasetBuilder, Popularity, QueryWorkload};
-use bda_sim::{CompletedRequest, Engine};
-
-use crate::SchemeKind;
+use bda_sim::{CompletedRequest, Engine, Layout, SchemeKind};
 
 /// Dataset size of the pinned corpus (small enough that the files stay
 /// reviewable, large enough that every scheme's index has real depth).
@@ -93,7 +92,7 @@ fn file_stem(scheme: &str) -> String {
 
 /// The corpus's fixed request mix: arrivals scattered over 16 cycles by a
 /// Weyl sequence, every sixth key drawn from the absent pool.
-fn requests(ds: &bda_core::Dataset, pool: &[Key], span: Ticks) -> Vec<(Ticks, Key)> {
+fn requests(ds: &Dataset, pool: &[Key], span: Ticks) -> Vec<(Ticks, Key)> {
     let keys: Vec<Key> = ds.keys().collect();
     (0..REQUESTS)
         .map(|i| {
@@ -111,7 +110,7 @@ fn requests(ds: &bda_core::Dataset, pool: &[Key], span: Ticks) -> Vec<(Ticks, Ke
 /// The broadcast-disk corpus's request mix: the same Weyl-sequence
 /// arrivals, keys drawn from a Zipf(`DISK_THETA`) workload at 90 % data
 /// availability so absent keys exercise the disk routing too.
-fn disk_requests(ds: &bda_core::Dataset, pool: &[Key], span: Ticks) -> Vec<(Ticks, Key)> {
+fn disk_requests(ds: &Dataset, pool: &[Key], span: Ticks) -> Vec<(Ticks, Key)> {
     let mut w = QueryWorkload::new(
         ds,
         pool.to_vec(),
@@ -161,96 +160,113 @@ fn render(scheme_line: &str, completed: &[CompletedRequest]) -> String {
     tsv
 }
 
-/// Generate the whole corpus: one `(file name, TSV contents)` pair per
-/// scheme per channel variant, deterministically.
-pub fn corpus() -> Vec<(String, String)> {
+/// A corpus request mix: `(arrival, key)` pairs spread over a span of air.
+type RequestMix = fn(&Dataset, &[Key], Ticks) -> Vec<(Ticks, Key)>;
+
+/// One family of corpus files: which kinds, on which layout, under which
+/// channel variants and request mix, and how its files are labelled.
+struct Family {
+    kinds: &'static [SchemeKind],
+    layout: Layout,
+    variants: [(&'static str, ChannelModel, RetryPolicy); 2],
+    /// The request mix, spread over `cycles` of the built program.
+    requests: RequestMix,
+    cycles: u64,
+    /// Header fields between the scheme and the variant.
+    header: String,
+    /// File-name part between the scheme stem and the variant.
+    infix: String,
+}
+
+/// The corpus families, in file order: every scheme on the flat cycle;
+/// two stratified under a skewed workload, so the disk constructor's
+/// occurrence interleaving, index routing and repetition accounting are
+/// frozen; two under the bursty channels, freezing the Gilbert–Elliott
+/// skip-ahead, the outage jitter placement and the back-off
+/// resynchronization; and two striped over four channels, freezing the
+/// routing directory, the per-channel fault-seed remix and the
+/// tune-switch accounting.
+fn families() -> [Family; 4] {
+    let group = GroupConfig::new(MC_CHANNELS, MC_SWITCH).expect("corpus group");
+    [
+        Family {
+            kinds: &SchemeKind::ALL,
+            layout: Layout::Single,
+            variants: variants(),
+            requests,
+            cycles: 16,
+            header: String::new(),
+            infix: String::new(),
+        },
+        Family {
+            kinds: &DISK_KINDS,
+            layout: Layout::Disks(DiskConfig::new(DISK_DISKS)),
+            variants: variants(),
+            requests: disk_requests,
+            cycles: 8,
+            header: format!(" disks={DISK_DISKS} theta={DISK_THETA}"),
+            infix: format!("_disks{DISK_DISKS}_zipf08"),
+        },
+        Family {
+            kinds: &BURST_KINDS,
+            layout: Layout::Single,
+            variants: burst_variants(),
+            requests,
+            cycles: 16,
+            header: String::new(),
+            infix: String::new(),
+        },
+        Family {
+            kinds: &MULTI_KINDS,
+            layout: Layout::Striped {
+                group,
+                partition: None,
+            },
+            variants: variants(),
+            requests,
+            cycles: 16,
+            header: format!(" channels={MC_CHANNELS} switch_cost={MC_SWITCH}"),
+            infix: format!("_mc{MC_CHANNELS}"),
+        },
+    ]
+}
+
+/// Render one family's files with its programs built on `layout`.
+fn family_files(family: &Family, layout: &Layout) -> Vec<(String, String)> {
     let (ds, pool) = DatasetBuilder::new(RECORDS, SEED)
         .build_with_absent_pool(8)
         .expect("corpus dataset");
     let params = Params::paper();
     let mut files = Vec::new();
-    for kind in SchemeKind::ALL {
-        let system = kind.build(&ds, &params).expect("corpus scheme build");
-        let reqs = requests(&ds, &pool, 16 * system.cycle_len());
-        for (variant, channel, policy) in variants() {
-            let completed = Engine::with_channel(system.as_ref(), channel, policy).run_batch(&reqs);
-            let header = format!(
-                "scheme={} variant={variant} records={RECORDS} seed={SEED:#x}",
-                kind.name()
-            );
-            files.push((
-                format!("{}_{variant}.tsv", file_stem(kind.name())),
-                render(&header, &completed),
-            ));
-        }
-    }
-    // Broadcast-disk extension: two schemes pinned in their stratified form
-    // under a skewed workload, so the disk constructor's occurrence
-    // interleaving, index routing and repetition accounting are frozen
-    // alongside the flat-cycle programs.
-    for kind in DISK_KINDS {
+    for kind in family.kinds {
         let system = kind
-            .build_disks(&ds, &params, DISK_DISKS)
-            .expect("disk-capable corpus kind")
-            .expect("corpus disk build");
-        let reqs = disk_requests(&ds, &pool, 8 * system.cycle_len());
-        for (variant, channel, policy) in variants() {
+            .build_on(&ds, &params, layout, None)
+            .expect("corpus kind has the family's layout")
+            .expect("corpus scheme build");
+        let reqs = (family.requests)(&ds, &pool, family.cycles * system.cycle_len());
+        for (variant, channel, policy) in family.variants {
             let completed = Engine::with_channel(system.as_ref(), channel, policy).run_batch(&reqs);
             let header = format!(
-                "scheme={} disks={DISK_DISKS} theta={DISK_THETA} variant={variant} records={RECORDS} seed={SEED:#x}",
-                kind.name()
+                "scheme={}{} variant={variant} records={RECORDS} seed={SEED:#x}",
+                kind.name(),
+                family.header
             );
             files.push((
-                format!(
-                    "{}_disks{DISK_DISKS}_zipf08_{variant}.tsv",
-                    file_stem(kind.name())
-                ),
-                render(&header, &completed),
-            ));
-        }
-    }
-    // Bursty-channel extension: the Gilbert–Elliott chain and the outage
-    // schedule are pure functions of (bucket instant, seed), so these
-    // files freeze the skip-ahead state resolution, the outage jitter
-    // placement and the exponential-back-off resynchronization exactly.
-    for kind in BURST_KINDS {
-        let system = kind.build(&ds, &params).expect("corpus scheme build");
-        let reqs = requests(&ds, &pool, 16 * system.cycle_len());
-        for (variant, channel, policy) in burst_variants() {
-            let completed = Engine::with_channel(system.as_ref(), channel, policy).run_batch(&reqs);
-            let header = format!(
-                "scheme={} variant={variant} records={RECORDS} seed={SEED:#x}",
-                kind.name()
-            );
-            files.push((
-                format!("{}_{variant}.tsv", file_stem(kind.name())),
-                render(&header, &completed),
-            ));
-        }
-    }
-    // Multichannel extension: two schemes pinned striped over four
-    // channels at equal aggregate bandwidth, so the routing directory,
-    // the per-channel fault-seed remix and the tune-switch accounting
-    // are frozen alongside the single-channel programs.
-    for kind in MULTI_KINDS {
-        let config = bda_core::GroupConfig::new(MC_CHANNELS, MC_SWITCH).expect("corpus group");
-        let system = kind
-            .build_multichannel(&ds, &params, config, None)
-            .expect("corpus multichannel build");
-        let reqs = requests(&ds, &pool, 16 * system.cycle_len());
-        for (variant, channel, policy) in variants() {
-            let completed = Engine::with_channel(system.as_ref(), channel, policy).run_batch(&reqs);
-            let header = format!(
-                "scheme={} channels={MC_CHANNELS} switch_cost={MC_SWITCH} variant={variant} records={RECORDS} seed={SEED:#x}",
-                kind.name()
-            );
-            files.push((
-                format!("{}_mc{MC_CHANNELS}_{variant}.tsv", file_stem(kind.name())),
+                format!("{}{}_{variant}.tsv", file_stem(kind.name()), family.infix),
                 render(&header, &completed),
             ));
         }
     }
     files
+}
+
+/// Generate the whole corpus: one `(file name, TSV contents)` pair per
+/// scheme per channel variant, deterministically.
+pub fn corpus() -> Vec<(String, String)> {
+    families()
+        .iter()
+        .flat_map(|family| family_files(family, &family.layout))
+        .collect()
 }
 
 /// The checked-in corpus directory, resolved from this crate's manifest
@@ -295,49 +311,15 @@ mod tests {
     #[test]
     fn k1_groups_replay_the_single_channel_corpus_bit_identically() {
         let by_name: std::collections::BTreeMap<String, String> = corpus().into_iter().collect();
-        let (ds, pool) = DatasetBuilder::new(RECORDS, SEED)
-            .build_with_absent_pool(8)
-            .expect("corpus dataset");
-        let params = Params::paper();
-        let config = bda_core::GroupConfig::new(1, MC_SWITCH).expect("K=1 group");
+        let k1 = Layout::Striped {
+            group: GroupConfig::new(1, MC_SWITCH).expect("K=1 group"),
+            partition: None,
+        };
         let mut checked = 0usize;
-        for kind in SchemeKind::ALL {
-            let system = kind
-                .build_multichannel(&ds, &params, config, None)
-                .expect("K=1 multichannel build");
-            let reqs = requests(&ds, &pool, 16 * system.cycle_len());
-            for (variant, channel, policy) in variants() {
-                let completed =
-                    Engine::with_channel(system.as_ref(), channel, policy).run_batch(&reqs);
-                let header = format!(
-                    "scheme={} variant={variant} records={RECORDS} seed={SEED:#x}",
-                    kind.name()
-                );
-                let name = format!("{}_{variant}.tsv", file_stem(kind.name()));
+        for family in families().iter().filter(|f| f.layout == Layout::Single) {
+            for (name, tsv) in family_files(family, &k1) {
                 assert_eq!(
-                    &render(&header, &completed),
-                    &by_name[&name],
-                    "{name}: K=1 group diverged from the single-channel program"
-                );
-                checked += 1;
-            }
-        }
-        for kind in BURST_KINDS {
-            let system = kind
-                .build_multichannel(&ds, &params, config, None)
-                .expect("K=1 multichannel build");
-            let reqs = requests(&ds, &pool, 16 * system.cycle_len());
-            for (variant, channel, policy) in burst_variants() {
-                let completed =
-                    Engine::with_channel(system.as_ref(), channel, policy).run_batch(&reqs);
-                let header = format!(
-                    "scheme={} variant={variant} records={RECORDS} seed={SEED:#x}",
-                    kind.name()
-                );
-                let name = format!("{}_{variant}.tsv", file_stem(kind.name()));
-                assert_eq!(
-                    &render(&header, &completed),
-                    &by_name[&name],
+                    &tsv, &by_name[&name],
                     "{name}: K=1 group diverged from the single-channel program"
                 );
                 checked += 1;

@@ -28,13 +28,14 @@
 
 pub mod experiments;
 pub mod golden;
-pub mod schemes;
 pub mod sweep;
 pub mod table;
 
 use bda_obs::{NullProgress, ProgressSink, QuietProgress, StderrProgress};
 
-pub use schemes::{build_indexed_group, SchemeKind};
+/// The scheme registry lives in `bda-sim`, where the CLI builds through
+/// it too.
+pub use bda_sim::SchemeKind;
 pub use sweep::{run_cell, run_cells, run_cells_with_progress, CellError, CellSpec};
 pub use table::Table;
 
@@ -148,7 +149,7 @@ impl Cli {
         cfg.seed = self.seed;
         // Sweeps use the direct walker (statistically identical to the
         // event engine; see the drivers_equiv integration test).
-        cfg.event_driven = false;
+        cfg.driver = bda_sim::Driver::Walker;
         cfg
     }
 }

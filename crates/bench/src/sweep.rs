@@ -12,9 +12,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use bda_core::{Dataset, Key, Params};
 use bda_datagen::{Popularity, QueryWorkload};
 use bda_obs::{NullProgress, ProgressSink, Severity};
-use bda_sim::{SimConfig, SimReport, Simulator};
-
-use crate::schemes::SchemeKind;
+use bda_sim::{SchemeKind, SimConfig, SimReport, Simulator};
 
 /// One point of a sweep: which scheme, over which dataset, at which data
 /// availability.
@@ -210,7 +208,7 @@ mod tests {
         let mut cfg = SimConfig::quick();
         cfg.min_rounds = 2;
         cfg.max_rounds = 2;
-        cfg.event_driven = false;
+        cfg.driver = bda_sim::Driver::Walker;
         cfg
     }
 

@@ -83,6 +83,39 @@ pub enum BTreePayload {
     Data(DataBucket),
 }
 
+/// One trace line's description of the node: level, node index, key
+/// range, fan-out, control entries and the segment-start mark.
+impl std::fmt::Display for IndexBucket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "index L{} n{} [{}..{}] {} entries",
+            self.level,
+            self.node,
+            self.min_key,
+            self.max_key,
+            self.entries.len()
+        )?;
+        if !self.control.is_empty() {
+            write!(f, ", {} control", self.control.len())?;
+        }
+        if self.segment_start {
+            f.write_str(", SEG-START")?;
+        }
+        Ok(())
+    }
+}
+
+/// One trace line's description of the bucket (index node or record).
+impl std::fmt::Display for BTreePayload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BTreePayload::Index(ib) => ib.fmt(f),
+            BTreePayload::Data(db) => write!(f, "data  key={} rec#{}", db.key, db.record_index),
+        }
+    }
+}
+
 impl BTreePayload {
     /// The next-index-segment delta every bucket carries.
     pub fn next_seg_delta(&self) -> Ticks {

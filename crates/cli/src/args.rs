@@ -1,5 +1,15 @@
 //! Flag parsing for `bda-cli` (std-only, no dependencies).
 
+use bda_sim::{Layout, SchemeKind};
+
+/// The latest `--tune-in` accepted (exclusive): 2^48 bytes of air is
+/// centuries at any broadcast rate, and it leaves every walk's doze and
+/// read arithmetic far from `u64` overflow.
+const MAX_TUNE_IN: u64 = 1 << 48;
+/// The largest `--switch-cost` accepted: 2^32 bytes per retune, so the
+/// engine's and the span recorder's tick totals cannot overflow.
+const MAX_SWITCH_COST: u64 = 1 << 32;
+
 /// Usage text.
 pub const USAGE: &str = "\
 bda-cli — explore wireless broadcast data access
@@ -22,7 +32,8 @@ FLAGS:
     --seed S             dataset/workload seed (default 2002)
     --key-index I        which record to query, by key order (trace; default N/2)
     --key K              query this raw key value instead (trace)
-    --tune-in T          absolute tune-in time in bytes (trace; default 12345)
+    --tune-in T          absolute tune-in time in bytes, below 2^48
+                         (trace; default 12345)
     --availability P     percent of queries answerable (compare/simulate; default 100)
     --loss P             bucket loss percent on an error-prone channel
                          (trace/compare/simulate; default 0)
@@ -53,7 +64,7 @@ FLAGS:
                          (inspect/compare/simulate; default 1 = the single
                          channel, bit-identical to no flag)
     --switch-cost S      air time one channel retune costs the client, in
-                         bytes (with --channels; default 0)
+                         bytes, at most 2^32 (with --channels; default 0)
     --accuracy A         confidence accuracy target, > 0 (simulate; default 0.02)
     --shards N           worker shards for the event-driven testbed: each
                          round is partitioned across N per-core engines
@@ -79,7 +90,8 @@ FLAGS:
 /// Parsed flags with defaults.
 #[derive(Debug, Clone)]
 pub struct Options {
-    /// Scheme name.
+    /// Scheme name, as given (parsed into a [`SchemeKind`] where a command
+    /// needs one scheme).
     pub scheme: String,
     /// Dataset size.
     pub records: usize,
@@ -131,7 +143,7 @@ pub struct Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
-            scheme: "distributed".into(),
+            scheme: SchemeKind::Distributed.cli_name().into(),
             records: 1_000,
             ratio: 20,
             seed: 2002,
@@ -257,10 +269,29 @@ impl Options {
                     .into(),
             );
         }
+        if o.tune_in >= MAX_TUNE_IN {
+            return Err("--tune-in must be below 2^48".into());
+        }
+        if o.switch_cost > MAX_SWITCH_COST {
+            return Err("--switch-cost must be at most 2^32".into());
+        }
         if o.json && o.perfetto {
             return Err("--json and --perfetto are mutually exclusive: pick one rendering".into());
         }
         Ok(o)
+    }
+
+    /// The program layout these flags select: a channel group, broadcast
+    /// disks, or the single flat cycle.
+    pub fn layout(&self) -> Layout {
+        match (self.group_config(), self.disk_config()) {
+            (Some(group), _) => Layout::Striped {
+                group,
+                partition: None,
+            },
+            (None, Some(disks)) => Layout::Disks(disks),
+            (None, None) => Layout::Single,
+        }
     }
 
     /// The error model these flags select.
@@ -394,6 +425,56 @@ mod tests {
         for bad in ["0", "-1", "NaN", "inf"] {
             assert!(parse(&["--accuracy", bad]).is_err(), "--accuracy {bad}");
         }
+        // Unbounded, a retune cost or a tune-in near u64::MAX overflows
+        // the engine's, the walker's and the walks' tick arithmetic.
+        assert!(parse(&[
+            "--scheme",
+            "flat",
+            "--records",
+            "50",
+            "--channels",
+            "2",
+            "--switch-cost",
+            "18446744073709551615",
+        ])
+        .is_err());
+        assert!(parse(&["--records", "50", "--tune-in", "18446744073709551615"]).is_err());
+        assert!(parse(&["--switch-cost", "4294967297"]).is_err());
+        assert!(parse(&["--switch-cost", "4294967296"]).is_ok());
+        assert!(parse(&["--tune-in", "281474976710656"]).is_err());
+        assert!(parse(&["--tune-in", "281474976710655"]).is_ok());
+    }
+
+    /// USAGE's `--scheme` entry lists exactly the registry's names.
+    #[test]
+    fn usage_lists_every_scheme() {
+        let entry = USAGE
+            .split("--scheme NAME")
+            .nth(1)
+            .and_then(|rest| rest.split("(default").next())
+            .expect("USAGE documents --scheme");
+        let listed: Vec<&str> = entry
+            .split(|c: char| c == '|' || c.is_whitespace())
+            .filter(|name| !name.is_empty())
+            .collect();
+        assert_eq!(listed, SchemeKind::ALL.map(|k| k.cli_name()));
+    }
+
+    #[test]
+    fn layout_follows_channels_and_disks() {
+        assert_eq!(parse(&[]).unwrap().layout(), Layout::Single);
+        assert_eq!(
+            parse(&["--disks", "3"]).unwrap().layout(),
+            Layout::Disks(bda_core::DiskConfig::new(3))
+        );
+        let o = parse(&["--channels", "2", "--switch-cost", "9"]).unwrap();
+        assert_eq!(
+            o.layout(),
+            Layout::Striped {
+                group: o.group_config().unwrap(),
+                partition: None
+            }
+        );
     }
 
     #[test]

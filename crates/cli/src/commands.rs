@@ -1,36 +1,16 @@
 //! The four `bda-cli` commands.
 
+use std::num::NonZeroUsize;
+
 use bda_btree::{DistributedScheme, OneMScheme};
-use bda_core::{
-    Dataset, DiskConfig, DiskScheme, DynSystem, FlatDisksScheme, GroupConfig, Key, Params, Scheme,
-    StripedScheme, System,
-};
+use bda_core::{ChannelModel, Dataset, DynSystem, Key, Params, RetryPolicy, Scheme, System, Ticks};
 use bda_datagen::{DatasetBuilder, Popularity, QueryWorkload};
 use bda_hash::HashScheme;
-use bda_hybrid::HybridScheme;
 use bda_obs::{export, MetricsHub, TraceBuilder};
-use bda_signature::{
-    IntegratedSignatureScheme, MultiLevelSignatureScheme, SimpleSignatureDisksScheme,
-    SimpleSignatureScheme,
-};
-use bda_sim::{SimConfig, Simulator, UpdateSpec, VersionedServer};
+use bda_sim::{Driver, SchemeKind, SchemeVisitor, SimConfig, Simulator, UpdateSpec};
 
 use crate::args::Options;
-use crate::trace::{describe, trace_query_channel, Trace};
-
-const SCHEMES: [&str; 8] = [
-    "flat",
-    "one-m",
-    "distributed",
-    "hashing",
-    "signature",
-    "integrated-signature",
-    "multilevel-signature",
-    "hybrid",
-];
-
-/// The schemes with a broadcast-disk (stratified) construction.
-const DISK_SCHEMES: [&str; 4] = ["flat", "signature", "hashing", "distributed"];
+use crate::trace::{trace_query_channel, Trace};
 
 /// Trace sampling for `--timeline-out`: XOR'd into `--seed` to pick which
 /// requests get replayed span timelines (see [`bda_obs::sample_indices`]),
@@ -48,248 +28,40 @@ fn dataset(o: &Options) -> Result<(Dataset, Vec<Key>), String> {
         .map_err(|e| e.to_string())
 }
 
-/// Build the stratified (broadcast-disk) variant of a scheme, or explain
-/// which schemes support stratification.
-fn build_disks(
-    name: &str,
-    ds: &Dataset,
-    p: &Params,
-    d: DiskConfig,
-) -> Result<Box<dyn DynSystem>, String> {
-    let sys: Box<dyn DynSystem> = match name {
-        "flat" => Box::new(
-            FlatDisksScheme::new(d)
-                .build(ds, p)
-                .map_err(|e| e.to_string())?,
-        ),
-        "signature" => Box::new(
-            SimpleSignatureDisksScheme::new(d)
-                .build(ds, p)
-                .map_err(|e| e.to_string())?,
-        ),
-        "hashing" => Box::new(
-            DiskScheme::new(HashScheme::new(), d)
-                .build(ds, p)
-                .map_err(|e| e.to_string())?,
-        ),
-        "distributed" => Box::new(
-            DiskScheme::new(DistributedScheme::new(), d)
-                .build(ds, p)
-                .map_err(|e| e.to_string())?,
-        ),
-        other => {
-            return Err(format!(
-                "scheme {other:?} has no broadcast-disk construction (try: {})",
-                DISK_SCHEMES.join(", ")
-            ))
-        }
-    };
-    Ok(sys)
+/// The refusal for `--disks` on a scheme without a broadcast-disk layout:
+/// it names the schemes that have one.
+fn no_disk_layout(kind: SchemeKind) -> String {
+    let disk_kinds: Vec<&str> = SchemeKind::ALL
+        .into_iter()
+        .filter(|k| k.has_disks())
+        .map(|k| k.cli_name())
+        .collect();
+    format!(
+        "scheme {:?} has no broadcast-disk construction (try: {})",
+        kind.cli_name(),
+        disk_kinds.join(", ")
+    )
 }
 
-/// Build the striped multichannel variant of a scheme: the dataset is
-/// split into `config.channels` contiguous slices, each broadcast as a
-/// self-contained inner program on its own channel at equal aggregate
-/// bandwidth, with the routing directory on channel 0.
-fn build_striped(
-    name: &str,
-    ds: &Dataset,
-    p: &Params,
-    config: GroupConfig,
-) -> Result<Box<dyn DynSystem>, String> {
-    fn s<Sch: Scheme>(
-        scheme: Sch,
-        ds: &Dataset,
-        p: &Params,
-        config: GroupConfig,
-    ) -> Result<Box<dyn DynSystem>, String>
-    where
-        Sch::System: 'static,
-        <Sch::System as System>::Machine: 'static,
-    {
-        Ok(Box::new(
-            StripedScheme::new(scheme, config)
-                .build(ds, p)
-                .map_err(|e| e.to_string())?,
-        ))
-    }
-    match name {
-        "flat" => s(bda_core::FlatScheme, ds, p, config),
-        "one-m" | "(1,m)" => s(OneMScheme::new(), ds, p, config),
-        "distributed" => s(DistributedScheme::new(), ds, p, config),
-        "hashing" => s(HashScheme::new(), ds, p, config),
-        "signature" => s(SimpleSignatureScheme::new(), ds, p, config),
-        "integrated-signature" => s(IntegratedSignatureScheme::default(), ds, p, config),
-        "multilevel-signature" => s(MultiLevelSignatureScheme::default(), ds, p, config),
-        "hybrid" => s(HybridScheme::new(), ds, p, config),
-        other => Err(format!(
-            "unknown scheme {other:?} (try: {})",
-            SCHEMES.join(", ")
-        )),
-    }
-}
-
-fn build_dyn(
-    name: &str,
-    ds: &Dataset,
-    p: &Params,
-    disks: Option<DiskConfig>,
-    group: Option<GroupConfig>,
-) -> Result<Box<dyn DynSystem>, String> {
-    if let Some(g) = group {
-        return build_striped(name, ds, p, g);
-    }
-    if let Some(d) = disks {
-        return build_disks(name, ds, p, d);
-    }
-    let sys: Box<dyn DynSystem> = match name {
-        "flat" => Box::new(
-            bda_core::FlatScheme
-                .build(ds, p)
-                .map_err(|e| e.to_string())?,
-        ),
-        "one-m" | "(1,m)" => Box::new(OneMScheme::new().build(ds, p).map_err(|e| e.to_string())?),
-        "distributed" => Box::new(
-            DistributedScheme::new()
-                .build(ds, p)
-                .map_err(|e| e.to_string())?,
-        ),
-        "hashing" => Box::new(HashScheme::new().build(ds, p).map_err(|e| e.to_string())?),
-        "signature" => Box::new(
-            SimpleSignatureScheme::new()
-                .build(ds, p)
-                .map_err(|e| e.to_string())?,
-        ),
-        "integrated-signature" => Box::new(
-            IntegratedSignatureScheme::default()
-                .build(ds, p)
-                .map_err(|e| e.to_string())?,
-        ),
-        "multilevel-signature" => Box::new(
-            MultiLevelSignatureScheme::default()
-                .build(ds, p)
-                .map_err(|e| e.to_string())?,
-        ),
-        "hybrid" => Box::new(
-            HybridScheme::new()
-                .build(ds, p)
-                .map_err(|e| e.to_string())?,
-        ),
-        other => {
-            return Err(format!(
-                "unknown scheme {other:?} (try: {})",
-                SCHEMES.join(", ")
-            ))
-        }
-    };
-    Ok(sys)
-}
-
-/// Build a dynamic broadcast server for `name`: the scheme's program is
-/// rebuilt (with a bumped cycle version) after every cycle the update
-/// stream changes the dataset.
-fn build_versioned(
-    name: &str,
-    ds: &Dataset,
-    p: &Params,
-    spec: UpdateSpec,
-    disks: Option<DiskConfig>,
-    group: Option<GroupConfig>,
-) -> Result<Box<dyn DynSystem>, String> {
-    fn vs<Sch: Scheme>(
-        scheme: Sch,
-        ds: &Dataset,
-        p: &Params,
-        config: GroupConfig,
-        spec: UpdateSpec,
-    ) -> Result<Box<dyn DynSystem>, String>
-    where
-        Sch::System: 'static,
-        <Sch::System as System>::Machine: 'static,
-    {
-        Ok(Box::new(
-            VersionedServer::build_striped(&scheme, ds, p, config, spec)
-                .map_err(|e| e.to_string())?,
-        ))
-    }
-    if let Some(g) = group {
-        // A churning multichannel group: one versioned server per
-        // channel, churn streams decorrelated per channel.
-        return match name {
-            "flat" => vs(bda_core::FlatScheme, ds, p, g, spec),
-            "one-m" | "(1,m)" => vs(OneMScheme::new(), ds, p, g, spec),
-            "distributed" => vs(DistributedScheme::new(), ds, p, g, spec),
-            "hashing" => vs(HashScheme::new(), ds, p, g, spec),
-            "signature" => vs(SimpleSignatureScheme::new(), ds, p, g, spec),
-            "integrated-signature" => vs(IntegratedSignatureScheme::default(), ds, p, g, spec),
-            "multilevel-signature" => vs(MultiLevelSignatureScheme::default(), ds, p, g, spec),
-            "hybrid" => vs(HybridScheme::new(), ds, p, g, spec),
-            other => Err(format!(
-                "unknown scheme {other:?} (try: {})",
-                SCHEMES.join(", ")
-            )),
-        };
-    }
-    fn v<Sch: Scheme>(
-        scheme: Sch,
-        ds: &Dataset,
-        p: &Params,
-        spec: UpdateSpec,
-    ) -> Result<Box<dyn DynSystem>, String>
-    where
-        Sch::System: 'static,
-        <Sch::System as System>::Machine: 'static,
-    {
-        Ok(Box::new(
-            VersionedServer::build(&scheme, ds, p, spec).map_err(|e| e.to_string())?,
-        ))
-    }
-    if let Some(d) = disks {
-        return match name {
-            "flat" => v(FlatDisksScheme::new(d), ds, p, spec),
-            "signature" => v(SimpleSignatureDisksScheme::new(d), ds, p, spec),
-            "hashing" => v(DiskScheme::new(HashScheme::new(), d), ds, p, spec),
-            "distributed" => v(DiskScheme::new(DistributedScheme::new(), d), ds, p, spec),
-            other => Err(format!(
-                "scheme {other:?} has no broadcast-disk construction (try: {})",
-                DISK_SCHEMES.join(", ")
-            )),
-        };
-    }
-    match name {
-        "flat" => v(bda_core::FlatScheme, ds, p, spec),
-        "one-m" | "(1,m)" => v(OneMScheme::new(), ds, p, spec),
-        "distributed" => v(DistributedScheme::new(), ds, p, spec),
-        "hashing" => v(HashScheme::new(), ds, p, spec),
-        "signature" => v(SimpleSignatureScheme::new(), ds, p, spec),
-        "integrated-signature" => v(IntegratedSignatureScheme::default(), ds, p, spec),
-        "multilevel-signature" => v(MultiLevelSignatureScheme::default(), ds, p, spec),
-        "hybrid" => v(HybridScheme::new(), ds, p, spec),
-        other => Err(format!(
-            "unknown scheme {other:?} (try: {})",
-            SCHEMES.join(", ")
-        )),
-    }
-}
-
-/// Frozen system or dynamic server, per the `--update-rate` flag.
-fn build_system(
+/// Build `kind` on the layout the flags select, frozen or churning.
+fn build(
     o: &Options,
-    name: &str,
+    kind: SchemeKind,
     ds: &Dataset,
     p: &Params,
+    churn: Option<UpdateSpec>,
 ) -> Result<Box<dyn DynSystem>, String> {
-    match o.update_spec() {
-        Some(spec) => build_versioned(name, ds, p, spec, o.disk_config(), o.group_config()),
-        None => build_dyn(name, ds, p, o.disk_config(), o.group_config()),
-    }
+    kind.build_on(ds, p, &o.layout(), churn)
+        .ok_or_else(|| no_disk_layout(kind))?
+        .map_err(|e| e.to_string())
 }
 
 /// `bda-cli inspect` — layout statistics for one scheme.
 pub fn inspect(o: &Options) -> Result<(), String> {
     let p = params(o)?;
     let (ds, _) = dataset(o)?;
-    let sys = build_dyn(&o.scheme, &ds, &p, o.disk_config(), o.group_config())?;
+    let kind: SchemeKind = o.scheme.parse()?;
+    let sys = build(o, kind, &ds, &p, None)?;
     let cycle = sys.cycle_len();
     let buckets = sys.num_buckets();
     let data_bytes = ds.len() as u64 * u64::from(p.data_bucket_size());
@@ -340,8 +112,8 @@ pub fn inspect(o: &Options) -> Result<(), String> {
         return Ok(());
     }
     // Scheme-specific details where the typed system exposes them.
-    match o.scheme.as_str() {
-        "distributed" => {
+    match kind {
+        SchemeKind::Distributed => {
             let sys = DistributedScheme::new()
                 .build(&ds, &p)
                 .map_err(|e| e.to_string())?;
@@ -349,7 +121,7 @@ pub fn inspect(o: &Options) -> Result<(), String> {
             println!("replicated levels : {} (optimal)", sys.r());
             println!("index segments    : {}", sys.num_segments());
         }
-        "one-m" | "(1,m)" => {
+        SchemeKind::OneM => {
             let sys = OneMScheme::new()
                 .build(&ds, &p)
                 .map_err(|e| e.to_string())?;
@@ -357,7 +129,7 @@ pub fn inspect(o: &Options) -> Result<(), String> {
             println!("data segments (m) : {} (optimal)", sys.m());
             println!("index buckets/copy: {}", sys.index_buckets_per_copy());
         }
-        "hashing" => {
+        SchemeKind::Hashing => {
             let sys = HashScheme::new()
                 .build(&ds, &p)
                 .map_err(|e| e.to_string())?;
@@ -406,8 +178,6 @@ pub fn trace(o: &Options) -> Result<(), String> {
         }
         (None, None) => ds.record(ds.len() / 2).key,
     };
-    let faults = o.channel_model();
-    let policy = o.retry_policy();
     if !o.json && !o.perfetto {
         println!(
             "# {} · {} records · query {} · tune-in {}{}{}\n",
@@ -422,102 +192,51 @@ pub fn trace(o: &Options) -> Result<(), String> {
             }
         );
     }
-    if let Some(d) = o.disk_config() {
-        let t: Trace = match o.scheme.as_str() {
-            "flat" => {
-                let sys = FlatDisksScheme::new(d)
-                    .build(&ds, &p)
-                    .map_err(|e| e.to_string())?;
-                trace_query_channel(&sys, key, o.tune_in, faults, policy, describe::flat)
-            }
-            "signature" => {
-                let sys = SimpleSignatureDisksScheme::new(d)
-                    .build(&ds, &p)
-                    .map_err(|e| e.to_string())?;
-                trace_query_channel(&sys, key, o.tune_in, faults, policy, describe::sig)
-            }
-            "hashing" => {
-                let sys = DiskScheme::new(HashScheme::new(), d)
-                    .build(&ds, &p)
-                    .map_err(|e| e.to_string())?;
-                trace_query_channel(&sys, key, o.tune_in, faults, policy, describe::hash)
-            }
-            "distributed" => {
-                let sys = DiskScheme::new(DistributedScheme::new(), d)
-                    .build(&ds, &p)
-                    .map_err(|e| e.to_string())?;
-                trace_query_channel(&sys, key, o.tune_in, faults, policy, describe::btree)
-            }
-            other => {
-                return Err(format!(
-                    "scheme {other:?} has no broadcast-disk construction (try: {})",
-                    DISK_SCHEMES.join(", ")
-                ))
-            }
-        };
-        return finish_trace(o, t, key);
-    }
-    let t: Trace = match o.scheme.as_str() {
-        "flat" => {
-            let sys = bda_core::FlatScheme
-                .build(&ds, &p)
-                .map_err(|e| e.to_string())?;
-            trace_query_channel(&sys, key, o.tune_in, faults, policy, describe::flat)
-        }
-        "one-m" | "(1,m)" => {
-            let sys = OneMScheme::new()
-                .build(&ds, &p)
-                .map_err(|e| e.to_string())?;
-            trace_query_channel(&sys, key, o.tune_in, faults, policy, describe::btree)
-        }
-        "distributed" => {
-            let sys = DistributedScheme::new()
-                .build(&ds, &p)
-                .map_err(|e| e.to_string())?;
-            trace_query_channel(&sys, key, o.tune_in, faults, policy, describe::btree)
-        }
-        "hashing" => {
-            let sys = HashScheme::new()
-                .build(&ds, &p)
-                .map_err(|e| e.to_string())?;
-            trace_query_channel(&sys, key, o.tune_in, faults, policy, describe::hash)
-        }
-        "signature" => {
-            let sys = SimpleSignatureScheme::new()
-                .build(&ds, &p)
-                .map_err(|e| e.to_string())?;
-            trace_query_channel(&sys, key, o.tune_in, faults, policy, describe::sig)
-        }
-        "integrated-signature" => {
-            let sys = IntegratedSignatureScheme::default()
-                .build(&ds, &p)
-                .map_err(|e| e.to_string())?;
-            trace_query_channel(&sys, key, o.tune_in, faults, policy, describe::sig)
-        }
-        "multilevel-signature" => {
-            let sys = MultiLevelSignatureScheme::default()
-                .build(&ds, &p)
-                .map_err(|e| e.to_string())?;
-            trace_query_channel(&sys, key, o.tune_in, faults, policy, describe::sig)
-        }
-        "hybrid" => {
-            let sys = HybridScheme::new()
-                .build(&ds, &p)
-                .map_err(|e| e.to_string())?;
-            trace_query_channel(&sys, key, o.tune_in, faults, policy, describe::hybrid)
-        }
-        other => {
-            return Err(format!(
-                "unknown scheme {other:?} (try: {})",
-                SCHEMES.join(", ")
-            ))
-        }
+    let kind: SchemeKind = o.scheme.parse()?;
+    let query = TraceQuery {
+        ds: &ds,
+        p: &p,
+        key,
+        tune_in: o.tune_in,
+        faults: o.channel_model(),
+        policy: o.retry_policy(),
     };
+    let t = kind
+        .visit(o.disk_config(), query)
+        .ok_or_else(|| no_disk_layout(kind))??;
     finish_trace(o, t, key)
 }
 
-/// Render a finished trace (shared by the flat-cycle and broadcast-disk
-/// paths) and surface protocol aborts as errors.
+/// `trace`'s visitor: build the scheme and trace one query through it.
+struct TraceQuery<'a> {
+    ds: &'a Dataset,
+    p: &'a Params,
+    key: Key,
+    tune_in: Ticks,
+    faults: ChannelModel,
+    policy: RetryPolicy,
+}
+
+impl SchemeVisitor for TraceQuery<'_> {
+    type Output = Result<Trace, String>;
+
+    fn visit<Sch>(self, scheme: Sch) -> Self::Output
+    where
+        Sch: Scheme,
+        <Sch::System as System>::Payload: std::fmt::Display,
+    {
+        let sys = scheme.build(self.ds, self.p).map_err(|e| e.to_string())?;
+        Ok(trace_query_channel(
+            &sys,
+            self.key,
+            self.tune_in,
+            self.faults,
+            self.policy,
+        ))
+    }
+}
+
+/// Render a finished trace and surface protocol aborts as errors.
 fn finish_trace(o: &Options, t: Trace, key: Key) -> Result<(), String> {
     if o.perfetto {
         // The same observed walk as `--json`, rendered as a
@@ -620,9 +339,13 @@ pub fn compare(o: &Options) -> Result<(), String> {
     // per scheme, appended as each simulation finishes.
     let mut trace = o.timeline_out.as_ref().map(|_| TraceBuilder::new());
     // Under stratification only the disk-capable schemes compete.
-    let schemes: &[&str] = if o.disks > 1 { &DISK_SCHEMES } else { &SCHEMES };
-    for (i, &name) in schemes.iter().enumerate() {
-        let sys = build_system(o, name, &ds, &p)?;
+    let kinds: Vec<SchemeKind> = SchemeKind::ALL
+        .into_iter()
+        .filter(|k| o.disk_config().is_none() || k.has_disks())
+        .collect();
+    for (i, kind) in kinds.iter().enumerate() {
+        let name = kind.cli_name();
+        let sys = build(o, *kind, &ds, &p, o.update_spec())?;
         let workload = QueryWorkload::new(
             &ds,
             pool.clone(),
@@ -631,10 +354,9 @@ pub fn compare(o: &Options) -> Result<(), String> {
             o.seed ^ 0x17,
         );
         let mut cfg = SimConfig::quick();
-        cfg.event_driven = false;
+        cfg.driver = Driver::Walker;
         cfg.channel = o.channel_model();
         cfg.retry = o.retry_policy();
-        cfg.updates = o.update_spec();
         if o.timeline_out.is_some() {
             cfg.window = Some(sys.cycle_len());
         }
@@ -697,7 +419,7 @@ pub fn compare(o: &Options) -> Result<(), String> {
         std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!(
             "\nwrote Perfetto timeline for {} schemes to {path} (open in ui.perfetto.dev)",
-            schemes.len()
+            kinds.len()
         );
     }
     Ok(())
@@ -707,7 +429,7 @@ pub fn compare(o: &Options) -> Result<(), String> {
 pub fn simulate(o: &Options) -> Result<(), String> {
     let p = params(o)?;
     let (ds, pool) = dataset(o)?;
-    let sys = build_system(o, &o.scheme, &ds, &p)?;
+    let sys = build(o, o.scheme.parse()?, &ds, &p, o.update_spec())?;
     let workload = QueryWorkload::new(
         &ds,
         pool,
@@ -719,8 +441,9 @@ pub fn simulate(o: &Options) -> Result<(), String> {
     cfg.accuracy = o.accuracy;
     cfg.channel = o.channel_model();
     cfg.retry = o.retry_policy();
-    cfg.updates = o.update_spec();
-    cfg.shards = o.shards;
+    cfg.driver = Driver::Batch {
+        shards: NonZeroUsize::new(o.shards).expect("range-checked by parse"),
+    };
     if o.timeline_out.is_some() {
         // One window per broadcast cycle keeps the counter lanes legible.
         cfg.window = Some(sys.cycle_len());

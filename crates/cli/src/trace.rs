@@ -7,6 +7,8 @@
 //! the metrics pipeline would attribute to it — the human timeline and
 //! the `--json` document are two renderings of the same observed walk.
 
+use std::fmt::Display;
+
 use bda_core::{
     Channel, ChannelModel, Key, Phase, PhaseSpans, ProtocolMachine, RetryPolicy, SpanRecorder,
     System, Ticks, Walk, WalkStep,
@@ -63,17 +65,17 @@ fn span_delta(before: &PhaseSpans, after: &PhaseSpans) -> (Phase, u64, u64) {
     unreachable!("every walk step records exactly one phase span");
 }
 
-/// Drive `machine` against `channel`, describing every bucket read with
-/// `describe`. Burst loss and scheduled outages are rendered with their
-/// cause (`×CORRUPT` vs `×OUTAGE`); a degenerate [`ChannelModel`] traces
-/// bit-identically to the i.i.d. [`bda_core::ErrorModel`] it wraps.
-pub fn trace_walk_channel<P, M: ProtocolMachine<P>>(
+/// Drive `machine` against `channel`, describing every bucket read by its
+/// payload's [`Display`]. Burst loss and scheduled outages are rendered
+/// with their cause (`×CORRUPT` vs `×OUTAGE`); a degenerate
+/// [`ChannelModel`] traces bit-identically to the i.i.d.
+/// [`bda_core::ErrorModel`] it wraps.
+pub fn trace_walk_channel<P: Display, M: ProtocolMachine<P>>(
     channel: &Channel<P>,
     machine: M,
     tune_in: Ticks,
     faults: ChannelModel,
     policy: RetryPolicy,
-    describe: impl Fn(&P) -> String,
 ) -> Trace {
     let mut walk = Walk::with_channel_recorder(
         channel,
@@ -105,7 +107,7 @@ pub fn trace_walk_channel<P, M: ProtocolMachine<P>>(
                 let start = until - Ticks::from(channel.bucket(bucket).size);
                 let corrupt = faults.corrupted(start);
                 let outage = faults.in_outage(start);
-                let detail = describe(&channel.bucket(bucket).payload);
+                let detail = channel.bucket(bucket).payload.to_string();
                 lines.push(format!(
                     "t={until:<12} READ  #{bucket:<6} {detail}{wait_note}{}  [{}]",
                     if outage {
@@ -273,97 +275,11 @@ pub fn trace_query_channel<S: System>(
     tune_in: Ticks,
     faults: ChannelModel,
     policy: RetryPolicy,
-    describe: impl Fn(&S::Payload) -> String,
-) -> Trace {
-    trace_walk_channel(
-        sys.channel(),
-        sys.query(key),
-        tune_in,
-        faults,
-        policy,
-        describe,
-    )
-}
-
-/// Compact per-scheme payload descriptions.
-pub mod describe {
-    use bda_btree::BTreePayload;
-    use bda_core::FlatPayload;
-    use bda_hash::HashPayload;
-    use bda_signature::SigPayload;
-
-    /// Flat-broadcast bucket.
-    pub fn flat(p: &FlatPayload) -> String {
-        format!("data  key={} rec#{}", p.key, p.record_index)
-    }
-
-    /// B+-tree bucket (index or data).
-    pub fn btree(p: &BTreePayload) -> String {
-        match p {
-            BTreePayload::Index(ib) => format!(
-                "index L{} n{} [{}..{}] {} entries{}{}",
-                ib.level,
-                ib.node,
-                ib.min_key,
-                ib.max_key,
-                ib.entries.len(),
-                if ib.control.is_empty() {
-                    String::new()
-                } else {
-                    format!(", {} control", ib.control.len())
-                },
-                if ib.segment_start { ", SEG-START" } else { "" },
-            ),
-            BTreePayload::Data(db) => format!("data  key={} rec#{}", db.key, db.record_index),
-        }
-    }
-
-    /// Hashing bucket.
-    pub fn hash(p: &HashPayload) -> String {
-        let body = match &p.entry {
-            Some(e) => format!("key={} h={}", e.key, e.hash),
-            None => "EMPTY".to_string(),
-        };
-        match p.shift_buckets {
-            Some(s) => format!("slot  #{} shift+{s} {body}", p.phys),
-            None => format!("ovfl  #{} {body}", p.phys),
-        }
-    }
-
-    /// Hybrid tree+signature bucket.
-    pub fn hybrid(p: &bda_hybrid::HybridPayload) -> String {
-        use bda_hybrid::HybridPayload as H;
-        match p {
-            H::Index { node, .. } => btree(&bda_btree::BTreePayload::Index(node.clone())),
-            H::Sig {
-                sig, record_index, ..
-            } => {
-                format!("sig   rec#{record_index} weight={}", sig.weight())
-            }
-            H::Data {
-                key, record_index, ..
-            } => {
-                format!("data  key={key} rec#{record_index}")
-            }
-        }
-    }
-
-    /// Signature-scheme bucket.
-    pub fn sig(p: &SigPayload) -> String {
-        match p {
-            SigPayload::RecordSig { sig, record_index } => {
-                format!("sig   rec#{record_index} weight={}", sig.weight())
-            }
-            SigPayload::GroupSig { sig, group_len, .. } => {
-                format!("gsig  frame of {group_len} weight={}", sig.weight())
-            }
-            SigPayload::Data {
-                key, record_index, ..
-            } => {
-                format!("data  key={key} rec#{record_index}")
-            }
-        }
-    }
+) -> Trace
+where
+    S::Payload: Display,
+{
+    trace_walk_channel(sys.channel(), sys.query(key), tune_in, faults, policy)
 }
 
 #[cfg(test)]
@@ -380,9 +296,11 @@ mod tests {
         tune_in: Ticks,
         errors: ErrorModel,
         policy: RetryPolicy,
-        describe: impl Fn(&S::Payload) -> String,
-    ) -> Trace {
-        trace_query_channel(sys, key, tune_in, errors.into(), policy, describe)
+    ) -> Trace
+    where
+        S::Payload: Display,
+    {
+        trace_query_channel(sys, key, tune_in, errors.into(), policy)
     }
 
     #[test]
@@ -395,7 +313,6 @@ mod tests {
             100,
             ErrorModel::NONE,
             RetryPolicy::UNBOUNDED,
-            describe::flat,
         );
         assert!(t.outcome.found);
         assert!(t.lines.first().unwrap().contains("TUNE-IN"));
@@ -418,7 +335,6 @@ mod tests {
             1_000,
             ErrorModel::NONE,
             RetryPolicy::UNBOUNDED,
-            describe::btree,
         );
         assert!(t.outcome.found);
         // One event per protocol step; the byte deltas telescope exactly.
@@ -470,7 +386,6 @@ mod tests {
             0,
             ErrorModel::new(0.5, 7),
             RetryPolicy::UNBOUNDED,
-            describe::flat,
         );
         assert!(t.outcome.found);
         assert_eq!(
@@ -492,35 +407,20 @@ mod tests {
         let sys = FlatScheme.build(&ds, &Params::paper()).unwrap();
         // A degenerate channel traces bit-identically to the i.i.d. path.
         let errors = ErrorModel::new(0.5, 7);
-        let iid = trace_query(
-            &sys,
-            bda_core::Key(6),
-            0,
-            errors,
-            RetryPolicy::UNBOUNDED,
-            describe::flat,
-        );
+        let iid = trace_query(&sys, bda_core::Key(6), 0, errors, RetryPolicy::UNBOUNDED);
         let chan = trace_query_channel(
             &sys,
             bda_core::Key(6),
             0,
             ChannelModel::iid(errors),
             RetryPolicy::UNBOUNDED,
-            describe::flat,
         );
         assert_eq!(iid.lines, chan.lines);
         assert_eq!(iid.outcome, chan.outcome);
         // An outage-only channel marks dead reads ×OUTAGE, not ×CORRUPT.
         let faults = ChannelModel::burst(BurstModel::new(0.3, 0.3, 0.0, 1.0, 5))
             .with_outages(OutageSchedule::new(400, 120, 9));
-        let t = trace_query_channel(
-            &sys,
-            bda_core::Key(6),
-            0,
-            faults,
-            RetryPolicy::UNBOUNDED,
-            describe::flat,
-        );
+        let t = trace_query_channel(&sys, bda_core::Key(6), 0, faults, RetryPolicy::UNBOUNDED);
         assert!(t.outcome.found);
         assert_eq!(
             t.events.iter().filter(|e| e.corrupt).count(),
@@ -544,7 +444,6 @@ mod tests {
             0,
             ErrorModel::new(1.0, 1),
             RetryPolicy::bounded(1),
-            describe::flat,
         );
         assert!(t.outcome.abandoned);
         assert!(!t.outcome.aborted);

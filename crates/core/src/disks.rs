@@ -507,6 +507,12 @@ impl<S: System> System for DiskSystem<S> {
     }
 
     fn query(&self, key: Key) -> DiskMachine<S> {
+        self.query_from(key, 0)
+    }
+
+    /// The routing table is schedule knowledge: it locates minor cycles
+    /// from `origin`, where a churning program's epoch puts its cycle 0.
+    fn query_from(&self, key: Key, origin: Ticks) -> DiskMachine<S> {
         // Route to the key's home chunk. Absent keys route to the home of
         // their key-order successor (clamped): any chunk works for them —
         // the key is absent from *every* chunk, and the chosen sub-program's
@@ -521,6 +527,7 @@ impl<S: System> System for DiskSystem<S> {
             target: self.homes[r],
             subs: Arc::clone(&self.subs),
             geo: Arc::clone(&self.geo),
+            origin,
             inner: None,
             chosen: 0,
             seeking: false,
@@ -543,6 +550,8 @@ pub struct DiskMachine<S: System> {
     target: (u8, u32),
     subs: Arc<Vec<S>>,
     geo: Arc<DiskGeometry>,
+    /// Absolute time at which the program's cycle 0 began.
+    origin: Ticks,
     inner: Option<S::Machine>,
     /// Minor cycle being routed to (valid while `seeking`).
     chosen: usize,
@@ -556,11 +565,11 @@ impl<S: System> DiskMachine<S> {
     /// sub-cycle's geometry and must not be trusted across chunk
     /// boundaries, so recovery always re-routes.
     fn seek(&mut self, t: Ticks) -> Action {
-        let (j, s) = self.geo.next_entry(self.target, t);
+        let (j, s) = self.geo.next_entry(self.target, t - self.origin);
         self.chosen = j;
         self.inner = None;
         self.seeking = true;
-        Action::DozeTo(s)
+        Action::DozeTo(self.origin + s)
     }
 }
 

@@ -211,7 +211,8 @@ impl<'a, S: System> Source<'a, S::Machine> for Versioned<'a, S> {
             return None;
         }
         self.anchor = version;
-        Some(self.timeline.epoch(at.epoch).system.query(self.key))
+        let epoch = self.timeline.epoch(at.epoch);
+        Some(epoch.system.query_from(self.key, epoch.start))
     }
 }
 
@@ -236,7 +237,7 @@ impl<S: System> Broadcast for ProgramTimeline<S> {
             key,
             anchor: epoch.version(),
         };
-        (src, epoch.system.query(key))
+        (src, epoch.system.query_from(key, epoch.start))
     }
 }
 
@@ -387,6 +388,44 @@ mod tests {
         assert!(!out.aborted);
         assert!(!out.found, "deleted key must not resolve to a stale record");
         assert!(out.version_skews >= 1);
+    }
+
+    /// A broadcast-disk router respawned on a skewed bucket re-seeks its
+    /// chunk from that bucket's start. When the bucket is an entry of the
+    /// chunk's minor cycle, the fresh machine asks for the bucket it was
+    /// respawned on, and reads it instead of dozing into the past.
+    #[test]
+    fn respawn_onto_a_minor_cycle_entry_reads_the_skewed_bucket() {
+        let params = Params::paper();
+        let scheme = crate::disks::DiskScheme::new(FlatScheme, crate::disks::DiskConfig::new(2));
+        let old: Vec<u64> = (0..16).map(|i| i * 10).collect();
+        let new: Vec<u64> = (0..17).map(|i| i * 10).collect();
+        let sys0 = scheme.build(&dataset(&old), &params).unwrap();
+        let boundary = 2 * sys0.channel().cycle_len();
+        let buckets = sys0.channel().num_buckets() as u64;
+        let sys1 = scheme.rebuild(&dataset(&new), &params, 1).unwrap();
+        let tl = ProgramTimeline::new(vec![
+            Epoch {
+                system: sys0,
+                start: 0,
+            },
+            Epoch {
+                system: sys1,
+                start: boundary,
+            },
+        ])
+        .unwrap();
+        let bucket = u64::from(params.data_bucket_size());
+        let mut restarts = 0;
+        for &k in &old {
+            for b in 1..=buckets {
+                let out = tl.probe(Key(k), boundary - b * bucket);
+                assert!(!out.aborted, "key {k} tuned in {b} buckets early: {out:?}");
+                assert!(out.found, "key {k} stays on the air: {out:?}");
+                restarts += out.stale_restarts;
+            }
+        }
+        assert!(restarts > 0, "some walks must cross the boundary");
     }
 
     #[test]

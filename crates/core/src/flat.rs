@@ -28,6 +28,13 @@ pub struct FlatPayload {
     pub record_index: u32,
 }
 
+/// One trace line's description of the bucket: `data  key=K rec#I`.
+impl std::fmt::Display for FlatPayload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "data  key={} rec#{}", self.key, self.record_index)
+    }
+}
+
 /// The flat broadcast scheme (called *plain broadcast* in Figs. 5–6).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FlatScheme;

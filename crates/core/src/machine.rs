@@ -924,12 +924,16 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
                         // Restart the protocol against the program that owns
                         // the skewed bucket. The bucket is already paid for
                         // and is a valid bucket of the new program, so a
-                        // fresh machine that reads next reads this one.
+                        // fresh machine that reads next, or dozes to this
+                        // bucket's start, reads this one.
                         Some(machine) => {
                             self.restarts += 1;
                             self.machine = machine;
                             match self.machine.start(meta.start) {
                                 Action::ReadNext => self.machine.on_bucket(&bucket.payload, meta),
+                                Action::DozeTo(t) if t == meta.start => {
+                                    self.machine.on_bucket(&bucket.payload, meta)
+                                }
                                 act => act,
                             }
                         }

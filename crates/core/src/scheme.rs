@@ -62,6 +62,16 @@ pub trait System: Send + Sync {
 
     /// Create a protocol machine that searches for `key`.
     fn query(&self, key: Key) -> Self::Machine;
+
+    /// [`System::query`] on this program aired from `origin` on: its cycle
+    /// 0 begins at absolute time `origin`, as a churning program's does at
+    /// its epoch start. A machine that navigates by the payloads it reads
+    /// needs no origin (the default ignores it); one that navigates by
+    /// a-priori schedule knowledge reads the schedule from `origin`.
+    fn query_from(&self, key: Key, origin: Ticks) -> Self::Machine {
+        let _ = origin;
+        self.query(key)
+    }
 }
 
 /// A stepping client query: the one interface every stepped driver

@@ -36,6 +36,21 @@ pub struct HashPayload {
     pub entry: Option<HashEntry>,
 }
 
+/// One trace line's description of the bucket: slot or overflow bucket,
+/// shift value, and the record (or `EMPTY`).
+impl std::fmt::Display for HashPayload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.shift_buckets {
+            Some(s) => write!(f, "slot  #{} shift+{s} ", self.phys)?,
+            None => write!(f, "ovfl  #{} ", self.phys)?,
+        }
+        match &self.entry {
+            Some(e) => write!(f, "key={} h={}", e.key, e.hash),
+            None => f.write_str("EMPTY"),
+        }
+    }
+}
+
 /// The simple hashing scheme.
 ///
 /// ```

@@ -48,6 +48,22 @@ pub enum HybridPayload {
     },
 }
 
+/// One trace line's description of the bucket: the index node as the
+/// B+-tree schemes print it, or the signature or record.
+impl std::fmt::Display for HybridPayload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            HybridPayload::Index { node, .. } => node.fmt(f),
+            HybridPayload::Sig {
+                sig, record_index, ..
+            } => write!(f, "sig   rec#{record_index} weight={}", sig.weight()),
+            HybridPayload::Data {
+                key, record_index, ..
+            } => write!(f, "data  key={key} rec#{record_index}"),
+        }
+    }
+}
+
 impl HybridPayload {
     /// Forward delta to the next index segment.
     pub fn next_seg_delta(&self) -> Ticks {

@@ -47,6 +47,24 @@ pub enum SigPayload {
     },
 }
 
+/// One trace line's description of the bucket: record or frame signature
+/// (with its weight), or the record.
+impl std::fmt::Display for SigPayload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SigPayload::RecordSig { sig, record_index } => {
+                write!(f, "sig   rec#{record_index} weight={}", sig.weight())
+            }
+            SigPayload::GroupSig { sig, group_len, .. } => {
+                write!(f, "gsig  frame of {group_len} weight={}", sig.weight())
+            }
+            SigPayload::Data {
+                key, record_index, ..
+            } => write!(f, "data  key={key} rec#{record_index}"),
+        }
+    }
+}
+
 /// What a signature query is looking for.
 ///
 /// Signatures are content-based (one bit string per attribute value), so

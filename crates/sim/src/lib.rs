@@ -24,7 +24,9 @@
 //!   confidence 0.99, accuracy 0.01), using a Student-t confidence
 //!   interval exactly as defined in the paper's footnote 1;
 //! * [`simulator::Simulator`] — the coordinator tying all of the above
-//!   together (init → start → simulate rounds → end).
+//!   together (init → start → simulate rounds → end);
+//! * [`schemes::SchemeKind`] — the scheme registry: which access method
+//!   the server builds, on which layout, frozen or churning.
 //!
 //! The engine drives the *same* protocol machines as the fast direct
 //! walker (`bda_core::machine::run_machine`), so event-driven and one-shot
@@ -34,6 +36,7 @@ pub mod accuracy;
 pub mod engine;
 pub mod reqgen;
 pub mod results;
+pub mod schemes;
 pub mod server;
 pub mod sharded;
 pub mod simulator;
@@ -45,9 +48,10 @@ pub use accuracy::AccuracyController;
 pub use engine::{CompletedRequest, Engine, EngineStats};
 pub use reqgen::RequestGenerator;
 pub use results::ResultHandler;
+pub use schemes::{Layout, SchemeKind, SchemeVisitor};
 pub use server::{StripedVersionedServer, VersionedServer};
 pub use sharded::{run_requests_partitioned, ShardRun, ShardedEngine};
-pub use simulator::{SimConfig, SimReport, Simulator};
+pub use simulator::{Driver, SimConfig, SimReport, Simulator};
 pub use stats::{student_t_quantile, Summary, Welford};
 pub use timeline::{append_scheme_timeline, perfetto_trace, replay_spans, SpanSegment};
 pub use updates::{UpdateOp, UpdateSpec, UpdateStream};

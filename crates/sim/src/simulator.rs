@@ -6,17 +6,54 @@
 //! each, results checked against the accuracy controller after every
 //! round), and end (result extraction).
 
-use bda_core::{ChannelModel, DynSystem, RetryPolicy, Ticks};
+use std::num::NonZeroUsize;
+
+use bda_core::{ChannelModel, DynSystem, Key, RetryPolicy, Ticks};
 use bda_datagen::{Arrivals, Popularity, QueryWorkload};
 use bda_obs::{Completion, Histogram, MetricsHub, WindowSpec};
 
 use crate::accuracy::AccuracyController;
-use crate::engine::{Engine, EngineStats};
+use crate::engine::{CompletedRequest, Engine, EngineStats};
 use crate::reqgen::RequestGenerator;
 use crate::results::ResultHandler;
 use crate::sharded::ShardedEngine;
 use crate::stats::Summary;
-use crate::updates::UpdateSpec;
+
+/// How the simulator executes each round's requests. All three drivers
+/// fast-forward scans, which is tick-exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Driver {
+    /// The direct walker: one `DynSystem::probe*` call per request and no
+    /// scheduler. Identical results to [`Driver::Batch`] (see the
+    /// `drivers_equiv` integration test) at much lower cost; what the
+    /// sweep harness uses. Reports zero [`EngineStats`].
+    Walker,
+    /// The faithful testbed: each round's batch runs through the
+    /// discrete-event engine, partitioned round-robin across `shards`
+    /// per-core slab engines over the shared broadcast program and merged
+    /// deterministically (see [`crate::sharded`]), so reports are
+    /// bit-identical for every shard count. One shard runs the classic
+    /// single engine inline.
+    Batch {
+        /// Worker shards.
+        shards: NonZeroUsize,
+    },
+    /// Steady state: keep at most `cap` clients admitted at once,
+    /// streaming requests through one engine instead of materializing
+    /// whole request batches. Memory is `O(cap)` regardless of how many
+    /// requests the accuracy controller ends up demanding.
+    Steady {
+        /// Clients admitted at once.
+        cap: NonZeroUsize,
+    },
+}
+
+impl Driver {
+    /// The single-engine batch testbed, [`SimConfig::paper`]'s driver.
+    pub const ENGINE: Driver = Driver::Batch {
+        shards: NonZeroUsize::MIN,
+    };
+}
 
 /// Simulation settings — the knobs of Table 1.
 #[derive(Debug, Clone, Copy)]
@@ -35,30 +72,10 @@ pub struct SimConfig {
     pub mean_interarrival: f64,
     /// Seed for the request stream.
     pub seed: u64,
-    /// Execute rounds through the discrete-event engine (`true`, the
-    /// faithful testbed) or via the direct walker (`false`: one
-    /// fast-forwarding `DynSystem::probe*` call per request and no
-    /// scheduler; identical results — see the `drivers_equiv` integration
-    /// test — at much lower cost; what the sweep harness uses). Both
-    /// drivers fast-forward scans, which is tick-exact.
-    pub event_driven: bool,
-    /// Steady-state mode: keep at most this many clients admitted at
-    /// once, streaming requests through the engine instead of
-    /// materializing whole request batches. `None` (the default) runs the
-    /// classic round-batch testbed; `Some(0)` — a cap that could admit
-    /// nothing and therefore never complete a round — is treated as
-    /// `None`. Only meaningful with `event_driven`; memory becomes
-    /// `O(max_in_flight)` regardless of how many requests the accuracy
-    /// controller ends up demanding.
-    pub max_in_flight: Option<usize>,
-    /// Worker shards for the event-driven batch path: each round's batch
-    /// is partitioned round-robin across this many per-core slab engines
-    /// over the shared broadcast program and merged deterministically
-    /// (see [`crate::sharded`]), so reports are bit-identical for every
-    /// shard count. `1` (the default, also the meaning of `0`) runs the
-    /// classic single engine inline. Steady-state and direct-walker modes
-    /// ignore it.
-    pub shards: usize,
+    /// How rounds execute: the direct walker, engine batches over some
+    /// shards (the default, [`Driver::ENGINE`]), or a steady-state client
+    /// population.
+    pub driver: Driver,
     /// Fault injection: the per-transmission corruption every client sees
     /// — i.i.d. loss (`ErrorModel` lifts in with `errors.into()`), burst
     /// loss, outage windows, or both. [`ChannelModel::NONE`], the default,
@@ -68,14 +85,6 @@ pub struct SimConfig {
     /// Client-side recovery policy for corrupt reads (default: retry
     /// forever — the paper's implicit assumption).
     pub retry: RetryPolicy,
-    /// Dynamic-broadcast mode: when set, the harness builds the system
-    /// under test as a [`crate::server::VersionedServer`] replaying this
-    /// update stream, instead of a frozen channel. The simulator itself
-    /// drives whatever [`DynSystem`] it is handed — this field travels
-    /// with the config so sweep harnesses and the CLI construct the right
-    /// server and label reports. `None` (the default) is the paper's
-    /// static broadcast.
-    pub updates: Option<UpdateSpec>,
     /// Time-resolved telemetry: when set, observed runs
     /// ([`Simulator::run_observed`]) collect a windowed time series with
     /// this window width in ticks alongside the aggregates (the hub's
@@ -97,12 +106,9 @@ impl SimConfig {
             max_rounds: 2_000,
             mean_interarrival: 10_000.0,
             seed: 0x0EDB_2002,
-            event_driven: true,
-            max_in_flight: None,
-            shards: 1,
+            driver: Driver::ENGINE,
             channel: ChannelModel::NONE,
             retry: RetryPolicy::UNBOUNDED,
-            updates: None,
             window: None,
         }
     }
@@ -302,7 +308,7 @@ impl<'a> Simulator<'a> {
     /// `bda-cli --timeline-out` replays a seed-sampled subset of this
     /// stream (walks are pure, so out-of-band replay is byte-faithful) to
     /// build per-request span timelines for the Perfetto trace.
-    pub fn run_observed_logged(&mut self) -> (SimReport, MetricsHub, Vec<(Ticks, bda_core::Key)>) {
+    pub fn run_observed_logged(&mut self) -> (SimReport, MetricsHub, Vec<(Ticks, Key)>) {
         let mut log = Vec::new();
         let (report, hub) = self.run_inner(true, Some(&mut log));
         (
@@ -315,103 +321,104 @@ impl<'a> Simulator<'a> {
     fn run_inner(
         &mut self,
         observe: bool,
-        mut log: Option<&mut Vec<(Ticks, bda_core::Key)>>,
+        log: Option<&mut Vec<(Ticks, Key)>>,
     ) -> (SimReport, Option<MetricsHub>) {
-        if self.config.event_driven {
-            // `Some(0)` used to hang the steady loop (a zero-capacity cap
-            // admits nothing, so rounds never complete); it now means "no
-            // cap" and falls through to the batch testbed.
-            if let Some(cap) = self.config.max_in_flight.filter(|&cap| cap > 0) {
-                return self.run_steady(cap, observe, log);
+        let (channel, retry) = (self.config.effective_channel(), self.config.retry);
+        match self.config.driver {
+            Driver::Steady { cap } => self.run_steady(cap.get(), observe, log),
+            Driver::Batch { shards } => {
+                let mut engine =
+                    ShardedEngine::with_channel(self.system, shards.get(), channel, retry);
+                if observe {
+                    match self.config.window {
+                        Some(width) => engine.enable_metrics_windowed(WindowSpec::new(width)),
+                        None => engine.enable_metrics(),
+                    }
+                }
+                let (handler, rounds, converged) =
+                    self.run_rounds(log, |batch| engine.run_batch(batch));
+                let hub = engine.take_metrics();
+                (
+                    self.report(&handler, rounds, converged, engine.stats()),
+                    hub,
+                )
+            }
+            Driver::Walker => {
+                // Observation accumulates into a local hub.
+                let mut hub: Option<Box<MetricsHub>> = observe.then(|| {
+                    let mut hub = Box::<MetricsHub>::default();
+                    if let Some(width) = self.config.window {
+                        hub.enable_windows(WindowSpec::new(width));
+                    }
+                    hub
+                });
+                let system = self.system;
+                let (handler, rounds, converged) = self.run_rounds(log, |batch| {
+                    batch
+                        .iter()
+                        .map(|&(arrival, key)| {
+                            let outcome = if let Some(hub) = hub.as_deref_mut() {
+                                let (outcome, spans) =
+                                    system.probe_recorded_channel(key, arrival, channel, retry);
+                                hub.complete_at(
+                                    &Completion {
+                                        end_tick: arrival + outcome.access,
+                                        access: outcome.access,
+                                        tuning: outcome.tuning,
+                                        retries: outcome.retries,
+                                        stale_restarts: outcome.stale_restarts,
+                                        version_skews: outcome.version_skews,
+                                        found: outcome.found,
+                                        abandoned: outcome.abandoned,
+                                    },
+                                    Some(&spans),
+                                );
+                                outcome
+                            } else {
+                                system.probe_with_channel(key, arrival, channel, retry)
+                            };
+                            CompletedRequest {
+                                arrival,
+                                key,
+                                outcome,
+                            }
+                        })
+                        .collect()
+                });
+                (
+                    self.report(&handler, rounds, converged, EngineStats::default()),
+                    hub.map(|b| *b),
+                )
             }
         }
+    }
+
+    /// Round-batch rounds: generate each round's requests, complete them
+    /// with `execute`, and stop once the accuracy targets are met (or
+    /// `max_rounds` elapse). Returns the results, the round count and
+    /// whether the run converged.
+    fn run_rounds(
+        &mut self,
+        mut log: Option<&mut Vec<(Ticks, Key)>>,
+        mut execute: impl FnMut(&[(Ticks, Key)]) -> Vec<CompletedRequest>,
+    ) -> (ResultHandler, usize, bool) {
         let controller = self.config.controller();
         let mut handler = ResultHandler::new();
-        let mut engine = ShardedEngine::with_channel(
-            self.system,
-            self.config.shards.max(1),
-            self.config.effective_channel(),
-            self.config.retry,
-        );
-        if observe && self.config.event_driven {
-            match self.config.window {
-                Some(width) => engine.enable_metrics_windowed(WindowSpec::new(width)),
-                None => engine.enable_metrics(),
-            }
-        }
-        // Direct-walker observation accumulates into a local hub instead.
-        let mut walker_hub: Option<Box<MetricsHub>> =
-            (observe && !self.config.event_driven).then(|| {
-                let mut hub = Box::<MetricsHub>::default();
-                if let Some(width) = self.config.window {
-                    hub.enable_windows(WindowSpec::new(width));
-                }
-                hub
-            });
         let mut rounds = 0;
-        let mut converged = false;
         while rounds < self.config.max_rounds {
             let batch = self.generator.round(self.config.round_requests);
             if let Some(log) = log.as_deref_mut() {
                 log.extend_from_slice(&batch);
             }
-            let completed = if self.config.event_driven {
-                engine.run_batch(&batch)
-            } else {
-                batch
-                    .iter()
-                    .map(|&(arrival, key)| {
-                        let outcome = if let Some(hub) = walker_hub.as_deref_mut() {
-                            let (outcome, spans) = self.system.probe_recorded_channel(
-                                key,
-                                arrival,
-                                self.config.effective_channel(),
-                                self.config.retry,
-                            );
-                            hub.complete_at(
-                                &Completion {
-                                    end_tick: arrival + outcome.access,
-                                    access: outcome.access,
-                                    tuning: outcome.tuning,
-                                    retries: outcome.retries,
-                                    stale_restarts: outcome.stale_restarts,
-                                    version_skews: outcome.version_skews,
-                                    found: outcome.found,
-                                    abandoned: outcome.abandoned,
-                                },
-                                Some(&spans),
-                            );
-                            outcome
-                        } else {
-                            self.system.probe_with_channel(
-                                key,
-                                arrival,
-                                self.config.effective_channel(),
-                                self.config.retry,
-                            )
-                        };
-                        crate::engine::CompletedRequest {
-                            arrival,
-                            key,
-                            outcome,
-                        }
-                    })
-                    .collect()
-            };
-            handler.record_all(&completed);
+            handler.record_all(&execute(&batch));
             rounds += 1;
             if rounds >= self.config.min_rounds
                 && controller.satisfied(&[handler.access(), handler.tuning()])
             {
-                converged = true;
-                break;
+                return (handler, rounds, true);
             }
         }
-        let hub = engine.take_metrics().or_else(|| walker_hub.map(|b| *b));
-        (
-            self.report(&handler, rounds, converged, engine.stats()),
-            hub,
-        )
+        (handler, rounds, false)
     }
 
     /// Steady-state rounds: a bounded client population streams through a
@@ -421,7 +428,7 @@ impl<'a> Simulator<'a> {
         &mut self,
         cap: usize,
         observe: bool,
-        mut log: Option<&mut Vec<(Ticks, bda_core::Key)>>,
+        mut log: Option<&mut Vec<(Ticks, Key)>>,
     ) -> (SimReport, Option<MetricsHub>) {
         let controller = self.config.controller();
         let mut handler = ResultHandler::new();
@@ -563,9 +570,9 @@ mod tests {
         ] {
             cfg.channel = channel;
             cfg.retry = retry;
-            cfg.event_driven = true;
+            cfg.driver = Driver::ENGINE;
             let a = Simulator::uniform(&sys, &ds, cfg).run();
-            cfg.event_driven = false;
+            cfg.driver = Driver::Walker;
             let b = Simulator::uniform(&sys, &ds, cfg).run();
             assert_eq!(a.requests, b.requests);
             assert_eq!(a.access, b.access);
@@ -586,7 +593,9 @@ mod tests {
         cfg.min_rounds = 3;
         cfg.max_rounds = 3;
         let batch = Simulator::uniform(&sys, &ds, cfg).run();
-        cfg.max_in_flight = Some(32);
+        cfg.driver = Driver::Steady {
+            cap: NonZeroUsize::new(32).unwrap(),
+        };
         let steady = Simulator::uniform(&sys, &ds, cfg).run();
         assert_eq!(steady.requests, batch.requests);
         assert_eq!(steady.aborted, 0);
@@ -668,9 +677,11 @@ mod tests {
         ] {
             cfg.channel = channel;
             cfg.retry = retry;
-            for (event_driven, cap) in [(true, None), (true, Some(24)), (false, None)] {
-                cfg.event_driven = event_driven;
-                cfg.max_in_flight = cap;
+            let steady = Driver::Steady {
+                cap: NonZeroUsize::new(24).unwrap(),
+            };
+            for driver in [Driver::ENGINE, steady, Driver::Walker] {
+                cfg.driver = driver;
                 let plain = Simulator::uniform(&sys, &ds, cfg).run();
                 let (obs, hub) = Simulator::uniform(&sys, &ds, cfg).run_observed();
                 assert_eq!(plain.requests, obs.requests);
@@ -686,7 +697,7 @@ mod tests {
                 assert_eq!(u128::from(hub.spans.total_tuning()), hub.tuning.sum());
                 // Engine gauges exist exactly on the event-driven drivers.
                 let sampled = hub.gauges.get(bda_obs::Gauge::InFlight).samples > 0;
-                assert_eq!(sampled, event_driven, "event_driven={event_driven}");
+                assert_eq!(sampled, driver != Driver::Walker, "{driver:?}");
             }
         }
     }
@@ -704,11 +715,13 @@ mod tests {
         ] {
             cfg.channel = channel;
             cfg.retry = retry;
-            cfg.shards = 1;
+            cfg.driver = Driver::ENGINE;
             let single = Simulator::uniform(&sys, &ds, cfg).run();
             assert!(single.retries > 0, "{channel:?} must corrupt reads");
-            for shards in [0, 1, 3, 4] {
-                cfg.shards = shards;
+            for shards in [1, 3, 4] {
+                cfg.driver = Driver::Batch {
+                    shards: NonZeroUsize::new(shards).unwrap(),
+                };
                 let sharded = Simulator::uniform(&sys, &ds, cfg).run();
                 assert_eq!(single.requests, sharded.requests, "shards={shards}");
                 assert_eq!(single.access, sharded.access, "shards={shards}");
@@ -723,22 +736,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn zero_in_flight_cap_means_uncapped_batch_mode() {
-        let ds = DatasetBuilder::new(80, 47).build().unwrap();
-        let sys = FlatScheme.build(&ds, &Params::paper()).unwrap();
-        let mut cfg = SimConfig::quick();
-        cfg.min_rounds = 2;
-        cfg.max_rounds = 2;
-        let batch = Simulator::uniform(&sys, &ds, cfg).run();
-        // Regression: `Some(0)` used to spin forever in the steady loop.
-        cfg.max_in_flight = Some(0);
-        let zero = Simulator::uniform(&sys, &ds, cfg).run();
-        assert_eq!(batch.requests, zero.requests);
-        assert_eq!(batch.access, zero.access);
-        assert_eq!(batch.tuning, zero.tuning);
     }
 
     #[test]

@@ -13,36 +13,15 @@
 
 use bda_core::{
     BurstModel, ChannelModel, DynSystem, ErrorModel, Key, OutageSchedule, Params, RetryPolicy,
-    Scheme, Ticks,
+    Ticks,
 };
 use bda_datagen::DatasetBuilder;
 use bda_sim::engine::reference::run_requests_reference_channel;
-use bda_sim::{CompletedRequest, Engine, ShardedEngine, UpdateSpec, VersionedServer};
+use bda_sim::{CompletedRequest, Engine, SchemeKind, ShardedEngine, UpdateSpec};
 
 /// Every scheme family in the repo, including the composite hybrid.
 fn all_systems(ds: &bda_core::Dataset, p: &Params) -> Vec<Box<dyn DynSystem>> {
-    vec![
-        Box::new(bda_core::FlatScheme.build(ds, p).unwrap()),
-        Box::new(bda_btree::OneMScheme::new().build(ds, p).unwrap()),
-        Box::new(bda_btree::DistributedScheme::new().build(ds, p).unwrap()),
-        Box::new(bda_hash::HashScheme::new().build(ds, p).unwrap()),
-        Box::new(
-            bda_signature::SimpleSignatureScheme::new()
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(
-            bda_signature::IntegratedSignatureScheme::new(8)
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(
-            bda_signature::MultiLevelSignatureScheme::new(8)
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(bda_hybrid::HybridScheme::new().build(ds, p).unwrap()),
-    ]
+    SchemeKind::ALL.map(|k| k.build(ds, p).unwrap()).into()
 }
 
 /// A deterministic request mix: unsorted arrivals with collisions, present
@@ -188,21 +167,12 @@ fn churning_program_agrees_across_drivers_under_burst() {
     let policy = RetryPolicy::bounded(24)
         .with_backoff_cap(8)
         .with_jitter(0x1EE7);
-    for scheme_run in [
-        |ds: &bda_core::Dataset, p: &Params, s| {
-            VersionedServer::build(&bda_core::FlatScheme, ds, p, s)
-                .map(|v| Box::new(v) as Box<dyn DynSystem>)
-        },
-        |ds: &bda_core::Dataset, p: &Params, s| {
-            VersionedServer::build(&bda_btree::DistributedScheme::new(), ds, p, s)
-                .map(|v| Box::new(v) as Box<dyn DynSystem>)
-        },
-        |ds: &bda_core::Dataset, p: &Params, s| {
-            VersionedServer::build(&bda_signature::SimpleSignatureScheme::new(), ds, p, s)
-                .map(|v| Box::new(v) as Box<dyn DynSystem>)
-        },
+    for kind in [
+        SchemeKind::Flat,
+        SchemeKind::Distributed,
+        SchemeKind::Signature,
     ] {
-        let server = scheme_run(&ds, &params, spec).unwrap();
+        let server = kind.build_versioned(&ds, &params, spec).unwrap();
         let slab = Engine::with_channel(server.as_ref(), channel, policy).run_batch(&requests);
         let oracle = run_requests_reference_channel(server.as_ref(), &requests, channel, policy);
         assert_eq!(slab, oracle, "{}: slab ≠ reference", server.scheme_name());

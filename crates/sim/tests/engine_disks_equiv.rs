@@ -11,13 +11,19 @@
 //! Observability (span sums, histograms, percentiles) merges exactly too.
 
 use bda_core::{
-    BurstModel, ChannelModel, Dataset, DiskConfig, DiskScheme, DynSystem, ErrorModel,
-    FlatDisksScheme, Key, OutageSchedule, Params, RetryPolicy, Scheme, Ticks,
+    BurstModel, ChannelModel, Dataset, DiskConfig, DynSystem, ErrorModel, FlatDisksScheme, Key,
+    OutageSchedule, Params, RetryPolicy, Scheme, Ticks,
 };
 use bda_datagen::DatasetBuilder;
-use bda_signature::SimpleSignatureDisksScheme;
 use bda_sim::engine::reference::run_requests_reference_channel;
-use bda_sim::{CompletedRequest, Engine, ShardedEngine, UpdateSpec, VersionedServer};
+use bda_sim::{
+    CompletedRequest, Engine, Layout, SchemeKind, SchemeVisitor, ShardedEngine, UpdateSpec,
+    VersionedServer,
+};
+
+/// A check on one churned server: the server, the air span covering all
+/// its epochs, and its `(version, dataset)` snapshots in air order.
+type ServerCheck<'a> = dyn FnMut(&dyn DynSystem, Ticks, &[(u64, Dataset)]) + 'a;
 
 /// 15 % loss — the suite's error-prone channel.
 const LOSS: f64 = 0.15;
@@ -31,21 +37,12 @@ const DISKS: usize = 3;
 /// interleaved scan layouts plus the chunked-navigation wrapper around
 /// hashing and distributed indexing.
 fn disk_systems(ds: &Dataset, p: &Params) -> Vec<Box<dyn DynSystem>> {
-    let d = DiskConfig::new(DISKS);
-    vec![
-        Box::new(FlatDisksScheme::new(d).build(ds, p).unwrap()),
-        Box::new(SimpleSignatureDisksScheme::new(d).build(ds, p).unwrap()),
-        Box::new(
-            DiskScheme::new(bda_hash::HashScheme::new(), d)
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(
-            DiskScheme::new(bda_btree::DistributedScheme::new(), d)
-                .build(ds, p)
-                .unwrap(),
-        ),
-    ]
+    let disks = Layout::Disks(DiskConfig::new(DISKS));
+    SchemeKind::ALL
+        .into_iter()
+        .filter_map(|k| k.build_on(ds, p, &disks, None))
+        .map(Result::unwrap)
+        .collect()
 }
 
 /// Shard counts: 1, 2, 3, 7 and the host's core count, deduplicated.
@@ -285,52 +282,41 @@ fn observed_metrics_merge_exactly_on_stratified_programs() {
 }
 
 /// Build a churned [`VersionedServer`] for every disk-capable scheme and
-/// hand each one (type-erased, span covering all epochs) to `f` — the
-/// stratified constructor piggybacks on the versioned-cycle machinery
-/// without any scheme-specific glue.
-fn with_all_disk_versioned(
-    ds: &Dataset,
-    p: &Params,
-    spec: UpdateSpec,
-    f: &mut dyn FnMut(&dyn DynSystem, Ticks),
-) {
-    fn one<Sch: Scheme>(
-        scheme: Sch,
-        ds: &Dataset,
-        p: &Params,
+/// hand each one (type-erased, span covering all epochs, with its
+/// `(version, dataset)` snapshots) to `f` — the stratified constructor
+/// piggybacks on the versioned-cycle machinery without any
+/// scheme-specific glue.
+fn with_all_disk_versioned(ds: &Dataset, p: &Params, spec: UpdateSpec, f: &mut ServerCheck<'_>) {
+    struct One<'a, 'f> {
+        ds: &'a Dataset,
+        p: &'a Params,
         spec: UpdateSpec,
-        f: &mut dyn FnMut(&dyn DynSystem, Ticks),
-    ) where
-        <Sch::System as bda_core::System>::Machine: 'static,
-    {
-        let server = VersionedServer::build(&scheme, ds, p, spec).unwrap();
-        let span =
-            server.timeline().epochs().last().map_or(0, |e| e.start) + 4 * server.cycle_len();
-        f(&server, span);
+        f: &'a mut ServerCheck<'f>,
     }
-    let d = DiskConfig::new(DISKS);
-    one(FlatDisksScheme::new(d), ds, p, spec, f);
-    one(SimpleSignatureDisksScheme::new(d), ds, p, spec, f);
-    one(
-        DiskScheme::new(bda_hash::HashScheme::new(), d),
-        ds,
-        p,
-        spec,
-        f,
-    );
-    one(
-        DiskScheme::new(bda_btree::DistributedScheme::new(), d),
-        ds,
-        p,
-        spec,
-        f,
-    );
+    impl SchemeVisitor for One<'_, '_> {
+        type Output = ();
+        fn visit<Sch: Scheme>(self, scheme: Sch)
+        where
+            <Sch::System as bda_core::System>::Machine: 'static,
+        {
+            let server = VersionedServer::build(&scheme, self.ds, self.p, self.spec).unwrap();
+            let span =
+                server.timeline().epochs().last().map_or(0, |e| e.start) + 4 * server.cycle_len();
+            (self.f)(&server, span, server.datasets());
+        }
+    }
+    for kind in SchemeKind::ALL {
+        kind.visit(Some(DiskConfig::new(DISKS)), One { ds, p, spec, f });
+    }
 }
 
 /// A 20 %-churn dynamic stratified program: the stale machinery engages
 /// (re-ranking piggybacks on versioned cycles), and the reference oracle,
 /// the bucket-by-bucket engine and every shard count reproduce the
-/// fast-forwarding slab engine's outcomes exactly, on every air.
+/// fast-forwarding slab engine's outcomes exactly, on every air. Each
+/// epoch's routing reads the disk schedule from the epoch's start, so a
+/// key on the air throughout is found unless the retry policy gave up,
+/// and no walk aborts.
 #[test]
 fn churned_stratified_programs_are_shard_invariant() {
     let (ds, pool) = DatasetBuilder::new(60, 0xD15F)
@@ -343,10 +329,20 @@ fn churned_stratified_programs_are_shard_invariant() {
         horizon_cycles: 16,
     };
     for (channel, policy) in fault_modes() {
-        with_all_disk_versioned(&ds, &params, spec, &mut |server, span| {
+        with_all_disk_versioned(&ds, &params, spec, &mut |server, span, snapshots| {
             let requests = request_mix(&ds, &pool, 70, span);
             let baseline = Engine::with_channel(server, channel, policy).run_batch(&requests);
             let name = server.scheme_name();
+            for (i, r) in baseline.iter().enumerate() {
+                let o = &r.outcome;
+                assert!(!o.aborted, "{name}: aborted at req {i} ({channel:?})");
+                let kept = snapshots.iter().all(|(_, d)| d.contains(r.key));
+                assert!(
+                    o.found || o.abandoned || !kept,
+                    "{name}: key {} on the air throughout missed at req {i} ({channel:?})",
+                    r.key
+                );
+            }
             let churn_engaged = baseline.iter().any(|r| r.outcome.version_skews > 0);
             assert!(
                 churn_engaged,

@@ -22,7 +22,7 @@ use bda_core::{
 };
 use bda_datagen::DatasetBuilder;
 use bda_sim::engine::reference::run_requests_reference_channel;
-use bda_sim::{Engine, UpdateSpec, VersionedServer};
+use bda_sim::{Engine, SchemeKind, SchemeVisitor, UpdateSpec, VersionedServer};
 
 /// Update rates the suite sweeps (fraction of records touched per cycle).
 const UPDATE_RATES: [f64; 3] = [0.01, 0.05, 0.20];
@@ -36,71 +36,37 @@ type ServerVisitor<'a> = dyn FnMut(&dyn DynSystem, &[(u64, Dataset)], &EpochBoun
 /// hand each one (type-erased) to `f` along with its per-epoch dataset
 /// snapshots and epoch bounds.
 fn with_all_servers(ds: &Dataset, p: &Params, spec: UpdateSpec, f: &mut ServerVisitor<'_>) {
-    fn one<Sch: Scheme>(
-        scheme: Sch,
-        ds: &Dataset,
-        p: &Params,
+    struct One<'a, 'f> {
+        ds: &'a Dataset,
+        p: &'a Params,
         spec: UpdateSpec,
-        f: &mut ServerVisitor<'_>,
-    ) where
-        <Sch::System as System>::Machine: 'static,
-    {
-        let server = VersionedServer::build(&scheme, ds, p, spec).unwrap();
-        let bounds: EpochBounds = server
-            .timeline()
-            .epochs()
-            .iter()
-            .map(|e| (e.version(), e.start))
-            .collect();
-        f(&server, server.datasets(), &bounds);
+        f: &'a mut ServerVisitor<'f>,
     }
-    one(bda_core::FlatScheme, ds, p, spec, f);
-    one(bda_btree::OneMScheme::new(), ds, p, spec, f);
-    one(bda_btree::DistributedScheme::new(), ds, p, spec, f);
-    one(bda_hash::HashScheme::new(), ds, p, spec, f);
-    one(bda_signature::SimpleSignatureScheme::new(), ds, p, spec, f);
-    one(
-        bda_signature::IntegratedSignatureScheme::new(8),
-        ds,
-        p,
-        spec,
-        f,
-    );
-    one(
-        bda_signature::MultiLevelSignatureScheme::new(8),
-        ds,
-        p,
-        spec,
-        f,
-    );
-    one(bda_hybrid::HybridScheme::new(), ds, p, spec, f);
+    impl SchemeVisitor for One<'_, '_> {
+        type Output = ();
+        fn visit<Sch: Scheme>(self, scheme: Sch)
+        where
+            <Sch::System as System>::Machine: 'static,
+        {
+            let server = VersionedServer::build(&scheme, self.ds, self.p, self.spec).unwrap();
+            let bounds: EpochBounds = server
+                .timeline()
+                .epochs()
+                .iter()
+                .map(|e| (e.version(), e.start))
+                .collect();
+            (self.f)(&server, server.datasets(), &bounds);
+        }
+    }
+    for kind in SchemeKind::ALL {
+        kind.visit(None, One { ds, p, spec, f });
+    }
 }
 
 /// Frozen builds of the same schemes, in the same order (the zero-update
 /// comparison baseline).
 fn all_frozen(ds: &Dataset, p: &Params) -> Vec<Box<dyn DynSystem>> {
-    vec![
-        Box::new(bda_core::FlatScheme.build(ds, p).unwrap()),
-        Box::new(bda_btree::OneMScheme::new().build(ds, p).unwrap()),
-        Box::new(bda_btree::DistributedScheme::new().build(ds, p).unwrap()),
-        Box::new(bda_hash::HashScheme::new().build(ds, p).unwrap()),
-        Box::new(
-            bda_signature::SimpleSignatureScheme::new()
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(
-            bda_signature::IntegratedSignatureScheme::new(8)
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(
-            bda_signature::MultiLevelSignatureScheme::new(8)
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(bda_hybrid::HybridScheme::new().build(ds, p).unwrap()),
-    ]
+    SchemeKind::ALL.map(|k| k.build(ds, p).unwrap()).into()
 }
 
 /// A deterministic request mix whose arrivals spread over `span` bytes of

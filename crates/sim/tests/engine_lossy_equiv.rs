@@ -11,38 +11,17 @@
 //! streaming-mode behaviour under abandonment (no slot leak, deterministic
 //! event accounting).
 
-use bda_core::{ChannelModel, DynSystem, ErrorModel, Key, Params, RetryPolicy, Scheme, Ticks};
+use bda_core::{ChannelModel, DynSystem, ErrorModel, Key, Params, RetryPolicy, Ticks};
 use bda_datagen::DatasetBuilder;
 use bda_sim::engine::reference::run_requests_reference_channel;
-use bda_sim::Engine;
+use bda_sim::{Engine, SchemeKind};
 
 /// Loss rates the differential suite sweeps.
 const LOSS_RATES: [f64; 3] = [0.02, 0.10, 0.25];
 
 /// Every scheme family in the repo, including the composite hybrid.
 fn all_systems(ds: &bda_core::Dataset, p: &Params) -> Vec<Box<dyn DynSystem>> {
-    vec![
-        Box::new(bda_core::FlatScheme.build(ds, p).unwrap()),
-        Box::new(bda_btree::OneMScheme::new().build(ds, p).unwrap()),
-        Box::new(bda_btree::DistributedScheme::new().build(ds, p).unwrap()),
-        Box::new(bda_hash::HashScheme::new().build(ds, p).unwrap()),
-        Box::new(
-            bda_signature::SimpleSignatureScheme::new()
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(
-            bda_signature::IntegratedSignatureScheme::new(8)
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(
-            bda_signature::MultiLevelSignatureScheme::new(8)
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(bda_hybrid::HybridScheme::new().build(ds, p).unwrap()),
-    ]
+    SchemeKind::ALL.map(|k| k.build(ds, p).unwrap()).into()
 }
 
 /// A deterministic request mix: unsorted arrivals with collisions, present

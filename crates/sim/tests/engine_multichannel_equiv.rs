@@ -21,44 +21,43 @@
 
 use bda_core::{
     BurstModel, ChannelModel, DynSystem, ErrorModel, GroupConfig, IndexedGroupScheme, Key,
-    OutageSchedule, Params, RetryPolicy, StripedScheme, Ticks,
+    OutageSchedule, Params, RetryPolicy, Ticks,
 };
 use bda_datagen::DatasetBuilder;
 use bda_obs::{Completion, MetricsHub};
 use bda_sim::engine::reference::run_requests_reference_channel;
-use bda_sim::{Engine, ShardedEngine, UpdateSpec, VersionedServer};
+use bda_sim::{Engine, Layout, SchemeKind, ShardedEngine, UpdateSpec};
+
+/// The striping conformance subset: one scan layout, one hash layout and
+/// one signature layout.
+const STRIPED: [SchemeKind; 3] = [SchemeKind::Flat, SchemeKind::Hashing, SchemeKind::Signature];
 
 /// Every multichannel-capable program shape at one group config: the
-/// striping conformance subset (one scan layout, one hash layout, one
-/// signature layout) plus the cross-channel indexed group.
+/// striped subset, frozen or churning, plus (frozen) the cross-channel
+/// indexed group.
 fn multichannel_systems(
     ds: &bda_core::Dataset,
     p: &Params,
-    config: GroupConfig,
+    group: GroupConfig,
+    churn: Option<UpdateSpec>,
 ) -> Vec<Box<dyn DynSystem>> {
-    vec![
-        Box::new(
-            StripedScheme::new(bda_core::FlatScheme, config)
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(
-            StripedScheme::new(bda_hash::HashScheme::new(), config)
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(
-            StripedScheme::new(bda_signature::SimpleSignatureScheme::new(), config)
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(
-            IndexedGroupScheme::new(config)
+    let striped = Layout::Striped {
+        group,
+        partition: None,
+    };
+    let mut systems: Vec<Box<dyn DynSystem>> = STRIPED
+        .iter()
+        .map(|k| k.build_on(ds, p, &striped, churn).unwrap().unwrap())
+        .collect();
+    if churn.is_none() {
+        systems.push(Box::new(
+            IndexedGroupScheme::new(group)
                 .unwrap()
                 .build(ds, p)
                 .unwrap(),
-        ),
-    ]
+        ));
+    }
+    systems
 }
 
 /// A deterministic request mix: unsorted arrivals with collisions, present
@@ -183,7 +182,7 @@ fn all_drivers_agree_on_multichannel_groups() {
         GroupConfig::new(4, 257).unwrap(),
     ] {
         for (label, channel, policy) in fault_grid() {
-            for sys in multichannel_systems(&ds, &params, config) {
+            for sys in multichannel_systems(&ds, &params, config, None) {
                 let name = sys.scheme_name();
                 let requests = request_mix(&ds, &pool, 72, 8 * sys.cycle_len());
                 let mut fast = Engine::with_channel(sys.as_ref(), channel, policy);
@@ -244,33 +243,7 @@ fn churning_striped_groups_agree_across_drivers() {
     let policy = RetryPolicy::bounded(24)
         .with_backoff_cap(8)
         .with_jitter(0x1EE7);
-    let servers: Vec<Box<dyn DynSystem>> = vec![
-        Box::new(
-            VersionedServer::build_striped(&bda_core::FlatScheme, &ds, &params, config, spec)
-                .unwrap(),
-        ),
-        Box::new(
-            VersionedServer::build_striped(
-                &bda_hash::HashScheme::new(),
-                &ds,
-                &params,
-                config,
-                spec,
-            )
-            .unwrap(),
-        ),
-        Box::new(
-            VersionedServer::build_striped(
-                &bda_signature::SimpleSignatureScheme::new(),
-                &ds,
-                &params,
-                config,
-                spec,
-            )
-            .unwrap(),
-        ),
-    ];
-    for server in servers {
+    for server in multichannel_systems(&ds, &params, config, Some(spec)) {
         let name = server.scheme_name();
         let requests = request_mix(&ds, &pool, 48, 8 * server.cycle_len());
         let slab = Engine::with_channel(server.as_ref(), channel, policy).run_batch(&requests);

@@ -16,7 +16,10 @@ use bda_core::{
     ChannelModel, Dataset, DynSystem, ErrorModel, Key, Params, RetryPolicy, Scheme, Ticks,
 };
 use bda_datagen::DatasetBuilder;
-use bda_sim::{run_requests_partitioned, Engine, ShardedEngine, UpdateSpec, VersionedServer};
+use bda_sim::{
+    run_requests_partitioned, Engine, SchemeKind, SchemeVisitor, ShardedEngine, UpdateSpec,
+    VersionedServer,
+};
 use proptest::prelude::*;
 
 /// 15 % loss — the suite's error-prone channel.
@@ -36,28 +39,7 @@ fn shard_counts() -> Vec<usize> {
 
 /// Frozen builds of all eight scheme families.
 fn all_frozen(ds: &Dataset, p: &Params) -> Vec<Box<dyn DynSystem>> {
-    vec![
-        Box::new(bda_core::FlatScheme.build(ds, p).unwrap()),
-        Box::new(bda_btree::OneMScheme::new().build(ds, p).unwrap()),
-        Box::new(bda_btree::DistributedScheme::new().build(ds, p).unwrap()),
-        Box::new(bda_hash::HashScheme::new().build(ds, p).unwrap()),
-        Box::new(
-            bda_signature::SimpleSignatureScheme::new()
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(
-            bda_signature::IntegratedSignatureScheme::new(8)
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(
-            bda_signature::MultiLevelSignatureScheme::new(8)
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(bda_hybrid::HybridScheme::new().build(ds, p).unwrap()),
-    ]
+    SchemeKind::ALL.map(|k| k.build(ds, p).unwrap()).into()
 }
 
 /// Build a churned [`VersionedServer`] for every scheme family and hand
@@ -69,40 +51,27 @@ fn with_all_versioned(
     spec: UpdateSpec,
     f: &mut dyn FnMut(&dyn DynSystem, Ticks),
 ) {
-    fn one<Sch: Scheme>(
-        scheme: Sch,
-        ds: &Dataset,
-        p: &Params,
+    struct One<'a> {
+        ds: &'a Dataset,
+        p: &'a Params,
         spec: UpdateSpec,
-        f: &mut dyn FnMut(&dyn DynSystem, Ticks),
-    ) where
-        <Sch::System as bda_core::System>::Machine: 'static,
-    {
-        let server = VersionedServer::build(&scheme, ds, p, spec).unwrap();
-        let span =
-            server.timeline().epochs().last().map_or(0, |e| e.start) + 4 * server.cycle_len();
-        f(&server, span);
+        f: &'a mut dyn FnMut(&dyn DynSystem, Ticks),
     }
-    one(bda_core::FlatScheme, ds, p, spec, f);
-    one(bda_btree::OneMScheme::new(), ds, p, spec, f);
-    one(bda_btree::DistributedScheme::new(), ds, p, spec, f);
-    one(bda_hash::HashScheme::new(), ds, p, spec, f);
-    one(bda_signature::SimpleSignatureScheme::new(), ds, p, spec, f);
-    one(
-        bda_signature::IntegratedSignatureScheme::new(8),
-        ds,
-        p,
-        spec,
-        f,
-    );
-    one(
-        bda_signature::MultiLevelSignatureScheme::new(8),
-        ds,
-        p,
-        spec,
-        f,
-    );
-    one(bda_hybrid::HybridScheme::new(), ds, p, spec, f);
+    impl SchemeVisitor for One<'_> {
+        type Output = ();
+        fn visit<Sch: Scheme>(self, scheme: Sch)
+        where
+            <Sch::System as bda_core::System>::Machine: 'static,
+        {
+            let server = VersionedServer::build(&scheme, self.ds, self.p, self.spec).unwrap();
+            let span =
+                server.timeline().epochs().last().map_or(0, |e| e.start) + 4 * server.cycle_len();
+            (self.f)(&server, span);
+        }
+    }
+    for kind in SchemeKind::ALL {
+        kind.visit(None, One { ds, p, spec, f });
+    }
 }
 
 /// Deterministic request mix spreading arrivals over `span` bytes of air
@@ -326,14 +295,8 @@ proptest! {
             .build_with_absent_pool(8)
             .expect("dataset");
         let params = Params::paper();
-        let systems: Vec<Box<dyn DynSystem>> = vec![
-            Box::new(bda_hash::HashScheme::new().build(&ds, &params).unwrap()),
-            Box::new(
-                bda_btree::DistributedScheme::new()
-                    .build(&ds, &params)
-                    .unwrap(),
-            ),
-        ];
+        let systems =
+            [SchemeKind::Hashing, SchemeKind::Distributed].map(|k| k.build(&ds, &params).unwrap());
         for sys in &systems {
             for (air, policy) in fault_modes() {
                 let unsharded =

@@ -15,10 +15,10 @@
 
 use bda_core::{
     BurstModel, ChannelModel, Dataset, DynSystem, ErrorModel, GroupConfig, Key, OutageSchedule,
-    Params, RetryPolicy, Scheme,
+    Params, RetryPolicy,
 };
 use bda_datagen::DatasetBuilder;
-use bda_sim::{Engine, UpdateSpec, VersionedServer};
+use bda_sim::{Engine, Layout, SchemeKind, UpdateSpec};
 
 type Air = (ChannelModel, RetryPolicy);
 
@@ -26,34 +26,26 @@ const LOSSLESS: Air = (ChannelModel::NONE, RetryPolicy::UNBOUNDED);
 
 /// (scheme, max scheduler events per completed request, lossless).
 fn budgeted_systems(ds: &Dataset, p: &Params) -> Vec<(Box<dyn DynSystem>, f64)> {
-    vec![
-        // One initial probe, one fast-forwarded landing, one finish.
-        (Box::new(bda_core::FlatScheme.build(ds, p).unwrap()), 4.0),
-        (
-            Box::new(
-                bda_signature::SimpleSignatureScheme::new()
-                    .build(ds, p)
-                    .unwrap(),
-            ),
-            6.0,
-        ),
-        (
-            Box::new(
-                bda_signature::IntegratedSignatureScheme::new(8)
-                    .build(ds, p)
-                    .unwrap(),
-            ),
-            6.0,
-        ),
-        (
-            Box::new(
-                bda_signature::MultiLevelSignatureScheme::new(8)
-                    .build(ds, p)
-                    .unwrap(),
-            ),
-            8.0,
-        ),
+    scans([4.0, 6.0, 6.0, 8.0], |k| k.build(ds, p))
+}
+
+/// The four scan schemes, each built by `build` and paired with its
+/// budget (flat's 4: one initial probe, one fast-forwarded landing, one
+/// finish).
+fn scans(
+    budgets: [f64; 4],
+    build: impl Fn(SchemeKind) -> bda_core::Result<Box<dyn DynSystem>>,
+) -> Vec<(Box<dyn DynSystem>, f64)> {
+    [
+        SchemeKind::Flat,
+        SchemeKind::Signature,
+        SchemeKind::IntegratedSignature,
+        SchemeKind::MultiLevelSignature,
     ]
+    .into_iter()
+    .zip(budgets)
+    .map(|(kind, budget)| (build(kind).unwrap(), budget))
+    .collect()
 }
 
 fn request_mix(ds: &Dataset, pool: &[Key], n: usize, span: u64) -> Vec<(u64, Key)> {
@@ -125,11 +117,8 @@ const CHURN: UpdateSpec = UpdateSpec {
     horizon_cycles: 16,
 };
 
-fn churning<Sch: Scheme>(scheme: Sch, ds: &Dataset) -> Box<dyn DynSystem>
-where
-    Sch::System: 'static,
-{
-    Box::new(VersionedServer::build(&scheme, ds, &Params::paper(), CHURN).unwrap())
+fn churning(ds: &Dataset, budgets: [f64; 4]) -> Vec<(Box<dyn DynSystem>, f64)> {
+    scans(budgets, |k| k.build_versioned(ds, &Params::paper(), CHURN))
 }
 
 /// The same scans on churning programs: versioned slots must honour the
@@ -143,32 +132,26 @@ fn churning_scan_schemes_stay_within_their_event_budget() {
     let (ds, pool) = DatasetBuilder::new(320, 0xB0D6)
         .build_with_absent_pool(10)
         .unwrap();
-    let group = GroupConfig::new(2, 256).unwrap();
-    let striped =
-        VersionedServer::build_striped(&bda_core::FlatScheme, &ds, &Params::paper(), group, CHURN)
-            .unwrap();
-    let rows: Vec<(Box<dyn DynSystem>, &str, f64)> = vec![
-        (churning(bda_core::FlatScheme, &ds), "flat", 7.0),
-        (
-            churning(bda_signature::SimpleSignatureScheme::new(), &ds),
-            "signature",
-            10.0,
-        ),
-        (
-            churning(bda_signature::IntegratedSignatureScheme::new(8), &ds),
-            "integrated-signature",
-            9.0,
-        ),
-        (
-            churning(bda_signature::MultiLevelSignatureScheme::new(8), &ds),
-            "multilevel-signature",
-            9.0,
-        ),
-        (Box::new(striped), "flat, 2 striped channels", 7.0),
-    ];
-    for (sys, label, budget) in rows {
-        assert_within_budget(sys.as_ref(), label, &ds, &pool, budget, LOSSLESS);
+    let striped = Layout::Striped {
+        group: GroupConfig::new(2, 256).unwrap(),
+        partition: None,
+    };
+    let striped = SchemeKind::Flat
+        .build_on(&ds, &Params::paper(), &striped, Some(CHURN))
+        .expect("a churning group stripes evenly")
+        .unwrap();
+    for (sys, budget) in churning(&ds, [7.0, 10.0, 9.0, 9.0]) {
+        assert_within_budget(
+            sys.as_ref(),
+            sys.scheme_name(),
+            &ds,
+            &pool,
+            budget,
+            LOSSLESS,
+        );
     }
+    let label = "flat, 2 striped channels";
+    assert_within_budget(striped.as_ref(), label, &ds, &pool, 7.0, LOSSLESS);
 }
 
 /// Corrupted reads are mechanical for a scan: the planner recovers them in
@@ -205,26 +188,8 @@ fn lossy_scans_stay_within_their_event_budget() {
             .with_backoff_cap(8)
             .with_jitter(0x117),
     );
-    let rows: Vec<(Box<dyn DynSystem>, &str, f64)> = vec![
-        (churning(bda_core::FlatScheme, &ds), "flat", 22.0),
-        (
-            churning(bda_signature::SimpleSignatureScheme::new(), &ds),
-            "signature",
-            24.0,
-        ),
-        (
-            churning(bda_signature::IntegratedSignatureScheme::new(8), &ds),
-            "integrated-signature",
-            22.0,
-        ),
-        (
-            churning(bda_signature::MultiLevelSignatureScheme::new(8), &ds),
-            "multilevel-signature",
-            22.0,
-        ),
-    ];
-    for (sys, label, budget) in rows {
-        let label = format!("{label}, churning, burst");
+    for (sys, budget) in churning(&ds, [22.0, 24.0, 22.0, 22.0]) {
+        let label = format!("{}, churning, burst", sys.scheme_name());
         assert_within_budget(sys.as_ref(), &label, &ds, &pool, budget, burst);
     }
 }

@@ -26,36 +26,15 @@
 
 use bda_core::{
     BurstModel, ChannelModel, Dataset, DynSystem, ErrorModel, Key, OutageSchedule, Params,
-    RetryPolicy, Scheme, Ticks,
+    RetryPolicy, Ticks,
 };
 use bda_datagen::DatasetBuilder;
 use bda_sim::engine::reference::run_requests_reference_channel;
-use bda_sim::{CompletedRequest, Engine, UpdateSpec, VersionedServer};
+use bda_sim::{CompletedRequest, Engine, SchemeKind, UpdateSpec, VersionedServer};
 
 /// Every scheme family in the repo, including the composite hybrid.
 fn all_systems(ds: &Dataset, p: &Params) -> Vec<Box<dyn DynSystem>> {
-    vec![
-        Box::new(bda_core::FlatScheme.build(ds, p).unwrap()),
-        Box::new(bda_btree::OneMScheme::new().build(ds, p).unwrap()),
-        Box::new(bda_btree::DistributedScheme::new().build(ds, p).unwrap()),
-        Box::new(bda_hash::HashScheme::new().build(ds, p).unwrap()),
-        Box::new(
-            bda_signature::SimpleSignatureScheme::new()
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(
-            bda_signature::IntegratedSignatureScheme::new(8)
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(
-            bda_signature::MultiLevelSignatureScheme::new(8)
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(bda_hybrid::HybridScheme::new().build(ds, p).unwrap()),
-    ]
+    SchemeKind::ALL.map(|k| k.build(ds, p).unwrap()).into()
 }
 
 /// Deterministic request mix over `span` ticks starting at `base`:

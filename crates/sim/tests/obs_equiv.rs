@@ -16,32 +16,13 @@ use bda_core::{
     ChannelModel, Dataset, DynSystem, ErrorModel, Key, Params, Phase, RetryPolicy, Scheme, Ticks,
 };
 use bda_datagen::DatasetBuilder;
-use bda_sim::{Engine, SimConfig, Simulator, UpdateSpec, VersionedServer};
+use bda_sim::{
+    Engine, SchemeKind, SchemeVisitor, SimConfig, Simulator, UpdateSpec, VersionedServer,
+};
 
 /// Every scheme family in the repo, including the composite hybrid.
 fn all_systems(ds: &Dataset, p: &Params) -> Vec<Box<dyn DynSystem>> {
-    vec![
-        Box::new(bda_core::FlatScheme.build(ds, p).unwrap()),
-        Box::new(bda_btree::OneMScheme::new().build(ds, p).unwrap()),
-        Box::new(bda_btree::DistributedScheme::new().build(ds, p).unwrap()),
-        Box::new(bda_hash::HashScheme::new().build(ds, p).unwrap()),
-        Box::new(
-            bda_signature::SimpleSignatureScheme::new()
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(
-            bda_signature::IntegratedSignatureScheme::new(8)
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(
-            bda_signature::MultiLevelSignatureScheme::new(8)
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(bda_hybrid::HybridScheme::new().build(ds, p).unwrap()),
-    ]
+    SchemeKind::ALL.map(|k| k.build(ds, p).unwrap()).into()
 }
 
 /// A deterministic request mix: unsorted arrivals with collisions, present
@@ -155,75 +136,64 @@ fn dynamic_spans_attribute_version_skew_to_stale_recovery() {
         seed: 0xABC7,
         horizon_cycles: 16,
     };
-    fn check<Sch: Scheme>(scheme: Sch, ds: &Dataset, pool: &[Key], p: &Params, spec: UpdateSpec)
-    where
-        <Sch::System as bda_core::System>::Machine: 'static,
-    {
-        let server = VersionedServer::build(&scheme, ds, p, spec).unwrap();
-        let span = server.timeline().epochs().last().map_or(0, |e| e.start)
-            + 4 * DynSystem::cycle_len(&server);
-        let requests = request_mix(ds, pool, 80, span);
-        for air in [ChannelModel::NONE, ErrorModel::new(0.10, 0x717).into()] {
-            let policy = RetryPolicy::UNBOUNDED;
-            let plain = Engine::with_channel(&server, air, policy).run_batch(&requests);
-            let mut engine = Engine::with_channel(&server, air, policy);
-            engine.enable_metrics();
-            let observed = engine.run_batch(&requests);
-            let hub = engine.take_metrics().expect("metrics were enabled");
-            let name = DynSystem::scheme_name(&server);
-            assert_eq!(plain, observed, "{name}: observation perturbed outcomes");
-            let (access, tuning, skews) = plain.iter().fold((0u64, 0u64, 0u64), |acc, r| {
-                (
-                    acc.0 + r.outcome.access,
-                    acc.1 + r.outcome.tuning,
-                    acc.2 + u64::from(r.outcome.version_skews),
-                )
-            });
-            assert_eq!(hub.spans.total_access(), access, "{name}: access leaked");
-            assert_eq!(hub.spans.total_tuning(), tuning, "{name}: tuning leaked");
-            assert_eq!(
-                hub.spans.get(Phase::StaleRecovery).count,
-                skews,
-                "{name}: StaleRecovery spans ≠ version skews"
-            );
-            assert!(
-                skews > 0,
-                "{name}: 20% churn must produce version skews to attribute"
-            );
+    struct Check<'a> {
+        ds: &'a Dataset,
+        pool: &'a [Key],
+        p: &'a Params,
+        spec: UpdateSpec,
+    }
+    impl SchemeVisitor for Check<'_> {
+        type Output = ();
+        fn visit<Sch: Scheme>(self, scheme: Sch)
+        where
+            <Sch::System as bda_core::System>::Machine: 'static,
+        {
+            let Check { ds, pool, p, spec } = self;
+            let server = VersionedServer::build(&scheme, ds, p, spec).unwrap();
+            let span = server.timeline().epochs().last().map_or(0, |e| e.start)
+                + 4 * DynSystem::cycle_len(&server);
+            let requests = request_mix(ds, pool, 80, span);
+            for air in [ChannelModel::NONE, ErrorModel::new(0.10, 0x717).into()] {
+                let policy = RetryPolicy::UNBOUNDED;
+                let plain = Engine::with_channel(&server, air, policy).run_batch(&requests);
+                let mut engine = Engine::with_channel(&server, air, policy);
+                engine.enable_metrics();
+                let observed = engine.run_batch(&requests);
+                let hub = engine.take_metrics().expect("metrics were enabled");
+                let name = DynSystem::scheme_name(&server);
+                assert_eq!(plain, observed, "{name}: observation perturbed outcomes");
+                let (access, tuning, skews) = plain.iter().fold((0u64, 0u64, 0u64), |acc, r| {
+                    (
+                        acc.0 + r.outcome.access,
+                        acc.1 + r.outcome.tuning,
+                        acc.2 + u64::from(r.outcome.version_skews),
+                    )
+                });
+                assert_eq!(hub.spans.total_access(), access, "{name}: access leaked");
+                assert_eq!(hub.spans.total_tuning(), tuning, "{name}: tuning leaked");
+                assert_eq!(
+                    hub.spans.get(Phase::StaleRecovery).count,
+                    skews,
+                    "{name}: StaleRecovery spans ≠ version skews"
+                );
+                assert!(
+                    skews > 0,
+                    "{name}: 20% churn must produce version skews to attribute"
+                );
+            }
         }
     }
-    check(bda_core::FlatScheme, &ds, &pool, &params, spec);
-    check(bda_btree::OneMScheme::new(), &ds, &pool, &params, spec);
-    check(
-        bda_btree::DistributedScheme::new(),
-        &ds,
-        &pool,
-        &params,
-        spec,
-    );
-    check(bda_hash::HashScheme::new(), &ds, &pool, &params, spec);
-    check(
-        bda_signature::SimpleSignatureScheme::new(),
-        &ds,
-        &pool,
-        &params,
-        spec,
-    );
-    check(
-        bda_signature::IntegratedSignatureScheme::new(8),
-        &ds,
-        &pool,
-        &params,
-        spec,
-    );
-    check(
-        bda_signature::MultiLevelSignatureScheme::new(8),
-        &ds,
-        &pool,
-        &params,
-        spec,
-    );
-    check(bda_hybrid::HybridScheme::new(), &ds, &pool, &params, spec);
+    for kind in SchemeKind::ALL {
+        kind.visit(
+            None,
+            Check {
+                ds: &ds,
+                pool: &pool,
+                p: &params,
+                spec,
+            },
+        );
+    }
 }
 
 /// Index-navigating schemes split their tuning time between the index
@@ -339,26 +309,32 @@ fn fast_forwarded_spans_match_bucket_by_bucket_on_every_scheme() {
     // 20 % churn: versioned walks fast-forward through each epoch, up to
     // its end, and rebuild their machine against the live program at the
     // boundary — spans stay exact, and the scan schemes shed events.
-    fn churning<Sch: Scheme>(scheme: Sch, ds: &Dataset) -> (Box<dyn DynSystem>, Ticks)
-    where
-        Sch::System: 'static,
-    {
-        let spec = UpdateSpec {
-            rate: 0.20,
-            seed: 0xABC7,
-            horizon_cycles: 16,
-        };
-        let server = VersionedServer::build(&scheme, ds, &Params::paper(), spec).unwrap();
-        let span = server.timeline().epochs().last().map_or(0, |e| e.start)
-            + 4 * DynSystem::cycle_len(&server);
-        (Box::new(server), span)
+    struct Churning<'a>(&'a Dataset);
+    impl SchemeVisitor for Churning<'_> {
+        type Output = (Box<dyn DynSystem>, Ticks);
+        fn visit<Sch: Scheme>(self, scheme: Sch) -> Self::Output
+        where
+            Sch::System: 'static,
+            <Sch::System as bda_core::System>::Machine: 'static,
+        {
+            let spec = UpdateSpec {
+                rate: 0.20,
+                seed: 0xABC7,
+                horizon_cycles: 16,
+            };
+            let server = VersionedServer::build(&scheme, self.0, &Params::paper(), spec).unwrap();
+            let span = server.timeline().epochs().last().map_or(0, |e| e.start)
+                + 4 * DynSystem::cycle_len(&server);
+            (Box::new(server), span)
+        }
     }
-    for (server, span) in [
-        churning(bda_core::FlatScheme, &ds),
-        churning(bda_signature::SimpleSignatureScheme::new(), &ds),
-        churning(bda_signature::IntegratedSignatureScheme::new(8), &ds),
-        churning(bda_signature::MultiLevelSignatureScheme::new(8), &ds),
-    ] {
+    let scans = [
+        SchemeKind::Flat,
+        SchemeKind::Signature,
+        SchemeKind::IntegratedSignature,
+        SchemeKind::MultiLevelSignature,
+    ];
+    for (server, span) in scans.map(|k| k.visit(None, Churning(&ds)).unwrap()) {
         let requests = request_mix(&ds, &pool, 80, span);
         for (air, what) in [
             (ChannelModel::NONE, "20% churn"),

@@ -22,31 +22,10 @@ use bda_core::{
 };
 use bda_datagen::DatasetBuilder;
 use bda_obs::{sample_indices, MetricsHub, WindowSpec, WindowStats};
-use bda_sim::{Engine, ShardedEngine, UpdateSpec, VersionedServer};
+use bda_sim::{Engine, SchemeKind, ShardedEngine, UpdateSpec, VersionedServer};
 
 fn all_systems(ds: &Dataset, p: &Params) -> Vec<Box<dyn DynSystem>> {
-    vec![
-        Box::new(bda_core::FlatScheme.build(ds, p).unwrap()),
-        Box::new(bda_btree::OneMScheme::new().build(ds, p).unwrap()),
-        Box::new(bda_btree::DistributedScheme::new().build(ds, p).unwrap()),
-        Box::new(bda_hash::HashScheme::new().build(ds, p).unwrap()),
-        Box::new(
-            bda_signature::SimpleSignatureScheme::new()
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(
-            bda_signature::IntegratedSignatureScheme::new(8)
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(
-            bda_signature::MultiLevelSignatureScheme::new(8)
-                .build(ds, p)
-                .unwrap(),
-        ),
-        Box::new(bda_hybrid::HybridScheme::new().build(ds, p).unwrap()),
-    ]
+    SchemeKind::ALL.map(|k| k.build(ds, p).unwrap()).into()
 }
 
 fn request_mix(ds: &Dataset, pool: &[Key], n: usize, span: Ticks) -> Vec<(Ticks, Key)> {

@@ -12,7 +12,7 @@ fn report_for(sys: &dyn DynSystem, ds: &Dataset) -> SimReport {
     let mut cfg = SimConfig::quick();
     cfg.accuracy = 0.02;
     cfg.confidence = 0.99;
-    cfg.event_driven = false;
+    cfg.driver = Driver::Walker;
     cfg.max_rounds = 600;
     let r = Simulator::uniform(sys, ds, cfg).run();
     assert!(r.converged, "{} did not converge", sys.scheme_name());
@@ -79,7 +79,7 @@ fn zipf_report(sys: &dyn DynSystem, ds: &Dataset, theta: f64, seed: u64) -> SimR
     let mut cfg = SimConfig::quick();
     cfg.accuracy = 0.02;
     cfg.confidence = 0.99;
-    cfg.event_driven = false;
+    cfg.driver = Driver::Walker;
     cfg.max_rounds = 600;
     let r = Simulator::new(sys, workload, cfg).run();
     assert!(r.converged, "{} did not converge", sys.scheme_name());

@@ -12,16 +12,7 @@ fn fixtures() -> (Dataset, Vec<Key>) {
 }
 
 fn systems(ds: &Dataset, params: &Params) -> Vec<Box<dyn DynSystem>> {
-    vec![
-        Box::new(FlatScheme.build(ds, params).unwrap()),
-        Box::new(OneMScheme::new().build(ds, params).unwrap()),
-        Box::new(DistributedScheme::new().build(ds, params).unwrap()),
-        Box::new(HashScheme::new().build(ds, params).unwrap()),
-        Box::new(SimpleSignatureScheme::new().build(ds, params).unwrap()),
-        Box::new(IntegratedSignatureScheme::new(8).build(ds, params).unwrap()),
-        Box::new(MultiLevelSignatureScheme::new(8).build(ds, params).unwrap()),
-        Box::new(HybridScheme::new().build(ds, params).unwrap()),
-    ]
+    SchemeKind::ALL.map(|k| k.build(ds, params).unwrap()).into()
 }
 
 #[test]
@@ -104,7 +95,7 @@ fn simulated_found_rate_tracks_availability() {
         let mut cfg = SimConfig::quick();
         cfg.min_rounds = 3;
         cfg.max_rounds = 3;
-        cfg.event_driven = false;
+        cfg.driver = Driver::Walker;
         let report = Simulator::new(&sys, workload, cfg).run();
         let rate = report.found as f64 / report.requests as f64;
         assert!(

@@ -75,9 +75,9 @@ fn simulator_fast_path_equals_event_path_for_all_schemes() {
         cfg.min_rounds = 2;
         cfg.max_rounds = 2;
         cfg.round_requests = 100;
-        cfg.event_driven = true;
+        cfg.driver = Driver::ENGINE;
         let a = Simulator::uniform(sys.as_ref(), &ds, cfg).run();
-        cfg.event_driven = false;
+        cfg.driver = Driver::Walker;
         let b = Simulator::uniform(sys.as_ref(), &ds, cfg).run();
         assert_eq!(a.access, b.access, "{}", sys.scheme_name());
         assert_eq!(a.tuning, b.tuning, "{}", sys.scheme_name());

@@ -8,16 +8,7 @@ fn dataset() -> Dataset {
 }
 
 fn systems(ds: &Dataset, params: &Params) -> Vec<Box<dyn DynSystem>> {
-    vec![
-        Box::new(FlatScheme.build(ds, params).unwrap()),
-        Box::new(OneMScheme::new().build(ds, params).unwrap()),
-        Box::new(DistributedScheme::new().build(ds, params).unwrap()),
-        Box::new(HashScheme::new().build(ds, params).unwrap()),
-        Box::new(SimpleSignatureScheme::new().build(ds, params).unwrap()),
-        Box::new(IntegratedSignatureScheme::new(8).build(ds, params).unwrap()),
-        Box::new(MultiLevelSignatureScheme::new(8).build(ds, params).unwrap()),
-        Box::new(HybridScheme::new().build(ds, params).unwrap()),
-    ]
+    SchemeKind::ALL.map(|k| k.build(ds, params).unwrap()).into()
 }
 
 #[test]

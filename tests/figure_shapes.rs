@@ -13,7 +13,7 @@ fn mean(
 ) -> (f64, f64) {
     let workload = QueryWorkload::new(ds, pool.to_vec(), availability, Popularity::Uniform, seed);
     let mut cfg = SimConfig::quick();
-    cfg.event_driven = false;
+    cfg.driver = Driver::Walker;
     let r = Simulator::new(sys, workload, cfg).run();
     assert_eq!(r.aborted, 0, "{}", sys.scheme_name());
     (r.mean_access(), r.mean_tuning())
