@@ -1,14 +1,16 @@
 //! Runs every experiment in sequence: Table 1, Figs. 4-6, all ablations.
+//! Exits 1 if any sweep failed, after running the rest.
 fn main() {
     let cli = bda_bench::Cli::parse();
     use bda_bench::experiments::*;
+    let mut failed = false;
     table1::run(&cli);
     println!();
-    fig4::run(&cli);
+    failed |= fig4::run(&cli).is_err();
     println!();
-    fig5::run(&cli);
+    failed |= fig5::run(&cli).is_err();
     println!();
-    fig6::run(&cli);
+    failed |= fig6::run(&cli).is_err();
     println!();
     ablations::ablation_r(&cli);
     println!();
@@ -26,7 +28,10 @@ fn main() {
     println!();
     ext_multichannel::run(&cli);
     println!();
-    ext_tails::run(&cli);
+    failed |= ext_tails::run(&cli).is_err();
     println!();
     ext_phases::run(&cli);
+    if failed {
+        std::process::exit(1);
+    }
 }

@@ -387,6 +387,14 @@ struct CellStats {
     stale_restarts: u64,
 }
 
+/// The cell seeds of the grid drawn from run seed `seed`: the outputs of
+/// the harness's SplitMix64 stream seeded with it, so grids at
+/// neighbouring run seeds share no cell.
+fn cell_seeds(seed: u64) -> impl Iterator<Item = u64> {
+    let mut rng = Rng(seed);
+    std::iter::repeat_with(move || rng.next())
+}
+
 /// Parse an integer that may carry a `0x` prefix (cell seeds are printed
 /// in hex by the reproducer).
 fn parse_u64(s: &str) -> Option<u64> {
@@ -481,11 +489,8 @@ fn main() {
     let mut churning_disk_cells = 0usize;
     let mut fixed_backoff_cells = 0usize;
     let mut deadline_cells = 0usize;
-    for i in 0..n {
-        let cell = draw_cell(
-            seed.wrapping_add(i as u64)
-                .wrapping_mul(0x2545_F491_4F6C_DD1D),
-        );
+    for (i, cell_seed) in cell_seeds(seed).take(n).enumerate() {
+        let cell = draw_cell(cell_seed);
         if !matches!(cell.channel.loss, bda_core::LossModel::Iid(_)) {
             burst_cells += 1;
         }
@@ -646,6 +651,15 @@ mod tests {
             (true, true, true, true, true, true),
             "256 seeds must cover burst, outage, churn, multichannel, disk and churning disk cells"
         );
+    }
+
+    #[test]
+    fn grids_at_neighbouring_seeds_share_no_cell() {
+        let grid =
+            |seed| -> std::collections::HashSet<u64> { cell_seeds(seed).take(128).collect() };
+        let (one, two) = (grid(1), grid(2));
+        assert_eq!((one.len(), two.len()), (128, 128));
+        assert!(one.is_disjoint(&two));
     }
 
     #[test]

@@ -1,4 +1,7 @@
 //! Regenerates Fig. 6(a)+(b): access/tuning time vs record/key ratio.
+//! Exits 1 if the sweep fails (the failing cell is reported on stderr).
 fn main() {
-    bda_bench::experiments::fig6::run(&bda_bench::Cli::parse());
+    if bda_bench::experiments::fig6::run(&bda_bench::Cli::parse()).is_err() {
+        std::process::exit(1);
+    }
 }

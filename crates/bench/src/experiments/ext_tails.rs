@@ -9,12 +9,13 @@
 use bda_core::Params;
 use bda_datagen::DatasetBuilder;
 
-use crate::sweep::{run_cells_with_progress, CellSpec};
+use crate::sweep::{run_cells_with_progress, CellError, CellSpec};
 use crate::table::Table;
 use crate::{Cli, SchemeKind};
 
-/// Run the tail-latency comparison.
-pub fn run(cli: &Cli) {
+/// Run the tail-latency comparison. A failed cell aborts the sweep
+/// before anything is printed and is returned.
+pub fn run(cli: &Cli) -> Result<(), CellError> {
     let params = Params::paper();
     let nr = if cli.quick { 2_000 } else { 10_000 };
     let dataset = DatasetBuilder::new(nr, cli.seed).build().unwrap();
@@ -35,16 +36,13 @@ pub fn run(cli: &Cli) {
         bda_obs::Severity::Progress,
         &format!("ext_tails: sweeping {} cells", specs.len()),
     );
-    let reports = match run_cells_with_progress(&specs, cli.progress()) {
-        Ok(reports) => reports,
-        Err(err) => {
-            cli.progress().emit(
-                bda_obs::Severity::Error,
-                &format!("tails sweep aborted: {err}"),
-            );
-            return;
-        }
-    };
+    let reports = run_cells_with_progress(&specs, cli.progress()).map_err(|err| {
+        cli.progress().emit(
+            bda_obs::Severity::Error,
+            &format!("tails sweep aborted: {err}"),
+        );
+        err
+    })?;
 
     let mut t = Table::new(&["scheme", "mean", "p50", "p95", "p99", "max", "p99/mean"]);
     for r in &reports {
@@ -66,4 +64,5 @@ pub fn run(cli: &Cli) {
     print!("{}", t.render());
     let _ = t.write_csv("ext_tails");
     println!("\n(csv: target/experiments/ext_tails.csv)");
+    Ok(())
 }

@@ -7,7 +7,7 @@ use bda_core::Params;
 use bda_datagen::DatasetBuilder;
 use bda_signature::SigParams;
 
-use crate::sweep::{run_cells_with_progress, CellSpec};
+use crate::sweep::{run_cells_with_progress, CellError, CellSpec};
 use crate::table::Table;
 use crate::{Cli, SchemeKind};
 
@@ -21,8 +21,9 @@ const SCHEMES: [SchemeKind; 4] = [
     SchemeKind::Signature,
 ];
 
-/// Run the Fig. 4 sweep and print both panels.
-pub fn run(cli: &Cli) {
+/// Run the Fig. 4 sweep and print both panels. A failed cell aborts the sweep
+/// before anything is printed and is returned.
+pub fn run(cli: &Cli) -> Result<(), CellError> {
     let params = Params::paper();
     let cfg = cli.sim_config();
     let sizes: &[usize] = if cli.quick { &SIZES[..3] } else { &SIZES };
@@ -54,16 +55,13 @@ pub fn run(cli: &Cli) {
         bda_obs::Severity::Progress,
         &format!("fig4: sweeping {} cells", specs.len()),
     );
-    let reports = match run_cells_with_progress(&specs, cli.progress()) {
-        Ok(reports) => reports,
-        Err(err) => {
-            cli.progress().emit(
-                bda_obs::Severity::Error,
-                &format!("fig4 sweep aborted: {err}"),
-            );
-            return;
-        }
-    };
+    let reports = run_cells_with_progress(&specs, cli.progress()).map_err(|err| {
+        cli.progress().emit(
+            bda_obs::Severity::Error,
+            &format!("fig4 sweep aborted: {err}"),
+        );
+        err
+    })?;
 
     // Analytical counterparts. Signature strings: datagen records carry
     // 4 attributes with the key as attribute 0 → 4 distinct strings.
@@ -141,4 +139,5 @@ pub fn run(cli: &Cli) {
     println!(
         "\n(csv: target/experiments/fig4a_access_vs_records.csv, fig4b_tuning_vs_records.csv)"
     );
+    Ok(())
 }

@@ -9,7 +9,7 @@ use bda_core::{Params, Scheme};
 use bda_datagen::DatasetBuilder;
 use bda_signature::SigParams;
 
-use crate::sweep::{run_cells_with_progress, CellSpec};
+use crate::sweep::{run_cells_with_progress, CellError, CellSpec};
 use crate::table::Table;
 use crate::{Cli, SchemeKind};
 
@@ -19,8 +19,9 @@ pub const NUM_RECORDS: usize = 10_000;
 /// Availability sweep points (percent).
 pub const AVAILABILITY: [u32; 6] = [0, 20, 40, 60, 80, 100];
 
-/// Run the Fig. 5 sweep and print both panels.
-pub fn run(cli: &Cli) {
+/// Run the Fig. 5 sweep and print both panels. A failed cell aborts the sweep
+/// before anything is printed and is returned.
+pub fn run(cli: &Cli) -> Result<(), CellError> {
     let params = Params::paper();
     let cfg = cli.sim_config();
     let nr = if cli.quick { 2_000 } else { NUM_RECORDS };
@@ -48,16 +49,13 @@ pub fn run(cli: &Cli) {
         bda_obs::Severity::Progress,
         &format!("fig5: sweeping {} cells", specs.len()),
     );
-    let reports = match run_cells_with_progress(&specs, cli.progress()) {
-        Ok(reports) => reports,
-        Err(err) => {
-            cli.progress().emit(
-                bda_obs::Severity::Error,
-                &format!("fig5 sweep aborted: {err}"),
-            );
-            return;
-        }
-    };
+    let reports = run_cells_with_progress(&specs, cli.progress()).map_err(|err| {
+        cli.progress().emit(
+            bda_obs::Severity::Error,
+            &format!("fig5 sweep aborted: {err}"),
+        );
+        err
+    })?;
 
     let headers: Vec<&str> = std::iter::once("availability%")
         .chain(schemes.iter().map(|s| s.name()))
@@ -122,4 +120,5 @@ pub fn run(cli: &Cli) {
     let _ = tt.write_csv("fig5b_tuning_vs_availability");
     let _ = mt.write_csv("fig5b_tuning_vs_availability_analytical");
     println!("\n(csv: target/experiments/fig5a_access_vs_availability.csv, fig5b_tuning_vs_availability.csv)");
+    Ok(())
 }

@@ -10,7 +10,7 @@
 use bda_core::Params;
 use bda_datagen::DatasetBuilder;
 
-use crate::sweep::{run_cells_with_progress, CellSpec};
+use crate::sweep::{run_cells_with_progress, CellError, CellSpec};
 use crate::table::Table;
 use crate::{Cli, SchemeKind};
 
@@ -20,8 +20,9 @@ pub const NUM_RECORDS: usize = 10_000;
 /// Record/key ratios swept on the x axis.
 pub const RATIOS: [u32; 6] = [5, 10, 20, 25, 50, 100];
 
-/// Run the Fig. 6 sweep and print both panels.
-pub fn run(cli: &Cli) {
+/// Run the Fig. 6 sweep and print both panels. A failed cell aborts the sweep
+/// before anything is printed and is returned.
+pub fn run(cli: &Cli) -> Result<(), CellError> {
     let cfg = cli.sim_config();
     let nr = if cli.quick { 2_000 } else { NUM_RECORDS };
     let dataset = DatasetBuilder::new(nr, cli.seed).build().unwrap();
@@ -46,16 +47,13 @@ pub fn run(cli: &Cli) {
         bda_obs::Severity::Progress,
         &format!("fig6: sweeping {} cells", specs.len()),
     );
-    let reports = match run_cells_with_progress(&specs, cli.progress()) {
-        Ok(reports) => reports,
-        Err(err) => {
-            cli.progress().emit(
-                bda_obs::Severity::Error,
-                &format!("fig6 sweep aborted: {err}"),
-            );
-            return;
-        }
-    };
+    let reports = run_cells_with_progress(&specs, cli.progress()).map_err(|err| {
+        cli.progress().emit(
+            bda_obs::Severity::Error,
+            &format!("fig6 sweep aborted: {err}"),
+        );
+        err
+    })?;
 
     let headers: Vec<&str> = std::iter::once("record/key")
         .chain(schemes.iter().map(|s| s.name()))
@@ -86,4 +84,5 @@ pub fn run(cli: &Cli) {
     let _ = at.write_csv("fig6a_access_vs_ratio");
     let _ = tt.write_csv("fig6b_tuning_vs_ratio");
     println!("\n(csv: target/experiments/fig6a_access_vs_ratio.csv, fig6b_tuning_vs_ratio.csv)");
+    Ok(())
 }

@@ -1,5 +1,8 @@
-//! The four `bda-cli` commands.
+//! The four `bda-cli` commands. Each writes its report through the one
+//! stdout handle `main` passes in.
 
+use std::fmt;
+use std::io::{self, Write};
 use std::num::NonZeroUsize;
 
 use bda_btree::{DistributedScheme, OneMScheme};
@@ -17,6 +20,61 @@ use crate::trace::{trace_query_channel, Trace};
 /// and how many per scheme.
 const TRACE_SAMPLE_SEED: u64 = 0x7ACE;
 const TRACE_SAMPLE_K: usize = 8;
+
+/// Why a command stopped before the end of its report.
+#[derive(Debug)]
+pub enum CliError {
+    /// The command cannot honour `flag`, for the reason `why` gives; the
+    /// commands in `takers` can.
+    Unsupported {
+        flag: &'static str,
+        why: &'static str,
+        takers: &'static str,
+    },
+    /// Any other failure, worded for the user: bad input, a program that
+    /// does not build, an aborted walk, a file that cannot be written.
+    Failed(String),
+    /// Writing the report to stdout failed (a closed pipe among these is
+    /// a quiet end; see `main`).
+    Output(io::Error),
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::Unsupported { flag, why, takers } => {
+                write!(f, "{why} — drop {flag} ({takers} take it)")
+            }
+            CliError::Failed(message) => f.write_str(message),
+            CliError::Output(e) => write!(f, "cannot write the report: {e}"),
+        }
+    }
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Failed(message)
+    }
+}
+
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> Self {
+        CliError::Output(e)
+    }
+}
+
+/// The refusal of `--update-rate` by a command that shows the frozen
+/// program only.
+fn frozen_only(o: &Options, why: &'static str) -> Result<(), CliError> {
+    match o.update_spec() {
+        Some(_) => Err(CliError::Unsupported {
+            flag: "--update-rate",
+            why,
+            takers: "compare and simulate",
+        }),
+        None => Ok(()),
+    }
+}
 
 fn params(o: &Options) -> Result<Params, String> {
     Params::with_record_key_ratio(o.ratio).map_err(|e| e.to_string())
@@ -57,7 +115,8 @@ fn build(
 }
 
 /// `bda-cli inspect` — layout statistics for one scheme.
-pub fn inspect(o: &Options) -> Result<(), String> {
+pub fn inspect(o: &Options, out: &mut dyn Write) -> Result<(), CliError> {
+    frozen_only(o, "inspect describes the frozen program")?;
     let p = params(o)?;
     let (ds, _) = dataset(o)?;
     let kind: SchemeKind = o.scheme.parse()?;
@@ -65,48 +124,58 @@ pub fn inspect(o: &Options) -> Result<(), String> {
     let cycle = sys.cycle_len();
     let buckets = sys.num_buckets();
     let data_bytes = ds.len() as u64 * u64::from(p.data_bucket_size());
-    println!("scheme            : {}", sys.scheme_name());
-    println!("records           : {}", ds.len());
-    println!(
+    writeln!(out, "scheme            : {}", sys.scheme_name())?;
+    writeln!(out, "records           : {}", ds.len())?;
+    writeln!(
+        out,
         "record/key ratio  : {} ({}B / {}B)",
         p.record_key_ratio(),
         p.record_size,
         p.key_size
-    );
-    println!("buckets per cycle : {buckets}");
-    println!("cycle length      : {cycle} bytes");
-    println!(
+    )?;
+    writeln!(out, "buckets per cycle : {buckets}")?;
+    writeln!(out, "cycle length      : {cycle} bytes")?;
+    writeln!(
+        out,
         "index overhead    : {:.2}% ({} bytes beyond raw data)",
         100.0 * (cycle.saturating_sub(data_bytes)) as f64 / cycle as f64,
         cycle.saturating_sub(data_bytes),
-    );
+    )?;
 
     if let Some(g) = o.group_config() {
-        println!(
+        writeln!(
+            out,
             "channels          : {} (per-channel bytes air {}× slower — equal aggregate bandwidth)",
             g.channels, g.channels
-        );
-        println!("switch cost       : {} bytes per retune", g.switch_cost);
+        )?;
+        writeln!(
+            out,
+            "switch cost       : {} bytes per retune",
+            g.switch_cost
+        )?;
         // The typed per-scheme stats below describe the single-channel
         // build; skip them for a channel group.
         return Ok(());
     }
     if let Some(d) = o.disk_config() {
         let layout = bda_core::DiskLayout::new(ds.len(), &d);
-        println!(
+        writeln!(
+            out,
             "broadcast disks   : {} requested, {} effective",
             d.disks(),
             layout.effective_disks()
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "minor cycles      : {}",
             layout.schedule().num_minor_cycles()
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "occurrences/cycle : {} ({} records, hot ones repeated)",
             layout.schedule().num_occurrences(),
             ds.len()
-        );
+        )?;
         // The typed per-scheme stats below describe the unstratified
         // build; skip them for a stratified program.
         return Ok(());
@@ -117,25 +186,25 @@ pub fn inspect(o: &Options) -> Result<(), String> {
             let sys = DistributedScheme::new()
                 .build(&ds, &p)
                 .map_err(|e| e.to_string())?;
-            println!("tree levels (k)   : {}", sys.num_levels());
-            println!("replicated levels : {} (optimal)", sys.r());
-            println!("index segments    : {}", sys.num_segments());
+            writeln!(out, "tree levels (k)   : {}", sys.num_levels())?;
+            writeln!(out, "replicated levels : {} (optimal)", sys.r())?;
+            writeln!(out, "index segments    : {}", sys.num_segments())?;
         }
         SchemeKind::OneM => {
             let sys = OneMScheme::new()
                 .build(&ds, &p)
                 .map_err(|e| e.to_string())?;
-            println!("tree levels (k)   : {}", sys.num_levels());
-            println!("data segments (m) : {} (optimal)", sys.m());
-            println!("index buckets/copy: {}", sys.index_buckets_per_copy());
+            writeln!(out, "tree levels (k)   : {}", sys.num_levels())?;
+            writeln!(out, "data segments (m) : {} (optimal)", sys.m())?;
+            writeln!(out, "index buckets/copy: {}", sys.index_buckets_per_copy())?;
         }
         SchemeKind::Hashing => {
             let sys = HashScheme::new()
                 .build(&ds, &p)
                 .map_err(|e| e.to_string())?;
-            println!("allocated (Na)    : {}", sys.na());
-            println!("collisions (Nc)   : {}", sys.num_collisions());
-            println!("empty slots       : {}", sys.num_empty());
+            writeln!(out, "allocated (Na)    : {}", sys.na())?;
+            writeln!(out, "collisions (Nc)   : {}", sys.num_collisions())?;
+            writeln!(out, "empty slots       : {}", sys.num_empty())?;
         }
         _ => {}
     }
@@ -158,14 +227,15 @@ fn fault_note(o: &Options) -> String {
 }
 
 /// `bda-cli trace` — bucket-by-bucket timeline of one query.
-pub fn trace(o: &Options) -> Result<(), String> {
+pub fn trace(o: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     if o.group_config().is_some() {
-        return Err(
-            "trace renders a single broadcast channel — drop --channels \
-             (inspect, compare and simulate support channel groups)"
-                .into(),
-        );
+        return Err(CliError::Unsupported {
+            flag: "--channels",
+            why: "trace renders a single broadcast channel",
+            takers: "inspect, compare and simulate",
+        });
     }
+    frozen_only(o, "trace renders the frozen program")?;
     let p = params(o)?;
     let (ds, _) = dataset(o)?;
     let key = match (o.key, o.key_index) {
@@ -179,7 +249,8 @@ pub fn trace(o: &Options) -> Result<(), String> {
         (None, None) => ds.record(ds.len() / 2).key,
     };
     if !o.json && !o.perfetto {
-        println!(
+        writeln!(
+            out,
             "# {} · {} records · query {} · tune-in {}{}{}\n",
             o.scheme,
             ds.len(),
@@ -190,7 +261,7 @@ pub fn trace(o: &Options) -> Result<(), String> {
                 Some(n) => format!(" · give up after {n} retries"),
                 None => String::new(),
             }
-        );
+        )?;
     }
     let kind: SchemeKind = o.scheme.parse()?;
     let query = TraceQuery {
@@ -204,7 +275,7 @@ pub fn trace(o: &Options) -> Result<(), String> {
     let t = kind
         .visit(o.disk_config(), query)
         .ok_or_else(|| no_disk_layout(kind))??;
-    finish_trace(o, t, key)
+    finish_trace(o, t, key, out)
 }
 
 /// `trace`'s visitor: build the scheme and trace one query through it.
@@ -237,7 +308,7 @@ impl SchemeVisitor for TraceQuery<'_> {
 }
 
 /// Render a finished trace and surface protocol aborts as errors.
-fn finish_trace(o: &Options, t: Trace, key: Key) -> Result<(), String> {
+fn finish_trace(o: &Options, t: Trace, key: Key, out: &mut dyn Write) -> Result<(), CliError> {
     if o.perfetto {
         // The same observed walk as `--json`, rendered as a
         // `bda-obs/trace/v1` Perfetto document: one enclosing query span
@@ -275,42 +346,45 @@ fn finish_trace(o: &Options, t: Trace, key: Key) -> Result<(), String> {
         }
         let doc = trace.finish();
         debug_assert!(bda_obs::validate_trace(&doc).is_ok());
-        println!("{doc}");
+        writeln!(out, "{doc}")?;
     } else if o.json {
         // One machine-readable document: every event (no elision), the
         // per-phase span totals, and the outcome.
-        print!("{}", t.to_json(&o.scheme, key, o.tune_in));
+        write!(out, "{}", t.to_json(&o.scheme, key, o.tune_in))?;
     } else {
         // Long scans are elided in the middle to keep traces readable.
         const HEAD: usize = 30;
         const TAIL: usize = 10;
         if t.lines.len() <= HEAD + TAIL + 1 {
             for l in &t.lines {
-                println!("{l}");
+                writeln!(out, "{l}")?;
             }
         } else {
             for l in &t.lines[..HEAD] {
-                println!("{l}");
+                writeln!(out, "{l}")?;
             }
-            println!("… {} steps elided …", t.lines.len() - HEAD - TAIL);
+            writeln!(out, "… {} steps elided …", t.lines.len() - HEAD - TAIL)?;
             for l in &t.lines[t.lines.len() - TAIL..] {
-                println!("{l}");
+                writeln!(out, "{l}")?;
             }
         }
     }
     if t.outcome.aborted {
-        return Err("protocol aborted — this is a bug, please report the flags used".into());
+        return Err(CliError::Failed(
+            "protocol aborted — this is a bug, please report the flags used".into(),
+        ));
     }
     Ok(())
 }
 
 /// `bda-cli compare` — quick side-by-side simulation of every scheme.
-pub fn compare(o: &Options) -> Result<(), String> {
+pub fn compare(o: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let p = params(o)?;
     let (ds, pool) = dataset(o)?;
     let availability = o.availability / 100.0;
     let dynamic = o.update_spec().is_some();
-    println!(
+    writeln!(
+        out,
         "# {} records · {:.0}% availability · ratio {}{}{}{}\n",
         ds.len(),
         o.availability,
@@ -328,12 +402,13 @@ pub fn compare(o: &Options) -> Result<(), String> {
         } else {
             String::new()
         }
-    );
-    print!(
+    )?;
+    write!(
+        out,
         "{:<22} {:>12} {:>12} {:>9} {:>8} {:>7}",
         "scheme", "access(B)", "tuning(B)", "requests", "retry/q", "found%"
-    );
-    println!("{}", if dynamic { "  restart/q" } else { "" });
+    )?;
+    writeln!(out, "{}", if dynamic { "  restart/q" } else { "" })?;
     let mut hubs: Vec<(&str, MetricsHub)> = Vec::new();
     // One Perfetto document for the whole comparison: one process lane
     // per scheme, appended as each simulation finishes.
@@ -390,7 +465,8 @@ pub fn compare(o: &Options) -> Result<(), String> {
         } else {
             sim.run()
         };
-        print!(
+        write!(
+            out,
             "{:<22} {:>12.0} {:>12.0} {:>9} {:>8.3} {:>6.1}%",
             r.scheme,
             r.mean_access(),
@@ -398,35 +474,37 @@ pub fn compare(o: &Options) -> Result<(), String> {
             r.requests,
             r.mean_retries(),
             100.0 * r.found as f64 / r.requests as f64,
-        );
+        )?;
         if dynamic {
-            print!("  {:>9.4}", r.restart_rate());
+            write!(out, "  {:>9.4}", r.restart_rate())?;
         }
-        println!();
+        writeln!(out)?;
     }
     if let Some(path) = &o.metrics_out {
         let labelled: Vec<(&str, &MetricsHub)> = hubs.iter().map(|(s, h)| (*s, h)).collect();
         std::fs::write(path, export::to_prometheus(&labelled))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!(
+        writeln!(
+            out,
             "\nwrote Prometheus metrics for {} schemes to {path}",
             hubs.len()
-        );
+        )?;
     }
     if let (Some(path), Some(trace)) = (&o.timeline_out, trace) {
         let doc = trace.finish();
         debug_assert!(bda_obs::validate_trace(&doc).is_ok());
         std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!(
+        writeln!(
+            out,
             "\nwrote Perfetto timeline for {} schemes to {path} (open in ui.perfetto.dev)",
             kinds.len()
-        );
+        )?;
     }
     Ok(())
 }
 
 /// `bda-cli simulate` — full testbed run for one scheme.
-pub fn simulate(o: &Options) -> Result<(), String> {
+pub fn simulate(o: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     let p = params(o)?;
     let (ds, pool) = dataset(o)?;
     let sys = build(o, o.scheme.parse()?, &ds, &p, o.update_spec())?;
@@ -458,55 +536,63 @@ pub fn simulate(o: &Options) -> Result<(), String> {
     } else {
         (sim.run(), None, Vec::new())
     };
-    println!("scheme        : {}", r.scheme);
-    println!(
+    writeln!(out, "scheme        : {}", r.scheme)?;
+    writeln!(
+        out,
         "requests      : {} ({} rounds{})",
         r.requests,
         r.rounds,
         if r.converged { "" } else { ", NOT converged" }
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "access time   : {:.0} ± {:.0} bytes (99% CI)",
         r.access.mean, r.access.ci_half_width
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "tuning time   : {:.0} ± {:.0} bytes (99% CI)",
         r.tuning.mean, r.tuning.ci_half_width
-    );
-    println!("found         : {} / {}", r.found, r.requests);
-    println!("false drops   : {}", r.false_drops);
+    )?;
+    writeln!(out, "found         : {} / {}", r.found, r.requests)?;
+    writeln!(out, "false drops   : {}", r.false_drops)?;
     if o.loss > 0.0 || o.burst.is_some() || o.outage.is_some() {
-        println!(
+        writeln!(
+            out,
             "corrupt reads : {} ({:.3} retries/query)",
             r.retries,
             r.mean_retries()
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "abandoned     : {} ({:.2}% of requests)",
             r.abandoned,
             100.0 * r.abandonment_rate()
-        );
+        )?;
     }
     if o.update_rate > 0.0 {
-        println!(
+        writeln!(
+            out,
             "version skews : {} ({:.4} stale restarts/query)",
             r.version_skews,
             r.restart_rate()
-        );
-        println!("stale restarts: {}", r.stale_restarts);
+        )?;
+        writeln!(out, "stale restarts: {}", r.stale_restarts)?;
     }
-    println!("cycle length  : {} bytes", r.cycle_len);
+    writeln!(out, "cycle length  : {} bytes", r.cycle_len)?;
     if o.channels > 1 {
-        println!(
+        writeln!(
+            out,
             "channels      : {} at equal aggregate bandwidth ({} bytes/retune)",
             o.channels, o.switch_cost
-        );
+        )?;
     }
     if o.shards > 1 {
-        println!(
+        writeln!(
+            out,
             "shards        : {} (deterministic merge — identical to 1)",
             o.shards
-        );
+        )?;
     }
     if let (Some(path), Some(hub)) = (&o.metrics_out, &hub) {
         let doc = if path.ends_with(".prom") {
@@ -517,7 +603,7 @@ pub fn simulate(o: &Options) -> Result<(), String> {
             doc
         };
         std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("metrics       : wrote {path}");
+        writeln!(out, "metrics       : wrote {path}")?;
     }
     if let (Some(path), Some(hub)) = (&o.timeline_out, &hub) {
         let series = hub
@@ -536,7 +622,10 @@ pub fn simulate(o: &Options) -> Result<(), String> {
         );
         debug_assert!(bda_obs::validate_trace(&doc).is_ok());
         std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("timeline      : wrote {path} (open in ui.perfetto.dev)");
+        writeln!(
+            out,
+            "timeline      : wrote {path} (open in ui.perfetto.dev)"
+        )?;
     }
     Ok(())
 }

@@ -11,6 +11,10 @@ mod args;
 mod commands;
 mod trace;
 
+use std::io::{self, Write};
+
+use commands::CliError;
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
@@ -25,19 +29,23 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let mut out = io::stdout().lock();
     let result = match cmd {
-        "inspect" => commands::inspect(&opts),
-        "trace" => commands::trace(&opts),
-        "compare" => commands::compare(&opts),
-        "simulate" => commands::simulate(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{}", args::USAGE);
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
+        "inspect" => commands::inspect(&opts, &mut out),
+        "trace" => commands::trace(&opts, &mut out),
+        "compare" => commands::compare(&opts, &mut out),
+        "simulate" => commands::simulate(&opts, &mut out),
+        "help" | "--help" | "-h" => writeln!(out, "{}", args::USAGE).map_err(CliError::from),
+        other => Err(CliError::Failed(format!("unknown command {other:?}"))),
     };
-    if let Err(e) = result {
-        eprintln!("error: {e}");
-        std::process::exit(1);
+    match result.and_then(|()| out.flush().map_err(CliError::from)) {
+        Ok(()) => {}
+        // The reader went away (`bda-cli … | head`): nothing is left to
+        // say, and nobody to say it to.
+        Err(CliError::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     }
 }

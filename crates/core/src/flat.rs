@@ -51,7 +51,8 @@ pub struct FlatSystem {
     num_records: u32,
     /// Whether bucket `i` carries record `i` — the classic
     /// one-record-per-slot cycle, read off the layout when it is built —
-    /// so a run of buckets is a run of consecutive records.
+    /// so a run of buckets is a run of consecutive records, whose keys
+    /// strictly ascend (a [`Dataset`] is key-sorted).
     in_record_order: bool,
 }
 
@@ -61,11 +62,18 @@ impl FlatSystem {
     /// `num_records` is the number of *distinct* records in the cycle;
     /// repetition layouts repeat and skip record indices.
     pub(crate) fn from_parts(channel: Channel<FlatPayload>, num_records: u32) -> Self {
-        let in_record_order = channel
-            .buckets()
+        let buckets = channel.buckets();
+        let in_record_order = buckets
             .iter()
             .enumerate()
             .all(|(i, b)| b.payload.record_index as usize == i);
+        debug_assert!(
+            !in_record_order
+                || buckets
+                    .windows(2)
+                    .all(|w| w[0].payload.key < w[1].payload.key),
+            "a record-ordered cycle airs its keys in ascending order"
+        );
         FlatSystem {
             channel,
             num_records,
@@ -137,7 +145,8 @@ pub struct FlatMachine {
     /// tracking on an error-prone one.)
     coverage: Coverage,
     /// Whether bucket `i` carries record `i` (see [`FlatSystem`]): the
-    /// planner then folds a run's coverage a word at a time.
+    /// planner then finds the key by binary search and folds a run's
+    /// coverage a word at a time.
     in_record_order: bool,
 }
 
@@ -173,18 +182,29 @@ impl ProtocolMachine<FlatPayload> for FlatMachine {
     /// read-and-mark with no decision in it. Find the first corrupted
     /// transmission, then the key's bucket before it, then the read that
     /// would complete coverage before that, and commit the reads ahead of
-    /// the first of them. The key and the coverage stop are read
-    /// slow-path; a corrupted read is recovered in place and the scan goes
-    /// on after it, as does a run consumed whole (it ended at the cycle's
-    /// end, or at the lossy-air cut).
+    /// the first of them. A record-ordered run's keys strictly ascend (a
+    /// run ends at the cycle's end), so its key is found by binary search;
+    /// a repetition layout's run is searched bucket by bucket. The key and
+    /// the coverage stop are read slow-path; a corrupted read is recovered
+    /// in place and the scan goes on after it, as does a run consumed
+    /// whole (it ended at the cycle's end, or at the lossy-air cut).
     fn fast_forward(&mut self, ctx: &mut FastForward<'_, FlatPayload>) {
         loop {
             let run = ctx.run();
             let clean = ctx.clean(run.len(), 1);
-            let hit = run[..clean]
-                .iter()
-                .position(|b| b.payload.key == self.key)
-                .unwrap_or(clean);
+            let readable = &run[..clean];
+            let hit = if self.in_record_order {
+                let at = readable.partition_point(|b| b.payload.key < self.key);
+                match readable.get(at) {
+                    Some(b) if b.payload.key == self.key => at,
+                    _ => clean,
+                }
+            } else {
+                readable
+                    .iter()
+                    .position(|b| b.payload.key == self.key)
+                    .unwrap_or(clean)
+            };
             let ahead = &run[..hit];
             let n = match ahead.first() {
                 Some(b) if self.in_record_order => self
@@ -299,17 +319,18 @@ mod tests {
     #[test]
     fn fast_forward_matches_the_stepped_walk_at_run_boundaries() {
         // A run ends at the cycle's end (tune-ins inside the last bucket),
-        // at the key, where coverage completes (absent keys), at a give-up
-        // and at the lossy-air cut (rare loss over a 160-bucket cycle);
-        // broadcast disks repeat and skip record indices, so their coverage
-        // folds bucket by bucket. Corrupted reads are recovered inside the
-        // run, up to a retry-count give-up (`bounded(3)` at 30 % loss) or a
-        // deadline give-up, under capped and jittered exponential back-off,
-        // and through outages several cycles long, read in streaks of two
-        // and more. Tune-ins within 24 cycles of `Ticks::MAX` meet a
-        // 16-cycle back-off, folded only where it ends at least four
-        // cycles short of the clock's end.
-        let ds = Dataset::new((0..160u64).map(|i| Record::keyed(i * 2)).collect()).unwrap();
+        // at the key, where coverage completes (absent keys below, between
+        // and above the broadcast keys), at a give-up and at the lossy-air
+        // cut (rare loss over a 160-bucket cycle); broadcast disks repeat
+        // and skip record indices, so their key is searched and their
+        // coverage folded bucket by bucket. Corrupted reads are recovered
+        // inside the run, up to a retry-count give-up (`bounded(3)` at
+        // 30 % loss) or a deadline give-up, under capped and jittered
+        // exponential back-off, and through outages several cycles long,
+        // read in streaks of two and more. Tune-ins within 24 cycles of
+        // `Ticks::MAX` meet a 16-cycle back-off, folded only where it ends
+        // at least four cycles short of the clock's end.
+        let ds = Dataset::new((1..=160u64).map(|i| Record::keyed(i * 2)).collect()).unwrap();
         let params = Params::paper();
         let bucket = Ticks::from(params.data_bucket_size());
         let classic = FlatScheme.build(&ds, &params).unwrap();
@@ -361,7 +382,7 @@ mod tests {
                         .collect()
                 };
                 for &t in &tune_ins {
-                    for key in [Key(0), Key(38), Key(318), Key(1), Key(999)] {
+                    for key in [Key(2), Key(38), Key(320), Key(0), Key(39), Key(999)] {
                         let air = (channel, policy);
                         let what =
                             format!("{} buckets, key {key:?} t={t} {air:?}", ch.num_buckets());

@@ -70,78 +70,139 @@ impl Signature {
     }
 }
 
-/// A flat, contiguous table of signatures for bulk matching.
+/// A table of signatures, stored bit-sliced for bulk matching.
 ///
-/// The fast-forward planner tests one signature per skipped bucket; chasing
-/// a `Box<[u64]>` per bucket payload would make that walk pointer-bound.
-/// `SigTable` lays every signature out back to back in one `Vec<u64>` with
-/// a fixed stride, so the per-row test is a short run of `(w & q) == q`
-/// compares over adjacent words — the layout autovectorizes and stays in
-/// cache across the thousands of rows a cycle-length scan touches.
+/// Slice `b` holds bit `b` of every row, 64 rows to a word: row `r` is
+/// bit `r % 64` of the slice's word `r / 64`. A row contains a query when
+/// it has every one of the query's set bits, so a test reads only the
+/// slices of those bits — four for a key query, whatever the signature's
+/// width. The fast-forward planner's stop, the first matching row of a
+/// run of consecutive records, is found by ANDing those slices a word at
+/// a time: 64 rows per step, with no per-row work and no allocation.
+/// Slices are stored in groups of 64: word `w` of slices `64i..64i + 64`
+/// lie side by side, so a test reads one 64-word block per word of the
+/// query.
 #[derive(Debug, Clone)]
 pub struct SigTable {
-    words_per_sig: usize,
-    words: Vec<u64>,
+    /// Signature width in bits.
+    bits: u32,
+    /// Number of rows.
+    rows: usize,
+    /// Words per slice, `rows.div_ceil(64)`.
+    stride: usize,
+    /// Word `w` of slice `b` is `slices[(b / 64 * stride + w) * 64 + b % 64]`.
+    slices: Vec<u64>,
 }
 
 impl SigTable {
     /// Build a table from signatures of uniform width, in row order.
-    pub fn build<'a, I>(sigs: I) -> Self
-    where
-        I: IntoIterator<Item = &'a Signature>,
-    {
-        let mut words_per_sig = 0;
-        let mut words = Vec::new();
-        for s in sigs {
-            if words_per_sig == 0 {
-                words_per_sig = s.words.len();
+    pub fn build(sigs: &[Signature]) -> Self {
+        let bits = sigs.first().map_or(0, |s| s.bits);
+        debug_assert!(
+            sigs.iter().all(|s| s.bits == bits),
+            "mixed signature widths"
+        );
+        let stride = sigs.len().div_ceil(64);
+        let words = (bits as usize).div_ceil(64);
+        let mut slices = vec![0u64; words * stride * 64];
+        // Word `i` of a 64-row block `w` is a 64 × 64 bit matrix whose
+        // transpose is word `w` of slices `64i..64i + 64`.
+        for (w, block) in sigs.chunks(64).enumerate() {
+            for i in 0..words {
+                let m: &mut [u64; 64] = (&mut slices[(i * stride + w) * 64..][..64])
+                    .try_into()
+                    .expect("a 64-word block");
+                for (row, s) in m.iter_mut().zip(block) {
+                    *row = s.words[i];
+                }
+                transpose64(m);
             }
-            debug_assert_eq!(s.words.len(), words_per_sig, "mixed signature widths");
-            words.extend_from_slice(&s.words);
         }
         SigTable {
-            words_per_sig,
-            words,
+            bits,
+            rows: sigs.len(),
+            stride,
+            slices,
         }
     }
 
     /// Number of signatures in the table.
     pub fn len(&self) -> usize {
-        self.words
-            .len()
-            .checked_div(self.words_per_sig)
-            .unwrap_or(0)
+        self.rows
     }
 
     /// Whether the table holds no signatures.
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.rows == 0
     }
 
     /// Whether row `i` contains every bit of `query` — identical to
     /// [`Signature::matches`] on the signature the row was built from.
     #[inline]
     pub fn matches(&self, i: usize, query: &Signature) -> bool {
-        let row = &self.words[i * self.words_per_sig..(i + 1) * self.words_per_sig];
-        row.iter().zip(query.words.iter()).all(|(w, q)| w & q == *q)
+        debug_assert!(i < self.rows, "row {i} of {}", self.rows);
+        self.word_matches(i / 64, 1 << (i % 64), query) != 0
     }
 
-    /// The first row of `rows` that contains every bit of `query`, found by
-    /// one pass over the packed words: the signature planner's stop for a
-    /// run of consecutive records. Equals the first `i` in `rows` with
-    /// [`SigTable::matches`]`(i, query)`; `query` must be as wide as the
-    /// table's rows.
+    /// The first row of `rows` that contains every bit of `query`, found
+    /// 64 rows at a time from the slices of the query's set bits: the
+    /// signature planner's stop for a run of consecutive records. Equals
+    /// the first `i` in `rows` with [`SigTable::matches`]`(i, query)`;
+    /// `query` must be as wide as the table's rows.
     pub fn first_match(&self, rows: Range<usize>, query: &Signature) -> Option<usize> {
-        let w = self.words_per_sig;
-        if w == 0 {
-            // Zero-width signatures match everything.
-            return (!rows.is_empty()).then_some(rows.start);
+        if rows.is_empty() {
+            return None;
         }
-        debug_assert_eq!(query.words.len(), w, "query and table widths differ");
-        self.words[rows.start * w..rows.end.max(rows.start) * w]
-            .chunks_exact(w)
-            .position(|r| r.iter().zip(query.words.iter()).all(|(r, q)| r & q == *q))
-            .map(|i| rows.start + i)
+        debug_assert!(rows.end <= self.rows, "rows {rows:?} of {}", self.rows);
+        let (first, last) = (rows.start / 64, (rows.end - 1) / 64);
+        (first..=last).find_map(|w| {
+            let mut live = !0u64;
+            if w == first {
+                live &= !0 << (rows.start % 64);
+            }
+            if w == last {
+                live &= !0 >> (63 - (rows.end - 1) % 64);
+            }
+            let hits = self.word_matches(w, live, query);
+            (hits != 0).then(|| w * 64 + hits.trailing_zeros() as usize)
+        })
+    }
+
+    /// The rows of `live` (a mask over the 64 rows of word `w`) that
+    /// contain every bit of `query`: `live` ANDed with word `w` of each
+    /// slice the query sets. A zero-width table and an all-zero query keep
+    /// every live row.
+    #[inline]
+    fn word_matches(&self, w: usize, mut live: u64, query: &Signature) -> u64 {
+        debug_assert_eq!(query.bits, self.bits, "query and table widths differ");
+        for (i, &word) in query.words.iter().enumerate() {
+            let block = &self.slices[(i * self.stride + w) * 64..][..64];
+            let mut word = word;
+            while word != 0 {
+                live &= block[word.trailing_zeros() as usize];
+                word &= word - 1;
+            }
+        }
+        live
+    }
+}
+
+/// Transpose a 64 × 64 bit matrix in place: bit `c` of word `r` becomes
+/// bit `r` of word `c`. Round `j` swaps the off-diagonal `j × j` blocks of
+/// every `2j × 2j` block (Hacker's Delight, §7-3).
+fn transpose64(m: &mut [u64; 64]) {
+    // The low `j` bits of every `2j`-bit group.
+    let mut low = 0x0000_0000_FFFF_FFFF_u64;
+    for j in [32, 16, 8, 4, 2, 1] {
+        for block in m.chunks_exact_mut(2 * j) {
+            let (top, bottom) = block.split_at_mut(j);
+            for (a, b) in top.iter_mut().zip(bottom) {
+                let t = ((*a >> j) ^ *b) & low;
+                *b ^= t;
+                *a ^= t << j;
+            }
+        }
+        low ^= low << (j / 2);
     }
 }
 
@@ -312,6 +373,22 @@ mod tests {
                 .count()
         };
         assert!(count(&short) > 10 * count(&long).max(1));
+    }
+
+    #[test]
+    fn zero_width_tables_and_all_zero_queries_match_every_row() {
+        let zero = Signature::zero(0);
+        let table = SigTable::build(&[zero.clone(), zero.clone(), zero.clone()]);
+        assert_eq!(table.len(), 3);
+        assert!((0..3).all(|i| table.matches(i, &zero)));
+        assert_eq!(table.first_match(1..3, &zero), Some(1));
+        let p = SigParams::default();
+        let sigs: Vec<_> = (0..100).map(|k| p.record_signature(Key(k), &[])).collect();
+        let table = SigTable::build(&sigs);
+        let all_zero = Signature::zero(p.bits());
+        assert!((0..100).all(|i| table.matches(i, &all_zero)));
+        assert_eq!(table.first_match(70..90, &all_zero), Some(70));
+        assert_eq!(table.first_match(5..5, &all_zero), None);
     }
 
     #[test]

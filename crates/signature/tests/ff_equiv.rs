@@ -307,6 +307,22 @@ fn simple_signature_fast_forward_is_bit_identical() {
 }
 
 #[test]
+fn simple_signature_runs_cross_table_words() {
+    // 200 records: a lossless run from an early tune-in spans four 64-row
+    // words of the bit-sliced table, and the lossy-air cut ends runs
+    // inside a word. A one-disk program is the classic cycle.
+    let d = dataset(200);
+    let classic = SimpleSignatureScheme::new()
+        .build(&d, &Params::paper())
+        .unwrap();
+    check_scheme(&classic, 200, true);
+    let one_disk = SimpleSignatureDisksScheme::new(DiskConfig::new(1))
+        .build(&d, &Params::paper())
+        .unwrap();
+    check_scheme(&one_disk, 200, true);
+}
+
+#[test]
 fn integrated_signature_fast_forward_is_bit_identical() {
     let d = dataset(60);
     let sys = IntegratedSignatureScheme::new(8)

@@ -34,20 +34,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `SigTable::first_match` over a contiguous row range is the first
-    /// row `SigTable::matches` accepts — at 1-, 8-, 16- and 24-byte
-    /// signatures (one, one, two and three packed words), over empty and
-    /// partial ranges, with queries drawn both from a row's own key (a
-    /// guaranteed match) and at random.
+    /// row `SigTable::matches` accepts, and every row's `matches` (and
+    /// `first_match` over the row alone) is `Signature::matches` on the
+    /// row's own signature — at 1-, 8-, 16- and 24-byte signatures (8 to
+    /// 192 bit slices), over tables of up to four 64-row words and empty,
+    /// partial and word-crossing ranges, with queries drawn both from a
+    /// row's own key (a guaranteed match) and at random.
     #[test]
     fn sig_table_first_match_agrees_with_matches(
         width in 0usize..4,
         bits_per_attr in 1u32..6,
-        keys in prop::collection::vec(any::<u64>(), 0..48),
+        keys in prop::collection::vec(any::<u64>(), 0..201),
         query in any::<u64>(),
         own in any::<proptest::sample::Index>(),
         use_own in any::<bool>(),
-        from in 0usize..56,
-        len in 0usize..56,
+        from in 0usize..210,
+        len in 0usize..210,
     ) {
         let sig = SigParams { sig_bytes: [1, 8, 16, 24][width], bits_per_attr };
         let sigs: Vec<_> = keys.iter().map(|&k| sig.record_signature(Key(k), &[k ^ 7])).collect();
@@ -62,6 +64,13 @@ proptest! {
         let expect = (lo..hi).find(|&i| table.matches(i, &q));
         prop_assert_eq!(table.first_match(lo..hi, &q), expect);
         prop_assert_eq!(expect, (lo..hi).find(|&i| sigs[i].matches(&q)));
+        prop_assert_eq!(table.len(), keys.len());
+        for (i, row) in sigs.iter().enumerate() {
+            prop_assert_eq!(table.matches(i, &q), row.matches(&q), "row {}", i);
+            // A one-row range ends inside its word: rows after it must not
+            // answer for it.
+            prop_assert_eq!(table.first_match(i..i + 1, &q), row.matches(&q).then_some(i));
+        }
     }
 
     /// Superimposition is monotone: a signature always matches any subset
