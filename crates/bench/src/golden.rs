@@ -50,6 +50,9 @@ const MULTI_KINDS: [SchemeKind; 2] = [SchemeKind::Flat, SchemeKind::Hashing];
 const MC_CHANNELS: u32 = 4;
 /// Tune-switch cost (ticks) of the multichannel corpus files.
 const MC_SWITCH: Ticks = 256;
+/// The kind pinned as the cross-channel indexed group (its data channels
+/// carry flat records).
+const INDEXED_KINDS: [SchemeKind; 1] = [SchemeKind::Flat];
 
 /// The two channel variants every scheme is pinned under.
 fn variants() -> [(&'static str, ChannelModel, RetryPolicy); 2] {
@@ -183,10 +186,11 @@ struct Family {
 /// occurrence interleaving, index routing and repetition accounting are
 /// frozen; two under the bursty channels, freezing the Gilbert–Elliott
 /// skip-ahead, the outage jitter placement and the back-off
-/// resynchronization; and two striped over four channels, freezing the
+/// resynchronization; two striped over four channels, freezing the
 /// routing directory, the per-channel fault-seed remix and the
-/// tune-switch accounting.
-fn families() -> [Family; 4] {
+/// tune-switch accounting; and the indexed group over four channels,
+/// freezing its root → directory → data protocol and its mid-walk retune.
+fn families() -> [Family; 5] {
     let group = GroupConfig::new(MC_CHANNELS, MC_SWITCH).expect("corpus group");
     [
         Family {
@@ -227,6 +231,18 @@ fn families() -> [Family; 4] {
             cycles: 16,
             header: format!(" channels={MC_CHANNELS} switch_cost={MC_SWITCH}"),
             infix: format!("_mc{MC_CHANNELS}"),
+        },
+        Family {
+            kinds: &INDEXED_KINDS,
+            layout: Layout::Indexed {
+                group,
+                placement: None,
+            },
+            variants: variants(),
+            requests,
+            cycles: 16,
+            header: format!(" layout=indexed channels={MC_CHANNELS} switch_cost={MC_SWITCH}"),
+            infix: format!("_idx{MC_CHANNELS}"),
         },
     ]
 }
@@ -287,10 +303,16 @@ mod tests {
         let b = corpus();
         assert_eq!(a, b, "two generations must be byte-identical");
         // 8 schemes × 2 variants, plus 2 broadcast-disk schemes × 2,
-        // plus 2 bursty-channel schemes × 2, plus 2 multichannel × 2.
+        // plus 2 bursty-channel schemes × 2, plus 2 multichannel × 2,
+        // plus the indexed group × 2.
         assert_eq!(
             a.len(),
-            (SchemeKind::ALL.len() + DISK_KINDS.len() + BURST_KINDS.len() + MULTI_KINDS.len()) * 2
+            (SchemeKind::ALL.len()
+                + DISK_KINDS.len()
+                + BURST_KINDS.len()
+                + MULTI_KINDS.len()
+                + INDEXED_KINDS.len())
+                * 2
         );
         for (name, tsv) in &a {
             assert!(name.ends_with(".tsv"));

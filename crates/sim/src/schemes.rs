@@ -8,7 +8,8 @@
 //! [`Scheme`] value, handed to a generic [`SchemeVisitor`], so every
 //! construction stays monomorphized. [`SchemeKind::build_on`] is the one
 //! builder on top of it: it wraps the visited scheme in the requested
-//! [`Layout`] and, for a churning program, in a [`VersionedServer`]. The
+//! [`Layout`] and, for a churning program, in a [`VersionedServer`]; flat
+//! records also build as the cross-channel indexed group. The
 //! CLI, the experiment harness, the golden corpus, the chaos soak and the
 //! test suites all build through it.
 
@@ -17,8 +18,8 @@ use std::str::FromStr;
 
 use bda_btree::{DistributedScheme, OneMScheme};
 use bda_core::{
-    Dataset, DiskConfig, DiskScheme, DynSystem, FlatDisksScheme, FlatScheme, GroupConfig, Params,
-    Result, Scheme, StripedScheme, System,
+    Dataset, DiskConfig, DiskScheme, DynSystem, FlatDisksScheme, FlatScheme, GroupConfig,
+    IndexedGroupScheme, Params, Result, Scheme, StripedScheme, System,
 };
 use bda_hash::HashScheme;
 use bda_hybrid::HybridScheme;
@@ -69,6 +70,16 @@ pub enum Layout {
         group: GroupConfig,
         /// Slice sizes, one per channel (`None` = even slices).
         partition: Option<Vec<usize>>,
+    },
+    /// The cross-channel indexed group: a directory on channel 0 pointing
+    /// at flat records placed over the other channels. Only [`SchemeKind::Flat`]
+    /// has this layout, and only frozen.
+    Indexed {
+        /// Channel count (the index channel included) and retune cost.
+        group: GroupConfig,
+        /// Per-record `(channel, slot)`, in key order (`None` = even
+        /// contiguous striping over the data channels).
+        placement: Option<Vec<(u32, u32)>>,
     },
 }
 
@@ -174,10 +185,11 @@ impl SchemeKind {
 
     /// Build this scheme for `dataset` under `params` on `layout`: frozen,
     /// or a [`VersionedServer`] replaying `churn`. Returns `None` for the
-    /// two combinations without a construction — disks on a kind without
-    /// a disk layout, and an allocator partition on a churning group.
-    /// `Disks(1)` and a one-channel group are bit-identical to `Single`,
-    /// and a zero-rate `churn` to the frozen program.
+    /// combinations without a construction — disks on a kind without a
+    /// disk layout, an allocator partition on a churning group, and an
+    /// indexed group of any kind but flat or with churn. `Disks(1)` and a
+    /// one-channel group are bit-identical to `Single`, and a zero-rate
+    /// `churn` to the frozen program.
     pub fn build_on(
         &self,
         dataset: &Dataset,
@@ -187,6 +199,16 @@ impl SchemeKind {
     ) -> Option<Result<Box<dyn DynSystem>>> {
         let disks = match layout {
             Layout::Disks(d) => Some(*d),
+            Layout::Indexed { group, placement } => {
+                if *self != SchemeKind::Flat || churn.is_some() {
+                    return None;
+                }
+                let scheme = match placement {
+                    Some(p) => IndexedGroupScheme::with_placement(*group, p.clone()),
+                    None => IndexedGroupScheme::new(*group),
+                };
+                return Some(boxed(scheme.and_then(|s| s.build(dataset, params))));
+            }
             _ => None,
         };
         self.visit(
@@ -313,10 +335,10 @@ mod tests {
     }
 
     /// The registry's conformance table: every kind × {single channel,
-    /// 3 broadcast disks, a 2-channel stripe} × {frozen, 10 % churn}
-    /// builds — or is refused for want of a disk layout — reports its
-    /// registry name, finds a present key, misses an absent one on a
-    /// frozen program, and never aborts.
+    /// 3 broadcast disks, a 2-channel stripe, a 2-channel indexed group}
+    /// × {frozen, 10 % churn} builds — or is refused for want of a disk
+    /// or indexed layout — reports its name, finds a present key, misses
+    /// an absent one on a frozen program, and never aborts.
     #[test]
     fn every_kind_builds_and_answers() {
         let (ds, pool) = DatasetBuilder::new(120, 3)
@@ -331,6 +353,10 @@ mod tests {
                 group,
                 partition: None,
             },
+            Layout::Indexed {
+                group,
+                placement: None,
+            },
         ];
         let churn = UpdateSpec {
             rate: 0.10,
@@ -343,16 +369,19 @@ mod tests {
             for layout in &layouts {
                 for spec in [None, Some(churn)] {
                     let cell = format!("{} on {layout:?}, churn {spec:?}", kind.name());
+                    let indexed = matches!(layout, Layout::Indexed { .. });
                     let Some(sys) = kind.build_on(&ds, &params, layout, spec) else {
                         assert!(
-                            matches!(layout, Layout::Disks(_)) && !kind.has_disks(),
+                            (matches!(layout, Layout::Disks(_)) && !kind.has_disks())
+                                || (indexed && (kind != SchemeKind::Flat || spec.is_some())),
                             "{cell}: refused"
                         );
                         continue;
                     };
                     let sys = sys.unwrap();
                     built += 1;
-                    assert_eq!(sys.scheme_name(), kind.name(), "{cell}");
+                    let name = if indexed { "indexed-group" } else { kind.name() };
+                    assert_eq!(sys.scheme_name(), name, "{cell}");
                     let present = sys.probe(kept, 999);
                     assert!(present.found && !present.aborted, "{cell}: {present:?}");
                     let absent = sys.probe(pool[0], 999);
@@ -363,8 +392,9 @@ mod tests {
                 }
             }
         }
-        // 8 single + 4 disk + 8 striped programs, each frozen and churning.
-        assert_eq!(built, 40);
+        // 8 single + 4 disk + 8 striped programs, each frozen and
+        // churning, plus the frozen flat indexed group.
+        assert_eq!(built, 41);
         // An allocator partition on a churning group has no construction.
         let partitioned = Layout::Striped {
             group,
