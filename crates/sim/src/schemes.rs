@@ -380,7 +380,11 @@ mod tests {
                     };
                     let sys = sys.unwrap();
                     built += 1;
-                    let name = if indexed { "indexed-group" } else { kind.name() };
+                    let name = if indexed {
+                        "indexed-group"
+                    } else {
+                        kind.name()
+                    };
                     assert_eq!(sys.scheme_name(), name, "{cell}");
                     let present = sys.probe(kept, 999);
                     assert!(present.found && !present.aborted, "{cell}: {present:?}");
