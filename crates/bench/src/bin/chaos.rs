@@ -8,7 +8,9 @@
 //! striping group (2–4 channels, randomized tune-switch cost) on roughly a
 //! third of the cells, and on a share of the single-channel cells of a
 //! disk-capable scheme, frozen or churning, a broadcast-disk program (2 or
-//! 3 disks). Every cell is built through the scheme registry
+//! 3 disks). About one cell in seven is instead a frozen cross-channel
+//! indexed group of flat records (2–4 channels, randomized switch cost).
+//! Every cell is built through the scheme registry
 //! ([`SchemeKind::build_on`]). The harness then runs the same request
 //! batch through:
 //!
@@ -75,7 +77,8 @@ struct Cell {
     policy: RetryPolicy,
     /// Percent of records churned per cycle (0 = frozen program).
     churn_pct: u32,
-    /// The single channel, broadcast disks, or a striped channel group.
+    /// The single channel, broadcast disks, a striped channel group or an
+    /// indexed one.
     layout: Layout,
 }
 
@@ -116,6 +119,13 @@ impl Cell {
             Layout::Striped { group: g, .. } => (
                 1,
                 format!("channels={} switch_cost={}", g.channels, g.switch_cost),
+            ),
+            Layout::Indexed { group: g, .. } => (
+                1,
+                format!(
+                    "channels={} switch_cost={} layout=indexed",
+                    g.channels, g.switch_cost
+                ),
             ),
         };
         format!(
@@ -204,7 +214,7 @@ fn draw_cell(seed: u64) -> Cell {
         }
         None => Layout::Single,
     };
-    Cell {
+    let mut cell = Cell {
         seed,
         kind,
         records,
@@ -213,7 +223,21 @@ fn draw_cell(seed: u64) -> Cell {
         policy,
         churn_pct,
         layout,
+    };
+    // Turn about one cell in seven into a frozen indexed group of flat
+    // records, keeping its air, policy and sizes. This draw comes last, so
+    // every other cell draws exactly the parameters it drew before.
+    if rng.chance(0.15) {
+        let channels = 2 + rng.below(3) as u32;
+        let group = GroupConfig::new(channels, rng.below(600)).expect("2..=4 channels is valid");
+        cell.kind = SchemeKind::Flat;
+        cell.churn_pct = 0;
+        cell.layout = Layout::Indexed {
+            group,
+            placement: None,
+        };
     }
+    cell
 }
 
 /// Deterministic request mix for a cell: unsorted arrivals with
@@ -485,6 +509,7 @@ fn main() {
     let mut outage_cells = 0usize;
     let mut churn_cells = 0usize;
     let mut multi_cells = 0usize;
+    let mut indexed_cells = 0usize;
     let mut disk_cells = 0usize;
     let mut churning_disk_cells = 0usize;
     let mut fixed_backoff_cells = 0usize;
@@ -507,6 +532,7 @@ fn main() {
                 churning_disk_cells += usize::from(cell.churn_pct > 0);
             }
             Layout::Striped { .. } => multi_cells += 1,
+            Layout::Indexed { .. } => indexed_cells += 1,
         }
         if cell.policy.backoff_cycles > 0 && cell.policy.backoff_cap_cycles == 0 {
             fixed_backoff_cells += 1;
@@ -547,7 +573,8 @@ fn main() {
     }
     println!(
         "chaos ok: {n} cells ({burst_cells} burst, {outage_cells} outage, {churn_cells} churn, \
-         {multi_cells} multichannel, {disk_cells} disks ({churning_disk_cells} churning), \
+         {multi_cells} multichannel, {indexed_cells} indexed, \
+         {disk_cells} disks ({churning_disk_cells} churning), \
          {fixed_backoff_cells} fixed back-off, \
          {deadline_cells} deadline) agreed across all drivers; {} retries, {} abandoned, {} \
          stale restarts",
@@ -583,8 +610,8 @@ mod tests {
     fn reproducer_decodes_the_full_cell_config() {
         // Scan seeds until the draw covers every decoded section at least
         // once: burst loss, outage schedule, churn, a channel group,
-        // broadcast disks, and a churning disk program.
-        let mut saw = (false, false, false, false, false, false);
+        // broadcast disks, a churning disk program and an indexed group.
+        let mut saw = (false, false, false, false, false, false, false);
         for s in 0..256u64 {
             let cell = draw_cell(s);
             let repro = cell.reproducer();
@@ -634,6 +661,17 @@ mod tests {
                     assert!(repro.contains(&format!("disks={}\n", d.disks())), "{repro}");
                 }
                 Layout::Striped { .. } => assert!(repro.contains("disks=1"), "{repro}"),
+                Layout::Indexed { group: g, .. } => {
+                    saw.6 = true;
+                    assert_eq!((cell.kind, cell.churn_pct), (SchemeKind::Flat, 0));
+                    assert!(
+                        repro.contains(&format!(
+                            "channels={} switch_cost={} layout=indexed",
+                            g.channels, g.switch_cost
+                        )),
+                        "{repro}"
+                    );
+                }
             }
             if let Layout::Striped { group: g, .. } = cell.layout {
                 saw.3 = true;
@@ -648,8 +686,9 @@ mod tests {
         }
         assert_eq!(
             saw,
-            (true, true, true, true, true, true),
-            "256 seeds must cover burst, outage, churn, multichannel, disk and churning disk cells"
+            (true, true, true, true, true, true, true),
+            "256 seeds must cover burst, outage, churn, multichannel, disk, churning disk \
+             and indexed cells"
         );
     }
 

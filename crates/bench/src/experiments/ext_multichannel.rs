@@ -32,7 +32,7 @@
 //! framing, so it pins the pure equal-bandwidth argument.
 
 use bda_analytical::{best_striped, even_striped, indexed_even, indexed_search, pick_channels};
-use bda_core::{DynSystem, GroupConfig, IndexedGroupScheme, Params, Ticks};
+use bda_core::{DynSystem, GroupConfig, Params, Ticks};
 use bda_datagen::{zipf_weights, DatasetBuilder, Prng};
 use bda_signature::SigParams;
 
@@ -234,24 +234,31 @@ pub fn run(cli: &Cli) {
 
             // The cross-channel indexed group at K=4: even placement,
             // allocator placement, and the predicted conflict rate.
-            let config = GroupConfig::new(SPOT_K, sw).unwrap();
+            let group = GroupConfig::new(SPOT_K, sw).unwrap();
+            let indexed = |placement| {
+                SchemeKind::Flat
+                    .build_on(
+                        &dataset,
+                        &params,
+                        &Layout::Indexed { group, placement },
+                        None,
+                    )
+                    .expect("flat records build as a frozen indexed group")
+                    .unwrap()
+            };
             let even = indexed_even(&params, &weights, SPOT_K, sw);
-            let sys = IndexedGroupScheme::new(config)
-                .and_then(|s| s.build(&dataset, &params))
-                .unwrap();
+            let sys = indexed(None);
             let idx_at = run_cell(
-                &sys,
+                sys.as_ref(),
                 &dataset,
                 &weights,
                 phases,
                 cli.seed ^ theta.to_bits() ^ 0x1DD,
             );
             let alloc = indexed_search(&params, &weights, SPOT_K, sw);
-            let sys = IndexedGroupScheme::with_placement(config, alloc.placement.clone())
-                .and_then(|s| s.build(&dataset, &params))
-                .unwrap();
+            let sys = indexed(Some(alloc.placement.clone()));
             let idx_alloc_at = run_cell(
-                &sys,
+                sys.as_ref(),
                 &dataset,
                 &weights,
                 phases,

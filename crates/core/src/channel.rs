@@ -140,13 +140,7 @@ impl<P> Channel<P> {
     /// after absolute time `t` (saturating near `Ticks::MAX`, like
     /// [`Channel::first_complete_at`]).
     pub fn occurrence_at_or_after(&self, idx: usize, t: Ticks) -> Ticks {
-        let pos = self.pos(t);
-        let s = self.starts[idx];
-        if s >= pos {
-            t.saturating_add(s - pos)
-        } else {
-            t.saturating_add(self.cycle - pos).saturating_add(s)
-        }
+        next_occurrence(self.starts[idx], self.cycle, t)
     }
 
     /// Forward byte delta from cycle position `from_pos` to the start of
@@ -185,6 +179,20 @@ impl<P> Channel<P> {
             cycle: self.cycle,
             version: self.version,
         }
+    }
+}
+
+/// The first instant at or after `t` at which cycle offset `offset` airs
+/// on a channel of cycle length `cycle` — `t` itself when it falls there,
+/// never earlier (saturating near `Ticks::MAX`). A client that knows a
+/// channel's cycle length resolves an on-air `(channel, offset)` pointer
+/// with it, forward-only.
+pub(crate) fn next_occurrence(offset: Ticks, cycle: Ticks, t: Ticks) -> Ticks {
+    let pos = t % cycle;
+    if offset >= pos {
+        t.saturating_add(offset - pos)
+    } else {
+        t.saturating_add(cycle - pos).saturating_add(offset)
     }
 }
 

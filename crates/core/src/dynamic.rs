@@ -220,14 +220,25 @@ impl<'a, S: System> Source<'a, S::Machine> for Versioned<'a, S> {
 /// one epoch (a frozen program) they make the frozen walk's decisions and
 /// produce bit-identical outcomes.
 impl<S: System> Broadcast for ProgramTimeline<S> {
-    type Program = S;
+    type Payload = <S as System>::Payload;
+    type Machine = <S as System>::Machine;
     type Source<'a>
         = Versioned<'a, S>
     where
         S: 'a;
 
-    fn initial(&self) -> &S {
-        &self.epochs[0].system
+    /// The program on the air at time 0 names the broadcast and sets its
+    /// reported geometry.
+    fn scheme_name(&self) -> &'static str {
+        System::scheme_name(&self.epochs[0].system)
+    }
+
+    fn cycle_len(&self) -> Ticks {
+        self.epochs[0].system.channel().cycle_len()
+    }
+
+    fn num_buckets(&self) -> usize {
+        self.epochs[0].system.channel().num_buckets()
     }
 
     fn tune(&self, key: Key, tune_in: Ticks) -> (Versioned<'_, S>, S::Machine) {

@@ -64,7 +64,7 @@ pub use machine::{
 };
 pub use multichannel::{
     channel_model_for, even_partition, patch_outcome, remix_seed, BucketRef, GroupConfig,
-    GroupPayload, GroupSlot, GroupWalk, IndexedGroupScheme, IndexedGroupSystem, StripedScheme,
+    GroupMachine, GroupPayload, GroupSource, IndexedGroupScheme, IndexedGroupSystem, StripedScheme,
     StripedSlot, StripedSystem,
 };
 pub use params::Params;

@@ -30,6 +30,18 @@ pub enum Action {
     /// target is misaligned the walker reads the first complete bucket after
     /// `t`, which models a (buggy) client missing its wake-up.
     DozeTo(Ticks),
+    /// Retune to carrier `carrier` of a channel group, then doze until
+    /// absolute time `at` and read the bucket that starts there on that
+    /// carrier: a [`Action::DozeTo`] whose target names a carrier. The
+    /// retune costs the air time [`Source::retune`] reports before the
+    /// doze; a source without that carrier aborts the query, as a doze
+    /// into the past does.
+    DozeOn {
+        /// The carrier to tune to (0 is the home carrier).
+        carrier: u32,
+        /// Absolute wake-up time on that carrier.
+        at: Ticks,
+    },
     /// The query is complete.
     Finish(Verdict),
     /// The machine read a malformed bucket: a typed protocol fault instead
@@ -172,8 +184,8 @@ pub(crate) struct Retries {
 
 impl Retries {
     /// The walker's side of one corrupted read, ending `elapsed` ticks
-    /// after tune-in — the one recovery transition [`Walk::step`],
-    /// [`FastForward::retry`] and the indexed group's walk apply. Counts
+    /// after tune-in — the one recovery transition [`Walk::step`] and
+    /// [`FastForward::retry`] apply. Counts
     /// the retry and extends the outage streak (`outage`) or resets it,
     /// and returns the new state with the whole cycles to back off: `None`
     /// when the policy gives up at this read (retry count or deadline).
@@ -199,9 +211,9 @@ impl Retries {
     }
 }
 
-/// The probe budget of a walk over programs of at most `buckets` buckets
-/// behind `channel` — the one budget of [`Walk`] and of the indexed
-/// group's walk. A correct protocol never needs more than a handful of
+/// The probe budget of a [`Walk`] over programs of at most `buckets`
+/// buckets (over every carrier of a channel group) behind `channel`. A
+/// correct protocol never needs more than a handful of
 /// cycles; four cycles plus slack catches runaway machines without ever
 /// triggering for correct ones on a lossless channel. Lossy channels get
 /// a budget scaled by the worst-state retry factor; channels with outages
@@ -553,17 +565,20 @@ pub struct Landing<'a, P> {
 }
 
 /// The broadcast program a [`Walk`] reads, for a walk whose machine has
-/// type `M`: a frozen [`Channel`] (`&Channel<P>`), or a
+/// type `M`: a frozen [`Channel`] (`&Channel<P>`), a
 /// [`crate::dynamic::ProgramTimeline`] of re-cut programs
-/// ([`crate::dynamic::Versioned`]).
+/// ([`crate::dynamic::Versioned`]), or the carriers of an indexed channel
+/// group ([`crate::multichannel::GroupSource`]).
 ///
 /// The source decides at compile time, not per read, what a read costs
 /// beyond the bucket itself. A frozen channel looks the bucket up and
-/// nothing more: no epoch lookup, no header-version check, and
-/// fast-forward may run to `Ticks::MAX`. A timeline also finds the epoch
-/// on air, lets fast-forward run only to that epoch's end, and on a
-/// header version other than the machine's hands the walk a fresh
-/// machine built against the program on air.
+/// nothing more: no epoch lookup, no header-version check, one carrier
+/// whose air is the walk's, and fast-forward may run to `Ticks::MAX`. A
+/// timeline also finds the epoch on air, lets fast-forward run only to
+/// that epoch's end, and on a header version other than the machine's
+/// hands the walk a fresh machine built against the program on air. A
+/// channel group lands each read on the carrier the client is tuned to,
+/// behind that carrier's air, and charges every retune.
 pub trait Source<'a, M> {
     /// The bucket payload type.
     type Payload: 'a;
@@ -573,7 +588,7 @@ pub trait Source<'a, M> {
     fn max_buckets(&self) -> usize;
 
     /// The first complete bucket a client tuning in (or resuming) at `t`
-    /// can read.
+    /// can read on the carrier it is tuned to.
     fn first_complete_at(&self, t: Ticks) -> Landing<'a, Self::Payload>;
 
     /// The instant fast-forward may not start a read at or past while it
@@ -590,6 +605,24 @@ pub trait Source<'a, M> {
     /// when the versions agree — always, on a frozen channel, which
     /// carries one program.
     fn respawn(&mut self, at: &Landing<'a, Self::Payload>, version: u64) -> Option<M>;
+
+    /// The air of the carrier the client is tuned to, for a walk behind
+    /// `base` (the home carrier's air). A single-carrier source's one
+    /// carrier is the home carrier.
+    #[inline]
+    fn air<'c>(&'c self, base: &'c ChannelModel) -> &'c ChannelModel {
+        base
+    }
+
+    /// Tune the client to `carrier`, whose air derives from `base`, and
+    /// return the air time the retune costs — nothing when it is tuned
+    /// there already — or `None` if the source has no such carrier. A
+    /// single-carrier source has only the home carrier 0.
+    #[inline]
+    fn retune(&mut self, carrier: u32, base: &ChannelModel) -> Option<Ticks> {
+        let _ = base;
+        (carrier == 0).then_some(0)
+    }
 }
 
 impl<'a, P, M> Source<'a, M> for &'a Channel<P> {
@@ -623,8 +656,9 @@ impl<'a, P, M> Source<'a, M> for &'a Channel<P> {
 
 /// Executes a [`ProtocolMachine`] against a broadcast program, one step at
 /// a time, accounting access and tuning time — the one walk of the
-/// reproduction, over a frozen [`Channel`] or a churning
-/// [`crate::dynamic::ProgramTimeline`] (see [`Source`]).
+/// reproduction, over a frozen [`Channel`], a churning
+/// [`crate::dynamic::ProgramTimeline`] or the carriers of an indexed
+/// channel group (see [`Source`]).
 ///
 /// `Walk` is both the fast in-process driver (via [`run_machine`] and its
 /// two variants, which fast-forward) and the unit of scheduling for the
@@ -654,6 +688,8 @@ pub struct Walk<Src, M, R = NoopRecorder> {
     pending: Option<Action>,
     outcome: Option<AccessOutcome>,
     max_probes: u32,
+    /// The home carrier's air (the only carrier's, on a single-carrier
+    /// source).
     channel: ChannelModel,
     policy: RetryPolicy,
     ff: bool,
@@ -798,6 +834,20 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
         }
     }
 
+    /// Doze (radio off) until `t`, then read on.
+    fn doze(&mut self, t: Ticks) -> WalkStep {
+        if t < self.now {
+            // Dozing into the past is a protocol/builder bug.
+            return self.finish(false, self.false_drops_hint, true);
+        }
+        if R::ENABLED {
+            self.recorder.span(Phase::Doze, t - self.now, 0);
+        }
+        self.now = t;
+        self.pending = Some(Action::ReadNext);
+        WalkStep::Doze { until: t }
+    }
+
     /// Execute the machine's next action and report what happened.
     pub fn step(&mut self) -> WalkStep {
         if let Some(out) = self.outcome {
@@ -825,7 +875,7 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
                         (at.idx, at.start),
                         limit,
                         Tally {
-                            channel: self.channel,
+                            channel: *self.src.air(&self.channel),
                             policy: self.policy,
                             tune_in: self.tune_in,
                             now: &mut self.now,
@@ -872,7 +922,11 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
                     size: size as u32,
                     version: bucket.version,
                 };
-                let corrupted = self.channel.corrupted(at.start);
+                // The air of the carrier the read lands on; whether the
+                // carrier is in an outage matters only to a corrupted read.
+                let air = self.src.air(&self.channel);
+                let corrupted = air.corrupted(at.start);
+                let outage = corrupted && air.in_outage(at.start);
                 // A corrupted transmission hides the header too: the client
                 // cannot even see the version. Skew, if any, is caught on
                 // the next clean read — after an outage, against whichever
@@ -909,7 +963,6 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
                     // consecutive dead read, so an outage costs O(log)
                     // probes instead of one per bucket. The back-off counts
                     // cycles of the program just read.
-                    let outage = self.channel.in_outage(at.start);
                     let (retries, backoff) =
                         self.retries
                             .corrupt(&self.policy, outage, self.now - self.tune_in);
@@ -950,17 +1003,20 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
                     until: end,
                 }
             }
-            Action::DozeTo(t) => {
-                if t < self.now {
-                    // Dozing into the past is a protocol/builder bug.
+            Action::DozeTo(t) => self.doze(t),
+            Action::DozeOn { carrier, at } => {
+                let Some(sw) = self.src.retune(carrier, &self.channel) else {
                     return self.finish(false, self.false_drops_hint, true);
+                };
+                // A retuning radio is deaf: the switch is access time
+                // only, and the doze to `at` follows it.
+                if sw > 0 {
+                    if R::ENABLED {
+                        self.recorder.span(Phase::ChannelSwitch, sw, 0);
+                    }
+                    self.now = self.now.saturating_add(sw);
                 }
-                if R::ENABLED {
-                    self.recorder.span(Phase::Doze, t - self.now, 0);
-                }
-                self.now = t;
-                self.pending = Some(Action::ReadNext);
-                WalkStep::Doze { until: t }
+                self.doze(at)
             }
             Action::Finish(v) => self.finish(v.found, v.false_drops, false),
             // A typed protocol fault on a version-consistent program is a

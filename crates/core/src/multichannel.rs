@@ -41,17 +41,21 @@
 //! retuning radio is not demodulating. Observed walks attribute the cost
 //! to the dedicated [`Phase::ChannelSwitch`] span.
 
-use crate::bucket::Bucket;
-use crate::channel::Channel;
-use crate::error::{BdaError, Result};
+use std::sync::Arc;
+
+use crate::bucket::{Bucket, BucketMeta};
+use crate::channel::{next_occurrence, Channel};
+use crate::error::{BdaError, ProtocolFault, Result};
 use crate::errors_model::{ChannelModel, ErrorModel, LossModel, OutageSchedule, RetryPolicy};
 use crate::key::Key;
-use crate::machine::{probe_budget, AccessOutcome, Retries, Walk, WalkStep};
+use crate::machine::{
+    AccessOutcome, Action, Landing, ProtocolMachine, Source, Verdict, Walk, WalkStep,
+};
 use crate::params::Params;
 use crate::record::Dataset;
-use crate::scheme::{Broadcast, DynSystem, MachineOf, QuerySlot, Scheme};
+use crate::scheme::{Broadcast, DynSystem, QuerySlot, Scheme};
 use crate::Ticks;
-use bda_obs::{NoopRecorder, Phase, PhaseSpans, Recorder, SpanRecorder};
+use bda_obs::{BucketKind, NoopRecorder, Phase, PhaseSpans, Recorder, SpanRecorder};
 
 /// A cross-channel bucket address: bucket starting at cycle-relative
 /// `offset` on channel `channel` of the group. Directory entries carry
@@ -332,7 +336,7 @@ pub fn patch_outcome(mut out: AccessOutcome, sw: Ticks) -> AccessOutcome {
 /// completes, so from then on they total the patched outcome.
 pub struct StripedSlot<'a, S: Broadcast, R = NoopRecorder> {
     system: &'a StripedSystem<S>,
-    walk: Option<Walk<S::Source<'a>, MachineOf<S>, R>>,
+    walk: Option<Walk<S::Source<'a>, S::Machine, R>>,
     base: ChannelModel,
     policy: RetryPolicy,
     ff: bool,
@@ -417,7 +421,7 @@ impl<'a, S: Broadcast + Sync, R: Recorder + Default + Send> QuerySlot for Stripe
 /// the switch cost — a path independent of [`StripedSlot`].
 impl<S: Broadcast + Send + Sync> DynSystem for StripedSystem<S>
 where
-    MachineOf<S>: 'static,
+    S::Machine: 'static,
 {
     fn scheme_name(&self) -> &'static str {
         DynSystem::scheme_name(&self.channels[0])
@@ -684,9 +688,11 @@ impl IndexedGroupScheme {
                 },
             ));
         }
+        let mut carriers = vec![Channel::new(buckets)?];
+        carriers.append(&mut data);
         Ok(IndexedGroupSystem {
-            index: Channel::new(buckets)?,
-            data,
+            cycles: carriers.iter().map(Channel::cycle_len).collect(),
+            carriers,
             config: self.config,
             bucket_size: bs,
             num_roots: roots,
@@ -694,10 +700,14 @@ impl IndexedGroupScheme {
     }
 }
 
-/// A built indexed channel group.
+/// A built indexed channel group: the index channel and the data channels
+/// as carriers `0..K` of one group, a [`Broadcast`] whose walks run the
+/// [`GroupMachine`] over a [`GroupSource`].
 pub struct IndexedGroupSystem {
-    index: Channel<GroupPayload>,
-    data: Vec<Channel<GroupPayload>>,
+    /// Carrier 0 is the index channel; carriers `1..K` carry the data.
+    carriers: Vec<Channel<GroupPayload>>,
+    /// Every carrier's cycle length: the schedule a client knows a priori.
+    cycles: Arc<[Ticks]>,
     config: GroupConfig,
     bucket_size: Ticks,
     num_roots: usize,
@@ -706,17 +716,17 @@ pub struct IndexedGroupSystem {
 impl IndexedGroupSystem {
     /// The index channel (channel 0).
     pub fn index(&self) -> &Channel<GroupPayload> {
-        &self.index
+        &self.carriers[0]
     }
 
     /// Data channel `d` (group channel `d + 1`).
     pub fn data_channel(&self, d: usize) -> &Channel<GroupPayload> {
-        &self.data[d]
+        &self.carriers[d + 1]
     }
 
     /// Total channels in the group (index included).
     pub fn num_channels(&self) -> usize {
-        self.data.len() + 1
+        self.carriers.len()
     }
 
     /// The group shape this system was built with.
@@ -737,216 +747,190 @@ impl IndexedGroupSystem {
     /// Where `key`'s record airs, per the directory — `None` for absent
     /// keys. Layout tests pin this against the placement.
     pub fn bucket_ref(&self, key: Key) -> Option<BucketRef> {
-        self.index.buckets().iter().find_map(|b| match &b.payload {
-            GroupPayload::Dir { entries, .. } => entries
-                .binary_search_by_key(&key.0, |e| e.0)
-                .ok()
-                .map(|i| entries[i].1),
-            _ => None,
-        })
+        self.index()
+            .buckets()
+            .iter()
+            .find_map(|b| match &b.payload {
+                GroupPayload::Dir { entries, .. } => entries
+                    .binary_search_by_key(&key.0, |e| e.0)
+                    .ok()
+                    .map(|i| entries[i].1),
+                _ => None,
+            })
     }
 }
 
-/// What the group walk is about to do.
-#[derive(Clone, Copy)]
-enum GroupPending {
-    /// Tune to channel 0 at (or after) `at` and read the next complete
-    /// index bucket.
-    Probe { at: Ticks },
-    /// Read bucket `idx` of channel `ch` at its occurrence starting
-    /// `start`.
-    ReadAt { ch: u32, idx: usize, start: Ticks },
-    /// Retune to the data channel holding `dref`.
-    Switch { dref: BucketRef },
-    /// Finished.
-    Finished(AccessOutcome),
-}
+/// An indexed group is a broadcast over its carriers: every driver runs
+/// its queries as the one [`Walk`] of a [`GroupMachine`] over a
+/// [`GroupSource`].
+impl Broadcast for IndexedGroupSystem {
+    type Payload = GroupPayload;
+    type Machine = GroupMachine;
+    type Source<'a> = GroupSource<'a>;
 
-/// The single client protocol of an [`IndexedGroupSystem`], used verbatim
-/// by every execution driver (the direct walker and the slot) —
-/// cross-driver bit-identity holds by construction. Like [`Walk`], it
-/// records its per-phase spans into a recorder `R` ([`NoopRecorder`]
-/// keeps none).
-///
-/// Protocol: probe channel 0, resynchronize to the root block, scan roots
-/// forward to the directory bucket covering the key, read it, then either
-/// answer not-found from the air or retune (paying
-/// [`GroupConfig::switch_cost`]) to the data channel and read the record
-/// at its next occurrence — forward-only at every hop. Corrupted reads
-/// go through the single-channel [`Walk`]'s recovery transition and
-/// give-up rules: the retry count picks the back-off under loss and the
-/// outage streak picks it inside outages, recovery dozes are whole cycles
-/// of the *current* channel, and a walk that runs out of retries,
-/// deadline or (after retrying) probe budget abandons truthfully.
-pub struct GroupWalk<'a, R = NoopRecorder> {
-    system: &'a IndexedGroupSystem,
-    key: Key,
-    tune_in: Ticks,
-    base: ChannelModel,
-    policy: RetryPolicy,
-    now: Ticks,
-    pending: GroupPending,
-    recorder: R,
-    tuning: Ticks,
-    /// Clean reads so far.
-    probes: u32,
-    retries: Retries,
-    first_read: bool,
-    budget: u32,
-}
+    fn scheme_name(&self) -> &'static str {
+        "indexed-group"
+    }
 
-impl<'a, R: Recorder> GroupWalk<'a, R> {
-    /// A walk for `key` tuning in at `tune_in` behind `base` faults
-    /// (channel `g`'s view is [`channel_model_for`]`(base, g)`), recording
-    /// into `recorder`.
-    pub fn new(
-        system: &'a IndexedGroupSystem,
-        key: Key,
-        tune_in: Ticks,
-        base: ChannelModel,
-        policy: RetryPolicy,
-        recorder: R,
-    ) -> Self {
-        // The single-channel walker's budget over every channel's buckets,
-        // so a protocol bug aborts instead of spinning forever.
-        let budget = probe_budget(system.num_buckets(), &base);
-        GroupWalk {
-            system,
+    fn cycle_len(&self) -> Ticks {
+        self.cycles.iter().copied().max().unwrap_or(0)
+    }
+
+    fn num_buckets(&self) -> usize {
+        self.carriers.iter().map(Channel::num_buckets).sum()
+    }
+
+    fn tune(&self, key: Key, _tune_in: Ticks) -> (GroupSource<'_>, GroupMachine) {
+        let source = GroupSource {
+            system: self,
+            carrier: 0,
+            air: ChannelModel::NONE,
+        };
+        let machine = GroupMachine {
             key,
-            tune_in,
-            base,
-            policy,
-            now: tune_in,
-            pending: GroupPending::Probe { at: tune_in },
-            recorder,
-            tuning: 0,
-            probes: 0,
-            retries: Retries::default(),
-            first_read: true,
-            budget,
+            cycles: Arc::clone(&self.cycles),
+            num_roots: self.num_roots,
+            switch_cost: self.config.switch_cost,
+            carrier: 0,
+            probing: true,
+        };
+        (source, machine)
+    }
+}
+
+/// The [`Source`] of a walk over an [`IndexedGroupSystem`]: it lands each
+/// read on the carrier the client is tuned to, behind that carrier's air
+/// ([`channel_model_for`]), and charges [`GroupConfig::switch_cost`] per
+/// retune. The client starts on the index channel, carrier 0.
+pub struct GroupSource<'a> {
+    system: &'a IndexedGroupSystem,
+    /// The carrier the client is tuned to.
+    carrier: u32,
+    /// That carrier's air, once the client has left carrier 0.
+    air: ChannelModel,
+}
+
+impl<'a> Source<'a, GroupMachine> for GroupSource<'a> {
+    type Payload = GroupPayload;
+
+    fn max_buckets(&self) -> usize {
+        Broadcast::num_buckets(self.system)
+    }
+
+    fn first_complete_at(&self, t: Ticks) -> Landing<'a, GroupPayload> {
+        let ch = &self.system.carriers[self.carrier as usize];
+        let (idx, start) = ch.first_complete_at(t);
+        Landing {
+            ch,
+            epoch: 0,
+            idx,
+            start,
         }
     }
 
-    /// Whether the walk has completed.
-    pub fn is_done(&self) -> bool {
-        matches!(self.pending, GroupPending::Finished(_))
+    fn ff_limit(&self, _at: &Landing<'a, GroupPayload>) -> Option<Ticks> {
+        Some(Ticks::MAX)
     }
 
-    /// Absolute time the walk has reached.
-    pub fn now(&self) -> Ticks {
-        self.now
+    fn respawn(&mut self, _at: &Landing<'a, GroupPayload>, _version: u64) -> Option<GroupMachine> {
+        None
     }
 
-    /// The walk's recorder.
-    pub fn recorder(&self) -> &R {
-        &self.recorder
-    }
-
-    fn channel_of(&self, ch: u32) -> &'a Channel<GroupPayload> {
-        if ch == 0 {
-            &self.system.index
+    fn air<'c>(&'c self, base: &'c ChannelModel) -> &'c ChannelModel {
+        if self.carrier == 0 {
+            base
         } else {
-            &self.system.data[ch as usize - 1]
+            &self.air
         }
     }
 
-    /// Seal the walk's outcome; the next [`GroupWalk::step`] reports it.
-    fn complete(&mut self, found: bool, abandoned: bool, aborted: bool) {
-        let out = AccessOutcome {
-            found,
-            access: self.now - self.tune_in,
-            tuning: self.tuning,
-            probes: self.probes,
-            false_drops: 0,
-            retries: self.retries.count,
-            abandoned,
-            aborted,
-            stale_restarts: 0,
-            version_skews: 0,
-        };
-        self.pending = GroupPending::Finished(out);
+    fn retune(&mut self, carrier: u32, base: &ChannelModel) -> Option<Ticks> {
+        if carrier == self.carrier {
+            return Some(0);
+        }
+        if carrier as usize >= self.system.carriers.len() {
+            return None;
+        }
+        self.carrier = carrier;
+        self.air = channel_model_for(*base, carrier);
+        Some(self.system.config.switch_cost)
+    }
+}
+
+/// The client protocol of an [`IndexedGroupSystem`]: probe channel 0,
+/// resynchronize to the root block, scan roots forward to the directory
+/// bucket covering the key, read it, then either answer not-found from the
+/// air or retune (paying [`GroupConfig::switch_cost`]) to the data channel
+/// and read the record at its next occurrence — forward-only at every hop.
+///
+/// Its a-priori knowledge is the group's published schedule: every
+/// carrier's cycle length, the root count and the retune cost. A corrupted
+/// probe of channel 0 probes on; a corrupted read of a bucket the walk was
+/// steered to re-reads it at its next occurrence on the same carrier. The
+/// walk backs either off by whole cycles of that carrier.
+#[derive(Debug)]
+pub struct GroupMachine {
+    key: Key,
+    /// Every carrier's cycle length (carrier 0 first).
+    cycles: Arc<[Ticks]>,
+    num_roots: usize,
+    switch_cost: Ticks,
+    /// The carrier the client is tuned to.
+    carrier: u32,
+    /// Whether the walk is probing channel 0 (any bucket will do) rather
+    /// than reading a bucket it was steered to.
+    probing: bool,
+}
+
+/// Doze to `at`, or read on when the bucket there starts at `end`.
+fn doze_or_read(at: Ticks, end: Ticks) -> Action {
+    if at > end {
+        Action::DozeTo(at)
+    } else {
+        Action::ReadNext
+    }
+}
+
+impl GroupMachine {
+    /// Resynchronize: probe channel 0 again from the next root block,
+    /// `to_root` ticks after `end`.
+    fn resync(&mut self, end: Ticks, to_root: Ticks) -> Action {
+        self.probing = true;
+        doze_or_read(end.saturating_add(to_root), end)
+    }
+}
+
+impl ProtocolMachine<GroupPayload> for GroupMachine {
+    fn start(&mut self, _tune_in: Ticks) -> Action {
+        Action::ReadNext
     }
 
-    /// The probe budget ran out: a truthful abandonment on a walk that
-    /// retried, a runaway protocol otherwise — the single-channel walk's
-    /// rule.
-    fn exhaust(&mut self) {
-        let retried = self.retries.count > 0;
-        self.complete(false, retried, !retried);
-    }
-
-    /// Handle a corrupted read of bucket `idx` on channel `ch` (the
-    /// transmission started at `start` and ended at `self.now`): apply
-    /// the shared recovery transition, and either abandon or schedule the
-    /// recovery re-read.
-    fn recover(&mut self, ch: u32, idx: usize, start: Ticks, probe: bool) {
-        let outage = channel_model_for(self.base, ch).in_outage(start);
-        let (retries, backoff) =
-            self.retries
-                .corrupt(&self.policy, outage, self.now - self.tune_in);
-        self.retries = retries;
-        let Some(cycles) = backoff else {
-            self.complete(false, true, false);
-            return;
-        };
-        let chan = self.channel_of(ch);
-        let wake = self
-            .now
-            .saturating_add(Ticks::from(cycles).saturating_mul(chan.cycle_len()));
-        self.pending = if probe {
-            GroupPending::Probe { at: wake }
-        } else {
-            GroupPending::ReadAt {
-                ch,
-                idx,
-                start: chan.occurrence_at_or_after(idx, wake),
-            }
-        };
-    }
-
-    /// Dispatch a cleanly read channel-0 bucket: set the next pending
-    /// action (possibly sealing the outcome). `idx` is its index in the
-    /// cycle; `end` the absolute read end.
-    fn dispatch_index(&mut self, idx: usize, end: Ticks) {
+    fn on_bucket(&mut self, payload: &GroupPayload, meta: BucketMeta) -> Action {
         let key = self.key.0;
-        let system = self.system;
-        match &system.index.bucket(idx).payload {
+        match payload {
             GroupPayload::Root {
                 entries,
                 next_first,
                 to_root,
             } => {
-                if let Some(nf) = next_first {
-                    if key >= *nf {
-                        // Target directory lives under a later root:
-                        // roots are contiguous, keep listening.
-                        self.pending = GroupPending::ReadAt {
-                            ch: 0,
-                            idx: idx + 1,
-                            start: end,
-                        };
-                        return;
-                    }
+                if next_first.is_some_and(|nf| key >= nf) {
+                    // Target directory lives under a later root: roots
+                    // are contiguous, keep listening.
+                    self.probing = false;
+                    return Action::ReadNext;
                 }
-                if idx > 0 && entries.first().is_some_and(|e| key < e.0) {
+                if meta.index > 0 && entries.first().is_some_and(|e| key < e.0) {
                     // Landed mid-root-block on a root that starts above
                     // the key: resynchronize to the next root block.
-                    self.pending = GroupPending::Probe {
-                        at: end.saturating_add(*to_root),
-                    };
-                    return;
+                    return self.resync(meta.end, *to_root);
                 }
                 // Last entry with first-key ≤ key covers the target
                 // (everything below the very first entry falls into
                 // directory bucket 0 and is answered absent there).
                 let pos = entries.partition_point(|e| e.0 <= key).saturating_sub(1);
-                let dir_off = entries[pos].1;
-                let dir_idx = (dir_off / self.system.bucket_size) as usize;
-                self.pending = GroupPending::ReadAt {
-                    ch: 0,
-                    idx: dir_idx,
-                    start: self.system.index.occurrence_at_or_after(dir_idx, end),
-                };
+                self.probing = false;
+                let at = next_occurrence(entries[pos].1, self.cycles[0], meta.end);
+                doze_or_read(at, meta.end)
             }
             GroupPayload::Dir {
                 entries,
@@ -955,247 +939,50 @@ impl<'a, R: Recorder> GroupWalk<'a, R> {
             } => {
                 let covers = (entries.first().is_some_and(|e| e.0 <= key)
                     && next_first.map_or(true, |nf| key < nf))
-                    || (idx == self.system.num_roots && key < entries[0].0);
+                    || (meta.index == self.num_roots && key < entries[0].0);
                 if !covers {
-                    // A directory bucket we were not steered to (initial
-                    // probe landed here): resynchronize to the roots.
-                    self.pending = GroupPending::Probe {
-                        at: end.saturating_add(*to_root),
-                    };
-                    return;
+                    // A directory bucket we were not steered to (the
+                    // initial probe landed here): resynchronize.
+                    return self.resync(meta.end, *to_root);
                 }
                 match entries.binary_search_by_key(&key, |e| e.0) {
                     Ok(i) => {
-                        self.pending = GroupPending::Switch { dref: entries[i].1 };
+                        let target = entries[i].1;
+                        self.carrier = target.channel;
+                        self.probing = false;
+                        let arrive = meta.end.saturating_add(self.switch_cost);
+                        let cycle = self.cycles[target.channel as usize];
+                        Action::DozeOn {
+                            carrier: target.channel,
+                            at: next_occurrence(target.offset, cycle, arrive),
+                        }
                     }
                     // Provably absent: the covering directory bucket does
                     // not list the key.
-                    Err(_) => self.complete(false, false, false),
+                    Err(_) => Action::Finish(Verdict::not_found()),
                 }
             }
-            GroupPayload::Data { .. } => self.complete(false, false, true),
+            GroupPayload::Data { key: k } if *k == key => Action::Finish(Verdict::found()),
+            // The directory pointed at a bucket that does not carry the
+            // key: a layout bug, reported as an abort, never a silent
+            // wrong answer.
+            GroupPayload::Data { .. } => Action::Fail(ProtocolFault::WrongDataBucket),
         }
     }
 
-    /// Perform the next protocol action: one bucket read, one doze or
-    /// retune, or completion.
-    pub fn step(&mut self) -> WalkStep {
-        loop {
-            match self.pending {
-                GroupPending::Finished(out) => return WalkStep::Done(out),
-                GroupPending::Probe { at } => {
-                    if at > self.now {
-                        self.recorder.span(Phase::Doze, at - self.now, 0);
-                        self.now = at;
-                        return WalkStep::Doze { until: at };
-                    }
-                    if self.probes.saturating_add(self.retries.count) >= self.budget {
-                        self.exhaust();
-                        continue;
-                    }
-                    let (idx, start) = self.system.index.first_complete_at(self.now);
-                    let end = start.saturating_add(self.system.bucket_size);
-                    let from = self.now;
-                    let listened = end - from;
-                    self.tuning += listened;
-                    self.now = end;
-                    if channel_model_for(self.base, 0).corrupted(start) {
-                        self.recorder.span(Phase::Retry, listened, listened);
-                        self.recover(0, idx, start, true);
-                    } else {
-                        self.retries.outage_streak = 0;
-                        self.probes += 1;
-                        let phase = if self.first_read {
-                            Phase::InitialProbe
-                        } else {
-                            Phase::IndexTraversal
-                        };
-                        self.first_read = false;
-                        self.recorder.span(phase, listened, listened);
-                        self.dispatch_index(idx, end);
-                    }
-                    return WalkStep::Read {
-                        bucket: idx,
-                        from,
-                        until: end,
-                    };
-                }
-                GroupPending::ReadAt { ch, idx, start } => {
-                    if start > self.now {
-                        self.recorder.span(Phase::Doze, start - self.now, 0);
-                        self.now = start;
-                        return WalkStep::Doze { until: start };
-                    }
-                    if self.probes.saturating_add(self.retries.count) >= self.budget {
-                        self.exhaust();
-                        continue;
-                    }
-                    let chan = self.channel_of(ch);
-                    let end = start.saturating_add(self.system.bucket_size);
-                    let from = self.now;
-                    let listened = end - from;
-                    self.tuning += listened;
-                    self.now = end;
-                    self.first_read = false;
-                    if channel_model_for(self.base, ch).corrupted(start) {
-                        self.recorder.span(Phase::Retry, listened, listened);
-                        self.recover(ch, idx, start, false);
-                    } else {
-                        self.retries.outage_streak = 0;
-                        self.probes += 1;
-                        if ch == 0 {
-                            self.recorder
-                                .span(Phase::IndexTraversal, listened, listened);
-                            self.dispatch_index(idx, end);
-                        } else {
-                            self.recorder.span(Phase::DataRead, listened, listened);
-                            match &chan.bucket(idx).payload {
-                                GroupPayload::Data { key } if *key == self.key.0 => {
-                                    self.complete(true, false, false);
-                                }
-                                // The directory pointed at a bucket that
-                                // does not carry the key: a layout bug,
-                                // reported as an abort, never a silent
-                                // wrong answer.
-                                _ => self.complete(false, false, true),
-                            }
-                        }
-                    }
-                    return WalkStep::Read {
-                        bucket: idx,
-                        from,
-                        until: end,
-                    };
-                }
-                GroupPending::Switch { dref } => {
-                    let sw = self.system.config.switch_cost;
-                    let chan = self.channel_of(dref.channel);
-                    let idx = (dref.offset / self.system.bucket_size) as usize;
-                    let arrive = self.now.saturating_add(sw);
-                    self.pending = GroupPending::ReadAt {
-                        ch: dref.channel,
-                        idx,
-                        start: chan.occurrence_at_or_after(idx, arrive),
-                    };
-                    if sw > 0 {
-                        self.recorder.span(Phase::ChannelSwitch, sw, 0);
-                        self.now = arrive;
-                        return WalkStep::Doze { until: arrive };
-                    }
-                }
-            }
+    fn on_corrupt(&mut self, meta: BucketMeta) -> Action {
+        if self.probing {
+            return Action::ReadNext;
         }
+        let cycle = self.cycles[self.carrier as usize];
+        doze_or_read(meta.start.saturating_add(cycle), meta.end)
     }
-}
 
-/// The reusable [`QuerySlot`] of an indexed group: one [`GroupWalk`] per
-/// query, re-armed in place with a fresh recorder `R`. With a
-/// [`SpanRecorder`] the query's per-phase spans are exposed through
-/// [`QuerySlot::spans`] until the next start.
-pub struct GroupSlot<'a, R = NoopRecorder> {
-    system: &'a IndexedGroupSystem,
-    walk: Option<GroupWalk<'a, R>>,
-    base: ChannelModel,
-    policy: RetryPolicy,
-}
-
-impl<'a, R> GroupSlot<'a, R> {
-    /// An empty slot; arm with [`QuerySlot::start`].
-    pub fn new(system: &'a IndexedGroupSystem, base: ChannelModel, policy: RetryPolicy) -> Self {
-        GroupSlot {
-            system,
-            walk: None,
-            base,
-            policy,
+    fn bucket_kind(&self, payload: &GroupPayload) -> BucketKind {
+        match payload {
+            GroupPayload::Data { .. } => BucketKind::Data,
+            _ => BucketKind::Index,
         }
-    }
-}
-
-impl<R: Recorder + Default + Send> QuerySlot for GroupSlot<'_, R> {
-    fn start(&mut self, key: Key, tune_in: Ticks) {
-        self.walk = Some(GroupWalk::new(
-            self.system,
-            key,
-            tune_in,
-            self.base,
-            self.policy,
-            R::default(),
-        ));
-    }
-
-    fn step(&mut self) -> WalkStep {
-        self.walk
-            .as_mut()
-            .expect("QuerySlot::step before start")
-            .step()
-    }
-
-    fn now(&self) -> Ticks {
-        self.walk
-            .as_ref()
-            .expect("QuerySlot::now before start")
-            .now()
-    }
-
-    fn is_done(&self) -> bool {
-        self.walk.as_ref().map_or(true, GroupWalk::is_done)
-    }
-
-    fn spans(&self) -> Option<&PhaseSpans> {
-        self.walk.as_ref().and_then(|w| w.recorder().spans())
-    }
-
-    // Fast-forward stays a no-op: the group walk's step count is already
-    // O(directory depth), not O(cycle length).
-}
-
-impl DynSystem for IndexedGroupSystem {
-    fn scheme_name(&self) -> &'static str {
-        "indexed-group"
-    }
-
-    fn cycle_len(&self) -> Ticks {
-        self.data
-            .iter()
-            .map(Channel::cycle_len)
-            .chain([self.index.cycle_len()])
-            .max()
-            .unwrap_or(0)
-    }
-
-    fn num_buckets(&self) -> usize {
-        self.index.num_buckets() + self.data.iter().map(Channel::num_buckets).sum::<usize>()
-    }
-
-    fn probe_with_channel(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> AccessOutcome {
-        let mut walk = GroupWalk::new(self, key, tune_in, channel, policy, NoopRecorder);
-        loop {
-            if let WalkStep::Done(out) = walk.step() {
-                return out;
-            }
-        }
-    }
-
-    fn make_slot_channel(
-        &self,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(GroupSlot::<NoopRecorder>::new(self, channel, policy))
-    }
-
-    fn make_slot_channel_observed(
-        &self,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(GroupSlot::<SpanRecorder>::new(self, channel, policy))
     }
 }
 
@@ -1425,6 +1212,40 @@ mod tests {
     }
 
     #[test]
+    fn indexed_group_counts_every_read_as_a_probe() {
+        // `probes` counts the buckets read, corrupted ones included, on
+        // the group as on a single channel: on dead air a walk allowed
+        // two retries reads three buckets and gives up at the third.
+        let sys = small_group();
+        let dead = ChannelModel::iid(ErrorModel::new(1.0, 1));
+        let policy = RetryPolicy::bounded(2);
+        let out = sys.probe_with_channel(Key(50), 0, dead, policy);
+        assert_eq!((out.probes, out.retries), (3, 3), "{out:?}");
+        assert!(out.abandoned && !out.aborted, "{out:?}");
+        let flat = FlatScheme.build(&dataset(24), &Params::paper()).unwrap();
+        let single = flat.probe_with_channel(Key(50), 0, dead, policy);
+        assert_eq!(single.probes, out.probes);
+    }
+
+    #[test]
+    fn indexed_group_attributes_reads_by_what_they_carry() {
+        // A corrupted first read is a retry, not the initial probe: the
+        // next clean read is attributed by what it carries, as on every
+        // walk.
+        let sys = small_group();
+        let air = ChannelModel::iid(ErrorModel::new(0.5, 3));
+        let policy = RetryPolicy::bounded(8);
+        let lost_first = (0..64u64)
+            .find_map(|i| {
+                let (out, spans) = sys.probe_recorded_channel(Key(130), i * 997, air, policy);
+                (out.found && spans.get(Phase::InitialProbe).count == 0).then_some(spans)
+            })
+            .expect("some tune-in loses its first read");
+        assert!(lost_first.get(Phase::Retry).count >= 1);
+        assert!(lost_first.get(Phase::IndexTraversal).count >= 1);
+    }
+
+    #[test]
     fn indexed_group_backs_off_by_the_shared_rule() {
         // Under loss the back-off attempt is the retry count, as on the
         // single-channel walk, not the streak of consecutive corrupted
@@ -1436,7 +1257,9 @@ mod tests {
         let air = ChannelModel::iid(ErrorModel::new(0.4, 1));
         let policy = RetryPolicy::bounded(24).with_backoff_cap(8);
         assert_eq!(policy.recovery_cycles(2, false), 2);
-        let mut walk = GroupWalk::new(&sys, Key(130), 5, air, policy, SpanRecorder::new());
+        let (src, machine) = sys.tune(Key(130), 5);
+        let mut walk =
+            Walk::with_channel_recorder(src, machine, 5, air, policy, SpanRecorder::new());
         let mut corrupted = Vec::new();
         let mut steps = Vec::new();
         loop {

@@ -88,12 +88,11 @@ pub trait System: Send + Sync {
 /// of these; its reference oracle starts a fresh one per request, which
 /// never fast-forwards and so steps every bucket.
 ///
-/// There is one implementation per program layout: [`WalkSlot`] for a
-/// single-channel program, frozen or churning;
-/// [`crate::multichannel::StripedSlot`] for a striped channel group; and
-/// [`crate::multichannel::GroupSlot`] for an indexed one. Each takes the
-/// recorder as a type parameter, so an observed slot is the same type
-/// with a [`SpanRecorder`].
+/// There is one implementation per program layout: [`WalkSlot`] for any
+/// [`Broadcast`] — a single-channel program, frozen or churning, or an
+/// indexed channel group — and [`crate::multichannel::StripedSlot`] for a
+/// striped channel group. Each takes the recorder as a type parameter, so
+/// an observed slot is the same type with a [`SpanRecorder`].
 ///
 /// `Send` is a supertrait so a slab of slots can be owned by a worker
 /// thread: the sharded engine partitions clients across cores, and each
@@ -131,56 +130,65 @@ pub trait QuerySlot: Send {
     /// (see [`Walk::set_fast_forward`]; off in a fresh slot): bit-identical
     /// outcomes and accounting, O(1) walk steps per interesting bucket.
     /// Walks over a *dynamic* broadcast program honour it too, up to the
-    /// end of the epoch on air. The default is a no-op, for slots whose
-    /// walks have no scan to collapse (the indexed channel group's step
-    /// count is already O(directory depth)).
-    fn set_fast_forward(&mut self, enabled: bool) {
-        let _ = enabled;
-    }
+    /// end of the epoch on air; a machine without a planner (the indexed
+    /// channel group's) steps as before.
+    fn set_fast_forward(&mut self, enabled: bool);
 }
 
-/// A broadcast a client query tunes into: a frozen [`System`], or a
-/// [`crate::dynamic::ProgramTimeline`] of re-cut ones. It hands each query
-/// the [`Source`] its [`Walk`] reads and the machine it starts with, so
-/// one walk, one driver family ([`crate::machine::run_machine`] and its
-/// variants), one slot ([`WalkSlot`]) and one [`DynSystem`] implementation
-/// serve both.
+/// A broadcast a client query tunes into: a frozen [`System`], a
+/// [`crate::dynamic::ProgramTimeline`] of re-cut ones, or an indexed
+/// channel group ([`crate::multichannel::IndexedGroupSystem`]). It reports
+/// its name and geometry and hands each query the [`Source`] its [`Walk`]
+/// reads and the machine it starts with, so one walk, one driver family
+/// ([`crate::machine::run_machine`] and its variants), one slot
+/// ([`WalkSlot`]) and one [`DynSystem`] implementation serve all three.
 pub trait Broadcast {
-    /// The built program type (every epoch's, on a timeline).
-    type Program: System;
+    /// The bucket payload a walk reads.
+    type Payload;
+    /// The client protocol machine a query runs.
+    type Machine: ProtocolMachine<Self::Payload> + Send;
     /// What a walk over this broadcast reads.
-    type Source<'a>: Source<'a, MachineOf<Self>, Payload = PayloadOf<Self>> + Send
+    type Source<'a>: Source<'a, Self::Machine, Payload = Self::Payload> + Send
     where
         Self: 'a;
 
-    /// The program on the air at time 0: its name and geometry are what
-    /// [`DynSystem`] reports.
-    fn initial(&self) -> &Self::Program;
+    /// Human-readable scheme name.
+    fn scheme_name(&self) -> &'static str;
+
+    /// Cycle length in ticks: the program's on the air at time 0, or a
+    /// channel group's longest carrier cycle.
+    fn cycle_len(&self) -> Ticks;
+
+    /// Buckets per cycle, over every carrier.
+    fn num_buckets(&self) -> usize;
 
     /// The source and the starting machine of a query for `key` tuning in
     /// at `tune_in`, the machine built against the program on air then.
-    fn tune(&self, key: Key, tune_in: Ticks) -> (Self::Source<'_>, MachineOf<Self>);
+    fn tune(&self, key: Key, tune_in: Ticks) -> (Self::Source<'_>, Self::Machine);
 }
-
-/// The payload type of a [`Broadcast`]'s programs.
-pub type PayloadOf<B> = <<B as Broadcast>::Program as System>::Payload;
-
-/// The protocol machine type of a [`Broadcast`]'s programs.
-pub type MachineOf<B> = <<B as Broadcast>::Program as System>::Machine;
 
 /// A frozen program is a broadcast whose walks read its one channel.
 impl<S: System> Broadcast for S {
-    type Program = S;
+    type Payload = <S as System>::Payload;
+    type Machine = <S as System>::Machine;
     type Source<'a>
-        = &'a Channel<S::Payload>
+        = &'a Channel<<S as System>::Payload>
     where
         S: 'a;
 
-    fn initial(&self) -> &S {
-        self
+    fn scheme_name(&self) -> &'static str {
+        System::scheme_name(self)
     }
 
-    fn tune(&self, key: Key, _tune_in: Ticks) -> (&Channel<S::Payload>, S::Machine) {
+    fn cycle_len(&self) -> Ticks {
+        self.channel().cycle_len()
+    }
+
+    fn num_buckets(&self) -> usize {
+        self.channel().num_buckets()
+    }
+
+    fn tune(&self, key: Key, _tune_in: Ticks) -> (Self::Source<'_>, Self::Machine) {
         (self.channel(), self.query(key))
     }
 }
@@ -192,7 +200,7 @@ impl<S: System> Broadcast for S {
 /// [`QuerySlot::spans`] until the next start.
 pub struct WalkSlot<'a, B: Broadcast, R = NoopRecorder> {
     broadcast: &'a B,
-    walk: Option<Walk<B::Source<'a>, MachineOf<B>, R>>,
+    walk: Option<Walk<B::Source<'a>, B::Machine, R>>,
     channel: ChannelModel,
     policy: RetryPolicy,
     ff: bool,
@@ -261,8 +269,9 @@ impl<'a, B: Broadcast + Sync, R: Recorder + Default + Send> QuerySlot for WalkSl
 /// Object-safe view of a built broadcast, so the testbed and harness can
 /// treat heterogeneous schemes uniformly (`Box<dyn DynSystem>`).
 ///
-/// Every [`Broadcast`] — every [`System`], and every timeline of them —
-/// implements this automatically (blanket impl), so `probe` and the slots
+/// Every [`Broadcast`] — every [`System`], every timeline of them, and the
+/// indexed channel group — implements this automatically (blanket impl),
+/// so `probe` and the slots
 /// are available on concrete systems too — import this trait to use them.
 /// Keeping `probe` on exactly one trait avoids method ambiguity when both
 /// traits are in scope.
@@ -342,18 +351,18 @@ pub trait DynSystem: Send + Sync {
 
 impl<B: Broadcast + Send + Sync> DynSystem for B
 where
-    MachineOf<B>: 'static,
+    B::Machine: 'static,
 {
     fn scheme_name(&self) -> &'static str {
-        System::scheme_name(self.initial())
+        Broadcast::scheme_name(self)
     }
 
     fn cycle_len(&self) -> Ticks {
-        self.initial().channel().cycle_len()
+        Broadcast::cycle_len(self)
     }
 
     fn num_buckets(&self) -> usize {
-        self.initial().channel().num_buckets()
+        Broadcast::num_buckets(self)
     }
 
     fn probe_with_channel(

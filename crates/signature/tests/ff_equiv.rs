@@ -250,7 +250,7 @@ where
         },
     ])
     .unwrap();
-    let name = tl.epoch(0).system.scheme_name();
+    let name = System::scheme_name(&tl.epoch(0).system);
     // Kept, deleted, inserted and never-broadcast keys.
     let keys = [Key(3), Key(42), Key(0), Key(75), Key(183), Key(207), Key(1)];
     let (mut dozes_onto_boundary, mut skews, mut collapsed) = (0, 0, 0);

@@ -135,14 +135,23 @@ impl<S: System> std::fmt::Debug for VersionedServer<S> {
 }
 
 impl<S: System> Broadcast for VersionedServer<S> {
-    type Program = S;
+    type Payload = <S as System>::Payload;
+    type Machine = <S as System>::Machine;
     type Source<'a>
         = Versioned<'a, S>
     where
         S: 'a;
 
-    fn initial(&self) -> &S {
-        self.timeline.initial()
+    fn scheme_name(&self) -> &'static str {
+        self.timeline.scheme_name()
+    }
+
+    fn cycle_len(&self) -> Ticks {
+        self.timeline.cycle_len()
+    }
+
+    fn num_buckets(&self) -> usize {
+        self.timeline.num_buckets()
     }
 
     fn tune(&self, key: Key, tune_in: Ticks) -> (Versioned<'_, S>, S::Machine) {
