@@ -1,4 +1,7 @@
 //! Ablation: (1,m)-indexing segment count m.
+//! Exits 1 if its CSV cannot be written (the path is reported on stderr).
 fn main() {
-    bda_bench::experiments::ablations::ablation_m(&bda_bench::Cli::parse());
+    if bda_bench::experiments::ablations::ablation_m(&bda_bench::Cli::parse()).is_err() {
+        std::process::exit(1);
+    }
 }

@@ -1,36 +1,33 @@
-//! Runs every experiment in sequence: Table 1, Figs. 4-6, all ablations.
-//! Exits 1 if any sweep failed, after running the rest.
+//! Runs every experiment in sequence: Table 1, Figs. 4-6, the ablations
+//! and the extensions.
+//! Exits 1 if any sweep failed or any CSV could not be written, after
+//! running the rest.
 fn main() {
     let cli = bda_bench::Cli::parse();
     use bda_bench::experiments::*;
+    let runs: [fn(&bda_bench::Cli) -> Outcome; 14] = [
+        table1::run,
+        fig4::run,
+        fig5::run,
+        fig6::run,
+        ablations::ablation_r,
+        ablations::ablation_m,
+        ablations::ablation_siglen,
+        ablations::ablation_hash,
+        ext_errors::run,
+        ext_disks::run,
+        ext_hybrid::run,
+        ext_multichannel::run,
+        ext_tails::run,
+        ext_phases::run,
+    ];
     let mut failed = false;
-    table1::run(&cli);
-    println!();
-    failed |= fig4::run(&cli).is_err();
-    println!();
-    failed |= fig5::run(&cli).is_err();
-    println!();
-    failed |= fig6::run(&cli).is_err();
-    println!();
-    ablations::ablation_r(&cli);
-    println!();
-    ablations::ablation_m(&cli);
-    println!();
-    ablations::ablation_siglen(&cli);
-    println!();
-    ablations::ablation_hash(&cli);
-    println!();
-    ext_errors::run(&cli);
-    println!();
-    ext_disks::run(&cli);
-    println!();
-    ext_hybrid::run(&cli);
-    println!();
-    ext_multichannel::run(&cli);
-    println!();
-    failed |= ext_tails::run(&cli).is_err();
-    println!();
-    ext_phases::run(&cli);
+    for (i, run) in runs.iter().enumerate() {
+        if i > 0 {
+            println!();
+        }
+        failed |= run(&cli).is_err();
+    }
     if failed {
         std::process::exit(1);
     }

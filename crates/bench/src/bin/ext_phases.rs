@@ -1,5 +1,7 @@
 //! Extension: per-phase tuning-time breakdown across all schemes.
+//! Exits 1 if its CSV cannot be written (the path is reported on stderr).
 fn main() {
-    let cli = bda_bench::Cli::parse();
-    bda_bench::experiments::ext_phases::run(&cli);
+    if bda_bench::experiments::ext_phases::run(&bda_bench::Cli::parse()).is_err() {
+        std::process::exit(1);
+    }
 }

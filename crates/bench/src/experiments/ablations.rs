@@ -11,7 +11,8 @@ use bda_hash::{HashFn, HashScheme};
 use bda_signature::{SigParams, SimpleSignatureScheme};
 use bda_sim::Simulator;
 
-use crate::table::Table;
+use crate::experiments::Outcome;
+use crate::table::{write_csvs, Table};
 use crate::Cli;
 
 fn nr(cli: &Cli) -> usize {
@@ -31,7 +32,7 @@ fn simulate(cli: &Cli, system: &dyn DynSystem, dataset: &bda_core::Dataset) -> (
 }
 
 /// ◆ Distributed indexing: sweep the number of replicated levels `r`.
-pub fn ablation_r(cli: &Cli) {
+pub fn ablation_r(cli: &Cli) -> Outcome {
     let params = Params::paper();
     let dataset = DatasetBuilder::new(nr(cli), cli.seed).build().unwrap();
     let fanout = params.index_entries_per_bucket();
@@ -59,11 +60,12 @@ pub fn ablation_r(cli: &Cli) {
     }
     println!("# Ablation — distributed indexing replication depth r (k = {k})\n");
     print!("{}", t.render());
-    let _ = t.write_csv("ablation_r");
+    write_csvs(cli.progress(), &[(&t, "ablation_r")])?;
+    Ok(())
 }
 
 /// ◆ `(1,m)` indexing: sweep the number of data segments `m`.
-pub fn ablation_m(cli: &Cli) {
+pub fn ablation_m(cli: &Cli) -> Outcome {
     let params = Params::paper();
     let dataset = DatasetBuilder::new(nr(cli), cli.seed).build().unwrap();
     let probe = OneMScheme::new().build(&dataset, &params).unwrap();
@@ -92,11 +94,12 @@ pub fn ablation_m(cli: &Cli) {
     }
     println!("# Ablation — (1,m) indexing segment count m (m* = {m_star})\n");
     print!("{}", t.render());
-    let _ = t.write_csv("ablation_m");
+    write_csvs(cli.progress(), &[(&t, "ablation_m")])?;
+    Ok(())
 }
 
 /// ◆ Signature length: the §2.3 access-vs-tuning tradeoff.
-pub fn ablation_siglen(cli: &Cli) {
+pub fn ablation_siglen(cli: &Cli) -> Outcome {
     let params = Params::paper();
     let dataset = DatasetBuilder::new(nr(cli), cli.seed).build().unwrap();
     let mut t = Table::new(&[
@@ -128,12 +131,13 @@ pub fn ablation_siglen(cli: &Cli) {
     }
     println!("# Ablation — signature length (shorter: better access, worse tuning)\n");
     print!("{}", t.render());
-    let _ = t.write_csv("ablation_siglen");
+    write_csvs(cli.progress(), &[(&t, "ablation_siglen")])?;
+    Ok(())
 }
 
 /// ◆ Hash quality and load factor: the §4.2 remark that tuning time
 /// depends on "how good the hashing function is".
-pub fn ablation_hash(cli: &Cli) {
+pub fn ablation_hash(cli: &Cli) -> Outcome {
     let params = Params::paper();
     let dataset = DatasetBuilder::new(nr(cli), cli.seed).build().unwrap();
     let mut t = Table::new(&[
@@ -170,5 +174,6 @@ pub fn ablation_hash(cli: &Cli) {
     }
     println!("# Ablation — hash-function quality and load factor\n");
     print!("{}", t.render());
-    let _ = t.write_csv("ablation_hash");
+    write_csvs(cli.progress(), &[(&t, "ablation_hash")])?;
+    Ok(())
 }

@@ -24,7 +24,8 @@ use bda_datagen::{zipf_weights, DatasetBuilder, Popularity, Prng, QueryWorkload}
 
 use bda_sim::Layout;
 
-use crate::table::Table;
+use crate::experiments::Outcome;
+use crate::table::{write_csvs, Table};
 use crate::{Cli, SchemeKind};
 
 /// Workload skews swept.
@@ -58,7 +59,7 @@ fn run_cell(
 }
 
 /// Run the broadcast-disk skew sweep.
-pub fn run(cli: &Cli) {
+pub fn run(cli: &Cli) -> Outcome {
     let params = Params::paper();
     let nr = if cli.quick { 600 } else { 2_000 };
     let queries = if cli.quick { 1_500 } else { 6_000 };
@@ -141,6 +142,6 @@ pub fn run(cli: &Cli) {
         "# Extension — broadcast disks: skew θ × stratification D (Nr = {nr}, {queries} queries/cell)\n"
     );
     print!("{}", t.render());
-    let _ = t.write_csv("ext_disks");
-    println!("\n(csv: target/experiments/ext_disks.csv)");
+    write_csvs(cli.progress(), &[(&t, "ext_disks")])?;
+    Ok(())
 }

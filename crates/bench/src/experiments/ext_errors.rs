@@ -33,7 +33,8 @@ use bda_core::{ChannelModel, ErrorModel, Key, Params, RetryPolicy, Ticks};
 use bda_datagen::{DatasetBuilder, Prng};
 use bda_sim::Engine;
 
-use crate::table::Table;
+use crate::experiments::Outcome;
+use crate::table::{write_csvs, Table};
 use crate::{Cli, SchemeKind};
 
 /// Loss probabilities swept (percent) — the Fig-4-style 0–25 % range.
@@ -138,7 +139,7 @@ fn run_cell_engine(
 }
 
 /// Run the error-prone-channel sweep.
-pub fn run(cli: &Cli) {
+pub fn run(cli: &Cli) -> Outcome {
     let params = Params::paper();
     let nr = if cli.quick { 1_000 } else { 5_000 };
     let dataset = DatasetBuilder::new(nr, cli.seed).build().unwrap();
@@ -202,6 +203,6 @@ pub fn run(cli: &Cli) {
         }
     );
     print!("{}", t.render());
-    let _ = t.write_csv("ext_errors");
-    println!("\n(csv: target/experiments/ext_errors.csv)");
+    write_csvs(cli.progress(), &[(&t, "ext_errors")])?;
+    Ok(())
 }

@@ -19,11 +19,12 @@ use bda_datagen::{DatasetBuilder, Prng};
 use bda_hybrid::HybridScheme;
 use bda_signature::SimpleSignatureScheme;
 
-use crate::table::Table;
+use crate::experiments::Outcome;
+use crate::table::{write_csvs, Table};
 use crate::Cli;
 
 /// Run the hybrid-scheme comparison.
-pub fn run(cli: &Cli) {
+pub fn run(cli: &Cli) -> Outcome {
     let params = Params::paper();
     let nr = if cli.quick { 1_000 } else { 5_000 };
     let dataset = DatasetBuilder::new(nr, cli.seed).build().unwrap();
@@ -131,6 +132,6 @@ pub fn run(cli: &Cli) {
 
     println!("# Extension — hybrid tree+signature scheme (Nr = {nr}, {queries} queries/cell)\n");
     print!("{}", t.render());
-    let _ = t.write_csv("ext_hybrid");
-    println!("\n(csv: target/experiments/ext_hybrid.csv)");
+    write_csvs(cli.progress(), &[(&t, "ext_hybrid")])?;
+    Ok(())
 }

@@ -38,7 +38,8 @@ use bda_signature::SigParams;
 
 use bda_sim::Layout;
 
-use crate::table::Table;
+use crate::experiments::Outcome;
+use crate::table::{write_csvs, Table};
 use crate::{Cli, SchemeKind};
 
 /// Workload skews swept.
@@ -96,7 +97,7 @@ fn run_cell(
 }
 
 /// Run the multichannel K × switch-cost × skew sweep.
-pub fn run(cli: &Cli) {
+pub fn run(cli: &Cli) -> Outcome {
     let params = Params::paper();
     let nr = if cli.quick { 400 } else { 1_200 };
     let phases = if cli.quick { 32 } else { 64 };
@@ -286,6 +287,6 @@ pub fn run(cli: &Cli) {
          aggregate bandwidth (Nr = {nr}, weighted enumeration × {phases} phases/key)\n"
     );
     print!("{}", t.render());
-    let _ = t.write_csv("ext_multichannel");
-    println!("\n(csv: target/experiments/ext_multichannel.csv)");
+    write_csvs(cli.progress(), &[(&t, "ext_multichannel")])?;
+    Ok(())
 }

@@ -17,7 +17,8 @@ use bda_datagen::{DatasetBuilder, Popularity, QueryWorkload};
 use bda_obs::{MetricsHub, Phase, Severity};
 use bda_sim::Simulator;
 
-use crate::table::Table;
+use crate::experiments::Outcome;
+use crate::table::{write_csvs, Table};
 use crate::{Cli, SchemeKind};
 
 /// Run one observed simulation per scheme and return `(scheme, hub)`.
@@ -60,7 +61,7 @@ pub fn collect(cli: &Cli, nr: usize) -> Vec<(&'static str, MetricsHub)> {
 }
 
 /// Run the phase-breakdown comparison.
-pub fn run(cli: &Cli) {
+pub fn run(cli: &Cli) -> Outcome {
     let nr = if cli.quick { 2_000 } else { 10_000 };
     let hubs = collect(cli, nr);
 
@@ -99,6 +100,6 @@ pub fn run(cli: &Cli) {
 
     println!("# Extension — tuning time by walk phase (Nr = {nr}, 100% availability)\n");
     print!("{}", t.render());
-    let _ = t.write_csv("ext_phases");
-    println!("\n(csv: target/experiments/ext_phases.csv)");
+    write_csvs(cli.progress(), &[(&t, "ext_phases")])?;
+    Ok(())
 }

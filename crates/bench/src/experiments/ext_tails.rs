@@ -9,13 +9,14 @@
 use bda_core::Params;
 use bda_datagen::DatasetBuilder;
 
-use crate::sweep::{run_cells_with_progress, CellError, CellSpec};
-use crate::table::Table;
+use crate::experiments::Outcome;
+use crate::sweep::{run_cells_with_progress, CellSpec};
+use crate::table::{write_csvs, Table};
 use crate::{Cli, SchemeKind};
 
 /// Run the tail-latency comparison. A failed cell aborts the sweep
-/// before anything is printed and is returned.
-pub fn run(cli: &Cli) -> Result<(), CellError> {
+/// before anything is printed and is returned, as is a failed CSV write.
+pub fn run(cli: &Cli) -> Outcome {
     let params = Params::paper();
     let nr = if cli.quick { 2_000 } else { 10_000 };
     let dataset = DatasetBuilder::new(nr, cli.seed).build().unwrap();
@@ -62,7 +63,6 @@ pub fn run(cli: &Cli) -> Result<(), CellError> {
 
     println!("# Extension — access-time tails (bytes; Nr = {nr}, 100% availability)\n");
     print!("{}", t.render());
-    let _ = t.write_csv("ext_tails");
-    println!("\n(csv: target/experiments/ext_tails.csv)");
+    write_csvs(cli.progress(), &[(&t, "ext_tails")])?;
     Ok(())
 }

@@ -7,8 +7,9 @@ use bda_core::Params;
 use bda_datagen::DatasetBuilder;
 use bda_signature::SigParams;
 
-use crate::sweep::{run_cells_with_progress, CellError, CellSpec};
-use crate::table::Table;
+use crate::experiments::Outcome;
+use crate::sweep::{run_cells_with_progress, CellSpec};
+use crate::table::{write_csvs, Table};
 use crate::{Cli, SchemeKind};
 
 /// Record counts swept on the x axis (the paper's 7000–34000 range).
@@ -22,8 +23,8 @@ const SCHEMES: [SchemeKind; 4] = [
 ];
 
 /// Run the Fig. 4 sweep and print both panels. A failed cell aborts the sweep
-/// before anything is printed and is returned.
-pub fn run(cli: &Cli) -> Result<(), CellError> {
+/// before anything is printed and is returned, as is a failed CSV write.
+pub fn run(cli: &Cli) -> Outcome {
     let params = Params::paper();
     let cfg = cli.sim_config();
     let sizes: &[usize] = if cli.quick { &SIZES[..3] } else { &SIZES };
@@ -134,10 +135,12 @@ pub fn run(cli: &Cli) -> Result<(), CellError> {
     print!("{}", at.render());
     println!("\n# Fig. 4(b) — tuning time (bytes) vs number of records\n");
     print!("{}", tt.render());
-    let _ = at.write_csv("fig4a_access_vs_records");
-    let _ = tt.write_csv("fig4b_tuning_vs_records");
-    println!(
-        "\n(csv: target/experiments/fig4a_access_vs_records.csv, fig4b_tuning_vs_records.csv)"
-    );
+    write_csvs(
+        cli.progress(),
+        &[
+            (&at, "fig4a_access_vs_records"),
+            (&tt, "fig4b_tuning_vs_records"),
+        ],
+    )?;
     Ok(())
 }

@@ -9,8 +9,9 @@ use bda_core::{Params, Scheme};
 use bda_datagen::DatasetBuilder;
 use bda_signature::SigParams;
 
-use crate::sweep::{run_cells_with_progress, CellError, CellSpec};
-use crate::table::Table;
+use crate::experiments::Outcome;
+use crate::sweep::{run_cells_with_progress, CellSpec};
+use crate::table::{write_csvs, Table};
 use crate::{Cli, SchemeKind};
 
 /// Number of broadcast records for the availability sweep.
@@ -20,8 +21,8 @@ pub const NUM_RECORDS: usize = 10_000;
 pub const AVAILABILITY: [u32; 6] = [0, 20, 40, 60, 80, 100];
 
 /// Run the Fig. 5 sweep and print both panels. A failed cell aborts the sweep
-/// before anything is printed and is returned.
-pub fn run(cli: &Cli) -> Result<(), CellError> {
+/// before anything is printed and is returned, as is a failed CSV write.
+pub fn run(cli: &Cli) -> Outcome {
     let params = Params::paper();
     let cfg = cli.sim_config();
     let nr = if cli.quick { 2_000 } else { NUM_RECORDS };
@@ -108,7 +109,6 @@ pub fn run(cli: &Cli) -> Result<(), CellError> {
     }
     println!("\n  analytical (extension availability models):\n");
     print!("{}", ma.render());
-    let _ = ma.write_csv("fig5a_access_vs_availability_analytical");
     println!(
         "\n# Fig. 5(b) — tuning time (bytes) vs data availability (Nr = {nr})\n  \
          (the paper omits flat broadcast here — \"much larger than all other schemes\")\n"
@@ -116,9 +116,14 @@ pub fn run(cli: &Cli) -> Result<(), CellError> {
     print!("{}", tt.render());
     println!("\n  analytical (extension availability models):\n");
     print!("{}", mt.render());
-    let _ = at.write_csv("fig5a_access_vs_availability");
-    let _ = tt.write_csv("fig5b_tuning_vs_availability");
-    let _ = mt.write_csv("fig5b_tuning_vs_availability_analytical");
-    println!("\n(csv: target/experiments/fig5a_access_vs_availability.csv, fig5b_tuning_vs_availability.csv)");
+    write_csvs(
+        cli.progress(),
+        &[
+            (&at, "fig5a_access_vs_availability"),
+            (&tt, "fig5b_tuning_vs_availability"),
+            (&ma, "fig5a_access_vs_availability_analytical"),
+            (&mt, "fig5b_tuning_vs_availability_analytical"),
+        ],
+    )?;
     Ok(())
 }

@@ -10,8 +10,9 @@
 use bda_core::Params;
 use bda_datagen::DatasetBuilder;
 
-use crate::sweep::{run_cells_with_progress, CellError, CellSpec};
-use crate::table::Table;
+use crate::experiments::Outcome;
+use crate::sweep::{run_cells_with_progress, CellSpec};
+use crate::table::{write_csvs, Table};
 use crate::{Cli, SchemeKind};
 
 /// Number of broadcast records for the ratio sweep.
@@ -21,8 +22,8 @@ pub const NUM_RECORDS: usize = 10_000;
 pub const RATIOS: [u32; 6] = [5, 10, 20, 25, 50, 100];
 
 /// Run the Fig. 6 sweep and print both panels. A failed cell aborts the sweep
-/// before anything is printed and is returned.
-pub fn run(cli: &Cli) -> Result<(), CellError> {
+/// before anything is printed and is returned, as is a failed CSV write.
+pub fn run(cli: &Cli) -> Outcome {
     let cfg = cli.sim_config();
     let nr = if cli.quick { 2_000 } else { NUM_RECORDS };
     let dataset = DatasetBuilder::new(nr, cli.seed).build().unwrap();
@@ -81,8 +82,12 @@ pub fn run(cli: &Cli) -> Result<(), CellError> {
          (the paper omits flat broadcast here)\n"
     );
     print!("{}", tt.render());
-    let _ = at.write_csv("fig6a_access_vs_ratio");
-    let _ = tt.write_csv("fig6b_tuning_vs_ratio");
-    println!("\n(csv: target/experiments/fig6a_access_vs_ratio.csv, fig6b_tuning_vs_ratio.csv)");
+    write_csvs(
+        cli.progress(),
+        &[
+            (&at, "fig6a_access_vs_ratio"),
+            (&tt, "fig6b_tuning_vs_ratio"),
+        ],
+    )?;
     Ok(())
 }

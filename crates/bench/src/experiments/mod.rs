@@ -12,3 +12,7 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod table1;
+
+/// What an experiment's `run` returns: an error when a sweep cell failed
+/// or a result table could not be written, already reported on stderr.
+pub type Outcome = Result<(), Box<dyn std::error::Error>>;

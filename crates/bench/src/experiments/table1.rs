@@ -2,11 +2,12 @@
 
 use bda_core::Params;
 
-use crate::table::Table;
+use crate::experiments::Outcome;
+use crate::table::{write_csvs, Table};
 use crate::Cli;
 
 /// Print the reproduction's counterpart of Table 1.
-pub fn run(cli: &Cli) {
+pub fn run(cli: &Cli) -> Outcome {
     let params = Params::paper();
     let cfg = cli.sim_config();
     let mut t = Table::new(&["setting", "paper", "this reproduction"]);
@@ -57,7 +58,6 @@ pub fn run(cli: &Cli) {
     ]);
     println!("# Table 1 — simulation settings\n");
     print!("{}", t.render());
-    if let Ok(path) = t.write_csv("table1") {
-        println!("\n(csv: {})", path.display());
-    }
+    write_csvs(cli.progress(), &[(&t, "table1")])?;
+    Ok(())
 }

@@ -1,7 +1,9 @@
 //! Result formatting: aligned console tables and CSV files.
 
-use std::io::Write as _;
+use std::fmt;
 use std::path::{Path, PathBuf};
+
+use bda_obs::{ProgressSink, Severity};
 
 /// A simple table: header row plus data rows.
 #[derive(Debug, Clone, Default)]
@@ -116,16 +118,55 @@ impl Table {
         out
     }
 
-    /// Write the CSV under `target/experiments/<name>.csv` (relative to the
-    /// workspace root) and return the path.
-    pub fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
+    /// Write the CSV as `<name>.csv` under [`experiments_dir`] and return
+    /// the path written.
+    pub fn write_csv(&self, name: &str) -> Result<PathBuf, CsvError> {
         let dir = experiments_dir();
-        std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{name}.csv"));
-        let mut f = std::fs::File::create(&path)?;
-        f.write_all(self.to_csv().as_bytes())?;
-        Ok(path)
+        match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, self.to_csv())) {
+            Ok(()) => Ok(path),
+            Err(source) => Err(CsvError { path, source }),
+        }
     }
+}
+
+/// A result table that could not be written: the path, and why.
+#[derive(Debug)]
+pub struct CsvError {
+    /// The file that was not written.
+    pub path: PathBuf,
+    /// The write's failure.
+    pub source: std::io::Error,
+}
+
+impl fmt::Display for CsvError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "cannot write {}: {}", self.path.display(), self.source)
+    }
+}
+
+impl std::error::Error for CsvError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.source)
+    }
+}
+
+/// Write each `(table, name)` as `<name>.csv` under [`experiments_dir`]
+/// and print the paths written, `(csv: …)`. The first failed write is
+/// reported to `progress` as an error naming the path, and returned.
+pub fn write_csvs(progress: &dyn ProgressSink, tables: &[(&Table, &str)]) -> Result<(), CsvError> {
+    let mut written = Vec::with_capacity(tables.len());
+    for (table, name) in tables {
+        match table.write_csv(name) {
+            Ok(path) => written.push(path.display().to_string()),
+            Err(err) => {
+                progress.emit(Severity::Error, &err.to_string());
+                return Err(err);
+            }
+        }
+    }
+    println!("\n(csv: {})", written.join(", "));
+    Ok(())
 }
 
 /// `target/experiments/` resolved against the cargo target dir if known.
@@ -144,11 +185,6 @@ pub fn experiments_dir() -> PathBuf {
             return PathBuf::from("target/experiments");
         }
     }
-}
-
-/// Format a byte count with thousands separators for readability.
-pub fn fmt_bytes(v: f64) -> String {
-    format!("{:.0}", v)
 }
 
 #[cfg(test)]
