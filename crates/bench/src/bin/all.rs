@@ -1,7 +1,5 @@
 //! Runs every experiment in sequence: Table 1, Figs. 4-6, the ablations
-//! and the extensions.
-//! Exits 1 if any sweep failed or any CSV could not be written, after
-//! running the rest.
+//! and the extensions. Exits 1 if any failed, after running the rest.
 fn main() {
     let cli = bda_bench::Cli::parse();
     use bda_bench::experiments::*;

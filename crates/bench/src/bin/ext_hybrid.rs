@@ -1,7 +1,4 @@
 //! Extension: hybrid index-tree + signature scheme vs its parents.
-//! Exits 1 if its CSV cannot be written (the path is reported on stderr).
 fn main() {
-    if bda_bench::experiments::ext_hybrid::run(&bda_bench::Cli::parse()).is_err() {
-        std::process::exit(1);
-    }
+    bda_bench::run_main(bda_bench::experiments::ext_hybrid::run);
 }

@@ -1,8 +1,5 @@
 //! Extension: multichannel broadcast — channel groups, tune-switch
 //! costs, and the air-time allocator at equal aggregate bandwidth.
-//! Exits 1 if its CSV cannot be written (the path is reported on stderr).
 fn main() {
-    if bda_bench::experiments::ext_multichannel::run(&bda_bench::Cli::parse()).is_err() {
-        std::process::exit(1);
-    }
+    bda_bench::run_main(bda_bench::experiments::ext_multichannel::run);
 }

@@ -1,8 +1,4 @@
 //! Regenerates Fig. 4(a)+(b): access/tuning time vs number of records.
-//! Exits 1 if the sweep fails or its CSV cannot be written (the failing
-//! cell or path is reported on stderr).
 fn main() {
-    if bda_bench::experiments::fig4::run(&bda_bench::Cli::parse()).is_err() {
-        std::process::exit(1);
-    }
+    bda_bench::run_main(bda_bench::experiments::fig4::run);
 }

@@ -2,8 +2,11 @@
 //!
 //! One binary per table/figure of the paper's evaluation, plus ablation
 //! studies for the design knobs DESIGN.md calls out. Each binary prints an
-//! aligned table (the same rows/series the paper plots) and writes a CSV
-//! under `target/experiments/` for external plotting.
+//! aligned table (the same rows/series the paper plots), writes a CSV
+//! under `target/experiments/` (under `$CARGO_TARGET_DIR` when set) for
+//! external plotting and prints the path written. A binary exits 1 if a
+//! sweep cell fails or a CSV cannot be written; `all` does so after
+//! running the rest.
 //!
 //! | binary | reproduces |
 //! |--------|------------|
@@ -38,6 +41,14 @@ use bda_obs::{NullProgress, ProgressSink, QuietProgress, StderrProgress};
 pub use bda_sim::SchemeKind;
 pub use sweep::{run_cell, run_cells, run_cells_with_progress, CellError, CellSpec};
 pub use table::Table;
+
+/// The `main` of an experiment binary: parse the common flags, run
+/// `experiment` and exit 1 if it failed (its failure is on stderr).
+pub fn run_main(experiment: fn(&Cli) -> experiments::Outcome) {
+    if experiment(&Cli::parse()).is_err() {
+        std::process::exit(1);
+    }
+}
 
 /// Parse the common CLI flags every experiment binary supports.
 #[derive(Debug, Clone, Copy)]

@@ -1,6 +1,5 @@
 //! Result formatting: aligned console tables and CSV files.
 
-use std::fmt;
 use std::path::{Path, PathBuf};
 
 use bda_obs::{ProgressSink, Severity};
@@ -117,53 +116,24 @@ impl Table {
         }
         out
     }
-
-    /// Write the CSV as `<name>.csv` under [`experiments_dir`] and return
-    /// the path written.
-    pub fn write_csv(&self, name: &str) -> Result<PathBuf, CsvError> {
-        let dir = experiments_dir();
-        let path = dir.join(format!("{name}.csv"));
-        match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, self.to_csv())) {
-            Ok(()) => Ok(path),
-            Err(source) => Err(CsvError { path, source }),
-        }
-    }
-}
-
-/// A result table that could not be written: the path, and why.
-#[derive(Debug)]
-pub struct CsvError {
-    /// The file that was not written.
-    pub path: PathBuf,
-    /// The write's failure.
-    pub source: std::io::Error,
-}
-
-impl fmt::Display for CsvError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cannot write {}: {}", self.path.display(), self.source)
-    }
-}
-
-impl std::error::Error for CsvError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
-    }
 }
 
 /// Write each `(table, name)` as `<name>.csv` under [`experiments_dir`]
 /// and print the paths written, `(csv: …)`. The first failed write is
 /// reported to `progress` as an error naming the path, and returned.
-pub fn write_csvs(progress: &dyn ProgressSink, tables: &[(&Table, &str)]) -> Result<(), CsvError> {
+pub fn write_csvs(progress: &dyn ProgressSink, tables: &[(&Table, &str)]) -> std::io::Result<()> {
+    let dir = experiments_dir();
     let mut written = Vec::with_capacity(tables.len());
     for (table, name) in tables {
-        match table.write_csv(name) {
-            Ok(path) => written.push(path.display().to_string()),
-            Err(err) => {
-                progress.emit(Severity::Error, &err.to_string());
-                return Err(err);
-            }
+        let path = dir.join(format!("{name}.csv"));
+        let write =
+            std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, table.to_csv()));
+        if let Err(err) = write {
+            let message = format!("cannot write {}: {err}", path.display());
+            progress.emit(Severity::Error, &message);
+            return Err(err);
         }
+        written.push(path.display().to_string());
     }
     println!("\n(csv: {})", written.join(", "));
     Ok(())

@@ -59,8 +59,8 @@ use bda_obs::{BucketKind, NoopRecorder, Phase, PhaseSpans, Recorder, SpanRecorde
 
 /// A cross-channel bucket address: bucket starting at cycle-relative
 /// `offset` on channel `channel` of the group. Directory entries carry
-/// these; a client resolves one to an absolute instant with
-/// [`Channel::occurrence_at_or_after`], which is forward-only.
+/// these; a client resolves one to its next occurrence on that channel
+/// (as [`Channel::occurrence_at_or_after`] does), forward-only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BucketRef {
     /// Group channel index (0 = index/home channel).
