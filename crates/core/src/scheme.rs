@@ -271,8 +271,8 @@ impl<'a, B: Broadcast + Sync, R: Recorder + Default + Send> QuerySlot for WalkSl
 ///
 /// Every [`Broadcast`] — every [`System`], every timeline of them, and the
 /// indexed channel group — implements this automatically (blanket impl),
-/// so `probe` and the slots
-/// are available on concrete systems too — import this trait to use them.
+/// so `probe` and the slots are available on concrete systems too —
+/// import this trait to use them.
 /// Keeping `probe` on exactly one trait avoids method ambiguity when both
 /// traits are in scope.
 ///
