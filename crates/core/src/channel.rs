@@ -7,11 +7,14 @@ use crate::Ticks;
 /// A broadcast cycle: a fixed sequence of buckets the server repeats
 /// forever.
 ///
-/// The channel owns the buckets and a prefix-sum table of their start
-/// offsets, so that "what is on the air at time `t`?" and "when does bucket
-/// `i` next start after time `t`?" are `O(log B)` / `O(1)` queries. All
-/// times are absolute [`Ticks`]; the cycle length (`Bt` in the paper's
-/// notation) is the sum of all bucket sizes.
+/// The channel owns the buckets, a prefix-sum table of their start
+/// offsets and a landing table over the cycle, so that "when does bucket
+/// `i` next start after time `t`?" is arithmetic and "which bucket does a
+/// client tuning in at `t` read first?" searches the starts of one
+/// landing cell, never the whole program (see
+/// [`Channel::first_complete_at`]): both are `O(1)` on uniform and
+/// alternating layouts. All times are absolute [`Ticks`]; the cycle
+/// length (`Bt` in the paper's notation) is the sum of all bucket sizes.
 ///
 /// ```
 /// use bda_core::{Bucket, Channel};
@@ -31,6 +34,15 @@ pub struct Channel<P> {
     buckets: Vec<Bucket<P>>,
     /// `starts[i]` = offset of bucket `i` within the cycle; `starts\[0\] == 0`.
     starts: Vec<Ticks>,
+    /// The landing table: the cycle cut into cells of `1 << shift` ticks,
+    /// and `landing[c]` the first bucket starting at or after offset
+    /// `c << shift` (the bucket count when none does), plus a sentinel
+    /// equal to the bucket count.
+    landing: Box<[u32]>,
+    /// Log2 of a landing cell's width: the largest power of two not above
+    /// the mean bucket size, so the table holds at most two cells per
+    /// bucket.
+    shift: u32,
     /// Total cycle length in bytes.
     cycle: Ticks,
     /// Broadcast-program version stamped into every bucket header
@@ -39,12 +51,16 @@ pub struct Channel<P> {
 }
 
 impl<P> Channel<P> {
-    /// Assemble a channel from buckets. Fails on an empty sequence or any
-    /// zero-sized bucket (a bucket must occupy air time to be readable).
+    /// Assemble a channel from buckets. Fails on an empty sequence, any
+    /// zero-sized bucket (a bucket must occupy air time to be readable) or
+    /// more buckets than a `u32` counts.
     pub fn new(buckets: Vec<Bucket<P>>) -> Result<Self> {
         if buckets.is_empty() {
             return Err(BdaError::EmptyChannel);
         }
+        let count = u32::try_from(buckets.len()).map_err(|_| {
+            BdaError::BuildError(format!("{} buckets overflow a u32 count", buckets.len()))
+        })?;
         let mut starts = Vec::with_capacity(buckets.len());
         let mut at: Ticks = 0;
         for (index, b) in buckets.iter().enumerate() {
@@ -54,9 +70,23 @@ impl<P> Channel<P> {
             starts.push(at);
             at += Ticks::from(b.size);
         }
+        // Every bucket is at least one tick, so the mean is at least 1.
+        let shift = (at / Ticks::from(count)).ilog2();
+        let cells = ((at - 1) >> shift) as usize + 1;
+        // Cell `c` lands on the first bucket starting at or after
+        // `c << shift`: bucket `i` takes every cell not yet filled up to
+        // the one holding its start, and the cells after the last start
+        // land past the last bucket.
+        let mut landing = Vec::with_capacity(cells + 1);
+        for (i, &s) in starts.iter().enumerate() {
+            landing.resize((s >> shift) as usize + 1, i as u32);
+        }
+        landing.resize(cells + 1, count);
         Ok(Channel {
             buckets,
             starts,
+            landing: landing.into_boxed_slice(),
+            shift,
             cycle: at,
             version: 0,
         })
@@ -124,10 +154,18 @@ impl<P> Channel<P> {
     /// saturates instead of overflowing (the simulation clock has run out
     /// of representable bytes; callers observe a start pinned at the
     /// maximum rather than a wrapped-around past instant).
+    ///
+    /// The answer lies between the landing table's entries for the cell
+    /// holding `t`'s cycle position and the next cell, so only the starts
+    /// of buckets beginning inside that cell are searched: none or one on
+    /// a uniform layout, at most two where small and large buckets
+    /// alternate (signature programs), and never more than one cell's
+    /// width of them on any mix of sizes.
     pub fn first_complete_at(&self, t: Ticks) -> (usize, Ticks) {
         let pos = self.pos(t);
-        // partition_point: first index with starts[i] >= pos.
-        let idx = self.starts.partition_point(|&s| s < pos);
+        let c = (pos >> self.shift) as usize;
+        let (lo, hi) = (self.landing[c] as usize, self.landing[c + 1] as usize);
+        let idx = lo + self.starts[lo..hi].partition_point(|&s| s < pos);
         if idx == self.starts.len() {
             // Wrap to the start of the next cycle.
             (0, t.saturating_add(self.cycle - pos))
@@ -176,6 +214,8 @@ impl<P> Channel<P> {
         Channel {
             buckets,
             starts: self.starts,
+            landing: self.landing,
+            shift: self.shift,
             cycle: self.cycle,
             version: self.version,
         }
@@ -249,6 +289,72 @@ mod tests {
         // Deep into later cycles.
         assert_eq!(c.first_complete_at(60 + 5), (1, 70));
         assert_eq!(c.first_complete_at(10 * 60), (0, 600));
+    }
+
+    /// The search the landing table replaces: every bucket start of the
+    /// program, binary-searched.
+    fn reference_first_complete_at<P>(c: &Channel<P>, t: Ticks) -> (usize, Ticks) {
+        let pos = c.pos(t);
+        let idx = c.starts.partition_point(|&s| s < pos);
+        if idx == c.starts.len() {
+            (0, t.saturating_add(c.cycle - pos))
+        } else {
+            (idx, t.saturating_add(c.starts[idx] - pos))
+        }
+    }
+
+    #[test]
+    fn landing_table_matches_the_whole_program_search() {
+        let uniform = vec![533; 40];
+        // A signature program: a small signature bucket before each large
+        // data bucket.
+        let alternating: Vec<u32> = (0..60).map(|i| [41, 533][i % 2]).collect();
+        let mut huge = vec![1; 300];
+        huge[117] = 1 << 20;
+        // Each mix, with the most bucket starts one lookup may search: one
+        // on a uniform layout, two where sizes alternate, and otherwise no
+        // more than a cell has ticks.
+        let mixes = [
+            (uniform, Some(1)),
+            (alternating, Some(2)),
+            (huge, None),
+            (vec![7], Some(1)),
+            (vec![1, 1, 1], Some(1)),
+            (vec![3, 1, 4, 1, 5, 9, 2, 6], None),
+        ];
+        for (sizes, widest) in mixes {
+            let c = ch(&sizes);
+            let cycle = c.cycle_len();
+            assert!(c.landing.len() <= 2 * c.num_buckets() + 1, "{sizes:?}");
+            let cell = c.landing.windows(2).map(|w| w[1] - w[0]).max().unwrap();
+            match widest {
+                Some(w) => assert_eq!(cell, w, "{sizes:?}"),
+                None => assert!(cell <= 1 << c.shift, "{sizes:?}"),
+            }
+            let mut points = vec![
+                cycle - 1,
+                cycle,
+                7 * cycle - 1,
+                Ticks::MAX,
+                Ticks::MAX - 1,
+                Ticks::MAX - Ticks::MAX % cycle,
+                Ticks::MAX - Ticks::MAX % cycle - 1,
+                Ticks::MAX - cycle,
+            ];
+            for i in 0..c.num_buckets() {
+                let (s, e) = (c.start_of(i), c.end_of(i));
+                for at in [s, s + (e - s) / 2, e - 1] {
+                    points.extend([at, 3 * cycle + at, Ticks::MAX - cycle + at]);
+                }
+            }
+            for t in points {
+                assert_eq!(
+                    c.first_complete_at(t),
+                    reference_first_complete_at(&c, t),
+                    "t = {t}, sizes {sizes:?}"
+                );
+            }
+        }
     }
 
     #[test]

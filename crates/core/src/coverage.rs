@@ -8,20 +8,43 @@
 //! ruled out, so termination is both *sound* (no record is ever skipped)
 //! and *guaranteed* (each record is re-broadcast every cycle, so coverage
 //! eventually completes at any loss rate below 1).
+//!
+//! A clean scan over a record-ordered program rules records out in cycle
+//! order, so its set is one run `lo, lo + 1, …` that wraps past the last
+//! record to the first. [`Coverage`] holds that run as two numbers and
+//! answers every query on it by arithmetic; only a mark that would leave
+//! a gap — a corrupted read, a layout that repeats or skips records —
+//! makes it keep one bit per record.
 
 /// A fixed-size set of record positions that have been ruled out.
+///
+/// The set starts as a cyclic run — `covered` records from `lo` on,
+/// wrapping modulo `total` — and stays one while every mark touches or
+/// overlaps it.
+/// The first mark that would leave a gap moves it into a bitmap with one
+/// bit per record, allocated then; [`Coverage::clear`] returns to the
+/// empty run and keeps the bitmap for reuse. A coverage that stays a run
+/// owns no storage, and while it is one every query (including
+/// [`Coverage::mark_prefix`]'s stop) costs O(1).
 #[derive(Debug, Clone)]
 pub struct Coverage {
+    /// One bit per record once the set has had a gap (empty until then).
     bits: Box<[u64]>,
+    /// Whether `bits` holds the set; otherwise the run does.
+    spilled: bool,
+    /// The run's first record (meaningless while the run is empty).
+    lo: u32,
     covered: u32,
     total: u32,
 }
 
 impl Coverage {
-    /// Coverage over `total` records, initially empty.
+    /// Coverage over `total` records, initially empty. Allocates nothing.
     pub fn new(total: u32) -> Self {
         Coverage {
-            bits: vec![0u64; (total as usize).div_ceil(64)].into_boxed_slice(),
+            bits: Box::default(),
+            spilled: false,
+            lo: 0,
             covered: 0,
             total,
         }
@@ -40,23 +63,17 @@ impl Coverage {
     /// Rule out record `i` (idempotent; out-of-range indices are ignored,
     /// which makes diagnostics-only payload indices safe to feed in).
     pub fn mark(&mut self, i: u32) {
-        if i >= self.total {
-            return;
-        }
-        let w = (i / 64) as usize;
-        let b = 1u64 << (i % 64);
-        if self.bits[w] & b == 0 {
-            self.bits[w] |= b;
-            self.covered += 1;
+        if i < self.total {
+            self.add(i, i + 1);
         }
     }
 
     /// Rule out the half-open range `[start, start + len)` (clipped at the
-    /// record count), a word at a time.
+    /// record count).
     pub fn mark_range(&mut self, start: u32, len: u32) {
-        for (w, mask) in self.words(start, len) {
-            self.covered += (mask & !self.bits[w]).count_ones();
-            self.bits[w] |= mask;
+        let (a, b) = self.clip(start, len);
+        if a < b {
+            self.add(a, b);
         }
     }
 
@@ -66,7 +83,11 @@ impl Coverage {
         if i >= self.total {
             return true;
         }
-        self.bits[(i / 64) as usize] >> (i % 64) & 1 == 1
+        if self.spilled {
+            self.bits[(i / 64) as usize] >> (i % 64) & 1 == 1
+        } else {
+            self.offset(i) < self.covered
+        }
     }
 
     /// Whether ruling out record `i` would complete coverage — the
@@ -79,9 +100,15 @@ impl Coverage {
 
     /// Number of records in `[start, start + len)` not yet ruled out.
     pub fn unmarked_in_range(&self, start: u32, len: u32) -> u32 {
-        self.words(start, len)
-            .map(|(w, mask)| (mask & !self.bits[w]).count_ones())
-            .sum()
+        let (a, b) = self.clip(start, len);
+        if self.spilled {
+            self.words(a, b)
+                .map(|(w, mask)| (mask & !self.bits[w]).count_ones())
+                .sum()
+        } else {
+            let (head, tail) = self.run();
+            b - a - overlap(a, b, head) - overlap(a, b, tail)
+        }
     }
 
     /// Whether ruling out the whole range `[start, start + len)` would
@@ -98,9 +125,10 @@ impl Coverage {
     ///
     /// Each mark adds at most one record, so a range shorter than the
     /// `total − covered` records still open cannot complete coverage and
-    /// is marked without looking for the stop. Otherwise the stop is the
-    /// range's `total − covered`-th unmarked record, found a word at a
-    /// time.
+    /// is marked without looking for the stop. Otherwise the range holds
+    /// every open record exactly when it would complete coverage, and the
+    /// stop is the last of them: on a run the record just before its
+    /// start (or the last record), on a bitmap found a word at a time.
     pub fn mark_prefix(&mut self, start: u32, len: u32) -> u32 {
         let n = self.stop_in(start, len);
         self.mark_range(start, n);
@@ -117,7 +145,22 @@ impl Coverage {
         if open == 0 {
             return 0;
         }
-        for (w, mask) in self.words(start, len) {
+        if !self.spilled {
+            if self.unmarked_in_range(start, len) < open {
+                return len;
+            }
+            // The open records are `lo + covered, …, lo − 1` (mod total):
+            // the last of them in record order is the last record unless
+            // the run ends there, and else the one before the run.
+            let last = if self.total - self.lo > self.covered {
+                self.total - 1
+            } else {
+                self.lo - 1
+            };
+            return last - start;
+        }
+        let (a, b) = self.clip(start, len);
+        for (w, mask) in self.words(a, b) {
             let mut free = mask & !self.bits[w];
             let n = free.count_ones();
             if n < open {
@@ -148,11 +191,97 @@ impl Coverage {
         n
     }
 
-    /// The words overlapping `[start, start + len)` (clipped at the record
-    /// count), each with the mask of its bits inside the range.
-    fn words(&self, start: u32, len: u32) -> impl Iterator<Item = (usize, u64)> {
-        let lo = start.min(self.total) as usize;
-        let hi = start.saturating_add(len).min(self.total) as usize;
+    /// Forget everything (fresh protocol start). A bitmap already
+    /// allocated is kept for the next gap.
+    pub fn clear(&mut self) {
+        self.spilled = false;
+        self.covered = 0;
+    }
+
+    /// `[start, start + len)` clipped at the record count.
+    fn clip(&self, start: u32, len: u32) -> (u32, u32) {
+        let end = start.saturating_add(len).min(self.total);
+        (start.min(end), end)
+    }
+
+    /// Rule out the records `[a, b)`, `a < b <= total`: extend the run
+    /// when they touch or overlap it, else move the set into the bitmap.
+    fn add(&mut self, a: u32, b: u32) {
+        if !self.spilled && !self.join(a, b - a) {
+            self.spill();
+        }
+        if self.spilled {
+            self.or_bits(a, b);
+        }
+    }
+
+    /// Merge the records `a, a + 1, …` (`len` of them) into the run if
+    /// the union is again one cyclic run; report whether it was.
+    fn join(&mut self, a: u32, len: u32) -> bool {
+        let (n, d) = (self.covered, self.offset(a));
+        if n == 0 {
+            (self.lo, self.covered) = (a, len);
+        } else if d <= n {
+            // The range starts inside the run or where it ends.
+            self.covered = n.max(d.saturating_add(len));
+        } else if self.total - d <= len {
+            // The run starts inside the range (`total − d` records into
+            // it) or where it ends.
+            (self.lo, self.covered) = (a, len.max((self.total - d).saturating_add(n)));
+        } else {
+            return false;
+        }
+        self.covered = self.covered.min(self.total);
+        true
+    }
+
+    /// Cyclic distance from the run's first record forward to record `i`.
+    fn offset(&self, i: u32) -> u32 {
+        if i >= self.lo {
+            i - self.lo
+        } else {
+            i + (self.total - self.lo)
+        }
+    }
+
+    /// The run as at most two record ranges: from `lo` up to the record
+    /// count, and the part that wrapped to the first record.
+    fn run(&self) -> ((u32, u32), (u32, u32)) {
+        let room = self.total - self.lo;
+        if self.covered <= room {
+            ((self.lo, self.lo + self.covered), (0, 0))
+        } else {
+            ((self.lo, self.total), (0, self.covered - room))
+        }
+    }
+
+    /// Move the run into the bitmap, allocating it on the first gap.
+    fn spill(&mut self) {
+        if self.bits.is_empty() {
+            self.bits = vec![0; (self.total as usize).div_ceil(64)].into_boxed_slice();
+        } else {
+            self.bits.fill(0);
+        }
+        let (head, tail) = self.run();
+        self.spilled = true;
+        self.covered = 0;
+        self.or_bits(head.0, head.1);
+        self.or_bits(tail.0, tail.1);
+    }
+
+    /// Set the bitmap's bits `[a, b)`, a word at a time, counting the new
+    /// ones.
+    fn or_bits(&mut self, a: u32, b: u32) {
+        for (w, mask) in self.words(a, b) {
+            self.covered += (mask & !self.bits[w]).count_ones();
+            self.bits[w] |= mask;
+        }
+    }
+
+    /// The words overlapping `[a, b)` (`a <= b <= total`), each with the
+    /// mask of its bits inside the range.
+    fn words(&self, a: u32, b: u32) -> impl Iterator<Item = (usize, u64)> {
+        let (lo, hi) = (a as usize, b as usize);
         let last = if lo < hi { hi.div_ceil(64) } else { lo / 64 };
         (lo / 64..last).map(move |w| {
             let a = lo.max(w * 64) - w * 64;
@@ -160,12 +289,11 @@ impl Coverage {
             (w, u64::MAX >> (64 - (b - a)) << a)
         })
     }
+}
 
-    /// Forget everything (fresh protocol start).
-    pub fn clear(&mut self) {
-        self.bits.fill(0);
-        self.covered = 0;
-    }
+/// Number of records the ranges `[a, b)` and `[r.0, r.1)` share.
+fn overlap(a: u32, b: u32, r: (u32, u32)) -> u32 {
+    b.min(r.1).saturating_sub(a.max(r.0))
 }
 
 #[cfg(test)]
@@ -228,6 +356,30 @@ mod tests {
         // Out-of-range indices read as already ruled out.
         assert!(c.is_marked(9));
         assert_eq!(d.unmarked_in_range(2, 99), 2);
+    }
+
+    #[test]
+    fn a_clean_scan_stays_a_run_and_a_gap_spills_once() {
+        let mut c = Coverage::new(200);
+        // A scan from record 150 to the cycle's end, then on from record 0.
+        assert_eq!(c.mark_prefix(150, 50), 50);
+        c.mark(0);
+        assert_eq!(c.mark_prefix(1, 200), 148, "stops before record 149");
+        assert!(c.would_fill(149));
+        assert!(!c.spilled && c.bits.is_empty(), "a run owns no storage");
+        c.clear();
+        c.mark_range(10, 5);
+        c.mark(20);
+        assert!(c.spilled, "records 15..20 are a gap");
+        assert_eq!(c.covered(), 6);
+        let bitmap = c.bits.as_ptr();
+        c.clear();
+        c.mark_range(0, 64);
+        assert!(!c.spilled, "a cleared coverage is a run again");
+        c.mark(100);
+        assert_eq!(c.bits.as_ptr(), bitmap, "the bitmap is reused");
+        assert_eq!(c.covered(), 65);
+        assert!(c.is_marked(100) && !c.is_marked(64));
     }
 
     #[test]

@@ -69,6 +69,9 @@ impl<S: System> Epoch<S> {
 #[derive(Debug)]
 pub struct ProgramTimeline<S: System> {
     epochs: Vec<Epoch<S>>,
+    /// Buckets in the timeline's largest program (sizes every walk's probe
+    /// budget; worked out once, at construction).
+    max_buckets: usize,
 }
 
 impl<S: System> ProgramTimeline<S> {
@@ -103,12 +106,21 @@ impl<S: System> ProgramTimeline<S> {
                 )));
             }
         }
-        Ok(ProgramTimeline { epochs })
+        let max_buckets = epochs
+            .iter()
+            .map(|e| e.system.channel().num_buckets())
+            .max()
+            .unwrap_or(1);
+        Ok(ProgramTimeline {
+            epochs,
+            max_buckets,
+        })
     }
 
     /// A single-epoch timeline: the frozen-program special case.
     pub fn frozen(system: S) -> Self {
         ProgramTimeline {
+            max_buckets: system.channel().num_buckets(),
             epochs: vec![Epoch { system, start: 0 }],
         }
     }
@@ -179,12 +191,7 @@ impl<'a, S: System> Source<'a, S::Machine> for Versioned<'a, S> {
         // The largest program on the timeline: with one epoch the budget
         // is the frozen walk's, so zero-update runs abort at exactly the
         // same point.
-        self.timeline
-            .epochs
-            .iter()
-            .map(|e| e.system.channel().num_buckets())
-            .max()
-            .unwrap_or(1)
+        self.timeline.max_buckets
     }
 
     fn first_complete_at(&self, t: Ticks) -> Landing<'a, S::Payload> {

@@ -146,7 +146,7 @@ pub struct FlatMachine {
     coverage: Coverage,
     /// Whether bucket `i` carries record `i` (see [`FlatSystem`]): the
     /// planner then finds the key by binary search and folds a run's
-    /// coverage a word at a time.
+    /// coverage in one range mark.
     in_record_order: bool,
 }
 

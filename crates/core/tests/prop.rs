@@ -50,17 +50,28 @@ impl RefCoverage {
     /// Records of the range that can be ruled out, in order, before one
     /// completes coverage.
     fn markable(&self, start: u32, len: u32) -> u32 {
+        self.stop_each((0..len).map(|o| start.saturating_add(o)))
+            .map_or(len, |n| n as u32)
+    }
+
+    /// The position in `records` of the first whose marking, after those
+    /// before it, would complete coverage (`None` if none would).
+    fn stop_each(&self, records: impl IntoIterator<Item = u32>) -> Option<usize> {
         let total = self.bits.len() as u32;
+        let mut marked = self.bits.clone();
         let mut covered = self.covered;
-        for off in 0..len {
-            let i = start.saturating_add(off) as usize;
-            let gain = u32::from(i < self.bits.len() && !self.bits[i]);
+        for (n, i) in records.into_iter().enumerate() {
+            let i = i as usize;
+            let gain = u32::from(i < marked.len() && !marked[i]);
             if covered + gain >= total {
-                return off;
+                return Some(n);
             }
-            covered += gain;
+            if gain == 1 {
+                marked[i] = true;
+                covered += 1;
+            }
         }
-        len
+        None
     }
 }
 
@@ -118,6 +129,83 @@ proptest! {
         reference.mark_range(start, len);
         prop_assert_eq!(cov.covered(), reference.covered);
         prop_assert_eq!(cov.is_full(), reference.covered == total);
+    }
+
+    /// [`Coverage`] agrees with the per-bit reference after every step of a
+    /// random sequence of marks, range marks, prefix folds, per-record
+    /// folds and clears. Most steps are scans that go on from where the
+    /// last one stopped and wrap past the last record, as a planner's runs
+    /// over a record-ordered cycle do, so the set stays one run for many
+    /// steps; scattered marks and scans from elsewhere leave gaps. Totals
+    /// fall on and off word boundaries, and runs cross words.
+    #[test]
+    fn coverage_matches_per_bit_reference_step_by_step(
+        total in 1u32..200,
+        ops in prop::collection::vec((0u8..10, 0u32..220, 0u32..150), 1..40),
+    ) {
+        let mut cov = Coverage::new(total);
+        let mut reference = RefCoverage { bits: vec![false; total as usize], covered: 0 };
+        // Where the next continuing scan starts.
+        let mut next = 0;
+        for &(op, a, len) in &ops {
+            match op {
+                0 => {
+                    cov.mark(a);
+                    reference.mark_range(a, 1);
+                }
+                1 => {
+                    cov.mark_range(a, len);
+                    reference.mark_range(a, len);
+                }
+                2..=6 => {
+                    // A scan of `len` records from `a` (op 2) or from where
+                    // the last one stopped, cut at the cycle's end and
+                    // continued from record 0, as consecutive runs are.
+                    let mut from = if op == 2 { a % total } else { next };
+                    let mut left = len;
+                    loop {
+                        let run = left.min(total - from);
+                        let stop = reference.markable(from, run);
+                        prop_assert_eq!(cov.mark_prefix(from, run), stop, "scan from {}", from);
+                        reference.mark_range(from, stop);
+                        next = (from + stop) % total;
+                        left -= stop;
+                        if stop < run || left == 0 {
+                            break;
+                        }
+                        from = 0;
+                    }
+                }
+                7 | 8 => {
+                    // A per-record fold: consecutive records wrapping the
+                    // cycle (op 7), or every third record (op 8).
+                    let step = if op == 7 { 1 } else { 3 };
+                    let records: Vec<u32> = (0..len).map(|o| (a + step * o) % total).collect();
+                    let stop = reference.stop_each(records.iter().copied()).unwrap_or(records.len());
+                    prop_assert_eq!(cov.mark_each(records.iter().copied()), stop);
+                    for &r in &records[..stop] {
+                        reference.mark_range(r, 1);
+                    }
+                }
+                _ => {
+                    cov.clear();
+                    reference = RefCoverage { bits: vec![false; total as usize], covered: 0 };
+                }
+            }
+            prop_assert_eq!(cov.covered(), reference.covered);
+            prop_assert_eq!(cov.is_full(), reference.covered == total);
+            for i in 0..total + 2 {
+                let marked = reference.bits.get(i as usize) != Some(&false);
+                prop_assert_eq!(cov.is_marked(i), marked, "record {}", i);
+                prop_assert_eq!(cov.would_fill(i), reference.covered + u32::from(!marked) >= total);
+            }
+            for (s, l) in [(0, total), (a, len), (next, len), (next, total), (a % total, total)] {
+                let unmarked = reference.unmarked_in_range(s, l);
+                prop_assert_eq!(cov.unmarked_in_range(s, l), unmarked, "range {} + {}", s, l);
+                prop_assert_eq!(cov.would_fill_range(s, l), reference.covered + unmarked >= total);
+                prop_assert_eq!(cov.clone().mark_prefix(s, l), reference.markable(s, l));
+            }
+        }
     }
 
     /// `first_complete_at` returns a bucket boundary at or after `t`, no

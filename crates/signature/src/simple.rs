@@ -317,7 +317,7 @@ pub struct SimpleSigMachine {
     table: Arc<SigTable>,
     /// Whether pair `i` carries record `i` (see [`SimpleSignatureSystem`]):
     /// the planner then matches a run's signatures in one pass over the
-    /// table and folds its coverage a word at a time.
+    /// table and folds its coverage in one range mark.
     in_record_order: bool,
 }
 
