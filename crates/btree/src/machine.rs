@@ -30,7 +30,7 @@
 
 use bda_core::{Action, BucketMeta, Key, ProtocolFault, ProtocolMachine, Ticks, Verdict};
 
-use crate::payload::{BTreePayload, IndexBucket};
+use crate::payload::{BTreePayload, DataBucket, IndexBucket};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -56,6 +56,39 @@ impl BTreeMachine {
             num_levels,
             state: State::Init,
         }
+    }
+
+    /// [`ProtocolMachine::on_bucket`] on an index bucket, borrowed: a
+    /// scheme whose payload embeds a tree node (the hybrid broadcast)
+    /// steps the machine without rebuilding a [`BTreePayload`].
+    pub fn on_index(&mut self, ib: &IndexBucket, meta: BucketMeta) -> Action {
+        match self.state {
+            // Lucky tune-in: we are already at a segment start.
+            State::Init if ib.segment_start => self.visit_index(ib, meta, true),
+            State::Init => self.orient(meta.end + ib.next_seg_delta),
+            State::Orient | State::Descend => {
+                let lateral = self.state == State::Orient;
+                self.visit_index(ib, meta, lateral)
+            }
+            State::Fetch => Action::Fail(ProtocolFault::WrongDataBucket),
+        }
+    }
+
+    /// [`ProtocolMachine::on_bucket`] on a data bucket.
+    pub fn on_data(&mut self, db: &DataBucket, meta: BucketMeta) -> Action {
+        match self.state {
+            State::Init => self.orient(meta.end + db.next_seg_delta),
+            // An index pointer led to a data bucket: a malformed program.
+            State::Orient | State::Descend => Action::Fail(ProtocolFault::IndexToData),
+            State::Fetch if db.key == self.key => Action::Finish(Verdict::found()),
+            State::Fetch => Action::Fail(ProtocolFault::WrongDataBucket),
+        }
+    }
+
+    /// Doze to the next index segment, which starts at `at`.
+    fn orient(&mut self, at: Ticks) -> Action {
+        self.state = State::Orient;
+        Action::DozeTo(at)
     }
 
     fn visit_index(&mut self, ib: &IndexBucket, meta: BucketMeta, lateral: bool) -> Action {
@@ -112,31 +145,9 @@ impl ProtocolMachine<BTreePayload> for BTreeMachine {
     }
 
     fn on_bucket(&mut self, payload: &BTreePayload, meta: BucketMeta) -> Action {
-        match self.state {
-            State::Init => {
-                if let BTreePayload::Index(ib) = payload {
-                    if ib.segment_start {
-                        // Lucky tune-in: we are already at a segment start.
-                        return self.visit_index(ib, meta, true);
-                    }
-                }
-                self.state = State::Orient;
-                Action::DozeTo(meta.end + payload.next_seg_delta())
-            }
-            State::Orient | State::Descend => match payload {
-                BTreePayload::Index(ib) => {
-                    let lateral = self.state == State::Orient;
-                    self.visit_index(ib, meta, lateral)
-                }
-                BTreePayload::Data(_) => {
-                    // An index pointer led to a data bucket: builder bug.
-                    Action::Fail(ProtocolFault::IndexToData)
-                }
-            },
-            State::Fetch => match payload {
-                BTreePayload::Data(db) if db.key == self.key => Action::Finish(Verdict::found()),
-                _ => Action::Fail(ProtocolFault::WrongDataBucket),
-            },
+        match payload {
+            BTreePayload::Index(ib) => self.on_index(ib, meta),
+            BTreePayload::Data(db) => self.on_data(db, meta),
         }
     }
 }

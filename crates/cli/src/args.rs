@@ -69,7 +69,8 @@ FLAGS:
     --shards N           worker shards for the event-driven testbed: each
                          round is partitioned across N per-core engines
                          and merged deterministically — reports are
-                         bit-identical for every N (simulate; default 1)
+                         bit-identical for every N (simulate; 1..=64,
+                         default 1)
     --json               machine-readable output: one bda-trace/v1 JSON
                          document instead of the human timeline (trace)
     --metrics-out PATH   run with the observability layer on and write the
@@ -254,8 +255,10 @@ impl Options {
         if !(0.0..=100.0).contains(&o.update_rate) {
             return Err("--update-rate must be 0..=100".into());
         }
-        if o.shards == 0 {
-            return Err("--shards must be at least 1".into());
+        // Each shard is an engine and a thread, and a thread the OS
+        // refuses would panic, so the count is capped as --channels is.
+        if o.shards == 0 || o.shards > 64 {
+            return Err("--shards must be 1..=64".into());
         }
         if o.disks == 0 || o.disks > 8 {
             return Err("--disks must be 1..=8".into());
@@ -418,6 +421,8 @@ mod tests {
         assert!(parse(&["--update-rate", "101"]).is_err());
         assert!(parse(&["--update-rate", "-1"]).is_err());
         assert!(parse(&["--shards", "0"]).is_err());
+        assert!(parse(&["--shards", "65"]).is_err());
+        assert!(parse(&["--shards", "18446744073709551615"]).is_err());
         assert!(parse(&["--bogus", "1"]).is_err());
         // An accuracy target must be finite and positive: 0, below 0 or
         // NaN is never met (the simulator would run to its round cap),
@@ -505,6 +510,8 @@ mod tests {
     fn shards_flag_parses() {
         assert_eq!(parse(&[]).unwrap().shards, 1);
         assert_eq!(parse(&["--shards", "8"]).unwrap().shards, 8);
+        assert_eq!(parse(&["--shards", "1"]).unwrap().shards, 1);
+        assert_eq!(parse(&["--shards", "64"]).unwrap().shards, 64);
         assert!(parse(&["--shards"]).is_err());
     }
 

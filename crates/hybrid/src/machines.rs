@@ -1,6 +1,6 @@
 //! Client protocols for the hybrid broadcast.
 
-use bda_btree::{BTreeMachine, BTreePayload, DataBucket};
+use bda_btree::{BTreeMachine, DataBucket};
 use bda_core::{Action, BucketMeta, Coverage, Key, ProtocolMachine, Ticks, Verdict};
 use bda_signature::{QueryTarget, Signature};
 
@@ -10,11 +10,12 @@ use crate::payload::HybridPayload;
 /// over the hybrid channel.
 ///
 /// Delegates to [`BTreeMachine`] by presenting each hybrid bucket in
-/// B+-tree clothing: index buckets pass through, data buckets lose their
-/// signature-navigation fields, and signature buckets (only ever seen as
-/// the first complete bucket after tune-in) act as plain buckets carrying
-/// the next-index-segment offset. Leaf index entries point directly at data
-/// buckets, so a key client never spends tuning time on signatures.
+/// B+-tree clothing: index nodes pass through by reference, data buckets
+/// lose their signature-navigation fields, and signature buckets (only
+/// ever seen as the first complete bucket after tune-in) act as plain
+/// buckets carrying the next-index-segment offset. Leaf index entries
+/// point directly at data buckets, so a key client never spends tuning
+/// time on signatures.
 #[derive(Debug, Clone)]
 pub struct HybridKeyMachine {
     inner: BTreeMachine,
@@ -46,20 +47,18 @@ impl ProtocolMachine<HybridPayload> for HybridKeyMachine {
 
     fn on_bucket(&mut self, payload: &HybridPayload, meta: BucketMeta) -> Action {
         match payload {
-            HybridPayload::Index { node, .. } => self
-                .inner
-                .on_bucket(&BTreePayload::Index(node.clone()), meta),
+            HybridPayload::Index { node, .. } => self.inner.on_index(node, meta),
             HybridPayload::Data {
                 key,
                 record_index,
                 next_seg_delta,
                 ..
-            } => self.inner.on_bucket(
-                &BTreePayload::Data(DataBucket {
+            } => self.inner.on_data(
+                &DataBucket {
                     key: *key,
                     record_index: *record_index,
                     next_seg_delta: *next_seg_delta,
-                }),
+                },
                 meta,
             ),
             HybridPayload::Sig { next_seg_delta, .. } => {
@@ -69,12 +68,12 @@ impl ProtocolMachine<HybridPayload> for HybridKeyMachine {
                 // dataset's keys are < MAX by construction of the walk —
                 // and the inner machine only compares keys in its Fetch
                 // state, which never targets a signature bucket.
-                self.inner.on_bucket(
-                    &BTreePayload::Data(DataBucket {
+                self.inner.on_data(
+                    &DataBucket {
                         key: Key::MAX,
                         record_index: u32::MAX,
                         next_seg_delta: *next_seg_delta,
-                    }),
+                    },
                     meta,
                 )
             }

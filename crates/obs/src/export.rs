@@ -444,13 +444,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("bad utf8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape in one
+                    // piece: both are ASCII, so the run ends on a UTF-8
+                    // boundary, and only the run is checked.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("bad utf8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -793,6 +798,11 @@ mod tests {
         assert_eq!(arr[2].get("b"), Some(&Json::Str("x\ny".into())));
         assert_eq!(arr[3], Json::Bool(true));
         assert_eq!(arr[4], Json::Null);
+        // Multi-byte characters around escapes pass through unchanged.
+        assert_eq!(
+            parse_json("\"θ → \\\"q\\\" ✓\"").unwrap(),
+            Json::Str("θ → \"q\" ✓".into())
+        );
         assert!(parse_json("[1,").is_err());
         assert!(parse_json("\"unterminated").is_err());
     }

@@ -11,8 +11,8 @@
 //!   generic over a `Recorder` whose associated `const ENABLED` gates
 //!   every instrumentation site, so with the default [`NoopRecorder`] the
 //!   instrumented hot paths compile to the same code as before the layer
-//!   existed (the `engine_bench` harness verifies the throughput is
-//!   unchanged).
+//!   existed (the benchmark's `obs.observed_over_noop` metric prices
+//!   turning it on).
 //! * [`Phase`] — the six-way taxonomy every walk step is attributed to,
 //!   decomposing the paper's two metrics per phase per scheme.
 //! * [`Histogram`] — log-bucketed percentile histogram (p50/p90/p99/p99.9)

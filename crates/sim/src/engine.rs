@@ -12,7 +12,7 @@
 //! # Architecture
 //!
 //! The engine scales to very large concurrent client populations through
-//! three structural choices (see DESIGN.md, "Discrete-event engine"):
+//! two structural choices (see DESIGN.md, "Discrete-event engine"):
 //!
 //! * **Slab-backed client arena.** Clients live in reusable
 //!   [`QuerySlot`]s held in a slab (`Vec` + free list). A slot is
@@ -27,10 +27,6 @@
 //!   single entry in an ordered map of *distinct times*: scheduler
 //!   traffic is `O(distinct boundaries)` instead of `O(clients)`, and
 //!   every batch is stepped together in one cache-friendly sweep.
-//! * **Steady-state streaming.** [`Engine::run_stream`] admits requests
-//!   from an iterator only while the in-flight population is below a
-//!   bound, so simulating millions of requests needs memory proportional
-//!   to the *concurrency*, not to the request count.
 //!
 //! The naive heap engine this replaces is preserved as
 //! [`reference::run_requests_reference_channel`] — the oracle the
@@ -189,10 +185,6 @@ impl WakeupScheduler {
         self.next[client as usize]
     }
 
-    fn is_empty(&self) -> bool {
-        self.waiters.is_empty()
-    }
-
     /// Distinct pending wake-up instants — the queue-depth gauge.
     fn depth(&self) -> usize {
         self.waiters.len()
@@ -204,8 +196,7 @@ impl WakeupScheduler {
 struct ClientMeta {
     arrival: Ticks,
     key: Key,
-    /// Caller-supplied tag (request index in batch mode, admission
-    /// sequence in streaming mode).
+    /// The request's index in its batch.
     tag: u64,
     /// Whether the arrival event has fired (the client counts as
     /// in-flight from then until completion).
@@ -215,7 +206,7 @@ struct ClientMeta {
 /// The slab + scheduler discrete-event engine.
 ///
 /// An `Engine` is bound to one system and reusable across any number of
-/// batches or streams; slot allocations persist, and the scheduler holds
+/// batches; slot allocations persist, and the scheduler holds
 /// only the instants still pending, so repeated rounds (the simulator's
 /// normal operation) reuse the arena and leave the heap where the first
 /// round left it.
@@ -348,13 +339,8 @@ impl<'a> Engine<'a> {
         self.stats
     }
 
-    /// Clients currently tuned in (arrived but not finished).
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    /// Client slots ever allocated (the arena's high-water mark). Stays at
-    /// `max_in_flight` in streaming mode even when requests abandon: a
+    /// Client slots ever allocated (the arena's high-water mark). A second
+    /// identical batch does not grow it, even when requests abandon: a
     /// completed slot — found, not-found or abandoned — returns to the
     /// free list.
     pub fn arena_len(&self) -> usize {
@@ -363,13 +349,13 @@ impl<'a> Engine<'a> {
 
     /// Number of client slots currently admitted (in flight or awaiting
     /// their arrival instant).
-    pub(crate) fn occupied(&self) -> usize {
+    fn occupied(&self) -> usize {
         self.slots.len() - self.free.len()
     }
 
     /// Admit a request: claim a slot (reusing a free one if possible) and
     /// schedule its arrival event.
-    pub(crate) fn admit(&mut self, arrival: Ticks, key: Key, tag: u64) {
+    fn admit(&mut self, arrival: Ticks, key: Key, tag: u64) {
         let id = match self.free.pop() {
             Some(id) => {
                 self.meta[id as usize] = ClientMeta {
@@ -482,7 +468,7 @@ impl<'a> Engine<'a> {
 
     /// Drain the earliest wake-up batch, stepping every client scheduled
     /// for that instant. Returns `false` when nothing is pending.
-    pub(crate) fn advance(&mut self, on_complete: &mut impl FnMut(u64, CompletedRequest)) -> bool {
+    fn advance(&mut self, on_complete: &mut impl FnMut(u64, CompletedRequest)) -> bool {
         let Some((t, (mut id, last))) = self.sched.pop_batch() else {
             return false;
         };
@@ -527,53 +513,6 @@ impl<'a> Engine<'a> {
             .map(|d| d.expect("engine invariant: every admitted request completes"))
             .collect()
     }
-
-    /// Steady-state mode: stream requests through a bounded in-flight
-    /// population.
-    ///
-    /// Requests are admitted from `requests` (in order) whenever fewer
-    /// than `max_in_flight` clients are admitted, so memory is
-    /// `O(max_in_flight)` regardless of how long the stream is.
-    /// Completions are reported to `on_complete` in completion order.
-    /// Because clients on a broadcast channel are independent, each
-    /// request's outcome is identical to batch mode; only the reporting
-    /// order differs.
-    ///
-    /// `max_in_flight == 0` means **unbounded**: every request is admitted
-    /// immediately (memory grows with the whole stream, exactly like
-    /// [`Engine::run_batch`]). It is *not* a zero-capacity stall — the
-    /// previous behaviour silently clamped 0 to 1, which this replaces
-    /// with a documented, tested semantics.
-    pub fn run_stream<I>(
-        &mut self,
-        requests: I,
-        max_in_flight: usize,
-        mut on_complete: impl FnMut(CompletedRequest),
-    ) where
-        I: IntoIterator<Item = (Ticks, Key)>,
-    {
-        let cap = if max_in_flight == 0 {
-            usize::MAX
-        } else {
-            max_in_flight
-        };
-        let mut pending = requests.into_iter();
-        let mut exhausted = false;
-        loop {
-            while !exhausted && self.occupied() < cap {
-                match pending.next() {
-                    Some((t, key)) => self.admit(t, key, 0),
-                    None => exhausted = true,
-                }
-            }
-            if !self.advance(&mut |_tag, r| on_complete(r)) {
-                debug_assert!(self.sched.is_empty());
-                if exhausted {
-                    break;
-                }
-            }
-        }
-    }
 }
 
 pub mod reference {
@@ -581,8 +520,7 @@ pub mod reference {
     //! [`QuerySlot`] per request — never fast-forwarded, so it steps every
     //! bucket — and every wake-up an individual entry in a tuple-keyed
     //! `BinaryHeap`. Kept as the behavioural oracle for the equivalence
-    //! property suites, and as the baseline the `engine_bench` harness
-    //! measures speedups against.
+    //! property suites and for the benchmark's replay checks.
 
     use super::*;
     use std::cmp::Reverse;
@@ -729,77 +667,6 @@ mod tests {
             "second identical batch must not grow the arena"
         );
         assert_eq!(engine.stats().completed, 200);
-    }
-
-    #[test]
-    fn streaming_bounds_the_population() {
-        let sys = system();
-        let mut engine = Engine::new(&sys);
-        let requests: Vec<(Ticks, Key)> = (0..1000u64).map(|i| (i, Key((i % 32) * 2))).collect();
-        let mut results = Vec::new();
-        engine.run_stream(requests.iter().copied(), 16, |r| results.push(r));
-        assert_eq!(results.len(), requests.len());
-        assert!(engine.slots.len() <= 16, "arena capped at max_in_flight");
-        assert!(engine.stats().peak_in_flight <= 16);
-        // Outcomes equal batch mode's, request by request.
-        let batch = Engine::new(&sys).run_batch(&requests);
-        results.sort_by_key(|r| r.arrival);
-        for (s, b) in results.iter().zip(&batch) {
-            assert_eq!(s, b);
-        }
-    }
-
-    #[test]
-    fn stream_cap_edge_cases_recycle_and_match_batch() {
-        let sys = system();
-        let requests: Vec<(Ticks, Key)> =
-            (0..200u64).map(|i| (i * 17, Key((i % 32) * 2))).collect();
-        let batch = Engine::new(&sys).run_batch(&requests);
-        // cap = 1 (fully serialized), cap = population (never blocks),
-        // cap > population (slack never used).
-        for cap in [1, requests.len(), requests.len() * 2] {
-            let mut engine = Engine::new(&sys);
-            let mut results = Vec::new();
-            engine.run_stream(requests.iter().copied(), cap, |r| results.push(r));
-            assert_eq!(results.len(), requests.len(), "cap={cap}");
-            assert!(engine.slots.len() <= cap, "cap={cap}: arena exceeded cap");
-            assert!(
-                engine.stats().peak_in_flight <= cap,
-                "cap={cap}: population exceeded cap"
-            );
-            results.sort_by_key(|r| r.arrival);
-            assert_eq!(results, batch, "cap={cap}: outcomes drifted from batch");
-            // Recycling: a second identical stream must not grow the arena.
-            let arena = engine.slots.len();
-            let mut again = Vec::new();
-            engine.run_stream(requests.iter().copied(), cap, |r| again.push(r));
-            assert_eq!(engine.slots.len(), arena, "cap={cap}: arena grew on reuse");
-            again.sort_by_key(|r| r.arrival);
-            assert_eq!(again, batch, "cap={cap}: reused engine drifted");
-        }
-    }
-
-    #[test]
-    fn zero_stream_cap_means_unbounded_not_a_stall() {
-        let sys = system();
-        let requests: Vec<(Ticks, Key)> =
-            (0..150u64).map(|i| (i * 31, Key((i % 32) * 2))).collect();
-        let mut engine = Engine::new(&sys);
-        let mut results = Vec::new();
-        // Regression: 0 used to be silently clamped to 1; a literal
-        // zero-capacity reading would never admit anything and hang.
-        engine.run_stream(requests.iter().copied(), 0, |r| results.push(r));
-        assert_eq!(results.len(), requests.len());
-        // Unbounded admission behaves exactly like batch mode, peak
-        // population included.
-        let mut batch_engine = Engine::new(&sys);
-        let batch = batch_engine.run_batch(&requests);
-        results.sort_by_key(|r| r.arrival);
-        assert_eq!(results, batch);
-        assert_eq!(
-            engine.stats().peak_in_flight,
-            batch_engine.stats().peak_in_flight
-        );
     }
 
     #[test]

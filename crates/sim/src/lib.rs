@@ -50,7 +50,7 @@ pub use reqgen::RequestGenerator;
 pub use results::ResultHandler;
 pub use schemes::{Layout, SchemeKind, SchemeVisitor};
 pub use server::{StripedVersionedServer, VersionedServer};
-pub use sharded::{run_requests_partitioned, ShardRun, ShardedEngine};
+pub use sharded::{run_requests_partitioned, ShardedEngine};
 pub use simulator::{Driver, SimConfig, SimReport, Simulator};
 pub use stats::{student_t_quantile, Summary, Welford};
 pub use timeline::{append_scheme_timeline, perfetto_trace, replay_spans, SpanSegment};

@@ -42,31 +42,6 @@ use bda_obs::{MetricsHub, WindowSpec};
 
 use crate::engine::{CompletedRequest, Engine, EngineStats};
 
-/// Wall-clock accounting for one shard's share of the most recent batch.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardRun {
-    /// Shard index (0-based).
-    pub shard: usize,
-    /// Requests this shard executed in the batch.
-    pub requests: u64,
-    /// Walker steps this shard processed in the batch.
-    pub events: u64,
-    /// Wall-clock seconds the shard's worker spent in `run_batch`.
-    pub elapsed_sec: f64,
-}
-
-impl ShardRun {
-    /// This shard's throughput over the batch (requests per wall-clock
-    /// second; 0 when nothing ran).
-    pub fn requests_per_sec(&self) -> f64 {
-        if self.elapsed_sec > 0.0 {
-            self.requests as f64 / self.elapsed_sec
-        } else {
-            0.0
-        }
-    }
-}
-
 /// `N` independent slab engines over one shared broadcast program.
 ///
 /// Construction is cheap (arenas fill lazily); like [`Engine`], a
@@ -77,7 +52,6 @@ impl ShardRun {
 /// engine.
 pub struct ShardedEngine<'a> {
     shards: Vec<Engine<'a>>,
-    last_runs: Vec<ShardRun>,
     last_merge_sec: f64,
 }
 
@@ -111,14 +85,8 @@ impl<'a> ShardedEngine<'a> {
             shards: (0..shards)
                 .map(|_| Engine::with_channel(system, channel, policy))
                 .collect(),
-            last_runs: Vec::new(),
             last_merge_sec: 0.0,
         }
-    }
-
-    /// Number of worker shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Enable or disable analytical fast-forward on every shard (on by
@@ -183,18 +151,6 @@ impl<'a> ShardedEngine<'a> {
         merged
     }
 
-    /// Per-shard cumulative counters, in shard order.
-    pub fn shard_stats(&self) -> Vec<EngineStats> {
-        self.shards.iter().map(Engine::stats).collect()
-    }
-
-    /// Wall-clock accounting of the most recent [`ShardedEngine::run_batch`],
-    /// one entry per shard — the per-shard throughput the bench harness
-    /// exports.
-    pub fn last_runs(&self) -> &[ShardRun] {
-        &self.last_runs
-    }
-
     /// Wall-clock seconds the most recent [`ShardedEngine::run_batch`]
     /// spent scattering shard completions back to request order — the
     /// merge-side overhead of sharding (0 on the 1-shard inline path,
@@ -214,18 +170,8 @@ impl<'a> ShardedEngine<'a> {
     pub fn run_batch(&mut self, requests: &[(Ticks, Key)]) -> Vec<CompletedRequest> {
         let n = self.shards.len();
         if n == 1 {
-            let engine = &mut self.shards[0];
-            let events_before = engine.stats().events;
-            let start = Instant::now();
-            let done = engine.run_batch(requests);
-            self.last_runs = vec![ShardRun {
-                shard: 0,
-                requests: requests.len() as u64,
-                events: engine.stats().events - events_before,
-                elapsed_sec: start.elapsed().as_secs_f64(),
-            }];
             self.last_merge_sec = 0.0;
-            return done;
+            return self.shards[0].run_batch(requests);
         }
 
         // Round-robin partition: balanced within ±1 request and, because
@@ -239,32 +185,16 @@ impl<'a> ShardedEngine<'a> {
         }
 
         let mut results: Vec<Option<CompletedRequest>> = vec![None; requests.len()];
-        let mut runs = vec![ShardRun::default(); n];
         let mut merge_sec = 0.0;
         std::thread::scope(|scope| {
             let workers: Vec<_> = self
                 .shards
                 .iter_mut()
                 .zip(&parts)
-                .enumerate()
-                .map(|(s, (engine, part))| {
-                    scope.spawn(move || {
-                        let events_before = engine.stats().events;
-                        let start = Instant::now();
-                        let done = engine.run_batch(part);
-                        let elapsed = start.elapsed().as_secs_f64();
-                        (s, done, engine.stats().events - events_before, elapsed)
-                    })
-                })
+                .map(|(engine, part)| scope.spawn(move || engine.run_batch(part)))
                 .collect();
-            for worker in workers {
-                let (s, done, events, elapsed) = worker.join().expect("shard worker panicked");
-                runs[s] = ShardRun {
-                    shard: s,
-                    requests: done.len() as u64,
-                    events,
-                    elapsed_sec: elapsed,
-                };
+            for (s, worker) in workers.into_iter().enumerate() {
+                let done = worker.join().expect("shard worker panicked");
                 let scatter_start = Instant::now();
                 for (j, r) in done.into_iter().enumerate() {
                     results[s + j * n] = Some(r);
@@ -273,7 +203,6 @@ impl<'a> ShardedEngine<'a> {
             }
         });
         self.last_merge_sec = merge_sec;
-        self.last_runs = runs;
         results
             .into_iter()
             .map(|r| r.expect("engine invariant: every admitted request completes"))
@@ -358,12 +287,6 @@ mod tests {
                 single.stats().outcome_counters(),
                 "shards={shards}"
             );
-            let runs = engine.last_runs();
-            assert_eq!(runs.len(), shards);
-            let total: u64 = runs.iter().map(|r| r.requests).sum();
-            assert_eq!(total, reqs.len() as u64);
-            let events: u64 = runs.iter().map(|r| r.events).sum();
-            assert_eq!(events, single.stats().events);
         }
     }
 

@@ -13,13 +13,13 @@ use bda_datagen::{Arrivals, Popularity, QueryWorkload};
 use bda_obs::{Completion, Histogram, MetricsHub, WindowSpec};
 
 use crate::accuracy::AccuracyController;
-use crate::engine::{CompletedRequest, Engine, EngineStats};
+use crate::engine::{CompletedRequest, EngineStats};
 use crate::reqgen::RequestGenerator;
 use crate::results::ResultHandler;
 use crate::sharded::ShardedEngine;
 use crate::stats::Summary;
 
-/// How the simulator executes each round's requests. All three drivers
+/// How the simulator executes each round's requests. Both drivers
 /// fast-forward scans, which is tick-exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Driver {
@@ -37,14 +37,6 @@ pub enum Driver {
     Batch {
         /// Worker shards.
         shards: NonZeroUsize,
-    },
-    /// Steady state: keep at most `cap` clients admitted at once,
-    /// streaming requests through one engine instead of materializing
-    /// whole request batches. Memory is `O(cap)` regardless of how many
-    /// requests the accuracy controller ends up demanding.
-    Steady {
-        /// Clients admitted at once.
-        cap: NonZeroUsize,
     },
 }
 
@@ -72,9 +64,8 @@ pub struct SimConfig {
     pub mean_interarrival: f64,
     /// Seed for the request stream.
     pub seed: u64,
-    /// How rounds execute: the direct walker, engine batches over some
-    /// shards (the default, [`Driver::ENGINE`]), or a steady-state client
-    /// population.
+    /// How rounds execute: the direct walker or engine batches over some
+    /// shards (the default, [`Driver::ENGINE`]).
     pub driver: Driver,
     /// Fault injection: the per-transmission corruption every client sees
     /// — i.i.d. loss (`ErrorModel` lifts in with `errors.into()`), burst
@@ -297,7 +288,7 @@ impl<'a> Simulator<'a> {
     /// access/tuning/retry-depth histograms, and (on the event-driven
     /// paths) engine gauges. The direct-walker fast path records spans via
     /// [`DynSystem::probe_recorded_channel`], so phase attribution is
-    /// identical across all three execution drivers.
+    /// identical across both execution drivers.
     pub fn run_observed(&mut self) -> (SimReport, MetricsHub) {
         let (report, hub) = self.run_inner(true, None);
         (report, hub.expect("observed run always produces a hub"))
@@ -325,7 +316,6 @@ impl<'a> Simulator<'a> {
     ) -> (SimReport, Option<MetricsHub>) {
         let (channel, retry) = (self.config.effective_channel(), self.config.retry);
         match self.config.driver {
-            Driver::Steady { cap } => self.run_steady(cap.get(), observe, log),
             Driver::Batch { shards } => {
                 let mut engine =
                     ShardedEngine::with_channel(self.system, shards.get(), channel, retry);
@@ -419,61 +409,6 @@ impl<'a> Simulator<'a> {
             }
         }
         (handler, rounds, false)
-    }
-
-    /// Steady-state rounds: a bounded client population streams through a
-    /// persistent engine; round boundaries are counted in *completions*
-    /// rather than materialized request batches.
-    fn run_steady(
-        &mut self,
-        cap: usize,
-        observe: bool,
-        mut log: Option<&mut Vec<(Ticks, Key)>>,
-    ) -> (SimReport, Option<MetricsHub>) {
-        let controller = self.config.controller();
-        let mut handler = ResultHandler::new();
-        let mut engine = Engine::with_channel(
-            self.system,
-            self.config.effective_channel(),
-            self.config.retry,
-        );
-        if observe {
-            match self.config.window {
-                Some(width) => engine.enable_metrics_windowed(WindowSpec::new(width)),
-                None => engine.enable_metrics(),
-            }
-        }
-        let mut rounds = 0;
-        let mut converged = false;
-        let mut completed_in_round = 0usize;
-        'sim: while rounds < self.config.max_rounds {
-            while engine.occupied() < cap {
-                let (t, key) = self.generator.next_request();
-                if let Some(log) = log.as_deref_mut() {
-                    log.push((t, key));
-                }
-                engine.admit(t, key, 0);
-            }
-            engine.advance(&mut |_tag, r| {
-                handler.record(&r);
-                completed_in_round += 1;
-            });
-            while completed_in_round >= self.config.round_requests {
-                completed_in_round -= self.config.round_requests;
-                rounds += 1;
-                if rounds >= self.config.min_rounds
-                    && controller.satisfied(&[handler.access(), handler.tuning()])
-                {
-                    converged = true;
-                    break 'sim;
-                }
-            }
-        }
-        let hub = engine.take_metrics();
-        (
-            self.report(&handler, rounds, converged, engine.stats()),
-            hub,
-        )
     }
 
     fn report(
@@ -585,29 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_mode_matches_batch_statistics() {
-        let ds = DatasetBuilder::new(120, 17).build().unwrap();
-        let sys = FlatScheme.build(&ds, &Params::paper()).unwrap();
-        let mut cfg = SimConfig::quick();
-        // Pin the completion count so both runs measure 3 × 200 requests.
-        cfg.min_rounds = 3;
-        cfg.max_rounds = 3;
-        let batch = Simulator::uniform(&sys, &ds, cfg).run();
-        cfg.driver = Driver::Steady {
-            cap: NonZeroUsize::new(32).unwrap(),
-        };
-        let steady = Simulator::uniform(&sys, &ds, cfg).run();
-        assert_eq!(steady.requests, batch.requests);
-        assert_eq!(steady.aborted, 0);
-        assert!(steady.engine.peak_in_flight <= 32);
-        assert!(steady.engine.events > 0);
-        // Completion order may differ from arrival order, so the streams
-        // agree statistically rather than bit-for-bit.
-        let ratio = steady.mean_access() / batch.mean_access();
-        assert!((0.95..=1.05).contains(&ratio), "ratio={ratio}");
-    }
-
-    #[test]
     fn batch_mode_reports_engine_stats() {
         let ds = DatasetBuilder::new(50, 23).build().unwrap();
         let sys = FlatScheme.build(&ds, &Params::paper()).unwrap();
@@ -677,10 +589,7 @@ mod tests {
         ] {
             cfg.channel = channel;
             cfg.retry = retry;
-            let steady = Driver::Steady {
-                cap: NonZeroUsize::new(24).unwrap(),
-            };
-            for driver in [Driver::ENGINE, steady, Driver::Walker] {
+            for driver in [Driver::ENGINE, Driver::Walker] {
                 cfg.driver = driver;
                 let plain = Simulator::uniform(&sys, &ds, cfg).run();
                 let (obs, hub) = Simulator::uniform(&sys, &ds, cfg).run_observed();
@@ -695,7 +604,7 @@ mod tests {
                 assert_eq!(hub.tuning.sum(), obs.tuning_hist.sum());
                 assert_eq!(u128::from(hub.spans.total_access()), hub.access.sum());
                 assert_eq!(u128::from(hub.spans.total_tuning()), hub.tuning.sum());
-                // Engine gauges exist exactly on the event-driven drivers.
+                // Engine gauges exist exactly on the event-driven driver.
                 let sampled = hub.gauges.get(bda_obs::Gauge::InFlight).samples > 0;
                 assert_eq!(sampled, driver != Driver::Walker, "{driver:?}");
             }

@@ -112,6 +112,11 @@ fn all_drivers_agree_under_burst_and_outages() {
                 // Truthfulness: a wrong answer is never reported.
                 assert!(!r.outcome.aborted, "{name}/{label}: aborted at req {i}");
             }
+            // An air that corrupts nothing would make the agreement vacuous.
+            assert!(
+                fast.iter().any(|r| r.outcome.retries > 0),
+                "{name}/{label}: no read was corrupted"
+            );
         }
     }
 }

@@ -8,8 +8,8 @@
 //! the same request — any divergence is an engine scheduling bug, not
 //! noise. The suite sweeps all eight schemes at 2 %, 10 % and 25 % loss,
 //! with both unbounded and bounded retry policies, and additionally pins
-//! streaming-mode behaviour under abandonment (no slot leak, deterministic
-//! event accounting).
+//! slot recycling under abandonment (no slot leak, deterministic event
+//! accounting).
 
 use bda_core::{ChannelModel, DynSystem, ErrorModel, Key, Params, RetryPolicy, Ticks};
 use bda_datagen::DatasetBuilder;
@@ -143,12 +143,12 @@ fn engine_never_lies_under_loss() {
     }
 }
 
-/// Streaming mode under heavy loss with an abandoning policy: abandonment
-/// must free slots (the arena stays capped at `max_in_flight`), every
-/// streamed request must still complete, and event accounting must be
-/// deterministic run to run.
+/// Two batches through one engine under heavy loss with an abandoning
+/// policy: abandonment must free slots (the second batch does not grow the
+/// arena), every request must complete, and outcomes and event accounting
+/// must repeat batch to batch.
 #[test]
-fn run_stream_recycles_slots_and_stays_deterministic_under_loss() {
+fn abandoning_clients_free_their_slots_and_stay_deterministic_under_loss() {
     let (ds, pool) = DatasetBuilder::new(50, 21)
         .build_with_absent_pool(8)
         .unwrap();
@@ -156,51 +156,42 @@ fn run_stream_recycles_slots_and_stays_deterministic_under_loss() {
     let requests = request_mix(&ds, &pool, 400);
     let air = ChannelModel::from(ErrorModel::new(0.25, 5));
     let policy = RetryPolicy::bounded(1); // abandon aggressively
-    let cap = 8usize;
-    let run = |sys: &dyn DynSystem| {
-        let mut engine = Engine::with_channel(sys, air, policy);
-        let mut completions = Vec::new();
-        engine.run_stream(requests.iter().copied(), cap, |r| {
-            completions.push(r.outcome)
-        });
-        (completions, engine.stats(), engine.arena_len())
-    };
     for sys in all_systems(&ds, &params) {
-        let (c1, s1, arena) = run(sys.as_ref());
-        // If an abandoning client leaked its slot, admission would stall at
-        // max_in_flight and the stream could never drain all 400 requests.
+        let mut engine = Engine::with_channel(sys.as_ref(), air, policy);
+        let first = engine.run_batch(&requests);
+        let (s1, arena) = (engine.stats(), engine.arena_len());
+        let second = engine.run_batch(&requests);
+        let s2 = engine.stats();
+        // An abandoning client that leaked its slot would make the second
+        // batch claim a fresh one.
         assert_eq!(
-            c1.len(),
-            requests.len(),
+            engine.arena_len(),
+            arena,
             "{} leaked slots",
             sys.scheme_name()
         );
+        assert_eq!(first.len(), requests.len());
         assert!(
-            arena <= cap,
-            "{} arena {arena} exceeded cap {cap}",
-            sys.scheme_name()
-        );
-        assert!(
-            c1.iter().any(|o| o.abandoned),
+            first.iter().any(|r| r.outcome.abandoned),
             "{} policy never fired at 25% loss",
             sys.scheme_name()
         );
         assert_eq!(s1.completed, requests.len() as u64);
         assert_eq!(
             s1.abandoned,
-            c1.iter().filter(|o| o.abandoned).count() as u64
+            first.iter().filter(|r| r.outcome.abandoned).count() as u64
         );
-        // Determinism: a second engine fed the same stream reports the
-        // same outcomes and the same event count.
-        let (c2, s2, _) = run(sys.as_ref());
-        assert_eq!(c1, c2, "{} outcomes drifted", sys.scheme_name());
+        // Determinism: the second batch reports the same outcomes and adds
+        // the same counts.
+        assert_eq!(first, second, "{} outcomes drifted", sys.scheme_name());
+        assert_eq!(s2.completed, 2 * s1.completed);
         assert_eq!(
-            s1.events,
             s2.events,
+            2 * s1.events,
             "{} event count drifted",
             sys.scheme_name()
         );
-        assert_eq!(s1.corrupt_reads, s2.corrupt_reads);
+        assert_eq!(s2.corrupt_reads, 2 * s1.corrupt_reads);
     }
 }
 
