@@ -117,14 +117,6 @@ impl std::fmt::Display for BTreePayload {
 }
 
 impl BTreePayload {
-    /// The next-index-segment delta every bucket carries.
-    pub fn next_seg_delta(&self) -> Ticks {
-        match self {
-            BTreePayload::Index(b) => b.next_seg_delta,
-            BTreePayload::Data(b) => b.next_seg_delta,
-        }
-    }
-
     /// Whether this bucket opens an index segment.
     pub fn is_segment_start(&self) -> bool {
         matches!(self, BTreePayload::Index(b) if b.segment_start)
@@ -237,7 +229,6 @@ mod tests {
     fn payload_accessors() {
         let idx = BTreePayload::Index(bucket());
         assert!(idx.is_segment_start());
-        assert_eq!(idx.next_seg_delta(), 2048);
         assert!(idx.as_index().is_some());
         assert!(idx.as_data().is_none());
 
@@ -247,7 +238,6 @@ mod tests {
             next_seg_delta: 7,
         });
         assert!(!data.is_segment_start());
-        assert_eq!(data.next_seg_delta(), 7);
         assert!(data.as_data().is_some());
         assert!(data.as_index().is_none());
     }

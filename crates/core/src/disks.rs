@@ -320,7 +320,7 @@ impl Scheme for FlatDisksScheme {
                 )
             })
             .collect();
-        Ok(FlatSystem::from_parts(
+        Ok(FlatSystem::from_channel(
             Channel::new(buckets)?,
             dataset.len() as u32,
         ))

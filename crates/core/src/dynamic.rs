@@ -497,7 +497,6 @@ mod tests {
         let tl = two_epoch_timeline();
         let boundary = tl.epoch(1).start;
         let mut slot = tl.make_slot_channel(ChannelModel::NONE, RetryPolicy::UNBOUNDED);
-        assert!(slot.is_done(), "fresh slot is idle");
         for key in [Key(0), Key(20), Key(40), Key(55)] {
             for t in [0u64, boundary - 7, boundary + 3] {
                 slot.start(key, t);

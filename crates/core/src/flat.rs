@@ -61,7 +61,7 @@ impl FlatSystem {
     /// point of both the classic and the broadcast-disk constructors.
     /// `num_records` is the number of *distinct* records in the cycle;
     /// repetition layouts repeat and skip record indices.
-    pub(crate) fn from_parts(channel: Channel<FlatPayload>, num_records: u32) -> Self {
+    pub(crate) fn from_channel(channel: Channel<FlatPayload>, num_records: u32) -> Self {
         let buckets = channel.buckets();
         let in_record_order = buckets
             .iter()
@@ -102,7 +102,7 @@ impl Scheme for FlatScheme {
                 )
             })
             .collect();
-        Ok(FlatSystem::from_parts(
+        Ok(FlatSystem::from_channel(
             Channel::new(buckets)?,
             dataset.len() as u32,
         ))

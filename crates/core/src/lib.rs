@@ -63,9 +63,9 @@ pub use machine::{
     ProtocolMachine, Verdict, Walk, WalkStep,
 };
 pub use multichannel::{
-    channel_model_for, even_partition, patch_outcome, remix_seed, BucketRef, GroupConfig,
-    GroupMachine, GroupPayload, GroupSource, IndexedGroupScheme, IndexedGroupSystem, StripedScheme,
-    StripedSlot, StripedSystem,
+    channel_model_for, even_partition, remix_seed, BucketRef, GroupConfig, GroupMachine,
+    GroupPayload, GroupSource, IndexedGroupScheme, IndexedGroupSystem, StripedScheme,
+    StripedSource, StripedSystem,
 };
 pub use params::Params;
 pub use record::{Dataset, Record};

@@ -567,8 +567,9 @@ pub struct Landing<'a, P> {
 /// The broadcast program a [`Walk`] reads, for a walk whose machine has
 /// type `M`: a frozen [`Channel`] (`&Channel<P>`), a
 /// [`crate::dynamic::ProgramTimeline`] of re-cut programs
-/// ([`crate::dynamic::Versioned`]), or the carriers of an indexed channel
-/// group ([`crate::multichannel::GroupSource`]).
+/// ([`crate::dynamic::Versioned`]), the carriers of an indexed channel
+/// group ([`crate::multichannel::GroupSource`]), or the carrier a striped
+/// group routes the query to ([`crate::multichannel::StripedSource`]).
 ///
 /// The source decides at compile time, not per read, what a read costs
 /// beyond the bucket itself. A frozen channel looks the bucket up and
@@ -578,7 +579,8 @@ pub struct Landing<'a, P> {
 /// that epoch's end, and on a header version other than the machine's
 /// hands the walk a fresh machine built against the program on air. A
 /// channel group lands each read on the carrier the client is tuned to,
-/// behind that carrier's air, and charges every retune.
+/// behind that carrier's air, and charges every retune, the one a striped
+/// query makes before its machine starts included ([`Source::enter`]).
 pub trait Source<'a, M> {
     /// The bucket payload type.
     type Payload: 'a;
@@ -623,6 +625,16 @@ pub trait Source<'a, M> {
         let _ = base;
         (carrier == 0).then_some(0)
     }
+
+    /// Tune the client from the home carrier, whose air is `base`, to the
+    /// carrier its query starts on, and return the air time that retune
+    /// costs. The walk calls it once, before its machine starts. A source
+    /// whose queries start on the home carrier costs nothing.
+    #[inline]
+    fn enter(&mut self, base: &ChannelModel) -> Ticks {
+        let _ = base;
+        0
+    }
 }
 
 impl<'a, P, M> Source<'a, M> for &'a Channel<P> {
@@ -657,8 +669,8 @@ impl<'a, P, M> Source<'a, M> for &'a Channel<P> {
 /// Executes a [`ProtocolMachine`] against a broadcast program, one step at
 /// a time, accounting access and tuning time — the one walk of the
 /// reproduction, over a frozen [`Channel`], a churning
-/// [`crate::dynamic::ProgramTimeline`] or the carriers of an indexed
-/// channel group (see [`Source`]).
+/// [`crate::dynamic::ProgramTimeline`] or the carriers of a channel group
+/// (see [`Source`]).
 ///
 /// `Walk` is both the fast in-process driver (via [`run_machine`] and its
 /// two variants, which fast-forward) and the unit of scheduling for the
@@ -717,23 +729,33 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
     /// bit-identical), recovering from unusable reads under `policy` and
     /// reporting every step's phase-attributed span to `recorder`. With
     /// [`NoopRecorder`] (`ENABLED = false`) every instrumentation site
-    /// compiles out. `machine` must have been built against the program
-    /// `src` airs at `tune_in`.
+    /// compiles out.
+    ///
+    /// A query that starts on a carrier other than the home one retunes
+    /// first ([`Source::enter`]): the switch is access time only, recorded
+    /// as one [`Phase::ChannelSwitch`] span here, and the machine starts
+    /// when it ends, so a give-up deadline counts it. `machine` must have
+    /// been built against the program `src` airs at that instant.
     pub fn with_channel_recorder(
-        src: Src,
+        mut src: Src,
         mut machine: M,
         tune_in: Ticks,
         channel: ChannelModel,
         policy: RetryPolicy,
-        recorder: R,
+        mut recorder: R,
     ) -> Self {
-        let pending = machine.start(tune_in);
+        let sw = src.enter(&channel);
+        if R::ENABLED && sw > 0 {
+            recorder.span(Phase::ChannelSwitch, sw, 0);
+        }
+        let now = tune_in.saturating_add(sw);
+        let pending = machine.start(now);
         Walk {
             max_probes: probe_budget(src.max_buckets(), &channel),
             src,
             machine,
             tune_in,
-            now: tune_in,
+            now,
             tuning: 0,
             probes: 0,
             retries: Retries::default(),
@@ -771,16 +793,6 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
     /// The walk's recorder (e.g. to read accumulated spans).
     pub fn recorder(&self) -> &R {
         &self.recorder
-    }
-
-    /// Mutable access to the walk's recorder.
-    pub fn recorder_mut(&mut self) -> &mut R {
-        &mut self.recorder
-    }
-
-    /// Absolute simulation time the client has reached.
-    pub fn now(&self) -> Ticks {
-        self.now
     }
 
     /// Whether the query has completed.

@@ -34,28 +34,31 @@
 //! — preserving the purity contract (corruption a pure function of bucket
 //! start instant and seed) that sharded merge and fast-forward require.
 //!
-//! **Switch accounting.** The client radio rests on channel 0. A query
-//! homed on channel `g != 0` pays `switch_cost` ticks before it can hear
-//! anything: its walk starts at `tune_in + switch_cost` and the final
-//! outcome's access time includes the switch. Tuning time does not — a
-//! retuning radio is not demodulating. Observed walks attribute the cost
-//! to the dedicated [`Phase::ChannelSwitch`] span.
+//! **Switch accounting.** The client radio rests on channel 0, and every
+//! retune belongs to the query's walk. A striped query homed on channel
+//! `g != 0` retunes before it can hear anything: its walk charges
+//! `switch_cost` ticks when it is built ([`Source::enter`]) and starts the
+//! channel's machine when the retune ends. An indexed-group query retunes
+//! when its machine steers it to a data channel ([`Action::DozeOn`]).
+//! Either way the switch is access time, counted by a give-up deadline
+//! ([`RetryPolicy::give_up_after`](crate::RetryPolicy::give_up_after))
+//! like every tick since tune-in. Tuning time does not grow — a retuning
+//! radio is not demodulating. Observed walks attribute the cost to the
+//! dedicated [`bda_obs::Phase::ChannelSwitch`] span.
 
 use std::sync::Arc;
 
 use crate::bucket::{Bucket, BucketMeta};
 use crate::channel::{next_occurrence, Channel};
 use crate::error::{BdaError, ProtocolFault, Result};
-use crate::errors_model::{ChannelModel, ErrorModel, LossModel, OutageSchedule, RetryPolicy};
+use crate::errors_model::{ChannelModel, ErrorModel, LossModel, OutageSchedule};
 use crate::key::Key;
-use crate::machine::{
-    AccessOutcome, Action, Landing, ProtocolMachine, Source, Verdict, Walk, WalkStep,
-};
+use crate::machine::{Action, Landing, ProtocolMachine, Source, Verdict};
 use crate::params::Params;
 use crate::record::Dataset;
-use crate::scheme::{Broadcast, DynSystem, QuerySlot, Scheme};
+use crate::scheme::{Broadcast, Scheme};
 use crate::Ticks;
-use bda_obs::{BucketKind, NoopRecorder, Phase, PhaseSpans, Recorder, SpanRecorder};
+use bda_obs::BucketKind;
 
 /// A cross-channel bucket address: bucket starting at cycle-relative
 /// `offset` on channel `channel` of the group. Directory entries carry
@@ -202,59 +205,15 @@ impl<S: Scheme> StripedScheme<S> {
         }
     }
 
-    /// Lay out the group (program version 0 on every channel).
+    /// Lay out the group.
     pub fn build(&self, dataset: &Dataset, params: &Params) -> Result<StripedSystem<S::System>> {
-        self.rebuild(dataset, params, 0)
-    }
-
-    /// Lay out the group with every channel's program stamped `version`.
-    pub fn rebuild(
-        &self,
-        dataset: &Dataset,
-        params: &Params,
-        version: u64,
-    ) -> Result<StripedSystem<S::System>> {
-        if dataset.is_empty() {
-            return Err(BdaError::BadParams("cannot stripe an empty dataset".into()));
-        }
-        let n = dataset.len();
-        // Never spread fewer records than channels: idle channels would
-        // break the "every channel is a self-contained program" invariant.
-        let k = (self.config.channels as usize).min(n).max(1);
-        let sizes = match &self.partition {
-            None => even_partition(n, k),
-            Some(sizes) => {
-                if sizes.len() != k {
-                    return Err(BdaError::BadParams(format!(
-                        "partition has {} slices for {} channels",
-                        sizes.len(),
-                        k
-                    )));
-                }
-                if sizes.contains(&0) || sizes.iter().sum::<usize>() != n {
-                    return Err(BdaError::BadParams(format!(
-                        "partition {sizes:?} does not cover {n} records"
-                    )));
-                }
-                sizes.clone()
-            }
-        };
-        let scaled = params.scaled(k as u32);
-        let mut channels = Vec::with_capacity(k);
-        let mut bounds = Vec::with_capacity(k);
-        let mut lo = 0usize;
-        for &len in &sizes {
-            let slice = &dataset.records()[lo..lo + len];
-            bounds.push(slice[0].key.0);
-            let slice_ds = Dataset::new(slice.to_vec())?;
-            channels.push(self.inner.rebuild(&slice_ds, &scaled, version)?);
-            lo += len;
-        }
-        Ok(StripedSystem {
-            channels,
-            bounds,
-            switch_cost: self.config.switch_cost,
-        })
+        StripedSystem::stripe(
+            dataset,
+            params,
+            self.config,
+            self.partition.as_deref(),
+            |_, slice, scaled| self.inner.build(slice, scaled),
+        )
     }
 }
 
@@ -268,19 +227,54 @@ pub struct StripedSystem<S> {
 }
 
 impl<S> StripedSystem<S> {
-    /// Assemble a striped system from already-built per-channel programs.
-    /// `bounds[g]` is the first key of channel `g`'s slice; keys route to
-    /// the last channel whose bound is ≤ the key (keys below every bound
-    /// route to channel 0). Used by the dynamic-broadcast group, whose
-    /// channels are versioned servers rather than frozen systems.
-    pub fn from_parts(channels: Vec<S>, bounds: Vec<u64>, switch_cost: Ticks) -> Self {
-        assert_eq!(channels.len(), bounds.len());
-        assert!(!channels.is_empty());
-        StripedSystem {
+    /// Stripe `dataset` over `config.channels` channels, never more than it
+    /// has records (an idle channel would break the "every channel is a
+    /// self-contained program" invariant). The key-sorted records split
+    /// into contiguous slices, sized by `partition` (the air-time
+    /// allocator's output: one positive size per channel, summing to the
+    /// dataset length) or evenly without one, and `build(g, slice,
+    /// scaled)` lays out channel `g`'s program from its slice under
+    /// [`Params::scaled`] dilation. A key routes to the last channel whose
+    /// slice's first key is at or below it.
+    pub fn stripe(
+        dataset: &Dataset,
+        params: &Params,
+        config: GroupConfig,
+        partition: Option<&[usize]>,
+        mut build: impl FnMut(usize, &Dataset, &Params) -> Result<S>,
+    ) -> Result<Self> {
+        let n = dataset.len();
+        let k = (config.channels as usize).min(n).max(1);
+        let sizes = match partition {
+            None => even_partition(n, k),
+            Some(sizes) if sizes.len() != k => {
+                return Err(BdaError::BadParams(format!(
+                    "partition has {} slices for {k} channels",
+                    sizes.len()
+                )));
+            }
+            Some(sizes) if sizes.contains(&0) || sizes.iter().sum::<usize>() != n => {
+                return Err(BdaError::BadParams(format!(
+                    "partition {sizes:?} does not cover {n} records"
+                )));
+            }
+            Some(sizes) => sizes.to_vec(),
+        };
+        let scaled = params.scaled(k as u32);
+        let mut channels = Vec::with_capacity(k);
+        let mut bounds = Vec::with_capacity(k);
+        let mut lo = 0usize;
+        for (g, &len) in sizes.iter().enumerate() {
+            let slice = &dataset.records()[lo..lo + len];
+            bounds.push(slice[0].key.0);
+            channels.push(build(g, &Dataset::new(slice.to_vec())?, &scaled)?);
+            lo += len;
+        }
+        Ok(StripedSystem {
             channels,
             bounds,
-            switch_cost,
-        }
+            switch_cost: config.switch_cost,
+        })
     }
 
     /// Number of channels in the group.
@@ -311,167 +305,99 @@ impl<S> StripedSystem<S> {
             .partition_point(|&b| b <= key.0)
             .saturating_sub(1)
     }
-
-    fn route_with_cost(&self, key: Key) -> (usize, Ticks) {
-        let g = self.route(key);
-        let sw = if g == 0 { 0 } else { self.switch_cost };
-        (g, sw)
-    }
 }
 
-/// Patch a walk's final outcome with the up-front channel-switch cost:
-/// the retune elapses air time before the walk's clock starts, so it is
-/// pure access time (a retuning radio is deaf — tuning is untouched).
-pub fn patch_outcome(mut out: AccessOutcome, sw: Ticks) -> AccessOutcome {
-    out.access = out.access.saturating_add(sw);
-    out
-}
+/// A striped group is a broadcast whose every query runs the ordinary
+/// protocol of the channel its key routes to, so the blanket
+/// [`crate::scheme::DynSystem`] impl and [`crate::scheme::WalkSlot`]
+/// serve it, frozen or churning. The query's walk pays the retune to that
+/// channel first (none to the home channel 0), and the channel's machine
+/// is built against the program on air when the retune ends.
+impl<S: Broadcast> Broadcast for StripedSystem<S> {
+    type Payload = S::Payload;
+    type Machine = S::Machine;
+    type Source<'a>
+        = StripedSource<'a, S>
+    where
+        S: 'a;
 
-/// The reusable [`QuerySlot`] of a striped group, frozen or churning:
-/// routes each query to its channel at [`QuerySlot::start`], arms an
-/// in-place [`Walk`] over that channel's program behind the channel's
-/// derived fault model with a fresh recorder `R`, and patches the switch
-/// cost into the final outcome. With a [`SpanRecorder`] the
-/// exposed spans gain one [`Phase::ChannelSwitch`] span when the walk
-/// completes, so from then on they total the patched outcome.
-pub struct StripedSlot<'a, S: Broadcast, R = NoopRecorder> {
-    system: &'a StripedSystem<S>,
-    walk: Option<Walk<S::Source<'a>, S::Machine, R>>,
-    base: ChannelModel,
-    policy: RetryPolicy,
-    ff: bool,
-    /// The current query's retune cost.
-    sw: Ticks,
-}
-
-impl<'a, S: Broadcast, R> StripedSlot<'a, S, R> {
-    /// An empty slot over the group behind `base` faults; arm with
-    /// [`QuerySlot::start`].
-    pub fn new(system: &'a StripedSystem<S>, base: ChannelModel, policy: RetryPolicy) -> Self {
-        StripedSlot {
-            system,
-            walk: None,
-            base,
-            policy,
-            ff: false,
-            sw: 0,
-        }
-    }
-}
-
-impl<'a, S: Broadcast + Sync, R: Recorder + Default + Send> QuerySlot for StripedSlot<'a, S, R> {
-    fn start(&mut self, key: Key, tune_in: Ticks) {
-        let (g, sw) = self.system.route_with_cost(key);
-        let t = tune_in.saturating_add(sw);
-        let (src, machine) = self.system.channels[g].tune(key, t);
-        let mut walk = Walk::with_channel_recorder(
-            src,
-            machine,
-            t,
-            channel_model_for(self.base, g as u32),
-            self.policy,
-            R::default(),
-        );
-        walk.set_fast_forward(self.ff);
-        self.walk = Some(walk);
-        self.sw = sw;
-    }
-
-    fn set_fast_forward(&mut self, enabled: bool) {
-        self.ff = enabled;
-        if let Some(walk) = self.walk.as_mut() {
-            walk.set_fast_forward(enabled);
-        }
-    }
-
-    fn step(&mut self) -> WalkStep {
-        let walk = self.walk.as_mut().expect("QuerySlot::step before start");
-        let done = walk.is_done();
-        match walk.step() {
-            WalkStep::Done(out) => {
-                if !done && self.sw > 0 {
-                    walk.recorder_mut().span(Phase::ChannelSwitch, self.sw, 0);
-                }
-                WalkStep::Done(patch_outcome(out, self.sw))
-            }
-            s => s,
-        }
-    }
-
-    fn now(&self) -> Ticks {
-        self.walk
-            .as_ref()
-            .expect("QuerySlot::now before start")
-            .now()
-    }
-
-    fn is_done(&self) -> bool {
-        self.walk.as_ref().map_or(true, Walk::is_done)
-    }
-
-    fn spans(&self) -> Option<&PhaseSpans> {
-        self.walk.as_ref().and_then(|w| w.recorder().spans())
-    }
-}
-
-/// A striped group runs each query over its channel's own program, so
-/// every driver is that program's, shifted by the switch cost and behind
-/// the channel's derived fault model. The direct walker routes the key,
-/// runs the channel's own [`DynSystem::probe_with_channel`] and patches in
-/// the switch cost — a path independent of [`StripedSlot`].
-impl<S: Broadcast + Send + Sync> DynSystem for StripedSystem<S>
-where
-    S::Machine: 'static,
-{
     fn scheme_name(&self) -> &'static str {
-        DynSystem::scheme_name(&self.channels[0])
+        Broadcast::scheme_name(&self.channels[0])
     }
 
     fn cycle_len(&self) -> Ticks {
         // Channels are not harmonically related in general, so the
         // group's natural back-off unit is its longest per-channel cycle.
-        self.channels
-            .iter()
-            .map(DynSystem::cycle_len)
-            .max()
-            .unwrap_or(0)
+        self.channels.iter().map(S::cycle_len).max().unwrap_or(0)
     }
 
     fn num_buckets(&self) -> usize {
-        self.channels.iter().map(DynSystem::num_buckets).sum()
+        self.channels.iter().map(S::num_buckets).sum()
     }
 
-    fn probe_with_channel(
-        &self,
-        key: Key,
-        tune_in: Ticks,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> AccessOutcome {
-        let (g, sw) = self.route_with_cost(key);
-        let out = self.channels[g].probe_with_channel(
-            key,
-            tune_in.saturating_add(sw),
-            channel_model_for(channel, g as u32),
-            policy,
-        );
-        patch_outcome(out, sw)
+    fn tune(&self, key: Key, tune_in: Ticks) -> (StripedSource<'_, S>, S::Machine) {
+        let g = self.route(key);
+        let switch_cost = if g == 0 { 0 } else { self.switch_cost };
+        let (inner, machine) = self.channels[g].tune(key, tune_in.saturating_add(switch_cost));
+        let source = StripedSource {
+            inner,
+            carrier: g as u32,
+            switch_cost,
+            air: ChannelModel::NONE,
+        };
+        (source, machine)
+    }
+}
+
+/// The [`Source`] of a walk over a [`StripedSystem`]: the routed
+/// channel's own source, read behind that channel's air
+/// ([`channel_model_for`]), which charges the retune to that channel on
+/// [`Source::enter`].
+pub struct StripedSource<'a, S: Broadcast + 'a> {
+    /// The routed channel's own source.
+    inner: S::Source<'a>,
+    /// The routed channel.
+    carrier: u32,
+    /// What the retune to it costs: nothing for the home channel 0.
+    switch_cost: Ticks,
+    /// The routed channel's air, derived on entry.
+    air: ChannelModel,
+}
+
+impl<'a, S: Broadcast + 'a> Source<'a, S::Machine> for StripedSource<'a, S> {
+    type Payload = S::Payload;
+
+    fn max_buckets(&self) -> usize {
+        self.inner.max_buckets()
     }
 
-    fn make_slot_channel(
-        &self,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(StripedSlot::<_, NoopRecorder>::new(self, channel, policy))
+    #[inline]
+    fn first_complete_at(&self, t: Ticks) -> Landing<'a, S::Payload> {
+        self.inner.first_complete_at(t)
     }
 
-    fn make_slot_channel_observed(
-        &self,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(StripedSlot::<_, SpanRecorder>::new(self, channel, policy))
+    #[inline]
+    fn ff_limit(&self, at: &Landing<'a, S::Payload>) -> Option<Ticks> {
+        self.inner.ff_limit(at)
+    }
+
+    #[inline]
+    fn respawn(&mut self, at: &Landing<'a, S::Payload>, version: u64) -> Option<S::Machine> {
+        self.inner.respawn(at, version)
+    }
+
+    #[inline]
+    fn air<'c>(&'c self, _base: &'c ChannelModel) -> &'c ChannelModel {
+        self.inner.air(&self.air)
+    }
+
+    fn retune(&mut self, carrier: u32, _base: &ChannelModel) -> Option<Ticks> {
+        self.inner.retune(carrier, &self.air)
+    }
+
+    fn enter(&mut self, base: &ChannelModel) -> Ticks {
+        self.air = channel_model_for(*base, self.carrier);
+        self.switch_cost.saturating_add(self.inner.enter(&self.air))
     }
 }
 
@@ -761,7 +687,7 @@ impl IndexedGroupSystem {
 }
 
 /// An indexed group is a broadcast over its carriers: every driver runs
-/// its queries as the one [`Walk`] of a [`GroupMachine`] over a
+/// its queries as the one [`crate::Walk`] of a [`GroupMachine`] over a
 /// [`GroupSource`].
 impl Broadcast for IndexedGroupSystem {
     type Payload = GroupPayload;
@@ -989,10 +915,12 @@ impl ProtocolMachine<GroupPayload> for GroupMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::errors_model::RetryPolicy;
     use crate::flat::FlatScheme;
-    use crate::machine::run_machine;
+    use crate::machine::{run_machine, AccessOutcome, Walk, WalkStep};
     use crate::record::Record;
-    use crate::scheme::System;
+    use crate::scheme::{DynSystem, QuerySlot, System};
+    use bda_obs::{Phase, SpanRecorder};
 
     fn dataset(n: usize) -> Dataset {
         Dataset::new((0..n).map(|i| Record::keyed(i as u64 * 10)).collect()).unwrap()

@@ -88,17 +88,17 @@ pub trait System: Send + Sync {
 /// of these; its reference oracle starts a fresh one per request, which
 /// never fast-forwards and so steps every bucket.
 ///
-/// There is one implementation per program layout: [`WalkSlot`] for any
-/// [`Broadcast`] — a single-channel program, frozen or churning, or an
-/// indexed channel group — and [`crate::multichannel::StripedSlot`] for a
-/// striped channel group. Each takes the recorder as a type parameter, so
-/// an observed slot is the same type with a [`SpanRecorder`].
+/// There is one implementation, [`WalkSlot`], since every layout is a
+/// [`Broadcast`]: a single-channel program, frozen or churning, and a
+/// striped or indexed channel group. It takes the recorder as a type
+/// parameter, so an observed slot is the same type with a
+/// [`SpanRecorder`].
 ///
 /// `Send` is a supertrait so a slab of slots can be owned by a worker
 /// thread: the sharded engine partitions clients across cores, and each
-/// shard's arena (slots included) lives on that shard's thread. Every
-/// slot implementation is plain data plus `&`-references into a
-/// [`System`] (which is `Sync`), so the bound is free.
+/// shard's arena (slots included) lives on that shard's thread. A slot
+/// is plain data plus `&`-references into a [`Broadcast`] (which is
+/// `Sync`), so the bound is free.
 pub trait QuerySlot: Send {
     /// (Re)arm the slot for a new query on `key` tuning in at `tune_in`.
     /// Any previous query's state is discarded; internal storage is reused.
@@ -111,20 +111,11 @@ pub trait QuerySlot: Send {
     /// Panics if the slot was never started.
     fn step(&mut self) -> WalkStep;
 
-    /// Absolute time the current query has reached.
-    fn now(&self) -> Ticks;
-
-    /// Whether the current query has completed (also true before the first
-    /// [`QuerySlot::start`]).
-    fn is_done(&self) -> bool;
-
     /// The current query's per-phase span decomposition, when this slot
     /// records one (see [`DynSystem::make_slot_channel_observed`]): what
-    /// its walk's recorder holds ([`Recorder::spans`]). The default — and
-    /// every uninstrumented slot — returns `None`.
-    fn spans(&self) -> Option<&PhaseSpans> {
-        None
-    }
+    /// its walk's recorder holds ([`Recorder::spans`]), `None` for an
+    /// uninstrumented or never-started slot.
+    fn spans(&self) -> Option<&PhaseSpans>;
 
     /// Ask the slot's subsequent queries to use analytical fast-forward
     /// (see [`Walk::set_fast_forward`]; off in a fresh slot): bit-identical
@@ -136,12 +127,14 @@ pub trait QuerySlot: Send {
 }
 
 /// A broadcast a client query tunes into: a frozen [`System`], a
-/// [`crate::dynamic::ProgramTimeline`] of re-cut ones, or an indexed
-/// channel group ([`crate::multichannel::IndexedGroupSystem`]). It reports
-/// its name and geometry and hands each query the [`Source`] its [`Walk`]
-/// reads and the machine it starts with, so one walk, one driver family
+/// [`crate::dynamic::ProgramTimeline`] of re-cut ones, or a channel group,
+/// striped ([`crate::multichannel::StripedSystem`], over frozen or
+/// churning programs) or indexed
+/// ([`crate::multichannel::IndexedGroupSystem`]). It reports its name and
+/// geometry and hands each query the [`Source`] its [`Walk`] reads and
+/// the machine it starts with, so one walk, one driver family
 /// ([`crate::machine::run_machine`] and its variants), one slot
-/// ([`WalkSlot`]) and one [`DynSystem`] implementation serve all three.
+/// ([`WalkSlot`]) and one [`DynSystem`] implementation serve every layout.
 pub trait Broadcast {
     /// The bucket payload a walk reads.
     type Payload;
@@ -163,7 +156,9 @@ pub trait Broadcast {
     fn num_buckets(&self) -> usize;
 
     /// The source and the starting machine of a query for `key` tuning in
-    /// at `tune_in`, the machine built against the program on air then.
+    /// at `tune_in`, the machine built against the program on air when
+    /// the machine starts: at `tune_in`, or once the retune the source
+    /// charges on [`Source::enter`] ends.
     fn tune(&self, key: Key, tune_in: Ticks) -> (Self::Source<'_>, Self::Machine);
 }
 
@@ -193,11 +188,11 @@ impl<S: System> Broadcast for S {
     }
 }
 
-/// The reusable [`QuerySlot`] of any [`Broadcast`], frozen or churning:
-/// an in-place [`Walk`], rebuilt (not reallocated) on every
-/// [`QuerySlot::start`] with a fresh recorder `R`. With a
-/// [`SpanRecorder`] the query's per-phase spans are exposed through
-/// [`QuerySlot::spans`] until the next start.
+/// The reusable [`QuerySlot`] of any [`Broadcast`], one channel or a
+/// group, frozen or churning: an in-place [`Walk`], rebuilt (not
+/// reallocated) on every [`QuerySlot::start`] with a fresh recorder `R`.
+/// With a [`SpanRecorder`] the query's per-phase spans are exposed
+/// through [`QuerySlot::spans`] until the next start.
 pub struct WalkSlot<'a, B: Broadcast, R = NoopRecorder> {
     broadcast: &'a B,
     walk: Option<Walk<B::Source<'a>, B::Machine, R>>,
@@ -250,17 +245,6 @@ impl<'a, B: Broadcast + Sync, R: Recorder + Default + Send> QuerySlot for WalkSl
             .step()
     }
 
-    fn now(&self) -> Ticks {
-        self.walk
-            .as_ref()
-            .expect("QuerySlot::now before start")
-            .now()
-    }
-
-    fn is_done(&self) -> bool {
-        self.walk.as_ref().map_or(true, Walk::is_done)
-    }
-
     fn spans(&self) -> Option<&PhaseSpans> {
         self.walk.as_ref().and_then(|w| w.recorder().spans())
     }
@@ -269,10 +253,10 @@ impl<'a, B: Broadcast + Sync, R: Recorder + Default + Send> QuerySlot for WalkSl
 /// Object-safe view of a built broadcast, so the testbed and harness can
 /// treat heterogeneous schemes uniformly (`Box<dyn DynSystem>`).
 ///
-/// Every [`Broadcast`] — every [`System`], every timeline of them, and the
-/// indexed channel group — implements this automatically (blanket impl),
-/// so `probe` and the slots are available on concrete systems too —
-/// import this trait to use them.
+/// Every [`Broadcast`] — every [`System`], every timeline of them, and
+/// both channel group layouts — implements this through the one blanket
+/// impl below, so `probe` and the slots are available on concrete systems
+/// too — import this trait to use them.
 /// Keeping `probe` on exactly one trait avoids method ambiguity when both
 /// traits are in scope.
 ///
@@ -439,18 +423,15 @@ mod tests {
         let sys = FlatScheme.build(&ds, &Params::paper()).unwrap();
         let dynsys: &dyn DynSystem = &sys;
         let mut slot = dynsys.make_slot_channel(ChannelModel::NONE, RetryPolicy::UNBOUNDED);
-        assert!(slot.is_done(), "fresh slot is idle");
         // One slot serves many sequential queries.
         for key in [Key(0), Key(50), Key(55), Key(20)] {
             for t in [0u64, 123, 4096] {
                 slot.start(key, t);
-                assert!(!slot.is_done());
                 let stepped = loop {
                     if let WalkStep::Done(out) = slot.step() {
                         break out;
                     }
                 };
-                assert!(slot.is_done());
                 assert_eq!(stepped, dynsys.probe(key, t));
             }
         }

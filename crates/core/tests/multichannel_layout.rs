@@ -13,13 +13,15 @@
 //!    instant is monotone in the tune-in instant;
 //! 3. switch-cost accounting is tick-exact — a query homed away from
 //!    channel 0 pays exactly `switch_cost` ticks of access time (and one
-//!    `ChannelSwitch` span), no more, no less, and tuning is untouched;
+//!    `ChannelSwitch` span), no more, no less, tuning is untouched, and a
+//!    give-up deadline counts the retune;
 //! 4. `K = 1` is byte-identical to the flat single-channel program,
 //!    buckets and outcomes included.
 
 use bda_core::{
-    ChannelModel, Dataset, DynSystem, FlatScheme, GroupConfig, GroupPayload, IndexedGroupScheme,
-    Key, Params, Record, RetryPolicy, Scheme, StripedScheme, System, Ticks,
+    channel_model_for, ChannelModel, Dataset, DynSystem, ErrorModel, FlatScheme, GroupConfig,
+    GroupPayload, IndexedGroupScheme, Key, Params, Record, RetryPolicy, Scheme, StripedScheme,
+    System, Ticks,
 };
 use bda_obs::Phase;
 use proptest::prelude::*;
@@ -229,5 +231,45 @@ proptest! {
         let (b, sb) = group.probe_recorded_channel(key, t, ChannelModel::NONE, RetryPolicy::UNBOUNDED);
         prop_assert_eq!(a, b);
         prop_assert_eq!(sa, sb);
+    }
+}
+
+/// Property 3 (striped, lossy): the give-up deadline counts access time
+/// since tune-in, the retune included. A query routed to channel `g`
+/// behind deadline `D` is that channel's own program probed `sw` ticks
+/// later behind deadline `D − sw` (none left if the retune outlasts it),
+/// plus `sw` ticks of access. Some queries give up between `D − sw` and
+/// `D`, so the rule is observable.
+#[test]
+fn give_up_deadline_counts_the_retune() {
+    let n = 400;
+    let deadline: Ticks = 20_000;
+    let air = ChannelModel::iid(ErrorModel::new(0.3, 0xDEAD));
+    for sw in [256, 1_500] {
+        let sys = striped(n, 4, sw);
+        let mut moved = 0;
+        for i in 0..300u64 {
+            let (key, t) = (Key((i * 37 % n as u64) * 2), i * 7_919);
+            let g = sys.route(key);
+            let sw_g = if g == 0 { 0 } else { sw };
+            let routed = |limit| {
+                let policy = RetryPolicy::UNBOUNDED.with_deadline(limit);
+                let g_air = channel_model_for(air, g as u32);
+                let mut out =
+                    sys.channel_system(g)
+                        .probe_with_channel(key, t + sw_g, g_air, policy);
+                out.access += sw_g;
+                out
+            };
+            let expect = routed(deadline.saturating_sub(sw_g));
+            let policy = RetryPolicy::UNBOUNDED.with_deadline(deadline);
+            assert_eq!(
+                sys.probe_with_channel(key, t, air, policy),
+                expect,
+                "sw={sw} key={key:?} t={t}"
+            );
+            moved += usize::from(routed(deadline) != expect);
+        }
+        assert!(moved > 0, "sw={sw}: no query gives up between D - sw and D");
     }
 }

@@ -65,15 +65,6 @@ impl std::fmt::Display for HybridPayload {
 }
 
 impl HybridPayload {
-    /// Forward delta to the next index segment.
-    pub fn next_seg_delta(&self) -> Ticks {
-        match self {
-            HybridPayload::Index { node, .. } => node.next_seg_delta,
-            HybridPayload::Sig { next_seg_delta, .. } => *next_seg_delta,
-            HybridPayload::Data { next_seg_delta, .. } => *next_seg_delta,
-        }
-    }
-
     /// Forward delta to the next signature bucket (for the `Sig` variant
     /// this is the *following* record's signature, skipping its own data
     /// bucket).
@@ -110,7 +101,6 @@ mod tests {
             next_seg_delta: 11,
             next_sig_delta: 22,
         };
-        assert_eq!(data.next_seg_delta(), 11);
         assert_eq!(data.next_sig_delta(), 22);
         assert!(data.as_index().is_none());
 
@@ -120,7 +110,6 @@ mod tests {
             next_seg_delta: 33,
             next_sig_after_data: 44,
         };
-        assert_eq!(sig.next_seg_delta(), 33);
         assert_eq!(sig.next_sig_delta(), 44);
     }
 }

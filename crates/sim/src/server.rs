@@ -6,8 +6,8 @@
 //! directly. A churning program is a [`VersionedServer`].
 
 use bda_core::{
-    even_partition, remix_seed, Broadcast, Dataset, Epoch, GroupConfig, Key, Params,
-    ProgramTimeline, Record, Result, Scheme, StripedSystem, System, Ticks, Versioned,
+    remix_seed, Broadcast, Dataset, Epoch, GroupConfig, Key, Params, ProgramTimeline, Record,
+    Result, Scheme, StripedSystem, System, Ticks, Versioned,
 };
 
 use crate::updates::{UpdateSpec, UpdateStream};
@@ -166,8 +166,9 @@ impl<S: System> Broadcast for VersionedServer<S> {
 /// [`Params::scaled`] dilation for equal aggregate bandwidth), and each
 /// channel's update stream runs with a deterministically remixed seed
 /// ([`remix_seed`]) so churn is decorrelated across channels while
-/// channel 0 keeps the base stream. Every driver, the slot included, is
-/// the frozen striped group's, over versioned channels.
+/// channel 0 keeps the base stream. It is a [`Broadcast`] as the frozen
+/// striped group is: every driver runs a query as the one walk over the
+/// routed channel's timeline.
 ///
 /// Routing uses the **initial** partition's bounds, frozen for the whole
 /// horizon. A known wart follows: an update stream may insert a key
@@ -195,38 +196,22 @@ impl<S: System> VersionedServer<S> {
     where
         Sch: Scheme<System = S>,
     {
-        let n = dataset.len();
-        let k = (config.channels as usize).min(n).max(1);
-        let sizes = even_partition(n, k);
-        let scaled = params.scaled(k as u32);
-        let mut channels = Vec::with_capacity(k);
-        let mut bounds = Vec::with_capacity(k);
-        let mut lo = 0usize;
-        for (g, &len) in sizes.iter().enumerate() {
-            let slice = &dataset.records()[lo..lo + len];
-            bounds.push(slice[0].key.0);
-            let slice_ds = Dataset::new(slice.to_vec())?;
-            let slice_spec = UpdateSpec {
+        StripedSystem::stripe(dataset, params, config, None, |g, slice, scaled| {
+            let spec = UpdateSpec {
                 seed: remix_seed(spec.seed, g as u32),
                 ..spec
             };
-            channels.push(VersionedServer::build(
-                scheme, &slice_ds, &scaled, slice_spec,
-            )?);
-            lo += len;
-        }
-        Ok(StripedSystem::from_parts(
-            channels,
-            bounds,
-            config.switch_cost,
-        ))
+            VersionedServer::build(scheme, slice, scaled, spec)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bda_core::{DynSystem, FlatScheme, Record};
+    use bda_core::{
+        channel_model_for, ChannelModel, DynSystem, ErrorModel, FlatScheme, Record, RetryPolicy,
+    };
 
     fn ds(keys: &[u64]) -> Dataset {
         Dataset::new(keys.iter().map(|&k| Record::keyed(k)).collect()).unwrap()
@@ -325,6 +310,45 @@ mod tests {
             for k in [0u64, 105, 200, 315] {
                 assert_eq!(a.probe(Key(k), t), b.probe(Key(k), t));
             }
+        }
+    }
+
+    #[test]
+    fn striped_churn_deadline_counts_the_retune() {
+        // As on a frozen group: a query routed to channel `g` behind
+        // deadline `D` is that channel's own timeline probed `sw` ticks
+        // later behind `D − sw`, plus `sw` ticks of access.
+        let d = ds(&(0..400).map(|i| i * 2).collect::<Vec<_>>());
+        let p = Params::paper();
+        let spec = UpdateSpec::rate(0.2, 0x5EED);
+        let air = ChannelModel::iid(ErrorModel::new(0.3, 0xDEAD));
+        let deadline: Ticks = 20_000;
+        for sw in [256, 1_500] {
+            let config = bda_core::GroupConfig::new(4, sw).unwrap();
+            let group = VersionedServer::build_striped(&FlatScheme, &d, &p, config, spec).unwrap();
+            let mut moved = 0;
+            for i in 0..300u64 {
+                let (key, t) = (Key((i * 37 % 400) * 2), i * 7_919);
+                let g = group.route(key);
+                let sw_g = if g == 0 { 0 } else { sw };
+                let routed = |limit| {
+                    let policy = RetryPolicy::UNBOUNDED.with_deadline(limit);
+                    let g_air = channel_model_for(air, g as u32);
+                    let channel = group.channel_system(g);
+                    let mut out = channel.probe_with_channel(key, t + sw_g, g_air, policy);
+                    out.access += sw_g;
+                    out
+                };
+                let expect = routed(deadline.saturating_sub(sw_g));
+                let policy = RetryPolicy::UNBOUNDED.with_deadline(deadline);
+                assert_eq!(
+                    group.probe_with_channel(key, t, air, policy),
+                    expect,
+                    "sw={sw} key={key:?} t={t}"
+                );
+                moved += usize::from(routed(deadline) != expect);
+            }
+            assert!(moved > 0, "sw={sw}: no query gives up between D - sw and D");
         }
     }
 

@@ -21,7 +21,7 @@
 //! deterministic artifact of the simulation.
 
 use bda_core::{AccessOutcome, ChannelModel, DynSystem, Key, RetryPolicy, Ticks, WalkStep};
-use bda_obs::{sample_indices, Phase, TimeSeries, TraceBuilder};
+use bda_obs::{sample_indices, Phase, PhaseSpans, TimeSeries, TraceBuilder};
 
 /// One contiguous run of a walk attributed to a single [`Phase`]:
 /// `[start, end)` in absolute ticks, with `end - start == access`.
@@ -47,6 +47,10 @@ pub struct SpanSegment {
 /// segment, not one per bucket. Fast-forward is disabled for the replay —
 /// it never changes outcomes or span totals, but stepping bucket by
 /// bucket yields the finest segment boundaries the recorder can resolve.
+///
+/// A retune comes before whatever else its step records: the switch a
+/// striped query pays when its walk is built lands at the head of the
+/// first step, and an indexed-group retune ahead of the doze it starts.
 pub fn replay_spans(
     system: &dyn DynSystem,
     key: Key,
@@ -57,13 +61,16 @@ pub fn replay_spans(
     let mut slot = system.make_slot_channel_observed(channel, policy);
     slot.set_fast_forward(false);
     slot.start(key, arrival);
-    let mut prev = slot.spans().copied().unwrap_or_default();
+    let mut prev = PhaseSpans::new();
     let mut cursor = arrival;
     let mut segments: Vec<SpanSegment> = Vec::new();
+    let mut order = Phase::ALL;
+    order.sort_by_key(|&p| p != Phase::ChannelSwitch);
     loop {
         let step = slot.step();
         let cur = slot.spans().copied().unwrap_or_default();
-        for (phase, t) in cur.iter() {
+        for phase in order {
+            let t = cur.get(phase);
             let before = prev.get(phase);
             let access = t.access - before.access;
             let tuning = t.tuning - before.tuning;
@@ -190,7 +197,10 @@ pub fn append_scheme_timeline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bda_core::{Dataset, ErrorModel, FlatScheme, Params, Record, Scheme};
+    use bda_core::{
+        Dataset, ErrorModel, FlatScheme, GroupConfig, IndexedGroupScheme, Params, Record, Scheme,
+        StripedScheme,
+    };
     use bda_obs::validate_trace;
 
     fn system() -> impl DynSystem {
@@ -233,6 +243,66 @@ mod tests {
             let access: u64 = segments.iter().map(|s| s.access).sum();
             assert_eq!(access, outcome.access);
         }
+    }
+
+    #[test]
+    fn retunes_come_before_what_follows_them() {
+        let ds = Dataset::new((0..400).map(|i| Record::keyed(i * 2)).collect()).unwrap();
+        let p = Params::paper();
+        let (sw, arrival, key) = (1_500, 1_234, Key(600));
+        let group = GroupConfig::new(4, sw).unwrap();
+        let (air, policy) = (ChannelModel::NONE, RetryPolicy::UNBOUNDED);
+
+        // A striped query routed off the home channel retunes before it
+        // hears anything, so its timeline opens with the switch.
+        let striped = StripedScheme::new(FlatScheme, group)
+            .build(&ds, &p)
+            .unwrap();
+        assert_ne!(striped.route(key), 0);
+        let (out, segments) = replay_spans(&striped, key, arrival, air, policy);
+        assert!(out.found);
+        let switch = SpanSegment {
+            phase: Phase::ChannelSwitch,
+            start: arrival,
+            end: arrival + sw,
+            access: sw,
+            tuning: 0,
+        };
+        assert_eq!(segments[0], switch, "{segments:?}");
+
+        // An indexed-group query retunes as soon as its directory read
+        // ends, then dozes to the record on the data channel: the walk's
+        // last steps are that read, the retune-and-doze, the record read.
+        let indexed = IndexedGroupScheme::new(group)
+            .unwrap()
+            .build(&ds, &p)
+            .unwrap();
+        let mut slot = indexed.make_slot_channel(air, policy);
+        slot.start(key, arrival);
+        let mut steps = Vec::new();
+        while !matches!(steps.last(), Some(WalkStep::Done(_))) {
+            steps.push(slot.step());
+        }
+        let WalkStep::Read { until: dir_end, .. } = steps[steps.len() - 4] else {
+            panic!("the directory read precedes the retune: {steps:?}");
+        };
+        let (out, segments) = replay_spans(&indexed, key, arrival, air, policy);
+        assert!(out.found);
+        let i = segments
+            .iter()
+            .position(|s| s.phase == Phase::ChannelSwitch)
+            .expect("a found key retunes");
+        assert_eq!(segments[i - 1].phase, Phase::IndexTraversal, "{segments:?}");
+        assert_eq!(segments[i - 1].end, dir_end);
+        let switch = SpanSegment {
+            phase: Phase::ChannelSwitch,
+            start: dir_end,
+            end: dir_end + sw,
+            access: sw,
+            tuning: 0,
+        };
+        assert_eq!(segments[i], switch, "{segments:?}");
+        assert_eq!(segments[i + 1].phase, Phase::Doze);
     }
 
     #[test]
