@@ -16,8 +16,8 @@
 //! * **engine** (`--engine`) — every cell's queries run as *concurrent
 //!   clients* through the slab discrete-event engine
 //!   ([`bda_sim::Engine::with_channel`]), exactly the fault-injection
-//!   testbed the differential suite verifies. Outcomes are identical per
-//!   request (engine ≡ walker — `engine_lossy_equiv` proves it); the
+//!   testbed the conformance matrix verifies. Outcomes are identical per
+//!   request (engine ≡ walker on every cell of the matrix); the
 //!   engine mode additionally reports retries per query from
 //!   [`bda_sim::EngineStats`].
 //!

@@ -10,7 +10,8 @@
 //! schemes sit in between with filter reads dominating.
 //!
 //! Percentages use the exact span accounting (the per-phase ticks sum to
-//! the measured totals; see the `obs_equiv` suite), so rows add to 100.
+//! the measured totals on every cell of the conformance matrix), so rows
+//! add to 100.
 
 use bda_core::Params;
 use bda_datagen::{DatasetBuilder, Popularity, QueryWorkload};

@@ -28,13 +28,18 @@
 //! Every binary accepts `--quick` (looser confidence/accuracy; an order of
 //! magnitude faster), `--seed <n>`, and `--quiet` (suppress progress
 //! narration on stderr; errors still print, tables still go to stdout).
+//!
+//! [`conformance`] is the driver wall one cell of the conformance matrix
+//! runs through; the matrix test (`tests/conformance.rs`) checks a fixed
+//! table of cells and the `chaos` soak random ones.
 
+pub mod conformance;
 pub mod experiments;
 pub mod golden;
 pub mod sweep;
 pub mod table;
 
-use bda_obs::{NullProgress, ProgressSink, QuietProgress, StderrProgress};
+use bda_obs::{ProgressSink, QuietProgress, StderrProgress};
 
 /// The scheme registry lives in `bda-sim`, where the CLI builds through
 /// it too.
@@ -130,11 +135,6 @@ impl Cli {
         }
     }
 
-    /// A sink that drops everything (for tests and embedding).
-    pub fn null_progress() -> &'static dyn ProgressSink {
-        &NullProgress
-    }
-
     /// The dynamic-broadcast update stream these flags select (`None` =
     /// frozen program).
     pub fn update_spec(&self) -> Option<bda_sim::UpdateSpec> {
@@ -158,8 +158,9 @@ impl Cli {
             c
         };
         cfg.seed = self.seed;
-        // Sweeps use the direct walker (statistically identical to the
-        // event engine; see the drivers_equiv integration test).
+        // Sweeps use the direct walker: it reports what the event engine
+        // does for every request (the conformance matrix checks it), and
+        // the simulator's two drivers agree (`tests/drivers_equiv.rs`).
         cfg.driver = bda_sim::Driver::Walker;
         cfg
     }

@@ -72,25 +72,6 @@ impl Table {
         out
     }
 
-    /// Render as a GitHub-flavoured markdown table (numeric columns
-    /// right-aligned), for pasting into EXPERIMENTS.md.
-    pub fn to_markdown(&self) -> String {
-        let numeric: Vec<bool> = (0..self.headers.len())
-            .map(|c| !self.rows.is_empty() && self.rows.iter().all(|r| r[c].parse::<f64>().is_ok()))
-            .collect();
-        let mut out = String::new();
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push('|');
-        for n in &numeric {
-            out.push_str(if *n { "--:|" } else { "---|" });
-        }
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
-
     /// Render as CSV.
     pub fn to_csv(&self) -> String {
         let esc = |s: &str| {
@@ -179,17 +160,6 @@ mod tests {
         let at_end_row1 = lines[2].find("123456").unwrap() + 6;
         let at_end_row2 = lines[3].find("99").unwrap() + 2;
         assert_eq!(at_end_row1, at_end_row2);
-    }
-
-    #[test]
-    fn markdown_aligns_numeric_columns() {
-        let md = sample().to_markdown();
-        let lines: Vec<&str> = md.lines().collect();
-        assert_eq!(lines[0], "| scheme | At | Tt |");
-        // First column is text, the other two numeric.
-        assert_eq!(lines[1], "|---|--:|--:|");
-        assert_eq!(lines[2], "| flat | 123456 | 123456 |");
-        assert_eq!(lines.len(), 4);
     }
 
     #[test]

@@ -629,3 +629,117 @@ pub fn simulate(o: &Options, out: &mut dyn Write) -> Result<(), CliError> {
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use proptest::sample::Index;
+
+    /// Alternative settings of one concern, each a few flag words.
+    type Settings = &'static [&'static [&'static str]];
+
+    /// The flag grid, one slot per concern — loss process, outages,
+    /// layout, shards, churn — each with its in-range settings (an empty
+    /// one leaves the concern at its default) and its out-of-range or
+    /// conflicting ones.
+    const GRID: [(Settings, Settings); 5] = [
+        (
+            &[
+                &[],
+                &["--loss", "0"],
+                &["--loss", "5"],
+                &["--loss", "100"],
+                &["--burst", "5,30"],
+                &["--burst", "0,0,0,0"],
+                &["--burst", "100,100,100,100"],
+            ],
+            &[
+                &["--loss", "100.5"],
+                &["--loss", "-1"],
+                &["--loss", "nan"],
+                &["--burst", "5,30,0,101"],
+                &["--burst", "5"],
+                &["--loss", "5", "--burst", "5,30"],
+            ],
+        ),
+        (
+            &[&[], &["--outage", "10,300"], &["--outage", "100,1"]],
+            &[
+                &["--outage", "0,300"],
+                &["--outage", "10,0"],
+                &["--outage", "101,5"],
+            ],
+        ),
+        (
+            &[
+                &[],
+                &["--disks", "1"],
+                &["--disks", "3"],
+                &["--disks", "8"],
+                &["--channels", "1"],
+                &["--channels", "2", "--switch-cost", "0"],
+                &["--channels", "64", "--switch-cost", "4294967296"],
+            ],
+            &[
+                &["--disks", "0"],
+                &["--disks", "9"],
+                &["--channels", "0"],
+                &["--channels", "65"],
+                &["--channels", "2", "--switch-cost", "4294967297"],
+                &["--disks", "3", "--channels", "2"],
+            ],
+        ),
+        (
+            &[
+                &[],
+                &["--shards", "1"],
+                &["--shards", "3"],
+                &["--shards", "64"],
+            ],
+            &[&["--shards", "0"], &["--shards", "65"]],
+        ),
+        (
+            &[
+                &[],
+                &["--update-rate", "0"],
+                &["--update-rate", "20"],
+                &["--update-rate", "100"],
+            ],
+            &[&["--update-rate", "101"], &["--update-rate", "-1"]],
+        ),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// No input reachable from the command line panics: every
+        /// combination of the grid either fails to parse or runs each
+        /// command to a typed result. A loose accuracy, one or forty
+        /// records and a two-retry budget keep dead air finite and cheap.
+        #[test]
+        fn no_flag_combination_panics(
+            picks in proptest::collection::vec(any::<Index>(), GRID.len()..GRID.len() + 1),
+            bad in 0..2 * GRID.len(),
+            records in 0usize..2,
+        ) {
+            // Half the cases put one concern out of range.
+            let mut argv: Vec<String> = ["--records", ["1", "40"][records]]
+                .into_iter()
+                .chain(["--accuracy", "0.5", "--retry", "2"])
+                .map(String::from)
+                .collect();
+            for (slot, ((ok, out_of_range), pick)) in GRID.iter().zip(&picks).enumerate() {
+                let values = if slot == bad { out_of_range } else { ok };
+                argv.extend(values[pick.index(values.len())].iter().map(|v| v.to_string()));
+            }
+            let Ok(o) = Options::parse(&argv) else {
+                return;
+            };
+            type Command = fn(&Options, &mut dyn Write) -> Result<(), CliError>;
+            for command in [inspect, trace, compare, simulate] as [Command; 4] {
+                let _ = command(&o, &mut io::sink());
+            }
+        }
+    }
+}

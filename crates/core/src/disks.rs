@@ -103,11 +103,6 @@ impl RepetitionSchedule {
         &self.minor[j]
     }
 
-    /// All minor cycles.
-    pub fn minor_cycles(&self) -> &[Vec<u32>] {
-        &self.minor
-    }
-
     /// The flattened occurrence sequence of one major cycle.
     pub fn sequence(&self) -> impl Iterator<Item = u32> + '_ {
         self.minor.iter().flatten().copied()
@@ -353,16 +348,6 @@ impl DiskGeometry {
     /// Number of minor cycles.
     pub fn num_minor_cycles(&self) -> usize {
         self.minor_starts.len()
-    }
-
-    /// Start offset of minor cycle `j` within the major cycle.
-    pub fn minor_start(&self, j: usize) -> Ticks {
-        self.minor_starts[j]
-    }
-
-    /// Major-cycle length in bytes.
-    pub fn major_len(&self) -> Ticks {
-        self.major
     }
 
     /// The next minor-cycle boundary at or after absolute time `t` whose

@@ -163,16 +163,18 @@ enum StepMap {
 /// forward from tick 0: it scans *backward* through the per-tick coupled
 /// transition maps and stops at the most recent coalescing (constant) map,
 /// which determines the state regardless of anything earlier. Expected
-/// work is `O(1 / (p + q))` hashes per query — independent of `t` — and
-/// the result equals the naive forward walk *exactly* (a property test
-/// pins `state_at ≡ state_at_naive`). Corruption therefore stays a pure
-/// function of `(bucket instant, seed)`: the decision-9 purity that shard
-/// bit-identity and the fast-forward cursor's corruption check
-/// ([`crate::FastForward::clean`]) both require.
+/// work is `O(1 / (1 − |p + q − 1|))` hashes per query — independent of
+/// `t` — and the result equals the naive forward walk *exactly* (a
+/// property test pins `state_at ≡ state_at_naive`). Corruption therefore
+/// stays a pure function of `(bucket instant, seed)`: the decision-9
+/// purity that shard bit-identity and the fast-forward cursor's
+/// corruption check ([`crate::FastForward::clean`]) both require.
 ///
-/// Nonzero transition rates are clamped to `≥ 1e-3` so the backward scan's
-/// expected length stays bounded (≤ ~1000 steps even for near-static
-/// chains).
+/// A step's map is constant with probability `1 − |p + q − 1|`, which
+/// vanishes as both rates approach 0 or both approach 1, so nonzero
+/// transition rates are clamped to `[1e-3, 1 − 1e-3]`: the backward
+/// scan's expected length stays bounded (≤ ~1000 steps even for
+/// near-static or near-periodic chains).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstModel {
     /// Per-tick probability of entering the Bad (fade) state.
@@ -188,13 +190,15 @@ pub struct BurstModel {
     pub seed: u64,
 }
 
-/// Minimum nonzero transition rate: bounds the expected backward-scan
-/// length of [`BurstModel::state_at`] at ~1000 hashes.
+/// Minimum nonzero transition rate, and distance of the largest from 1:
+/// bounds the expected backward-scan length of [`BurstModel::state_at`] at
+/// ~1000 hashes.
 const MIN_RATE: f64 = 1e-3;
 
 impl BurstModel {
     /// A burst channel. Probabilities are clamped to `[0, 1]`; nonzero
-    /// transition rates are additionally floored at `1e-3` (see type docs).
+    /// transition rates are additionally kept within `1e-3` of 0 and of 1
+    /// (see type docs).
     pub fn new(
         p_good_to_bad: f64,
         p_bad_to_good: f64,
@@ -205,7 +209,7 @@ impl BurstModel {
         let clamp_rate = |r: f64| {
             let r = r.clamp(0.0, 1.0);
             if r > 0.0 {
-                r.max(MIN_RATE)
+                r.clamp(MIN_RATE, 1.0 - MIN_RATE)
             } else {
                 r
             }
@@ -269,9 +273,9 @@ impl BurstModel {
         }
     }
 
-    /// The fading state at instant `t`, by exact O(1/(p+q))-expected
-    /// skip-ahead (see type docs). Equals [`BurstModel::state_at_naive`]
-    /// for every `t`.
+    /// The fading state at instant `t`, by exact skip-ahead in
+    /// O(1 / (1 − |p + q − 1|)) expected steps (see type docs). Equals
+    /// [`BurstModel::state_at_naive`] for every `t`.
     pub fn state_at(&self, t: Ticks) -> ChainState {
         let (p, q) = (self.p_good_to_bad, self.p_bad_to_good);
         if p <= 0.0 && q <= 0.0 {

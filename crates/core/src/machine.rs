@@ -795,16 +795,6 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
         &self.recorder
     }
 
-    /// Whether the query has completed.
-    pub fn is_done(&self) -> bool {
-        self.outcome.is_some()
-    }
-
-    /// The outcome, if the query has completed.
-    pub fn outcome(&self) -> Option<AccessOutcome> {
-        self.outcome
-    }
-
     fn finish(&mut self, found: bool, false_drops: u32, aborted: bool) -> WalkStep {
         let out = AccessOutcome {
             found,
@@ -874,6 +864,9 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
                 if self.probes >= self.max_probes {
                     return self.exhaust();
                 }
+                // The instant this step was woken at: a fast-forward
+                // below moves the clock past it.
+                let woke = self.now;
                 let mut at = self.src.first_complete_at(self.now);
                 let limit = if self.ff && self.probes > 0 {
                     self.src.ff_limit(&at)
@@ -901,8 +894,10 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
                     if self.probes >= self.max_probes {
                         // The scan burned the whole budget on uninteresting
                         // buckets; the next read gives up, as it would have
-                        // bucket-by-bucket.
-                        return self.exhaust();
+                        // bucket-by-bucket: at the instant the scan reached,
+                        // so a driver sees the walk end where it would have.
+                        self.pending = Some(Action::ReadNext);
+                        return WalkStep::Doze { until: self.now };
                     }
                     // Past the program's end (a back-off may doze there),
                     // the next program holds the landing.
@@ -980,7 +975,15 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
                             .corrupt(&self.policy, outage, self.now - self.tune_in);
                     self.retries = retries;
                     let Some(cycles) = backoff else {
-                        return self.abandon();
+                        let done = self.abandon();
+                        // A bucket-by-bucket walk ends, for its driver, as
+                        // this read begins: report a fast-forward to it
+                        // first, and the outcome at the next step.
+                        return if from > woke {
+                            WalkStep::Doze { until: from }
+                        } else {
+                            done
+                        };
                     };
                     recover(&mut self.machine, meta, cycles, at.ch.cycle_len())
                 } else {
@@ -1291,11 +1294,12 @@ pub(crate) mod tests {
                 until: 60
             }
         );
-        assert!(matches!(walk.step(), WalkStep::Done(_)));
+        let WalkStep::Done(out) = walk.step() else {
+            panic!("the walk finishes after its second read")
+        };
+        assert!(out.found);
         // Done is sticky.
-        assert!(matches!(walk.step(), WalkStep::Done(_)));
-        assert!(walk.is_done());
-        assert!(walk.outcome().unwrap().found);
+        assert_eq!(walk.step(), WalkStep::Done(out));
     }
 
     /// A machine that never finishes must be aborted by the probe budget.

@@ -81,15 +81,6 @@ impl Prng {
         }
     }
 
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range");
-        if lo == 0 && hi == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn f64(&mut self) -> f64 {
@@ -161,20 +152,6 @@ mod tests {
             seen[v as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues hit in 1000 draws");
-    }
-
-    #[test]
-    fn range_inclusive_hits_bounds() {
-        let mut rng = Prng::new(9);
-        let mut lo_seen = false;
-        let mut hi_seen = false;
-        for _ in 0..2000 {
-            let v = rng.range_inclusive(5, 8);
-            assert!((5..=8).contains(&v));
-            lo_seen |= v == 5;
-            hi_seen |= v == 8;
-        }
-        assert!(lo_seen && hi_seen);
     }
 
     #[test]

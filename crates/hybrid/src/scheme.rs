@@ -58,12 +58,6 @@ impl HybridScheme {
         self.r = Some(r);
         self
     }
-
-    /// Override the signature parameters.
-    pub fn with_sig(mut self, sig: SigParams) -> Self {
-        self.sig = sig;
-        self
-    }
 }
 
 /// A built hybrid broadcast.

@@ -122,7 +122,7 @@ impl EngineStats {
     /// partition of a batch, the per-shard values sum to exactly the
     /// single-engine values. `wake_batches` and `peak_in_flight` describe
     /// scheduler *shape* (how clients happened to batch and overlap) and
-    /// are deliberately excluded; the `engine_sharded_equiv` suite pins
+    /// are deliberately excluded; the conformance matrix pins
     /// this projection bit-for-bit across shard counts.
     pub fn outcome_counters(&self) -> [u64; 6] {
         [
@@ -259,7 +259,7 @@ impl<'a> Engine<'a> {
     /// broadcast instant and the model seed, so the slab engine, the
     /// reference heap engine and the direct walker see *identical*
     /// corruption for the same request — the property the
-    /// `engine_lossy_equiv` differential suite pins.
+    /// conformance matrix (`crates/bench/tests/conformance.rs`) pins.
     pub fn with_channel(
         system: &'a dyn DynSystem,
         channel: ChannelModel,
@@ -311,7 +311,8 @@ impl<'a> Engine<'a> {
     /// per `spec`), so completions, wake batches, in-flight high-water and
     /// busy periods resolve per window as well as in aggregate. Costs the
     /// same one untaken branch as plain metrics when disabled; the window
-    /// sums equal the aggregates exactly (pinned by `timeline_equiv`).
+    /// sums equal the aggregates exactly (pinned on every cell of the
+    /// conformance matrix).
     ///
     /// # Panics
     ///

@@ -31,9 +31,10 @@
 //!   bin for bin. Only the engine occupancy *gauges* are scheduler-shaped
 //!   and keep per-shard sampling grids.
 //!
-//! The `engine_sharded_equiv` suite pins all of this across shard counts
-//! {1, 2, 3, 7, #cores} × all eight schemes × {lossless, lossy, churn},
-//! plus arbitrary (non-round-robin) partitions by property test.
+//! The conformance matrix (`crates/bench/tests/conformance.rs`) pins all
+//! of this at shard counts {1, 2, 3, 7} on every cell — every scheme on
+//! every layout, lossless, lossy and churning — and `engine_sharded_equiv`
+//! pins arbitrary (non-round-robin) partitions by property test.
 
 use std::time::Instant;
 

@@ -24,8 +24,9 @@ use crate::stats::Summary;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Driver {
     /// The direct walker: one `DynSystem::probe*` call per request and no
-    /// scheduler. Identical results to [`Driver::Batch`] (see the
-    /// `drivers_equiv` integration test) at much lower cost; what the
+    /// scheduler. Identical results to [`Driver::Batch`] (the conformance
+    /// matrix checks the drivers per request, `tests/drivers_equiv.rs`
+    /// the simulator's reports) at much lower cost; what the
     /// sweep harness uses. Reports zero [`EngineStats`].
     Walker,
     /// The faithful testbed: each round's batch runs through the
@@ -191,11 +192,6 @@ impl SimReport {
     /// Access-time quantile (e.g. `0.95` for p95), in bytes.
     pub fn access_quantile(&self, q: f64) -> Ticks {
         self.access_hist.quantile(q)
-    }
-
-    /// Tuning-time quantile (e.g. `0.99` for p99), in bytes.
-    pub fn tuning_quantile(&self, q: f64) -> Ticks {
-        self.tuning_hist.quantile(q)
     }
 
     /// Mean corrupted reads per request (0 on a lossless channel).

@@ -9,8 +9,9 @@
 //! Replay is legitimate because walks are pure: a request's walk depends
 //! only on `(key, arrival, channel, policy)` and the immutable broadcast
 //! program — never on what other clients do — so the replayed timeline
-//! is byte-identical to what the original in-engine walk did (the
-//! `timeline_equiv` suite pins segment sums against engine outcomes).
+//! is byte-identical to what the original in-engine walk did (this
+//! module's tests pin segment sums against the walker's outcomes, and the
+//! conformance matrix the walker against the engine).
 //!
 //! [`perfetto_trace`] assembles the full `bda-obs/trace/v1` document:
 //! per-shard counter lanes from windowed time series plus span timelines

@@ -1,41 +1,40 @@
-//! Dynamic-broadcast differential suite.
-//!
-//! Two keystone properties of the versioned-cycle subsystem:
+//! Two properties of the versioned-cycle subsystem that are not per-cell:
 //!
 //! 1. **Zero-update identity**: a [`VersionedServer`] built with update
 //!    rate 0 collapses to a single epoch whose walks are *bit-identical*
 //!    to the frozen channel, on every scheme, lossless and lossy alike.
 //!    Dynamic mode costs nothing when nothing changes.
-//! 2. **Driver agreement under churn**: with real update rates (1 %, 5 %,
-//!    20 % of records per cycle), the slab engine, the naive reference
-//!    heap, and the isolated direct walker produce identical per-request
-//!    outcomes — including stale-restart and version-skew counts — with
-//!    and without packet loss on top.
+//! 2. **Truthfulness**: every verdict is checked against the dataset
+//!    snapshots actually on the air during the walk, on one channel and
+//!    on broadcast disks. A deleted key is never served from a stale
+//!    program; a key present throughout is never missed; no walk aborts.
 //!
-//! Plus the truthfulness oracle: every verdict is checked against the
-//! actual dataset snapshots on the air during the walk. A deleted key is
-//! never served from a stale program; a key present throughout is never
-//! missed; no walk ever aborts with a protocol bug.
+//! Driver agreement under churn is checked per cell by the conformance
+//! matrix (`crates/bench/tests/conformance.rs`).
 
 use bda_core::{
-    ChannelModel, Dataset, DynSystem, ErrorModel, Key, Params, RetryPolicy, Scheme, System, Ticks,
+    ChannelModel, Dataset, DiskConfig, DynSystem, ErrorModel, Key, Params, RetryPolicy, Scheme,
+    System, Ticks,
 };
 use bda_datagen::DatasetBuilder;
-use bda_sim::engine::reference::run_requests_reference_channel;
 use bda_sim::{Engine, SchemeKind, SchemeVisitor, UpdateSpec, VersionedServer};
-
-/// Update rates the suite sweeps (fraction of records touched per cycle).
-const UPDATE_RATES: [f64; 3] = [0.01, 0.05, 0.20];
 
 /// Epoch geometry handed to the check closures: `(version, start)` in air
 /// order, parallel to the dataset snapshots.
 type EpochBounds = Vec<(u64, Ticks)>;
 type ServerVisitor<'a> = dyn FnMut(&dyn DynSystem, &[(u64, Dataset)], &EpochBounds) + 'a;
 
-/// Build a [`VersionedServer`] for every scheme family in the repo and
-/// hand each one (type-erased) to `f` along with its per-epoch dataset
+/// Build a [`VersionedServer`] for every scheme family in the repo (on a
+/// single channel, or for the kinds that have one, on `disks`) and hand
+/// each one (type-erased) to `f` along with its per-epoch dataset
 /// snapshots and epoch bounds.
-fn with_all_servers(ds: &Dataset, p: &Params, spec: UpdateSpec, f: &mut ServerVisitor<'_>) {
+fn with_all_servers(
+    ds: &Dataset,
+    p: &Params,
+    disks: Option<DiskConfig>,
+    spec: UpdateSpec,
+    f: &mut ServerVisitor<'_>,
+) {
     struct One<'a, 'f> {
         ds: &'a Dataset,
         p: &'a Params,
@@ -59,7 +58,7 @@ fn with_all_servers(ds: &Dataset, p: &Params, spec: UpdateSpec, f: &mut ServerVi
         }
     }
     for kind in SchemeKind::ALL {
-        kind.visit(None, One { ds, p, spec, f });
+        kind.visit(disks, One { ds, p, spec, f });
     }
 }
 
@@ -108,7 +107,7 @@ fn zero_update_dynamic_mode_is_bit_identical_to_frozen() {
         seed: 0xBEEF,
         horizon_cycles: 16,
     };
-    with_all_servers(&ds, &params, spec, &mut |server, snaps, bounds| {
+    with_all_servers(&ds, &params, None, spec, &mut |server, snaps, bounds| {
         let baseline = frozen[idx].as_ref();
         assert_eq!(
             bounds.len(),
@@ -139,57 +138,11 @@ fn zero_update_dynamic_mode_is_bit_identical_to_frozen() {
     });
 }
 
-/// Slab engine ≡ reference heap ≡ direct walker under churn — outcomes
-/// (including restart and skew counts) identical request by request, at
-/// every update rate, lossless and composed with 10 % loss.
-#[test]
-fn slab_reference_and_walker_agree_under_updates() {
-    let (ds, pool) = DatasetBuilder::new(60, 0x10EB)
-        .build_with_absent_pool(10)
-        .unwrap();
-    let params = Params::paper();
-    let policy = RetryPolicy::UNBOUNDED;
-    for rate in UPDATE_RATES {
-        let spec = UpdateSpec {
-            rate,
-            seed: 0xBEEF,
-            horizon_cycles: 16,
-        };
-        for air in [ChannelModel::NONE, ErrorModel::new(0.10, 0xFA57).into()] {
-            with_all_servers(&ds, &params, spec, &mut |server, _snaps, bounds| {
-                let requests = request_mix(&ds, &pool, 60, timeline_span(server, bounds));
-                let slab = Engine::with_channel(server, air, policy).run_batch(&requests);
-                let naive = run_requests_reference_channel(server, &requests, air, policy);
-                assert_eq!(slab.len(), requests.len());
-                for (i, (a, b)) in slab.iter().zip(&naive).enumerate() {
-                    assert_eq!(
-                        &a.outcome,
-                        &b.outcome,
-                        "{} slab vs reference diverged at req {i}, rate {rate}",
-                        server.scheme_name()
-                    );
-                    let direct = server.probe_with_channel(a.key, a.arrival, air, policy);
-                    assert_eq!(
-                        a.outcome,
-                        direct,
-                        "{} slab vs walker diverged at req {i}, rate {rate}",
-                        server.scheme_name()
-                    );
-                    assert!(
-                        !a.outcome.aborted,
-                        "{} aborted at req {i}, rate {rate} — protocol bug",
-                        server.scheme_name()
-                    );
-                }
-            });
-        }
-    }
-}
-
-/// Truthfulness oracle: every verdict matches some dataset actually on the
-/// air during the walk. Deleted keys never resolve from stale programs;
-/// present-throughout keys are never missed; nothing aborts; and at 20 %
-/// churn the stale machinery demonstrably engages on every scheme.
+/// Truthfulness oracle, on one channel and on three broadcast disks:
+/// every verdict matches some dataset actually on the air during the
+/// walk. Deleted keys never resolve from stale programs; present-throughout
+/// keys are never missed; nothing aborts; and at 20 % churn the stale
+/// machinery demonstrably engages on every scheme.
 #[test]
 fn verdicts_are_truthful_against_epoch_datasets() {
     let (ds, pool) = DatasetBuilder::new(60, 0x5EED)
@@ -201,8 +154,12 @@ fn verdicts_are_truthful_against_epoch_datasets() {
         seed: 0xABC7,
         horizon_cycles: 16,
     };
-    for air in [ChannelModel::NONE, ErrorModel::new(0.10, 0x717).into()] {
-        with_all_servers(&ds, &params, spec, &mut |server, snaps, bounds| {
+    let layouts = [None, Some(DiskConfig::new(3))];
+    for (air, disks) in [ChannelModel::NONE, ErrorModel::new(0.10, 0x717).into()]
+        .into_iter()
+        .flat_map(|air| layouts.map(|disks| (air, disks)))
+    {
+        with_all_servers(&ds, &params, disks, spec, &mut |server, snaps, bounds| {
             assert!(
                 bounds.len() > 1,
                 "{}: 20% churn must produce multiple epochs",

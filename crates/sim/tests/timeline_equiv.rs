@@ -1,32 +1,22 @@
-//! Time-resolved telemetry differential suite.
+//! Three properties of the windowed [`bda_obs::TimeSeries`] layer that
+//! are not per-cell:
 //!
-//! Keystone properties of the windowed [`bda_obs::TimeSeries`] layer:
-//!
-//! 1. **Aggregate exactness**: summed over all windows (plus the evicted
-//!    fold), every per-window counter equals the end-of-run aggregates —
-//!    `EngineStats`, the hub's histograms and the phase-span totals — on
-//!    all eight schemes, lossless, lossy and churning. Not approximately:
-//!    bit for bit.
-//! 2. **No-op equivalence**: turning windowed observation on does not
-//!    perturb a single outcome.
-//! 3. **Shard invariance**: the merged per-window outcome counters of a
-//!    sharded windowed run equal the single-engine ones window by
-//!    window, for every shard count — including under tight retention,
-//!    where merge-then-trim must agree with online trimming.
-//! 4. **Pure sampling**: which requests a trace samples is a function of
+//! 1. **Retention loses no count**: windows evicted under tight retention
+//!    fold into the evicted accumulator, never into the void.
+//! 2. **Grouping-insensitive merge**: per-shard hubs merged in any
+//!    grouping give the same series.
+//! 3. **Pure sampling**: which requests a trace samples is a function of
 //!    `(seed, request index)` only, so shard placement cannot change a
 //!    trace.
+//!
+//! That window totals equal the aggregates, and that per-window counters
+//! are the same at every shard count, is checked per cell by the
+//! conformance matrix (`crates/bench/tests/conformance.rs`).
 
-use bda_core::{
-    ChannelModel, Dataset, DynSystem, ErrorModel, Key, Params, RetryPolicy, Scheme, Ticks,
-};
+use bda_core::{Dataset, DynSystem, Key, Params, Scheme, Ticks};
 use bda_datagen::DatasetBuilder;
 use bda_obs::{sample_indices, MetricsHub, WindowSpec, WindowStats};
-use bda_sim::{Engine, SchemeKind, ShardedEngine, UpdateSpec, VersionedServer};
-
-fn all_systems(ds: &Dataset, p: &Params) -> Vec<Box<dyn DynSystem>> {
-    SchemeKind::ALL.map(|k| k.build(ds, p).unwrap()).into()
-}
+use bda_sim::{Engine, ShardedEngine};
 
 fn request_mix(ds: &Dataset, pool: &[Key], n: usize, span: Ticks) -> Vec<(Ticks, Key)> {
     let keys: Vec<Key> = ds.keys().collect();
@@ -41,158 +31,6 @@ fn request_mix(ds: &Dataset, pool: &[Key], n: usize, span: Ticks) -> Vec<(Ticks,
             (t % span.max(1), key)
         })
         .collect()
-}
-
-/// Assert every window-sum invariant of a windowed hub against the plain
-/// run it shadowed.
-fn assert_totals_exact(
-    name: &str,
-    what: &str,
-    hub: &MetricsHub,
-    plain: &[bda_sim::CompletedRequest],
-    stats: bda_sim::EngineStats,
-) {
-    let series = hub
-        .windows
-        .as_ref()
-        .unwrap_or_else(|| panic!("{name} [{what}]: windowed run must carry a series"));
-    let totals = series.totals();
-    let ctx = format!("{name} [{what}]");
-    assert_eq!(totals.completions, stats.completed, "{ctx}: completions");
-    assert_eq!(totals.completions, hub.completed, "{ctx}: hub completed");
-    assert_eq!(totals.found, hub.found, "{ctx}: found");
-    assert_eq!(totals.abandoned, stats.abandoned, "{ctx}: abandoned");
-    assert_eq!(
-        totals.corrupt_reads, stats.corrupt_reads,
-        "{ctx}: corrupt reads"
-    );
-    assert_eq!(
-        totals.stale_restarts, stats.stale_restarts,
-        "{ctx}: stale restarts"
-    );
-    assert_eq!(
-        totals.version_skews, stats.version_skews,
-        "{ctx}: version skews"
-    );
-    assert_eq!(totals.wake_batches, stats.wake_batches, "{ctx}: batches");
-    assert!(
-        totals.in_flight_high as usize <= stats.peak_in_flight,
-        "{ctx}: windowed high-water above the true peak"
-    );
-    // Tick accounting telescopes to the histograms and span totals.
-    assert_eq!(
-        u128::from(totals.access_ticks),
-        hub.access.sum(),
-        "{ctx}: access ticks"
-    );
-    assert_eq!(
-        u128::from(totals.tuning_ticks),
-        hub.tuning.sum(),
-        "{ctx}: tuning ticks"
-    );
-    assert_eq!(totals.spans, hub.spans, "{ctx}: per-window phase spans");
-    // Busy periods cover every completed walk (abandoned walks charge
-    // their final, never-walked corrupted read to access, so only
-    // non-abandoned walks are guaranteed full busy coverage) and never
-    // exceed the simulated horizon.
-    let horizon = plain
-        .iter()
-        .map(|r| r.arrival + r.outcome.access)
-        .max()
-        .unwrap_or(0);
-    let longest = plain
-        .iter()
-        .filter(|r| !r.outcome.abandoned)
-        .map(|r| r.outcome.access)
-        .max()
-        .unwrap_or(0);
-    assert!(totals.busy_ticks >= longest, "{ctx}: busy ticks < a walk");
-    assert!(totals.busy_ticks <= horizon, "{ctx}: busy ticks > horizon");
-    // Per-window sanity: no window holds more busy ticks than its width.
-    for (id, w) in series.windows() {
-        assert!(
-            w.busy_ticks <= series.width(),
-            "{ctx}: window {id} busier than its width"
-        );
-    }
-}
-
-/// Window sums equal end-of-run aggregates exactly on all eight schemes,
-/// lossless and at 15 % loss with an abandoning policy — and windowed
-/// observation never perturbs outcomes.
-#[test]
-fn window_sums_equal_aggregates_on_every_scheme() {
-    let (ds, pool) = DatasetBuilder::new(60, 0x71E5)
-        .build_with_absent_pool(10)
-        .unwrap();
-    let params = Params::paper();
-    for (channel, policy, what) in [
-        (ChannelModel::NONE, RetryPolicy::UNBOUNDED, "lossless"),
-        (
-            ChannelModel::from(ErrorModel::new(0.15, 0xFA57)),
-            RetryPolicy::bounded(2),
-            "15% loss",
-        ),
-    ] {
-        for sys in all_systems(&ds, &params) {
-            let requests = request_mix(&ds, &pool, 90, 8 * sys.cycle_len());
-            let plain = Engine::with_channel(sys.as_ref(), channel, policy).run_batch(&requests);
-            let mut engine = Engine::with_channel(sys.as_ref(), channel, policy);
-            engine.enable_metrics_windowed(WindowSpec::new(sys.cycle_len()));
-            let observed = engine.run_batch(&requests);
-            let hub = engine.take_metrics().expect("metrics were enabled");
-            assert_eq!(
-                plain,
-                observed,
-                "{}: windowed observation perturbed outcomes",
-                sys.scheme_name()
-            );
-            assert_totals_exact(sys.scheme_name(), what, &hub, &plain, engine.stats());
-        }
-    }
-}
-
-/// Same exactness under 20 % churn on a [`VersionedServer`]: stale
-/// restarts and version skews attribute to windows without losing a
-/// single count.
-#[test]
-fn window_sums_stay_exact_under_churn() {
-    let (ds, pool) = DatasetBuilder::new(60, 0x5EED)
-        .build_with_absent_pool(10)
-        .unwrap();
-    let params = Params::paper();
-    let spec = UpdateSpec {
-        rate: 0.20,
-        seed: 0xABC7,
-        horizon_cycles: 16,
-    };
-    let server = VersionedServer::build(&bda_core::FlatScheme, &ds, &params, spec).unwrap();
-    let span = server.timeline().epochs().last().map_or(0, |e| e.start)
-        + 4 * DynSystem::cycle_len(&server);
-    let requests = request_mix(&ds, &pool, 80, span);
-    for (channel, what) in [
-        (ChannelModel::NONE, "20% churn"),
-        (
-            ChannelModel::from(ErrorModel::new(0.10, 0x717)),
-            "20% churn + loss",
-        ),
-    ] {
-        let policy = RetryPolicy::UNBOUNDED;
-        let plain = Engine::with_channel(&server, channel, policy).run_batch(&requests);
-        let mut engine = Engine::with_channel(&server, channel, policy);
-        engine.enable_metrics_windowed(WindowSpec::new(DynSystem::cycle_len(&server)));
-        let observed = engine.run_batch(&requests);
-        let hub = engine.take_metrics().expect("metrics were enabled");
-        assert_eq!(plain, observed, "[{what}]: observation perturbed outcomes");
-        let mut engine = Engine::with_channel(&server, channel, policy);
-        engine.enable_metrics_windowed(WindowSpec::new(DynSystem::cycle_len(&server)));
-        engine.run_batch(&requests);
-        assert_totals_exact("versioned-flat", what, &hub, &plain, engine.stats());
-        assert!(
-            hub.windows.as_ref().unwrap().totals().version_skews > 0,
-            "[{what}]: churn must produce version skews to attribute"
-        );
-    }
 }
 
 /// Totals stay exact even when retention is far too small to keep every
@@ -233,70 +71,6 @@ fn tight_retention_never_loses_a_count() {
             full_hub.windows.as_ref().unwrap().window(id),
             "live window {id} diverged under retention"
         );
-    }
-}
-
-/// The merged per-window outcome counters of a sharded windowed run equal
-/// the single-engine ones window by window for shard counts {1, 2, 3, 7},
-/// with and without tight retention.
-#[test]
-fn per_window_counters_are_shard_count_invariant() {
-    let (ds, pool) = DatasetBuilder::new(60, 0x5A4D)
-        .build_with_absent_pool(10)
-        .unwrap();
-    let params = Params::paper();
-    let sys = bda_btree::DistributedScheme::new()
-        .build(&ds, &params)
-        .unwrap();
-    let channel = ChannelModel::from(ErrorModel::new(0.10, 0xC0DE));
-    let policy = RetryPolicy::bounded(3);
-    let requests = request_mix(&ds, &pool, 160, 12 * DynSystem::cycle_len(&sys));
-
-    for spec in [
-        WindowSpec::new(DynSystem::cycle_len(&sys)),
-        WindowSpec::new(96).with_retain(6),
-    ] {
-        let mut single = Engine::with_channel(&sys, channel, policy);
-        single.enable_metrics_windowed(spec);
-        let baseline = single.run_batch(&requests);
-        let single_hub = single.take_metrics().unwrap();
-        let single_series = single_hub.windows.as_ref().unwrap();
-
-        for shards in [1usize, 2, 3, 7] {
-            let mut engine = ShardedEngine::with_channel(&sys, shards, channel, policy);
-            engine.enable_metrics_windowed(spec);
-            let outcomes = engine.run_batch(&requests);
-            assert_eq!(baseline, outcomes, "shards={shards}: outcomes diverged");
-            let merged = engine.take_metrics().expect("metrics were enabled");
-            let series = merged.windows.as_ref().unwrap();
-            assert_eq!(
-                series.totals().outcome_counters(),
-                single_series.totals().outcome_counters(),
-                "shards={shards}: totals diverged"
-            );
-            assert_eq!(
-                series.watermark(),
-                single_series.watermark(),
-                "shards={shards}: watermark diverged"
-            );
-            assert_eq!(
-                series.evicted().outcome_counters(),
-                single_series.evicted().outcome_counters(),
-                "shards={shards}: evicted fold diverged"
-            );
-            let merged_windows: Vec<(u64, [u64; 8])> = series
-                .windows()
-                .map(|(id, w)| (id, w.outcome_counters()))
-                .collect();
-            let single_windows: Vec<(u64, [u64; 8])> = single_series
-                .windows()
-                .map(|(id, w)| (id, w.outcome_counters()))
-                .collect();
-            assert_eq!(
-                merged_windows, single_windows,
-                "shards={shards}: per-window outcome counters diverged"
-            );
-        }
     }
 }
 
