@@ -28,12 +28,18 @@
 //!
 //! [`Cell::check`] adds that a lossy cell corrupts at least one read and a
 //! churning one skews at least one walk, so no agreement is vacuous. The
-//! matrix test (`tests/conformance.rs`) checks a fixed table of cells; the
-//! `chaos` soak draws random cells, runs them through the same wall and
-//! checks that its grid as a whole corrupts reads.
+//! matrix test (`tests/conformance.rs`) checks a fixed table of cells, and
+//! each driver suite (`crates/sim/tests/*_equiv.rs`,
+//! `tests/drivers_equiv.rs`) checks the configurations of its own axis
+//! with [`check_all`]; the `chaos` soak draws random cells, runs them
+//! through the same wall and checks that its grid as a whole corrupts
+//! reads.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
+use std::panic;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use bda_core::{
     AccessOutcome, ChannelModel, Dataset, DynSystem, Key, LossModel, Params, Phase, RetryPolicy,
@@ -136,6 +142,37 @@ macro_rules! ensure {
 }
 
 impl Cell {
+    /// A frozen cell of flat records on one lossless channel; vary it with
+    /// struct update syntax and [`Cell::across`].
+    pub fn single(seed: u64, records: usize, requests: usize, arrivals: Arrivals) -> Cell {
+        Cell {
+            seed,
+            kind: SchemeKind::Flat,
+            records,
+            requests,
+            arrivals,
+            channel: ChannelModel::NONE,
+            policy: RetryPolicy::UNBOUNDED,
+            churn_pct: 0,
+            layout: Layout::Single,
+        }
+    }
+
+    /// This cell for every kind in `kinds` behind every air in `airs`,
+    /// air-major.
+    pub fn across(&self, kinds: &[SchemeKind], airs: &[(ChannelModel, RetryPolicy)]) -> Vec<Cell> {
+        airs.iter()
+            .flat_map(|&(channel, policy)| {
+                kinds.iter().map(move |&kind| Cell {
+                    kind,
+                    channel,
+                    policy,
+                    ..self.clone()
+                })
+            })
+            .collect()
+    }
+
     /// The fully decoded configuration, one `  # `-prefixed line per
     /// concern: sizes and layout depth, loss process, outage schedule,
     /// retry policy and channel group. Nothing (a degenerate burst, an
@@ -296,6 +333,47 @@ impl Cell {
         );
         Ok(stats)
     }
+}
+
+/// [`Cell::check`] every cell, on one worker per core, and panic naming the
+/// first failing cell in order with its decoded configuration. Returns
+/// each cell's stats, in order.
+pub fn check_all(cells: &[Cell]) -> Vec<CellStats> {
+    let next = AtomicUsize::new(0);
+    let results = Mutex::new(Vec::with_capacity(cells.len()));
+    let workers = std::thread::available_parallelism().map_or(2, |n| n.get());
+    std::thread::scope(|scope| {
+        for _ in 0..workers.min(cells.len()) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(cell) = cells.get(i) else { break };
+                let result = panic::catch_unwind(|| cell.check()).unwrap_or_else(|p| {
+                    let why = p.downcast_ref::<&str>().map(|s| s.to_string());
+                    let why = why.or_else(|| p.downcast_ref::<String>().cloned());
+                    Err(format!("a driver panicked: {}", why.unwrap_or_default()))
+                });
+                results
+                    .lock()
+                    .expect("workers catch panics")
+                    .push((i, result));
+            });
+        }
+    });
+    let mut results = results.into_inner().expect("workers catch panics");
+    results.sort_by_key(|&(i, _)| i);
+    let failed = results.iter().filter(|(_, r)| r.is_err()).count();
+    results
+        .into_iter()
+        .map(|(i, result)| {
+            result.unwrap_or_else(|why| {
+                panic!(
+                    "{failed} of {} cells failed; the first, cell {i}: {why}\n{}",
+                    cells.len(),
+                    cells[i].describe()
+                )
+            })
+        })
+        .collect()
 }
 
 /// One cell's built system and request batch, and the air its clients see.

@@ -15,14 +15,11 @@
 //! * churn: a frozen program, and 20 % of records updated per cycle.
 //!
 //! A failure names the first failing cell and the first divergence or
-//! broken invariant in it. Properties that are not per-cell stay in the
-//! focused tests beside the drivers (`crates/sim/tests`, `tests/`).
+//! broken invariant in it. The driver suites beside the drivers
+//! (`crates/sim/tests`, `tests/`) run their own configurations through the
+//! same wall and keep the properties that are not per-cell.
 
-use std::panic;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use bda_bench::conformance::{Arrivals, Cell};
+use bda_bench::conformance::{check_all, Arrivals, Cell};
 use bda_bench::SchemeKind;
 use bda_core::{
     BurstModel, ChannelModel, DiskConfig, ErrorModel, GroupConfig, OutageSchedule, Params,
@@ -181,37 +178,5 @@ fn cells() -> Vec<Cell> {
 fn every_cell_passes_the_wall() {
     let cells = cells();
     assert_eq!(cells.len(), 200, "the registry builds a different matrix");
-    // Cells are independent: check them on one worker per core, and
-    // report the first failing cell in table order.
-    let next = AtomicUsize::new(0);
-    let failures = Mutex::new(Vec::new());
-    let workers = std::thread::available_parallelism().map_or(2, |n| n.get());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(i) else { break };
-                let result = panic::catch_unwind(|| cell.check()).map_err(|p| {
-                    let why = p.downcast_ref::<&str>().map(|s| s.to_string());
-                    let why = why.or_else(|| p.downcast_ref::<String>().cloned());
-                    format!("a driver panicked: {}", why.unwrap_or_default())
-                });
-                if let Err(why) = result.and_then(|checked| checked.map(drop)) {
-                    failures
-                        .lock()
-                        .expect("workers catch panics")
-                        .push((i, why));
-                }
-            });
-        }
-    });
-    let failures = failures.into_inner().expect("workers catch panics");
-    if let Some((i, why)) = failures.iter().min_by_key(|&&(i, _)| i) {
-        panic!(
-            "{} of {} cells failed; the first, cell {i}: {why}\n{}",
-            failures.len(),
-            cells.len(),
-            cells[*i].describe()
-        );
-    }
+    check_all(&cells);
 }

@@ -1,10 +1,13 @@
-//! The slab engine against the reference oracle over random colliding
-//! batches: for any request batch — simultaneous arrivals, unsorted order,
-//! absent keys — the slab engine produces exactly the outcomes of the
-//! naive per-request reference heap it replaced. The conformance matrix
-//! (`crates/bench/tests/conformance.rs`) runs fixed batches through every
-//! driver on every cell; this property draws the batches at random.
+//! The slab engine against the reference oracle and against itself over
+//! random colliding batches: for any request batch — simultaneous
+//! arrivals, unsorted order, absent keys — the slab engine produces
+//! exactly the outcomes of the naive per-request reference heap it
+//! replaced, and a reused engine those of a fresh one. The conformance
+//! wall (`bda_bench::conformance`) runs fixed batches through every
+//! driver; these properties draw the batches at random.
 
+use bda_bench::conformance::{check_all, Arrivals, Cell};
+use bda_bench::SchemeKind;
 use bda_core::{ChannelModel, DynSystem, Key, Params, RetryPolicy, Scheme, Ticks};
 use bda_datagen::DatasetBuilder;
 use bda_hash::HashScheme;
@@ -84,4 +87,38 @@ proptest! {
         }
     }
 
+    /// Reusing one engine (recycled slots, pooled scheduler vectors) never
+    /// changes outcomes relative to a fresh engine per batch.
+    #[test]
+    fn recycled_engine_matches_fresh_engine((requests, seed) in arb_batch()) {
+        let (ds, _) = DatasetBuilder::new(40, seed)
+            .build_with_absent_pool(8)
+            .expect("dataset");
+        let params = Params::paper();
+        for sys in systems(&ds, &params) {
+            let mut reused = Engine::new(sys.as_ref());
+            reused.run_batch(&requests); // warm: slots + pools now recycled
+            let warm = reused.run_batch(&requests);
+            let fresh = Engine::new(sys.as_ref()).run_batch(&requests);
+            prop_assert_eq!(warm, fresh, "{}", sys.scheme_name());
+        }
+    }
+}
+
+/// Event accounting is deterministic: the wall runs each batch on a fresh
+/// engine per recorder, whose counters (events, wake batches, peak
+/// occupancy) must agree, and again on the same engine, whose counters
+/// must double. The adaptive simulator's accuracy stopping rule relies on
+/// this run-to-run reproducibility.
+#[test]
+fn event_counts_are_deterministic_across_runs() {
+    let kinds = [
+        SchemeKind::Flat,
+        SchemeKind::Hashing,
+        SchemeKind::Distributed,
+        SchemeKind::IntegratedSignature,
+    ];
+    let lossless = (ChannelModel::NONE, RetryPolicy::UNBOUNDED);
+    let base = Cell::single(17, 60, 500, Arrivals::Within(4_096));
+    check_all(&base.across(&kinds, &[lossless]));
 }

@@ -1,12 +1,15 @@
-//! Internal validity of the testbed: the simulator's two drivers — the
-//! discrete-event engine and the fast-forwarding direct walker — and its
-//! observed run execute the same protocol machines, so their reports must
-//! be *identical* for every scheme. The conformance matrix
-//! (`crates/bench/tests/conformance.rs`) checks the drivers themselves
-//! request by request.
+//! Internal validity of the testbed: the discrete-event engine, the
+//! fast-forwarding direct walker and a bucket-by-bucket stepped walk
+//! execute the same protocol machines, so their outcomes must be
+//! *identical* — per request, for every scheme — and so must the reports
+//! of the simulator's two drivers. Per-request agreement runs through the
+//! conformance wall (`bda_bench::conformance`), as on every cell of the
+//! matrix (`crates/bench/tests/conformance.rs`).
 
-use bda::core::Phase;
+use bda::core::{BurstModel, ChannelModel, OutageSchedule, RetryPolicy};
 use bda::prelude::*;
+use bda_bench::conformance::{check_all, Arrivals, Cell};
+use bda_bench::SchemeKind;
 
 fn systems(ds: &Dataset, params: &Params) -> Vec<Box<dyn DynSystem>> {
     vec![
@@ -39,18 +42,37 @@ fn simulator_fast_path_equals_event_path_for_all_schemes() {
         assert_eq!(a.tuning, b.tuning, "{name}");
         assert_eq!(a.found, b.found, "{name}");
         assert_eq!(a.false_drops, b.false_drops, "{name}");
-        // The observed run reports what the plain run does, and its spans
-        // add up to the histograms it folds.
-        let (observed, hub) = Simulator::uniform(sys.as_ref(), &ds, cfg).run_observed();
-        assert_eq!(b.access, observed.access, "{name}");
-        assert_eq!(b.tuning, observed.tuning, "{name}");
-        assert_eq!(hub.completed, observed.requests, "{name}");
-        assert_eq!(u128::from(hub.spans.total_access()), hub.access.sum());
-        assert_eq!(u128::from(hub.spans.total_tuning()), hub.tuning.sum());
-        assert!(hub.spans.get(Phase::DataRead).tuning > 0, "{name}");
-        if name != "flat" {
-            // The index shows up in the phase mix.
-            assert!(hub.spans.get(Phase::IndexTraversal).tuning > 0, "{name}");
-        }
     }
+}
+
+/// The slab engine, the direct walker and a fresh stepped slot (which
+/// never fast-forwards) report the same outcome for every request of a
+/// mixed batch — hits and misses spread over four million ticks — on
+/// every scheme, as do the wall's other drivers.
+#[test]
+fn event_engine_equals_direct_walker_per_request() {
+    let lossless = (ChannelModel::NONE, RetryPolicy::UNBOUNDED);
+    let base = Cell::single(0xD1CE, 250, 300, Arrivals::Within(4_000_000));
+    check_all(&base.across(&SchemeKind::ALL, &[lossless]));
+}
+
+/// A stepped walk reports its reads and dozes in time order — every read
+/// starts at or after the previous step's end and takes time, no doze
+/// goes back — on every scheme, lossless and behind burst loss with
+/// outages, where back-offs doze across whole cycles.
+#[test]
+fn stepping_runs_report_monotone_time() {
+    let burst = ChannelModel::burst(BurstModel::new(0.05, 0.25, 0.0, 1.0, 0x57E9))
+        .with_outages(OutageSchedule::new(2_500, 250, 0x0A7));
+    let airs = [
+        (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
+        (
+            burst,
+            RetryPolicy::bounded(24)
+                .with_backoff_cap(8)
+                .with_jitter(0x1EE7),
+        ),
+    ];
+    let base = Cell::single(3, 100, 40, Arrivals::Cycles(4));
+    check_all(&base.across(&SchemeKind::ALL, &airs));
 }
