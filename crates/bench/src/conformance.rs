@@ -29,11 +29,11 @@
 //! [`Cell::check`] adds that a lossy cell corrupts at least one read and a
 //! churning one skews at least one walk, so no agreement is vacuous. The
 //! matrix test (`tests/conformance.rs`) checks a fixed table of cells, and
-//! each driver suite (`crates/sim/tests/*_equiv.rs`,
-//! `tests/drivers_equiv.rs`) checks the configurations of its own axis
-//! with [`check_all`]; the `chaos` soak draws random cells, runs them
-//! through the same wall and checks that its grid as a whole corrupts
-//! reads.
+//! the per-axis tests beside it (`tests/*_equiv.rs`, and the workspace's
+//! `tests/drivers_equiv.rs`) check the configurations of one axis each
+//! with [`check_all`], some also asserting on the [`CellStats`] it
+//! returns; the `chaos` soak draws random cells, runs them through the
+//! same wall and checks that its grid as a whole corrupts reads.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -130,6 +130,10 @@ pub struct CellStats {
     pub stale_restarts: u64,
     /// Version-skewed reads.
     pub version_skews: u64,
+    /// Scheduler events the slab engine spent with fast-forward on.
+    pub fast_events: u64,
+    /// Scheduler events it spent bucket by bucket.
+    pub slow_events: u64,
 }
 
 /// Fail the check with a formatted reason unless `cond` holds.
@@ -288,8 +292,12 @@ impl Cell {
         let (walker, walker_hub) = wall.walker()?;
         let oracle = run_requests_reference_channel(wall.sys, &requests, self.channel, self.policy);
         wall.same("direct walker", &walker, "reference oracle", &oracle)?;
-        wall.engines(&walker, &walker_hub)?;
-        self.outcomes(&ds, &walker)
+        let (fast_events, slow_events) = wall.engines(&walker, &walker_hub)?;
+        Ok(CellStats {
+            fast_events,
+            slow_events,
+            ..self.outcomes(&ds, &walker)?
+        })
     }
 
     /// The per-query invariants, and what the queries went through.
@@ -534,9 +542,15 @@ impl Wall<'_> {
     }
 
     /// Every engine under every recorder against the direct walker's
-    /// outcomes and the hub its recorded spans fold into.
-    fn engines(&self, done: &[CompletedRequest], walker_hub: &MetricsHub) -> Result<(), String> {
+    /// outcomes and the hub its recorded spans fold into. Returns the slab
+    /// engine's events with fast-forward on and off.
+    fn engines(
+        &self,
+        done: &[CompletedRequest],
+        walker_hub: &MetricsHub,
+    ) -> Result<(u64, u64), String> {
         let mut runs: Vec<Run> = Vec::with_capacity(3);
+        let mut slow_events = 0;
         for rec in [Recorder::Noop, Recorder::Spans, Recorder::Windowed] {
             let fast = self.slab(rec, true, true)?;
             self.same(
@@ -581,6 +595,9 @@ impl Wall<'_> {
                     view(sharded.hub.as_ref()) == view(fast.hub.as_ref()),
                     "{shards} shards changed the hub ({rec:?})"
                 );
+            }
+            if rec == Recorder::Noop {
+                slow_events = slow.stats.events;
             }
             runs.push(fast);
         }
@@ -647,7 +664,8 @@ impl Wall<'_> {
             .take()
             .expect("the windowed recorder keeps windows");
         ensure!(&refined == hub, "windowing changed an aggregate of the hub");
-        window_totals(&series, hub, &windowed.stats, done)
+        window_totals(&series, hub, &windowed.stats, done)?;
+        Ok((noop.stats.events, slow_events))
     }
 }
 

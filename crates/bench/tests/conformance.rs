@@ -15,9 +15,10 @@
 //! * churn: a frozen program, and 20 % of records updated per cycle.
 //!
 //! A failure names the first failing cell and the first divergence or
-//! broken invariant in it. The driver suites beside the drivers
-//! (`crates/sim/tests`, `tests/`) run their own configurations through the
-//! same wall and keep the properties that are not per-cell.
+//! broken invariant in it. The per-axis tests beside this one
+//! (`*_equiv.rs`, and the workspace's `tests/drivers_equiv.rs`) run their
+//! own configurations through the same wall; the properties that are not
+//! per-cell are focused tests beside the drivers (`crates/sim/tests`).
 
 use bda_bench::conformance::{check_all, Arrivals, Cell};
 use bda_bench::SchemeKind;

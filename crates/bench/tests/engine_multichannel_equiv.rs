@@ -5,10 +5,10 @@
 //! and recorder, with the direct walker's recorded spans folded into a hub
 //! that must equal the engine's, `ChannelSwitch` phase included — at
 //! group shapes beside the matrix's three channels at switch cost 199
-//! (`crates/bench/tests/conformance.rs`): three channels with free
-//! retunes and four paying 257 bytes. Per-channel fault seeds are remixed
-//! deterministically, so every driver sees the same loss on the same
-//! channel at the same instant.
+//! (`conformance.rs`): three channels with free retunes and four paying
+//! 257 bytes. Per-channel fault seeds are remixed deterministically, so
+//! every driver sees the same loss on the same channel at the same
+//! instant.
 
 use bda_bench::conformance::{check_all, Arrivals, Cell};
 use bda_core::{BurstModel, ChannelModel, ErrorModel, GroupConfig, OutageSchedule, RetryPolicy};

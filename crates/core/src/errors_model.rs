@@ -890,10 +890,31 @@ mod tests {
 
     #[test]
     fn skip_ahead_matches_naive_walk() {
-        for (p, q) in [(0.01, 0.05), (0.2, 0.3), (0.9, 0.8), (0.0, 0.5), (0.5, 0.0)] {
+        let rates = [
+            (0.01, 0.05),
+            (0.2, 0.3),
+            (0.9, 0.8),
+            (0.0, 0.5),
+            (0.5, 0.0),
+            (1.0, 1.0),
+        ];
+        for (p, q) in rates {
             let m = BurstModel::new(p, q, 0.0, 1.0, 0xB0B);
             for t in [0u64, 1, 2, 3, 17, 100, 999, 4_096] {
                 assert_eq!(m.state_at(t), m.state_at_naive(t), "p={p} q={q} t={t}");
+            }
+            // Far past where a walk from tick 0 can go, each state follows
+            // from the one before it by that tick's map.
+            let far = 1u64 << 40;
+            let mut s = m.state_at(far);
+            for t in far..far + 64 {
+                s = match m.step_map(t) {
+                    StepMap::ConstBad => ChainState::Bad,
+                    StepMap::ConstGood => ChainState::Good,
+                    StepMap::Identity => s,
+                    StepMap::Swap => s.flipped(true),
+                };
+                assert_eq!(m.state_at(t + 1), s, "p={p} q={q} t={}", t + 1);
             }
         }
     }
@@ -926,6 +947,11 @@ mod tests {
         let m = BurstModel::new(1e-9, 0.0, 0.1, 0.9, 1);
         assert_eq!(m.p_good_to_bad, MIN_RATE);
         assert_eq!(m.p_bad_to_good, 0.0);
+        // Rates at or near 1 stay as far from it, so a backward scan still
+        // meets a constant map within about a thousand ticks.
+        let m = BurstModel::new(1.0, 1.0 - 1e-9, 0.1, 0.9, 1);
+        assert_eq!(m.p_good_to_bad, 1.0 - MIN_RATE);
+        assert_eq!(m.p_bad_to_good, 1.0 - MIN_RATE);
     }
 
     #[test]

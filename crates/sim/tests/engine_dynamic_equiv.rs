@@ -1,8 +1,6 @@
-//! Dynamic-program differential suite. Driver agreement under churn runs
-//! through the conformance wall (`bda_bench::conformance`) at 1, 5 and
-//! 20 % of records updated per cycle, beside the matrix's 20 % cells
-//! (`crates/bench/tests/conformance.rs`). Two properties of the
-//! versioned-cycle subsystem are checked directly:
+//! Two properties of the versioned-cycle subsystem (driver agreement
+//! under churn is `crates/bench/tests/engine_dynamic_equiv.rs`, through
+//! the conformance wall):
 //!
 //! 1. **Zero-update identity**: a [`VersionedServer`] built with update
 //!    rate 0 collapses to a single epoch whose walks are *bit-identical*
@@ -13,7 +11,6 @@
 //!    on broadcast disks. A deleted key is never served from a stale
 //!    program; a key present throughout is never missed; no walk aborts.
 
-use bda_bench::conformance::{check_all, Arrivals, Cell};
 use bda_core::{
     ChannelModel, Dataset, DiskConfig, DynSystem, ErrorModel, Key, Params, RetryPolicy, Scheme,
     System, Ticks,
@@ -214,24 +211,4 @@ fn verdicts_are_truthful_against_epoch_datasets() {
             );
         });
     }
-}
-
-/// Every driver agrees on every scheme under churn — outcomes, restart
-/// and skew counts included — at every update rate, lossless and composed
-/// with 10 % loss. Queries tune in over the 16-cycle timeline.
-#[test]
-fn slab_reference_and_walker_agree_under_updates() {
-    let airs = [ChannelModel::NONE, ErrorModel::new(0.10, 0xFA57).into()]
-        .map(|air| (air, RetryPolicy::UNBOUNDED));
-    let cells: Vec<Cell> = [1, 5, 20]
-        .into_iter()
-        .flat_map(|churn_pct| {
-            let base = Cell {
-                churn_pct,
-                ..Cell::single(0x10EB, 60, 60, Arrivals::Cycles(16))
-            };
-            base.across(&SchemeKind::ALL, &airs)
-        })
-        .collect();
-    check_all(&cells);
 }

@@ -4,10 +4,9 @@
 //! exactly the outcomes of the naive per-request reference heap it
 //! replaced, and a reused engine those of a fresh one. The conformance
 //! wall (`bda_bench::conformance`) runs fixed batches through every
-//! driver; these properties draw the batches at random.
+//! driver (`crates/bench/tests`); these properties draw the batches at
+//! random.
 
-use bda_bench::conformance::{check_all, Arrivals, Cell};
-use bda_bench::SchemeKind;
 use bda_core::{ChannelModel, DynSystem, Key, Params, RetryPolicy, Scheme, Ticks};
 use bda_datagen::DatasetBuilder;
 use bda_hash::HashScheme;
@@ -103,22 +102,4 @@ proptest! {
             prop_assert_eq!(warm, fresh, "{}", sys.scheme_name());
         }
     }
-}
-
-/// Event accounting is deterministic: the wall runs each batch on a fresh
-/// engine per recorder, whose counters (events, wake batches, peak
-/// occupancy) must agree, and again on the same engine, whose counters
-/// must double. The adaptive simulator's accuracy stopping rule relies on
-/// this run-to-run reproducibility.
-#[test]
-fn event_counts_are_deterministic_across_runs() {
-    let kinds = [
-        SchemeKind::Flat,
-        SchemeKind::Hashing,
-        SchemeKind::Distributed,
-        SchemeKind::IntegratedSignature,
-    ];
-    let lossless = (ChannelModel::NONE, RetryPolicy::UNBOUNDED);
-    let base = Cell::single(17, 60, 500, Arrivals::Within(4_096));
-    check_all(&base.across(&kinds, &[lossless]));
 }

@@ -1,13 +1,10 @@
-//! Sharded-engine differential suite. The round-robin sharded engine at
-//! 1, 2, 3 and 7 shards must reproduce the single engine — outcomes,
-//! outcome counters, merged histograms, span sums and windows — on every
-//! configuration below, which run through the conformance wall
-//! (`bda_bench::conformance`) as every cell of the matrix does
-//! (`crates/bench/tests/conformance.rs`). And merge correctness does not
-//! depend on how a batch is cut: an *arbitrary* request→shard assignment,
-//! merged back to request order, reproduces the unsharded result.
+//! Merge correctness does not depend on how a batch is cut: an
+//! *arbitrary* request→shard assignment, merged back to request order,
+//! reproduces the unsharded result. (The sharded engine against the
+//! single one at 1, 2, 3 and 7 shards is
+//! `crates/bench/tests/engine_sharded_equiv.rs`, through the conformance
+//! wall.)
 
-use bda_bench::conformance::{check_all, Arrivals, Cell};
 use bda_core::{ChannelModel, ErrorModel, Key, Params, RetryPolicy, Ticks};
 use bda_datagen::DatasetBuilder;
 use bda_sim::{run_requests_partitioned, Engine, SchemeKind};
@@ -27,36 +24,6 @@ fn fault_modes() -> [(ChannelModel, RetryPolicy); 2] {
             RetryPolicy::bounded(2),
         ),
     ]
-}
-
-/// Outcomes and outcome counters are invariant across shard counts on
-/// every frozen scheme, lossless and at 15 % loss.
-#[test]
-fn outcomes_and_stats_invariant_across_shard_counts() {
-    let base = Cell::single(0x5A4D, 60, 90, Arrivals::Cycles(16));
-    check_all(&base.across(&SchemeKind::ALL, &fault_modes()));
-}
-
-/// The same invariance on programs churning 20 % of records per cycle —
-/// stale restarts and version skews included — with and without loss.
-#[test]
-fn churned_programs_are_shard_invariant() {
-    let base = Cell {
-        churn_pct: 20,
-        ..Cell::single(0x0C0DE, 60, 70, Arrivals::Cycles(16))
-    };
-    check_all(&base.across(&SchemeKind::ALL, &fault_modes()));
-}
-
-/// Merged metrics are bit-identical to the single engine's at every shard
-/// count: the access, tuning and retry-depth histograms (so every
-/// percentile), the outcome counters and the span sums, under every
-/// recorder.
-#[test]
-fn merged_metrics_histograms_and_percentiles_are_bit_identical() {
-    let air = (ErrorModel::new(LOSS, 0x717).into(), RetryPolicy::bounded(3));
-    let base = Cell::single(0x0B5, 60, 90, Arrivals::Cycles(16));
-    check_all(&base.across(&SchemeKind::ALL, &[air]));
 }
 
 /// An arbitrary batch plus an arbitrary request→shard assignment: the

@@ -1,9 +1,7 @@
-//! Fast-forward differential suite. On every configuration the
-//! conformance wall (`bda_bench::conformance`) runs — the matrix's cells
-//! (`crates/bench/tests/conformance.rs`) and the frozen and churning ones
-//! below — fast-forward changes no outcome, counter or span, agrees with
-//! the reference oracle and never adds events. Two properties are checked
-//! directly:
+//! Fast-forward's event collapse and its edges. (That fast-forward changes
+//! no outcome, counter or span, agrees with the reference oracle and on a
+//! churning program still sheds events is
+//! `crates/bench/tests/ff_equiv.rs`, through the conformance wall.)
 //!
 //! 1. **Event collapse**: with fast-forward on, the scan-heavy schemes
 //!    (flat, signature family) process dramatically fewer scheduler
@@ -16,10 +14,8 @@
 //!    corruption), and near `Ticks::MAX`, where the walker disengages
 //!    fast-forward rather than overflow, stay exact.
 
-use bda_bench::conformance::{check_all, Arrivals, Cell};
 use bda_core::{
-    BurstModel, ChannelModel, Dataset, DiskConfig, DynSystem, ErrorModel, Key, OutageSchedule,
-    Params, RetryPolicy, Ticks,
+    ChannelModel, Dataset, DiskConfig, DynSystem, ErrorModel, Key, Params, RetryPolicy, Ticks,
 };
 use bda_datagen::DatasetBuilder;
 use bda_sim::{CompletedRequest, Engine, Layout, SchemeKind, UpdateSpec};
@@ -65,54 +61,6 @@ fn run_with_ff(
     engine.set_fast_forward(ff);
     let done = engine.run_batch(requests);
     (done, engine.stats().events)
-}
-
-/// Fast-forward on ≡ off ≡ the reference oracle, request by request, on
-/// every scheme, lossless and at 15 % loss under a two-retry budget.
-#[test]
-fn fast_forward_engine_matches_slow_engine_and_reference_oracle() {
-    let airs = [
-        (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
-        (
-            ErrorModel::new(0.15, 0xFA57).into(),
-            RetryPolicy::bounded(2),
-        ),
-    ];
-    let base = Cell::single(0x0FF1, 60, 72, Arrivals::Cycles(8));
-    check_all(&base.across(&SchemeKind::ALL, &airs));
-}
-
-/// A churning walk fast-forwards only up to the end of the epoch it was
-/// built for, so the first bucket of the next program always reaches the
-/// version check: on the scan-heavy schemes at 20 % churn, the outcomes —
-/// skew and stale-restart counters included — are identical with
-/// fast-forward on and off, lossless, at 10 % i.i.d. loss, and behind a
-/// Gilbert–Elliott chain with outages under bounded back-off.
-#[test]
-fn fast_forward_never_skips_a_version_skew_event() {
-    let burst = ChannelModel::burst(BurstModel::new(0.04, 0.20, 0.0, 0.9, 0xB57))
-        .with_outages(OutageSchedule::new(3_000, 300, 0x0A7));
-    let airs = [
-        (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
-        (ErrorModel::new(0.10, 0x717).into(), RetryPolicy::UNBOUNDED),
-        (
-            burst,
-            RetryPolicy::bounded(24)
-                .with_backoff_cap(8)
-                .with_jitter(0x117),
-        ),
-    ];
-    let scans = [
-        SchemeKind::Flat,
-        SchemeKind::Signature,
-        SchemeKind::IntegratedSignature,
-        SchemeKind::MultiLevelSignature,
-    ];
-    let base = Cell {
-        churn_pct: 20,
-        ..Cell::single(0x0FF5, 48, 72, Arrivals::Cycles(20))
-    };
-    check_all(&base.across(&scans, &airs));
 }
 
 /// The point of the layer: scan-heavy schemes collapse from O(cycle)

@@ -1,10 +1,6 @@
-//! Windowed-timeline equivalence suite. On every configuration the
-//! conformance wall (`bda_bench::conformance`) runs — the matrix's cells
-//! (`crates/bench/tests/conformance.rs`) and the ones below — window
-//! totals equal the engine counters and the hub's aggregates, and the
-//! per-window counters, evicted fold and watermark are the same at every
-//! shard count, under retention tight enough to evict. Three properties
-//! of the [`bda_obs::TimeSeries`] layer are checked directly:
+//! Three properties of the [`bda_obs::TimeSeries`] layer (window totals
+//! and per-window counters under every driver are
+//! `crates/bench/tests/timeline_equiv.rs`, through the conformance wall):
 //!
 //! 1. **Retention loses no count**: windows evicted under tight retention
 //!    fold into the evicted accumulator, never into the void.
@@ -14,13 +10,10 @@
 //!    `(seed, request index)` only, so shard placement cannot change a
 //!    trace.
 
-use bda_bench::conformance::{check_all, Arrivals, Cell};
-use bda_core::{
-    ChannelModel, Dataset, DynSystem, ErrorModel, Key, Params, RetryPolicy, Scheme, Ticks,
-};
+use bda_core::{Dataset, DynSystem, Key, Params, Scheme, Ticks};
 use bda_datagen::DatasetBuilder;
 use bda_obs::{sample_indices, MetricsHub, WindowSpec, WindowStats};
-use bda_sim::{Engine, SchemeKind, ShardedEngine};
+use bda_sim::{Engine, ShardedEngine};
 
 fn request_mix(ds: &Dataset, pool: &[Key], n: usize, span: Ticks) -> Vec<(Ticks, Key)> {
     let keys: Vec<Key> = ds.keys().collect();
@@ -35,47 +28,6 @@ fn request_mix(ds: &Dataset, pool: &[Key], n: usize, span: Ticks) -> Vec<(Ticks,
             (t % span.max(1), key)
         })
         .collect()
-}
-
-/// Window sums equal the aggregates on every scheme, lossless and at
-/// 15 % loss under a two-retry budget.
-#[test]
-fn window_sums_equal_aggregates_on_every_scheme() {
-    let airs = [
-        (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
-        (
-            ErrorModel::new(0.15, 0xFA57).into(),
-            RetryPolicy::bounded(2),
-        ),
-    ];
-    let base = Cell::single(0x71E5, 60, 90, Arrivals::Cycles(8));
-    check_all(&base.across(&SchemeKind::ALL, &airs));
-}
-
-/// The same exactness under 20 % churn: stale restarts and version skews
-/// land in windows without losing a count, with and without loss.
-#[test]
-fn window_sums_stay_exact_under_churn() {
-    let airs = [ChannelModel::NONE, ErrorModel::new(0.10, 0x717).into()]
-        .map(|air| (air, RetryPolicy::UNBOUNDED));
-    let base = Cell {
-        churn_pct: 20,
-        ..Cell::single(0x5EED, 60, 160, Arrivals::Cycles(20))
-    };
-    check_all(&base.across(&SchemeKind::ALL, &airs));
-}
-
-/// Sharded runs reproduce the single engine's windows exactly: the
-/// per-window counters, the evicted fold and the watermark, at every shard
-/// count, on a batch long enough for retention to evict.
-#[test]
-fn per_window_counters_are_shard_count_invariant() {
-    let air = (
-        ErrorModel::new(0.10, 0xC0DE).into(),
-        RetryPolicy::bounded(3),
-    );
-    let base = Cell::single(0x5A4D, 60, 160, Arrivals::Cycles(12));
-    check_all(&base.across(&[SchemeKind::Distributed], &[air]));
 }
 
 /// Totals stay exact even when retention is far too small to keep every
