@@ -10,8 +10,8 @@
 use std::fmt::Display;
 
 use bda_core::{
-    Channel, ChannelModel, Key, Phase, PhaseSpans, ProtocolMachine, RetryPolicy, SpanRecorder,
-    System, Ticks, Walk, WalkStep,
+    Channel, ChannelModel, Key, Phase, PhaseSpans, ProtocolMachine, Reception, RetryPolicy,
+    SpanRecorder, System, Ticks, Walk, WalkStep,
 };
 
 /// One protocol step in machine-readable form.
@@ -105,17 +105,14 @@ pub fn trace_walk_channel<P: Display, M: ProtocolMachine<P>>(
                     String::new()
                 };
                 let start = until - Ticks::from(channel.bucket(bucket).size);
-                let corrupt = faults.corrupted(start);
-                let outage = faults.in_outage(start);
+                let reception = faults.reception(start);
                 let detail = channel.bucket(bucket).payload.to_string();
                 lines.push(format!(
                     "t={until:<12} READ  #{bucket:<6} {detail}{wait_note}{}  [{}]",
-                    if outage {
-                        " ×OUTAGE"
-                    } else if corrupt {
-                        " ×CORRUPT"
-                    } else {
-                        ""
+                    match reception {
+                        Reception::Outage => " ×OUTAGE",
+                        Reception::Lost => " ×CORRUPT",
+                        Reception::Clean => "",
                     },
                     phase.name(),
                 ));
@@ -127,8 +124,8 @@ pub fn trace_walk_channel<P: Display, M: ProtocolMachine<P>>(
                     access,
                     tuning,
                     wait,
-                    corrupt,
-                    outage,
+                    corrupt: reception != Reception::Clean,
+                    outage: reception == Reception::Outage,
                     detail,
                 });
             }

@@ -141,6 +141,22 @@ impl<S: System> ProgramTimeline<S> {
         self.epochs.partition_point(|e| e.start <= t) - 1
     }
 
+    /// [`ProgramTimeline::index_at`], stepping forward from epoch `from`:
+    /// one comparison per epoch boundary passed. A walk's clock crosses
+    /// each boundary once, so the epoch of its last landing finds the
+    /// epoch of its next read in O(1) amortized. A `from` that begins
+    /// after `t` is ignored, and the timeline searched.
+    fn index_from(&self, from: usize, t: Ticks) -> usize {
+        if from >= self.epochs.len() || self.epochs[from].start > t {
+            return self.index_at(t);
+        }
+        let mut ei = from;
+        while self.epochs.get(ei + 1).is_some_and(|e| e.start <= t) {
+            ei += 1;
+        }
+        ei
+    }
+
     /// The first complete bucket a client tuning in (or resuming) at `t`
     /// can read: `(epoch index, bucket index, absolute start time)`.
     ///
@@ -151,7 +167,12 @@ impl<S: System> ProgramTimeline<S> {
     /// on the epoch boundary — never inside a phantom cycle of the old
     /// program.
     pub fn first_complete_at(&self, t: Ticks) -> (usize, usize, Ticks) {
-        let ei = self.index_at(t);
+        self.landing(self.index_at(t), t)
+    }
+
+    /// [`ProgramTimeline::first_complete_at`] for an instant `t` of epoch
+    /// `ei`.
+    fn landing(&self, ei: usize, t: Ticks) -> (usize, usize, Ticks) {
         let e = &self.epochs[ei];
         let local = t - e.start;
         let (idx, start_local) = e.system.channel().first_complete_at(local);
@@ -170,10 +191,11 @@ impl<S: System> ProgramTimeline<S> {
 /// version of the program the walk's machine was built against (its
 /// anchor).
 ///
-/// Per read it looks up the epoch on air, lets fast-forward run only
-/// through that epoch and only when it carries the anchor's program, and
-/// on a clean bucket of another version hands the walk a machine built
-/// against the program on air, re-anchoring there. Obtained with
+/// Per read it finds the epoch on air, stepping on from the epoch of its
+/// last landing instead of searching the timeline, lets fast-forward run
+/// only through that epoch and only when it carries the anchor's program,
+/// and on a clean bucket of another version hands the walk a machine
+/// built against the program on air, re-anchoring there. Obtained with
 /// [`Broadcast::tune`].
 ///
 /// [`Walk`]: crate::machine::Walk
@@ -182,6 +204,9 @@ pub struct Versioned<'a, S: System> {
     timeline: &'a ProgramTimeline<S>,
     key: Key,
     anchor: u64,
+    /// The epoch of the walk's last landing (before the first, the epoch
+    /// on air at tune-in): where the next lookup starts.
+    epoch: usize,
 }
 
 impl<'a, S: System> Source<'a, S::Machine> for Versioned<'a, S> {
@@ -194,8 +219,10 @@ impl<'a, S: System> Source<'a, S::Machine> for Versioned<'a, S> {
         self.timeline.max_buckets
     }
 
-    fn first_complete_at(&self, t: Ticks) -> Landing<'a, S::Payload> {
-        let (epoch, idx, start) = self.timeline.first_complete_at(t);
+    fn first_complete_at(&mut self, t: Ticks) -> Landing<'a, S::Payload> {
+        let on_air = self.timeline.index_from(self.epoch, t);
+        let (epoch, idx, start) = self.timeline.landing(on_air, t);
+        self.epoch = epoch;
         Landing {
             ch: self.timeline.epoch(epoch).system.channel(),
             epoch,
@@ -249,11 +276,13 @@ impl<S: System> Broadcast for ProgramTimeline<S> {
     }
 
     fn tune(&self, key: Key, tune_in: Ticks) -> (Versioned<'_, S>, S::Machine) {
-        let epoch = self.epoch(self.index_at(tune_in));
+        let ei = self.index_at(tune_in);
+        let epoch = self.epoch(ei);
         let src = Versioned {
             timeline: self,
             key,
             anchor: epoch.version(),
+            epoch: ei,
         };
         (src, epoch.system.query_from(key, epoch.start))
     }
@@ -354,6 +383,57 @@ mod tests {
         // the new program's first bucket, never a phantom old cycle.
         let (ei, idx, start) = tl.first_complete_at(boundary - 1);
         assert_eq!((ei, idx, start), (1, 0, boundary));
+    }
+
+    /// The epoch lookup a walk's source makes, stepping on from its last
+    /// landing, equals the timeline's search just before, at and just
+    /// after every epoch start and well past the last, from every
+    /// starting epoch (one that begins later is ignored), and for a
+    /// source that asks at instants that never decrease, as a walk does,
+    /// twice at each.
+    #[test]
+    fn hinted_epoch_lookup_matches_the_search() {
+        let params = Params::paper();
+        let keys: [&[u64]; 4] = [
+            &[0, 10, 20],
+            &[0, 10, 20, 30],
+            &[10, 30],
+            &[0, 10, 20, 30, 40],
+        ];
+        let mut epochs = Vec::new();
+        let mut start = 0;
+        for (v, (keys, cycles)) in keys.iter().zip([2, 1, 3, 1]).enumerate() {
+            let system = FlatScheme
+                .rebuild(&dataset(keys), &params, v as u64)
+                .unwrap();
+            let next = start + cycles * system.channel().cycle_len();
+            epochs.push(Epoch { system, start });
+            start = next;
+        }
+        let tl = ProgramTimeline::new(epochs).unwrap();
+        let mut probes: Vec<Ticks> = vec![0, 1, start * 3 + 1];
+        for e in &tl.epochs()[1..] {
+            probes.extend([e.start - 1, e.start, e.start + 1]);
+        }
+        probes.sort_unstable();
+        for &t in &probes {
+            for from in 0..tl.epochs().len() {
+                assert_eq!(tl.index_from(from, t), tl.index_at(t), "from {from} at {t}");
+            }
+        }
+        for (i, &tune_in) in probes.iter().enumerate() {
+            let (mut src, _) = tl.tune(Key(10), tune_in);
+            for &t in &probes[i..] {
+                for _ in 0..2 {
+                    let at = src.first_complete_at(t);
+                    assert_eq!(
+                        (at.epoch, at.idx, at.start),
+                        tl.first_complete_at(t),
+                        "tuned in at {tune_in}, asked at {t}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

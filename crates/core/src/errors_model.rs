@@ -461,6 +461,18 @@ impl LossModel {
     }
 }
 
+/// What a client receives of one bucket transmission
+/// ([`ChannelModel::reception`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reception {
+    /// The bucket arrived intact.
+    Clean,
+    /// The loss process dropped it on a live carrier (a CRC failure).
+    Lost,
+    /// It aired inside a scheduled outage: the carrier was gone.
+    Outage,
+}
+
 /// The unified channel fault model every execution driver threads: a loss
 /// process (i.i.d. or burst) composed with scheduled carrier outages.
 ///
@@ -524,7 +536,22 @@ impl ChannelModel {
     /// Whether the bucket transmission starting at `start` is unusable
     /// (outage or loss).
     pub fn corrupted(&self, start: Ticks) -> bool {
-        self.outages.in_outage(start) || self.loss.corrupted(start)
+        self.reception(start) != Reception::Clean
+    }
+
+    /// What the client receives of the bucket transmission starting at
+    /// `start`: one evaluation of the outage schedule and, outside an
+    /// outage, of the loss process. A walk reads both answers it needs
+    /// from this, whether the read is usable and whether the carrier was
+    /// gone.
+    pub fn reception(&self, start: Ticks) -> Reception {
+        if self.outages.in_outage(start) {
+            Reception::Outage
+        } else if self.loss.corrupted(start) {
+            Reception::Lost
+        } else {
+            Reception::Clean
+        }
     }
 
     /// Whether `start` falls inside a scheduled outage — the condition a

@@ -15,7 +15,7 @@
 use crate::bucket::{Bucket, BucketMeta};
 use crate::channel::Channel;
 use crate::error::ProtocolFault;
-use crate::errors_model::{ChannelModel, RetryPolicy};
+use crate::errors_model::{ChannelModel, Reception, RetryPolicy};
 use crate::Ticks;
 use bda_obs::{BucketKind, NoopRecorder, Phase, PhaseSpans, Recorder, SpanRecorder};
 
@@ -316,6 +316,11 @@ pub struct FastForward<'a, P> {
     /// Per-phase spans of the consumed buckets; `Some` only when the walk
     /// records (`R::ENABLED`), so an uninstrumented walk never zeroes them.
     spans: Option<PhaseSpans>,
+    /// The start instant of the corrupted read [`FastForward::clean`]
+    /// stopped at last, and whether it aired inside an outage: what
+    /// [`FastForward::retry`] recovers from, without asking the fault
+    /// oracle again.
+    fault: Option<(Ticks, bool)>,
 }
 
 impl<'a, P> FastForward<'a, P> {
@@ -348,18 +353,20 @@ impl<'a, P> FastForward<'a, P> {
     /// and not at all on lossless air. A planner commits the clean prefix
     /// and hands the corrupted read at the cursor to
     /// [`FastForward::retry`].
-    pub fn clean(&self, len: usize, stride: usize) -> usize {
+    pub fn clean(&mut self, len: usize, stride: usize) -> usize {
         if self.lossless {
             return len;
         }
         let base = self.ch.start_of(self.idx);
-        (0..len)
-            .step_by(stride)
-            .find(|&o| {
-                let at = self.start + (self.ch.start_of(self.idx + o) - base);
-                self.channel.corrupted(at)
-            })
-            .unwrap_or(len)
+        for o in (0..len).step_by(stride) {
+            let at = self.start + (self.ch.start_of(self.idx + o) - base);
+            let reception = self.channel.reception(at);
+            if reception != Reception::Clean {
+                self.fault = Some((at, reception == Reception::Outage));
+                return o;
+            }
+        }
+        len
     }
 
     /// Consume the run's first `n` buckets as `n / stride` groups of
@@ -426,7 +433,8 @@ impl<'a, P> FastForward<'a, P> {
     /// planner can carry on with the run after it. Call it when
     /// [`FastForward::clean`] stops at the cursor, and only from a machine
     /// that recovers by reading on (`ReadNext`), as every scan machine
-    /// does.
+    /// does. Whether the read aired inside an outage comes from what
+    /// `clean` found there.
     ///
     /// Consumes nothing and returns `false` when the read gives up (retry
     /// count or deadline) or its back-off would end within four cycles of
@@ -439,7 +447,10 @@ impl<'a, P> FastForward<'a, P> {
         debug_assert!(!self.run().is_empty(), "retry past the run");
         let bucket = self.ch.bucket(self.idx);
         let end = self.start + Ticks::from(bucket.size);
-        let outage = self.channel.in_outage(self.start);
+        let outage = match self.fault {
+            Some((at, outage)) if at == self.start => outage,
+            _ => self.channel.in_outage(self.start),
+        };
         let (retries, backoff) = self
             .retries
             .corrupt(&self.policy, outage, end - self.tune_in);
@@ -590,8 +601,10 @@ pub trait Source<'a, M> {
     fn max_buckets(&self) -> usize;
 
     /// The first complete bucket a client tuning in (or resuming) at `t`
-    /// can read on the carrier it is tuned to.
-    fn first_complete_at(&self, t: Ticks) -> Landing<'a, Self::Payload>;
+    /// can read on the carrier it is tuned to. A walk asks at instants
+    /// that never decrease, so a source may remember where it landed last
+    /// and search on from there.
+    fn first_complete_at(&mut self, t: Ticks) -> Landing<'a, Self::Payload>;
 
     /// The instant fast-forward may not start a read at or past while it
     /// runs through the program of `at` — the start of the next program,
@@ -645,7 +658,7 @@ impl<'a, P, M> Source<'a, M> for &'a Channel<P> {
     }
 
     #[inline]
-    fn first_complete_at(&self, t: Ticks) -> Landing<'a, P> {
+    fn first_complete_at(&mut self, t: Ticks) -> Landing<'a, P> {
         let (idx, start) = Channel::first_complete_at(self, t);
         Landing {
             ch: self,
@@ -795,6 +808,12 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
         &self.recorder
     }
 
+    /// The air the walk reads: its home carrier's channel model and the
+    /// client's retry policy.
+    pub(crate) fn air(&self) -> (ChannelModel, RetryPolicy) {
+        (self.channel, self.policy)
+    }
+
     fn finish(&mut self, found: bool, false_drops: u32, aborted: bool) -> WalkStep {
         let out = AccessOutcome {
             found,
@@ -929,11 +948,11 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
                     size: size as u32,
                     version: bucket.version,
                 };
-                // The air of the carrier the read lands on; whether the
-                // carrier is in an outage matters only to a corrupted read.
-                let air = self.src.air(&self.channel);
-                let corrupted = air.corrupted(at.start);
-                let outage = corrupted && air.in_outage(at.start);
+                // What the carrier the read lands on delivers: one look at
+                // its air says whether the read is usable and, when it is
+                // not, whether the carrier was gone.
+                let reception = self.src.air(&self.channel).reception(at.start);
+                let corrupted = reception != Reception::Clean;
                 // A corrupted transmission hides the header too: the client
                 // cannot even see the version. Skew, if any, is caught on
                 // the next clean read — after an outage, against whichever
@@ -970,6 +989,7 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
                     // consecutive dead read, so an outage costs O(log)
                     // probes instead of one per bucket. The back-off counts
                     // cycles of the program just read.
+                    let outage = reception == Reception::Outage;
                     let (retries, backoff) =
                         self.retries
                             .corrupt(&self.policy, outage, self.now - self.tune_in);
@@ -1098,6 +1118,7 @@ fn engage<P, M: ProtocolMachine<P>, R: Recorder>(
         left: tally.max_probes - *tally.probes,
         room: 2 * ch.num_buckets() + 2,
         spans: R::ENABLED.then(PhaseSpans::new),
+        fault: None,
     };
     machine.fast_forward(&mut ctx);
     if ctx.probes == 0 {

@@ -372,7 +372,7 @@ impl<'a, S: Broadcast + 'a> Source<'a, S::Machine> for StripedSource<'a, S> {
     }
 
     #[inline]
-    fn first_complete_at(&self, t: Ticks) -> Landing<'a, S::Payload> {
+    fn first_complete_at(&mut self, t: Ticks) -> Landing<'a, S::Payload> {
         self.inner.first_complete_at(t)
     }
 
@@ -743,7 +743,7 @@ impl<'a> Source<'a, GroupMachine> for GroupSource<'a> {
         Broadcast::num_buckets(self.system)
     }
 
-    fn first_complete_at(&self, t: Ticks) -> Landing<'a, GroupPayload> {
+    fn first_complete_at(&mut self, t: Ticks) -> Landing<'a, GroupPayload> {
         let ch = &self.system.carriers[self.carrier as usize];
         let (idx, start) = ch.first_complete_at(t);
         Landing {

@@ -193,12 +193,22 @@ impl<S: System> Broadcast for S {
 /// reallocated) on every [`QuerySlot::start`] with a fresh recorder `R`.
 /// With a [`SpanRecorder`] the query's per-phase spans are exposed
 /// through [`QuerySlot::spans`] until the next start.
+///
+/// The slot keeps its air once: in the walk of its last query, which
+/// holds the channel model and retry policy its next walk reads, and
+/// only until the first start on its own.
 pub struct WalkSlot<'a, B: Broadcast, R = NoopRecorder> {
     broadcast: &'a B,
-    walk: Option<Walk<B::Source<'a>, B::Machine, R>>,
-    channel: ChannelModel,
-    policy: RetryPolicy,
+    walk: Armed<Walk<B::Source<'a>, B::Machine, R>>,
     ff: bool,
+}
+
+/// A [`WalkSlot`]'s walk, or the air its first walk will read.
+enum Armed<W> {
+    /// No query started yet.
+    Idle(ChannelModel, RetryPolicy),
+    /// The current (or last) query's walk.
+    Walk(W),
 }
 
 impl<'a, B: Broadcast, R> WalkSlot<'a, B, R> {
@@ -208,9 +218,7 @@ impl<'a, B: Broadcast, R> WalkSlot<'a, B, R> {
     pub fn new(broadcast: &'a B, channel: ChannelModel, policy: RetryPolicy) -> Self {
         WalkSlot {
             broadcast,
-            walk: None,
-            channel,
-            policy,
+            walk: Armed::Idle(channel, policy),
             ff: false,
         }
     }
@@ -218,35 +226,36 @@ impl<'a, B: Broadcast, R> WalkSlot<'a, B, R> {
 
 impl<'a, B: Broadcast + Sync, R: Recorder + Default + Send> QuerySlot for WalkSlot<'a, B, R> {
     fn start(&mut self, key: Key, tune_in: Ticks) {
+        let (channel, policy) = match &self.walk {
+            Armed::Idle(channel, policy) => (*channel, *policy),
+            Armed::Walk(walk) => walk.air(),
+        };
         let (src, machine) = self.broadcast.tune(key, tune_in);
-        let mut walk = Walk::with_channel_recorder(
-            src,
-            machine,
-            tune_in,
-            self.channel,
-            self.policy,
-            R::default(),
-        );
+        let mut walk =
+            Walk::with_channel_recorder(src, machine, tune_in, channel, policy, R::default());
         walk.set_fast_forward(self.ff);
-        self.walk = Some(walk);
+        self.walk = Armed::Walk(walk);
     }
 
     fn set_fast_forward(&mut self, enabled: bool) {
         self.ff = enabled;
-        if let Some(walk) = self.walk.as_mut() {
+        if let Armed::Walk(walk) = &mut self.walk {
             walk.set_fast_forward(enabled);
         }
     }
 
     fn step(&mut self) -> WalkStep {
-        self.walk
-            .as_mut()
-            .expect("QuerySlot::step before start")
-            .step()
+        match &mut self.walk {
+            Armed::Walk(walk) => walk.step(),
+            Armed::Idle(..) => panic!("QuerySlot::step before start"),
+        }
     }
 
     fn spans(&self) -> Option<&PhaseSpans> {
-        self.walk.as_ref().and_then(|w| w.recorder().spans())
+        match &self.walk {
+            Armed::Walk(walk) => walk.recorder().spans(),
+            Armed::Idle(..) => None,
+        }
     }
 }
 

@@ -19,14 +19,17 @@
 //!   allocated once per *concurrent client*, then re-armed for each new
 //!   request — at steady state the engine performs no per-request heap
 //!   allocation, where the reference oracle boxes a fresh slot per
-//!   request.
+//!   request. An idle engine hands its slots out in id order, so request
+//!   *i* of a time-ordered batch steps slot *i*, and a slot is first
+//!   touched when its request arrives.
 //! * **Bucket-aligned wakeup scheduler.** After its first step a client
 //!   only ever wakes at a bucket boundary of the one shared broadcast
 //!   cycle, so pending wake-ups collapse onto few distinct instants. The
 //!   scheduler batches all clients waking at the same instant behind a
-//!   single entry in an ordered map of *distinct times*: scheduler
-//!   traffic is `O(distinct boundaries)` instead of `O(clients)`, and
-//!   every batch is stepped together in one cache-friendly sweep.
+//!   single entry per *distinct time*, found by a hash map and ordered by
+//!   a radix heap: scheduler traffic is `O(distinct boundaries)` instead
+//!   of `O(clients)`, and every batch is stepped together in one
+//!   cache-friendly sweep.
 //!
 //! The naive heap engine this replaces is preserved as
 //! [`reference::run_requests_reference_channel`] — the oracle the
@@ -39,8 +42,9 @@
 //! [`Engine::enable_metrics_windowed`]. [`Engine::run_batch`] then runs
 //! requests, and [`Engine::take_metrics`] detaches what was observed.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use bda_core::{
     AccessOutcome, ChannelModel, DynSystem, Key, QuerySlot, RetryPolicy, Ticks, WalkStep,
@@ -141,19 +145,44 @@ impl EngineStats {
 /// All post-arrival wake times are bucket boundaries of the shared cycle,
 /// so at any moment the set of pending wake *times* is small (bounded by
 /// the boundaries of roughly one cycle plus pending arrival instants)
-/// even when the set of pending *clients* is huge. An ordered map over
-/// the distinct instants holds the ends of each instant's FIFO list of
-/// waking clients, threaded through one link per client slot: a client
-/// waits at one instant at a time, so its link is free for the next
-/// list as soon as its batch is drained. Memory is the map of pending
-/// instants plus one link per slot, whatever the batches before.
-#[derive(Debug, Default)]
+/// even when the set of pending *clients* is huge. A hash map from each
+/// distinct pending instant holds the ends of its FIFO list of waking
+/// clients, threaded through one link per client slot: a client waits at
+/// one instant at a time, so its link is free for the next list as soon
+/// as its batch is drained. The instants themselves wait in a radix heap
+/// (Ahuja, Mehlhorn, Orlin & Tarjan, 1990): no client wakes before the
+/// instant being drained, so the heap only ever pops its least instant,
+/// and an instant moves between its 65 buckets at most once per bit.
+/// Memory is the map and heap of pending instants (capacity kept for the
+/// next batch) plus one link per slot, whatever the batches before.
+#[derive(Debug)]
 struct WakeupScheduler {
     /// First and last client waiting per distinct instant.
-    waiters: BTreeMap<Ticks, (u32, u32)>,
+    waiters: HashMap<Ticks, (u32, u32), BuildHasherDefault<InstantHasher>>,
+    /// The pending instants by their highest bit that differs from
+    /// `origin`: `heap[0]` holds `origin` itself, `heap[b]` those whose
+    /// highest differing bit is bit `b − 1`.
+    heap: [Vec<Ticks>; 65],
+    /// Bit `b` set while `heap[b]` holds an instant.
+    occupied: u128,
+    /// The instant drained last, which no pending instant precedes; 0
+    /// once the scheduler drains, so unsorted arrivals stay ordered.
+    origin: Ticks,
     /// `next[c]`: the client after `c` in its instant's list (stale at
     /// the list's last client). Parallel to the slot slab.
     next: Vec<u32>,
+}
+
+impl Default for WakeupScheduler {
+    fn default() -> Self {
+        WakeupScheduler {
+            waiters: HashMap::default(),
+            heap: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            origin: 0,
+            next: Vec::new(),
+        }
+    }
 }
 
 impl WakeupScheduler {
@@ -161,9 +190,14 @@ impl WakeupScheduler {
         if self.next.len() <= client as usize {
             self.next.resize(client as usize + 1, 0);
         }
+        if self.waiters.is_empty() {
+            self.origin = 0;
+        }
+        debug_assert!(t >= self.origin, "wake-up at {t} before {}", self.origin);
         match self.waiters.entry(t) {
             Entry::Vacant(list) => {
                 list.insert((client, client));
+                self.push(t);
             }
             Entry::Occupied(mut list) => {
                 let last = &mut list.get_mut().1;
@@ -173,10 +207,42 @@ impl WakeupScheduler {
         }
     }
 
+    /// File pending instant `t` (not before `origin`) in its heap bucket.
+    fn push(&mut self, t: Ticks) {
+        let b = (Ticks::BITS - (t ^ self.origin).leading_zeros()) as usize;
+        self.heap[b].push(t);
+        self.occupied |= 1 << b;
+    }
+
     /// Remove the earliest instant and return it with the first and last
     /// client of its list; [`WakeupScheduler::next`] walks the list.
     fn pop_batch(&mut self) -> Option<(Ticks, (u32, u32))> {
-        self.waiters.pop_first()
+        if self.occupied == 0 {
+            return None;
+        }
+        let b = self.occupied.trailing_zeros() as usize;
+        if b > 0 {
+            // Move the origin to the lowest bucket's least instant. Every
+            // instant there shares its bits from `b − 1` up with the new
+            // origin, so each refiles into a lower bucket, the least into
+            // `heap[0]`; the other buckets keep their instants.
+            let mut spill = std::mem::take(&mut self.heap[b]);
+            self.occupied &= !(1 << b);
+            self.origin = *spill.iter().min().expect("an occupied bucket");
+            for &t in &spill {
+                self.push(t);
+            }
+            spill.clear();
+            self.heap[b] = spill;
+        }
+        // Instants are distinct, so `heap[0]` holds just the origin.
+        let t = self.heap[0].pop().expect("the origin is pending");
+        self.occupied &= !1;
+        let list = self
+            .waiters
+            .remove(&t)
+            .expect("a pending instant has a list");
+        Some((t, list))
     }
 
     /// The client after `client` in a popped list. Read it before
@@ -188,6 +254,31 @@ impl WakeupScheduler {
     /// Distinct pending wake-up instants — the queue-depth gauge.
     fn depth(&self) -> usize {
         self.waiters.len()
+    }
+}
+
+/// The scheduler map's hasher: the SplitMix64 finalizer of the instant,
+/// so every bit of it reaches both the bucket index (low bits) and the
+/// probe tag (high bits).
+#[derive(Debug, Default)]
+struct InstantHasher(u64);
+
+impl Hasher for InstantHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let mut z = self.0 ^ x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        self.0 = z ^ (z >> 31);
     }
 }
 
@@ -235,7 +326,7 @@ pub struct Engine<'a> {
     /// 0→1 transition so windowed metrics can attribute busy vs idle ticks
     /// per shard. Plain tick bookkeeping — no wall clock.
     busy_since: Option<Ticks>,
-    /// Whether admitted clients use analytical fast-forward (on by
+    /// Whether started clients use analytical fast-forward (on by
     /// default): scan-heavy schemes collapse runs of mechanical bucket
     /// transitions into one wake-up with bit-identical outcomes and
     /// accounting. Turn off via [`Engine::set_fast_forward`] to force
@@ -281,7 +372,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Enable or disable analytical fast-forward for clients admitted from
+    /// Enable or disable analytical fast-forward for clients started from
     /// now on (it is **on** by default). Fast-forward never changes an
     /// outcome, a tick of accounting, or a recorded span — only the number
     /// of engine events a walk costs — so the only reason to disable it is
@@ -355,7 +446,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Admit a request: claim a slot (reusing a free one if possible) and
-    /// schedule its arrival event.
+    /// schedule its arrival event. The slot itself is not touched until
+    /// the arrival fires.
     fn admit(&mut self, arrival: Ticks, key: Key, tag: u64) {
         let id = match self.free.pop() {
             Some(id) => {
@@ -384,7 +476,6 @@ impl<'a> Engine<'a> {
                 id
             }
         };
-        self.slots[id as usize].set_fast_forward(self.fast_forward);
         self.sched.schedule(arrival, id);
     }
 
@@ -406,7 +497,9 @@ impl<'a> Engine<'a> {
                 self.busy_since = Some(m.arrival);
             }
             self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.in_flight);
-            self.slots[id as usize].start(m.key, m.arrival);
+            let slot = &mut self.slots[id as usize];
+            slot.set_fast_forward(self.fast_forward);
+            slot.start(m.key, m.arrival);
         }
         self.stats.events += 1;
         match self.slots[id as usize].step() {
@@ -505,6 +598,12 @@ impl<'a> Engine<'a> {
     /// returning outcomes **in request order**. Arrivals need not be
     /// sorted; simultaneous arrivals are fine.
     pub fn run_batch(&mut self, requests: &[(Ticks, Key)]) -> Vec<CompletedRequest> {
+        if self.occupied() == 0 {
+            // Hand the idle arena out in id order, so the requests of a
+            // time-ordered batch step the slab front to back.
+            self.free.clear();
+            self.free.extend((0..self.slots.len() as u32).rev());
+        }
         for (i, &(t, key)) in requests.iter().enumerate() {
             self.admit(t, key, i as u64);
         }
@@ -770,6 +869,88 @@ mod tests {
         assert_eq!(hub.completed, 40);
         assert!(!hub.spans.is_empty(), "observed slots must record spans");
         assert!(engine.metrics().is_none(), "take_metrics clears the hub");
+    }
+
+    /// The radix-heap scheduler against a model, an ordered map from each
+    /// instant to its FIFO list of clients: the same instants in the same
+    /// order, each with the same clients in the same order, and the same
+    /// depth after every operation. One scheduler serves several batches,
+    /// as an engine's does. Each batch admits clients at unsorted
+    /// instants, equal ones and `Ticks::MAX` among them; each popped
+    /// client then finishes or wakes again at or after its instant,
+    /// sometimes at that very instant (a fast-forward that spent the
+    /// probe budget dozes to `now`), which forms a second batch there.
+    #[test]
+    fn scheduler_matches_an_ordered_map_of_fifo_lists() {
+        use bda_datagen::Prng;
+        use std::collections::{BTreeMap, VecDeque};
+
+        /// An instant at or after `from`: equal to it, close to it, at any
+        /// scale above it, or `Ticks::MAX`.
+        fn instant(rng: &mut Prng, from: Ticks) -> Ticks {
+            match rng.below(8) {
+                0 => from,
+                1 => Ticks::MAX,
+                2 | 3 => from.saturating_add(rng.below(40)),
+                _ => from.saturating_add(rng.next_u64() >> rng.below(64)),
+            }
+        }
+
+        let mut rng = Prng::new(0x5C4E_D01E);
+        let (mut repeats, mut maxima, mut earlier_batches) = (0, 0, 0);
+        for _ in 0..400 {
+            let mut sched = WakeupScheduler::default();
+            let mut model: BTreeMap<Ticks, VecDeque<u32>> = BTreeMap::new();
+            let mut last_batch_end = None;
+            for _ in 0..1 + rng.below(3) {
+                let clients = 1 + rng.below(48) as u32;
+                let mut first_arrival = Ticks::MAX;
+                for c in 0..clients {
+                    let t = instant(&mut rng, 0);
+                    first_arrival = first_arrival.min(t);
+                    sched.schedule(t, c);
+                    model.entry(t).or_default().push_back(c);
+                    assert_eq!(sched.depth(), model.len());
+                }
+                if last_batch_end.is_some_and(|end| first_arrival < end) {
+                    earlier_batches += 1;
+                }
+                let mut prev = None;
+                while let Some((t, list)) = model.pop_first() {
+                    let (got, (mut id, last)) =
+                        sched.pop_batch().expect("the model has an instant");
+                    assert_eq!(got, t);
+                    repeats += usize::from(prev == Some(t));
+                    maxima += usize::from(t == Ticks::MAX);
+                    let mut order = Vec::new();
+                    loop {
+                        let next = sched.next(id);
+                        order.push(id);
+                        if rng.below(3) > 0 {
+                            let wake = instant(&mut rng, t);
+                            sched.schedule(wake, id);
+                            model.entry(wake).or_default().push_back(id);
+                        }
+                        if id == last {
+                            break;
+                        }
+                        id = next;
+                    }
+                    assert_eq!(order, Vec::from(list), "clients waking at {t}");
+                    assert_eq!(sched.depth(), model.len());
+                    prev = Some(t);
+                }
+                assert!(sched.pop_batch().is_none());
+                assert_eq!(sched.depth(), 0);
+                last_batch_end = prev;
+            }
+        }
+        assert!(repeats > 0, "no second batch at a drained instant");
+        assert!(maxima > 0, "no wake-up at Ticks::MAX");
+        assert!(
+            earlier_batches > 0,
+            "no batch arriving before the last one ended"
+        );
     }
 
     #[test]
