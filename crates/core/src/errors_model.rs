@@ -28,6 +28,17 @@
 //! like the i.i.d. [`ErrorModel`] with that probability and seed, and a
 //! [`ChannelModel`] with no outages and an i.i.d. loss component is the
 //! plain [`ErrorModel`] path, byte for byte.
+//!
+//! Because every client of one transmission hears the same thing, the
+//! clients of one slab-engine batch need to hear it only once: a walk
+//! hears its home carrier through an [`Air`], which either asks the
+//! [`ChannelModel`] on every read or reads a [`Heard`] memo of its answers
+//! that the batch shares. The memo is exact — a hit returns what the model
+//! returned for that very instant — so the two are bit-identical.
+
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 use crate::Ticks;
 
@@ -167,8 +178,9 @@ enum StepMap {
 /// `t` — and the result equals the naive forward walk *exactly* (a
 /// property test pins `state_at ≡ state_at_naive`). Corruption therefore
 /// stays a pure function of `(bucket instant, seed)`: the decision-9
-/// purity that shard bit-identity and the fast-forward cursor's
-/// corruption check ([`crate::FastForward::clean`]) both require.
+/// purity that shard bit-identity, the fast-forward cursor's corruption
+/// check ([`crate::FastForward::clean`]) and the engine's [`Heard`] memo
+/// all require.
 ///
 /// A step's map is constant with probability `1 − |p + q − 1|`, which
 /// vanishes as both rates approach 0 or both approach 1, so nonzero
@@ -606,6 +618,148 @@ impl Default for ChannelModel {
     }
 }
 
+/// Words in a [`Heard`] memo: 2^14, 128 KiB. A constant, not a setting:
+/// an engine steps its clients in time order, so most of their reads fall
+/// near its clock (flat's `churn-lossy` batch hits 0.970 of the time,
+/// against 0.980 with one miss per distinct transmission).
+const HEARD_BITS: u32 = 14;
+
+/// Instants at or above 2^62 skip the memo: a word keeps its instant in
+/// the upper 62 bits.
+const HEARD_LIMIT: Ticks = 1 << 62;
+
+/// A batch's memo of what its clients heard: for each transmission's start
+/// instant it has been asked about, exactly what
+/// [`ChannelModel::reception`] returned for that instant.
+///
+/// What a client receives of a transmission is a pure function of its
+/// start instant (module docs), so every client tuned in hears the same
+/// thing, and the memo hands the first client's answer to the others. A
+/// hit returns the model's own answer, so a walk that reads through the
+/// memo is bit-identical to one that asks the model.
+///
+/// The table is direct-mapped. One multiplicative hash of the instant picks
+/// a word, and the word holds the instant shifted left by two with the
+/// reception in the low two bits (0 is an empty word). A lookup hits only
+/// when the stored instant equals the one asked about; a miss asks the
+/// model and overwrites the word. Instants at or above 2^62 always ask the
+/// model.
+///
+/// The words are atomics, loaded and stored relaxed without a lock, only so
+/// that the shared handle (`Arc<Heard>`) is `Send`: each of a sharded
+/// engine's shards owns a memo of its own, and its clients step on its
+/// thread.
+pub struct Heard {
+    model: ChannelModel,
+    words: Box<[AtomicU64]>,
+    /// `64 − log2(words.len())`: the hash's top bits index the table.
+    shift: u32,
+}
+
+impl Heard {
+    /// An empty memo of `model`'s receptions.
+    pub fn new(model: ChannelModel) -> Self {
+        Heard::with_bits(model, HEARD_BITS)
+    }
+
+    /// An empty memo of `2^bits` words (`1 ≤ bits ≤ 32`).
+    fn with_bits(model: ChannelModel, bits: u32) -> Self {
+        debug_assert!((1..=32).contains(&bits));
+        Heard {
+            model,
+            words: (0..1usize << bits).map(|_| AtomicU64::new(0)).collect(),
+            shift: Ticks::BITS - bits,
+        }
+    }
+
+    /// Forget every reception.
+    pub fn clear(&self) {
+        for word in self.words.iter() {
+            word.store(0, Relaxed);
+        }
+    }
+
+    /// The word instant `start` hashes to.
+    #[inline]
+    fn index(&self, start: Ticks) -> usize {
+        (start.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// [`ChannelModel::reception`] at `start`, from the memo when a read
+    /// of that transmission is remembered there.
+    #[inline]
+    pub(crate) fn reception(&self, start: Ticks) -> Reception {
+        if start >= HEARD_LIMIT {
+            return self.model.reception(start);
+        }
+        let word = &self.words[self.index(start)];
+        let seen = word.load(Relaxed);
+        if seen >> 2 == start && seen != 0 {
+            return match seen & 3 {
+                1 => Reception::Clean,
+                2 => Reception::Lost,
+                _ => Reception::Outage,
+            };
+        }
+        let heard = self.model.reception(start);
+        let code = match heard {
+            Reception::Clean => 1,
+            Reception::Lost => 2,
+            Reception::Outage => 3,
+        };
+        word.store(start << 2 | code, Relaxed);
+        heard
+    }
+}
+
+impl fmt::Debug for Heard {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Heard")
+            .field("model", &self.model)
+            .field("words", &self.words.len())
+            .finish()
+    }
+}
+
+/// How a walk hears its home carrier: by asking the [`ChannelModel`] on
+/// every read, or through the [`Heard`] memo the clients of one engine
+/// batch share. Either way a read receives exactly what the model says.
+#[derive(Debug, Clone)]
+pub enum Air {
+    /// Ask the model on every read: the direct walker, stand-alone slots
+    /// and the reference engine.
+    Model(ChannelModel),
+    /// Read through a batch's memo of the model's answers.
+    Heard(Arc<Heard>),
+}
+
+impl Air {
+    /// The channel model this air answers with.
+    pub(crate) fn model(&self) -> &ChannelModel {
+        match self {
+            Air::Model(model) => model,
+            Air::Heard(heard) => &heard.model,
+        }
+    }
+
+    /// What a client receives of the transmission starting at `start`:
+    /// [`ChannelModel::reception`], read through the memo when there is
+    /// one.
+    #[inline]
+    pub(crate) fn reception(&self, start: Ticks) -> Reception {
+        match self {
+            Air::Model(model) => model.reception(start),
+            Air::Heard(heard) => heard.reception(start),
+        }
+    }
+}
+
+impl From<ChannelModel> for Air {
+    fn from(model: ChannelModel) -> Self {
+        Air::Model(model)
+    }
+}
+
 /// Client-side robustness policy for error-prone channels: how long a
 /// client keeps recovering from corrupted bucket reads before giving up,
 /// and how far it backs off between attempts.
@@ -1034,5 +1188,59 @@ mod tests {
             .with_outages(OutageSchedule::new(1_000, 100, 9));
         // 10 % outage + 90 % · 10 % loss.
         assert!((ch.mean_loss() - (0.1 + 0.9 * 0.1)).abs() < 1e-12);
+    }
+
+    /// The memo against the bare model over random sequences of instants,
+    /// with a clear before each: the same reception on every read. Each
+    /// sequence first reads the edge instants (0 on an empty word, the
+    /// last instant a word can hold and the first it cannot), then instants
+    /// that collide in one word — in a two-word table, or in the engine's
+    /// table at the instants sharing instant 0's word — and instants
+    /// anywhere, repeats of recent ones among them, so most reads are hits.
+    #[test]
+    fn heard_memo_answers_what_the_model_does() {
+        let burst = ChannelModel::burst(BurstModel::new(0.04, 0.2, 0.0, 0.9, 0xB57))
+            .with_outages(OutageSchedule::new(3_000, 300, 0x0A7));
+        let iid = ChannelModel::iid(ErrorModel::new(0.3, 0x11D));
+        let outage_only = ChannelModel::NONE.with_outages(OutageSchedule::new(1_000, 250, 0x0FF));
+        let edges = [0, HEARD_LIMIT - 1, HEARD_LIMIT, Ticks::MAX];
+        let table = Heard::new(ChannelModel::NONE);
+        let shared: Vec<Ticks> = (0..1 << 22)
+            .filter(|&t| table.index(t) == table.index(0))
+            .collect();
+        assert!(shared.len() > 100, "{} instants share word 0", shared.len());
+        for (model, kinds) in [
+            (burst, [true, true, true]),
+            (iid, [true, true, false]),
+            (outage_only, [true, false, true]),
+        ] {
+            let mut seen = [false; 3];
+            for bits in [1, HEARD_BITS] {
+                let heard = Heard::with_bits(model, bits);
+                let mut recent = [0 as Ticks; 8];
+                for seq in 0..64u64 {
+                    heard.clear();
+                    for i in 0..512u64 {
+                        let r = mix(seq << 16 | i, bits.into(), 0x0E4D);
+                        let t = if i < edges.len() as u64 {
+                            edges[i as usize]
+                        } else {
+                            match r % 6 {
+                                0 => shared[(r >> 8) as usize % shared.len()],
+                                1 => (r >> 8) % 20_000,
+                                2 => r >> 2,
+                                3 => r | HEARD_LIMIT,
+                                _ => recent[(r >> 8) as usize % recent.len()],
+                            }
+                        };
+                        recent[i as usize % recent.len()] = t;
+                        let want = model.reception(t);
+                        assert_eq!(heard.reception(t), want, "{model:?} at {t}");
+                        seen[want as usize] = true;
+                    }
+                }
+            }
+            assert_eq!(seen, kinds, "receptions heard under {model:?}");
+        }
     }
 }

@@ -54,8 +54,8 @@ pub use disks::{
 pub use dynamic::{Epoch, ProgramTimeline, Versioned};
 pub use error::{BdaError, ProtocolFault, Result};
 pub use errors_model::{
-    BurstModel, ChainState, ChannelModel, ErrorModel, LossModel, OutageSchedule, Reception,
-    RetryPolicy,
+    Air, BurstModel, ChainState, ChannelModel, ErrorModel, Heard, LossModel, OutageSchedule,
+    Reception, RetryPolicy,
 };
 pub use flat::{FlatPayload, FlatScheme, FlatSystem};
 pub use key::Key;

@@ -15,7 +15,7 @@
 use crate::bucket::{Bucket, BucketMeta};
 use crate::channel::Channel;
 use crate::error::ProtocolFault;
-use crate::errors_model::{ChannelModel, Reception, RetryPolicy};
+use crate::errors_model::{Air, ChannelModel, Reception, RetryPolicy};
 use crate::Ticks;
 use bda_obs::{BucketKind, NoopRecorder, Phase, PhaseSpans, Recorder, SpanRecorder};
 
@@ -283,7 +283,8 @@ fn near_clock_end(t: Ticks, cycles: Ticks, cycle_len: Ticks) -> bool {
 #[derive(Debug)]
 pub struct FastForward<'a, P> {
     ch: &'a Channel<P>,
-    channel: ChannelModel,
+    /// The air of the carrier the run airs on.
+    air: &'a Air,
     policy: RetryPolicy,
     /// Whether the air can corrupt nothing (fixed per engagement), so
     /// [`FastForward::clean`] need not consult the fault oracle.
@@ -348,9 +349,10 @@ impl<'a, P> FastForward<'a, P> {
     /// corrupted read, when the planner reads offsets `0, stride,
     /// 2·stride, …` and dozes over the rest: `len` if none is corrupted.
     /// Consults the same pure fault oracle (bucket start instant + seed)
-    /// the walker does — i.i.d. loss, burst loss and outages alike — but
-    /// only on the buckets the planner reads, exactly like the slow path,
-    /// and not at all on lossless air. A planner commits the clean prefix
+    /// the walker does — i.i.d. loss, burst loss and outages alike, through
+    /// the batch's memo when the walk has one — but only on the buckets the
+    /// planner reads, exactly like the slow path, and not at all on
+    /// lossless air. A planner commits the clean prefix
     /// and hands the corrupted read at the cursor to
     /// [`FastForward::retry`].
     pub fn clean(&mut self, len: usize, stride: usize) -> usize {
@@ -360,7 +362,7 @@ impl<'a, P> FastForward<'a, P> {
         let base = self.ch.start_of(self.idx);
         for o in (0..len).step_by(stride) {
             let at = self.start + (self.ch.start_of(self.idx + o) - base);
-            let reception = self.channel.reception(at);
+            let reception = self.air.reception(at);
             if reception != Reception::Clean {
                 self.fault = Some((at, reception == Reception::Outage));
                 return o;
@@ -449,7 +451,7 @@ impl<'a, P> FastForward<'a, P> {
         let end = self.start + Ticks::from(bucket.size);
         let outage = match self.fault {
             Some((at, outage)) if at == self.start => outage,
-            _ => self.channel.in_outage(self.start),
+            _ => self.air.reception(self.start) == Reception::Outage,
         };
         let (retries, backoff) = self
             .retries
@@ -621,11 +623,14 @@ pub trait Source<'a, M> {
     /// carries one program.
     fn respawn(&mut self, at: &Landing<'a, Self::Payload>, version: u64) -> Option<M>;
 
-    /// The air of the carrier the client is tuned to, for a walk behind
-    /// `base` (the home carrier's air). A single-carrier source's one
-    /// carrier is the home carrier.
+    /// The air of the carrier the client is tuned to, for a walk whose
+    /// home carrier's air is `base`. On the home carrier — a
+    /// single-carrier source's only one — that is `base` itself, which an
+    /// engine's walks hear through their batch's shared memo; a carrier
+    /// with air of its own (a striped group's routed channel, an indexed
+    /// group's data carriers) returns that, which the walk asks directly.
     #[inline]
-    fn air<'c>(&'c self, base: &'c ChannelModel) -> &'c ChannelModel {
+    fn air<'c>(&'c self, base: &'c Air) -> &'c Air {
         base
     }
 
@@ -715,7 +720,7 @@ pub struct Walk<Src, M, R = NoopRecorder> {
     max_probes: u32,
     /// The home carrier's air (the only carrier's, on a single-carrier
     /// source).
-    channel: ChannelModel,
+    air: Air,
     policy: RetryPolicy,
     ff: bool,
     recorder: R,
@@ -736,13 +741,14 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>> Walk<Src, M> {
 }
 
 impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk<Src, M, R> {
-    /// Begin a query at absolute time `tune_in` behind `channel` (i.i.d. or
-    /// burst loss, with or without outages; a caller holding an
-    /// [`crate::errors_model::ErrorModel`] passes `errors.into()`, which is
-    /// bit-identical), recovering from unusable reads under `policy` and
-    /// reporting every step's phase-attributed span to `recorder`. With
-    /// [`NoopRecorder`] (`ENABLED = false`) every instrumentation site
-    /// compiles out.
+    /// Begin a query at absolute time `tune_in` behind `air` (a
+    /// [`ChannelModel`] — i.i.d. or burst loss, with or without outages; a
+    /// caller holding an [`crate::errors_model::ErrorModel`] lifts it with
+    /// `ChannelModel::from`, which is bit-identical — or an engine batch's
+    /// shared [`Air::Heard`] memo of one), recovering from unusable reads
+    /// under `policy` and reporting every step's phase-attributed span to
+    /// `recorder`. With [`NoopRecorder`] (`ENABLED = false`) every
+    /// instrumentation site compiles out.
     ///
     /// A query that starts on a carrier other than the home one retunes
     /// first ([`Source::enter`]): the switch is access time only, recorded
@@ -753,18 +759,19 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
         mut src: Src,
         mut machine: M,
         tune_in: Ticks,
-        channel: ChannelModel,
+        air: impl Into<Air>,
         policy: RetryPolicy,
         mut recorder: R,
     ) -> Self {
-        let sw = src.enter(&channel);
+        let air = air.into();
+        let sw = src.enter(air.model());
         if R::ENABLED && sw > 0 {
             recorder.span(Phase::ChannelSwitch, sw, 0);
         }
         let now = tune_in.saturating_add(sw);
         let pending = machine.start(now);
         Walk {
-            max_probes: probe_budget(src.max_buckets(), &channel),
+            max_probes: probe_budget(src.max_buckets(), air.model()),
             src,
             machine,
             tune_in,
@@ -776,7 +783,7 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
             false_drops_hint: 0,
             pending: Some(pending),
             outcome: None,
-            channel,
+            air,
             policy,
             ff: false,
             recorder,
@@ -808,10 +815,10 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
         &self.recorder
     }
 
-    /// The air the walk reads: its home carrier's channel model and the
-    /// client's retry policy.
-    pub(crate) fn air(&self) -> (ChannelModel, RetryPolicy) {
-        (self.channel, self.policy)
+    /// The air the walk reads: its home carrier's air and the client's
+    /// retry policy.
+    pub(crate) fn air(&self) -> (Air, RetryPolicy) {
+        (self.air.clone(), self.policy)
     }
 
     fn finish(&mut self, found: bool, false_drops: u32, aborted: bool) -> WalkStep {
@@ -899,7 +906,7 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
                         (at.idx, at.start),
                         limit,
                         Tally {
-                            channel: *self.src.air(&self.channel),
+                            air: self.src.air(&self.air),
                             policy: self.policy,
                             tune_in: self.tune_in,
                             now: &mut self.now,
@@ -949,9 +956,10 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
                     version: bucket.version,
                 };
                 // What the carrier the read lands on delivers: one look at
-                // its air says whether the read is usable and, when it is
+                // its air (through the batch's memo, on an engine's home
+                // carrier) says whether the read is usable and, when it is
                 // not, whether the carrier was gone.
-                let reception = self.src.air(&self.channel).reception(at.start);
+                let reception = self.src.air(&self.air).reception(at.start);
                 let corrupted = reception != Reception::Clean;
                 // A corrupted transmission hides the header too: the client
                 // cannot even see the version. Skew, if any, is caught on
@@ -1040,7 +1048,7 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
             }
             Action::DozeTo(t) => self.doze(t),
             Action::DozeOn { carrier, at } => {
-                let Some(sw) = self.src.retune(carrier, &self.channel) else {
+                let Some(sw) = self.src.retune(carrier, self.air.model()) else {
                     return self.finish(false, self.false_drops_hint, true);
                 };
                 // A retuning radio is deaf: the switch is access time
@@ -1066,7 +1074,7 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
 /// the probe budget it must stay within; and the recorder its spans
 /// replay through.
 struct Tally<'w, R> {
-    channel: ChannelModel,
+    air: &'w Air,
     policy: RetryPolicy,
     tune_in: Ticks,
     now: &'w mut Ticks,
@@ -1104,9 +1112,9 @@ fn engage<P, M: ProtocolMachine<P>, R: Recorder>(
     let (idx, start) = cursor;
     let mut ctx = FastForward {
         ch,
-        channel: tally.channel,
+        air: tally.air,
         policy: tally.policy,
-        lossless: tally.channel.is_lossless(),
+        lossless: tally.air.model().is_lossless(),
         tune_in: tally.tune_in,
         retries: *tally.retries,
         idx,
@@ -1585,9 +1593,9 @@ pub(crate) mod tests {
         policy: RetryPolicy,
         ff: bool,
     ) -> (AccessOutcome, PhaseSpans, Vec<WalkStep>) {
-        let recorder = SpanRecorder::new();
+        let air: ChannelModel = air.into();
         let mut walk =
-            Walk::with_channel_recorder(ch, machine, tune_in, air.into(), policy, recorder);
+            Walk::with_channel_recorder(ch, machine, tune_in, air, policy, SpanRecorder::new());
         walk.set_fast_forward(ff);
         let mut steps = Vec::new();
         loop {

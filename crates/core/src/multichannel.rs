@@ -51,7 +51,7 @@ use std::sync::Arc;
 use crate::bucket::{Bucket, BucketMeta};
 use crate::channel::{next_occurrence, Channel};
 use crate::error::{BdaError, ProtocolFault, Result};
-use crate::errors_model::{ChannelModel, ErrorModel, LossModel, OutageSchedule};
+use crate::errors_model::{Air, ChannelModel, ErrorModel, LossModel, OutageSchedule};
 use crate::key::Key;
 use crate::machine::{Action, Landing, ProtocolMachine, Source, Verdict};
 use crate::params::Params;
@@ -343,7 +343,7 @@ impl<S: Broadcast> Broadcast for StripedSystem<S> {
             inner,
             carrier: g as u32,
             switch_cost,
-            air: ChannelModel::NONE,
+            air: Air::Model(ChannelModel::NONE),
         };
         (source, machine)
     }
@@ -352,7 +352,8 @@ impl<S: Broadcast> Broadcast for StripedSystem<S> {
 /// The [`Source`] of a walk over a [`StripedSystem`]: the routed
 /// channel's own source, read behind that channel's air
 /// ([`channel_model_for`]), which charges the retune to that channel on
-/// [`Source::enter`].
+/// [`Source::enter`]. The walk asks the routed channel's model on every
+/// read, never a batch's shared memo of the home carrier.
 pub struct StripedSource<'a, S: Broadcast + 'a> {
     /// The routed channel's own source.
     inner: S::Source<'a>,
@@ -361,7 +362,7 @@ pub struct StripedSource<'a, S: Broadcast + 'a> {
     /// What the retune to it costs: nothing for the home channel 0.
     switch_cost: Ticks,
     /// The routed channel's air, derived on entry.
-    air: ChannelModel,
+    air: Air,
 }
 
 impl<'a, S: Broadcast + 'a> Source<'a, S::Machine> for StripedSource<'a, S> {
@@ -387,17 +388,18 @@ impl<'a, S: Broadcast + 'a> Source<'a, S::Machine> for StripedSource<'a, S> {
     }
 
     #[inline]
-    fn air<'c>(&'c self, _base: &'c ChannelModel) -> &'c ChannelModel {
+    fn air<'c>(&'c self, _base: &'c Air) -> &'c Air {
         self.inner.air(&self.air)
     }
 
     fn retune(&mut self, carrier: u32, _base: &ChannelModel) -> Option<Ticks> {
-        self.inner.retune(carrier, &self.air)
+        self.inner.retune(carrier, self.air.model())
     }
 
     fn enter(&mut self, base: &ChannelModel) -> Ticks {
-        self.air = channel_model_for(*base, self.carrier);
-        self.switch_cost.saturating_add(self.inner.enter(&self.air))
+        self.air = Air::Model(channel_model_for(*base, self.carrier));
+        self.switch_cost
+            .saturating_add(self.inner.enter(self.air.model()))
     }
 }
 
@@ -710,7 +712,7 @@ impl Broadcast for IndexedGroupSystem {
         let source = GroupSource {
             system: self,
             carrier: 0,
-            air: ChannelModel::NONE,
+            air: Air::Model(ChannelModel::NONE),
         };
         let machine = GroupMachine {
             key,
@@ -727,13 +729,15 @@ impl Broadcast for IndexedGroupSystem {
 /// The [`Source`] of a walk over an [`IndexedGroupSystem`]: it lands each
 /// read on the carrier the client is tuned to, behind that carrier's air
 /// ([`channel_model_for`]), and charges [`GroupConfig::switch_cost`] per
-/// retune. The client starts on the index channel, carrier 0.
+/// retune. The client starts on the index channel, carrier 0, the home
+/// carrier, whose air is the walk's own (a batch's shared memo included);
+/// a walk on any other carrier asks that carrier's model.
 pub struct GroupSource<'a> {
     system: &'a IndexedGroupSystem,
     /// The carrier the client is tuned to.
     carrier: u32,
     /// That carrier's air, once the client has left carrier 0.
-    air: ChannelModel,
+    air: Air,
 }
 
 impl<'a> Source<'a, GroupMachine> for GroupSource<'a> {
@@ -762,7 +766,7 @@ impl<'a> Source<'a, GroupMachine> for GroupSource<'a> {
         None
     }
 
-    fn air<'c>(&'c self, base: &'c ChannelModel) -> &'c ChannelModel {
+    fn air<'c>(&'c self, base: &'c Air) -> &'c Air {
         if self.carrier == 0 {
             base
         } else {
@@ -778,7 +782,7 @@ impl<'a> Source<'a, GroupMachine> for GroupSource<'a> {
             return None;
         }
         self.carrier = carrier;
-        self.air = channel_model_for(*base, carrier);
+        self.air = Air::Model(channel_model_for(*base, carrier));
         Some(self.system.config.switch_cost)
     }
 }
@@ -1031,7 +1035,7 @@ mod tests {
         let air = ChannelModel::iid(ErrorModel::new(0.2, 11));
         let policy = RetryPolicy::bounded(4);
         let mut slot = sys.make_slot_channel(air, policy);
-        let mut obs = sys.make_slot_channel_observed(air, policy);
+        let mut obs = sys.make_slot(air.into(), policy, true);
         for i in [0u64, 5, 13, 31] {
             for t in [0u64, 777, 44_000] {
                 let key = Key(i * 10);

@@ -3,7 +3,7 @@
 
 use crate::channel::Channel;
 use crate::error::Result;
-use crate::errors_model::{ChannelModel, RetryPolicy};
+use crate::errors_model::{Air, ChannelModel, RetryPolicy};
 use crate::key::Key;
 use crate::machine::{
     run_machine_with_channel, AccessOutcome, ProtocolMachine, Source, Walk, WalkStep,
@@ -112,7 +112,7 @@ pub trait QuerySlot: Send {
     fn step(&mut self) -> WalkStep;
 
     /// The current query's per-phase span decomposition, when this slot
-    /// records one (see [`DynSystem::make_slot_channel_observed`]): what
+    /// records one (an `observed` slot of [`DynSystem::make_slot`]): what
     /// its walk's recorder holds ([`Recorder::spans`]), `None` for an
     /// uninstrumented or never-started slot.
     fn spans(&self) -> Option<&PhaseSpans>;
@@ -195,8 +195,10 @@ impl<S: System> Broadcast for S {
 /// through [`QuerySlot::spans`] until the next start.
 ///
 /// The slot keeps its air once: in the walk of its last query, which
-/// holds the channel model and retry policy its next walk reads, and
-/// only until the first start on its own.
+/// holds the air and retry policy its next walk reads, and only until the
+/// first start on its own. An engine's slots hear their home carrier
+/// through the batch's shared memo ([`Air::Heard`]), an 8-byte handle; a
+/// stand-alone slot asks the channel model ([`Air::Model`]).
 pub struct WalkSlot<'a, B: Broadcast, R = NoopRecorder> {
     broadcast: &'a B,
     walk: Armed<Walk<B::Source<'a>, B::Machine, R>>,
@@ -206,19 +208,19 @@ pub struct WalkSlot<'a, B: Broadcast, R = NoopRecorder> {
 /// A [`WalkSlot`]'s walk, or the air its first walk will read.
 enum Armed<W> {
     /// No query started yet.
-    Idle(ChannelModel, RetryPolicy),
+    Idle(Air, RetryPolicy),
     /// The current (or last) query's walk.
     Walk(W),
 }
 
 impl<'a, B: Broadcast, R> WalkSlot<'a, B, R> {
-    /// An empty slot whose queries run over `broadcast` behind `channel`
+    /// An empty slot whose queries run over `broadcast` behind `air`
     /// under the client retry `policy`; call [`QuerySlot::start`] to arm
     /// it.
-    pub fn new(broadcast: &'a B, channel: ChannelModel, policy: RetryPolicy) -> Self {
+    pub fn new(broadcast: &'a B, air: Air, policy: RetryPolicy) -> Self {
         WalkSlot {
             broadcast,
-            walk: Armed::Idle(channel, policy),
+            walk: Armed::Idle(air, policy),
             ff: false,
         }
     }
@@ -226,13 +228,13 @@ impl<'a, B: Broadcast, R> WalkSlot<'a, B, R> {
 
 impl<'a, B: Broadcast + Sync, R: Recorder + Default + Send> QuerySlot for WalkSlot<'a, B, R> {
     fn start(&mut self, key: Key, tune_in: Ticks) {
-        let (channel, policy) = match &self.walk {
-            Armed::Idle(channel, policy) => (*channel, *policy),
+        let (air, policy) = match &self.walk {
+            Armed::Idle(air, policy) => (air.clone(), *policy),
             Armed::Walk(walk) => walk.air(),
         };
         let (src, machine) = self.broadcast.tune(key, tune_in);
         let mut walk =
-            Walk::with_channel_recorder(src, machine, tune_in, channel, policy, R::default());
+            Walk::with_channel_recorder(src, machine, tune_in, air, policy, R::default());
         walk.set_fast_forward(self.ff);
         self.walk = Armed::Walk(walk);
     }
@@ -273,8 +275,9 @@ impl<'a, B: Broadcast + Sync, R: Recorder + Default + Send> QuerySlot for WalkSl
 /// (an i.i.d. [`crate::ErrorModel`] lifts into one with `errors.into()`,
 /// bit-identically — DESIGN.md decision 15) and a [`RetryPolicy`]. An
 /// implementation writes the three geometry getters, the direct walker
-/// and the two slot constructors; the lossless [`DynSystem::probe`] and
-/// the span-recording [`DynSystem::probe_recorded_channel`] are provided.
+/// and the slot constructor; the lossless [`DynSystem::probe`], the
+/// span-recording [`DynSystem::probe_recorded_channel`] and the plain
+/// [`DynSystem::make_slot_channel`] are provided.
 pub trait DynSystem: Send + Sync {
     /// Human-readable scheme name.
     fn scheme_name(&self) -> &'static str;
@@ -296,23 +299,24 @@ pub trait DynSystem: Send + Sync {
         policy: RetryPolicy,
     ) -> AccessOutcome;
 
-    /// Allocate a reusable client slot behind a [`ChannelModel`]. One slot
-    /// serves many sequential queries via [`QuerySlot::start`]; the
-    /// slab-based event engine keeps one per concurrent client instead of
-    /// boxing a walker per request.
+    /// Allocate a reusable client slot whose queries hear `air` and
+    /// recover under `policy`; an `observed` slot's queries record
+    /// per-phase spans, exposed via [`QuerySlot::spans`] after each
+    /// completion. One slot serves many sequential queries via
+    /// [`QuerySlot::start`]; the slab-based event engine keeps one per
+    /// concurrent client instead of boxing a walker per request, and hands
+    /// each its batch's shared memo ([`Air::Heard`]).
+    fn make_slot(&self, air: Air, policy: RetryPolicy, observed: bool) -> Box<dyn QuerySlot + '_>;
+
+    /// An unobserved [`DynSystem::make_slot`] that asks `channel` on every
+    /// read.
     fn make_slot_channel(
         &self,
         channel: ChannelModel,
         policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_>;
-
-    /// Allocate a reusable client slot whose queries record per-phase
-    /// spans, exposed via [`QuerySlot::spans`] after each completion.
-    fn make_slot_channel_observed(
-        &self,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_>;
+    ) -> Box<dyn QuerySlot + '_> {
+        self.make_slot(Air::Model(channel), policy, false)
+    }
 
     /// Run one complete query over a lossless channel.
     fn probe(&self, key: Key, tune_in: Ticks) -> AccessOutcome {
@@ -330,7 +334,7 @@ pub trait DynSystem: Send + Sync {
         channel: ChannelModel,
         policy: RetryPolicy,
     ) -> (AccessOutcome, PhaseSpans) {
-        let mut slot = self.make_slot_channel_observed(channel, policy);
+        let mut slot = self.make_slot(Air::Model(channel), policy, true);
         slot.set_fast_forward(true);
         slot.start(key, tune_in);
         loop {
@@ -369,20 +373,12 @@ where
         run_machine_with_channel(src, machine, tune_in, channel, policy)
     }
 
-    fn make_slot_channel(
-        &self,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(WalkSlot::<_, NoopRecorder>::new(self, channel, policy))
-    }
-
-    fn make_slot_channel_observed(
-        &self,
-        channel: ChannelModel,
-        policy: RetryPolicy,
-    ) -> Box<dyn QuerySlot + '_> {
-        Box::new(WalkSlot::<_, SpanRecorder>::new(self, channel, policy))
+    fn make_slot(&self, air: Air, policy: RetryPolicy, observed: bool) -> Box<dyn QuerySlot + '_> {
+        if observed {
+            Box::new(WalkSlot::<_, SpanRecorder>::new(self, air, policy))
+        } else {
+            Box::new(WalkSlot::<_, NoopRecorder>::new(self, air, policy))
+        }
     }
 }
 
@@ -472,7 +468,7 @@ mod tests {
         let dynsys: &dyn DynSystem = &sys;
         let air = ChannelModel::from(ErrorModel::new(0.2, 11));
         let policy = RetryPolicy::bounded(3);
-        let mut slot = dynsys.make_slot_channel_observed(air, policy);
+        let mut slot = dynsys.make_slot(air.into(), policy, true);
         assert!(slot.spans().is_none(), "unarmed slot has no spans");
         for key in [Key(0), Key(50), Key(55), Key(20)] {
             for t in [0u64, 123, 4096] {

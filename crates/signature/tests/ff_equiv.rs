@@ -209,7 +209,7 @@ fn run_versioned_walk<S: System>(
         src,
         machine,
         tune_in,
-        errors.into(),
+        ChannelModel::from(errors),
         policy,
         SpanRecorder::new(),
     );

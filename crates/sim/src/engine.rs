@@ -31,9 +31,18 @@
 //!   of `O(clients)`, and every batch is stepped together in one
 //!   cache-friendly sweep.
 //!
+//! Its clients also hear each transmission once per batch. What a client
+//! receives of a bucket is a pure function of the bucket's start instant,
+//! so over lossy air an engine keeps one [`Heard`] memo of the channel
+//! model's answers, emptied at the start of every batch, and every slot it
+//! makes reads its home carrier through it: the first client to read a
+//! transmission asks the model, and the others read its answer. The memo
+//! is exact, so outcomes are bit-identical to asking the model.
+//!
 //! The naive heap engine this replaces is preserved as
 //! [`reference::run_requests_reference_channel`] — the oracle the
-//! property suite checks the slab engine against.
+//! property suite checks the slab engine against. It, like the direct
+//! walker, asks the model on every read.
 //!
 //! An engine is built over the air its clients see — [`Engine::new`]
 //! (lossless) or [`Engine::with_channel`] (a [`ChannelModel`] and a
@@ -45,9 +54,11 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use bda_core::{
-    AccessOutcome, ChannelModel, DynSystem, Key, QuerySlot, RetryPolicy, Ticks, WalkStep,
+    AccessOutcome, Air, ChannelModel, DynSystem, Heard, Key, QuerySlot, RetryPolicy, Ticks,
+    WalkStep,
 };
 use bda_obs::{Completion, Gauge, MetricsHub, WindowSpec};
 
@@ -301,6 +312,11 @@ struct ClientMeta {
 /// only the instants still pending, so repeated rounds (the simulator's
 /// normal operation) reuse the arena and leave the heap where the first
 /// round left it.
+///
+/// Over lossy air the engine makes one [`Heard`] memo on its first batch
+/// and hands it to every slot it makes, so the clients of a batch hear
+/// each transmission once. Every batch starts with the memo emptied: what
+/// a batch costs does not depend on the batches before it.
 pub struct Engine<'a> {
     system: &'a dyn DynSystem,
     /// Slab of reusable client slots: created lazily on first use, then
@@ -313,8 +329,9 @@ pub struct Engine<'a> {
     stats: EngineStats,
     /// Per-transmission channel corruption every admitted client sees
     /// ([`ChannelModel::NONE`] for a perfect channel; i.i.d., burst, or
-    /// outage-scarred).
-    channel: ChannelModel,
+    /// outage-scarred): the model itself until the first batch over lossy
+    /// air, and from then on the memo of it the engine's slots share.
+    air: Air,
     /// Client-side recovery policy for corrupt reads.
     policy: RetryPolicy,
     /// Observability hub, when enabled: slots record per-walk phase spans,
@@ -364,7 +381,7 @@ impl<'a> Engine<'a> {
             in_flight: 0,
             sched: WakeupScheduler::default(),
             stats: EngineStats::default(),
-            channel,
+            air: Air::Model(channel),
             policy,
             obs: None,
             busy_since: None,
@@ -461,12 +478,11 @@ impl<'a> Engine<'a> {
             }
             None => {
                 let id = u32::try_from(self.slots.len()).expect("client population fits in u32");
-                self.slots.push(if self.obs.is_some() {
-                    self.system
-                        .make_slot_channel_observed(self.channel, self.policy)
-                } else {
-                    self.system.make_slot_channel(self.channel, self.policy)
-                });
+                self.slots.push(self.system.make_slot(
+                    self.air.clone(),
+                    self.policy,
+                    self.obs.is_some(),
+                ));
                 self.meta.push(ClientMeta {
                     arrival,
                     key,
@@ -598,6 +614,15 @@ impl<'a> Engine<'a> {
     /// returning outcomes **in request order**. Arrivals need not be
     /// sorted; simultaneous arrivals are fine.
     pub fn run_batch(&mut self, requests: &[(Ticks, Key)]) -> Vec<CompletedRequest> {
+        // The batch's clients share one memo of what they hear, made once
+        // and emptied here: a repeated batch costs what its first run did.
+        match &self.air {
+            Air::Heard(heard) => heard.clear(),
+            Air::Model(model) if !model.is_lossless() => {
+                self.air = Air::Heard(Arc::new(Heard::new(*model)));
+            }
+            Air::Model(_) => {}
+        }
         if self.occupied() == 0 {
             // Hand the idle arena out in id order, so the requests of a
             // time-ordered batch step the slab front to back.

@@ -60,10 +60,10 @@ impl<S: System> VersionedServer<S> {
         let mut records: Vec<Record> = dataset.records().to_vec();
         let mut stream = UpdateStream::new(spec);
         let mut version = 0u64;
-        let mut cur_sys = scheme.rebuild(&Dataset::new(records.clone())?, params, version)?;
+        let mut cur_sys = scheme.rebuild(dataset, params, version)?;
         let mut cur_start: Ticks = 0;
         let mut epochs: Vec<Epoch<S>> = Vec::new();
-        let mut datasets = vec![(version, Dataset::new(records.clone())?)];
+        let mut datasets = vec![(version, dataset.clone())];
         let mut t: Ticks = 0;
         for _ in 0..spec.horizon_cycles {
             // One full cycle of the current program goes on the air...
@@ -72,13 +72,16 @@ impl<S: System> VersionedServer<S> {
             let batch = stream.next_batch(&records);
             if UpdateStream::apply(&mut records, &batch) > 0 {
                 version += 1;
-                let next = scheme.rebuild(&Dataset::new(records.clone())?, params, version)?;
+                // One dataset per epoch: the program is cut from the
+                // snapshot kept for it.
+                let snapshot = Dataset::new(records.clone())?;
+                let next = scheme.rebuild(&snapshot, params, version)?;
                 epochs.push(Epoch {
                     system: std::mem::replace(&mut cur_sys, next),
                     start: cur_start,
                 });
                 cur_start = t;
-                datasets.push((version, Dataset::new(records.clone())?));
+                datasets.push((version, snapshot));
             }
         }
         epochs.push(Epoch {

@@ -59,7 +59,7 @@ pub fn replay_spans(
     channel: ChannelModel,
     policy: RetryPolicy,
 ) -> (AccessOutcome, Vec<SpanSegment>) {
-    let mut slot = system.make_slot_channel_observed(channel, policy);
+    let mut slot = system.make_slot(channel.into(), policy, true);
     slot.set_fast_forward(false);
     slot.start(key, arrival);
     let mut prev = PhaseSpans::new();

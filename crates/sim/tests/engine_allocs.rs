@@ -1,9 +1,14 @@
 //! A warmed engine allocates nothing per request: a second identical
-//! batch makes exactly one allocation, the vector of its results. Slots
-//! are re-armed in place, and the wake-up scheduler keeps the capacity of
-//! its map and heap from one batch to the next. The three signature
-//! schemes add one allocation per request of their own: each query's
-//! machine holds the query's signature on the heap.
+//! batch makes exactly one allocation of its own, the vector of its
+//! results, on lossless air and on `churn-lossy`'s burst and outage air
+//! alike. Slots are re-armed in place, the wake-up scheduler keeps the
+//! capacity of its map and heap from one batch to the next, and an engine
+//! makes its memo of what its clients hear once, on its first batch over
+//! lossy air. The walks allocate on their own: each signature query's
+//! machine holds the query's signature on the heap, and on lossy air a
+//! scan whose coverage gains a gap moves it into a bitmap. The test counts
+//! what the same walks allocate through one stand-alone slot and expects
+//! the engine to add exactly its result vector.
 //!
 //! The counting allocator below counts allocations for the whole test
 //! binary, so this file holds one test and prints nothing between its
@@ -12,7 +17,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-use bda_core::{Key, Params};
+use bda_core::{
+    BurstModel, ChannelModel, DynSystem, Key, OutageSchedule, Params, RetryPolicy, Ticks, WalkStep,
+};
 use bda_datagen::DatasetBuilder;
 use bda_sim::{Engine, SchemeKind};
 
@@ -48,6 +55,24 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Allocations made by `requests` run one after another through one
+/// stand-alone slot, with fast-forward on as in the engine: what the walks
+/// themselves allocate.
+fn walk_allocations(
+    sys: &dyn DynSystem,
+    requests: &[(Ticks, Key)],
+    (channel, policy): (ChannelModel, RetryPolicy),
+) -> usize {
+    let mut slot = sys.make_slot_channel(channel, policy);
+    slot.set_fast_forward(true);
+    let before = ALLOCS.load(Relaxed);
+    for &(t, key) in requests {
+        slot.start(key, t);
+        while !matches!(slot.step(), WalkStep::Done(_)) {}
+    }
+    ALLOCS.load(Relaxed) - before
+}
+
 #[test]
 fn a_warmed_engine_allocates_only_the_result_vector() {
     let (ds, _) = DatasetBuilder::new(500, 0xA110C)
@@ -55,9 +80,25 @@ fn a_warmed_engine_allocates_only_the_result_vector() {
         .unwrap();
     let keys: Vec<Key> = ds.keys().collect();
     let params = Params::paper();
+    // Lossless air, and `churn-lossy`'s: a Gilbert–Elliott chain with
+    // outage windows, recovered by bounded, capped and jittered back-off.
+    let airs = [
+        (ChannelModel::NONE, RetryPolicy::UNBOUNDED),
+        (
+            ChannelModel::burst(BurstModel::new(0.04, 0.20, 0.0, 0.9, 0xB57))
+                .with_outages(OutageSchedule::new(3_000, 300, 0x0A7)),
+            RetryPolicy::bounded(24)
+                .with_backoff_cap(8)
+                .with_jitter(0x117),
+        ),
+    ];
     // Sized up front: the measurements must not allocate between batches.
-    let mut counts = Vec::with_capacity(SchemeKind::ALL.len());
-    for kind in SchemeKind::ALL {
+    let mut counts = Vec::with_capacity(airs.len() * SchemeKind::ALL.len());
+    let mut ok = true;
+    for (kind, &(channel, policy)) in SchemeKind::ALL
+        .into_iter()
+        .flat_map(|k| airs.iter().map(move |a| (k, a)))
+    {
         let sys = kind.build(&ds, &params).unwrap();
         // Arrivals over eight cycles: clients overlap and wake at many
         // distinct instants.
@@ -74,19 +115,28 @@ fn a_warmed_engine_allocates_only_the_result_vector() {
                 | SchemeKind::IntegratedSignature
                 | SchemeKind::MultiLevelSignature
         );
-        let mut engine = Engine::new(sys.as_ref());
+        let scans = signatures || kind == SchemeKind::Flat;
+        let lossless = channel.is_lossless();
+        let walks = walk_allocations(sys.as_ref(), &requests, (channel, policy));
+        let mut engine = Engine::with_channel(sys.as_ref(), channel, policy);
         drop(engine.run_batch(&requests));
         let before = ALLOCS.load(Relaxed);
         let out = engine.run_batch(&requests);
         let allocs = ALLOCS.load(Relaxed) - before;
-        let expected = 1 + usize::from(signatures) * requests.len();
-        counts.push((kind.name(), allocs, expected));
+        // Each signature query's signature; on lossy air, coverage bitmaps
+        // besides.
+        let per_query = usize::from(signatures) * requests.len();
+        let walks_as_expected = if scans && !lossless {
+            walks >= per_query
+        } else {
+            walks == per_query
+        };
+        counts.push((kind.name(), lossless, allocs, walks));
+        ok &= allocs == 1 + walks && walks_as_expected;
         assert_eq!(out.len(), requests.len());
     }
     assert!(
-        counts
-            .iter()
-            .all(|&(_, allocs, expected)| allocs == expected),
-        "(scheme, allocations, expected) in a warmed engine's second batch: {counts:?}"
+        ok,
+        "(scheme, lossless air, a warmed engine's allocations, the walks' own): {counts:?}"
     );
 }
