@@ -135,6 +135,19 @@ impl Coverage {
         n
     }
 
+    /// Rule out the longest prefix of the `frames` frames of `frame_len`
+    /// records from `start` on that leaves coverage incomplete, a frame at
+    /// a time, and return how many frames that is — `frames` when their
+    /// records cannot complete it: [`Coverage::mark_prefix`] at frame
+    /// granularity, the coverage fold for a run of frame signatures. The
+    /// frame that would complete coverage is the one holding the record
+    /// whose marking would. `frame_len` must be positive.
+    pub fn mark_frames(&mut self, start: u32, frame_len: u32, frames: u32) -> u32 {
+        let n = self.stop_in(start, frame_len * frames) / frame_len;
+        self.mark_range(start, n * frame_len);
+        n
+    }
+
     /// The offset of the record in `[start, start + len)` whose marking
     /// would complete coverage, or `len` (see [`Coverage::mark_prefix`]).
     fn stop_in(&self, start: u32, len: u32) -> u32 {
@@ -380,6 +393,35 @@ mod tests {
         assert_eq!(c.bits.as_ptr(), bitmap, "the bitmap is reused");
         assert_eq!(c.covered(), 65);
         assert!(c.is_marked(100) && !c.is_marked(64));
+    }
+
+    #[test]
+    fn frames_stop_before_the_frame_that_would_complete_coverage() {
+        // Records 0..24 in frames of 4; record 13 is already out.
+        let mut c = Coverage::new(24);
+        c.mark(13);
+        assert_eq!(c.mark_frames(4, 4, 3), 3, "frames 1..4 leave 0..4 open");
+        assert_eq!(c.covered(), 12);
+        assert_eq!(c.mark_frames(16, 4, 2), 2);
+        // Frame 0 holds the last open records: it would complete coverage.
+        assert_eq!(c.mark_frames(0, 4, 1), 0);
+        assert_eq!(c.covered(), 20);
+        assert!(c.would_fill_range(0, 4));
+        // A cyclic run (8..24, then 0..3) stops at the frame holding the
+        // last open record; so does a set spilled into the bitmap.
+        let mut d = Coverage::new(24);
+        d.mark_range(0, 3);
+        d.mark_range(8, 16);
+        assert_eq!(d.mark_frames(0, 4, 2), 1, "record 7 is in frame 1");
+        assert_eq!(d.covered(), 20);
+        assert_eq!(d.mark_frames(4, 4, 0), 0);
+        let mut e = Coverage::new(24);
+        e.mark_range(0, 3);
+        e.mark(10);
+        e.mark_range(12, 12);
+        assert!(e.spilled);
+        assert_eq!(e.mark_frames(0, 4, 3), 2, "record 11 is in frame 2");
+        assert_eq!(e.covered(), 21);
     }
 
     #[test]

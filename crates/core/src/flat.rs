@@ -215,7 +215,7 @@ impl ProtocolMachine<FlatPayload> for FlatMachine {
                     .coverage
                     .mark_each(ahead.iter().map(|b| b.payload.record_index)),
             };
-            ctx.commit(n, 1, crate::BucketKind::Data);
+            ctx.commit(n, 1, &[crate::BucketKind::Data]);
             if n < clean || run.is_empty() || (clean < run.len() && !ctx.retry(self)) {
                 return;
             }

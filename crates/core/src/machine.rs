@@ -372,44 +372,74 @@ impl<'a, P> FastForward<'a, P> {
     }
 
     /// Consume the run's first `n` buckets as `n / stride` groups of
-    /// `stride`: each group is one read of the given kind followed by a
-    /// doze (radio off) over the group's other `stride − 1` buckets —
-    /// `stride = 1` for back-to-back reads, `2` for a signature read and
-    /// the data bucket it rules out, `1 + frame` for a frame signature and
-    /// its frame. Clock, tuning and probes advance exactly as the slow
-    /// path's reads and `DozeTo` actions would, and (when observed) each
-    /// group attributes one span of the matching read phase and, for
-    /// `stride > 1`, one `Doze` span.
+    /// `stride`: each group is one read followed by a doze (radio off)
+    /// over the group's other `stride − 1` buckets — `stride = 1` for
+    /// back-to-back reads, `2` for a signature read and the data bucket it
+    /// rules out, `1 + frame` for a frame signature and its frame. The
+    /// groups' reads take the `kinds` in turn: one kind for them all, or,
+    /// with `stride = 1`, two kinds alternating (a multi-level alignment
+    /// run's record signatures and data buckets). Clock, tuning and probes
+    /// advance exactly as the slow path's reads and `DozeTo` actions
+    /// would, and (when observed) each group attributes one span of its
+    /// read's phase and, for `stride > 1`, one `Doze` span.
     ///
     /// O(1): the run's bytes come from the channel's prefix sums. With
-    /// several groups the run must repeat with period `stride` (every
-    /// read the size of the first), as the signature layouts do.
-    pub fn commit(&mut self, n: usize, stride: usize, kind: BucketKind) {
+    /// several groups the run must repeat with period `stride` times the
+    /// number of kinds (every read the size of the read a period earlier),
+    /// as the signature layouts do.
+    pub fn commit(&mut self, n: usize, stride: usize, kinds: &[BucketKind]) {
         if n == 0 {
             return;
         }
         debug_assert!(n <= self.run().len(), "fast-forward past the run");
         debug_assert_eq!(n % stride, 0, "a group is a read and its doze");
+        debug_assert!(
+            kinds.len() == 1 || (kinds.len() == 2 && stride == 1),
+            "one kind, or two alternating back-to-back reads"
+        );
         let groups = n / stride;
         let last = self.idx + n - 1;
         let bytes = self.ch.end_of(last) - self.ch.start_of(self.idx);
-        let read = Ticks::from(self.ch.bucket(self.idx).size);
+        let size = |i: usize| Ticks::from(self.ch.bucket(i).size);
+        let period = stride * kinds.len();
         debug_assert!(
-            stride == 1
+            (stride == 1 && kinds.len() == 1)
                 || (self.idx..=last)
                     .step_by(stride)
-                    .all(|i| Ticks::from(self.ch.bucket(i).size) == read),
-            "a multi-group run must repeat with period `stride`"
+                    .all(|i| i < self.idx + period || size(i) == size(i - period)),
+            "a multi-group run must repeat with period `stride` × kinds"
         );
         let read_bytes = if stride == 1 {
             bytes
         } else {
-            groups as Ticks * read
+            groups as Ticks * size(self.idx)
         };
         // Identical to the slow path: the first read listens from `now`
         // through its bucket's end (any partial tail counts as tuning).
         let listened = self.start - self.now + read_bytes;
         self.tuning += listened;
+        if let Some(spans) = self.spans.as_mut() {
+            let phase = |kind: &BucketKind| match kind {
+                BucketKind::Index => Phase::IndexTraversal,
+                BucketKind::Data => Phase::DataRead,
+            };
+            match kinds {
+                [kind] => spans.add_n(phase(kind), groups as u64, listened, listened),
+                [first, second] => {
+                    // The first kind reads the even groups, the first with
+                    // the partial tail.
+                    let evens = groups.div_ceil(2);
+                    let heard = self.start - self.now + evens as Ticks * size(self.idx);
+                    spans.add_n(phase(first), evens as u64, heard, heard);
+                    let odds = (groups / 2) as u64;
+                    spans.add_n(phase(second), odds, listened - heard, listened - heard);
+                }
+                _ => unreachable!("one or two read kinds"),
+            }
+            if stride > 1 {
+                spans.add_n(Phase::Doze, groups as u64, bytes - read_bytes, 0);
+            }
+        }
         self.start += bytes;
         self.now = self.start;
         self.probes += groups as u32;
@@ -418,16 +448,6 @@ impl<'a, P> FastForward<'a, P> {
         self.idx = (last + 1) % self.ch.num_buckets();
         // Clean reads, so the outage streak resets, as on the slow path.
         self.retries.outage_streak = 0;
-        if let Some(spans) = self.spans.as_mut() {
-            let phase = match kind {
-                BucketKind::Index => Phase::IndexTraversal,
-                BucketKind::Data => Phase::DataRead,
-            };
-            spans.add_n(phase, groups as u64, listened, listened);
-            if stride > 1 {
-                spans.add_n(Phase::Doze, groups as u64, bytes - read_bytes, 0);
-            }
-        }
     }
 
     /// Recover from the corrupted read at the cursor exactly as the slow
@@ -1574,7 +1594,7 @@ pub(crate) mod tests {
                     .position(|b| b.payload == self.target)
                     .unwrap_or(clean);
                 self.seen += n as u32;
-                ctx.commit(n, 1, BucketKind::Data);
+                ctx.commit(n, 1, &[BucketKind::Data]);
                 if n < clean || run.is_empty() || (clean < run.len() && !ctx.retry(self)) {
                     return;
                 }
@@ -1751,7 +1771,7 @@ pub(crate) mod tests {
                 loop {
                     let run = ctx.run();
                     let n = ctx.clean(run.len(), 1);
-                    ctx.commit(n, 1, BucketKind::Data);
+                    ctx.commit(n, 1, &[BucketKind::Data]);
                     if n == 0 || n < run.len() {
                         return;
                     }

@@ -8,7 +8,7 @@
 //! (length, initial, category, a 64-bit content hash) that signature
 //! indexing superimposes into record signatures.
 
-use crate::rng::{mix64, Prng};
+use crate::rng::{distinct_sorted, mix64, Prng};
 
 /// A deterministic synthetic dictionary.
 #[derive(Debug, Clone)]
@@ -40,7 +40,7 @@ fn synth_word(ordinal: u64) -> String {
         v
     };
     let syllables = 2 + take(2); // 2..=3 syllables
-    let mut w = String::new();
+    let mut w = String::with_capacity(32); // 3 × 7 letters and the suffix
     for _ in 0..syllables {
         w.push_str(ONSETS[take(ONSETS.len())]);
         w.push_str(NUCLEI[take(NUCLEI.len())]);
@@ -63,23 +63,18 @@ impl Dictionary {
     /// Generate `n` distinct words, sorted lexicographically, from `seed`.
     pub fn generate(n: usize, seed: u64) -> Self {
         let mut rng = Prng::new(seed ^ 0xD1C7);
-        let mut seen = std::collections::HashSet::with_capacity(n);
-        let mut words = Vec::with_capacity(n);
         let mut ord = rng.below(1 << 16);
-        while words.len() < n {
+        // The base-26 ordinal suffix makes cross-ordinal collisions
+        // essentially impossible, but a repeat is drawn past anyway so
+        // `len() == n` holds unconditionally.
+        let words = distinct_sorted(n, || {
             let w = synth_word(ord);
-            // The base-26 ordinal suffix makes cross-ordinal collisions
-            // essentially impossible, but guard anyway so `len() == n`
-            // holds unconditionally.
-            if seen.insert(w.clone()) {
-                words.push(w);
-            }
             // Stride through ordinal space pseudo-randomly. The small
             // stride keeps ordinals (and hence base-26 suffixes) short so
             // words stay within a 25-byte key.
             ord = ord.wrapping_add(1 + rng.below(48));
-        }
-        words.sort_unstable();
+            w
+        });
         Dictionary { words }
     }
 

@@ -3,7 +3,7 @@
 use bda_core::{Dataset, Key, Record, Result};
 
 use crate::dictionary::Dictionary;
-use crate::rng::Prng;
+use crate::rng::{distinct_sorted, Prng};
 
 /// Builds key-sorted datasets that mimic the paper's dictionary database.
 ///
@@ -67,10 +67,7 @@ impl DatasetBuilder {
         // Distinct pseudo-random keys for the broadcast records. Keys are
         // unrestricted 64-bit values so modulo-style hash functions see the
         // same residue distribution a real key attribute would.
-        let mut keys = std::collections::BTreeSet::new();
-        while keys.len() < self.num_records {
-            keys.insert(key_rng.next_u64());
-        }
+        let keys = distinct_sorted(self.num_records, || key_rng.next_u64());
 
         let records = keys
             .iter()
@@ -94,7 +91,7 @@ impl DatasetBuilder {
         let mut pool_seen = std::collections::HashSet::new();
         while pool.len() < absent {
             let k = key_rng.next_u64();
-            if !keys.contains(&k) && pool_seen.insert(k) {
+            if keys.binary_search(&k).is_err() && pool_seen.insert(k) {
                 pool.push(Key(k));
             }
         }

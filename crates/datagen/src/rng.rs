@@ -18,6 +18,25 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The first `n` distinct values a draw sequence yields, sorted — what a
+/// loop that draws until it holds `n` distinct values returns. Draws `n`
+/// values and sorts them; only when two are equal does it go on drawing,
+/// one value at a time, until `n` are distinct. Either way `draw` runs
+/// exactly as often as in that loop, so a generator it advances is left
+/// where the loop leaves it.
+pub(crate) fn distinct_sorted<T: Ord>(n: usize, mut draw: impl FnMut() -> T) -> Vec<T> {
+    let mut values: Vec<T> = (0..n).map(|_| draw()).collect();
+    values.sort_unstable();
+    if values.windows(2).all(|w| w[0] != w[1]) {
+        return values;
+    }
+    let mut distinct: std::collections::BTreeSet<T> = values.into_iter().collect();
+    while distinct.len() < n {
+        distinct.insert(draw());
+    }
+    distinct.into_iter().collect()
+}
+
 /// Stateless mix of a single value through one SplitMix64 round — handy for
 /// turning ids into well-distributed 64-bit hashes.
 #[inline]
@@ -208,6 +227,23 @@ mod tests {
         let mut b = a.fork();
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);
+    }
+
+    #[test]
+    fn distinct_sorted_draws_past_repeats_as_the_loop_does() {
+        // The loop keeps 5, 3, 9, 1 and stops after six draws.
+        let mut seq = [5, 3, 5, 9, 3, 1, 7, 8].into_iter();
+        let mut draws = 0;
+        let values = distinct_sorted(4, || {
+            draws += 1;
+            seq.next().unwrap()
+        });
+        assert_eq!((values, draws), (vec![1, 3, 5, 9], 6));
+        // Without a repeat it draws `n` values.
+        let mut seq = [4, 2, 6].into_iter();
+        assert_eq!(distinct_sorted(3, || seq.next().unwrap()), vec![2, 4, 6]);
+        assert_eq!(seq.next(), None);
+        assert!(distinct_sorted(0, || -> u64 { unreachable!() }).is_empty());
     }
 
     #[test]

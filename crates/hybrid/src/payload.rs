@@ -111,5 +111,8 @@ mod tests {
             next_sig_after_data: 44,
         };
         assert_eq!(sig.next_sig_delta(), 44);
+        // The signature lives inline at the paper's width.
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<HybridPayload>(), 96);
     }
 }

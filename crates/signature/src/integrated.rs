@@ -68,8 +68,9 @@ impl Scheme for IntegratedSignatureScheme {
         params.validate()?;
         let sig_size = params.header_size + self.sig.sig_bytes;
         let data_size = params.data_bucket_size();
-        let mut buckets = Vec::new();
-        let mut group_sigs = Vec::new();
+        let frames = dataset.len().div_ceil(self.group_len as usize);
+        let mut buckets = Vec::with_capacity(frames + dataset.len());
+        let mut group_sigs = Vec::with_capacity(frames);
         for (g, frame) in dataset
             .records()
             .chunks(self.group_len as usize)
@@ -79,15 +80,15 @@ impl Scheme for IntegratedSignatureScheme {
             for r in frame {
                 sig.superimpose(&self.sig.record_signature(r.key, &r.attrs));
             }
-            group_sigs.push(sig.clone());
             buckets.push(Bucket::new(
                 sig_size,
                 SigPayload::GroupSig {
-                    sig,
+                    weight: sig.weight(),
                     first_record: (g * self.group_len as usize) as u32,
                     group_len: frame.len() as u32,
                 },
             ));
+            group_sigs.push(sig);
             for (j, r) in frame.iter().enumerate() {
                 buckets.push(Bucket::new(
                     data_size,
@@ -135,6 +136,7 @@ impl System for IntegratedSystem {
             in_group: 0,
             group_matched: false,
             coverage: Coverage::new(self.num_records),
+            num_records: self.num_records,
             frame_len: self.group_len,
             table: Arc::clone(&self.table),
         }
@@ -157,11 +159,24 @@ pub struct IntegratedMachine {
     group_matched: bool,
     /// Records ruled out so far; absence is concluded at full coverage.
     coverage: Coverage,
+    /// Records in the program: every frame but the last holds
+    /// `frame_len`, the last the rest.
+    num_records: u32,
     /// Nominal frame width: frame `g` starts at record `g * frame_len`, so
     /// a `GroupSig`'s table row is `first_record / frame_len`.
     frame_len: u32,
-    /// The broadcast's frame signatures, shared with the system.
+    /// The broadcast's frame signatures, shared with the system: row `g`
+    /// is the signature frame `g`'s `GroupSig` bucket airs.
     table: Arc<SigTable>,
+}
+
+impl IntegratedMachine {
+    /// One past the last record of the frame holding record `r`.
+    fn frame_end(&self, r: u32) -> u32 {
+        (r / self.frame_len + 1)
+            .saturating_mul(self.frame_len)
+            .min(self.num_records)
+    }
 }
 
 impl ProtocolMachine<SigPayload> for IntegratedMachine {
@@ -193,11 +208,12 @@ impl ProtocolMachine<SigPayload> for IntegratedMachine {
     fn on_bucket(&mut self, payload: &SigPayload, meta: BucketMeta) -> Action {
         match payload {
             SigPayload::GroupSig {
-                sig,
                 first_record,
                 group_len,
+                ..
             } => {
-                if sig.matches(&self.query) {
+                let g = (*first_record / self.frame_len) as usize;
+                if self.table.matches(g, &self.query) {
                     self.in_group = *group_len;
                     self.group_matched = true;
                     Action::ReadNext
@@ -245,12 +261,20 @@ impl ProtocolMachine<SigPayload> for IntegratedMachine {
         }
     }
 
-    /// Bulk-consume the frame sift: a non-matching frame signature is a
-    /// mark-range and frame-length doze, committed in one O(1) step, and
-    /// even a false-dropping frame —
-    /// its signature matched, so every data bucket gets downloaded — is a
-    /// mechanical run of count-and-mark reads. A corrupted read is
-    /// recovered in place. Stop only on a genuine decision point — the
+    /// Bulk-consume the frame sift a run at a time. From a frame
+    /// signature, take the whole frames ahead: find the first corrupted
+    /// frame signature, then the first matching one before it (one pass
+    /// over the frame table), then the frame whose range would complete
+    /// coverage before that, and commit the frames ahead of the first of
+    /// them as signature reads each followed by a frame-length doze. A
+    /// matching frame's signature is a one-bucket step, and its data
+    /// buckets — false drops — are a run of reads, as are the alignment
+    /// reads up to the next frame signature after tune-in or a corrupted
+    /// read: find the first corrupted read, the target key before it (the
+    /// frame's keys ascend) and the coverage stop before that, and commit
+    /// the reads ahead of them. A corrupted read is recovered in place. The
+    /// cycle's last frame, when shorter, and a frame the run cuts are
+    /// taken one at a time. Stop only on a genuine decision point — the
     /// target's data bucket, the read that would complete coverage, a
     /// give-up, or the end of the run — and leave that bucket to the slow
     /// path.
@@ -258,55 +282,103 @@ impl ProtocolMachine<SigPayload> for IntegratedMachine {
         use bda_core::BucketKind::{Data, Index};
         loop {
             let run = ctx.run();
-            let Some(bucket) = run.first() else { return };
-            if ctx.clean(1, 1) == 0 {
-                if !ctx.retry(self) {
-                    return;
-                }
-                continue;
-            }
-            match &bucket.payload {
-                SigPayload::GroupSig {
+            match run.first().map(|b| &b.payload) {
+                Some(&SigPayload::GroupSig {
                     first_record,
                     group_len,
                     ..
-                } => {
-                    let (first, len) = (*first_record, *group_len);
-                    let g = (first / self.frame_len) as usize;
+                }) => {
+                    let g = (first_record / self.frame_len) as usize;
+                    let stride = 1 + self.frame_len as usize;
+                    // The whole frames ahead: a run ends at the cycle's end,
+                    // so the cycle's last frame, when shorter, never fills
+                    // a stride of its own.
+                    let frames = run.len() / stride;
+                    if frames > 0 {
+                        let clean = ctx.clean(frames * stride, stride) / stride;
+                        let hit = self
+                            .table
+                            .first_match(g..g + clean, &self.query)
+                            .map_or(clean, |h| h - g);
+                        let n = self
+                            .coverage
+                            .mark_frames(first_record, self.frame_len, hit as u32)
+                            as usize;
+                        ctx.commit(n * stride, stride, &[Index]);
+                        if n < hit {
+                            return;
+                        }
+                        if hit < clean {
+                            self.in_group = self.frame_len;
+                            self.group_matched = true;
+                            ctx.commit(1, 1, &[Index]);
+                        } else if clean < frames && !ctx.retry(self) {
+                            return;
+                        }
+                        continue;
+                    }
+                    if ctx.clean(1, 1) == 0 {
+                        if !ctx.retry(self) {
+                            return;
+                        }
+                        continue;
+                    }
                     let hit = self.table.matches(g, &self.query);
-                    let frame = 1 + len as usize;
-                    if !hit && (frame > run.len() || self.coverage.would_fill_range(first, len)) {
+                    let frame = 1 + group_len as usize;
+                    if !hit
+                        && (frame > run.len()
+                            || self.coverage.would_fill_range(first_record, group_len))
+                    {
                         return;
                     }
                     if hit {
-                        self.in_group = len;
+                        self.in_group = group_len;
                         self.group_matched = true;
-                        ctx.commit(1, 1, Index);
+                        ctx.commit(1, 1, &[Index]);
                     } else {
-                        self.coverage.mark_range(first, len);
-                        ctx.commit(frame, frame, Index);
+                        self.coverage.mark_range(first_record, group_len);
+                        ctx.commit(frame, frame, &[Index]);
                     }
                 }
-                SigPayload::Data {
-                    key, record_index, ..
-                } => {
-                    let r = *record_index;
-                    if *key == self.key || self.coverage.would_fill(r) {
+                Some(&SigPayload::Data { record_index, .. }) => {
+                    // The data buckets up to the next frame signature.
+                    let len =
+                        ((self.frame_end(record_index) - record_index) as usize).min(run.len());
+                    debug_assert!(
+                        !self.group_matched
+                            || self.in_group == self.frame_end(record_index) - record_index,
+                        "a matched frame's count is its data buckets left"
+                    );
+                    let clean = ctx.clean(len, 1);
+                    let readable = &run[..clean];
+                    let at = readable.partition_point(|b| data_key(b) < self.key);
+                    let hit = match readable.get(at) {
+                        Some(b) if data_key(b) == self.key => at,
+                        _ => clean,
+                    };
+                    let n = self.coverage.mark_prefix(record_index, hit as u32);
+                    if self.group_matched {
+                        // Each read of a matched frame is a false drop.
+                        self.in_group -= n;
+                        self.false_drops += n;
+                        self.group_matched = self.in_group > 0;
+                    }
+                    ctx.commit(n as usize, 1, &[Data]);
+                    if (n as usize) < clean || (clean < len && !ctx.retry(self)) {
                         return;
                     }
-                    if self.group_matched {
-                        self.in_group -= 1;
-                        self.false_drops += 1;
-                        if self.in_group == 0 {
-                            self.group_matched = false;
-                        }
-                    }
-                    self.coverage.mark(r);
-                    ctx.commit(1, 1, Data);
                 }
                 _ => return,
             }
         }
+    }
+}
+
+/// The key of a `Data` bucket (a frame's data buckets hold nothing else).
+fn data_key(b: &Bucket<SigPayload>) -> Key {
+    match b.payload {
+        SigPayload::Data { key, .. } => key,
+        _ => unreachable!("a frame's data run holds data buckets"),
     }
 }
 
@@ -342,6 +414,46 @@ mod tests {
             })
             .collect();
         assert_eq!(lens, vec![8, 8, 4]);
+    }
+
+    #[test]
+    fn the_table_holds_each_frame_signature_and_its_bucket_the_weight() {
+        let d = ds(20);
+        let p = Params::paper();
+        for sigp in [
+            SigParams::default(),
+            SigParams {
+                sig_bytes: 32,
+                bits_per_attr: 6,
+            },
+        ] {
+            let sys = IntegratedSignatureScheme::new(8)
+                .with_params(sigp)
+                .build(&d, &p)
+                .unwrap();
+            let frames = sys
+                .channel()
+                .buckets()
+                .iter()
+                .filter_map(|b| match b.payload {
+                    SigPayload::GroupSig {
+                        weight,
+                        first_record,
+                        group_len,
+                    } => Some((b.payload.to_string(), weight, first_record, group_len)),
+                    _ => None,
+                });
+            for (g, (line, weight, first, len)) in frames.enumerate() {
+                let mut sig = Signature::zero(sigp.bits());
+                for r in &d.records()[first as usize..(first + len) as usize] {
+                    sig.superimpose(&sigp.record_signature(r.key, &r.attrs));
+                }
+                assert_eq!(sys.table.row(g), sig, "frame {g}");
+                assert_eq!(weight, sig.weight());
+                assert_eq!(line, format!("gsig  frame of {len} weight={weight}"));
+            }
+            assert_eq!(sys.table.len(), 3);
+        }
     }
 
     #[test]

@@ -71,46 +71,48 @@ impl Scheme for MultiLevelSignatureScheme {
         params.validate()?;
         let sig_size = params.header_size + self.sig.sig_bytes;
         let data_size = params.data_bucket_size();
-        let mut buckets = Vec::new();
-        let mut group_sigs = Vec::new();
-        let mut all_record_sigs = Vec::with_capacity(dataset.len());
+        let frames = dataset.len().div_ceil(self.group_len as usize);
+        let mut buckets = Vec::with_capacity(frames + 2 * dataset.len());
+        let mut group_sigs = Vec::with_capacity(frames);
+        let mut record_sigs = Vec::with_capacity(dataset.len());
         for (g, frame) in dataset
             .records()
             .chunks(self.group_len as usize)
             .enumerate()
         {
+            let first_record = g * self.group_len as usize;
             let mut group_sig = Signature::zero(self.sig.bits());
-            let record_sigs: Vec<Signature> = frame
-                .iter()
-                .map(|r| self.sig.record_signature(r.key, &r.attrs))
-                .collect();
-            for s in &record_sigs {
+            record_sigs.extend(
+                frame
+                    .iter()
+                    .map(|r| self.sig.record_signature(r.key, &r.attrs)),
+            );
+            for s in &record_sigs[first_record..] {
                 group_sig.superimpose(s);
             }
-            group_sigs.push(group_sig.clone());
-            all_record_sigs.extend(record_sigs.iter().cloned());
             buckets.push(Bucket::new(
                 sig_size,
                 SigPayload::GroupSig {
-                    sig: group_sig,
-                    first_record: (g * self.group_len as usize) as u32,
+                    weight: group_sig.weight(),
+                    first_record: first_record as u32,
                     group_len: frame.len() as u32,
                 },
             ));
-            for (j, (r, s)) in frame.iter().zip(record_sigs).enumerate() {
-                let record_index = (g * self.group_len as usize + j) as u32;
+            group_sigs.push(group_sig);
+            for (j, r) in frame.iter().enumerate() {
+                let record_index = first_record + j;
                 buckets.push(Bucket::new(
                     sig_size,
                     SigPayload::RecordSig {
-                        sig: s,
-                        record_index,
+                        weight: record_sigs[record_index].weight(),
+                        record_index: record_index as u32,
                     },
                 ));
                 buckets.push(Bucket::new(
                     data_size,
                     SigPayload::Data {
                         key: r.key,
-                        record_index,
+                        record_index: record_index as u32,
                         attrs: r.attrs.clone(),
                     },
                 ));
@@ -124,7 +126,7 @@ impl Scheme for MultiLevelSignatureScheme {
             sig_size: Ticks::from(sig_size),
             group_len: self.group_len,
             groups: Arc::new(SigTable::build(&group_sigs)),
-            records: Arc::new(SigTable::build(&all_record_sigs)),
+            records: Arc::new(SigTable::build(&record_sigs)),
         })
     }
 }
@@ -156,6 +158,7 @@ impl System for MultiLevelSystem {
             scanning: false,
             checking_data: false,
             coverage: Coverage::new(self.num_records),
+            num_records: self.num_records,
             frame_len: self.group_len,
             groups: Arc::clone(&self.groups),
             records: Arc::clone(&self.records),
@@ -179,16 +182,28 @@ pub struct MultiLevelMachine {
     checking_data: bool,
     /// Records ruled out so far; absence is concluded at full coverage.
     coverage: Coverage,
+    /// Records in the program: every frame but the last holds
+    /// `frame_len`, the last the rest.
+    num_records: u32,
     /// Nominal frame width: frame `g` starts at record `g * frame_len`, so
     /// a `GroupSig`'s table row is `first_record / frame_len`.
     frame_len: u32,
-    /// The broadcast's frame signatures, shared with the system.
+    /// The broadcast's frame signatures, shared with the system: row `g`
+    /// is the signature frame `g`'s `GroupSig` bucket airs.
     groups: Arc<SigTable>,
-    /// The broadcast's record signatures, shared with the system.
+    /// The broadcast's record signatures, shared with the system: row `r`
+    /// is the signature record `r`'s `RecordSig` bucket airs.
     records: Arc<SigTable>,
 }
 
 impl MultiLevelMachine {
+    /// One past the last record of the frame holding record `r`.
+    fn frame_end(&self, r: u32) -> u32 {
+        (r / self.frame_len + 1)
+            .saturating_mul(self.frame_len)
+            .min(self.num_records)
+    }
+
     fn finish_or_continue(&mut self) -> Action {
         if self.in_group == 0 {
             self.scanning = false;
@@ -232,11 +247,12 @@ impl ProtocolMachine<SigPayload> for MultiLevelMachine {
     fn on_bucket(&mut self, payload: &SigPayload, meta: BucketMeta) -> Action {
         match payload {
             SigPayload::GroupSig {
-                sig,
                 first_record,
                 group_len,
+                ..
             } => {
-                if sig.matches(&self.query) {
+                let g = (*first_record / self.frame_len) as usize;
+                if self.groups.matches(g, &self.query) {
                     self.in_group = *group_len;
                     self.scanning = true;
                     Action::ReadNext
@@ -253,13 +269,13 @@ impl ProtocolMachine<SigPayload> for MultiLevelMachine {
                     }
                 }
             }
-            SigPayload::RecordSig { sig, record_index } => {
+            SigPayload::RecordSig { record_index, .. } => {
                 if !self.scanning {
                     // Alignment read after tune-in mid-frame.
                     return Action::ReadNext;
                 }
                 self.in_group -= 1;
-                if sig.matches(&self.query) {
+                if self.records.matches(*record_index as usize, &self.query) {
                     self.checking_data = true;
                     Action::ReadNext
                 } else {
@@ -292,14 +308,25 @@ impl ProtocolMachine<SigPayload> for MultiLevelMachine {
         }
     }
 
-    /// Bulk-consume both granularities of the sift: non-matching frame
-    /// signatures are skipped whole (frame-length doze over `group_len`
-    /// record-signature/data pairs, committed in one O(1) step); inside a
-    /// matched frame, non-matching
-    /// record signatures are skipped record by record, and even a false
-    /// drop — record signature matched, data bucket downloaded — is a
-    /// mechanical count-and-mark sequence, and a corrupted read is
-    /// recovered in place. Stop only on a genuine decision point — the
+    /// Bulk-consume both granularities of the sift a run at a time. From
+    /// a frame signature, take the whole frames ahead: find the first
+    /// corrupted frame signature, then the first matching one before it
+    /// (one pass over the frame table), then the frame whose range would
+    /// complete coverage before that, and commit the frames ahead of the
+    /// first of them as signature reads each followed by a doze over the
+    /// frame's record-signature/data pairs. Inside a matched frame, take
+    /// its pairs as the simple planner does: one pass over the record
+    /// table finds the first matching record signature, and the pairs
+    /// ahead of it, the coverage stop and the first corrupted signature
+    /// are committed as signature reads each followed by a one-bucket
+    /// doze; a matching record signature and its data bucket — a false
+    /// drop's download — are one-bucket steps. After tune-in or a
+    /// corrupted read every bucket up to the next frame signature is read
+    /// (record signature, data, record signature, …): that alignment run
+    /// is committed at once, up to the target key, the coverage stop or
+    /// the first corrupted read. A corrupted read is recovered in place.
+    /// The cycle's last frame, when shorter, and a frame the run cuts are
+    /// taken one at a time. Stop only on a genuine decision point — the
     /// target's data bucket, the read that would complete coverage, a
     /// give-up, or the end of the run — and leave that bucket to the slow
     /// path.
@@ -307,73 +334,145 @@ impl ProtocolMachine<SigPayload> for MultiLevelMachine {
         use bda_core::BucketKind::{Data, Index};
         loop {
             let run = ctx.run();
-            let Some(bucket) = run.first() else { return };
-            if ctx.clean(1, 1) == 0 {
-                if !ctx.retry(self) {
-                    return;
-                }
-                continue;
-            }
-            match &bucket.payload {
-                SigPayload::GroupSig {
+            match run.first().map(|b| &b.payload) {
+                Some(&SigPayload::GroupSig {
                     first_record,
                     group_len,
                     ..
-                } => {
-                    let (first, len) = (*first_record, *group_len);
-                    let g = (first / self.frame_len) as usize;
-                    let hit = self.groups.matches(g, &self.query);
-                    let frame = 1 + 2 * len as usize;
-                    if !hit && (frame > run.len() || self.coverage.would_fill_range(first, len)) {
-                        return;
-                    }
-                    if hit {
-                        self.in_group = len;
-                        self.scanning = true;
-                        ctx.commit(1, 1, Index);
-                    } else {
-                        self.coverage.mark_range(first, len);
-                        ctx.commit(frame, frame, Index);
-                    }
-                }
-                SigPayload::RecordSig { record_index, .. } if !self.checking_data => {
-                    if !self.scanning {
-                        // Alignment read after tune-in mid-frame.
-                        ctx.commit(1, 1, Index);
+                }) => {
+                    let g = (first_record / self.frame_len) as usize;
+                    let stride = 1 + 2 * self.frame_len as usize;
+                    // The whole frames ahead: a run ends at the cycle's end,
+                    // so the cycle's last frame, when shorter, never fills
+                    // a stride of its own.
+                    let frames = run.len() / stride;
+                    if frames > 0 {
+                        let clean = ctx.clean(frames * stride, stride) / stride;
+                        let hit = self
+                            .groups
+                            .first_match(g..g + clean, &self.query)
+                            .map_or(clean, |h| h - g);
+                        let n = self
+                            .coverage
+                            .mark_frames(first_record, self.frame_len, hit as u32)
+                            as usize;
+                        ctx.commit(n * stride, stride, &[Index]);
+                        if n < hit {
+                            return;
+                        }
+                        if hit < clean {
+                            self.in_group = self.frame_len;
+                            self.scanning = true;
+                            ctx.commit(1, 1, &[Index]);
+                        } else if clean < frames && !ctx.retry(self) {
+                            return;
+                        }
                         continue;
                     }
-                    let r = *record_index;
-                    let hit = self.records.matches(r as usize, &self.query);
-                    if !hit && (run.len() < 2 || self.coverage.would_fill(r)) {
+                    if ctx.clean(1, 1) == 0 {
+                        if !ctx.retry(self) {
+                            return;
+                        }
+                        continue;
+                    }
+                    let hit = self.groups.matches(g, &self.query);
+                    let frame = 1 + 2 * group_len as usize;
+                    if !hit
+                        && (frame > run.len()
+                            || self.coverage.would_fill_range(first_record, group_len))
+                    {
                         return;
                     }
-                    self.in_group -= 1;
                     if hit {
-                        self.checking_data = true;
-                        ctx.commit(1, 1, Index);
+                        self.in_group = group_len;
+                        self.scanning = true;
+                        ctx.commit(1, 1, &[Index]);
                     } else {
-                        self.coverage.mark(r);
-                        if self.in_group == 0 {
-                            self.scanning = false;
-                        }
-                        ctx.commit(2, 2, Index);
+                        self.coverage.mark_range(first_record, group_len);
+                        ctx.commit(frame, frame, &[Index]);
                     }
                 }
-                SigPayload::Data {
-                    key, record_index, ..
-                } => {
-                    let r = *record_index;
-                    if *key == self.key || self.coverage.would_fill(r) {
+                Some(&SigPayload::RecordSig { record_index, .. })
+                    if self.scanning && !self.checking_data =>
+                {
+                    let r0 = record_index as usize;
+                    let pairs = (self.in_group as usize).min(run.len() / 2);
+                    if pairs == 0 {
                         return;
                     }
-                    if std::mem::take(&mut self.checking_data) {
-                        self.false_drops += 1;
+                    let clean = ctx.clean(2 * pairs, 2) / 2;
+                    let hit = self
+                        .records
+                        .first_match(r0..r0 + clean, &self.query)
+                        .map_or(clean, |r| r - r0);
+                    let n = self.coverage.mark_prefix(record_index, hit as u32);
+                    self.in_group -= n;
+                    self.scanning = self.in_group > 0;
+                    ctx.commit(2 * n as usize, 2, &[Index]);
+                    if (n as usize) < hit {
+                        return;
                     }
-                    self.coverage.mark(r);
+                    if hit < clean {
+                        self.in_group -= 1;
+                        self.checking_data = true;
+                        ctx.commit(1, 1, &[Index]);
+                    } else if clean < pairs && !ctx.retry(self) {
+                        return;
+                    }
+                }
+                Some(&SigPayload::Data {
+                    key, record_index, ..
+                }) if self.checking_data => {
+                    if ctx.clean(1, 1) == 0 {
+                        if !ctx.retry(self) {
+                            return;
+                        }
+                        continue;
+                    }
+                    if key == self.key || self.coverage.would_fill(record_index) {
+                        return;
+                    }
+                    // Matching record signature, wrong record.
+                    self.checking_data = false;
+                    self.false_drops += 1;
+                    self.coverage.mark(record_index);
                     if self.in_group == 0 {
                         self.scanning = false;
                     }
-                    ctx.commit(1, 1, Data);
+                    ctx.commit(1, 1, &[Data]);
+                }
+                Some(
+                    &SigPayload::RecordSig { record_index, .. }
+                    | &SigPayload::Data { record_index, .. },
+                ) if !self.scanning && !self.checking_data => {
+                    // Every bucket up to the next frame signature: record
+                    // `record_index`'s data (after its signature, when the
+                    // run starts there), then the frame's later pairs.
+                    let on_sig = matches!(run[0].payload, SigPayload::RecordSig { .. });
+                    let first_data = usize::from(on_sig);
+                    let left = (self.frame_end(record_index) - record_index) as usize;
+                    let len = (2 * left - 1 + first_data).min(run.len());
+                    let clean = ctx.clean(len, 1);
+                    let datas = (clean + 1 - first_data) / 2;
+                    let hit = run[..clean]
+                        .iter()
+                        .skip(first_data)
+                        .step_by(2)
+                        .position(|b| {
+                            matches!(b.payload, SigPayload::Data { key, .. } if key == self.key)
+                        })
+                        .unwrap_or(datas);
+                    let n = self.coverage.mark_prefix(record_index, hit as u32) as usize;
+                    let reads = if n < datas { first_data + 2 * n } else { clean };
+                    let kinds: &[_] = if on_sig {
+                        &[Index, Data]
+                    } else {
+                        &[Data, Index]
+                    };
+                    ctx.commit(reads, 1, kinds);
+                    if n < datas || (clean < len && !ctx.retry(self)) {
+                        return;
+                    }
                 }
                 _ => return,
             }
@@ -415,6 +514,52 @@ mod tests {
             sys.channel().bucket(2).payload,
             SigPayload::Data { .. }
         ));
+    }
+
+    #[test]
+    fn the_tables_hold_each_signature_and_their_buckets_the_weights() {
+        let d = ds(14);
+        let p = Params::paper();
+        for sigp in [
+            SigParams::default(),
+            SigParams {
+                sig_bytes: 32,
+                bits_per_attr: 6,
+            },
+        ] {
+            let sys = MultiLevelSignatureScheme::new(4)
+                .with_params(sigp)
+                .build(&d, &p)
+                .unwrap();
+            let mut frame = Signature::zero(sigp.bits());
+            let mut frames = 0;
+            for b in sys.channel().buckets().iter().rev() {
+                match b.payload {
+                    SigPayload::RecordSig {
+                        weight,
+                        record_index,
+                    } => {
+                        let r = d.record(record_index as usize);
+                        let sig = sigp.record_signature(r.key, &r.attrs);
+                        assert_eq!(sys.records.row(record_index as usize), sig);
+                        assert_eq!(weight, sig.weight());
+                        frame.superimpose(&sig);
+                    }
+                    SigPayload::GroupSig {
+                        weight,
+                        first_record,
+                        ..
+                    } => {
+                        assert_eq!(sys.groups.row((first_record / 4) as usize), frame);
+                        assert_eq!(weight, frame.weight());
+                        frame = Signature::zero(sigp.bits());
+                        frames += 1;
+                    }
+                    SigPayload::Data { .. } => {}
+                }
+            }
+            assert_eq!((frames, sys.groups.len(), sys.records.len()), (4, 4, 14));
+        }
     }
 
     #[test]

@@ -6,44 +6,71 @@
 //! from the queried attribute; a record *possibly* matches when its
 //! signature contains every bit of the query signature.
 
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 use bda_core::Key;
 
+/// Words a signature keeps inline: 128 bits, the paper's 16-byte
+/// signature ([`SigParams::default`]).
+const INLINE: usize = 2;
+
 /// A fixed-width bit string.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Signature {
-    bits: u32,
-    words: Box<[u64]>,
+///
+/// Up to 128 bits it lives inline, so making, copying and dropping one
+/// never touches the heap; a wider one (the signature-length ablation's
+/// 32 and 64 bytes) keeps its words in a box. Equality and hashing see
+/// only the width and the words, whichever way they are stored.
+#[derive(Debug, Clone)]
+pub struct Signature(Repr);
+
+/// A signature's width and words: inline, with the words past its width
+/// zero, or boxed.
+#[derive(Debug, Clone)]
+enum Repr {
+    Inline { bits: u32, words: [u64; INLINE] },
+    Heap { bits: u32, words: Box<[u64]> },
 }
 
 impl Signature {
     /// The all-zero signature of `bits` width.
     pub fn zero(bits: u32) -> Self {
-        let words = vec![0u64; bits.div_ceil(64) as usize].into_boxed_slice();
-        Signature { bits, words }
+        let n = bits.div_ceil(64) as usize;
+        Signature(if n <= INLINE {
+            Repr::Inline {
+                bits,
+                words: [0; INLINE],
+            }
+        } else {
+            Repr::Heap {
+                bits,
+                words: vec![0; n].into_boxed_slice(),
+            }
+        })
     }
 
     /// Width in bits.
     pub fn bits(&self) -> u32 {
-        self.bits
+        match self.0 {
+            Repr::Inline { bits, .. } | Repr::Heap { bits, .. } => bits,
+        }
     }
 
     /// Set bit `i` (must be `< bits`).
     pub fn set(&mut self, i: u32) {
-        debug_assert!(i < self.bits);
-        self.words[(i / 64) as usize] |= 1u64 << (i % 64);
+        debug_assert!(i < self.bits());
+        self.words_mut()[(i / 64) as usize] |= 1u64 << (i % 64);
     }
 
     /// Whether bit `i` is set.
     pub fn get(&self, i: u32) -> bool {
-        self.words[(i / 64) as usize] >> (i % 64) & 1 == 1
+        self.words()[(i / 64) as usize] >> (i % 64) & 1 == 1
     }
 
     /// Superimpose (OR) another signature of the same width.
     pub fn superimpose(&mut self, other: &Signature) {
-        debug_assert_eq!(self.bits, other.bits);
-        for (w, o) in self.words.iter_mut().zip(other.words.iter()) {
+        debug_assert_eq!(self.bits(), other.bits());
+        for (w, o) in self.words_mut().iter_mut().zip(other.words()) {
             *w |= o;
         }
     }
@@ -51,24 +78,53 @@ impl Signature {
     /// Whether every bit of `query` is also set here — the signature-match
     /// test clients perform on each signature bucket.
     pub fn matches(&self, query: &Signature) -> bool {
-        debug_assert_eq!(self.bits, query.bits);
-        self.words
+        debug_assert_eq!(self.bits(), query.bits());
+        self.words()
             .iter()
-            .zip(query.words.iter())
+            .zip(query.words())
             .all(|(w, q)| w & q == *q)
     }
 
     /// Number of set bits (signature weight).
     pub fn weight(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
+        self.words().iter().map(|w| w.count_ones()).sum()
     }
 
     /// The raw 64-bit words backing the bit string (little-endian bit
     /// order: bit `i` lives in word `i / 64`).
     pub fn words(&self) -> &[u64] {
-        &self.words
+        match &self.0 {
+            Repr::Inline { bits, words } => &words[..bits.div_ceil(64) as usize],
+            Repr::Heap { words, .. } => words,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.0 {
+            Repr::Inline { bits, words } => &mut words[..bits.div_ceil(64) as usize],
+            Repr::Heap { words, .. } => words,
+        }
     }
 }
+
+impl PartialEq for Signature {
+    fn eq(&self, other: &Self) -> bool {
+        self.bits() == other.bits() && self.words() == other.words()
+    }
+}
+
+impl Eq for Signature {}
+
+impl Hash for Signature {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.bits().hash(state);
+        self.words().hash(state);
+    }
+}
+
+/// Row-words [`SigTable::first_match`] ANDs per pass over the query's set
+/// bits.
+const BLOCK: usize = 8;
 
 /// A table of signatures, stored bit-sliced for bulk matching.
 ///
@@ -77,11 +133,15 @@ impl Signature {
 /// it has every one of the query's set bits, so a test reads only the
 /// slices of those bits — four for a key query, whatever the signature's
 /// width. The fast-forward planner's stop, the first matching row of a
-/// run of consecutive records, is found by ANDing those slices a word at
-/// a time: 64 rows per step, with no per-row work and no allocation.
+/// run of consecutive records, is found by ANDing those slices word by
+/// word, 64 rows to a word, with no per-row work and no allocation.
 /// Slices are stored in groups of 64: word `w` of slices `64i..64i + 64`
 /// lie side by side, so a test reads one 64-word block per word of the
 /// query.
+///
+/// A scheme's table is the one copy of its signatures: the buckets that
+/// air them carry only their weight, and a client's every test, stepped
+/// or fast-forwarded, reads the table.
 #[derive(Debug, Clone)]
 pub struct SigTable {
     /// Signature width in bits.
@@ -97,9 +157,9 @@ pub struct SigTable {
 impl SigTable {
     /// Build a table from signatures of uniform width, in row order.
     pub fn build(sigs: &[Signature]) -> Self {
-        let bits = sigs.first().map_or(0, |s| s.bits);
+        let bits = sigs.first().map_or(0, Signature::bits);
         debug_assert!(
-            sigs.iter().all(|s| s.bits == bits),
+            sigs.iter().all(|s| s.bits() == bits),
             "mixed signature widths"
         );
         let stride = sigs.len().div_ceil(64);
@@ -113,7 +173,7 @@ impl SigTable {
                     .try_into()
                     .expect("a 64-word block");
                 for (row, s) in m.iter_mut().zip(block) {
-                    *row = s.words[i];
+                    *row = s.words()[i];
                 }
                 transpose64(m);
             }
@@ -144,28 +204,65 @@ impl SigTable {
         self.word_matches(i / 64, 1 << (i % 64), query) != 0
     }
 
-    /// The first row of `rows` that contains every bit of `query`, found
-    /// 64 rows at a time from the slices of the query's set bits: the
+    /// Row `i`'s signature, read back bit by bit from the slices.
+    #[cfg(test)]
+    pub(crate) fn row(&self, i: usize) -> Signature {
+        debug_assert!(i < self.rows, "row {i} of {}", self.rows);
+        let mut sig = Signature::zero(self.bits);
+        for b in 0..self.bits {
+            let word = (b / 64) as usize * self.stride + i / 64;
+            if self.slices[word * 64 + (b % 64) as usize] >> (i % 64) & 1 == 1 {
+                sig.set(b);
+            }
+        }
+        sig
+    }
+
+    /// The first row of `rows` that contains every bit of `query`: the
     /// signature planner's stop for a run of consecutive records. Equals
     /// the first `i` in `rows` with [`SigTable::matches`]`(i, query)`;
     /// `query` must be as wide as the table's rows.
+    ///
+    /// Rows are tested a block of `BLOCK` 64-row words at a time: one
+    /// walk over the query's set bits ANDs each bit's slice into the
+    /// block's row masks, so a 64-row word costs one load and one AND per
+    /// query bit, and the first block with a live row holds the answer.
     pub fn first_match(&self, rows: Range<usize>, query: &Signature) -> Option<usize> {
         if rows.is_empty() {
             return None;
         }
         debug_assert!(rows.end <= self.rows, "rows {rows:?} of {}", self.rows);
+        debug_assert_eq!(query.bits(), self.bits, "query and table widths differ");
         let (first, last) = (rows.start / 64, (rows.end - 1) / 64);
-        (first..=last).find_map(|w| {
-            let mut live = !0u64;
+        let mut w = first;
+        while w <= last {
+            let n = BLOCK.min(last + 1 - w);
+            let mut live = [!0u64; BLOCK];
+            let live = &mut live[..n];
             if w == first {
-                live &= !0 << (rows.start % 64);
+                live[0] &= !0 << (rows.start % 64);
             }
-            if w == last {
-                live &= !0 >> (63 - (rows.end - 1) % 64);
+            if w + n > last {
+                live[n - 1] &= !0 >> (63 - (rows.end - 1) % 64);
             }
-            let hits = self.word_matches(w, live, query);
-            (hits != 0).then(|| w * 64 + hits.trailing_zeros() as usize)
-        })
+            for (i, &word) in query.words().iter().enumerate() {
+                // Word `w + j` of slices `64i..64i + 64` is 64-word block `j`.
+                let blocks = &self.slices[(i * self.stride + w) * 64..][..n * 64];
+                let mut word = word;
+                while word != 0 {
+                    let b = word.trailing_zeros() as usize;
+                    for (l, block) in live.iter_mut().zip(blocks.chunks_exact(64)) {
+                        *l &= block[b];
+                    }
+                    word &= word - 1;
+                }
+            }
+            if let Some(j) = live.iter().position(|&l| l != 0) {
+                return Some((w + j) * 64 + live[j].trailing_zeros() as usize);
+            }
+            w += n;
+        }
+        None
     }
 
     /// The rows of `live` (a mask over the 64 rows of word `w`) that
@@ -174,8 +271,8 @@ impl SigTable {
     /// every live row.
     #[inline]
     fn word_matches(&self, w: usize, mut live: u64, query: &Signature) -> u64 {
-        debug_assert_eq!(query.bits, self.bits, "query and table widths differ");
-        for (i, &word) in query.words.iter().enumerate() {
+        debug_assert_eq!(query.bits(), self.bits, "query and table widths differ");
+        for (i, &word) in query.words().iter().enumerate() {
             let block = &self.slices[(i * self.stride + w) * 64..][..64];
             let mut word = word;
             while word != 0 {
@@ -249,17 +346,38 @@ impl SigParams {
     /// Hash one attribute value into its sparse bit string.
     pub fn attr_signature(&self, value: u64) -> Signature {
         let mut sig = Signature::zero(self.bits());
+        self.draw(value, &mut sig);
+        sig
+    }
+
+    /// The record signature: the key's bit string superimposed with every
+    /// attribute's bit string. Each string is drawn into one scratch
+    /// signature, cleared between them, and superimposed in place, so at
+    /// an inline width the record's signature never touches the heap.
+    pub fn record_signature(&self, key: Key, attrs: &[u64]) -> Signature {
+        let mut sig = Signature::zero(self.bits());
+        let mut own = Signature::zero(self.bits());
+        for value in std::iter::once(key.value()).chain(attrs.iter().copied()) {
+            own.words_mut().fill(0);
+            self.draw(value, &mut own);
+            sig.superimpose(&own);
+        }
+        sig
+    }
+
+    /// Set `value`'s bit positions in `own`, which must hold no bits yet.
+    /// Positions are drawn until they are distinct — `own`'s bits decide
+    /// the redraws — so every attribute contributes exactly
+    /// `bits_per_attr` bits (as long as the signature is wide enough).
+    fn draw(&self, value: u64, own: &mut Signature) {
         let mut state = value ^ 0xA076_1D64_78BD_642F;
         let mut set = 0;
-        // Draw distinct bit positions; duplicates are redrawn so every
-        // attribute contributes exactly `bits_per_attr` bits (as long as
-        // the signature is wide enough).
         let want = self.bits_per_attr.min(self.bits());
         let mut guard = 0;
         while set < want {
             let pos = (mix_step(&mut state) % u64::from(self.bits())) as u32;
-            if !sig.get(pos) {
-                sig.set(pos);
+            if !own.get(pos) {
+                own.set(pos);
                 set += 1;
             }
             guard += 1;
@@ -267,17 +385,6 @@ impl SigParams {
                 break; // pathological widths; keep whatever we have
             }
         }
-        sig
-    }
-
-    /// The record signature: the key's bit string superimposed with every
-    /// attribute's bit string.
-    pub fn record_signature(&self, key: Key, attrs: &[u64]) -> Signature {
-        let mut sig = self.attr_signature(key.value());
-        for &a in attrs {
-            sig.superimpose(&self.attr_signature(a));
-        }
-        sig
     }
 
     /// The query signature for a primary-key lookup.
@@ -389,6 +496,100 @@ mod tests {
         assert!((0..100).all(|i| table.matches(i, &all_zero)));
         assert_eq!(table.first_match(70..90, &all_zero), Some(70));
         assert_eq!(table.first_match(5..5, &all_zero), None);
+    }
+
+    /// The key's and each attribute's own strings, superimposed one by one.
+    fn superimposed(p: &SigParams, key: Key, attrs: &[u64]) -> Signature {
+        let mut sig = p.attr_signature(key.value());
+        for &a in attrs {
+            sig.superimpose(&p.attr_signature(a));
+        }
+        sig
+    }
+
+    #[test]
+    fn record_signature_superimposes_its_attributes_strings() {
+        // Widths inline and boxed, weights up to the width and past it:
+        // at one byte and 32 bits per attribute every string is the whole
+        // byte, or what the redraw guard kept.
+        for sig_bytes in [1, 2, 8, 16, 17, 24, 64] {
+            for bits_per_attr in [1, 4, 16, 32] {
+                let p = SigParams {
+                    sig_bytes,
+                    bits_per_attr,
+                };
+                for k in 0..200u64 {
+                    let attrs: Vec<u64> = (0..k % 6).map(|j| k.wrapping_mul(j + 11)).collect();
+                    let key = Key(k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                    assert_eq!(
+                        p.record_signature(key, &attrs),
+                        superimposed(&p, key, &attrs),
+                        "{p:?} key {key:?} attrs {attrs:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inline_and_boxed_widths_agree_on_matches_weight_eq_and_hash() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |h: &dyn Fn(&mut DefaultHasher)| {
+            let mut s = DefaultHasher::new();
+            h(&mut s);
+            s.finish()
+        };
+        // 64 and 128 bits live inline, 136 and more in a box.
+        for sig_bytes in [1, 8, 16, 17, 32, 64] {
+            let p = SigParams {
+                sig_bytes,
+                bits_per_attr: 4,
+            };
+            let inline = sig_bytes <= 16;
+            assert_eq!(
+                matches!(Signature::zero(p.bits()).0, Repr::Inline { .. }),
+                inline
+            );
+            let sigs: Vec<Signature> = (0..64u64)
+                .map(|k| p.record_signature(Key(k), &[k + 1, k % 5]))
+                .collect();
+            for a in &sigs {
+                assert_eq!(a.words().len(), p.bits().div_ceil(64) as usize);
+                let ones: u32 = (0..p.bits()).map(|i| u32::from(a.get(i))).sum();
+                assert_eq!(a.weight(), ones, "{p:?}");
+                // The hash sees the width and the words, not the storage.
+                assert_eq!(
+                    hash(&|s| a.hash(s)),
+                    hash(&|s| {
+                        a.bits().hash(s);
+                        a.words().hash(s);
+                    })
+                );
+                for b in &sigs {
+                    let contains = (0..p.bits()).all(|i| !b.get(i) || a.get(i));
+                    assert_eq!(a.matches(b), contains, "{p:?}");
+                    let same = (0..p.bits()).all(|i| a.get(i) == b.get(i));
+                    assert_eq!(a == b, same, "{p:?}");
+                    if same {
+                        assert_eq!(hash(&|s| a.hash(s)), hash(&|s| b.hash(s)));
+                    }
+                }
+                assert_eq!(*a, a.clone());
+            }
+        }
+    }
+
+    #[test]
+    fn table_rows_read_back_their_signatures() {
+        for sig_bytes in [1, 16, 17] {
+            let p = SigParams {
+                sig_bytes,
+                bits_per_attr: 4,
+            };
+            let sigs: Vec<_> = (0..130).map(|k| p.record_signature(Key(k), &[k])).collect();
+            let table = SigTable::build(&sigs);
+            assert!((0..130).all(|i| table.row(i) == sigs[i]));
+        }
     }
 
     #[test]

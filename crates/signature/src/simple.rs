@@ -16,20 +16,27 @@ use bda_core::{
 use crate::sig::{SigParams, SigTable, Signature};
 
 /// Bucket payload shared by all signature-based schemes.
+///
+/// A signature bucket names the signature it airs; the signature itself
+/// lives once, in its scheme's [`SigTable`] (row `record_index` of the
+/// record table, row `first_record / group_len` of the frame table, where
+/// `group_len` is the scheme's nominal frame width), which every client
+/// test reads. The bucket keeps the signature's weight for the trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SigPayload {
     /// A per-record signature bucket.
     RecordSig {
-        /// The record's superimposed signature.
-        sig: Signature,
-        /// Position of the signed record (diagnostics).
+        /// Number of bits set in the record's superimposed signature.
+        weight: u32,
+        /// Position of the signed record: its row of the record table.
         record_index: u32,
     },
     /// An integrated (frame) signature bucket summarizing `group_len`
     /// following records (integrated / multi-level schemes only).
     GroupSig {
-        /// Superimposition of the frame's record signatures.
-        sig: Signature,
+        /// Number of bits set in the superimposition of the frame's record
+        /// signatures.
+        weight: u32,
         /// Position of the frame's first record.
         first_record: u32,
         /// Number of records in the frame.
@@ -52,12 +59,13 @@ pub enum SigPayload {
 impl std::fmt::Display for SigPayload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SigPayload::RecordSig { sig, record_index } => {
-                write!(f, "sig   rec#{record_index} weight={}", sig.weight())
-            }
-            SigPayload::GroupSig { sig, group_len, .. } => {
-                write!(f, "gsig  frame of {group_len} weight={}", sig.weight())
-            }
+            SigPayload::RecordSig {
+                weight,
+                record_index,
+            } => write!(f, "sig   rec#{record_index} weight={weight}"),
+            SigPayload::GroupSig {
+                weight, group_len, ..
+            } => write!(f, "gsig  frame of {group_len} weight={weight}"),
             SigPayload::Data {
                 key, record_index, ..
             } => write!(f, "data  key={key} rec#{record_index}"),
@@ -192,7 +200,7 @@ impl SimpleSignatureScheme {
             buckets.push(Bucket::new(
                 sig_size,
                 SigPayload::RecordSig {
-                    sig: sigs[i as usize].clone(),
+                    weight: sigs[i as usize].weight(),
                     record_index: i,
                 },
             ));
@@ -312,8 +320,8 @@ pub struct SimpleSigMachine {
     /// (sound even when corrupted reads leave holes — see
     /// [`bda_core::Coverage`]).
     coverage: Coverage,
-    /// The broadcast's record signatures, shared with the system; row `r`
-    /// equals the signature in record `r`'s `RecordSig` bucket.
+    /// The broadcast's record signatures, shared with the system: row `r`
+    /// is the signature record `r`'s `RecordSig` buckets air.
     table: Arc<SigTable>,
     /// Whether pair `i` carries record `i` (see [`SimpleSignatureSystem`]):
     /// the planner then matches a run's signatures in one pass over the
@@ -348,9 +356,9 @@ impl ProtocolMachine<SigPayload> for SimpleSigMachine {
 
     fn on_bucket(&mut self, payload: &SigPayload, meta: BucketMeta) -> Action {
         match payload {
-            SigPayload::RecordSig { sig, record_index } => {
+            SigPayload::RecordSig { record_index, .. } => {
                 debug_assert!(!self.checking_data, "signature where data expected");
-                if sig.matches(&self.query) {
+                if self.table.matches(*record_index as usize, &self.query) {
                     self.checking_data = true;
                     Action::ReadNext
                 } else {
@@ -437,13 +445,13 @@ impl ProtocolMachine<SigPayload> for SimpleSigMachine {
                             self.coverage.mark_each(sigs.take(hit).filter_map(sig_row)),
                         )
                     };
-                    ctx.commit(2 * n, 2, Index);
+                    ctx.commit(2 * n, 2, &[Index]);
                     if n < hit {
                         return;
                     }
                     if hit < clean {
                         self.checking_data = true;
-                        ctx.commit(1, 1, Index);
+                        ctx.commit(1, 1, &[Index]);
                     } else if clean < pairs {
                         // The signature at the cursor is corrupted.
                         if !ctx.retry(self) {
@@ -472,7 +480,7 @@ impl ProtocolMachine<SigPayload> for SimpleSigMachine {
                         self.false_drops += 1;
                     }
                     self.coverage.mark(r);
-                    ctx.commit(1, 1, Data);
+                    ctx.commit(1, 1, &[Data]);
                 }
                 _ => return,
             }
@@ -524,6 +532,44 @@ mod tests {
         let disks = |n| SimpleSignatureDisksScheme::new(DiskConfig::new(n)).build(&d, &p);
         assert!(sys.in_record_order && disks(1).unwrap().in_record_order);
         assert!(!disks(3).unwrap().in_record_order);
+    }
+
+    #[test]
+    fn the_table_holds_each_signature_and_its_bucket_the_weight() {
+        let d = ds(150);
+        let p = Params::paper();
+        // Inline and boxed widths.
+        for sigp in [
+            SigParams::default(),
+            SigParams {
+                sig_bytes: 32,
+                bits_per_attr: 6,
+            },
+        ] {
+            let sys = SimpleSignatureScheme::with_params(sigp)
+                .build(&d, &p)
+                .unwrap();
+            for (i, r) in d.records().iter().enumerate() {
+                let sig = sigp.record_signature(r.key, &r.attrs);
+                assert_eq!(sys.table.row(i), sig, "row {i}");
+                let payload = &sys.channel().bucket(2 * i).payload;
+                assert_eq!(
+                    *payload,
+                    SigPayload::RecordSig {
+                        weight: sig.weight(),
+                        record_index: i as u32
+                    }
+                );
+                // The trace line reads as it did when the bucket carried
+                // the signature itself.
+                assert_eq!(
+                    payload.to_string(),
+                    format!("sig   rec#{i} weight={}", sig.weight())
+                );
+            }
+        }
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<SigPayload>(), 32);
     }
 
     #[test]

@@ -343,6 +343,23 @@ fn multilevel_signature_fast_forward_is_bit_identical() {
 }
 
 #[test]
+fn frame_planners_cross_table_words() {
+    // 200 records in frames of two and three: a lossless run of whole
+    // frames spans both 64-row words of the 100- and 67-row frame tables,
+    // and multilevel's matched frames read rows across the record
+    // table's four words.
+    let d = dataset(200);
+    let int = IntegratedSignatureScheme::new(2)
+        .build(&d, &Params::paper())
+        .unwrap();
+    check_scheme(&int, 200, true);
+    let ml = MultiLevelSignatureScheme::new(3)
+        .build(&d, &Params::paper())
+        .unwrap();
+    check_scheme(&ml, 200, true);
+}
+
+#[test]
 fn fast_forward_handles_degenerate_frames_and_tiny_signatures() {
     // group_len 1 (every frame is one record) and a 1-byte signature that
     // collides hard: maximal false-drop pressure on the planner's

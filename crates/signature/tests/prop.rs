@@ -2,7 +2,7 @@
 
 use bda_core::{Dataset, DynSystem, Key, Params, Record, Scheme};
 use bda_signature::{
-    IntegratedSignatureScheme, MultiLevelSignatureScheme, SigParams, SigTable,
+    IntegratedSignatureScheme, MultiLevelSignatureScheme, SigParams, SigTable, Signature,
     SimpleSignatureScheme,
 };
 use proptest::prelude::*;
@@ -33,43 +33,54 @@ fn arb_sig() -> impl Strategy<Value = SigParams> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `SigTable::first_match` over a contiguous row range is the first
-    /// row `SigTable::matches` accepts, and every row's `matches` (and
-    /// `first_match` over the row alone) is `Signature::matches` on the
-    /// row's own signature — at 1-, 8-, 16- and 24-byte signatures (8 to
-    /// 192 bit slices), over tables of up to four 64-row words and empty,
-    /// partial and word-crossing ranges, with queries drawn both from a
-    /// row's own key (a guaranteed match) and at random.
+    /// `SigTable::first_match` over a row range is the first row whose own
+    /// signature, as the build computed it, `Signature::matches` the query,
+    /// tested one row at a time; so is `SigTable::matches` on every row.
+    /// Signatures of 0 (a zero-width table), 1, 8, 16, 17, 24 and 64
+    /// bytes (no slices up to 512, inline and boxed) with 1, 4, 16 and 32
+    /// bits per attribute; tables of 1 to 300 rows (up to five 64-row
+    /// words); queries from a row's own key (a guaranteed match), at
+    /// random and all zero. Each case checks a random range, the empty
+    /// range, every one-row range, the last row, and ranges that start,
+    /// end or cross each 64-row boundary, so either end's mask being one
+    /// row off shows.
     #[test]
     fn sig_table_first_match_agrees_with_matches(
-        width in 0usize..4,
-        bits_per_attr in 1u32..6,
-        keys in prop::collection::vec(any::<u64>(), 0..201),
+        width in 0usize..7,
+        weight in 0usize..4,
+        keys in prop::collection::vec(any::<u64>(), 1..301),
         query in any::<u64>(),
         own in any::<proptest::sample::Index>(),
-        use_own in any::<bool>(),
-        from in 0usize..210,
-        len in 0usize..210,
+        kind in 0u8..3,
+        from in 0usize..310,
+        len in 0usize..310,
     ) {
-        let sig = SigParams { sig_bytes: [1, 8, 16, 24][width], bits_per_attr };
+        let sig = SigParams {
+            sig_bytes: [0, 1, 8, 16, 17, 24, 64][width],
+            bits_per_attr: [1, 4, 16, 32][weight],
+        };
         let sigs: Vec<_> = keys.iter().map(|&k| sig.record_signature(Key(k), &[k ^ 7])).collect();
         let table = SigTable::build(&sigs);
-        let q = if use_own && !keys.is_empty() {
-            sig.query_signature(Key(keys[own.index(keys.len())]))
-        } else {
-            sig.query_signature(Key(query))
+        let q = match kind {
+            0 => sig.query_signature(Key(keys[own.index(keys.len())])),
+            1 => sig.query_signature(Key(query)),
+            _ => Signature::zero(sig.bits()),
         };
-        let lo = from.min(keys.len());
-        let hi = (from + len).min(keys.len());
-        let expect = (lo..hi).find(|&i| table.matches(i, &q));
-        prop_assert_eq!(table.first_match(lo..hi, &q), expect);
-        prop_assert_eq!(expect, (lo..hi).find(|&i| sigs[i].matches(&q)));
-        prop_assert_eq!(table.len(), keys.len());
+        let n = keys.len();
+        prop_assert_eq!(table.len(), n);
+        let mut ranges = vec![from.min(n)..(from + len).min(n), n - 1..n, 0..n, n..n];
+        for b in (0..=n).step_by(64) {
+            let (lo, hi) = (b.saturating_sub(1), (b + 1).min(n));
+            ranges.extend([b..n, 0..b, b..b, lo..hi, lo..b, b..hi, b..(b + 64).min(n)]);
+            ranges.extend([b.saturating_sub(5)..(b + 70).min(n), (b + 63).min(n)..n]);
+        }
+        ranges.extend((0..n).map(|i| i..i + 1));
+        for rows in ranges {
+            let expect = rows.clone().find(|&i| sigs[i].matches(&q));
+            prop_assert_eq!(table.first_match(rows.clone(), &q), expect, "rows {:?}", rows);
+        }
         for (i, row) in sigs.iter().enumerate() {
             prop_assert_eq!(table.matches(i, &q), row.matches(&q), "row {}", i);
-            // A one-row range ends inside its word: rows after it must not
-            // answer for it.
-            prop_assert_eq!(table.first_match(i..i + 1, &q), row.matches(&q).then_some(i));
         }
     }
 
