@@ -102,45 +102,7 @@ impl Scheme for DistributedScheme {
             .min(k - 1);
 
         let num_segments = tree.level(r).len();
-        let mut slots = Vec::new();
-        for s in 0..num_segments {
-            let mut first_in_segment = true;
-            let mut push_index = |slots: &mut Vec<Slot>, level: usize, node: usize| {
-                slots.push(Slot::Index {
-                    level,
-                    node,
-                    segment_start: std::mem::take(&mut first_in_segment),
-                });
-            };
-
-            // Replicated ancestors: ancestor at level l is due here iff this
-            // segment is the first occurrence of its child on the path,
-            // i.e. iff `s` is the leftmost level-r descendant of that child.
-            for l in 0..r {
-                let child_on_path = tree.ancestor(r, s, l + 1);
-                if tree.leftmost_descendant(l + 1, child_on_path, r) == s {
-                    push_index(&mut slots, l, tree.ancestor(r, s, l));
-                }
-            }
-
-            // Non-replicated part: preorder of the subtree rooted at (r, s).
-            let mut stack = vec![(r, s)];
-            while let Some((l, i)) = stack.pop() {
-                push_index(&mut slots, l, i);
-                if !tree.is_leaf_level(l) {
-                    for j in (0..tree.node(l, i).num_children()).rev() {
-                        stack.push((l + 1, tree.child(l, i, j)));
-                    }
-                }
-            }
-
-            // Data segment: the records under (r, s).
-            let (lo, hi) = tree.data_range(r, s);
-            for d in lo..hi {
-                slots.push(Slot::Data { index: d });
-            }
-        }
-
+        let slots = segment_slots(&tree, r);
         let channel = materialize(&tree, dataset, params, &slots, true)?;
         Ok(DistributedSystem {
             channel,
@@ -149,6 +111,51 @@ impl Scheme for DistributedScheme {
             num_segments,
         })
     }
+}
+
+/// The distributed cycle over `tree` with `r` replicated levels, in
+/// broadcast order: one (index segment, data segment) pair per node at
+/// level `r`.
+pub fn segment_slots(tree: &IndexTree, r: usize) -> Vec<Slot> {
+    let num_segments = tree.level(r).len();
+    let mut slots = Vec::with_capacity(tree.total_nodes() + r * num_segments + tree.num_data());
+    let mut stack = Vec::new();
+    for s in 0..num_segments {
+        let mut first_in_segment = true;
+        let mut push_index = |slots: &mut Vec<Slot>, level: usize, node: usize| {
+            slots.push(Slot::Index {
+                level,
+                node,
+                segment_start: std::mem::take(&mut first_in_segment),
+            });
+        };
+
+        // Replicated ancestors: ancestor at level l is due here iff this
+        // segment is the first occurrence of its child on the path, i.e.
+        // iff `s` is the leftmost level-r descendant of that child.
+        for l in 0..r {
+            let child_on_path = tree.ancestor(r, s, l + 1);
+            if tree.leftmost_descendant(l + 1, child_on_path, r) == s {
+                push_index(&mut slots, l, tree.ancestor(r, s, l));
+            }
+        }
+
+        // Non-replicated part: preorder of the subtree rooted at (r, s).
+        stack.push((r, s));
+        while let Some((l, i)) = stack.pop() {
+            push_index(&mut slots, l, i);
+            if !tree.is_leaf_level(l) {
+                for j in (0..tree.node(l, i).num_children()).rev() {
+                    stack.push((l + 1, tree.child(l, i, j)));
+                }
+            }
+        }
+
+        // Data segment: the records under (r, s).
+        let (lo, hi) = tree.data_range(r, s);
+        slots.extend((lo..hi).map(|index| Slot::Data { index }));
+    }
+    slots
 }
 
 impl System for DistributedSystem {

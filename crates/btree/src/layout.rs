@@ -15,7 +15,7 @@
 //! small control index (≤ `k−1` entries) and the next-segment pointer are
 //! charged to the per-bucket header budget.
 
-use std::collections::HashMap;
+use std::ops::{Add, Sub};
 
 use bda_core::{BdaError, Bucket, Channel, Dataset, Params, Result, Ticks};
 
@@ -41,10 +41,120 @@ pub enum Slot {
     },
 }
 
-/// Number of whole buckets between the end of bucket `from` and the start
-/// of bucket `to`, walking forward around a cycle of `n` buckets.
-fn fwd_buckets(from: usize, to: usize, n: usize) -> usize {
-    (to + n - from - 1) % n
+/// How far `to` lies ahead of `from` on a cycle `cycle` long: `to − from`,
+/// or, when `to` is behind `from`, the way round through the cycle's end.
+/// Both points lie in `0..=cycle`, so no division is needed.
+pub fn gap<T>(from: T, to: T, cycle: T) -> T
+where
+    T: Copy + Ord + Add<Output = T> + Sub<Output = T>,
+{
+    if to >= from {
+        to - from
+    } else {
+        to + cycle - from
+    }
+}
+
+/// The [`gap`] from `from` to the first of `sorted` (ascending points of
+/// the cycle) at or after it, wrapping to the first of them; `None` when
+/// `sorted` is empty.
+pub fn gap_to_next<T>(sorted: &[T], from: T, cycle: T) -> Option<T>
+where
+    T: Copy + Ord + Add<Output = T> + Sub<Output = T>,
+{
+    let i = sorted.partition_point(|&o| o < from);
+    let to = *sorted.get(i).or_else(|| sorted.first())?;
+    Some(gap(from, to, cycle))
+}
+
+/// A [`gap_to_next`] for a run of queries whose `from` never decreases:
+/// the search resumes where the last one stopped, so a pass over the cycle
+/// costs one walk of the list.
+#[derive(Debug)]
+pub struct NextOf<'a, T> {
+    sorted: &'a [T],
+    at: usize,
+}
+
+impl<'a, T> NextOf<'a, T>
+where
+    T: Copy + Ord + Add<Output = T> + Sub<Output = T>,
+{
+    /// Search `sorted`, which must be non-empty and ascending.
+    pub fn new(sorted: &'a [T]) -> Self {
+        assert!(!sorted.is_empty(), "nothing to point at");
+        NextOf { sorted, at: 0 }
+    }
+
+    /// The gap from `from` (no less than the last query's) to the next
+    /// point at or after it.
+    pub fn gap(&mut self, from: T, cycle: T) -> T {
+        while self.sorted.get(self.at).is_some_and(|&o| o < from) {
+            self.at += 1;
+        }
+        gap(
+            from,
+            *self.sorted.get(self.at).unwrap_or(&self.sorted[0]),
+            cycle,
+        )
+    }
+}
+
+/// Every index node's occurrences in the cycle, in cycle order: a counting
+/// sort of the cycle's index buckets by node, so the next occurrence of a
+/// node after any point is one binary search over its own occurrences.
+#[derive(Debug)]
+pub struct NodeOccurrences<T> {
+    /// Number of the first node of each level, counting root-first.
+    level_base: Vec<usize>,
+    /// Node `id`'s occurrences are `at[first[id]..first[id + 1]]`.
+    first: Vec<usize>,
+    at: Vec<T>,
+}
+
+impl<T> NodeOccurrences<T>
+where
+    T: Copy + Ord + Default + Add<Output = T> + Sub<Output = T>,
+{
+    /// Index `occurrences`, `(level, node, where)` in cycle order, of the
+    /// nodes of `tree`.
+    pub fn new<I>(tree: &IndexTree, occurrences: I) -> Self
+    where
+        I: Iterator<Item = (usize, usize, T)> + Clone,
+    {
+        let mut level_base = Vec::with_capacity(tree.num_levels());
+        let mut nodes = 0;
+        for l in 0..tree.num_levels() {
+            level_base.push(nodes);
+            nodes += tree.level(l).len();
+        }
+        let mut first = vec![0; nodes + 1];
+        for (level, node, _) in occurrences.clone() {
+            first[level_base[level] + node + 1] += 1;
+        }
+        for id in 0..nodes {
+            first[id + 1] += first[id];
+        }
+        let mut next = first[..nodes].to_vec();
+        let mut at = vec![T::default(); first[nodes]];
+        for (level, node, t) in occurrences {
+            let slot = &mut next[level_base[level] + node];
+            at[*slot] = t;
+            *slot += 1;
+        }
+        NodeOccurrences {
+            level_base,
+            first,
+            at,
+        }
+    }
+
+    /// The [`gap_to_next`] from `from` to node `node` of level `level`;
+    /// `None` when the node is never broadcast.
+    pub fn gap_to(&self, level: usize, node: usize, from: T, cycle: T) -> Option<T> {
+        let id = self.level_base[level] + node;
+        gap_to_next(&self.at[self.first[id]..self.first[id + 1]], from, cycle)
+    }
 }
 
 /// Resolve a slot sequence into a broadcast channel: compute every local
@@ -67,21 +177,18 @@ pub fn materialize(
     let size = Ticks::from(params.data_bucket_size());
 
     // --- occurrence bookkeeping -----------------------------------------
-    let mut index_occ: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-    let mut data_occ: Vec<Option<usize>> = vec![None; dataset.len()];
-    let mut any_segment_start = false;
+    const ABSENT: usize = usize::MAX;
+    let mut data_at = vec![ABSENT; dataset.len()];
+    let mut seg_starts = Vec::new();
     for (pos, slot) in slots.iter().enumerate() {
         match *slot {
-            Slot::Index {
-                level,
-                node,
-                segment_start,
-            } => {
-                index_occ.entry((level, node)).or_default().push(pos);
-                any_segment_start |= segment_start;
+            Slot::Index { segment_start, .. } => {
+                if segment_start {
+                    seg_starts.push(pos);
+                }
             }
             Slot::Data { index } => {
-                if data_occ[index].replace(pos).is_some() {
+                if std::mem::replace(&mut data_at[index], pos) != ABSENT {
                     return Err(BdaError::BuildError(format!(
                         "record {index} appears more than once in the cycle"
                     )));
@@ -89,57 +196,38 @@ pub fn materialize(
             }
         }
     }
-    if !any_segment_start {
+    if seg_starts.is_empty() {
         return Err(BdaError::BuildError(
             "cycle has no index-segment start bucket".into(),
         ));
     }
-    for (i, occ) in data_occ.iter().enumerate() {
-        if occ.is_none() {
-            return Err(BdaError::BuildError(format!(
-                "record {i} never appears in the cycle"
-            )));
-        }
+    if let Some(i) = data_at.iter().position(|&p| p == ABSENT) {
+        return Err(BdaError::BuildError(format!(
+            "record {i} never appears in the cycle"
+        )));
     }
-
-    // --- next-segment distance table ------------------------------------
-    // dist[p] = whole buckets between the end of bucket p and the start of
-    // the next segment-start bucket (strictly after p, cyclically).
-    let is_seg_start = |p: usize| {
-        matches!(
-            slots[p],
-            Slot::Index {
-                segment_start: true,
-                ..
-            }
-        )
-    };
-    let mut dist = vec![0usize; n_slots];
-    let mut last: usize = usize::MAX;
-    for p in (0..2 * n_slots).rev() {
-        let q = p % n_slots;
-        if p < n_slots {
-            debug_assert!(last != usize::MAX && last > p);
-            dist[q] = last - (p + 1);
-        }
-        if is_seg_start(q) {
-            last = p;
-        }
-    }
-
-    // Smallest forward distance from `pos` to any occurrence in `occs`.
-    let nearest = |pos: usize, occs: &[usize]| -> usize {
-        occs.iter()
-            .map(|&o| fwd_buckets(pos, o, n_slots))
-            .min()
-            .expect("occurrence list is non-empty")
-    };
+    let index_occ = NodeOccurrences::new(
+        tree,
+        slots
+            .iter()
+            .enumerate()
+            .filter_map(|(pos, slot)| match *slot {
+                Slot::Index { level, node, .. } => Some((level, node, pos)),
+                Slot::Data { .. } => None,
+            }),
+    );
 
     // --- payload construction --------------------------------------------
+    // Every distance is in whole buckets between the end of bucket `pos`
+    // and the start of its target, i.e. from bucket `pos + 1` on; a target
+    // at or before `pos` is reached in the next cycle.
     let leaf_level = tree.num_levels() - 1;
+    let mut next_seg = NextOf::new(&seg_starts);
     let mut buckets = Vec::with_capacity(n_slots);
     for (pos, slot) in slots.iter().enumerate() {
-        let next_seg_delta = dist[pos] as Ticks * size;
+        let from = pos + 1;
+        let bytes = |buckets: usize| buckets as Ticks * size;
+        let next_seg_delta = bytes(next_seg.gap(from, n_slots));
         let payload = match *slot {
             Slot::Data { index } => BTreePayload::Data(DataBucket {
                 key: dataset.record(index).key,
@@ -152,46 +240,45 @@ pub fn materialize(
                 segment_start,
             } => {
                 let tnode = tree.node(level, node);
-                let entries = (0..tnode.num_children())
-                    .map(|j| {
-                        let target = if level == leaf_level {
-                            let (start, _) = tree.data_range(level, node);
-                            data_occ[start + j].expect("validated above")
-                        } else {
-                            let child = tree.child(level, node, j);
-                            let occs = index_occ.get(&(level + 1, child)).ok_or_else(|| {
+                let mut entries = Vec::with_capacity(tnode.num_children());
+                for (j, &max_key) in tnode.child_max.iter().enumerate() {
+                    let to = if level == leaf_level {
+                        gap(from, data_at[node * tree.fanout() + j], n_slots)
+                    } else {
+                        let child = tree.child(level, node, j);
+                        index_occ
+                            .gap_to(level + 1, child, from, n_slots)
+                            .ok_or_else(|| {
                                 BdaError::BuildError(format!(
                                     "child node ({}, {child}) never broadcast",
                                     level + 1
                                 ))
-                            })?;
-                            pos_of_nearest(pos, occs, n_slots)
-                        };
-                        Ok(IndexEntry {
-                            max_key: tnode.child_max[j],
-                            delta: fwd_buckets(pos, target, n_slots) as Ticks * size,
-                        })
-                    })
-                    .collect::<Result<Vec<_>>>()?;
+                            })?
+                    };
+                    entries.push(IndexEntry {
+                        max_key,
+                        delta: bytes(to),
+                    });
+                }
 
-                let control = if with_control && level > 0 {
-                    (0..level)
-                        .map(|a| {
-                            let anc = tree.ancestor(level, node, a);
-                            let anode = tree.node(a, anc);
-                            let occs = index_occ
-                                .get(&(a, anc))
-                                .expect("ancestors of broadcast nodes are broadcast");
-                            ControlEntry {
-                                min_key: anode.min_key,
-                                max_key: anode.max_key,
-                                delta: nearest(pos, occs) as Ticks * size,
-                            }
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
+                let mut control = Vec::new();
+                if with_control && level > 0 {
+                    control.reserve_exact(level);
+                    let mut anc = node;
+                    for a in (0..level).rev() {
+                        anc /= tree.fanout();
+                        let anode = tree.node(a, anc);
+                        let to = index_occ
+                            .gap_to(a, anc, from, n_slots)
+                            .expect("ancestors of broadcast nodes are broadcast");
+                        control.push(ControlEntry {
+                            min_key: anode.min_key,
+                            max_key: anode.max_key,
+                            delta: bytes(to),
+                        });
+                    }
+                    control.reverse();
+                }
 
                 BTreePayload::Index(IndexBucket {
                     level: level as u32,
@@ -211,14 +298,6 @@ pub fn materialize(
     Channel::new(buckets)
 }
 
-/// Position (not distance) of the nearest forward occurrence.
-fn pos_of_nearest(pos: usize, occs: &[usize], n: usize) -> usize {
-    *occs
-        .iter()
-        .min_by_key(|&&o| fwd_buckets(pos, o, n))
-        .expect("occurrence list is non-empty")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,11 +312,18 @@ mod tests {
     }
 
     #[test]
-    fn fwd_buckets_geometry() {
-        assert_eq!(fwd_buckets(0, 1, 10), 0); // immediately next
-        assert_eq!(fwd_buckets(0, 0, 10), 9); // self, next cycle
-        assert_eq!(fwd_buckets(9, 0, 10), 0); // wrap
-        assert_eq!(fwd_buckets(3, 1, 10), 7);
+    fn gap_geometry() {
+        // From the end of bucket `p` (point `p + 1`) of a 10-bucket cycle.
+        assert_eq!(gap(1, 1, 10), 0); // immediately next
+        assert_eq!(gap(1, 0, 10), 9); // self, next cycle
+        assert_eq!(gap(10, 0, 10), 0); // wrap
+        assert_eq!(gap(4, 1, 10), 7);
+        assert_eq!(gap_to_next(&[2, 5, 8], 6, 10), Some(2));
+        assert_eq!(gap_to_next(&[2, 5, 8], 9, 10), Some(3));
+        assert_eq!(gap_to_next(&[2, 5, 8], 5, 10), Some(0));
+        assert_eq!(gap_to_next::<usize>(&[], 5, 10), None);
+        let mut next = NextOf::new(&[2, 5, 8]);
+        assert_eq!([1, 3, 5, 9, 10].map(|f| next.gap(f, 10)), [1, 2, 0, 3, 2]);
     }
 
     #[test]

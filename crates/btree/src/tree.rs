@@ -63,8 +63,9 @@ impl IndexTree {
         }
         let n = dataset.len();
 
-        // Leaf index level: group records in chunks of `fanout`.
-        let mut level: Vec<TreeNode> = dataset
+        // Leaf index level: group records in chunks of `fanout`; each
+        // level above groups the one below it.
+        let leaves: Vec<TreeNode> = dataset
             .records()
             .chunks(fanout)
             .map(|chunk| TreeNode {
@@ -73,10 +74,9 @@ impl IndexTree {
                 max_key: chunk.last().expect("chunks are non-empty").key,
             })
             .collect();
-
-        let mut levels = vec![level.clone()];
-        while level.len() > 1 {
-            level = level
+        let mut levels = vec![leaves];
+        while let Some(below) = levels.last().filter(|level| level.len() > 1) {
+            let level = below
                 .chunks(fanout)
                 .map(|chunk| TreeNode {
                     child_max: chunk.iter().map(|c| c.max_key).collect(),
@@ -84,7 +84,7 @@ impl IndexTree {
                     max_key: chunk.last().expect("chunks are non-empty").max_key,
                 })
                 .collect();
-            levels.push(level.clone());
+            levels.push(level);
         }
         levels.reverse(); // root first
         Ok(IndexTree {

@@ -22,14 +22,16 @@
 /// wrapping modulo `total` — and stays one while every mark touches or
 /// overlaps it.
 /// The first mark that would leave a gap moves it into a bitmap with one
-/// bit per record, allocated then; [`Coverage::clear`] returns to the
-/// empty run and keeps the bitmap for reuse. A coverage that stays a run
-/// owns no storage, and while it is one every query (including
-/// [`Coverage::mark_prefix`]'s stop) costs O(1).
+/// bit per record, allocated then unless the storage is already there:
+/// [`Coverage::clear`] returns to the empty run and keeps the bitmap, and
+/// [`Coverage::reuse`] takes over a spent coverage's. A coverage that
+/// stays a run owns no storage, and while it is one every query
+/// (including [`Coverage::mark_prefix`]'s stop) costs O(1).
 #[derive(Debug, Clone)]
 pub struct Coverage {
-    /// One bit per record once the set has had a gap (empty until then).
-    bits: Box<[u64]>,
+    /// One bit per record once the set has had a gap (empty until then;
+    /// its capacity outlives a [`Coverage::clear`]).
+    bits: Vec<u64>,
     /// Whether `bits` holds the set; otherwise the run does.
     spilled: bool,
     /// The run's first record (meaningless while the run is empty).
@@ -42,7 +44,7 @@ impl Coverage {
     /// Coverage over `total` records, initially empty. Allocates nothing.
     pub fn new(total: u32) -> Self {
         Coverage {
-            bits: Box::default(),
+            bits: Vec::new(),
             spilled: false,
             lo: 0,
             covered: 0,
@@ -211,6 +213,19 @@ impl Coverage {
         self.covered = 0;
     }
 
+    /// Take over the bitmap storage of `spent`, a coverage whose query is
+    /// over, for this one's first gap, when it is larger than this one's
+    /// own: a finished scan hands it to the next query's, so a client
+    /// that runs query after query allocates a bitmap once, not once per
+    /// scan with a gap. What this coverage holds is unchanged; `spent` is
+    /// left empty.
+    pub fn reuse(&mut self, spent: &mut Coverage) {
+        if !self.spilled && spent.bits.capacity() > self.bits.capacity() {
+            self.bits = std::mem::take(&mut spent.bits);
+        }
+        spent.clear();
+    }
+
     /// `[start, start + len)` clipped at the record count.
     fn clip(&self, start: u32, len: u32) -> (u32, u32) {
         let end = start.saturating_add(len).min(self.total);
@@ -268,13 +283,11 @@ impl Coverage {
         }
     }
 
-    /// Move the run into the bitmap, allocating it on the first gap.
+    /// Move the run into the bitmap, allocating it only when no storage
+    /// large enough is at hand.
     fn spill(&mut self) {
-        if self.bits.is_empty() {
-            self.bits = vec![0; (self.total as usize).div_ceil(64)].into_boxed_slice();
-        } else {
-            self.bits.fill(0);
-        }
+        self.bits.clear();
+        self.bits.resize((self.total as usize).div_ceil(64), 0);
         let (head, tail) = self.run();
         self.spilled = true;
         self.covered = 0;
@@ -393,6 +406,15 @@ mod tests {
         assert_eq!(c.bits.as_ptr(), bitmap, "the bitmap is reused");
         assert_eq!(c.covered(), 65);
         assert!(c.is_marked(100) && !c.is_marked(64));
+        // The next query's coverage, over a smaller program, takes it over.
+        let mut next = Coverage::new(150);
+        next.mark(3);
+        next.reuse(&mut c);
+        assert_eq!(c.covered(), 0, "the spent coverage is left empty");
+        next.mark(7);
+        assert_eq!(next.bits.as_ptr(), bitmap, "a spent bitmap is reused");
+        assert_eq!(next.covered(), 2);
+        assert!(next.is_marked(3) && next.is_marked(7) && !next.is_marked(100));
     }
 
     #[test]

@@ -156,6 +156,11 @@ impl ProtocolMachine<FlatPayload> for FlatMachine {
         Action::ReadNext
     }
 
+    /// A spent scan's coverage bitmap serves this one's first gap.
+    fn reuse(&mut self, spent: &mut Self) {
+        self.coverage.reuse(&mut spent.coverage);
+    }
+
     /// A corrupted bucket might have been the target: it simply stays
     /// uncovered, and the scan continues until its next broadcast is read
     /// cleanly. This terminates with probability 1 at any loss rate < 1.

@@ -162,6 +162,19 @@ pub trait ProtocolMachine<P> {
     fn fast_forward(&mut self, ctx: &mut FastForward<'_, P>) {
         let _ = ctx;
     }
+
+    /// Take over storage that `spent`, the machine of a query that is over
+    /// (finished, abandoned, or discarded for version skew), no longer
+    /// needs, so this fresh machine's query need not allocate it: a slot
+    /// hands its last machine to its next one, and a walk hands a skewed
+    /// machine to the one that replaces it. Only capacity moves; what
+    /// this machine does is unchanged. The default takes nothing.
+    fn reuse(&mut self, spent: &mut Self)
+    where
+        Self: Sized,
+    {
+        let _ = spent;
+    }
 }
 
 /// Longest run [`FastForward::run`] hands a planner on lossy air. A
@@ -841,6 +854,11 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
         (self.air.clone(), self.policy)
     }
 
+    /// The walk's current machine, for a slot's next query to reuse.
+    pub(crate) fn machine_mut(&mut self) -> &mut M {
+        &mut self.machine
+    }
+
     fn finish(&mut self, found: bool, false_drops: u32, aborted: bool) -> WalkStep {
         let out = AccessOutcome {
             found,
@@ -1042,8 +1060,9 @@ impl<'a, Src: Source<'a, M>, M: ProtocolMachine<Src::Payload>, R: Recorder> Walk
                         // and is a valid bucket of the new program, so a
                         // fresh machine that reads next, or dozes to this
                         // bucket's start, reads this one.
-                        Some(machine) => {
+                        Some(mut machine) => {
                             self.restarts += 1;
+                            machine.reuse(&mut self.machine);
                             self.machine = machine;
                             match self.machine.start(meta.start) {
                                 Action::ReadNext => self.machine.on_bucket(&bucket.payload, meta),

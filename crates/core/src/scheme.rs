@@ -190,7 +190,9 @@ impl<S: System> Broadcast for S {
 
 /// The reusable [`QuerySlot`] of any [`Broadcast`], one channel or a
 /// group, frozen or churning: an in-place [`Walk`], rebuilt (not
-/// reallocated) on every [`QuerySlot::start`] with a fresh recorder `R`.
+/// reallocated) on every [`QuerySlot::start`] with a fresh recorder `R`
+/// and a fresh machine that reuses the last one's storage
+/// ([`ProtocolMachine::reuse`]).
 /// With a [`SpanRecorder`] the query's per-phase spans are exposed
 /// through [`QuerySlot::spans`] until the next start.
 ///
@@ -228,11 +230,14 @@ impl<'a, B: Broadcast, R> WalkSlot<'a, B, R> {
 
 impl<'a, B: Broadcast + Sync, R: Recorder + Default + Send> QuerySlot for WalkSlot<'a, B, R> {
     fn start(&mut self, key: Key, tune_in: Ticks) {
-        let (air, policy) = match &self.walk {
+        let (src, mut machine) = self.broadcast.tune(key, tune_in);
+        let (air, policy) = match &mut self.walk {
             Armed::Idle(air, policy) => (air.clone(), *policy),
-            Armed::Walk(walk) => walk.air(),
+            Armed::Walk(walk) => {
+                machine.reuse(walk.machine_mut());
+                walk.air()
+            }
         };
-        let (src, machine) = self.broadcast.tune(key, tune_in);
         let mut walk =
             Walk::with_channel_recorder(src, machine, tune_in, air, policy, R::default());
         walk.set_fast_forward(self.ff);

@@ -141,64 +141,62 @@ impl Scheme for HashScheme {
         params.validate()?;
         let nr = dataset.len();
         let na = ((nr as f64 / self.load_factor).ceil() as u64).max(1);
+        let slots = usize::try_from(na)
+            .ok()
+            .filter(|&s| s < u32::MAX as usize)
+            .ok_or_else(|| BdaError::BuildError(format!("{na} hash slots overflow the cycle")))?;
 
-        // Bucket chains per slot, preserving key order within a chain.
-        let mut chains: Vec<Vec<usize>> = vec![Vec::new(); na as usize];
-        for (i, r) in dataset.records().iter().enumerate() {
-            chains[self.hash.slot(r.key, na) as usize].push(i);
+        // Physical layout: the chains concatenated in slot order, each in
+        // key order; an empty slot still occupies one (empty) bucket so the
+        // first Na positions always exist. A counting sort lays it out:
+        // count each slot's chain, turn the counts into chain starts, then
+        // drop each record (in key order) at its chain's cursor.
+        let homes: Vec<u32> = dataset
+            .records()
+            .iter()
+            .map(|r| self.hash.slot(r.key, na) as u32)
+            .collect();
+        let mut cursor = vec![0u32; slots];
+        for &h in &homes {
+            cursor[h as usize] += 1;
         }
+        let num_empty = cursor.iter().filter(|&&c| c == 0).count();
+        let num_collisions = nr - (slots - num_empty);
+        let mut at = 0u32;
+        for c in &mut cursor {
+            let len = (*c).max(1);
+            *c = at;
+            at += len;
+        }
+        let n = at as usize;
 
-        // Physical layout: concatenated chains; empty slots still occupy
-        // one (empty) bucket so the first Na positions always exist.
-        let mut chain_start = vec![0u32; na as usize];
-        let mut phys_entries: Vec<Option<HashEntry>> = Vec::with_capacity(nr + na as usize);
-        let mut num_collisions = 0;
-        let mut num_empty = 0;
-        for (h, chain) in chains.iter().enumerate() {
-            chain_start[h] = phys_entries.len() as u32;
-            if chain.is_empty() {
-                phys_entries.push(None);
-                num_empty += 1;
-            } else {
-                num_collisions += chain.len() - 1;
-                for &ri in chain {
-                    phys_entries.push(Some(HashEntry {
-                        key: dataset.record(ri).key,
-                        hash: h as u64,
-                        record_index: ri as u32,
-                    }));
-                }
-            }
-        }
-
-        let n = phys_entries.len();
-        if (na as usize) > n {
-            // Cannot happen: every slot contributes ≥ 1 bucket.
-            return Err(BdaError::BuildError(
-                "hashing layout shorter than Na".into(),
-            ));
-        }
         let size = params.data_bucket_size();
-        let buckets = phys_entries
-            .into_iter()
-            .enumerate()
-            .map(|(phys, entry)| {
-                let shift_buckets = if (phys as u64) < na {
-                    Some(chain_start[phys] - phys as u32)
-                } else {
-                    None
-                };
+        let mut buckets: Vec<Bucket<HashPayload>> = (0..n)
+            .map(|phys| {
                 Bucket::new(
                     size,
                     HashPayload {
                         phys: phys as u32,
-                        shift_buckets,
+                        // The chain start is filled in below.
+                        shift_buckets: (phys < slots).then_some(0),
                         next_cycle_delta: ((n - phys - 1) as Ticks) * Ticks::from(size),
-                        entry,
+                        entry: None,
                     },
                 )
             })
             .collect();
+        for (phys, &start) in cursor.iter().enumerate() {
+            buckets[phys].payload.shift_buckets = Some(start - phys as u32);
+        }
+        for (i, (r, &h)) in dataset.records().iter().zip(&homes).enumerate() {
+            let at = &mut cursor[h as usize];
+            buckets[*at as usize].payload.entry = Some(HashEntry {
+                key: r.key,
+                hash: u64::from(h),
+                record_index: i as u32,
+            });
+            *at += 1;
+        }
 
         Ok(HashSystem {
             channel: Channel::new(buckets)?,

@@ -11,15 +11,15 @@
 //! index/data buckets), so all pointers are computed over byte offsets
 //! rather than bucket counts.
 
-use std::collections::HashMap;
-
+use bda_btree::distributed::segment_slots;
+use bda_btree::layout::{gap, NextOf, NodeOccurrences, Slot};
 use bda_btree::optimal::optimal_r_ragged;
 use bda_btree::{ControlEntry, IndexBucket, IndexEntry, IndexTree};
 use bda_core::machine::run_machine;
 use bda_core::{
     AccessOutcome, BdaError, Bucket, Channel, Dataset, Key, Params, Result, Scheme, System, Ticks,
 };
-use bda_signature::{QueryTarget, SigParams};
+use bda_signature::{AttrTable, QueryTarget, SigParams};
 
 use crate::machines::{HybridAttrMachine, HybridKeyMachine};
 use crate::payload::HybridPayload;
@@ -105,17 +105,6 @@ impl HybridSystem {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    Index {
-        level: usize,
-        node: usize,
-        seg_start: bool,
-    },
-    Sig(usize),
-    Data(usize),
-}
-
 impl Scheme for HybridScheme {
     type System = HybridSystem;
 
@@ -129,202 +118,145 @@ impl Scheme for HybridScheme {
             .unwrap_or_else(|| optimal_r_ragged(fanout, dataset.len()))
             .min(k - 1);
 
-        // --- slot sequence (distributed layout, data prefixed by sigs) ---
-        let mut slots = Vec::new();
-        for s in 0..tree.level(r).len() {
-            let mut first = true;
-            for l in 0..r {
-                let child_on_path = tree.ancestor(r, s, l + 1);
-                if tree.leftmost_descendant(l + 1, child_on_path, r) == s {
-                    slots.push(Slot::Index {
-                        level: l,
-                        node: tree.ancestor(r, s, l),
-                        seg_start: std::mem::take(&mut first),
-                    });
-                }
-            }
-            let mut stack = vec![(r, s)];
-            while let Some((l, i)) = stack.pop() {
-                slots.push(Slot::Index {
-                    level: l,
-                    node: i,
-                    seg_start: std::mem::take(&mut first),
-                });
-                if !tree.is_leaf_level(l) {
-                    for j in (0..tree.node(l, i).num_children()).rev() {
-                        stack.push((l + 1, tree.child(l, i, j)));
-                    }
-                }
-            }
-            let (lo, hi) = tree.data_range(r, s);
-            for d in lo..hi {
-                slots.push(Slot::Sig(d));
-                slots.push(Slot::Data(d));
-            }
-        }
-
-        // --- byte geometry -------------------------------------------------
+        // --- byte geometry: the distributed layout, each data bucket
+        // prefixed by its record's signature bucket ------------------------
+        let slots = segment_slots(&tree, r);
         let dt = Ticks::from(params.data_bucket_size());
         let it = Ticks::from(params.header_size + self.sig.sig_bytes);
-        let size_of = |s: &Slot| match s {
-            Slot::Sig(_) => it,
-            _ => dt,
-        };
+        const ABSENT: Ticks = Ticks::MAX;
         let mut starts = Vec::with_capacity(slots.len());
+        let mut data_start = vec![ABSENT; dataset.len()];
+        let mut sig_starts = Vec::with_capacity(dataset.len());
+        let mut seg_starts = Vec::new();
         let mut at: Ticks = 0;
-        for s in &slots {
+        for slot in &slots {
             starts.push(at);
-            at += size_of(s);
-        }
-        let cycle = at;
-        let fwd = |from_end: Ticks, to_start: Ticks| -> Ticks {
-            let from = from_end % cycle;
-            if to_start >= from {
-                to_start - from
-            } else {
-                cycle - from + to_start
-            }
-        };
-
-        // --- occurrence bookkeeping ----------------------------------------
-        let mut index_occ: HashMap<(usize, usize), Vec<Ticks>> = HashMap::new();
-        let mut data_start: Vec<Option<Ticks>> = vec![None; dataset.len()];
-        let mut sig_starts: Vec<Ticks> = Vec::with_capacity(dataset.len());
-        let mut seg_starts: Vec<Ticks> = Vec::new();
-        for (i, s) in slots.iter().enumerate() {
-            match *s {
-                Slot::Index {
-                    level,
-                    node,
-                    seg_start,
-                } => {
-                    index_occ.entry((level, node)).or_default().push(starts[i]);
-                    if seg_start {
-                        seg_starts.push(starts[i]);
+            match *slot {
+                Slot::Index { segment_start, .. } => {
+                    if segment_start {
+                        seg_starts.push(at);
                     }
+                    at += dt;
                 }
-                Slot::Sig(_) => sig_starts.push(starts[i]),
-                Slot::Data(d) => {
-                    if data_start[d].replace(starts[i]).is_some() {
+                Slot::Data { index: d } => {
+                    sig_starts.push(at);
+                    at += it;
+                    if std::mem::replace(&mut data_start[d], at) != ABSENT {
                         return Err(BdaError::BuildError(format!("record {d} appears twice")));
                     }
+                    at += dt;
                 }
             }
         }
+        let cycle = at;
         if seg_starts.is_empty() || sig_starts.is_empty() {
             return Err(BdaError::BuildError(
                 "hybrid cycle needs index segments and signatures".into(),
             ));
         }
-        for (d, s) in data_start.iter().enumerate() {
-            if s.is_none() {
-                return Err(BdaError::BuildError(format!("record {d} never broadcast")));
-            }
+        if let Some(d) = data_start.iter().position(|&s| s == ABSENT) {
+            return Err(BdaError::BuildError(format!("record {d} never broadcast")));
         }
-        // Nearest forward start in a sorted list (starts are built in
-        // ascending order).
-        let next_in = |sorted: &[Ticks], from_end: Ticks| -> Ticks {
-            let from = from_end % cycle;
-            let i = sorted.partition_point(|&s| s < from);
-            let target = if i == sorted.len() {
-                sorted[0]
-            } else {
-                sorted[i]
-            };
-            fwd(from_end, target)
-        };
-        let nearest_occ = |occs: &[Ticks], from_end: Ticks| -> Ticks {
-            occs.iter()
-                .map(|&o| fwd(from_end, o))
-                .min()
-                .expect("non-empty")
-        };
+        let index_occ = NodeOccurrences::new(
+            &tree,
+            slots
+                .iter()
+                .zip(&starts)
+                .filter_map(|(slot, &start)| match *slot {
+                    Slot::Index { level, node, .. } => Some((level, node, start)),
+                    Slot::Data { .. } => None,
+                }),
+        );
 
-        // --- payload construction ------------------------------------------
+        // --- payload construction: every delta runs from the end of its
+        // bucket, in the order the buckets air ------------------------------
+        let attrs = AttrTable::new(dataset);
+        let mut next_seg = NextOf::new(&seg_starts);
+        let mut next_sig = NextOf::new(&sig_starts);
         let leaf_level = k - 1;
-        let mut buckets = Vec::with_capacity(slots.len());
-        for (i, slot) in slots.iter().enumerate() {
-            let end = starts[i] + size_of(slot);
-            let payload = match *slot {
-                Slot::Data(d) => HybridPayload::Data {
-                    key: dataset.record(d).key,
-                    record_index: d as u32,
-                    attrs: dataset.record(d).attrs.clone(),
-                    next_seg_delta: next_in(&seg_starts, end),
-                    next_sig_delta: next_in(&sig_starts, end),
-                },
-                Slot::Sig(d) => {
+        let mut buckets = Vec::with_capacity(slots.len() + dataset.len());
+        for (slot, &start) in slots.iter().zip(&starts) {
+            match *slot {
+                Slot::Data { index: d } => {
+                    let record = dataset.record(d);
+                    let end = start + it;
                     let data_end = end + dt;
-                    HybridPayload::Sig {
-                        sig: self
-                            .sig
-                            .record_signature(dataset.record(d).key, &dataset.record(d).attrs),
-                        record_index: d as u32,
-                        next_seg_delta: next_in(&seg_starts, end),
-                        next_sig_after_data: next_in(&sig_starts, data_end),
-                    }
+                    buckets.push(Bucket::new(
+                        it as u32,
+                        HybridPayload::Sig {
+                            sig: self.sig.record_signature(record.key, &record.attrs),
+                            record_index: d as u32,
+                            next_seg_delta: next_seg.gap(end, cycle),
+                            next_sig_after_data: next_sig.gap(data_end, cycle),
+                        },
+                    ));
+                    buckets.push(Bucket::new(
+                        dt as u32,
+                        HybridPayload::Data {
+                            key: record.key,
+                            record_index: d as u32,
+                            attrs: attrs.row(d),
+                            next_seg_delta: next_seg.gap(data_end, cycle),
+                            next_sig_delta: next_sig.gap(data_end, cycle),
+                        },
+                    ));
                 }
                 Slot::Index {
                     level,
                     node,
-                    seg_start,
+                    segment_start,
                 } => {
+                    let end = start + dt;
                     let tnode = tree.node(level, node);
-                    let entries = (0..tnode.num_children())
-                        .map(|j| {
-                            let target = if level == leaf_level {
-                                let (lo, _) = tree.data_range(level, node);
-                                data_start[lo + j].expect("validated above")
-                            } else {
-                                let child = tree.child(level, node, j);
-                                let occs = index_occ.get(&(level + 1, child)).ok_or_else(|| {
+                    let mut entries = Vec::with_capacity(tnode.num_children());
+                    for (j, &max_key) in tnode.child_max.iter().enumerate() {
+                        let delta = if level == leaf_level {
+                            gap(end, data_start[node * fanout + j], cycle)
+                        } else {
+                            let child = tree.child(level, node, j);
+                            index_occ
+                                .gap_to(level + 1, child, end, cycle)
+                                .ok_or_else(|| {
                                     BdaError::BuildError(format!(
                                         "child ({}, {child}) never broadcast",
                                         level + 1
                                     ))
-                                })?;
-                                let d = nearest_occ(occs, end);
-                                return Ok(IndexEntry {
-                                    max_key: tnode.child_max[j],
-                                    delta: d,
-                                });
-                            };
-                            Ok(IndexEntry {
-                                max_key: tnode.child_max[j],
-                                delta: fwd(end, target),
-                            })
-                        })
-                        .collect::<Result<Vec<_>>>()?;
-                    let control = (0..level)
-                        .map(|a| {
-                            let anc = tree.ancestor(level, node, a);
-                            let anode = tree.node(a, anc);
-                            ControlEntry {
-                                min_key: anode.min_key,
-                                max_key: anode.max_key,
-                                delta: nearest_occ(
-                                    index_occ.get(&(a, anc)).expect("ancestors broadcast"),
-                                    end,
-                                ),
-                            }
-                        })
-                        .collect();
-                    HybridPayload::Index {
-                        node: IndexBucket {
-                            level: level as u32,
-                            node: node as u32,
-                            min_key: tnode.min_key,
-                            max_key: tnode.max_key,
-                            segment_start: seg_start,
-                            entries,
-                            control,
-                            next_seg_delta: next_in(&seg_starts, end),
-                        },
-                        next_sig_delta: next_in(&sig_starts, end),
+                                })?
+                        };
+                        entries.push(IndexEntry { max_key, delta });
                     }
+                    let mut control = Vec::with_capacity(level);
+                    let mut anc = node;
+                    for a in (0..level).rev() {
+                        anc /= fanout;
+                        let anode = tree.node(a, anc);
+                        control.push(ControlEntry {
+                            min_key: anode.min_key,
+                            max_key: anode.max_key,
+                            delta: index_occ
+                                .gap_to(a, anc, end, cycle)
+                                .expect("ancestors broadcast"),
+                        });
+                    }
+                    control.reverse();
+                    buckets.push(Bucket::new(
+                        dt as u32,
+                        HybridPayload::Index {
+                            node: IndexBucket {
+                                level: level as u32,
+                                node: node as u32,
+                                min_key: tnode.min_key,
+                                max_key: tnode.max_key,
+                                segment_start,
+                                entries,
+                                control,
+                                next_seg_delta: next_seg.gap(end, cycle),
+                            },
+                            next_sig_delta: next_sig.gap(end, cycle),
+                        },
+                    ));
                 }
-            };
-            buckets.push(Bucket::new(size_of(slot) as u32, payload));
+            }
         }
 
         Ok(HybridSystem {

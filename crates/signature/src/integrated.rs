@@ -13,6 +13,7 @@ use bda_core::{
     ProtocolMachine, Result, Scheme, System, Ticks, Verdict,
 };
 
+use crate::attrs::AttrTable;
 use crate::sig::{SigParams, SigTable, Signature};
 use crate::simple::SigPayload;
 
@@ -71,6 +72,7 @@ impl Scheme for IntegratedSignatureScheme {
         let frames = dataset.len().div_ceil(self.group_len as usize);
         let mut buckets = Vec::with_capacity(frames + dataset.len());
         let mut group_sigs = Vec::with_capacity(frames);
+        let attrs = AttrTable::new(dataset);
         for (g, frame) in dataset
             .records()
             .chunks(self.group_len as usize)
@@ -78,7 +80,7 @@ impl Scheme for IntegratedSignatureScheme {
         {
             let mut sig = Signature::zero(self.sig.bits());
             for r in frame {
-                sig.superimpose(&self.sig.record_signature(r.key, &r.attrs));
+                self.sig.superimpose_record(&mut sig, r.key, &r.attrs);
             }
             buckets.push(Bucket::new(
                 sig_size,
@@ -90,12 +92,13 @@ impl Scheme for IntegratedSignatureScheme {
             ));
             group_sigs.push(sig);
             for (j, r) in frame.iter().enumerate() {
+                let record_index = g * self.group_len as usize + j;
                 buckets.push(Bucket::new(
                     data_size,
                     SigPayload::Data {
                         key: r.key,
-                        record_index: (g * self.group_len as usize + j) as u32,
-                        attrs: r.attrs.clone(),
+                        record_index: record_index as u32,
+                        attrs: attrs.row(record_index),
                     },
                 ));
             }
@@ -186,6 +189,11 @@ impl ProtocolMachine<SigPayload> for IntegratedMachine {
         self.in_group = 0;
         self.group_matched = false;
         Action::ReadNext
+    }
+
+    /// A spent scan's coverage bitmap serves this one's first gap.
+    fn reuse(&mut self, spent: &mut Self) {
+        self.coverage.reuse(&mut spent.coverage);
     }
 
     /// Frame and record signatures are index structure; only record

@@ -13,6 +13,7 @@ use bda_core::{
     ProtocolMachine, Result, Scheme, System, Ticks, Verdict,
 };
 
+use crate::attrs::AttrTable;
 use crate::sig::{SigParams, SigTable, Signature};
 use crate::simple::SigPayload;
 
@@ -75,6 +76,7 @@ impl Scheme for MultiLevelSignatureScheme {
         let mut buckets = Vec::with_capacity(frames + 2 * dataset.len());
         let mut group_sigs = Vec::with_capacity(frames);
         let mut record_sigs = Vec::with_capacity(dataset.len());
+        let attrs = AttrTable::new(dataset);
         for (g, frame) in dataset
             .records()
             .chunks(self.group_len as usize)
@@ -113,7 +115,7 @@ impl Scheme for MultiLevelSignatureScheme {
                     SigPayload::Data {
                         key: r.key,
                         record_index: record_index as u32,
-                        attrs: r.attrs.clone(),
+                        attrs: attrs.row(record_index),
                     },
                 ));
             }
@@ -224,6 +226,11 @@ impl ProtocolMachine<SigPayload> for MultiLevelMachine {
         self.scanning = false;
         self.checking_data = false;
         Action::ReadNext
+    }
+
+    /// A spent scan's coverage bitmap serves this one's first gap.
+    fn reuse(&mut self, spent: &mut Self) {
+        self.coverage.reuse(&mut spent.coverage);
     }
 
     /// Every signature level is index structure; only record downloads

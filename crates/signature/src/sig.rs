@@ -346,38 +346,64 @@ impl SigParams {
     /// Hash one attribute value into its sparse bit string.
     pub fn attr_signature(&self, value: u64) -> Signature {
         let mut sig = Signature::zero(self.bits());
-        self.draw(value, &mut sig);
+        self.draw(value, sig.words_mut());
         sig
     }
 
     /// The record signature: the key's bit string superimposed with every
-    /// attribute's bit string. Each string is drawn into one scratch
-    /// signature, cleared between them, and superimposed in place, so at
-    /// an inline width the record's signature never touches the heap.
+    /// attribute's bit string (see [`SigParams::superimpose_record`]).
     pub fn record_signature(&self, key: Key, attrs: &[u64]) -> Signature {
         let mut sig = Signature::zero(self.bits());
-        let mut own = Signature::zero(self.bits());
-        for value in std::iter::once(key.value()).chain(attrs.iter().copied()) {
-            own.words_mut().fill(0);
-            self.draw(value, &mut own);
-            sig.superimpose(&own);
-        }
+        self.superimpose_record(&mut sig, key, attrs);
         sig
     }
 
-    /// Set `value`'s bit positions in `own`, which must hold no bits yet.
-    /// Positions are drawn until they are distinct — `own`'s bits decide
-    /// the redraws — so every attribute contributes exactly
-    /// `bits_per_attr` bits (as long as the signature is wide enough).
-    fn draw(&self, value: u64, own: &mut Signature) {
+    /// Superimpose the record signature of `key` and `attrs` onto `sig`.
+    /// Each string is drawn into one scratch word buffer, cleared between
+    /// them, and superimposed in place, so at an inline width nothing
+    /// touches the heap. An attribute equal to the key (attribute 0, by
+    /// `bda-datagen`'s convention) is not drawn again: its string is the
+    /// key's, whose bits are already set.
+    pub fn superimpose_record(&self, sig: &mut Signature, key: Key, attrs: &[u64]) {
+        let words = sig.words_mut();
+        let mut inline = [0u64; INLINE];
+        let mut boxed = Vec::new();
+        let own = if words.len() <= INLINE {
+            &mut inline[..words.len()]
+        } else {
+            boxed.resize(words.len(), 0);
+            &mut boxed[..]
+        };
+        let key = key.value();
+        for value in std::iter::once(key).chain(attrs.iter().copied().filter(|&v| v != key)) {
+            own.fill(0);
+            self.draw(value, own);
+            for (w, o) in words.iter_mut().zip(&*own) {
+                *w |= o;
+            }
+        }
+    }
+
+    /// Set `value`'s bit positions in `own`, the words of a signature of
+    /// this width that hold no bits yet. Positions are drawn until they
+    /// are distinct — `own`'s bits decide the redraws — so every
+    /// attribute contributes exactly `bits_per_attr` bits (as long as the
+    /// signature is wide enough). A position is a draw modulo the width;
+    /// at a power-of-two width that is the draw's low bits, taken with a
+    /// mask instead of a division.
+    fn draw(&self, value: u64, own: &mut [u64]) {
+        let bits = u64::from(self.bits());
+        let mask = if bits.is_power_of_two() { bits - 1 } else { 0 };
         let mut state = value ^ 0xA076_1D64_78BD_642F;
         let mut set = 0;
         let want = self.bits_per_attr.min(self.bits());
         let mut guard = 0;
         while set < want {
-            let pos = (mix_step(&mut state) % u64::from(self.bits())) as u32;
-            if !own.get(pos) {
-                own.set(pos);
+            let z = mix_step(&mut state);
+            let pos = if mask != 0 { z & mask } else { z % bits };
+            let (word, bit) = (&mut own[(pos / 64) as usize], 1u64 << (pos % 64));
+            if *word & bit == 0 {
+                *word |= bit;
                 set += 1;
             }
             guard += 1;
@@ -498,11 +524,12 @@ mod tests {
         assert_eq!(table.first_match(5..5, &all_zero), None);
     }
 
-    /// The key's and each attribute's own strings, superimposed one by one.
+    /// The key's and each attribute's own strings, drawn by the reference
+    /// below, superimposed one by one.
     fn superimposed(p: &SigParams, key: Key, attrs: &[u64]) -> Signature {
-        let mut sig = p.attr_signature(key.value());
+        let mut sig = drawn_by_division(p, key.value());
         for &a in attrs {
-            sig.superimpose(&p.attr_signature(a));
+            sig.superimpose(&drawn_by_division(p, a));
         }
         sig
     }
@@ -519,13 +546,55 @@ mod tests {
                     bits_per_attr,
                 };
                 for k in 0..200u64 {
-                    let attrs: Vec<u64> = (0..k % 6).map(|j| k.wrapping_mul(j + 11)).collect();
                     let key = Key(k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                    // Every other record carries its key as attribute 0,
+                    // as generated datasets do.
+                    let attrs: Vec<u64> = (k % 2 == 0)
+                        .then_some(key.value())
+                        .into_iter()
+                        .chain((0..k % 6).map(|j| k.wrapping_mul(j + 11)))
+                        .collect();
                     assert_eq!(
                         p.record_signature(key, &attrs),
                         superimposed(&p, key, &attrs),
                         "{p:?} key {key:?} attrs {attrs:?}"
                     );
+                }
+            }
+        }
+    }
+
+    /// `value`'s string with every position drawn modulo the width.
+    fn drawn_by_division(p: &SigParams, value: u64) -> Signature {
+        let mut sig = Signature::zero(p.bits());
+        let mut state = value ^ 0xA076_1D64_78BD_642F;
+        let want = p.bits_per_attr.min(p.bits());
+        let (mut set, mut guard) = (0, 0);
+        while set < want {
+            let pos = (mix_step(&mut state) % u64::from(p.bits())) as u32;
+            if !sig.get(pos) {
+                sig.set(pos);
+                set += 1;
+            }
+            guard += 1;
+            if guard > 64 * want {
+                break;
+            }
+        }
+        sig
+    }
+
+    #[test]
+    fn masked_draws_equal_draws_by_division() {
+        // Power-of-two widths take the mask, the others the division.
+        for sig_bytes in [1, 2, 3, 8, 16, 17, 24, 32, 64] {
+            for bits_per_attr in [1, 4, 16, 32] {
+                let p = SigParams {
+                    sig_bytes,
+                    bits_per_attr,
+                };
+                for v in (0..300u64).map(|v| v.wrapping_mul(0x9E37_79B9_7F4A_7C15)) {
+                    assert_eq!(p.attr_signature(v), drawn_by_division(&p, v), "{p:?} {v}");
                 }
             }
         }

@@ -13,6 +13,7 @@ use bda_core::{
     Key, Params, ProtocolMachine, Result, Scheme, System, Ticks, Verdict,
 };
 
+use crate::attrs::{AttrTable, Attrs};
 use crate::sig::{SigParams, SigTable, Signature};
 
 /// Bucket payload shared by all signature-based schemes.
@@ -49,8 +50,9 @@ pub enum SigPayload {
         /// Position of the record (diagnostics).
         record_index: u32,
         /// The record's attribute values — what a downloading client gets
-        /// to inspect (needed to verify attribute-query matches).
-        attrs: Box<[u64]>,
+        /// to inspect (needed to verify attribute-query matches); a view
+        /// of the program's one [`AttrTable`].
+        attrs: Attrs,
     },
 }
 
@@ -190,6 +192,7 @@ impl SimpleSignatureScheme {
             .iter()
             .map(|r| self.sig.record_signature(r.key, &r.attrs))
             .collect();
+        let attrs = AttrTable::new(dataset);
         let in_record_order = occurrences
             .iter()
             .enumerate()
@@ -209,7 +212,7 @@ impl SimpleSignatureScheme {
                 SigPayload::Data {
                     key: r.key,
                     record_index: i,
-                    attrs: r.attrs.clone(),
+                    attrs: attrs.row(i as usize),
                 },
             ));
         }
@@ -335,6 +338,11 @@ impl ProtocolMachine<SigPayload> for SimpleSigMachine {
         self.false_drops = 0;
         self.checking_data = false;
         Action::ReadNext
+    }
+
+    /// A spent scan's coverage bitmap serves this one's first gap.
+    fn reuse(&mut self, spent: &mut Self) {
+        self.coverage.reuse(&mut spent.coverage);
     }
 
     /// Signature buckets are the scheme's index structure; only record

@@ -13,7 +13,7 @@
 //! CLI, the experiment harness, the golden corpus, the chaos soak and the
 //! test suites all build through it.
 
-use std::fmt::Display;
+use std::fmt::{Debug, Display};
 use std::str::FromStr;
 
 use bda_btree::{DistributedScheme, OneMScheme};
@@ -96,7 +96,7 @@ pub trait SchemeVisitor {
         Sch: Scheme,
         Sch::System: 'static,
         <Sch::System as System>::Machine: 'static,
-        <Sch::System as System>::Payload: Display;
+        <Sch::System as System>::Payload: Display + Debug;
 }
 
 impl SchemeKind {

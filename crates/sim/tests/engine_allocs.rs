@@ -1,14 +1,18 @@
 //! A warmed engine allocates nothing per request: a second identical
 //! batch makes exactly one allocation of its own, the vector of its
 //! results, on lossless air and on `churn-lossy`'s burst and outage air
-//! alike. Slots are re-armed in place, the wake-up scheduler keeps the
-//! capacity of its map and heap from one batch to the next, and an engine
-//! makes its memo of what its clients hear once, on its first batch over
-//! lossy air. The walks allocate nothing on lossless air, a signature
-//! query's signature included; on lossy air a scan whose coverage gains a
-//! gap moves it into a bitmap, at most one per query. The test counts what
-//! the same walks allocate through one stand-alone slot and expects the
-//! engine to add exactly its result vector.
+//! alike, over frozen and over churning programs. Slots are re-armed in
+//! place, the wake-up scheduler keeps the capacity of its map and heap
+//! from one batch to the next, and an engine makes its memo of what its
+//! clients hear once, on its first batch over lossy air. The walks
+//! allocate nothing either, a signature query's signature included: on
+//! lossy air a scan whose coverage gains a gap moves it into a bitmap, and
+//! each query's machine takes over the bitmap of the one before it in its
+//! slot (and of the machine a version skew replaced), so a slot that has
+//! run its queries once runs them again without allocating. The test
+//! counts what the same walks allocate through one warmed stand-alone
+//! slot and expects nothing, and the engine to add exactly its result
+//! vector.
 //!
 //! The counting allocator below counts allocations for the whole test
 //! binary, so this file holds one test and prints nothing between its
@@ -21,7 +25,7 @@ use bda_core::{
     BurstModel, ChannelModel, DynSystem, Key, OutageSchedule, Params, RetryPolicy, Ticks, WalkStep,
 };
 use bda_datagen::DatasetBuilder;
-use bda_sim::{Engine, SchemeKind};
+use bda_sim::{Engine, SchemeKind, UpdateSpec};
 
 /// The system allocator, counting allocations.
 struct Counting;
@@ -56,8 +60,8 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations made by `requests` run one after another through one
-/// stand-alone slot, with fast-forward on as in the engine: what the walks
-/// themselves allocate.
+/// stand-alone slot that has run them once already, with fast-forward on
+/// as in the engine: what the walks themselves allocate.
 fn walk_allocations(
     sys: &dyn DynSystem,
     requests: &[(Ticks, Key)],
@@ -65,10 +69,15 @@ fn walk_allocations(
 ) -> usize {
     let mut slot = sys.make_slot_channel(channel, policy);
     slot.set_fast_forward(true);
-    let before = ALLOCS.load(Relaxed);
-    for &(t, key) in requests {
-        slot.start(key, t);
-        while !matches!(slot.step(), WalkStep::Done(_)) {}
+    let mut before = 0;
+    for pass in 0..2 {
+        if pass == 1 {
+            before = ALLOCS.load(Relaxed);
+        }
+        for &(t, key) in requests {
+            slot.start(key, t);
+            while !matches!(slot.step(), WalkStep::Done(_)) {}
+        }
     }
     ALLOCS.load(Relaxed) - before
 }
@@ -92,50 +101,57 @@ fn a_warmed_engine_allocates_only_the_result_vector() {
                 .with_jitter(0x117),
         ),
     ];
+    // `churn-lossy`'s churn: 10 % of the records change every cycle for
+    // longer than the arrivals last.
+    let churns = [
+        None,
+        Some(UpdateSpec {
+            rate: 0.10,
+            seed: 0xC4A,
+            horizon_cycles: 16,
+        }),
+    ];
     // Sized up front: the measurements must not allocate between batches.
-    let mut counts = Vec::with_capacity(airs.len() * SchemeKind::ALL.len());
+    let mut counts = Vec::with_capacity(SchemeKind::ALL.len() * churns.len() * airs.len());
     let mut ok = true;
-    for (kind, &(channel, policy)) in SchemeKind::ALL
-        .into_iter()
-        .flat_map(|k| airs.iter().map(move |a| (k, a)))
-    {
-        let sys = kind.build(&ds, &params).unwrap();
-        // Arrivals over eight cycles: clients overlap and wake at many
-        // distinct instants.
-        let span = 8 * sys.cycle_len();
-        let requests: Vec<(u64, Key)> = (0..4_000u64)
-            .map(|i| {
-                let t = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
-                (t % span, keys[(i as usize * 37) % keys.len()])
-            })
-            .collect();
-        let scans = matches!(
-            kind,
-            SchemeKind::Flat
-                | SchemeKind::Signature
-                | SchemeKind::IntegratedSignature
-                | SchemeKind::MultiLevelSignature
-        );
-        let lossless = channel.is_lossless();
-        let walks = walk_allocations(sys.as_ref(), &requests, (channel, policy));
-        let mut engine = Engine::with_channel(sys.as_ref(), channel, policy);
-        drop(engine.run_batch(&requests));
-        let before = ALLOCS.load(Relaxed);
-        let out = engine.run_batch(&requests);
-        let allocs = ALLOCS.load(Relaxed) - before;
-        // Nothing, but on lossy air a scan's coverage bitmap: some query's
-        // coverage gains a gap, and none allocates twice.
-        let walks_as_expected = if scans && !lossless {
-            walks > 0 && walks <= requests.len()
-        } else {
-            walks == 0
-        };
-        counts.push((kind.name(), lossless, allocs, walks));
-        ok &= allocs == 1 + walks && walks_as_expected;
-        assert_eq!(out.len(), requests.len());
+    for kind in SchemeKind::ALL {
+        for churn in churns {
+            let sys = match churn {
+                None => kind.build(&ds, &params),
+                Some(spec) => kind.build_versioned(&ds, &params, spec),
+            }
+            .unwrap();
+            // Arrivals over eight cycles: clients overlap and wake at many
+            // distinct instants.
+            let span = 8 * sys.cycle_len();
+            let requests: Vec<(u64, Key)> = (0..4_000u64)
+                .map(|i| {
+                    let t = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+                    (t % span, keys[(i as usize * 37) % keys.len()])
+                })
+                .collect();
+            for &(channel, policy) in &airs {
+                let walks = walk_allocations(sys.as_ref(), &requests, (channel, policy));
+                let mut engine = Engine::with_channel(sys.as_ref(), channel, policy);
+                drop(engine.run_batch(&requests));
+                let before = ALLOCS.load(Relaxed);
+                let out = engine.run_batch(&requests);
+                let allocs = ALLOCS.load(Relaxed) - before;
+                counts.push((
+                    kind.name(),
+                    churn.is_some(),
+                    channel.is_lossless(),
+                    allocs,
+                    walks,
+                ));
+                ok &= allocs == 1 && walks == 0;
+                assert_eq!(out.len(), requests.len());
+            }
+        }
     }
     assert!(
         ok,
-        "(scheme, lossless air, a warmed engine's allocations, the walks' own): {counts:?}"
+        "(scheme, churning, lossless air, a warmed engine's allocations, the walks' own): \
+         {counts:?}"
     );
 }
