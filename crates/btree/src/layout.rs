@@ -312,12 +312,21 @@ mod tests {
     }
 
     #[test]
+    fn fwd_buckets_geometry() {
+        // Whole buckets from the end of bucket `p` (point `p + 1`) of a
+        // 10-bucket cycle to the start of bucket `to`.
+        let fwd_buckets = |p: usize, to: usize| gap(p + 1, to, 10);
+        assert_eq!(fwd_buckets(0, 1), 0); // immediately next
+        assert_eq!(fwd_buckets(0, 0), 9); // self, next cycle
+        assert_eq!(fwd_buckets(9, 0), 0); // wrap
+        assert_eq!(fwd_buckets(3, 1), 7);
+    }
+
+    #[test]
     fn gap_geometry() {
-        // From the end of bucket `p` (point `p + 1`) of a 10-bucket cycle.
-        assert_eq!(gap(1, 1, 10), 0); // immediately next
-        assert_eq!(gap(1, 0, 10), 9); // self, next cycle
-        assert_eq!(gap(10, 0, 10), 0); // wrap
-        assert_eq!(gap(4, 1, 10), 7);
+        assert_eq!(gap(2, 5, 10), 3);
+        assert_eq!(gap(5, 5, 10), 0);
+        assert_eq!(gap(8, 2, 10), 4); // through the cycle's end
         assert_eq!(gap_to_next(&[2, 5, 8], 6, 10), Some(2));
         assert_eq!(gap_to_next(&[2, 5, 8], 9, 10), Some(3));
         assert_eq!(gap_to_next(&[2, 5, 8], 5, 10), Some(0));
