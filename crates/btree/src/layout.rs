@@ -15,8 +15,6 @@
 //! small control index (≤ `k−1` entries) and the next-segment pointer are
 //! charged to the per-bucket header budget.
 
-use std::ops::{Add, Sub};
-
 use bda_core::{BdaError, Bucket, Channel, Dataset, Params, Result, Ticks};
 
 use crate::payload::{BTreePayload, ControlEntry, DataBucket, IndexBucket, IndexEntry};
@@ -44,10 +42,7 @@ pub enum Slot {
 /// How far `to` lies ahead of `from` on a cycle `cycle` long: `to − from`,
 /// or, when `to` is behind `from`, the way round through the cycle's end.
 /// Both points lie in `0..=cycle`, so no division is needed.
-pub fn gap<T>(from: T, to: T, cycle: T) -> T
-where
-    T: Copy + Ord + Add<Output = T> + Sub<Output = T>,
-{
+pub fn gap(from: Ticks, to: Ticks, cycle: Ticks) -> Ticks {
     if to >= from {
         to - from
     } else {
@@ -58,91 +53,62 @@ where
 /// The [`gap`] from `from` to the first of `sorted` (ascending points of
 /// the cycle) at or after it, wrapping to the first of them; `None` when
 /// `sorted` is empty.
-pub fn gap_to_next<T>(sorted: &[T], from: T, cycle: T) -> Option<T>
-where
-    T: Copy + Ord + Add<Output = T> + Sub<Output = T>,
-{
+pub fn gap_to_next(sorted: &[Ticks], from: Ticks, cycle: Ticks) -> Option<Ticks> {
     let i = sorted.partition_point(|&o| o < from);
     let to = *sorted.get(i).or_else(|| sorted.first())?;
     Some(gap(from, to, cycle))
 }
 
-/// A [`gap_to_next`] for a run of queries whose `from` never decreases:
-/// the search resumes where the last one stopped, so a pass over the cycle
-/// costs one walk of the list.
+/// Where a cycle airs each node of an index tree and each record, for
+/// resolving index buckets' pointers. Every node's occurrences are kept in
+/// cycle order, a counting sort of the cycle's index buckets by node, so
+/// the next occurrence of a node after any point is one binary search over
+/// its own occurrences.
 #[derive(Debug)]
-pub struct NextOf<'a, T> {
-    sorted: &'a [T],
-    at: usize,
-}
-
-impl<'a, T> NextOf<'a, T>
-where
-    T: Copy + Ord + Add<Output = T> + Sub<Output = T>,
-{
-    /// Search `sorted`, which must be non-empty and ascending.
-    pub fn new(sorted: &'a [T]) -> Self {
-        assert!(!sorted.is_empty(), "nothing to point at");
-        NextOf { sorted, at: 0 }
-    }
-
-    /// The gap from `from` (no less than the last query's) to the next
-    /// point at or after it.
-    pub fn gap(&mut self, from: T, cycle: T) -> T {
-        while self.sorted.get(self.at).is_some_and(|&o| o < from) {
-            self.at += 1;
-        }
-        gap(
-            from,
-            *self.sorted.get(self.at).unwrap_or(&self.sorted[0]),
-            cycle,
-        )
-    }
-}
-
-/// Every index node's occurrences in the cycle, in cycle order: a counting
-/// sort of the cycle's index buckets by node, so the next occurrence of a
-/// node after any point is one binary search over its own occurrences.
-#[derive(Debug)]
-pub struct NodeOccurrences<T> {
+pub struct Occurrences<'a> {
+    tree: &'a IndexTree,
+    /// Each record's one start.
+    data_at: &'a [Ticks],
+    cycle: Ticks,
     /// Number of the first node of each level, counting root-first.
     level_base: Vec<usize>,
     /// Node `id`'s occurrences are `at[first[id]..first[id + 1]]`.
     first: Vec<usize>,
-    at: Vec<T>,
+    at: Vec<Ticks>,
 }
 
-impl<T> NodeOccurrences<T>
-where
-    T: Copy + Ord + Default + Add<Output = T> + Sub<Output = T>,
-{
-    /// Index `occurrences`, `(level, node, where)` in cycle order, of the
-    /// nodes of `tree`.
-    pub fn new<I>(tree: &IndexTree, occurrences: I) -> Self
+impl<'a> Occurrences<'a> {
+    /// Index `nodes`, the `(level, node, start)` of every index bucket of a
+    /// cycle `cycle` long in cycle order, over `tree`, whose records start
+    /// at `data_at`.
+    pub fn new<I>(tree: &'a IndexTree, nodes: I, data_at: &'a [Ticks], cycle: Ticks) -> Self
     where
-        I: Iterator<Item = (usize, usize, T)> + Clone,
+        I: Iterator<Item = (usize, usize, Ticks)> + Clone,
     {
         let mut level_base = Vec::with_capacity(tree.num_levels());
-        let mut nodes = 0;
+        let mut count = 0;
         for l in 0..tree.num_levels() {
-            level_base.push(nodes);
-            nodes += tree.level(l).len();
+            level_base.push(count);
+            count += tree.level(l).len();
         }
-        let mut first = vec![0; nodes + 1];
-        for (level, node, _) in occurrences.clone() {
+        let mut first = vec![0; count + 1];
+        for (level, node, _) in nodes.clone() {
             first[level_base[level] + node + 1] += 1;
         }
-        for id in 0..nodes {
+        for id in 0..count {
             first[id + 1] += first[id];
         }
-        let mut next = first[..nodes].to_vec();
-        let mut at = vec![T::default(); first[nodes]];
-        for (level, node, t) in occurrences {
+        let mut next = first[..count].to_vec();
+        let mut at = vec![0; first[count]];
+        for (level, node, t) in nodes {
             let slot = &mut next[level_base[level] + node];
             at[*slot] = t;
             *slot += 1;
         }
-        NodeOccurrences {
+        Occurrences {
+            tree,
+            data_at,
+            cycle,
             level_base,
             first,
             at,
@@ -151,9 +117,61 @@ where
 
     /// The [`gap_to_next`] from `from` to node `node` of level `level`;
     /// `None` when the node is never broadcast.
-    pub fn gap_to(&self, level: usize, node: usize, from: T, cycle: T) -> Option<T> {
+    fn gap_to(&self, level: usize, node: usize, from: Ticks) -> Option<Ticks> {
         let id = self.level_base[level] + node;
-        gap_to_next(&self.at[self.first[id]..self.first[id + 1]], from, cycle)
+        let occurrences = &self.at[self.first[id]..self.first[id + 1]];
+        gap_to_next(occurrences, from, self.cycle)
+    }
+
+    /// The local index of node `node` of level `level`, read from a bucket
+    /// that ends at `from`: each child's key bound and the distance to its
+    /// next broadcast (a leaf's children are records). With `with_control`
+    /// also its control index, the distance to each ancestor's next
+    /// broadcast, root first.
+    pub fn pointers(
+        &self,
+        level: usize,
+        node: usize,
+        from: Ticks,
+        with_control: bool,
+    ) -> Result<(Vec<IndexEntry>, Vec<ControlEntry>)> {
+        let tree = self.tree;
+        let leaf = tree.is_leaf_level(level);
+        let child_max = &tree.node(level, node).child_max;
+        let mut entries = Vec::with_capacity(child_max.len());
+        for (j, &max_key) in child_max.iter().enumerate() {
+            let child = tree.child(level, node, j);
+            let delta = if leaf {
+                gap(from, self.data_at[child], self.cycle)
+            } else {
+                self.gap_to(level + 1, child, from).ok_or_else(|| {
+                    BdaError::BuildError(format!(
+                        "child node ({}, {child}) never broadcast",
+                        level + 1
+                    ))
+                })?
+            };
+            entries.push(IndexEntry { max_key, delta });
+        }
+
+        let mut control = Vec::new();
+        if with_control && level > 0 {
+            control.reserve_exact(level);
+            let mut anc = node;
+            for a in (0..level).rev() {
+                anc = tree.parent(a + 1, anc);
+                let anode = tree.node(a, anc);
+                control.push(ControlEntry {
+                    min_key: anode.min_key,
+                    max_key: anode.max_key,
+                    delta: self
+                        .gap_to(a, anc, from)
+                        .expect("ancestors of broadcast nodes are broadcast"),
+                });
+            }
+            control.reverse();
+        }
+        Ok((entries, control))
     }
 }
 
@@ -175,20 +193,22 @@ pub fn materialize(
         return Err(BdaError::EmptyChannel);
     }
     let size = Ticks::from(params.data_bucket_size());
+    let start = |pos: usize| pos as Ticks * size;
+    let cycle = start(n_slots);
 
     // --- occurrence bookkeeping -----------------------------------------
-    const ABSENT: usize = usize::MAX;
+    const ABSENT: Ticks = Ticks::MAX;
     let mut data_at = vec![ABSENT; dataset.len()];
     let mut seg_starts = Vec::new();
     for (pos, slot) in slots.iter().enumerate() {
         match *slot {
             Slot::Index { segment_start, .. } => {
                 if segment_start {
-                    seg_starts.push(pos);
+                    seg_starts.push(start(pos));
                 }
             }
             Slot::Data { index } => {
-                if std::mem::replace(&mut data_at[index], pos) != ABSENT {
+                if std::mem::replace(&mut data_at[index], start(pos)) != ABSENT {
                     return Err(BdaError::BuildError(format!(
                         "record {index} appears more than once in the cycle"
                     )));
@@ -206,28 +226,27 @@ pub fn materialize(
             "record {i} never appears in the cycle"
         )));
     }
-    let index_occ = NodeOccurrences::new(
+    let occ = Occurrences::new(
         tree,
         slots
             .iter()
             .enumerate()
             .filter_map(|(pos, slot)| match *slot {
-                Slot::Index { level, node, .. } => Some((level, node, pos)),
+                Slot::Index { level, node, .. } => Some((level, node, start(pos))),
                 Slot::Data { .. } => None,
             }),
+        &data_at,
+        cycle,
     );
 
     // --- payload construction --------------------------------------------
-    // Every distance is in whole buckets between the end of bucket `pos`
-    // and the start of its target, i.e. from bucket `pos + 1` on; a target
-    // at or before `pos` is reached in the next cycle.
-    let leaf_level = tree.num_levels() - 1;
-    let mut next_seg = NextOf::new(&seg_starts);
+    // Every distance runs from the end of bucket `pos` to the start of its
+    // target; a target at or before `pos` is reached in the next cycle.
     let mut buckets = Vec::with_capacity(n_slots);
     for (pos, slot) in slots.iter().enumerate() {
-        let from = pos + 1;
-        let bytes = |buckets: usize| buckets as Ticks * size;
-        let next_seg_delta = bytes(next_seg.gap(from, n_slots));
+        let end = start(pos + 1);
+        let next_seg_delta =
+            gap_to_next(&seg_starts, end, cycle).expect("the cycle has a segment start");
         let payload = match *slot {
             Slot::Data { index } => BTreePayload::Data(DataBucket {
                 key: dataset.record(index).key,
@@ -239,47 +258,8 @@ pub fn materialize(
                 node,
                 segment_start,
             } => {
+                let (entries, control) = occ.pointers(level, node, end, with_control)?;
                 let tnode = tree.node(level, node);
-                let mut entries = Vec::with_capacity(tnode.num_children());
-                for (j, &max_key) in tnode.child_max.iter().enumerate() {
-                    let to = if level == leaf_level {
-                        gap(from, data_at[node * tree.fanout() + j], n_slots)
-                    } else {
-                        let child = tree.child(level, node, j);
-                        index_occ
-                            .gap_to(level + 1, child, from, n_slots)
-                            .ok_or_else(|| {
-                                BdaError::BuildError(format!(
-                                    "child node ({}, {child}) never broadcast",
-                                    level + 1
-                                ))
-                            })?
-                    };
-                    entries.push(IndexEntry {
-                        max_key,
-                        delta: bytes(to),
-                    });
-                }
-
-                let mut control = Vec::new();
-                if with_control && level > 0 {
-                    control.reserve_exact(level);
-                    let mut anc = node;
-                    for a in (0..level).rev() {
-                        anc /= tree.fanout();
-                        let anode = tree.node(a, anc);
-                        let to = index_occ
-                            .gap_to(a, anc, from, n_slots)
-                            .expect("ancestors of broadcast nodes are broadcast");
-                        control.push(ControlEntry {
-                            min_key: anode.min_key,
-                            max_key: anode.max_key,
-                            delta: bytes(to),
-                        });
-                    }
-                    control.reverse();
-                }
-
                 BTreePayload::Index(IndexBucket {
                     level: level as u32,
                     node: node as u32,
@@ -315,7 +295,7 @@ mod tests {
     fn fwd_buckets_geometry() {
         // Whole buckets from the end of bucket `p` (point `p + 1`) of a
         // 10-bucket cycle to the start of bucket `to`.
-        let fwd_buckets = |p: usize, to: usize| gap(p + 1, to, 10);
+        let fwd_buckets = |p: Ticks, to: Ticks| gap(p + 1, to, 10);
         assert_eq!(fwd_buckets(0, 1), 0); // immediately next
         assert_eq!(fwd_buckets(0, 0), 9); // self, next cycle
         assert_eq!(fwd_buckets(9, 0), 0); // wrap
@@ -330,9 +310,8 @@ mod tests {
         assert_eq!(gap_to_next(&[2, 5, 8], 6, 10), Some(2));
         assert_eq!(gap_to_next(&[2, 5, 8], 9, 10), Some(3));
         assert_eq!(gap_to_next(&[2, 5, 8], 5, 10), Some(0));
-        assert_eq!(gap_to_next::<usize>(&[], 5, 10), None);
-        let mut next = NextOf::new(&[2, 5, 8]);
-        assert_eq!([1, 3, 5, 9, 10].map(|f| next.gap(f, 10)), [1, 2, 0, 3, 2]);
+        assert_eq!(gap_to_next(&[2, 5, 8], 10, 10), Some(2)); // from the cycle's end
+        assert_eq!(gap_to_next(&[], 5, 10), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use bda_btree::IndexBucket;
 use bda_core::{Key, Ticks};
-use bda_signature::{Attrs, Signature};
+use bda_signature::Signature;
 
 /// Bucket payload for the hybrid index-tree + signature broadcast.
 ///
@@ -39,9 +39,8 @@ pub enum HybridPayload {
         key: Key,
         /// Position of the record (diagnostics).
         record_index: u32,
-        /// Attribute values (attribute clients verify matches on these); a
-        /// view of the program's one [`bda_signature::AttrTable`].
-        attrs: Attrs,
+        /// Attribute values (attribute clients verify matches on these).
+        attrs: Box<[u64]>,
         /// Forward delta to the next index segment.
         next_seg_delta: Ticks,
         /// Forward delta to the next signature bucket.

@@ -12,14 +12,14 @@
 //! rather than bucket counts.
 
 use bda_btree::distributed::segment_slots;
-use bda_btree::layout::{gap, NextOf, NodeOccurrences, Slot};
+use bda_btree::layout::{gap_to_next, Occurrences, Slot};
 use bda_btree::optimal::optimal_r_ragged;
-use bda_btree::{ControlEntry, IndexBucket, IndexEntry, IndexTree};
+use bda_btree::{IndexBucket, IndexTree};
 use bda_core::machine::run_machine;
 use bda_core::{
     AccessOutcome, BdaError, Bucket, Channel, Dataset, Key, Params, Result, Scheme, System, Ticks,
 };
-use bda_signature::{AttrTable, QueryTarget, SigParams};
+use bda_signature::{QueryTarget, SigParams};
 
 use crate::machines::{HybridAttrMachine, HybridKeyMachine};
 use crate::payload::HybridPayload;
@@ -157,7 +157,7 @@ impl Scheme for HybridScheme {
         if let Some(d) = data_start.iter().position(|&s| s == ABSENT) {
             return Err(BdaError::BuildError(format!("record {d} never broadcast")));
         }
-        let index_occ = NodeOccurrences::new(
+        let occ = Occurrences::new(
             &tree,
             slots
                 .iter()
@@ -166,14 +166,15 @@ impl Scheme for HybridScheme {
                     Slot::Index { level, node, .. } => Some((level, node, start)),
                     Slot::Data { .. } => None,
                 }),
+            &data_start,
+            cycle,
         );
 
         // --- payload construction: every delta runs from the end of its
         // bucket, in the order the buckets air ------------------------------
-        let attrs = AttrTable::new(dataset);
-        let mut next_seg = NextOf::new(&seg_starts);
-        let mut next_sig = NextOf::new(&sig_starts);
-        let leaf_level = k - 1;
+        let next = |starts: &[Ticks], from| {
+            gap_to_next(starts, from, cycle).expect("segment and signature starts are non-empty")
+        };
         let mut buckets = Vec::with_capacity(slots.len() + dataset.len());
         for (slot, &start) in slots.iter().zip(&starts) {
             match *slot {
@@ -186,8 +187,8 @@ impl Scheme for HybridScheme {
                         HybridPayload::Sig {
                             sig: self.sig.record_signature(record.key, &record.attrs),
                             record_index: d as u32,
-                            next_seg_delta: next_seg.gap(end, cycle),
-                            next_sig_after_data: next_sig.gap(data_end, cycle),
+                            next_seg_delta: next(&seg_starts, end),
+                            next_sig_after_data: next(&sig_starts, data_end),
                         },
                     ));
                     buckets.push(Bucket::new(
@@ -195,9 +196,9 @@ impl Scheme for HybridScheme {
                         HybridPayload::Data {
                             key: record.key,
                             record_index: d as u32,
-                            attrs: attrs.row(d),
-                            next_seg_delta: next_seg.gap(data_end, cycle),
-                            next_sig_delta: next_sig.gap(data_end, cycle),
+                            attrs: record.attrs.clone(),
+                            next_seg_delta: next(&seg_starts, data_end),
+                            next_sig_delta: next(&sig_starts, data_end),
                         },
                     ));
                 }
@@ -207,38 +208,8 @@ impl Scheme for HybridScheme {
                     segment_start,
                 } => {
                     let end = start + dt;
+                    let (entries, control) = occ.pointers(level, node, end, true)?;
                     let tnode = tree.node(level, node);
-                    let mut entries = Vec::with_capacity(tnode.num_children());
-                    for (j, &max_key) in tnode.child_max.iter().enumerate() {
-                        let delta = if level == leaf_level {
-                            gap(end, data_start[node * fanout + j], cycle)
-                        } else {
-                            let child = tree.child(level, node, j);
-                            index_occ
-                                .gap_to(level + 1, child, end, cycle)
-                                .ok_or_else(|| {
-                                    BdaError::BuildError(format!(
-                                        "child ({}, {child}) never broadcast",
-                                        level + 1
-                                    ))
-                                })?
-                        };
-                        entries.push(IndexEntry { max_key, delta });
-                    }
-                    let mut control = Vec::with_capacity(level);
-                    let mut anc = node;
-                    for a in (0..level).rev() {
-                        anc /= fanout;
-                        let anode = tree.node(a, anc);
-                        control.push(ControlEntry {
-                            min_key: anode.min_key,
-                            max_key: anode.max_key,
-                            delta: index_occ
-                                .gap_to(a, anc, end, cycle)
-                                .expect("ancestors broadcast"),
-                        });
-                    }
-                    control.reverse();
                     buckets.push(Bucket::new(
                         dt as u32,
                         HybridPayload::Index {
@@ -250,9 +221,9 @@ impl Scheme for HybridScheme {
                                 segment_start,
                                 entries,
                                 control,
-                                next_seg_delta: next_seg.gap(end, cycle),
+                                next_seg_delta: next(&seg_starts, end),
                             },
-                            next_sig_delta: next_sig.gap(end, cycle),
+                            next_sig_delta: next(&sig_starts, end),
                         },
                     ));
                 }

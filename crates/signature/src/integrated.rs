@@ -13,7 +13,6 @@ use bda_core::{
     ProtocolMachine, Result, Scheme, System, Ticks, Verdict,
 };
 
-use crate::attrs::AttrTable;
 use crate::sig::{SigParams, SigTable, Signature};
 use crate::simple::SigPayload;
 
@@ -72,7 +71,6 @@ impl Scheme for IntegratedSignatureScheme {
         let frames = dataset.len().div_ceil(self.group_len as usize);
         let mut buckets = Vec::with_capacity(frames + dataset.len());
         let mut group_sigs = Vec::with_capacity(frames);
-        let attrs = AttrTable::new(dataset);
         for (g, frame) in dataset
             .records()
             .chunks(self.group_len as usize)
@@ -92,13 +90,12 @@ impl Scheme for IntegratedSignatureScheme {
             ));
             group_sigs.push(sig);
             for (j, r) in frame.iter().enumerate() {
-                let record_index = g * self.group_len as usize + j;
                 buckets.push(Bucket::new(
                     data_size,
                     SigPayload::Data {
                         key: r.key,
-                        record_index: record_index as u32,
-                        attrs: attrs.row(record_index),
+                        record_index: (g * self.group_len as usize + j) as u32,
+                        attrs: r.attrs.clone(),
                     },
                 ));
             }

@@ -25,13 +25,11 @@
 //! * [`multilevel::MultiLevelSignatureScheme`] — integrated signatures over
 //!   frames **plus** simple signatures per record.
 
-pub mod attrs;
 pub mod integrated;
 pub mod multilevel;
 pub mod sig;
 pub mod simple;
 
-pub use attrs::{AttrTable, Attrs};
 pub use integrated::{IntegratedSignatureScheme, IntegratedSystem};
 pub use multilevel::{MultiLevelSignatureScheme, MultiLevelSystem};
 pub use sig::{SigParams, SigTable, Signature};

@@ -13,7 +13,6 @@ use bda_core::{
     ProtocolMachine, Result, Scheme, System, Ticks, Verdict,
 };
 
-use crate::attrs::AttrTable;
 use crate::sig::{SigParams, SigTable, Signature};
 use crate::simple::SigPayload;
 
@@ -76,7 +75,6 @@ impl Scheme for MultiLevelSignatureScheme {
         let mut buckets = Vec::with_capacity(frames + 2 * dataset.len());
         let mut group_sigs = Vec::with_capacity(frames);
         let mut record_sigs = Vec::with_capacity(dataset.len());
-        let attrs = AttrTable::new(dataset);
         for (g, frame) in dataset
             .records()
             .chunks(self.group_len as usize)
@@ -115,7 +113,7 @@ impl Scheme for MultiLevelSignatureScheme {
                     SigPayload::Data {
                         key: r.key,
                         record_index: record_index as u32,
-                        attrs: attrs.row(record_index),
+                        attrs: r.attrs.clone(),
                     },
                 ));
             }

@@ -13,7 +13,6 @@ use bda_core::{
     Key, Params, ProtocolMachine, Result, Scheme, System, Ticks, Verdict,
 };
 
-use crate::attrs::{AttrTable, Attrs};
 use crate::sig::{SigParams, SigTable, Signature};
 
 /// Bucket payload shared by all signature-based schemes.
@@ -50,9 +49,8 @@ pub enum SigPayload {
         /// Position of the record (diagnostics).
         record_index: u32,
         /// The record's attribute values — what a downloading client gets
-        /// to inspect (needed to verify attribute-query matches); a view
-        /// of the program's one [`AttrTable`].
-        attrs: Attrs,
+        /// to inspect (needed to verify attribute-query matches).
+        attrs: Box<[u64]>,
     },
 }
 
@@ -192,7 +190,6 @@ impl SimpleSignatureScheme {
             .iter()
             .map(|r| self.sig.record_signature(r.key, &r.attrs))
             .collect();
-        let attrs = AttrTable::new(dataset);
         let in_record_order = occurrences
             .iter()
             .enumerate()
@@ -212,7 +209,7 @@ impl SimpleSignatureScheme {
                 SigPayload::Data {
                     key: r.key,
                     record_index: i,
-                    attrs: attrs.row(i as usize),
+                    attrs: r.attrs.clone(),
                 },
             ));
         }
