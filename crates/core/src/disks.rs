@@ -514,6 +514,7 @@ impl<S: System> System for DiskSystem<S> {
             geo: Arc::clone(&self.geo),
             origin,
             inner: None,
+            spent: None,
             chosen: 0,
             seeking: false,
         }
@@ -538,6 +539,9 @@ pub struct DiskMachine<S: System> {
     /// Absolute time at which the program's cycle 0 began.
     origin: Ticks,
     inner: Option<S::Machine>,
+    /// The last inner machine discarded, by a re-route or with the query
+    /// before this one: the next inner machine takes over its storage.
+    spent: Option<S::Machine>,
     /// Minor cycle being routed to (valid while `seeking`).
     chosen: usize,
     seeking: bool,
@@ -552,9 +556,21 @@ impl<S: System> DiskMachine<S> {
     fn seek(&mut self, t: Ticks) -> Action {
         let (j, s) = self.geo.next_entry(self.target, t - self.origin);
         self.chosen = j;
-        self.inner = None;
+        if let Some(m) = self.inner.take() {
+            self.spent = Some(m);
+        }
         self.seeking = true;
         Action::DozeTo(self.origin + s)
+    }
+
+    /// A fresh inner machine for minor cycle `j` that takes over the
+    /// spent one's storage.
+    fn spawn(&mut self, j: usize) -> S::Machine {
+        let mut m = self.subs[j].query(self.key);
+        if let Some(spent) = &mut self.spent {
+            m.reuse(spent);
+        }
+        m
     }
 }
 
@@ -565,7 +581,7 @@ impl<S: System> ProtocolMachine<S::Payload> for DiskMachine<S> {
             // machine handles arbitrary mid-cycle tune-in natively (wrapping
             // pointers land in the same program) — run it verbatim for
             // bit-identical outcomes.
-            let mut m = self.subs[0].query(self.key);
+            let mut m = self.spawn(0);
             let action = m.start(tune_in);
             self.inner = Some(m);
             self.seeking = false;
@@ -578,7 +594,7 @@ impl<S: System> ProtocolMachine<S::Payload> for DiskMachine<S> {
         if self.seeking {
             // Landed on the first bucket of the chosen minor cycle: spawn
             // the inner machine as if it tuned in exactly at the boundary.
-            let mut m = self.subs[self.chosen].query(self.key);
+            let mut m = self.spawn(self.chosen);
             let started = m.start(meta.start);
             self.seeking = false;
             let action = match started {
@@ -611,6 +627,11 @@ impl<S: System> ProtocolMachine<S::Payload> for DiskMachine<S> {
             // The chunk-entry landing bucket is consumed as navigation.
             _ => BucketKind::Index,
         }
+    }
+
+    /// The spent query's last inner machine serves this one's first.
+    fn reuse(&mut self, spent: &mut Self) {
+        self.spent = spent.inner.take().or_else(|| spent.spent.take());
     }
 }
 

@@ -15,9 +15,10 @@
 //! query's machine takes over the bitmap of the one before it in its slot
 //! (and of the machine a version skew replaced), so the first run
 //! allocates a bitmap a few times at most, growing it to the largest
-//! program met, and a second run allocates nothing. A scan behind the
-//! generic disk router allocates nothing even on a first run, though the
-//! router starts a fresh inner machine at every re-route: a corrupted
+//! program met, and a second run allocates nothing. The generic disk
+//! router hands each query's inner machine the last one's in the same
+//! way; over several disks its inner scans allocate nothing even on a
+//! first run, though it starts a fresh one at every re-route: a corrupted
 //! read re-routes, so an inner scan reads its minor cycle in order and
 //! gains no gap.
 //!
@@ -130,7 +131,8 @@ fn a_warmed_engine_allocates_only_the_result_vector() {
     ];
     // Every kind on one channel, and on three broadcast disks where it has
     // them, frozen and churning; and a flat scan behind the generic disk
-    // router, whose inner scans gain no gap.
+    // router, on one disk, where the router hands every read to one inner
+    // scan per query, and on three, where its inner scans gain no gap.
     let layouts = [Layout::Single, Layout::Disks(DiskConfig::new(3))];
     let mut programs = Vec::new();
     for kind in SchemeKind::ALL {
@@ -155,14 +157,16 @@ fn a_warmed_engine_allocates_only_the_result_vector() {
             }
         }
     }
-    let routed = DiskScheme::new(FlatScheme, DiskConfig::new(3)).build(&ds, &params);
-    programs.push(Program {
-        name: "routed flat",
-        gaps: false,
-        disks: true,
-        churning: false,
-        sys: Box::new(routed.unwrap()),
-    });
+    for disks in [1, 3] {
+        let routed = DiskScheme::new(FlatScheme, DiskConfig::new(disks)).build(&ds, &params);
+        programs.push(Program {
+            name: "routed flat",
+            gaps: disks == 1,
+            disks: disks > 1,
+            churning: false,
+            sys: Box::new(routed.unwrap()),
+        });
+    }
     // Sized up front: the measurements must not allocate between batches.
     let mut counts = Vec::with_capacity(programs.len() * airs.len());
     let mut ok = true;
